@@ -796,7 +796,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.trace_format == "otlp":
             save_otlp_trace(tel, args.trace_out)
         else:
-            save_chrome_trace(tel, args.trace_out, tracer=env.sim.trace)
+            save_chrome_trace(tel, args.trace_out)
         print(
             f"\n{args.trace_format} trace written to {args.trace_out} "
             f"(telemetry digest {tel.digest()[:12]})"

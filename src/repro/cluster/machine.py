@@ -6,9 +6,9 @@ scheduling policy which to start whenever the state changes (a submission
 arrives or a job ends). Started jobs hold node cores until they complete
 or hit their walltime limit.
 
-Every transition is written to the simulation trace, and completed-job
-wait times are kept in a history ring that the Bundle layer uses for its
-predictive interface.
+Every transition is announced to the cluster's listeners, and
+completed-job wait times are kept in a history ring that the Bundle
+layer uses for its predictive interface.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from .schedulers import (
     SchedulerView,
 )
 from .schedulers.base import PriorityFn
-
-# Enum .value is a descriptor read; transitions are hot, so cache the
-# per-state trace strings once.
-_JOB_STATE_VALUE = {s: s.value for s in JobState}
 
 
 class SubmissionError(Exception):
@@ -210,8 +206,8 @@ class Cluster:
         self._offline_until = max(
             self._offline_until, self.sim.now + duration
         )
-        self.sim.trace.record(
-            self.sim.now, "resource", self.name, "OFFLINE",
+        self.sim.telemetry.instant(
+            "cluster", "offline", track=f"cluster/{self.name}",
             until=self._offline_until,
         )
         for job, _, end_event in list(self._running.values()):
@@ -226,8 +222,8 @@ class Cluster:
     def _back_online(self) -> None:
         if self.is_offline:
             return  # a later outage extended the window
-        self.sim.trace.record(
-            self.sim.now, "resource", self.name, "ONLINE"
+        self.sim.telemetry.instant(
+            "cluster", "online", track=f"cluster/{self.name}"
         )
         self._schedule_dispatch()
 
@@ -374,14 +370,5 @@ class Cluster:
     def _transition(self, job: BatchJob, new_state: JobState) -> None:
         old = job.state
         job.advance(new_state)
-        self.sim.trace.record(
-            self.sim._now,
-            "batch-job",
-            job.name,
-            _JOB_STATE_VALUE[new_state],
-            resource=self.name,
-            cores=job.cores,
-            kind=job.kind,
-        )
         for fn in self._listener_snapshot:
             fn(job, old, new_state)

@@ -161,8 +161,8 @@ class PilotReinforcer:
                     depends_on=("resources",),
                 )
             )
-            self.sim.trace.record(
-                self.sim.now, "execution", "adaptation", "BACKUP_PILOT",
+            self.sim.telemetry.instant(
+                "execution", "backup-pilot", track="adaptation",
                 resource=resource, pilot=pilot.uid,
             )
             backups += 1
@@ -228,8 +228,8 @@ class PilotReinforcer:
                         depends_on=("pilot_walltime_min",),
                     )
                 )
-                self.sim.trace.record(
-                    now, "execution", "adaptation", "RENEWAL",
+                self.sim.telemetry.instant(
+                    "execution", "renewal", track="adaptation",
                     resource=pilot.resource, pilot=successor.uid,
                     predecessor=pilot.uid,
                 )

@@ -9,17 +9,15 @@ quantities an experimenter plots:
 * :func:`allocation_metrics` — pilot core-seconds consumed vs used
   (the paper's "allocation consumption" concern: canceling pilots when
   tasks finish is only half the story — how full were they?);
-* :func:`export_trace` — dump the trace as JSON for external tooling
-  (the RADICAL-Analytics workflow).
+* :func:`export_trace` — dump a telemetry hub's records as JSON for
+  external tooling (the RADICAL-Analytics workflow).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..des import Tracer
 from ..pilot import ComputePilot, ComputeUnit, PilotState, UnitState
 from ..telemetry import trace_records_json
 
@@ -132,36 +130,6 @@ def allocation_metrics(
     )
 
 
-def export_trace(records, category: Optional[str] = None) -> str:
-    """Serialize trace records to JSON.
-
-    The rendering lives with the other exporters
-    (:func:`repro.telemetry.exporters.trace_records_json`); this is a
-    thin delegation kept for API stability. Pass the record sequence
-    directly (``export_trace(tracer.records)`` or a ``query(...)``
-    result).
-
-    .. deprecated::
-        Passing a :class:`~repro.des.Tracer` (with the optional
-        ``category=`` filter) is the old signature; it still works but
-        emits a :class:`DeprecationWarning`. Filter via
-        ``tracer.query(category=...)`` and pass the records instead.
-    """
-    if isinstance(records, Tracer):
-        warnings.warn(
-            "export_trace(tracer, category=...) is deprecated; pass the "
-            "records directly, e.g. export_trace(tracer.query(category=...))"
-            " or export_trace(tracer.records)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        tracer = records
-        records = (
-            tracer.query(category=category) if category else tracer.records
-        )
-    elif category is not None:
-        raise TypeError(
-            "category= is only meaningful with the deprecated Tracer "
-            "signature; filter the records before calling export_trace"
-        )
-    return trace_records_json(records)
+#: ``export_trace(sim.telemetry, category=None)``: the hub's records as
+#: flat JSON rows (see :func:`repro.telemetry.exporters.trace_records_json`).
+export_trace = trace_records_json

@@ -290,7 +290,6 @@ class ExecutionManager:
         t_start = self.sim.now
         app_name = skeleton.app.name
         log.debug("enactment of %s starts at t=%.0f", app_name, t_start)
-        self.sim.trace.record(t_start, "execution", app_name, "START")
         tel = self.sim.telemetry
         em_track = f"em/{app_name}"
         #: the five enactment steps' spans (None entries while disabled).
@@ -342,15 +341,6 @@ class ExecutionManager:
                     f"{', '.join(sorted(strategy.resources))}"
                 )
         em_spans.append(sp)
-        self.sim.trace.record(
-            self.sim.now, "execution", app_name, "STRATEGY",
-            binding=strategy.binding.value,
-            scheduler=strategy.unit_scheduler,
-            n_pilots=strategy.n_pilots,
-            pilot_cores=strategy.pilot_cores,
-            walltime_min=strategy.pilot_walltime_min,
-            resources=strategy.resources,
-        )
 
         # Preparation: input files appear at the origin.
         with tel.span(
@@ -442,9 +432,8 @@ class ExecutionManager:
                         if name in healthy
                     ]
                     alt = ranked[0] if ranked else healthy[0]
-                    self.sim.trace.record(
-                        self.sim.now, "execution", app_name,
-                        "RECOVERY-REROUTE",
+                    tel.instant(
+                        "execution", "recovery-reroute", track=em_track,
                         quarantined=description.resource, resource=alt,
                     )
                     description = replace(description, resource=alt)
@@ -458,8 +447,8 @@ class ExecutionManager:
                 attempt=attempt,
                 backoff_s=delay,
             ))
-            self.sim.trace.record(
-                self.sim.now, "execution", app_name, "PILOT-RESUBMIT",
+            tel.instant(
+                "execution", "pilot-resubmit", track=em_track,
                 resource=description.resource, attempt=attempt,
             )
 
@@ -476,8 +465,8 @@ class ExecutionManager:
                 )
                 rec_state["used"] += 1
                 rec_state["pending"] += 1
-                self.sim.trace.record(
-                    self.sim.now, "execution", app_name, "RECOVERY-BACKOFF",
+                tel.instant(
+                    "execution", "recovery-backoff", track=em_track,
                     resource=pilot.resource, backoff_s=delay,
                 )
                 self.sim.call_in(
@@ -576,7 +565,6 @@ class ExecutionManager:
             self.health.remove_listener(on_health_event)
         # Cancel leftover pilots (do not waste allocation).
         self.pilot_manager.cancel_pilots(pilots)
-        self.sim.trace.record(t_end, "execution", app_name, "END")
 
         fault_log = (
             self.fault_injector.log.between(t_start, t_end)

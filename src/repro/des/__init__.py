@@ -2,8 +2,8 @@
 
 This package is the substrate's foundation: a deterministic event queue, a
 simulated clock, generator-based processes, shared-resource primitives,
-seeded RNG streams, and a trace log used for self-introspection by the
-middleware layers above.
+and seeded RNG streams. What the middleware layers above record about
+themselves goes to the kernel's telemetry hub (``sim.telemetry``).
 """
 
 from .errors import (
@@ -13,13 +13,7 @@ from .errors import (
     SchedulingError,
     SimulationError,
 )
-from .calendar import (
-    AdaptiveEventQueue,
-    CalendarEventQueue,
-    QUEUE_BACKENDS,
-    make_event_queue,
-)
-from .events import EventQueue, ScheduledEvent, TraceRecord, Tracer
+from .events import EventQueue, ScheduledEvent
 from .hazard import hazard_process
 from .kernel import Simulation
 from .process import AllOf, AnyOf, Process, Signal, Timeout, Waitable
@@ -28,15 +22,12 @@ from .rng import RngStreams
 
 __all__ = [
     "Acquisition",
-    "AdaptiveEventQueue",
     "AllOf",
     "AnyOf",
     "CancelledError",
-    "CalendarEventQueue",
     "CapacityResource",
     "EventQueue",
     "Interrupt",
-    "QUEUE_BACKENDS",
     "Process",
     "ProcessError",
     "RngStreams",
@@ -47,9 +38,6 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "Waitable",
     "hazard_process",
-    "make_event_queue",
 ]

@@ -8,9 +8,8 @@ exact same event order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .errors import SchedulingError
 
@@ -113,16 +112,10 @@ class EventQueue:
         self._seq = 0  # plain int: += 1 beats next(count()) on the hot path
         self._live = 0
         self._cancelled = 0  # dead entries still occupying heap slots
-        #: Set by AdaptiveEventQueue promotion: the calendar queue that
-        #: adopted this heap's events. A ``pop_until`` reference hoisted
-        #: before the promotion (the kernel hoists one per run) keeps
-        #: working by forwarding to it once the heap is drained.
-        self._redirect = None
         #: Cumulative counters surfaced through the telemetry registry.
         self.pushed = 0
         self.popped = 0
         self.cancels = 0
-        self.compactions = 0
 
     def __len__(self) -> int:
         return self._live
@@ -167,7 +160,6 @@ class EventQueue:
         self._heap = [entry for entry in self._heap if not entry[3].cancelled]
         heapify(self._heap)
         self._cancelled = 0
-        self.compactions += 1
 
     def peek_time(self) -> Optional[float]:
         """Return the time of the next live event, or None if empty."""
@@ -195,87 +187,9 @@ class EventQueue:
             heappop(heap)
             self._cancelled -= 1
         if not heap or heap[0][0] > limit:
-            redirect = self._redirect
-            if redirect is not None:
-                return redirect.pop_until(limit)
             return None
         ev = heappop(heap)[3]
         ev.fired = True
         self._live -= 1
         self.popped += 1
         return ev
-
-
-@dataclass(slots=True)
-class TraceRecord:
-    """One timestamped entry in a simulation trace."""
-
-    time: float
-    category: str
-    entity: str
-    event: str
-    data: dict[str, Any] = field(default_factory=dict)
-
-
-class Tracer:
-    """Append-only, timestamped record log used for self-introspection.
-
-    Every state transition in the middleware layers records a
-    :class:`TraceRecord`. Analyses (TTC decomposition, overlap computation)
-    are derived from these traces rather than from ad-hoc bookkeeping, which
-    mirrors the instrumentation design of the AIMES middleware.
-    """
-
-    def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
-        self._enabled = True
-
-    def enable(self) -> None:
-        self._enabled = True
-
-    def disable(self) -> None:
-        self._enabled = False
-
-    def record(
-        self,
-        time: float,
-        category: str,
-        entity: str,
-        event: str,
-        **data: Any,
-    ) -> None:
-        """Append one record (no-op when tracing is disabled)."""
-        if self._enabled:
-            self.records.append(TraceRecord(time, category, entity, event, data))
-
-    def query(
-        self,
-        category: Optional[str] = None,
-        entity: Optional[str] = None,
-        event: Optional[str] = None,
-    ) -> list[TraceRecord]:
-        """Return records matching all provided filters, in time order."""
-        out: list[TraceRecord] = []
-        append = out.append
-        for rec in self.records:
-            if category is not None and rec.category != category:
-                continue
-            if entity is not None and rec.entity != entity:
-                continue
-            if event is not None and rec.event != event:
-                continue
-            append(rec)
-        return out
-
-    def first(self, **kw: Any) -> Optional[TraceRecord]:
-        """First matching record or None."""
-        recs = self.query(**kw)
-        return recs[0] if recs else None
-
-    def last(self, **kw: Any) -> Optional[TraceRecord]:
-        """Last matching record or None."""
-        recs = self.query(**kw)
-        return recs[-1] if recs else None
-
-    def clear(self) -> None:
-        self.records.clear()

@@ -1,21 +1,20 @@
 """The discrete-event simulation kernel.
 
-A :class:`Simulation` owns the simulated clock, the event queue, the trace
-log, and the registry of seeded RNG streams. Everything in the substrate
-(clusters, networks, pilots) is driven by one shared kernel so that the
-whole middleware stack advances on a single, deterministic timeline.
+A :class:`Simulation` owns the simulated clock, the event queue, the
+telemetry hub that records what the middleware does, and the registry of
+seeded RNG streams. Everything in the substrate (clusters, networks,
+pilots) is driven by one shared kernel so that the whole middleware
+stack advances on a single, deterministic timeline.
 """
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..telemetry import TelemetryHub
-from .calendar import make_event_queue
 from .errors import SchedulingError, SimulationError
-from .events import _CANCELLED, ScheduledEvent, Tracer
+from .events import _CANCELLED, EventQueue, ScheduledEvent
 from .process import AllOf, AnyOf, Process, Signal, Timeout, Waitable
 from .rng import RngStreams
 
@@ -23,29 +22,16 @@ from .rng import RngStreams
 class Simulation:
     """Deterministic discrete-event simulation kernel.
 
-    ``event_queue`` selects the scheduling backend: ``"heap"`` (binary
-    heap), ``"calendar"`` (calendar queue), or ``"auto"`` (heap that
-    promotes itself to a calendar queue on large event populations).
-    All backends pop in the identical ``(time, priority, seq)`` order,
-    so the simulated history — and every digest derived from it — is
-    backend-independent. Defaults to the ``REPRO_DES_QUEUE`` environment
-    variable, falling back to ``"auto"``.
+    Events are dispatched in ``(time, priority, seq)`` order from one
+    binary heap (:class:`~repro.des.events.EventQueue`).
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        start_time: float = 0.0,
-        event_queue: Optional[str] = None,
-    ) -> None:
-        backend = event_queue or os.environ.get("REPRO_DES_QUEUE") or "auto"
-        self.queue_backend = backend
-        self._queue = make_event_queue(backend)
+    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
+        self._queue = EventQueue()
         self._now = float(start_time)
         self._running = False
         self.events_processed = 0
         self.rng = RngStreams(seed)
-        self.trace = Tracer()
         self.telemetry = TelemetryHub(
             clock=lambda: self._now, run_id=f"sim-{seed}"
         )
@@ -55,24 +41,12 @@ class Simulation:
             "kernel.events-processed", lambda: self.events_processed
         )
         metrics.gauge("kernel.virtual-time", lambda: self._now)
-        # Deterministic queue counters: identical across backends and
-        # across serial/parallel runs, so they may enter sampled
-        # snapshots (and hence telemetry digests) safely.
+        # Deterministic queue counters: identical across serial/parallel
+        # runs, so they may enter sampled snapshots (and hence telemetry
+        # digests) safely.
         metrics.gauge("kernel.events-pushed", lambda: self._queue.pushed)
         metrics.gauge("kernel.events-popped", lambda: self._queue.popped)
         metrics.gauge("kernel.events-cancelled", lambda: self._queue.cancels)
-        # Backend machinery state (compaction cadence differs between
-        # heap and calendar): diagnostic, excluded from digests.
-        metrics.gauge(
-            "kernel.queue-compactions",
-            lambda: self._queue.compactions,
-            diagnostic=True,
-        )
-        metrics.gauge(
-            "kernel.queue-resizes",
-            lambda: getattr(self._queue, "resizes", 0),
-            diagnostic=True,
-        )
         metrics.gauge("rng.draws", lambda: self.rng.draws)
         metrics.gauge("rng.streams", lambda: len(self.rng))
 

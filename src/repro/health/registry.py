@@ -209,9 +209,6 @@ class HealthRegistry:
     def record_event(self, kind: str, target: str, **details) -> HealthEvent:
         """Append a supervision event (watchdog, supervisor) to the trace."""
         ev = self.log.record(self.sim.now, kind, target, **details)
-        self.sim.trace.record(
-            self.sim.now, "health", target, kind.upper(), **details
-        )
         tel = self.sim.telemetry
         if tel.enabled:
             tel.instant("health", kind, track=f"health/{target}", **details)

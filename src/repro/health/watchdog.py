@@ -104,10 +104,10 @@ class UnitWatchdog:
                         resource=resource,
                     )
                 else:
-                    self.sim.trace.record(
-                        self.sim.now, "health", unit.name,
-                        "WATCHDOG-RESCHEDULE", state=state,
-                        stalled_s=stalled_for,
+                    self.sim.telemetry.instant(
+                        "health", "watchdog-reschedule",
+                        track=f"health/{unit.name}", state=state,
+                        stalled_s=stalled_for, resource=resource,
                     )
             if not pending:
                 return  # all units final: the watchdog's job is done

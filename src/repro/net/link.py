@@ -113,11 +113,11 @@ class Link:
             return
         self._drain_elapsed()
         self._degradation = float(factor)
-        self.sim.trace.record(
-            self.sim.now, "link", self.name,
-            "PARTITIONED" if factor == 0.0 else
-            ("DEGRADED" if factor < 1.0 else "RESTORED"),
-            factor=factor,
+        self.sim.telemetry.instant(
+            "net",
+            "partitioned" if factor == 0.0 else
+            ("degraded" if factor < 1.0 else "restored"),
+            track=f"link/{self.name}", factor=factor,
         )
         self._reschedule()
 
@@ -134,10 +134,6 @@ class Link:
         if size_bytes < 0:
             raise ValueError("transfer size must be non-negative")
         t = Transfer(self.sim, self, size_bytes, label)
-        self.sim.trace.record(
-            self.sim.now, "transfer", t.label, "START",
-            link=self.name, bytes=size_bytes,
-        )
         self.sim.call_in(self.latency, self._admit, t)
         return t
 
@@ -198,8 +194,4 @@ class Link:
         t.end_time = self.sim.now
         self.completed_transfers += 1
         self.bytes_moved += t.size_bytes
-        self.sim.trace.record(
-            self.sim.now, "transfer", t.label, "DONE",
-            link=self.name, bytes=t.size_bytes, duration=t.duration,
-        )
         t.succeed(t)

@@ -51,10 +51,6 @@ class ComputePilot:
         self.state = PilotState.NEW
         self.history = StateHistory()
         self.history.append(self.state.value, sim.now)
-        sim.trace.record(
-            sim.now, "pilot", self.uid, PilotState.NEW.value,
-            resource=description.resource, cores=description.cores,
-        )
         sim.telemetry.transition(
             "pilot", self.uid, PilotState.NEW.value,
             resource=description.resource, cores=description.cores,
@@ -118,12 +114,7 @@ class ComputePilot:
             return  # late native-job echoes after cancellation are ignored
         self.state = new_state
         sv = new_state.value
-        now = self.sim._now  # property bypass on the hot path
-        self.history.append(sv, now)
-        self.sim.trace.record(
-            now, "pilot", self.uid, sv,
-            resource=self.resource, cores=self.cores,
-        )
+        self.history.append(sv, self.sim._now)  # property bypass: hot path
         tel = self.sim.telemetry
         if tel.enabled:
             tel.transition(
@@ -155,10 +146,6 @@ class ComputeUnit:
         self.state = UnitState.NEW
         self.history = StateHistory()
         self.history.append(self.state.value, sim.now)
-        sim.trace.record(
-            sim.now, "unit", self.uid, UnitState.NEW.value,
-            name=description.name, pilot=None,
-        )
         sim.telemetry.transition(
             "unit", self.uid, UnitState.NEW.value, task=description.name,
         )
@@ -206,20 +193,13 @@ class ComputeUnit:
         check_unit_transition(self.state, new_state)
         self.state = new_state
         sv = new_state.value
-        now = self.sim._now  # property bypass on the hot path
-        pilot_uid = self.pilot.uid if self.pilot else None
-        self.history.append(sv, now)
-        self.sim.trace.record(
-            now, "unit", self.uid, sv,
-            name=self.description.name,
-            pilot=pilot_uid,
-        )
+        self.history.append(sv, self.sim._now)  # property bypass: hot path
         tel = self.sim.telemetry
         if tel.enabled:
             tel.transition(
                 "unit", self.uid, sv,
                 final=self.is_final,
-                pilot=pilot_uid,
+                pilot=self.pilot.uid if self.pilot else None,
             )
             tel.metrics.counter(_UNIT_COUNTER[new_state]).inc()
         if self._callbacks:

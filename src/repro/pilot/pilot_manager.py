@@ -155,9 +155,9 @@ class PilotManager:
             # mark the pilot so the registry does not read its FAILED
             # state as fresh evidence against the resource.
             pilot.quarantine_rejected = True
-            self.sim.trace.record(
-                self.sim.now, "pilot", pilot.uid, "SUBMIT-QUARANTINED",
-                resource=desc.resource,
+            self.sim.telemetry.instant(
+                "pilot", "submit-quarantined",
+                track=f"pilot-manager/{desc.resource}", pilot=pilot.uid,
             )
             pilot.advance(PilotState.FAILED)
             return
@@ -183,20 +183,16 @@ class PilotManager:
                 if self.submit_jitter_frac:
                     u = self.sim.rng.get("pilot-submit-jitter").random()
                     delay *= 1.0 + self.submit_jitter_frac * (2.0 * u - 1.0)
-                self.sim.trace.record(
-                    self.sim.now, "pilot", pilot.uid, "SUBMIT-RETRY",
-                    resource=desc.resource, attempt=attempt + 1,
-                    backoff_s=delay,
-                )
                 self.sim.telemetry.instant(
                     "pilot", "submit-retry", track=f"pilot-manager/{desc.resource}",
                     pilot=pilot.uid, attempt=attempt + 1,
                 )
                 self.sim.call_in(delay, self._try_submit, pilot, desc, attempt + 1)
             else:
-                self.sim.trace.record(
-                    self.sim.now, "pilot", pilot.uid, "SUBMIT-EXHAUSTED",
-                    resource=desc.resource, attempts=attempt + 1,
+                self.sim.telemetry.instant(
+                    "pilot", "submit-exhausted",
+                    track=f"pilot-manager/{desc.resource}",
+                    pilot=pilot.uid, attempts=attempt + 1,
                 )
                 pilot.advance(PilotState.FAILED)
             return
@@ -204,9 +200,9 @@ class PilotManager:
             self.submit_faults += 1
             if self.health is not None:
                 self.health.record_submission(desc.resource, ok=False)
-            self.sim.trace.record(
-                self.sim.now, "pilot", pilot.uid, "SUBMIT-REJECTED",
-                resource=desc.resource,
+            self.sim.telemetry.instant(
+                "pilot", "submit-rejected",
+                track=f"pilot-manager/{desc.resource}", pilot=pilot.uid,
             )
             pilot.advance(PilotState.FAILED)
             return

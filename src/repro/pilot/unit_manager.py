@@ -316,10 +316,6 @@ class UnitManager:
         unit.restarts += 1
         unit.pilot = None
         unit.advance(UnitState.FAILED)
-        self.sim.trace.record(
-            self.sim.now, "unit", unit.uid, "RESTART-CHECK",
-            restarts=unit.restarts, allowed=unit.description.max_restarts,
-        )
         if unit.can_restart:
             unit.advance(UnitState.UNSCHEDULED)
             self._unbound.append(unit)

@@ -79,11 +79,6 @@ class SagaJob:
 
     def _set_state(self, state: SagaState) -> None:
         self.state = state
-        self.sim.trace.record(
-            self.sim.now, "saga-job",
-            self.description.name or "saga-job", state.value,
-            resource=self.service.resource_name,
-        )
         for fn in list(self._callbacks):
             fn(self, state)
         if state in SAGA_FINAL and not self._done.triggered:

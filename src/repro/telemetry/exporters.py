@@ -8,9 +8,9 @@
 * :func:`otlp_trace` renders spans as OTLP-style JSON
   (``resourceSpans`` → ``scopeSpans`` → ``spans``) with deterministic
   trace/span ids, the shape OpenTelemetry collectors ingest.
-* :func:`trace_records_json` is the flat per-record dump the legacy
-  ``analytics.export_trace`` API has always produced; it lives here so
-  the one subsystem owns every serialization of middleware telemetry.
+* :func:`trace_records_json` is the flat per-record dump behind
+  ``analytics.export_trace``: every span start and instant as one
+  time-ordered row.
 """
 
 from __future__ import annotations
@@ -39,17 +39,8 @@ def _track_tids(spans: Iterable[Span], instants: Iterable[dict]) -> Dict[str, in
     return tids
 
 
-def chrome_trace(
-    hub: TelemetryHub,
-    tracer=None,
-    wall_track: bool = True,
-) -> Dict[str, Any]:
-    """Render the hub as a Chrome trace-event JSON object.
-
-    ``tracer`` (a :class:`~repro.des.Tracer`) optionally contributes its
-    flat records as instant events on per-category lanes, putting the
-    classic state-transition log on the same timeline as the spans.
-    """
+def chrome_trace(hub: TelemetryHub, wall_track: bool = True) -> Dict[str, Any]:
+    """Render the hub as a Chrome trace-event JSON object."""
     events: List[Dict[str, Any]] = []
     tids = _track_tids(hub.spans, hub.instants)
 
@@ -105,25 +96,6 @@ def chrome_trace(
             "cat": inst["category"],
             "args": inst["attrs"],
         })
-    if tracer is not None:
-        trace_tids: Dict[str, int] = {}
-        base = len(tids)
-        for rec in tracer.records:
-            lane = f"trace/{rec.category}"
-            tid = trace_tids.get(lane)
-            if tid is None:
-                tid = trace_tids[lane] = base + len(trace_tids) + 1
-                events.append(meta(PID_VIRTUAL, tid, lane, "thread_name"))
-            events.append({
-                "ph": "i",
-                "s": "t",
-                "pid": PID_VIRTUAL,
-                "tid": tid,
-                "ts": rec.time * 1e6,
-                "name": f"{rec.entity}:{rec.event}",
-                "cat": rec.category,
-                "args": _plain(rec.data),
-            })
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -131,10 +103,10 @@ def chrome_trace(
     }
 
 
-def save_chrome_trace(hub: TelemetryHub, path: str, tracer=None) -> None:
+def save_chrome_trace(hub: TelemetryHub, path: str) -> None:
     """Write :func:`chrome_trace` output to ``path`` (open in Perfetto)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(hub, tracer=tracer), fh)
+        json.dump(chrome_trace(hub), fh)
 
 
 # -- OTLP-style JSON -----------------------------------------------------------
@@ -201,27 +173,37 @@ def save_otlp_trace(hub: TelemetryHub, path: str) -> None:
         json.dump(otlp_trace(hub), fh)
 
 
-# -- the legacy flat trace dump ------------------------------------------------
+# -- the flat record dump ------------------------------------------------------
 
-def trace_records_json(records: Iterable, indent: Optional[int] = 1) -> str:
-    """Serialize flat :class:`~repro.des.TraceRecord` rows to JSON.
+def trace_records_json(
+    hub: TelemetryHub,
+    category: Optional[str] = None,
+    indent: Optional[int] = 1,
+) -> str:
+    """Serialize the hub's spans and instants as flat, time-ordered rows.
 
-    This is the rendering ``analytics.export_trace`` has always shipped
-    (tuples become lists); it now lives with the other exporters.
+    Each row is ``{"time", "category", "entity", "event", "data"}``: a
+    span contributes its start (the entity is its track, the event its
+    name), an instant its marker. ``category`` keeps only that category.
     """
+    rows = [
+        (s.t0, s.category, s.track, s.name, s.attrs) for s in hub.spans
+    ] + [
+        (i["t"], i["category"], i["track"], i["name"], i["attrs"])
+        for i in hub.instants
+    ]
+    rows.sort(key=lambda row: row[0])  # stable: record order within a tick
     return json.dumps(
         [
             {
-                "time": r.time,
-                "category": r.category,
-                "entity": r.entity,
-                "event": r.event,
-                "data": {
-                    k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in r.data.items()
-                },
+                "time": t,
+                "category": cat,
+                "entity": entity,
+                "event": event,
+                "data": _plain(data),
             }
-            for r in records
+            for t, cat, entity, event, data in rows
+            if category is None or cat == category
         ],
         indent=indent,
     )

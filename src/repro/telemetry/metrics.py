@@ -37,10 +37,9 @@ class Counter:
 class Gauge:
     """A point-in-time value: explicitly set, or read through a callback.
 
-    A *diagnostic* gauge reports host- or backend-dependent machinery
-    state (heap compactions, cache hit counts) whose value legitimately
-    differs between equivalent runs — e.g. between the heap and calendar
-    event-queue backends, or between serial and forked parallel workers.
+    A *diagnostic* gauge reports process-dependent machinery state
+    (cache hit counts) whose value legitimately differs between
+    equivalent runs — e.g. between serial and forked parallel workers.
     Diagnostic gauges are excluded from the default :meth:`snapshot` so
     they never enter sampled telemetry (and therefore never enter run
     digests), while still showing up in ``render_table`` and in
@@ -163,8 +162,8 @@ class MetricsRegistry:
 
         Diagnostic gauges are omitted unless ``diagnostics=True``: the
         default snapshot feeds the virtual-time sampler and the telemetry
-        digest, which must stay byte-identical across queue backends and
-        serial-vs-parallel execution.
+        digest, which must stay byte-identical across serial and
+        parallel execution.
         """
         return {
             "counters": {

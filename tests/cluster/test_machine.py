@@ -172,10 +172,13 @@ def test_trace_records_batch_job_states():
     sim = Simulation()
     cluster = make_cluster(sim)
     job = BatchJob(cores=1, runtime=10, walltime=20)
+    seen = []
+    job.add_callback(lambda j, old, new: seen.append((sim.now, new.value)))
     cluster.submit(job)
     sim.run()
-    events = [r.event for r in sim.trace.query(category="batch-job", entity=job.name)]
-    assert events == ["PENDING", "RUNNING", "COMPLETED"]
+    assert [state for _, state in seen] == ["PENDING", "RUNNING", "COMPLETED"]
+    assert seen[1][0] == job.start_time
+    assert seen[2][0] == job.end_time == job.start_time + 10
 
 
 def test_wait_history_populated():

@@ -79,11 +79,15 @@ def test_repeated_outages_extend():
 
 def test_trace_records_outage_window():
     sim = Simulation()
+    sim.telemetry.enable()
     cluster = make_cluster(sim)
     cluster.set_offline(300)
     sim.run()
-    events = [r.event for r in sim.trace.query(category="resource", entity="c")]
-    assert events == ["OFFLINE", "ONLINE"]
+    events = [
+        (i["t"], i["name"]) for i in sim.telemetry.instants
+        if i["track"] == "cluster/c"
+    ]
+    assert events == [(0.0, "offline"), (300.0, "online")]
 
 
 def test_execution_survives_mid_run_outage():

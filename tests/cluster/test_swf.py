@@ -64,12 +64,16 @@ class TestReplay:
                           submit_overhead=0.0)
         jobs = parse_swf(SAMPLE.splitlines())
         replay = SwfReplay(sim, cluster, jobs)
+        starts = []
+        cluster.add_listener(
+            lambda job, old, new: new is JobState.RUNNING
+            and starts.append(sim.now)
+        )
         assert replay.start() == 3
         sim.run()
         assert cluster.completed_jobs == 3
         # job 1: 32 cores at t=0 on an idle 64-core machine
-        recs = sim.trace.query(category="batch-job", event="RUNNING")
-        assert recs[0].time == 0.0
+        assert starts[0] == 0.0
 
     def test_time_scale_compresses(self):
         sim = Simulation(seed=0)

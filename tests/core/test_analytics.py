@@ -24,6 +24,7 @@ from repro.skeleton import SkeletonAPI, bag_of_tasks
 @pytest.fixture(scope="module")
 def executed():
     sim = Simulation(seed=31)
+    sim.telemetry.enable()
     net = Network(sim)
     clusters = {}
     for name in ("a", "b"):
@@ -82,20 +83,19 @@ def test_allocation_metrics_empty():
 
 def test_export_trace_json(executed):
     sim, report = executed
-    doc = json.loads(export_trace(sim.trace.query(category="unit")))
+    doc = json.loads(export_trace(sim.telemetry, category="unit"))
     assert doc, "expected unit trace records"
     assert all(r["category"] == "unit" for r in doc)
     sample = doc[0]
     assert {"time", "category", "entity", "event", "data"} <= set(sample)
-    # full dump also parses
-    full = json.loads(export_trace(sim.trace.records))
-    assert len(full) >= len(doc)
-
-
-def test_export_trace_tracer_signature_is_deprecated(executed):
-    sim, _ = executed
-    with pytest.warns(DeprecationWarning):
-        doc = json.loads(export_trace(sim.trace, category="unit"))
-    assert doc and all(r["category"] == "unit" for r in doc)
-    with pytest.raises(TypeError):
-        export_trace(sim.trace.records, category="unit")
+    # every unit's lifecycle is there, NEW first
+    first = {}
+    for r in doc:
+        first.setdefault(r["entity"], r["event"])
+    assert set(first) == {u.uid for u in report.units}
+    assert set(first.values()) == {"NEW"}
+    # the full dump is time-ordered and a superset
+    full = json.loads(export_trace(sim.telemetry))
+    assert len(full) > len(doc)
+    times = [r["time"] for r in full]
+    assert times == sorted(times)

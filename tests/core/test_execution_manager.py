@@ -142,12 +142,18 @@ def test_reports_accumulate():
 
 def test_trace_records_execution_phases():
     sim, net, clusters, bundle, em = make_env(seed=23)
+    sim.telemetry.enable()
     api = SkeletonAPI(bag_of_tasks(4, task_duration=30), seed=1)
-    em.execute(api)
-    events = [
-        r.event for r in sim.trace.query(category="execution")
+    t_start = sim.now
+    report = em.execute(api)
+    steps = report.telemetry.em_steps
+    assert [name for name, _, _ in steps] == [
+        "gather-information", "derive-strategy", "prepare-inputs",
+        "instantiate-pilots", "execute-units",
     ]
-    assert events == ["START", "STRATEGY", "END"]
+    # the steps tile the enactment from its start to its end
+    assert steps[0][1] == t_start
+    assert steps[-1][2] == t_start + report.ttc
 
 
 def test_access_schema_routing():

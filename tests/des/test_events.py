@@ -1,9 +1,15 @@
-"""Unit tests for the event queue and tracer."""
+"""Unit tests for the event queue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des.errors import SchedulingError
-from repro.des.events import EventQueue, Tracer
+from repro.des.events import EventQueue
+
+
+def _noop() -> None:  # events need a callback; ordering ignores it
+    pass
 
 
 def test_push_pop_orders_by_time():
@@ -85,47 +91,106 @@ def test_nan_time_rejected():
         EventQueue().push(float("nan"), lambda: None)
 
 
-def test_tracer_record_and_query():
-    t = Tracer()
-    t.record(0.0, "pilot", "p1", "NEW")
-    t.record(1.0, "pilot", "p1", "ACTIVE", cores=32)
-    t.record(2.0, "unit", "u1", "DONE")
-    assert len(t.records) == 3
-    assert [r.event for r in t.query(category="pilot")] == ["NEW", "ACTIVE"]
-    assert t.first(entity="p1").event == "NEW"
-    assert t.last(entity="p1").event == "ACTIVE"
-    assert t.last(entity="p1").data["cores"] == 32
-    assert t.query(event="MISSING") == []
-    assert t.first(event="MISSING") is None
+def test_orders_by_time_priority_seq():
+    q = EventQueue()
+    q.push(5.0, _noop)
+    q.push(1.0, _noop)
+    q.push(5.0, _noop, priority=-1)
+    q.push(1.0, _noop)
+    got = [(ev.time, ev.priority, ev.seq) for ev in (q.pop() for _ in range(4))]
+    # time first, then priority, then seq FIFO on full ties
+    assert got == [(1.0, 0, 1), (1.0, 0, 3), (5.0, -1, 2), (5.0, 0, 0)]
+    assert len(q) == 0
 
 
-def test_tracer_query_event_filter_fall_through():
-    t = Tracer()
-    t.record(0.0, "pilot", "p1", "NEW")
-    t.record(1.0, "pilot", "p2", "NEW")
-    t.record(2.0, "pilot", "p1", "ACTIVE")
-    t.record(3.0, "unit", "u1", "NEW")
-    # the event filter alone spans categories and entities
-    assert [r.entity for r in t.query(event="NEW")] == ["p1", "p2", "u1"]
-    # all provided filters must hold simultaneously
-    assert [r.time for r in t.query(category="pilot", entity="p1",
-                                    event="ACTIVE")] == [2.0]
-    assert t.query(category="unit", entity="p1") == []
-    assert t.query(category="pilot", event="DONE") == []
-    t.clear()
-    assert t.records == [] and t.query(event="NEW") == []
+def test_nan_rejected_inf_allowed():
+    q = EventQueue()
+    with pytest.raises(SchedulingError):
+        q.push(float("nan"), _noop)
+    q.push(float("inf"), _noop)
+    q.push(float("-inf"), _noop)
+    q.push(0.0, _noop)
+    assert [q.pop().time for _ in range(3)] == [float("-inf"), 0.0, float("inf")]
 
 
-def test_tracer_disable_enable():
-    t = Tracer()
-    t.disable()
-    t.record(0.0, "x", "y", "z")
-    assert t.records == []
-    t.enable()
-    t.record(0.0, "x", "y", "z")
-    assert len(t.records) == 1
-    t.clear()
-    assert t.records == []
+def test_len_counts_live_only():
+    q = EventQueue()
+    a = q.push(1.0, _noop)
+    q.push(2.0, _noop)
+    q.cancel(a)
+    assert len(q) == 1 and bool(q)
+    q.pop()
+    assert len(q) == 0 and not bool(q)
+
+
+# -- pop order against a reference model (hypothesis) -------------------------
+
+# Times drawn from a tiny grid => heavy ties; priorities collide too.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.integers(0, 12),  # time on a coarse grid
+            st.integers(-1, 1),  # priority
+        ),
+        st.tuples(st.just("pop"), st.just(0), st.just(0)),
+        st.tuples(
+            st.just("cancel"),
+            st.integers(0, 40),  # index into pushed handles (mod len)
+            st.just(0),
+        ),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@given(ops=_ops)
+@settings(max_examples=300, deadline=None)
+def test_property_pops_match_reference_model(ops):
+    """Any push/cancel/pop interleaving pops what a sorted list would."""
+    q = EventQueue()
+    handles = []
+    model = {}  # seq -> (time, priority, seq) of live events
+    for op, a, b in ops:
+        if op == "push":
+            ev = q.push(float(a), _noop, (), b)
+            handles.append(ev)
+            model[ev.seq] = (ev.time, ev.priority, ev.seq)
+        elif op == "cancel" and handles:
+            # may hit live, fired, or already-cancelled events: all legal
+            ev = handles[a % len(handles)]
+            q.cancel(ev)
+            model.pop(ev.seq, None)
+        elif op == "pop":
+            ev = q.pop_until(float("inf"))
+            expect = min(model.values(), default=None)
+            assert (None if ev is None else (ev.time, ev.priority, ev.seq)) == expect
+            if expect is not None:
+                del model[expect[2]]
+        assert len(q) == len(model)
+    drained = []
+    while q:
+        ev = q.pop()
+        drained.append((ev.time, ev.priority, ev.seq))
+    assert drained == sorted(model.values())
+
+
+@given(
+    times=st.lists(
+        st.floats(
+            min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
+        ),
+        min_size=1,
+        max_size=120,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_property_float_times_pop_sorted(times):
+    q = EventQueue()
+    for t in times:
+        q.push(t, _noop)
+    assert [q.pop().time for _ in range(len(times))] == sorted(times)
 
 
 # -- lazy cancellation bounds (compaction) ------------------------------------

@@ -35,12 +35,17 @@ def test_run_process_until_deadline():
         sim.run_process(p, until=100.0)
 
 
-def test_tracer_disabled_during_simulation():
+def test_disabled_telemetry_records_nothing_during_simulation():
     sim = Simulation()
-    sim.trace.disable()
-    sim.call_in(1.0, lambda: sim.trace.record(sim.now, "c", "e", "EV"))
+    sim.call_in(1.0, lambda: sim.telemetry.instant("c", "ev", track="e"))
     sim.run()
-    assert sim.trace.records == []
+    assert sim.telemetry.instants == []
+    sim.telemetry.enable()
+    sim.call_in(1.0, lambda: sim.telemetry.instant("c", "ev", track="e"))
+    sim.run()
+    assert [(i["t"], i["name"]) for i in sim.telemetry.instants] == [
+        (2.0, "ev")
+    ]
 
 
 def test_timeout_zero_fires_immediately_in_order():

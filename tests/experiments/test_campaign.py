@@ -176,27 +176,3 @@ def test_win_fraction_synthetic():
         result.runs.append(run(3, n, 500))
     assert win_fraction(result, 3, 1) == 1.0
     assert win_fraction(result, 1, 3) == 0.0
-
-
-class TestQueueBackendEquivalence:
-    """The event-queue backend is invisible to simulated history: the
-    same cell yields byte-identical results and attribution digests on
-    the heap, the calendar, and the adaptive queue."""
-
-    def _cell(self, monkeypatch, backend):
-        monkeypatch.setenv("REPRO_DES_QUEUE", backend)
-        run = run_single(
-            TABLE1[3], 32, 0, campaign_seed=2016, collect_digests=True
-        )
-        return (
-            run.events,
-            run.attribution_digest,
-            run.digest,
-            run.ttc,
-            run.tw,
-        )
-
-    def test_backends_byte_identical(self, monkeypatch):
-        heap = self._cell(monkeypatch, "heap")
-        assert self._cell(monkeypatch, "calendar") == heap
-        assert self._cell(monkeypatch, "auto") == heap

@@ -19,6 +19,7 @@ from repro.skeleton import SkeletonAPI, bag_of_tasks
 
 def make_pm(seed=0, sites=("alpha",), **pm_kw):
     sim = Simulation(seed=seed)
+    sim.telemetry.enable()
     clusters = {
         name: Cluster(sim, name, nodes=4, cores_per_node=8, submit_overhead=1.0)
         for name in sites
@@ -37,6 +38,10 @@ def desc(resource="alpha"):
     return ComputePilotDescription(resource=resource, cores=8, runtime_min=60)
 
 
+def instants(sim, name):
+    return [i for i in sim.telemetry.instants if i["name"] == name]
+
+
 # -- PilotManager: transient retry with exponential backoff --------------------
 
 
@@ -49,8 +54,8 @@ def test_transient_failures_are_retried_until_success():
     assert pilot.state is PilotState.ACTIVE
     assert pm.submit_faults == 2
     # exponential backoff: retries traced at 10s and 10+20=30s
-    retries = sim.trace.query(event="SUBMIT-RETRY")
-    assert [r.time for r in retries] == [0.0, 10.0]
+    retries = instants(sim, "submit-retry")
+    assert [r["t"] for r in retries] == [0.0, 10.0]
     assert pilot.history.timestamp("PENDING_ACTIVE") >= 30.0
 
 
@@ -62,7 +67,7 @@ def test_retry_budget_exhaustion_fails_the_pilot():
     sim.run(until=2000.0)
     assert pilot.state is PilotState.FAILED
     assert pm.submit_faults == 3  # initial try + 2 retries
-    assert sim.trace.query(event="SUBMIT-EXHAUSTED")
+    assert instants(sim, "submit-exhausted")
 
 
 def test_permanent_failure_fails_the_pilot_without_retry():
@@ -73,8 +78,8 @@ def test_permanent_failure_fails_the_pilot_without_retry():
     sim.run(until=2000.0)
     assert pilot.state is PilotState.FAILED
     assert pm.submit_faults == 1
-    assert not sim.trace.query(event="SUBMIT-RETRY")
-    assert sim.trace.query(event="SUBMIT-REJECTED")
+    assert not instants(sim, "submit-retry")
+    assert instants(sim, "submit-rejected")
 
 
 def test_scripted_failures_target_one_resource():

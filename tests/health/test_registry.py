@@ -177,11 +177,13 @@ def test_snapshot_reports_scores_and_states():
 
 def test_record_event_reaches_listeners_and_the_trace():
     sim, reg = make_registry()
+    sim.telemetry.enable()
     seen = []
     reg.add_listener(seen.append)
     reg.record_event("watchdog-reschedule", "unit-1", state="EXECUTING")
     assert len(seen) == 1 and seen[0].kind == "watchdog-reschedule"
-    assert sim.trace.query(event="WATCHDOG-RESCHEDULE")
+    (inst,) = sim.telemetry.instants
+    assert (inst["name"], inst["track"]) == ("watchdog-reschedule", "health/unit-1")
     reg.remove_listener(seen.append)
     reg.record_event("replan", "*")
     assert len(seen) == 1  # removed listeners stay quiet

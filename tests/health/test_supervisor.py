@@ -170,13 +170,16 @@ def desc():
 
 def test_half_open_probe_success_closes_the_breaker():
     sim, reg, pm = probe_stack()
+    sim.telemetry.enable()
     reg.breaker("alpha").trip("outage-observed")
 
     # quarantined: submissions fail fast and are NOT held against alpha
     (rejected,) = pm.submit_pilots([desc()])
     assert rejected.state is PilotState.FAILED
     assert rejected.quarantine_rejected
-    assert sim.trace.query(event="SUBMIT-QUARANTINED")
+    assert [
+        i for i in sim.telemetry.instants if i["name"] == "submit-quarantined"
+    ]
     assert reg.breaker_state("alpha") is BreakerState.OPEN
 
     sim.run(until=60.0)  # cooldown elapses

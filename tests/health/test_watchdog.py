@@ -130,6 +130,7 @@ def test_unit_queued_behind_an_inactive_pilot_is_left_alone():
 
 def test_watchdog_without_registry_traces_directly():
     sim, net, clusters, pm, um, _ = make_stack(registry=False)
+    sim.telemetry.enable()
     net.fs(ORIGIN).write("in-0.dat", 2e6, 0.0)
     pilots = pm.submit_pilots([pilot_desc("alpha")])
     um.add_pilots(pilots)
@@ -140,4 +141,6 @@ def test_watchdog_without_registry_traces_directly():
     sim.call_in(0.5, net.link_to("alpha").set_degradation, 0.0)
     sim.run(until=200.0)
     assert watchdog.rescheduled >= 1
-    assert sim.trace.query(event="WATCHDOG-RESCHEDULE")
+    assert [
+        i for i in sim.telemetry.instants if i["name"] == "watchdog-reschedule"
+    ]

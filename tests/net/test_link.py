@@ -86,15 +86,14 @@ def test_n_concurrent_flows_aggregate_time_scales_linearly():
 def test_counters_and_trace():
     sim = Simulation()
     link = Link(sim, "l", 100.0, latency_s=0.0)
-    link.transfer(100, label="f1")
-    link.transfer(300, label="f2")
+    f1 = link.transfer(100, label="f1")
+    f2 = link.transfer(300, label="f2")
     sim.run()
     assert link.completed_transfers == 2
     assert link.bytes_moved == 400
     assert link.active_flows == 0
-    starts = sim.trace.query(category="transfer", event="START")
-    dones = sim.trace.query(category="transfer", event="DONE")
-    assert len(starts) == 2 and len(dones) == 2
+    # shared 50/50 until f1 drains at t=2, then f2 alone until t=4
+    assert (f1.end_time, f2.end_time) == pytest.approx((2.0, 4.0))
 
 
 def test_conservation_of_bytes_under_churn():

@@ -247,9 +247,7 @@ def test_trace_contains_full_unit_lifecycle(substrate):
     um.add_pilots(pilots)
     (unit,) = um.submit_units(unit_desc("t0", duration=100))
     substrate.sim.run()
-    events = [
-        r.event for r in substrate.sim.trace.query(category="unit", entity=unit.uid)
-    ]
+    events = [state for state, _ in unit.history.as_list()]
     assert events[0] == "NEW"
     assert events[-1] == "DONE"
     assert "EXECUTING" in events

@@ -9,6 +9,7 @@ from repro.core.analytics import export_trace
 from repro.experiments import build_environment
 from repro.skeleton import SkeletonAPI, paper_skeleton
 from repro.telemetry import (
+    TelemetryHub,
     chrome_trace,
     otlp_trace,
     save_chrome_trace,
@@ -37,7 +38,7 @@ def telemetered_run():
 def test_chrome_trace_round_trip(telemetered_run, tmp_path):
     env, _ = telemetered_run
     path = tmp_path / "trace.json"
-    save_chrome_trace(env.sim.telemetry, str(path), tracer=env.sim.trace)
+    save_chrome_trace(env.sim.telemetry, str(path))
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
@@ -71,12 +72,15 @@ def test_chrome_trace_round_trip(telemetered_run, tmp_path):
     assert doc["otherData"]["digest"] == env.sim.telemetry.digest()
 
 
-def test_chrome_trace_includes_tracer_instants(telemetered_run):
-    env, _ = telemetered_run
-    doc = chrome_trace(env.sim.telemetry, tracer=env.sim.trace)
-    instants = [ev for ev in doc["traceEvents"] if ev["ph"] == "i"]
-    assert instants
-    assert all(ev["s"] == "t" for ev in instants)
+def test_chrome_trace_includes_instants():
+    hub = TelemetryHub(clock=lambda: 2.5)
+    hub.enable()
+    hub.instant("cluster", "offline", track="cluster/c", until=10.0)
+    doc = chrome_trace(hub)
+    (inst,) = [ev for ev in doc["traceEvents"] if ev["ph"] == "i"]
+    assert inst["s"] == "t" and inst["ts"] == 2.5e6
+    assert (inst["name"], inst["cat"]) == ("offline", "cluster")
+    assert inst["args"] == {"until": 10.0}
 
 
 def test_otlp_trace_shape(telemetered_run, tmp_path):
@@ -94,12 +98,14 @@ def test_otlp_trace_shape(telemetered_run, tmp_path):
     assert otlp_trace(env.sim.telemetry) == doc
 
 
-def test_export_trace_shim_still_serves_tracer_records(telemetered_run):
-    env, _ = telemetered_run
-    with pytest.warns(DeprecationWarning):
-        doc = json.loads(export_trace(env.sim.trace, category="pilot"))
+def test_export_trace_flattens_hub_records(telemetered_run):
+    env, report = telemetered_run
+    doc = json.loads(export_trace(env.sim.telemetry, category="pilot"))
     assert doc and all(rec["category"] == "pilot" for rec in doc)
     assert {"time", "category", "entity", "event", "data"} <= set(doc[0])
+    for pilot in report.pilots:
+        events = [r["event"] for r in doc if r["entity"] == pilot.uid]
+        assert events == [state for state, _ in pilot.history.as_list()]
 
 
 def test_execution_report_carries_a_telemetry_summary(telemetered_run):
