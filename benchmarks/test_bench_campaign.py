@@ -4,12 +4,14 @@ Four measurements, all written to ``benchmarks/BENCH_campaign.json``
 (the artifact CI uploads):
 
 * **Kernel throughput** — the Exp. 3, 256-task cell with telemetry off,
-  the hot-path cell the DES optimizations target. Gated two ways
-  against the committed ``campaign-cell-exp3-256`` baseline (recorded
-  before the optimizations): the event count must match exactly
-  (determinism: optimizations must not change the simulated history)
-  and wall time must not regress past ``REGRESSION_FACTOR``x. Set
-  ``REPRO_BENCH_KERNEL_FACTOR`` to additionally require a minimum
+  the hot-path cell the DES optimizations target. Gated three ways
+  against the committed ``campaign-cell-exp3-256`` baseline (wall time
+  recorded before the optimizations): the event count and the cell's
+  attribution digest must match exactly (determinism: optimizations
+  must not change the simulated history, neither its length nor its
+  content) and wall time must not regress past ``REGRESSION_FACTOR``x.
+  The event count covers only the three resources the cell observes.
+  Set ``REPRO_BENCH_KERNEL_FACTOR`` to additionally require a minimum
   events/sec ratio vs. the baseline — meaningful only on the machine
   that recorded the baseline, since absolute events/sec do not compare
   across hosts.
@@ -102,12 +104,12 @@ def _peak_rss_mb() -> float:
 
 
 def test_bench_kernel_throughput():
-    best_wall, events = None, None
+    best_wall, events, digest = None, None, None
     for _ in range(3):
         w0 = perf_counter()
         run = run_single(TABLE1[3], 256, 0, campaign_seed=2016)
         wall = perf_counter() - w0
-        events = run.events
+        events, digest = run.events, run.attribution_digest
         best_wall = wall if best_wall is None else min(best_wall, wall)
     _results[KERNEL_KEY] = {
         "wall_s": best_wall,
@@ -122,6 +124,7 @@ def test_bench_kernel_throughput():
         baseline[KERNEL_KEY] = {
             "wall_s": round(best_wall, 4),
             "events": events,
+            "attribution_digest": digest,
             "events_per_sec": round(events / best_wall, 1),
         }
         with open(BASELINE_PATH, "w", encoding="utf-8") as fh:
@@ -138,6 +141,11 @@ def test_bench_kernel_throughput():
     assert events == baseline["events"], (
         f"event count drifted: {events} vs baseline {baseline['events']} — "
         "an optimization changed simulation behaviour"
+    )
+    assert digest == baseline["attribution_digest"], (
+        f"attribution digest drifted: {digest[:16]} vs baseline "
+        f"{baseline['attribution_digest'][:16]} — the simulated history "
+        "changed"
     )
     limit = max(baseline["wall_s"] * REGRESSION_FACTOR, MIN_LIMIT_S)
     assert best_wall <= limit, (

@@ -27,11 +27,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster import synthetic_pool
+from ..cluster import PRESETS, ResourcePreset, synthetic_pool
 from ..core import Binding, PlannerConfig
 from ..skeleton import SkeletonAPI, bag_of_tasks, paper_skeleton
 from ..skeleton.distributions import Uniform
-from .environment import build_environment
+from .environment import Environment, build_environment, draw_observed
 from .runner import parallel_map
 
 
@@ -61,25 +61,42 @@ class AblationPoint:
         return self.aux_std
 
 
+def _observed_environment(
+    rng: np.random.Generator,
+    seed: int,
+    n_pilots: int,
+    warmup_s: Tuple[float, float],
+    resource_pool: Optional[Sequence[str]] = None,
+    presets: Optional[Sequence[ResourcePreset]] = None,
+) -> Tuple[Environment, Tuple[str, ...]]:
+    """Draw the offset and resources, then build and warm up only those.
+
+    Returns ``(env, chosen)``; see :func:`draw_observed`. ``presets``
+    replaces the built-in pool with explicit presets.
+    """
+    known = PRESETS if presets is None else {p.name: p for p in presets}
+    offset, chosen, observed = draw_observed(
+        rng, n_pilots, warmup_s, resource_pool, known,
+    )
+    env = build_environment(seed=seed, presets=[known[n] for n in observed])
+    env.warm_up(offset)
+    return env, chosen
+
+
 def _run_once(
     seed: int,
     n_tasks: int,
     binding: Binding,
     scheduler: str,
     n_pilots: int,
-    resources: Optional[Sequence[str]] = None,
     resource_pool: Optional[Sequence[str]] = None,
 ) -> Tuple[float, float]:
     """One execution; returns (ttc, tw)."""
     ss = np.random.SeedSequence(entropy=seed)
     s = ss.generate_state(3)
     rng = np.random.default_rng(s[0])
-    env = build_environment(seed=int(s[1]), resources=resource_pool)
-    env.warm_up(float(rng.uniform(2 * 3600.0, 12 * 3600.0)))
-    pool_names = list(env.pool)
-    chosen = (
-        tuple(resources) if resources
-        else tuple(rng.choice(pool_names, size=n_pilots, replace=False))
+    env, chosen = _observed_environment(
+        rng, int(s[1]), n_pilots, (2 * 3600.0, 12 * 3600.0), resource_pool,
     )
     skeleton = SkeletonAPI(paper_skeleton(n_tasks, gaussian=False), seed=int(s[2]))
     report = env.execution_manager.execute(
@@ -288,10 +305,8 @@ def _sample_nonuniform(item) -> Tuple[float, float]:
     ss = np.random.SeedSequence(entropy=seed * 1000 + k * 10 + rep)
     s = ss.generate_state(3)
     rng = np.random.default_rng(s[0])
-    env = build_environment(seed=int(s[1]))
-    env.warm_up(float(rng.uniform(2 * 3600.0, 10 * 3600.0)))
-    chosen = tuple(
-        rng.choice(list(env.pool), size=k, replace=False)
+    env, chosen = _observed_environment(
+        rng, int(s[1]), k, (2 * 3600.0, 10 * 3600.0),
     )
     skeleton = SkeletonAPI(
         bag_of_tasks(
@@ -345,10 +360,8 @@ def _sample_pool_scaling(item) -> Tuple[float, float]:
     ss = np.random.SeedSequence(entropy=seed * 1000 + k * 10 + rep)
     s = ss.generate_state(3)
     rng = np.random.default_rng(s[0])
-    env = build_environment(seed=int(s[1]), presets=presets)
-    env.warm_up(float(rng.uniform(2 * 3600.0, 8 * 3600.0)))
-    chosen = tuple(
-        rng.choice(list(env.pool), size=k, replace=False)
+    env, chosen = _observed_environment(
+        rng, int(s[1]), k, (2 * 3600.0, 8 * 3600.0), presets=presets,
     )
     skeleton = SkeletonAPI(
         bag_of_tasks(n_tasks, task_duration=900.0), seed=int(s[2])
@@ -462,10 +475,8 @@ def _sample_energy(item) -> Tuple[float, float]:
     ss = np.random.SeedSequence(entropy=seed * 1000 + rep)
     s = ss.generate_state(3)
     rng = np.random.default_rng(s[0])
-    env = build_environment(seed=int(s[1]))
-    env.warm_up(float(rng.uniform(2 * 3600.0, 10 * 3600.0)))
-    chosen = tuple(
-        rng.choice(list(env.pool), size=k, replace=False)
+    env, chosen = _observed_environment(
+        rng, int(s[1]), k, (2 * 3600.0, 10 * 3600.0),
     )
     skeleton = SkeletonAPI(
         paper_skeleton(n_tasks, gaussian=False), seed=int(s[2])
@@ -556,9 +567,9 @@ def _sample_emergent_pair(item) -> Tuple[float, float]:
     ss = np.random.SeedSequence(entropy=seed * 100 + rep)
     s = ss.generate_state(2)
     rng = np.random.default_rng(s[0])
-    env = build_environment(seed=int(s[1]))
-    env.warm_up(float(rng.uniform(2 * 3600.0, 10 * 3600.0)))
-    name = str(rng.choice(list(env.pool)))
+    env, (name,) = _observed_environment(
+        rng, int(s[1]), 1, (2 * 3600.0, 10 * 3600.0),
+    )
     return _probe_pair_on(env.pool[name].cluster, env.sim, probe_cores)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from ..core import Binding, PlannerConfig
 from ..skeleton import PAPER_TASK_COUNTS, SkeletonAPI, paper_skeleton
 from ..telemetry.causality import attribute_report
-from .environment import build_environment
+from .environment import build_environment, draw_observed
 
 log = logging.getLogger(__name__)
 
@@ -101,10 +101,12 @@ class RunResult:
     pilot_waits: Tuple[float, ...]
     units_done: int
     restarts: int
-    #: kernel events processed by this repetition's simulation.
+    #: kernel events processed by this repetition's simulation, which
+    #: holds only the resources the repetition submits to.
     events: int = 0
     #: SHA-256 over the repetition's telemetry/fault/health digests when
     #: the run was executed with ``collect_digests=True``; "" otherwise.
+    #: Like ``events``, it covers only the observed resources.
     digest: str = ""
     #: exact partition of TTC by causal component, in
     #: :data:`repro.telemetry.causality.COMPONENTS` order; the values
@@ -235,26 +237,28 @@ def run_cell_report(
     saved campaign from its coordinates and recover the full
     :class:`~repro.core.execution_manager.ExecutionReport` — critical
     path included — without the campaign having stored it.
+
+    The environment holds only the chosen resources (see
+    :func:`~repro.experiments.environment.draw_observed`); an unknown
+    ``resource_pool`` name or a pool smaller than the experiment's
+    pilot count raises :class:`ValueError` before any simulation.
     """
     ss = np.random.SeedSequence(
         entropy=campaign_seed, spawn_key=(spec.exp_id, n_tasks, rep)
     )
     seeds = ss.generate_state(3)
     rng = np.random.default_rng(seeds[0])
+    # Randomized submission instant and resource choice/order (paper
+    # §IV.A), drawn first so only the chosen resources are simulated.
+    offset, chosen, observed = draw_observed(
+        rng, spec.n_pilots, (min_warmup_s, max_warmup_s), resource_pool,
+    )
 
     with _gc_paused():
         env = build_environment(
-            seed=int(seeds[1]), resources=resource_pool,
-            telemetry=telemetry,
+            seed=int(seeds[1]), resources=observed, telemetry=telemetry,
         )
-        # Randomized submission instant (irregular intervals, paper §IV.A).
-        env.warm_up(float(rng.uniform(min_warmup_s, max_warmup_s)))
-
-        # Randomized resource choice and submission order (paper §IV.A).
-        pool_names = list(env.pool)
-        chosen = tuple(
-            rng.choice(pool_names, size=spec.n_pilots, replace=False)
-        )
+        env.warm_up(offset)
 
         skeleton = SkeletonAPI(
             paper_skeleton(n_tasks, gaussian=spec.gaussian), seed=int(seeds[2])

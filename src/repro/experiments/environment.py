@@ -1,18 +1,30 @@
 """One-call construction of the simulated experimental environment.
 
-Each experiment repetition runs in a *fresh* simulation: five (or a
-chosen subset of) resources with primed queues and live background
-workloads, the star WAN, a bundle over everything, and an Execution
-Manager. A randomized warm-up advances the simulation before the
-application is submitted, so different repetitions sample different
-queue states — the paper's "applications executed at irregular
-intervals to avoid effects of short-term resource load patterns".
+Each experiment repetition runs in a *fresh* simulation: the resources
+it observes, each with a primed queue and a live background workload,
+the star WAN, a bundle over them, and an Execution Manager. A randomized
+warm-up advances the simulation before the application is submitted,
+so different repetitions sample different queue states — the paper's
+"applications executed at irregular intervals to avoid effects of
+short-term resource load patterns".
+
+:func:`draw_observed` draws a repetition's warm-up offset and target
+resources *before* anything is built, so only the chosen resources are
+simulated. That is exact: each resource's background load draws from
+its own named stream (``workload/{name}``), and removing another
+resource's events leaves the ``(time, priority, seq)`` order of the
+remaining ones unchanged, so the chosen resources' histories — and the
+application's — are the same as in a full-pool build. Studies whose
+planner picks the resources (``PlannerConfig(optimize=...)``) observe
+every bundle member and build the full pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..bundle import BundleManager, ResourceBundle
 from ..cluster import PRESETS, ResourcePreset, SimulatedResource, build_pool, build_resource
@@ -34,6 +46,45 @@ class Environment:
     def warm_up(self, duration_s: float) -> None:
         """Advance the simulation so queues evolve before the experiment."""
         self.sim.run(until=self.sim.now + duration_s)
+
+
+def draw_observed(
+    rng: np.random.Generator,
+    n_pilots: int,
+    warmup_s: Tuple[float, float],
+    pool: Optional[Sequence[str]] = None,
+    presets: Mapping[str, ResourcePreset] = PRESETS,
+) -> Tuple[float, Tuple[str, ...], Tuple[str, ...]]:
+    """Draw a repetition's warm-up offset, then its target resources.
+
+    Returns ``(offset_s, chosen, observed)``: the offset is uniform in
+    ``warmup_s``; ``chosen`` is ``n_pilots`` distinct names of ``pool``
+    (default: every name of ``presets``, in order) in submission order;
+    ``observed`` is the same set in pool order, the ``resources=`` to
+    build. Both draws come from ``rng`` in that order, so a repetition
+    seeded the same way picks the same offset and resources whatever
+    is built afterwards.
+
+    Raises :class:`ValueError` before any simulation work when the pool
+    names an unknown preset or has fewer than ``n_pilots`` resources.
+    """
+    names = tuple(dict.fromkeys(pool)) if pool else tuple(presets)
+    unknown = [n for n in names if n not in presets]
+    if unknown:
+        raise ValueError(
+            f"unknown resource preset(s) {unknown}; known: {sorted(presets)}"
+        )
+    if n_pilots > len(names):
+        raise ValueError(
+            f"{n_pilots} pilots need {n_pilots} distinct resources, but the "
+            f"pool has {len(names)}: {list(names)}"
+        )
+    offset = float(rng.uniform(*warmup_s))
+    chosen = tuple(
+        str(n) for n in rng.choice(names, size=n_pilots, replace=False)
+    )
+    observed = tuple(n for n in names if n in chosen)
+    return offset, chosen, observed
 
 
 def build_environment(

@@ -79,10 +79,13 @@ log = logging.getLogger(__name__)
 #: One repetition's coordinates in the campaign grid.
 Cell = Tuple[int, int, int]  # (exp_id, n_tasks, rep)
 
-#: Environment setup (pool construction, queue priming) costs roughly as
-#: much as ~64 tasks' worth of simulated execution; the rest of a cell's
-#: wall time is close to linear in its task count.
-_BASE_COST = 64
+#: Environment setup (building, priming and warming up one observed
+#: resource) costs about as much as 160 tasks' worth of simulated
+#: execution: a least-squares fit of cell wall = a * resources + b * tasks
+#: over Exp1-4 x {8, 64, 256, 1024, 2048} x 2 reps gave a = 69 ms and
+#: b = 0.43 ms (2-CPU x86-64 host). The rest of a cell's wall time is
+#: close to linear in its task count.
+_COST_PER_RESOURCE = 160
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -103,8 +106,12 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 def cell_cost(cell: Cell) -> int:
-    """Relative wall-time estimate for one repetition."""
-    return _BASE_COST + cell[1]
+    """Relative wall-time estimate for one repetition.
+
+    A cell simulates one resource per pilot (Exp1/2: one, Exp3/4: three).
+    """
+    exp_id, n_tasks, _ = cell
+    return _COST_PER_RESOURCE * TABLE1[exp_id].n_pilots + n_tasks
 
 
 def plan_chunks(cells: Sequence[Cell], jobs: int) -> List[List[Cell]]:

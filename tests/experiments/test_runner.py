@@ -108,6 +108,18 @@ class TestPlanChunks:
         chunks = plan_chunks(self.GRID, jobs=1)
         assert sum(len(c) for c in chunks) == len(self.GRID)
 
+    def test_cost_scales_with_observed_resources(self):
+        # Exp3/4 simulate three resources, Exp1/2 one
+        for n in (8, 64, 2048):
+            assert cell_cost((3, n, 0)) > cell_cost((1, n, 0))
+            assert cell_cost((4, n, 0)) > cell_cost((2, n, 0))
+            assert cell_cost((1, n, 0)) == cell_cost((2, n, 0))
+
+    def test_equal_costs_keep_grid_order(self):
+        grid = [(1, 64, r) for r in range(5)] + [(2, 64, r) for r in range(5)]
+        flat = [c for chunk in plan_chunks(grid, jobs=2) for c in chunk]
+        assert flat == grid
+
 
 # -- the determinism contract --------------------------------------------------
 
