@@ -58,10 +58,9 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.workload import stream_cache_stats
 from ..skeleton import PAPER_TASK_COUNTS
 from .campaign import (
     TABLE1,
@@ -197,11 +196,6 @@ def _run_chunk(
         except Exception as exc:  # noqa: BLE001 - containment boundary
             meta = {"wall_s": time.perf_counter() - w0, "worker": pid}
             out.append(("error", cell, f"{type(exc).__name__}: {exc}", meta))
-    # Cumulative workload-stream cache counters of this worker process;
-    # the parent keeps the latest snapshot per worker and sums them.
-    cache = stream_cache_stats()
-    for _, _, _, meta in out:
-        meta["stream_cache"] = cache
     return out
 
 
@@ -227,9 +221,6 @@ class RunnerStats:
     retried: int = 0
     #: the campaign was drained by SIGINT/SIGTERM before completing.
     interrupted: bool = False
-    #: workload-stream cache counters summed across worker processes
-    #: (hits, misses, extensions, fallbacks, streams, recorded_ops).
-    stream_cache: Dict[str, int] = field(default_factory=dict)
 
     @property
     def events_per_sec(self) -> float:
@@ -579,17 +570,9 @@ def run_parallel_campaign(
         control = ShutdownControl(raise_on_hard=False)
     control.install()
 
-    # Worker cache counters are cumulative per process: keep the latest
-    # snapshot for each worker pid and sum across workers at the end.
-    worker_cache: Dict[int, Dict[str, int]] = {}
-
     def on_cell(status: str, cell: Cell, payload: object, cmeta: dict) -> None:
         run: Optional[RunResult] = None
         error: Optional[str] = None
-        snap = cmeta.get("stream_cache")
-        worker = cmeta.get("worker")
-        if snap is not None and worker is not None:
-            worker_cache[worker] = snap
         if status == "ok":
             run = payload  # type: ignore[assignment]
             results[cell] = run
@@ -665,11 +648,6 @@ def run_parallel_campaign(
         control.restore()
 
     stats.wall_s = time.perf_counter() - t0
-    agg: Dict[str, int] = {}
-    for snap in worker_cache.values():
-        for k, v in snap.items():
-            agg[k] = agg.get(k, 0) + int(v)
-    stats.stream_cache = agg
     if interrupted:
         stats.interrupted = True
         if store is not None:
