@@ -43,7 +43,7 @@ from time import perf_counter
 
 from repro.experiments import run_campaign
 from repro.experiments.campaign import TABLE1, run_single
-from repro.experiments.runner import RunnerStats, run_parallel_campaign
+from repro.experiments.runner import RunnerStats
 
 _HERE = Path(__file__).parent
 BASELINE_PATH = _HERE / "BENCH_baseline.json"
@@ -172,7 +172,7 @@ def test_bench_parallel_speedup():
 
     stats = RunnerStats()
     w0 = perf_counter()
-    par = run_parallel_campaign(jobs=4, stats=stats, **SPEEDUP_GRID)
+    par = run_campaign(jobs=4, stats=stats, **SPEEDUP_GRID)
     parallel_wall = perf_counter() - w0
 
     assert not par.errors
@@ -254,7 +254,7 @@ def test_bench_digest_equivalence():
         collect_digests=True,
     )
     serial = run_campaign(**grid)
-    par = run_parallel_campaign(jobs=4, **grid)
+    par = run_campaign(jobs=4, **grid)
     assert not par.errors
 
     def canon(runs):

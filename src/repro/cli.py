@@ -837,8 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", "--quiet", action="store_true")
     p.add_argument("-j", "--jobs", type=int, default=1,
                    help="worker processes for the repetition grid "
-                        "(0 = one per usable CPU; default: 1, serial). "
-                        "Results are identical to a serial run.")
+                        "(0 = one per usable CPU; default: 1, "
+                        "in-process). Results are identical at every -j.")
     p.add_argument("--digests", action="store_true",
                    help="record a telemetry/fault/health digest per "
                         "repetition (used to cross-check serial vs "
@@ -865,9 +865,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "quarantined as errors instead of skipping them")
     p.add_argument("--cell-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="per-cell wall-time budget; hung workers are "
-                        "killed and their cells retried, then "
-                        "quarantined after --max-attempts "
+                   help="per-cell wall-time budget at every -j; hung "
+                        "workers are killed and their cells retried, "
+                        "then quarantined after --max-attempts. At "
+                        "-j 1 it runs cells in one worker process, "
+                        "so a hung cell can be killed "
                         "(default: no timeout)")
     p.add_argument("--max-attempts", type=int, default=2,
                    help="dispatches of one cell (timeouts and worker "

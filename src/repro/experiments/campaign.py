@@ -6,6 +6,10 @@ truncated-Gaussian durations). A campaign runs every (experiment, size)
 cell for several repetitions; each repetition gets a fresh simulated
 testbed, an independent seed, a randomized warm-up offset, and — as in
 the paper — a randomized choice/order of target resources.
+
+This module is the campaign model: the specs, one repetition
+(:func:`run_single`), and the result types.
+:func:`repro.experiments.runner.run_campaign` executes a grid of them.
 """
 
 from __future__ import annotations
@@ -14,11 +18,9 @@ import gc
 import hashlib
 import json
 import logging
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -348,204 +350,6 @@ def run_single(
         attribution=att.components,
         attribution_digest=att.digest(),
     )
-
-
-def run_campaign(
-    experiments: Sequence[int] = (1, 2, 3, 4),
-    task_counts: Sequence[int] = PAPER_TASK_COUNTS,
-    reps: int = 5,
-    campaign_seed: int = 0,
-    resource_pool: Optional[Sequence[str]] = None,
-    verbose: bool = False,
-    jobs: int = 1,
-    collect_digests: bool = False,
-    on_progress: Optional[Callable[[CellProgress], None]] = None,
-    ledger=None,
-    store=None,
-    resume: bool = False,
-    resilience=None,
-    control=None,
-) -> CampaignResult:
-    """Run the full experiment grid; returns all repetitions.
-
-    ``jobs`` fans the (experiment, size, rep) grid out to that many
-    worker processes (0 = one per usable CPU). Each repetition is seeded
-    independently from ``(campaign_seed, exp_id, n_tasks, rep)``, so the
-    parallel campaign produces results identical to the serial one —
-    see :mod:`repro.experiments.runner` for the determinism contract.
-
-    ``on_progress`` receives one :class:`CellProgress` per completed
-    repetition; ``ledger`` (a :class:`repro.experiments.ledger.RunLedger`)
-    streams the campaign's NDJSON run ledger in both serial and
-    parallel modes. ``store`` (a
-    :class:`repro.experiments.store.CampaignStore`) persists each
-    repetition as it completes — one committed row per cell plus a
-    lease/attempt history, so a concurrent reader (``repro tail``) and
-    a post-crash forensic pass both see exactly the completed prefix.
-
-    ``resume=True`` (requires ``store``) continues a half-finished
-    campaign: the stored config is verified against the requested one
-    (:class:`~repro.experiments.resilience.IncompatibleResumeError` on
-    mismatch), committed cells are skipped, stale leases reclaimed, and
-    only the remainder runs — per-cell seeding makes the resumed store
-    byte-identical (by campaign fingerprint digest) to an uninterrupted
-    run. ``resilience`` is a
-    :class:`~repro.experiments.resilience.ResiliencePolicy` (timeouts,
-    retry budgets, ``retry_errors``). SIGINT/SIGTERM drain the in-flight
-    cell and raise
-    :class:`~repro.experiments.resilience.CampaignInterrupted` with the
-    store marked cleanly interrupted; a second signal hard-cancels.
-    """
-    if jobs != 1:
-        from .runner import run_parallel_campaign
-
-        return run_parallel_campaign(
-            experiments=experiments,
-            task_counts=task_counts,
-            reps=reps,
-            campaign_seed=campaign_seed,
-            resource_pool=resource_pool,
-            verbose=verbose,
-            jobs=jobs,
-            collect_digests=collect_digests,
-            on_progress=on_progress,
-            ledger=ledger,
-            store=store,
-            resume=resume,
-            resilience=resilience,
-            control=control,
-        )
-    from .resilience import (
-        CampaignInterrupted,
-        ExecutionSupervisor,
-        ResiliencePolicy,
-        ShutdownControl,
-        config_digest,
-        prepare_resume,
-    )
-
-    policy = resilience if resilience is not None else ResiliencePolicy()
-    meta = campaign_meta(
-        experiments=experiments, task_counts=task_counts, reps=reps,
-        campaign_seed=campaign_seed, resource_pool=resource_pool,
-    )
-    grid = [
-        (exp_id, n_tasks, rep)
-        for exp_id in experiments
-        for n_tasks in task_counts
-        for rep in range(reps)
-    ]
-    if resume:
-        if store is None:
-            raise ValueError("resume=True requires a store")
-        plan = prepare_resume(
-            store, meta, grid, retry_errors=policy.retry_errors
-        )
-        remaining = plan.remaining
-    else:
-        plan = None
-        remaining = list(grid)
-
-    result = CampaignResult(meta=meta)
-    total = len(grid)
-    done_offset = total - len(remaining)
-    log.info(
-        "serial campaign: %d cells (%d to run), seed=%d",
-        total, len(remaining), campaign_seed,
-    )
-    campaign_w0 = perf_counter()
-    if store is not None:
-        store.set_campaign_meta(meta)
-        store.set_config_digest(config_digest(meta))
-    if ledger is not None:
-        ledger.campaign_start(total, meta)
-        if plan is not None:
-            ledger.campaign_resumed(
-                committed=len(plan.committed),
-                errors_skipped=len(plan.errors_skipped),
-                errors_retried=len(plan.errors_retried),
-                reclaimed=plan.reclaimed_leases,
-                remaining=len(plan.remaining),
-            )
-    supervisor = ExecutionSupervisor(store=store, ledger=ledger, policy=policy)
-    own_control = control is None
-    if own_control:
-        # serial: the second signal must actually preempt the in-flight
-        # cell, so the handler raises KeyboardInterrupt on escalation.
-        control = ShutdownControl(raise_on_hard=True)
-    control.install()
-    interrupted = False
-    try:
-        for cell in remaining:
-            if control.draining:
-                interrupted = True
-                break
-            exp_id, n_tasks, rep = cell
-            spec = TABLE1[exp_id]
-            supervisor.begin(cell, worker=os.getpid())
-            w0 = perf_counter()
-            try:
-                run = run_single(
-                    spec, n_tasks, rep,
-                    campaign_seed=campaign_seed,
-                    resource_pool=resource_pool,
-                    collect_digests=collect_digests,
-                )
-            except KeyboardInterrupt:
-                # hard cancel mid-cell: the repetition is lost (it will
-                # be re-run on resume), but nothing partial was written
-                # — the store only ever holds whole committed cells.
-                supervisor.close(cell, "interrupted", "hard-cancelled mid-cell")
-                interrupted = True
-                break
-            wall = perf_counter() - w0
-            result.add(run)
-            supervisor.commit(cell, run)
-            if verbose:
-                print(
-                    f"{spec.label} n={n_tasks} rep={rep}: "
-                    f"TTC={run.ttc:.0f}s Tw={run.tw:.0f}s "
-                    f"done={run.units_done}/{n_tasks}"
-                )
-            progress = CellProgress(
-                done=done_offset + len(result.runs), total=total,
-                cell=cell, wall_s=wall, ttc=run.ttc,
-            )
-            if ledger is not None:
-                ledger.cell(progress, run=run)
-            if on_progress is not None:
-                on_progress(progress)
-    except KeyboardInterrupt:
-        # a hard cancel landing between cells (or inside a ledger/store
-        # call): transactions make the store consistent either way.
-        interrupted = True
-    finally:
-        control.restore()
-    if interrupted:
-        if store is not None:
-            store.set_interrupted(True)
-        if ledger is not None:
-            ledger.campaign_end(
-                len(result.runs), 0, perf_counter() - campaign_w0,
-                interrupted=True,
-            )
-        raise CampaignInterrupted(
-            f"campaign interrupted after {done_offset + len(result.runs)}"
-            f"/{total} cells; the store holds every committed cell",
-            result=result,
-        )
-    if store is not None:
-        store.set_interrupted(False)
-    if ledger is not None:
-        ledger.campaign_end(
-            len(result.runs), 0, perf_counter() - campaign_w0
-        )
-    if resume and store is not None:
-        # the caller sees the whole campaign — previously committed
-        # cells included — in grid order, exactly as an uninterrupted
-        # run would have returned it.
-        return store.load_campaign()
-    return result
 
 
 def campaign_meta(

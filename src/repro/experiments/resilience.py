@@ -28,9 +28,9 @@ Four cooperating pieces:
   suite asserts byte-identical ``campaign_fingerprint_from_store``
   digests.
 * **Supervision** — :class:`ExecutionSupervisor` is the parent-side
-  bookkeeper the runners call at each dispatch/commit/failure; the
-  parallel runner adds per-chunk heartbeats and a per-cell wall-time
-  budget on top, killing hung workers and retrying their cells under a
+  bookkeeper the campaign executor calls at each dispatch/commit/
+  failure; its worker pool adds per-chunk heartbeats and a per-cell
+  wall-time budget on top, killing hung workers and retrying their cells under a
   seeded-backoff budget before quarantining them as poison cells.
 * **Graceful shutdown** — :class:`ShutdownControl` turns SIGINT/SIGTERM
   into a two-stage drain: the first signal stops dispatching and lets
@@ -168,10 +168,10 @@ class ShutdownControl:
 
     First signal: ``draining`` — stop dispatching, let in-flight cells
     finish and commit. Second signal: ``hard`` — cancel everything still
-    running. With ``raise_on_hard`` (the serial runner) the second
-    signal raises :class:`KeyboardInterrupt` so an in-process cell is
-    actually preempted; the parallel parent polls the flags instead and
-    kills its worker pool.
+    running. With ``raise_on_hard`` (a cell running in-process) the
+    second signal raises :class:`KeyboardInterrupt` so the cell is
+    actually preempted; a worker-pool parent polls the flags instead and
+    kills its pool.
 
     Worker processes fork a copy of the installed handler; the copy
     recognizes the pid mismatch and only flips its (invisible) flags,
@@ -300,7 +300,7 @@ def prepare_resume(
 class ExecutionSupervisor:
     """Parent-side attempt bookkeeping over the store and the ledger.
 
-    One instance per campaign execution (serial or parallel parent).
+    One instance per campaign execution, whichever worker runs the cells.
     Tracks per-cell dispatch counts for this session's retry budget;
     durable attempt numbering continues from whatever the store already
     holds, so a resumed campaign's history reads as one sequence.

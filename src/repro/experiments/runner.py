@@ -1,27 +1,47 @@
-"""Parallel campaign execution across worker processes.
+"""Campaign execution: one executor, with an in-process or a pool worker.
 
 A Monte-Carlo campaign is embarrassingly parallel: every repetition of
 every ``(experiment, n_tasks)`` cell derives its seeds independently
 from ``(campaign_seed, exp_id, n_tasks, rep)`` via
-``np.random.SeedSequence`` and runs in a fresh simulation. The runner
-exploits that by fanning the grid out to a :class:`ProcessPoolExecutor`.
+``np.random.SeedSequence`` and runs in a fresh simulation.
+:func:`run_campaign` is the only campaign entry point. It builds the grid,
+plans a resume, opens and closes every cell's lease through one
+:class:`~repro.experiments.resilience.ExecutionSupervisor`, streams the
+ledger and handles SIGINT/SIGTERM the same way whatever ``jobs`` is.
+Only *where* a cell runs differs, and the executor picks that from
+what it can observe:
+
+* **In-process** when ``jobs`` resolves to 1 or at most one cell
+  remains, and no per-cell wall budget is set. No pool is started, and
+  a second signal preempts the running cell.
+* **Worker pool** otherwise (:func:`_execute_chunks`). A wall budget
+  needs a process it can kill, so ``cell_timeout_s`` sends even
+  ``jobs=1`` to a one-worker pool.
+
+Either way a cell runs through :func:`_run_chunk`, which turns an
+exception into a :class:`~repro.experiments.campaign.CellError` for
+that cell alone. One difference remains by design: an in-process cell
+that kills its process (``os._exit``, segfault) takes the campaign down
+with it, and ``--resume`` recovers it; a pool worker's crash costs the
+cell only.
 
 Determinism contract
 --------------------
-The parallel campaign is *bit-identical* to the serial one:
+Every ``jobs`` gives a *bit-identical* campaign:
 
 * Seeding depends only on the cell coordinates, never on execution
   order, worker identity, or wall-clock time.
 * Workers return completed :class:`RunResult` values; the parent never
   mutates them.
 * Results are re-ordered into grid order (experiments x task_counts x
-  reps, exactly the serial loop nest) before the
-  :class:`CampaignResult` is assembled, so downstream consumers see the
-  same sequence regardless of which worker finished first.
+  reps) before the :class:`CampaignResult` is assembled, so downstream
+  consumers see the same sequence regardless of which worker finished
+  first.
 
 ``tests/experiments/test_runner.py`` asserts field-by-field equality of
-serial and parallel campaigns — including the per-repetition
-telemetry/fault/health digests — and CI re-checks it on every push.
+``jobs=1`` and ``jobs=N`` campaigns — including the per-repetition
+telemetry/fault/health digests, and the error and timeout paths — and
+CI re-checks it on every push.
 
 Scheduling
 ----------
@@ -30,19 +50,24 @@ time grows roughly linearly in ``n_tasks`` on top of a fixed
 environment-construction overhead). Big-first packing keeps the long
 cells from landing at the tail of the schedule where they would leave
 all other workers idle. Each chunk is one executor task, which
-amortizes process-pool dispatch overhead for the many small cells.
+amortizes process-pool dispatch overhead for the many small cells. The
+parent keeps at most one chunk per worker in flight, so a chunk it sees
+running really is running and its wall budget starts when it does.
 
 Crash containment
 -----------------
 A worker process dying (segfault, OOM kill) breaks the whole pool: all
 in-flight futures raise :class:`BrokenProcessPool` and we cannot tell
-which chunk was guilty. The runner then splits every unfinished chunk
-into single-cell chunks and retries them in a fresh pool. A cell that
-breaks a pool twice on its own is recorded as a
+which chunk was guilty. When the broken chunk was the only one in
+flight and held one cell, the crash is that cell's. Otherwise every
+cell of every broken chunk becomes a *suspect*: it is retried in a
+fresh pool as a chunk of its own that runs with nothing else in
+flight, so its next crash, if any, is unambiguous. A cell that crashes
+``max_attempts`` times is recorded as a
 :class:`~repro.experiments.campaign.CellError` instead of a result;
-innocent cells complete normally. Ordinary exceptions inside a
-repetition never break the pool — the worker catches them per cell and
-reports them as errors.
+innocent cells complete normally, even one that was running beside the
+crash. Ordinary exceptions inside a repetition never break the pool —
+the worker catches them per cell and reports them as errors.
 """
 
 from __future__ import annotations
@@ -62,6 +87,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..skeleton import PAPER_TASK_COUNTS
+from . import campaign
 from .campaign import (
     TABLE1,
     CampaignResult,
@@ -69,9 +95,16 @@ from .campaign import (
     CellProgress,
     RunResult,
     campaign_meta,
-    run_single,
 )
 from .ledger import RunLedger
+from .resilience import (
+    CampaignInterrupted,
+    ExecutionSupervisor,
+    ResiliencePolicy,
+    ShutdownControl,
+    config_digest,
+    prepare_resume,
+)
 
 log = logging.getLogger(__name__)
 
@@ -154,7 +187,9 @@ def _default_run_cell(
 ) -> RunResult:
     """Execute one repetition in the worker process."""
     exp_id, n_tasks, rep = cell
-    return run_single(
+    # looked up per call, so a wrapped ``campaign.run_single`` (tracing,
+    # fault injection in tests) takes effect
+    return campaign.run_single(
         TABLE1[exp_id], n_tasks, rep,
         campaign_seed=campaign_seed,
         resource_pool=resource_pool,
@@ -204,7 +239,7 @@ def _run_chunk(
 
 @dataclass
 class RunnerStats:
-    """Aggregated telemetry for one parallel campaign."""
+    """Aggregated telemetry for one campaign."""
 
     jobs: int = 0
     chunks: int = 0
@@ -254,35 +289,31 @@ def _execute_chunks(
     worker_args: Tuple,
     stats: RunnerStats,
     on_cell: Callable[[str, Cell, object, dict], None],
-    supervisor=None,
-    control=None,
-    policy=None,
+    supervisor: ExecutionSupervisor,
+    control: ShutdownControl,
+    policy: ResiliencePolicy,
     campaign_seed: int = 0,
 ) -> bool:
     """Drive chunks to completion, surviving crashes, hangs, and signals.
 
-    Chunks whose futures raise :class:`BrokenProcessPool` are split into
-    single-cell chunks and retried in a fresh pool; a cell that breaks a
-    pool ``policy.max_attempts`` times while running alone is quarantined
-    as an error. When ``policy.cell_timeout_s`` is set, the parent polls
-    in-flight chunks against a ``cell_timeout_s * len(chunk)`` wall
-    budget; an overdue chunk's workers are killed, its cells retried
-    under the same attempt budget (with seeded backoff), and innocent
-    in-flight chunks are requeued without attempt penalty. ``control``
-    drain requests stop new dispatch and let running chunks finish;
-    hard-cancel kills the pool. Returns ``True`` when the campaign was
-    interrupted before completion.
+    At most ``jobs`` chunks are in flight; the next is submitted when one
+    finishes. A pool break is charged to a cell only when that cell was
+    the one chunk in flight; otherwise the cells of every broken chunk
+    become suspects and are retried one at a time with nothing else in
+    flight. A cell charged ``policy.max_attempts`` crashes is quarantined
+    as an error. When ``policy.cell_timeout_s`` is set,
+    the parent polls in-flight chunks against a
+    ``cell_timeout_s * len(chunk)`` wall budget; an overdue chunk's
+    workers are killed, its cells retried under the same attempt budget
+    (with seeded backoff), and innocent in-flight chunks are requeued
+    without attempt penalty. ``control`` drain requests stop new
+    dispatch and let running chunks finish; hard-cancel kills the pool.
+    Returns ``True`` when the campaign was interrupted before completion.
     """
-    from .resilience import ExecutionSupervisor, ResiliencePolicy, ShutdownControl
-
-    supervisor = supervisor if supervisor is not None else ExecutionSupervisor()
-    policy = policy if policy is not None else supervisor.policy
-    control = control if control is not None else ShutdownControl()
-
     pending: List[List[Cell]] = [list(chunk) for chunk in chunks]
+    suspects: set = set()  # cells of an ambiguous pool break
     solo_crashes: Dict[Cell, int] = {}
     cell_timeouts: Dict[Cell, int] = {}
-    draining = False
     while pending:
         if control.draining or control.hard:
             # drain requested between pool generations: nothing new
@@ -291,22 +322,40 @@ def _execute_chunks(
         broken: List[List[Cell]] = []
         requeue: List[List[Cell]] = []
         backoff = 0.0
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending))
-        ) as pool:
+        workers = min(jobs, len(pending))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures: Dict = {}
-            for chunk in pending:
-                for cell in chunk:
-                    supervisor.begin(cell)
-                futures[pool.submit(_run_chunk, chunk, *worker_args)] = chunk
-            pending = []
             started: Dict = {}  # future -> monotonic time first seen running
-            not_done = set(futures)
+            not_done: set = set()
+
+            def top_up() -> None:
+                # one chunk per worker: a future seen running really is
+                # running, not queued behind a hung chunk. A suspect
+                # runs alone, so a crash while it runs is its own.
+                while pending and len(not_done) < workers and not (
+                    broken or control.draining or control.hard
+                ):
+                    if not_done and not suspects.isdisjoint(
+                        [pending[0][0]] + [futures[f][0] for f in not_done]
+                    ):
+                        return  # a suspect waits for, then holds, the pool
+                    try:
+                        fut = pool.submit(_run_chunk, pending[0], *worker_args)
+                    except BrokenProcessPool:
+                        return  # the in-flight futures report the break
+                    chunk = pending.pop(0)
+                    for cell in chunk:
+                        supervisor.begin(cell)
+                    futures[fut] = chunk
+                    not_done.add(fut)
+
+            top_up()
             while not_done:
                 done, not_done = wait(
                     not_done, timeout=policy.poll_s,
                     return_when=FIRST_COMPLETED,
                 )
+                top_up()  # before the commits, so no worker waits on them
                 for fut in done:
                     chunk = futures[fut]
                     try:
@@ -314,8 +363,6 @@ def _execute_chunks(
                     except BrokenProcessPool:
                         broken.append(chunk)
                         continue
-                    except CancelledError:
-                        continue  # lease was closed where we cancelled
                     for status, cell, payload, cmeta in rows:
                         on_cell(status, cell, payload, cmeta)
                 if not not_done:
@@ -336,20 +383,8 @@ def _execute_chunks(
                                 cell, "interrupted", "hard-cancelled"
                             )
                     return True
-                if control.draining:
-                    if not draining:
-                        draining = True
-                        for fut in list(not_done):
-                            if fut not in started and fut.cancel():
-                                not_done.discard(fut)
-                                for cell in futures[fut]:
-                                    supervisor.close(
-                                        cell, "interrupted",
-                                        "drained before start",
-                                    )
-                    continue  # let running chunks finish and commit
-                if policy.cell_timeout_s is None:
-                    continue
+                if control.draining or policy.cell_timeout_s is None:
+                    continue  # a drain lets running chunks finish and commit
                 overdue = {
                     f for f in running
                     if now - started[f]
@@ -420,13 +455,16 @@ def _execute_chunks(
                 "fresh pool",
                 len(broken),
             )
+            # the crash is a cell's own only if nothing ran beside it
+            alone = len(broken) == 1 and len(broken[0]) == 1
+            culprit = broken[0] if alone else None
             for chunk in broken:
                 for cell in chunk:
                     supervisor.close(
                         cell, "crashed",
                         "worker pool broke while this cell was in flight",
                     )
-                if len(chunk) == 1:
+                if chunk is culprit:
                     cell = chunk[0]
                     count = solo_crashes.get(cell, 0) + 1
                     solo_crashes[cell] = count
@@ -442,75 +480,76 @@ def _execute_chunks(
                         supervisor.retried(cell, 0.0)
                         requeue.append([cell])
                 else:
-                    # split: innocent cells complete solo, the guilty
-                    # one starts accruing crash attempts.
+                    # split: every cell runs alone, so the guilty one
+                    # accrues crash attempts and no innocent one does.
                     for cell in chunk:
+                        suspects.add(cell)
                         requeue.append([cell])
-        pending = requeue
-        if draining or control.draining or control.hard:
+        # chunks never submitted keep their place ahead of the retries
+        pending.extend(requeue)
+        if control.draining or control.hard:
             return True
         if pending and backoff > 0:
             time.sleep(min(backoff, 30.0))
     return False
 
 
-def run_parallel_campaign(
+def run_campaign(
     experiments: Sequence[int] = (1, 2, 3, 4),
     task_counts: Sequence[int] = PAPER_TASK_COUNTS,
     reps: int = 5,
     campaign_seed: int = 0,
     resource_pool: Optional[Sequence[str]] = None,
     verbose: bool = False,
-    jobs: int = 0,
+    jobs: int = 1,
     collect_digests: bool = False,
     on_progress: Optional[Callable[[CellProgress], None]] = None,
-    run_fn: Optional[str] = None,
-    stats: Optional[RunnerStats] = None,
     ledger: Optional[RunLedger] = None,
     store=None,
     resume: bool = False,
-    resilience=None,
-    control=None,
+    resilience: Optional[ResiliencePolicy] = None,
+    run_fn: Optional[str] = None,
+    stats: Optional[RunnerStats] = None,
 ) -> CampaignResult:
-    """Run the experiment grid on ``jobs`` worker processes.
+    """Run the experiment grid; returns every repetition in grid order.
 
-    Produces a :class:`CampaignResult` whose ``runs`` are identical —
-    field by field, in the same order — to the serial
-    :func:`~repro.experiments.campaign.run_campaign`. Repetitions lost
-    to worker crashes appear in ``result.errors`` instead of killing
-    the campaign.
+    One executor for every ``jobs``: each cell of the
+    (experiment, size, rep) grid is leased, run, and then committed or
+    quarantined the same way, and only *where* it runs differs — in this
+    process, or on a pool of ``jobs`` worker processes (0 = one per
+    usable CPU). See the module docstring for how the executor chooses.
+    Each repetition is seeded from ``(campaign_seed, exp_id, n_tasks,
+    rep)`` alone, so every ``jobs`` returns identical results. A cell
+    that raises, crashes its worker, or exceeds its wall budget becomes a
+    :class:`CellError` in ``result.errors``; the campaign goes on.
 
     ``on_progress`` receives one :class:`CellProgress` per completed
-    repetition (coordinates, wall cost, error status). ``ledger``, when
-    given, streams the campaign's NDJSON run ledger (see
-    :mod:`repro.experiments.ledger`). ``store``, when given, is a
-    :class:`repro.experiments.store.CampaignStore` the parent writes
-    each completed repetition (or :class:`CellError`) into — workers
-    return results over the pool and never touch the store, so it has
-    exactly one writer; every cell commits individually, preserving
-    crash containment (a dead worker or parent leaves only whole,
-    committed rows). ``run_fn`` names a ``module:attr`` replacement for
-    the per-cell execution function (used by the crash-containment
-    tests). ``stats``, when given, is filled with aggregated runner
-    telemetry.
+    repetition (coordinates, wall cost, error status). ``ledger`` (a
+    :class:`repro.experiments.ledger.RunLedger`) streams the campaign's
+    NDJSON run ledger. ``store`` (a
+    :class:`repro.experiments.store.CampaignStore`) persists each
+    repetition (or :class:`CellError`) as it completes — one committed
+    row per cell plus a lease/attempt history, written by this process
+    alone, so a concurrent reader (``repro tail``) and a post-crash
+    forensic pass both see exactly the completed prefix.
 
     ``resume=True`` (requires ``store``) continues a half-finished
-    campaign; ``resilience`` is a
+    campaign: the stored config is verified against the requested one
+    (:class:`~repro.experiments.resilience.IncompatibleResumeError` on
+    mismatch), committed cells are skipped, stale leases reclaimed, and
+    only the remainder runs — per-cell seeding makes the resumed store
+    byte-identical (by campaign fingerprint digest) to an uninterrupted
+    run. ``resilience`` is a
     :class:`~repro.experiments.resilience.ResiliencePolicy` (per-cell
-    wall budgets, retry budgets, ``retry_errors``); SIGINT/SIGTERM
-    drain in-flight chunks and raise
-    :class:`~repro.experiments.resilience.CampaignInterrupted` — see
-    :func:`~repro.experiments.campaign.run_campaign` for the contract.
-    """
-    from .resilience import (
-        CampaignInterrupted,
-        ExecutionSupervisor,
-        ResiliencePolicy,
-        ShutdownControl,
-        config_digest,
-        prepare_resume,
-    )
+    wall budgets, retry budgets, ``retry_errors``). SIGINT/SIGTERM drain
+    the in-flight cells and raise
+    :class:`~repro.experiments.resilience.CampaignInterrupted` with the
+    store marked cleanly interrupted; a second signal hard-cancels.
 
+    ``run_fn`` names a ``module:attr`` replacement for the per-cell
+    execution function (the containment tests inject failures with it).
+    ``stats``, when given, is filled with aggregated runner telemetry.
+    """
     t0 = time.perf_counter()
     jobs = resolve_jobs(jobs)
     experiments = list(experiments)
@@ -541,9 +580,15 @@ def run_parallel_campaign(
         plan = None
         remaining = list(grid)
     done_offset = len(grid) - len(remaining)
+    # a wall budget needs a worker process it can kill
+    in_process = policy.cell_timeout_s is None and (
+        jobs <= 1 or len(remaining) <= 1
+    )
     log.info(
-        "parallel campaign: %d cells (%d to run) on %d worker(s), seed=%d",
-        len(grid), len(remaining), jobs, campaign_seed,
+        "campaign: %d cells (%d to run) %s, seed=%d",
+        len(grid), len(remaining),
+        "in-process" if in_process else f"on {jobs} worker(s)",
+        campaign_seed,
     )
     if store is not None:
         store.set_campaign_meta(meta)
@@ -560,14 +605,14 @@ def run_parallel_campaign(
             )
 
     pool_arg = tuple(resource_pool) if resource_pool is not None else None
+    worker_args = (campaign_seed, pool_arg, collect_digests, run_fn)
     results: Dict[Cell, RunResult] = {}
     errors: Dict[Cell, str] = {}
     supervisor = ExecutionSupervisor(store=store, ledger=ledger, policy=policy)
-    own_control = control is None
-    if own_control:
-        # parallel parent: poll the flags instead of raising — a raise
-        # could land inside pool bookkeeping and corrupt the teardown.
-        control = ShutdownControl(raise_on_hard=False)
+    # in-process, the second signal must preempt the running cell, so it
+    # raises; a pool parent polls the flags instead, because a raise
+    # could land inside pool bookkeeping and corrupt teardown.
+    control = ShutdownControl(raise_on_hard=in_process)
     control.install()
 
     def on_cell(status: str, cell: Cell, payload: object, cmeta: dict) -> None:
@@ -587,17 +632,12 @@ def run_parallel_campaign(
             supervisor.fail(cell, error)
         if verbose:
             exp_id, n_tasks, rep = cell
-            if run is not None:
-                print(
-                    f"{TABLE1[exp_id].label} n={n_tasks} rep={rep}: "
-                    f"TTC={run.ttc:.0f}s Tw={run.tw:.0f}s "
-                    f"done={run.units_done}/{n_tasks}"
-                )
-            else:
-                print(
-                    f"{TABLE1[exp_id].label} n={n_tasks} rep={rep}: "
-                    f"ERROR {payload}"
-                )
+            outcome = (
+                f"TTC={run.ttc:.0f}s Tw={run.tw:.0f}s "
+                f"done={run.units_done}/{n_tasks}"
+                if run is not None else f"ERROR {payload}"
+            )
+            print(f"{TABLE1[exp_id].label} n={n_tasks} rep={rep}: {outcome}")
         progress = CellProgress(
             done=done_offset + len(results) + len(errors), total=len(grid),
             cell=cell, wall_s=float(cmeta.get("wall_s", 0.0)),
@@ -610,82 +650,64 @@ def run_parallel_campaign(
 
     interrupted = False
     try:
-        if jobs <= 1 or len(remaining) <= 1:
-            # Single worker: run in-process. Same code path as the serial
-            # campaign, same results; no pool overhead, and it keeps
-            # ``--jobs 1`` usable on machines where fork is unavailable.
+        if in_process:
+            stats.chunks = len(remaining)
             for cell in remaining:
                 if control.draining or control.hard:
                     interrupted = True
                     break
                 supervisor.begin(cell, worker=os.getpid())
                 try:
-                    for status, c, payload, cmeta in _run_chunk(
-                        [cell], campaign_seed, pool_arg, collect_digests,
-                        run_fn,
-                    ):
-                        on_cell(status, c, payload, cmeta)
+                    rows = _run_chunk([cell], *worker_args)
                 except KeyboardInterrupt:
+                    # hard cancel mid-cell: the repetition is lost (it
+                    # re-runs on resume), but nothing partial was written.
                     supervisor.close(
                         cell, "interrupted", "hard-cancelled mid-cell"
                     )
                     interrupted = True
                     break
-            stats.chunks = len(remaining)
+                for row in rows:
+                    on_cell(*row)
         else:
             chunks = plan_chunks(remaining, jobs)
             stats.chunks = len(chunks)
             interrupted = _execute_chunks(
-                chunks, jobs,
-                (campaign_seed, pool_arg, collect_digests, run_fn),
-                stats, on_cell,
+                chunks, jobs, worker_args, stats, on_cell,
                 supervisor=supervisor, control=control, policy=policy,
                 campaign_seed=campaign_seed,
             )
     except KeyboardInterrupt:
+        # a hard cancel landing between cells (or inside a ledger/store
+        # call): transactions keep the store consistent either way.
         interrupted = True
     finally:
         control.restore()
 
     stats.wall_s = time.perf_counter() - t0
-    if interrupted:
-        stats.interrupted = True
-        if store is not None:
-            store.set_interrupted(True)
-        if ledger is not None:
-            ledger.campaign_end(
-                stats.completed, stats.errors, stats.wall_s,
-                interrupted=True,
-            )
-        partial = CampaignResult(meta=meta)
-        for cell in grid:
-            if cell in results:
-                partial.add(results[cell])
-            elif cell in errors:
-                partial.errors.append(CellError(*cell, error=errors[cell]))
-        raise CampaignInterrupted(
-            "campaign interrupted after "
-            f"{done_offset + len(results) + len(errors)}/{len(grid)} "
-            "cells; the store holds every committed cell",
-            result=partial,
-        )
-
     # Re-assemble in grid order: deterministic, independent of worker
     # completion order.
-    session = set(remaining)
     out = CampaignResult(meta=meta)
     for cell in grid:
         if cell in results:
             out.add(results[cell])
         elif cell in errors:
             out.errors.append(CellError(*cell, error=errors[cell]))
-        elif cell in session:  # pragma: no cover - defensive; every
-            # dispatched cell resolves above
-            out.errors.append(CellError(*cell, error="repetition lost"))
     if store is not None:
-        store.set_interrupted(False)
+        store.set_interrupted(interrupted)
     if ledger is not None:
-        ledger.campaign_end(stats.completed, stats.errors, stats.wall_s)
+        ledger.campaign_end(
+            stats.completed, stats.errors, stats.wall_s,
+            interrupted=interrupted,
+        )
+    if interrupted:
+        stats.interrupted = True
+        raise CampaignInterrupted(
+            "campaign interrupted after "
+            f"{done_offset + len(results) + len(errors)}/{len(grid)} "
+            "cells; the store holds every committed cell",
+            result=out,
+        )
     log.info(
         "campaign done: %d ok, %d errors, %.1fs wall",
         stats.completed, stats.errors, stats.wall_s,

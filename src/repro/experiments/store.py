@@ -524,7 +524,7 @@ class CampaignStore:
         """Materialize the whole campaign (the legacy-compatible view).
 
         Runs and errors come back in grid order — experiments x
-        task_counts x reps exactly as the serial loop nest emits them —
+        task_counts x reps, the order ``run_campaign`` returns them in —
         whenever the stored campaign meta describes the grid; rows
         outside the described grid (or with no meta at all) keep their
         insertion order after it.
@@ -552,7 +552,7 @@ def _positions(value: Any) -> Dict[int, int]:
 
 
 def _grid_sort_key(meta: Dict[str, Any]):
-    """Sort key restoring the serial loop-nest order from campaign meta."""
+    """Sort key restoring the grid order from campaign meta."""
     exp_pos = _positions(meta.get("experiments"))
     size_pos = _positions(meta.get("task_counts"))
 

@@ -222,6 +222,7 @@ class TestEndToEnd:
         records = read_ledger(path)
         cells = [r for r in records if r["kind"] == "cell"]
         assert len(cells) == len(result.runs) == 2
+        assert all("worker" in rec for rec in cells)
         assert records[0]["kind"] == "campaign-start"
         assert records[0]["meta"]["campaign_seed"] == 21
         assert records[-1]["kind"] == "campaign-end"

@@ -14,6 +14,7 @@ import sqlite3
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -36,11 +37,16 @@ from repro.experiments import (
     run_campaign,
     store_summary,
 )
-from repro.experiments.runner import RunnerStats, run_parallel_campaign
+from repro.experiments.campaign import CellError
+from repro.experiments.runner import RunnerStats
 
 # reuse the module-level worker hooks the runner tests ship (workers
 # import them by dotted path, so they must live at module scope).
-from tests.experiments.test_runner import _error_run, _fake_run  # noqa: F401
+from tests.experiments.test_runner import (  # noqa: F401
+    _error_run,
+    _fake_run,
+    _stored_outcome,
+)
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -48,6 +54,15 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 def _hang_run(cell, campaign_seed, resource_pool, collect_digests):
     if cell == (1, 16, 1):
         time.sleep(120)  # simulate a wedged worker; the parent kills us
+    return _fake_run(cell, campaign_seed, resource_pool, collect_digests)
+
+
+def _signal_twice_run(cell, campaign_seed, resource_pool, collect_digests):
+    # a drain, then a hard cancel, while the cell is still running; the
+    # sleep stands for a long cell the second signal must preempt
+    os.kill(os.getpid(), signal.SIGINT)
+    os.kill(os.getpid(), signal.SIGINT)
+    time.sleep(60)
     return _fake_run(cell, campaign_seed, resource_pool, collect_digests)
 
 
@@ -188,14 +203,35 @@ class TestSerialInterrupt:
             assert store.interrupted() is False
 
 
-# -- parallel resume (in-process paths) ----------------------------------------
+class TestHardCancel:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_second_signal_preempts_an_in_process_cell(self, tmp_path, jobs):
+        """One cell runs in-process at any ``jobs``; a second signal must
+        stop it rather than wait for it to finish."""
+        w0 = time.monotonic()
+        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+            with pytest.raises(CampaignInterrupted):
+                run_campaign(
+                    experiments=(1,), task_counts=(8,), reps=1, jobs=jobs,
+                    run_fn="tests.experiments.test_resume:_signal_twice_run",
+                    store=store,
+                )
+            assert time.monotonic() - w0 < 30
+            assert [r["state"] for r in store.attempt_rows()] == [
+                "interrupted"
+            ]
+            assert store.interrupted() is True
+            assert store.run_count() == 0
+
+
+# -- resume (in-process paths) -------------------------------------------------
 
 
 class TestParallelResume:
     def test_resume_skips_committed_and_matches_clean(self, tmp_path):
         clean = str(tmp_path / "clean.sqlite")
         with CampaignStore(clean) as store:
-            run_parallel_campaign(
+            run_campaign(
                 jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
                 store=store, **GRID_KW,
             )
@@ -208,7 +244,7 @@ class TestParallelResume:
             store.set_interrupted(True)
         with CampaignStore(partial) as store:
             stats = RunnerStats()
-            result = run_parallel_campaign(
+            result = run_campaign(
                 jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
                 store=store, resume=True, stats=stats, **GRID_KW,
             )
@@ -220,26 +256,26 @@ class TestParallelResume:
 
     def test_resume_requires_store(self):
         with pytest.raises(ValueError, match="requires a store"):
-            run_parallel_campaign(jobs=1, resume=True, **GRID_KW)
+            run_campaign(jobs=1, resume=True, **GRID_KW)
 
     def test_retry_errors_roundtrip(self, tmp_path):
         clean = str(tmp_path / "clean.sqlite")
         with CampaignStore(clean) as store:
-            run_parallel_campaign(
+            run_campaign(
                 jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
                 store=store, **GRID_KW,
             )
 
         chaos = str(tmp_path / "chaos.sqlite")
         with CampaignStore(chaos) as store:
-            result = run_parallel_campaign(
+            result = run_campaign(
                 jobs=1, run_fn="tests.experiments.test_runner:_error_run",
                 store=store, **GRID_KW,
             )
             assert len(result.errors) == 2
         # plain resume skips quarantined cells: nothing to do, errors stay
         with CampaignStore(chaos) as store:
-            result = run_parallel_campaign(
+            result = run_campaign(
                 jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
                 store=store, resume=True, **GRID_KW,
             )
@@ -247,7 +283,7 @@ class TestParallelResume:
         # --retry-errors re-attempts them; with the failure gone the
         # store converges to the clean run, digest-identical.
         with CampaignStore(chaos) as store:
-            result = run_parallel_campaign(
+            result = run_campaign(
                 jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
                 store=store, resume=True,
                 resilience=ResiliencePolicy(retry_errors=True),
@@ -269,7 +305,7 @@ class TestHungWorker:
         )
         stats = RunnerStats()
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
-            result = run_parallel_campaign(
+            result = run_campaign(
                 jobs=2, run_fn="tests.experiments.test_resume:_hang_run",
                 resilience=policy, stats=stats, store=store, **GRID_KW,
             )
@@ -284,6 +320,43 @@ class TestHungWorker:
         assert stats.timeouts >= 2
         assert stats.retried >= 1
         assert [r["state"] for r in rows].count("timeout") >= 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_hung_cell_quarantined_alike_at_every_jobs(self, tmp_path, jobs):
+        """A wall budget holds at ``jobs=1`` too: the cell runs in a
+        one-worker pool, so the hung attempt can be killed and retried,
+        and the store and ledger read the same as under ``jobs=2``.
+
+        At ``jobs=2`` the innocent chunk starts once ``(1, 16, 0)``
+        finishes and must commit before the hung cell's budget runs out,
+        or it is reclaimed as collateral; the 2 s budget leaves a loaded
+        host ample room for a few fake cells.
+        """
+        policy = ResiliencePolicy(
+            cell_timeout_s=2.0, max_attempts=2,
+            backoff_base_s=0.01, poll_s=0.05,
+        )
+        stats = RunnerStats()
+        result, states, quarantined, kinds = _stored_outcome(
+            tmp_path, jobs, "tests.experiments.test_resume:_hang_run",
+            resilience=policy, stats=stats, **GRID_KW,
+        )
+        hung = (1, 16, 1)
+        ok = [(1, 8, 0), (1, 8, 1), (1, 16, 0)]
+        assert result.runs == [_fake_run(c, 0, None, False) for c in ok]
+        assert result.errors == [CellError(*hung, error=(
+            "cell timed out (2 attempt(s) over a 2.0s wall budget); "
+            "quarantined as a poison cell"
+        ))]
+        assert states == {
+            **{c: ["committed"] for c in ok}, hung: ["timeout", "timeout"],
+        }
+        assert quarantined == {hung}
+        assert kinds == Counter({
+            "campaign-start": 1, "attempt_started": 5, "attempt_timeout": 2,
+            "cell_retried": 1, "cell": 4, "campaign-end": 1,
+        })
+        assert (stats.timeouts, stats.retried) == (2, 1)
 
     def test_backoff_is_deterministic(self):
         policy = ResiliencePolicy(backoff_base_s=0.5)
@@ -302,14 +375,14 @@ class TestResumeLedger:
         ndjson = str(tmp_path / "c.ndjson")
         with CampaignStore(path) as store:
             ledger = RunLedger(ndjson, store=store)
-            run_parallel_campaign(
+            run_campaign(
                 jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
                 store=store, ledger=ledger, **GRID_KW,
             )
             ledger.close()
         with CampaignStore(path) as store:
             ledger = RunLedger(ndjson, store=store, append=True)
-            run_parallel_campaign(
+            run_campaign(
                 jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
                 store=store, ledger=ledger, resume=True, **GRID_KW,
             )

@@ -1,17 +1,21 @@
-"""Tests for the parallel campaign runner.
+"""Tests for the campaign executor.
 
-The headline property: a parallel campaign is indistinguishable from a
-serial one — same RunResults, same order, same digests — because every
-repetition seeds itself from its grid coordinates alone.
+The headline property: a ``jobs=N`` campaign is indistinguishable from a
+``jobs=1`` one — same RunResults, same order, same digests, and the same
+errors, store attempts and ledger on the failure paths — because every
+repetition seeds itself from its grid coordinates alone and every
+``jobs`` goes through one executor.
 """
 
 import dataclasses
 import json
 import os
+import time
+from collections import Counter
 
 import pytest
 
-from repro.experiments import run_campaign
+from repro.experiments import CampaignStore, RunLedger, read_ledger, run_campaign
 from repro.experiments.campaign import CampaignResult, CellError, RunResult
 from repro.experiments.runner import (
     RunnerStats,
@@ -19,7 +23,6 @@ from repro.experiments.runner import (
     parallel_map,
     plan_chunks,
     resolve_jobs,
-    run_parallel_campaign,
 )
 
 
@@ -58,8 +61,36 @@ def _crash_run(cell, campaign_seed, resource_pool, collect_digests):
     return _fake_run(cell, campaign_seed, resource_pool, collect_digests)
 
 
+def _crash_beside_slow_run(cell, campaign_seed, resource_pool, collect_digests):
+    if cell == (1, 16, 0):
+        time.sleep(0.5)  # still running when (1, 16, 1) kills its worker
+    return _crash_run(cell, campaign_seed, resource_pool, collect_digests)
+
+
 def _double(x):
     return 2 * x
+
+
+def _stored_outcome(tmp_path, jobs, run_fn, **kwargs):
+    """Run a campaign with a store and a ledger; return what must not
+    depend on ``jobs``: the result, each cell's attempt states, the
+    quarantined cells in the store, and the multiset of ledger kinds.
+    """
+    path = str(tmp_path / f"j{jobs}.sqlite")
+    ndjson = str(tmp_path / f"j{jobs}.ndjson")
+    with CampaignStore(path) as store:
+        with RunLedger(ndjson) as ledger:
+            result = run_campaign(
+                jobs=jobs, run_fn=run_fn, store=store, ledger=ledger,
+                **kwargs,
+            )
+        states = {}
+        for row in store.attempt_rows():
+            cell = (row["exp_id"], row["n_tasks"], row["rep"])
+            states.setdefault(cell, []).append(row["state"])
+        quarantined = store.error_cells()
+    kinds = Counter(r["kind"] for r in read_ledger(ndjson))
+    return result, states, quarantined, kinds
 
 
 # -- scheduling helpers --------------------------------------------------------
@@ -132,7 +163,7 @@ class TestParallelEqualsSerial:
         )
         serial = run_campaign(**kwargs)
         stats = RunnerStats()
-        par = run_parallel_campaign(jobs=4, stats=stats, **kwargs)
+        par = run_campaign(jobs=4, stats=stats, **kwargs)
         assert not par.errors
         assert stats.completed == len(serial.runs) == 4
         # Field-by-field, in the same grid order, including the
@@ -161,22 +192,37 @@ class TestContainment:
         experiments=(1,), task_counts=(8, 16), reps=2, campaign_seed=0,
     )
 
-    def test_cell_exception_recorded_not_fatal(self):
-        result = run_parallel_campaign(
-            jobs=2, run_fn="tests.experiments.test_runner:_error_run",
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_exception_recorded_not_fatal(self, tmp_path, jobs):
+        """A raising cell is a CellError at every ``jobs``, with the same
+        result, store attempts and ledger kinds. One difference remains
+        by design: an in-process cell (``jobs=1``) that calls
+        ``os._exit`` takes the campaign down, and resume recovers it;
+        under a pool the crash costs that cell only.
+        """
+        result, states, quarantined, kinds = _stored_outcome(
+            tmp_path, jobs, "tests.experiments.test_runner:_error_run",
             **self.GRID_KW,
         )
-        assert len(result.runs) == 2  # rep 0 of each size survives
-        assert len(result.errors) == 2
-        assert all(isinstance(e, CellError) for e in result.errors)
-        assert all("injected failure" in e.error for e in result.errors)
-        assert {(e.exp_id, e.n_tasks, e.rep) for e in result.errors} == {
-            (1, 8, 1), (1, 16, 1),
+        ok, bad = [(1, 8, 0), (1, 16, 0)], [(1, 8, 1), (1, 16, 1)]
+        # rep 0 of each size survives, in grid order, whatever ``jobs``
+        assert result.runs == [_fake_run(c, 0, None, False) for c in ok]
+        assert result.errors == [
+            CellError(*c, error="ValueError: injected failure") for c in bad
+        ]
+        assert states == {
+            **{c: ["committed"] for c in ok},
+            **{c: ["failed"] for c in bad},
         }
+        assert quarantined == set(bad)
+        assert kinds == Counter({
+            "campaign-start": 1, "attempt_started": 4, "cell": 4,
+            "campaign-end": 1,
+        })
 
     def test_worker_crash_contained_to_one_cell(self):
         stats = RunnerStats()
-        result = run_parallel_campaign(
+        result = run_campaign(
             jobs=2, run_fn="tests.experiments.test_runner:_crash_run",
             stats=stats, **self.GRID_KW,
         )
@@ -188,9 +234,24 @@ class TestContainment:
         assert len(result.runs) == 3
         assert stats.pool_restarts >= 1
 
+    def test_cell_running_beside_a_crash_is_not_blamed(self):
+        """A broken pool does not say which worker died, so the cell that
+        was running beside the crash is retried alone, not charged."""
+        result = run_campaign(
+            jobs=2,
+            run_fn="tests.experiments.test_runner:_crash_beside_slow_run",
+            **self.GRID_KW,
+        )
+        assert [(e.exp_id, e.n_tasks, e.rep) for e in result.errors] == [
+            (1, 16, 1),
+        ]
+        assert [(r.exp_id, r.n_tasks, r.rep) for r in result.runs] == [
+            (1, 8, 0), (1, 8, 1), (1, 16, 0),
+        ]
+
     def test_progress_callback_counts_to_total(self):
         seen = []
-        result = run_parallel_campaign(
+        result = run_campaign(
             jobs=2, run_fn="tests.experiments.test_runner:_fake_run",
             on_progress=seen.append,
             **self.GRID_KW,
@@ -205,7 +266,7 @@ class TestContainment:
         assert all(p.wall_s >= 0 for p in seen)
 
     def test_results_in_grid_order_regardless_of_completion(self):
-        result = run_parallel_campaign(
+        result = run_campaign(
             jobs=2, run_fn="tests.experiments.test_runner:_fake_run",
             **self.GRID_KW,
         )

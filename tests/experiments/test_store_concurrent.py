@@ -15,9 +15,8 @@ import threading
 
 import pytest
 
-from repro.experiments import CampaignStore
+from repro.experiments import CampaignStore, run_campaign
 from repro.experiments.campaign import CellError, RunResult
-from repro.experiments.runner import run_parallel_campaign
 
 # reuse the module-level worker hooks the runner tests ship (workers
 # import them by dotted path, so they must live at module scope).
@@ -108,7 +107,7 @@ class TestLiveCampaignReaders:
             reader_thread = threading.Thread(target=tail)
             reader_thread.start()
             try:
-                result = run_parallel_campaign(
+                result = run_campaign(
                     jobs=2,
                     run_fn="tests.experiments.test_runner:_fake_run",
                     store=store,
@@ -128,7 +127,7 @@ class TestLiveCampaignReaders:
         surviving cells commit whole, and nothing half-written exists."""
         path = str(tmp_path / "c.sqlite")
         with CampaignStore(path) as store:
-            result = run_parallel_campaign(
+            result = run_campaign(
                 jobs=2,
                 run_fn="tests.experiments.test_runner:_crash_run",
                 store=store,
@@ -150,7 +149,7 @@ class TestLiveCampaignReaders:
     def test_cell_exceptions_mirrored_to_store(self, tmp_path):
         path = str(tmp_path / "c.sqlite")
         with CampaignStore(path) as store:
-            result = run_parallel_campaign(
+            result = run_campaign(
                 jobs=2,
                 run_fn="tests.experiments.test_runner:_error_run",
                 store=store,
