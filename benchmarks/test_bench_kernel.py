@@ -188,15 +188,9 @@ def _select_fixture(depth: int, seed: int = 2016):
         )
         for _ in range(depth)
     ]
-    view = SchedulerView(
-        now=0.0,
-        free_cores=free,
-        total_cores=4096,
-        pending=pending,
-        running=(),
-        running_ends=mirror,
+    return SchedulerView(
+        now=0.0, free_cores=free, pending=pending, mirror=mirror
     )
-    return view
 
 
 def test_bench_backfill_select_depth():

@@ -7,6 +7,7 @@ caught by the benchmark suite.
 """
 
 from repro.cluster import BatchJob, EasyBackfillScheduler, SchedulerView
+from repro.cluster.schedulers import RunningMirror
 from repro.core import decompose
 from repro.experiments import TABLE1, run_single
 
@@ -28,16 +29,11 @@ def test_bench_easy_backfill_pass(benchmark):
         BatchJob(cores=(i % 64) + 1, runtime=3600, walltime=7200)
         for i in range(200)
     ]
-    running = [
-        (BatchJob(cores=128, runtime=3600, walltime=7200), float(i * 60))
-        for i in range(50)
-    ]
+    mirror = RunningMirror()
+    for i in range(50):
+        mirror.start(i, float(i * 60), 128)
     view = SchedulerView(
-        now=0.0,
-        free_cores=512,
-        total_cores=8192,
-        pending=tuple(pending),
-        running=tuple(running),
+        now=0.0, free_cores=512, pending=tuple(pending), mirror=mirror
     )
     scheduler = EasyBackfillScheduler()
     picks = benchmark(scheduler.select, view)

@@ -91,7 +91,7 @@ class ResourceBundle:
         fs = self.network.fs(resource)
         compute = ComputeRepresentation(
             total_cores=cluster.total_cores,
-            cores_per_node=cluster.pool.cores_per_node,
+            cores_per_node=cluster.cores_per_node,
             free_cores=cluster.free_cores,
             utilization=cluster.utilization,
             queue_length=cluster.queue_length,

@@ -1,16 +1,16 @@
-"""Simulated HPC resources: batch jobs, node pools, schedulers, workloads.
+"""Simulated HPC resources: batch jobs, core accounting, schedulers, workloads.
 
 This package is the stand-in for the paper's XSEDE/NERSC machines: each
-:class:`Cluster` is a space-shared resource with a batch queue, a
-scheduling policy (FCFS / EASY backfill / conservative backfill), and a
-stochastic background workload that produces realistic, heavy-tailed
-queue-wait dynamics for the pilot jobs submitted on top.
+:class:`Cluster` is a space-shared resource with a free-core count, a
+batch queue, a scheduling policy (FCFS / EASY backfill / conservative
+backfill), and a stochastic background workload that produces
+realistic, heavy-tailed queue-wait dynamics for the pilot jobs
+submitted on top.
 """
 
 from .fairshare import FairshareTracker
 from .job import BatchJob, FINAL_STATES, IllegalTransition, JobState
-from .machine import Cluster, SubmissionError
-from .nodes import AllocationError, NodePool, NodeSpec
+from .machine import AllocationError, Cluster, SubmissionError
 from .presets import (
     DEFAULT_POOL,
     PRESETS,
@@ -29,7 +29,6 @@ from .schedulers import (
     SCHEDULERS,
     SchedulerView,
     make_scheduler,
-    shadow_schedule,
 )
 from .workload import BackgroundWorkload, WorkloadProfile
 from .xdmod import (
@@ -54,8 +53,6 @@ __all__ = [
     "FcfsScheduler",
     "IllegalTransition",
     "JobState",
-    "NodePool",
-    "NodeSpec",
     "PRESETS",
     "ResourcePreset",
     "SCHEDULERS",
@@ -75,7 +72,6 @@ __all__ = [
     "make_scheduler",
     "parse_swf",
     "parse_swf_file",
-    "shadow_schedule",
     "synthetic_pool",
     "synthetic_preset",
 ]

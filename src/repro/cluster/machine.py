@@ -1,10 +1,13 @@
-"""The simulated HPC resource: queue + node pool + batch scheduler.
+"""The simulated HPC resource: queue + core count + batch scheduler.
 
 A :class:`Cluster` accepts :class:`~repro.cluster.job.BatchJob`
 submissions, keeps them in a priority-ordered pending queue, and asks its
 scheduling policy which to start whenever the state changes (a submission
-arrives or a job ends). Started jobs hold node cores until they complete
-or hit their walltime limit.
+arrives or a job ends). Started jobs hold cores until they complete or
+hit their walltime limit. The machine is accounted as a free-core count:
+schedulers plan on cores and requested walltimes, and nothing in the
+simulation reads which node a job landed on, so there is no per-node
+placement.
 
 Every transition is announced to the cluster's listeners, and
 completed-job wait times are kept in a history ring that the Bundle
@@ -18,7 +21,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..des import ScheduledEvent, Simulation
 from .job import BatchJob, JobState
-from .nodes import NodePool
 from .schedulers import (
     BatchScheduler,
     EasyBackfillScheduler,
@@ -30,6 +32,11 @@ from .schedulers.base import PriorityFn
 
 class SubmissionError(Exception):
     """Raised when a job can never run on this resource."""
+
+
+class AllocationError(Exception):
+    """Raised when a dispatch pass picks more cores than are free (a
+    scheduler bug)."""
 
 
 #: Bucket boundaries for the scheduler-pass-length histogram (pending
@@ -53,9 +60,16 @@ class Cluster:
         dispatch_interval: float = 0.0,
         wait_history_size: int = 512,
     ) -> None:
+        if nodes <= 0 or cores_per_node <= 0:
+            raise ValueError("nodes and cores_per_node must be positive")
         self.sim = sim
         self.name = name
-        self.pool = NodePool(nodes, cores_per_node)
+        self.nodes = nodes
+        self.cores_per_node = cores_per_node
+        self.total_cores = nodes * cores_per_node
+        #: cores not held by a running job; changed only by _start and
+        #: _release, so free + running cores == total_cores always.
+        self.free_cores = self.total_cores
         self.scheduler = scheduler or EasyBackfillScheduler()
         self.priority_fn = priority_fn
         self.submit_overhead = float(submit_overhead)
@@ -68,11 +82,10 @@ class Cluster:
         self._pending: List[BatchJob] = []
         self._arrival_order: Dict[int, int] = {}
         self._arrival_seq = 0
+        # The one record of a running job: uid -> (job, expected_end,
+        # end event), plus its end-sorted mirror for the scheduler,
+        # patched at start/release so dispatch never re-sorts it.
         self._running: Dict[int, Tuple[BatchJob, float, ScheduledEvent]] = {}
-        # Scheduler-facing running state, maintained incrementally at
-        # start/finish so dispatch never rebuilds or re-sorts it:
-        # (job, expected_end) pairs plus the end-sorted RunningMirror.
-        self._running_view: Dict[int, Tuple[BatchJob, float]] = {}
         self._run_mirror = RunningMirror()
         self._dispatch_scheduled = False
         self._offline_until: float = -float("inf")
@@ -92,16 +105,9 @@ class Cluster:
     # -- public interface ------------------------------------------------------
 
     @property
-    def total_cores(self) -> int:
-        return self.pool.total_cores
-
-    @property
-    def free_cores(self) -> int:
-        return self.pool.free_cores
-
-    @property
     def utilization(self) -> float:
-        return self.pool.utilization
+        """Fraction of cores held by running jobs."""
+        return (self.total_cores - self.free_cores) / self.total_cores
 
     @property
     def queue_length(self) -> int:
@@ -140,10 +146,10 @@ class Cluster:
         """Queue ``job``; it becomes PENDING after the submit overhead."""
         if job.state is not JobState.NEW:
             raise SubmissionError(f"{job.name} already submitted ({job.state})")
-        if job.cores > self.pool.total_cores:
+        if job.cores > self.total_cores:
             raise SubmissionError(
                 f"{job.name} requests {job.cores} cores; {self.name} has "
-                f"{self.pool.total_cores}"
+                f"{self.total_cores}"
             )
         self.sim.call_in(self.submit_overhead, self._enqueue, job)
         return job
@@ -155,11 +161,7 @@ class Cluster:
             self._arrival_order.pop(job.uid, None)
             self._transition(job, JobState.CANCELLED)
         elif job.state is JobState.RUNNING:
-            _, _, end_event = self._running.pop(job.uid)
-            self._drop_running(job.uid)
-            self.sim.cancel(end_event)
-            self.pool.free(job.uid)
-            job.end_time = self.sim.now
+            self.sim.cancel(self._release(job))
             self._transition(job, JobState.CANCELLED)
             self._schedule_dispatch()
         elif job.state is JobState.NEW:
@@ -178,11 +180,7 @@ class Cluster:
             self._arrival_order.pop(job.uid, None)
             self._transition(job, JobState.FAILED)
         elif job.state is JobState.RUNNING:
-            _, _, end_event = self._running.pop(job.uid)
-            self._drop_running(job.uid)
-            self.sim.cancel(end_event)
-            self.pool.free(job.uid)
-            job.end_time = self.sim.now
+            self.sim.cancel(self._release(job))
             self.killed_jobs += 1
             self._transition(job, JobState.FAILED)
             self._schedule_dispatch()
@@ -210,12 +208,8 @@ class Cluster:
             "cluster", "offline", track=f"cluster/{self.name}",
             until=self._offline_until,
         )
-        for job, _, end_event in list(self._running.values()):
-            self.sim.cancel(end_event)
-            self._running.pop(job.uid)
-            self._drop_running(job.uid)
-            self.pool.free(job.uid)
-            job.end_time = self.sim.now
+        for job, _, _ in list(self._running.values()):
+            self.sim.cancel(self._release(job))
             self._transition(job, JobState.FAILED)
         self.sim.call_at(self._offline_until, self._back_online)
 
@@ -284,11 +278,9 @@ class Cluster:
         # completes before _run_picks mutates anything, so no copies.
         view = SchedulerView(
             now=now,
-            free_cores=self.pool.free_cores,
-            total_cores=self.pool.total_cores,
+            free_cores=self.free_cores,
             pending=self._pending,
-            running=self._running_view.values(),
-            running_ends=self._run_mirror,
+            mirror=self._run_mirror,
         )
         tel = self.sim.telemetry
         if not tel.enabled:
@@ -303,7 +295,7 @@ class Cluster:
             track=f"cluster/{self.name}",
             policy=self.scheduler.name,
             pending=len(self._pending),
-            free_cores=self.pool.free_cores,
+            free_cores=self.free_cores,
         ):
             self._run_picks(self.scheduler.select(view))
         tel.metrics.counter("cluster.scheduler-passes").inc()
@@ -312,27 +304,46 @@ class Cluster:
         ).observe(len(view.pending))
 
     def _run_picks(self, picks: List[BatchJob]) -> None:
+        """Start one dispatch pass's picks, validated whole first.
+
+        A faulty policy (a duplicate or non-pending pick, or more cores
+        than are free) raises before any job starts, so the cluster is
+        left exactly as the pass found it.
+        """
         if not picks:
             return
+        # The arrival-order dict keys mirror the pending queue exactly,
+        # so membership is O(1) instead of an O(queue) scan.
+        pending = self._arrival_order
         seen = set()
+        cores = 0
         for job in picks:
-            if job.uid in seen:
+            uid = job.uid
+            if uid in seen:
                 raise RuntimeError(
                     f"scheduler {self.scheduler.name} picked {job.name} twice"
                 )
-            seen.add(job.uid)
+            if uid not in pending:
+                raise RuntimeError(
+                    f"scheduler picked non-pending job {job.name}"
+                )
+            seen.add(uid)
+            cores += job.cores
+        if cores > self.free_cores:
+            raise AllocationError(
+                f"scheduler {self.scheduler.name} picked {cores} cores; "
+                f"only {self.free_cores} free"
+            )
+        for job in picks:
             self._start(job)
 
     def _start(self, job: BatchJob) -> None:
-        # The arrival-order dict keys mirror the pending queue exactly,
-        # so membership is O(1) instead of an O(queue) scan.
-        if job.uid not in self._arrival_order:
-            raise RuntimeError(f"scheduler picked non-pending job {job.name}")
+        """Start a pending job; the caller has checked it may start."""
         self._pending.remove(job)
-        del self._arrival_order[job.uid]
         uid = job.uid
+        del self._arrival_order[uid]
         cores = job.cores
-        self.pool.allocate(uid, cores)
+        self.free_cores -= cores
         now = self.sim._now
         job.start_time = now
         runtime = job.runtime
@@ -342,7 +353,6 @@ class Cluster:
         end_event = self.sim.call_in(duration, self._finish, job, timed_out)
         expected_end = now + walltime
         self._running[uid] = (job, expected_end, end_event)
-        self._running_view[uid] = (job, expected_end)
         self._run_mirror.start(uid, expected_end, cores)
         self.wait_history.append(
             (now, now - (job.submit_time or 0.0), cores)
@@ -350,10 +360,7 @@ class Cluster:
         self._transition(job, JobState.RUNNING)
 
     def _finish(self, job: BatchJob, timed_out: bool) -> None:
-        self._running.pop(job.uid)
-        self._drop_running(job.uid)
-        self.pool.free(job.uid)
-        job.end_time = self.sim._now
+        self._release(job)
         if timed_out:
             self.killed_jobs += 1
             self._transition(job, JobState.TIMEOUT)
@@ -362,10 +369,18 @@ class Cluster:
             self._transition(job, JobState.COMPLETED)
         self._schedule_dispatch()
 
-    def _drop_running(self, uid: int) -> None:
-        """Remove a job from the scheduler-facing running state."""
-        self._running_view.pop(uid)
+    def _release(self, job: BatchJob) -> ScheduledEvent:
+        """Take a running job off the machine and free its cores.
+
+        Returns the job's end event, which the caller cancels unless it
+        is the event being handled.
+        """
+        uid = job.uid
+        _, _, end_event = self._running.pop(uid)
         self._run_mirror.finish(uid)
+        self.free_cores += job.cores
+        job.end_time = self.sim._now
+        return end_event
 
     def _transition(self, job: BatchJob, new_state: JobState) -> None:
         old = job.state

@@ -18,7 +18,7 @@ assumes) and erases the value of the bundle's predictive interface.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,9 +39,13 @@ def fit_lognormal_waits(waits: Sequence[float]) -> Tuple[float, float]:
 class SampledWaitCluster(Cluster):
     """A resource whose queue is a random-number generator.
 
-    Jobs wait ``lognormal(mu, sigma)`` seconds i.i.d., then always start
-    (capacity is tracked for statistics but never blocks). Use only for
-    the emergent-vs-sampled ablation.
+    Jobs wait ``lognormal(mu, sigma)`` seconds i.i.d., then always start:
+    capacity never blocks and no scheduler pass ever runs. Starting,
+    finishing, cancelling and killing go through the base
+    :class:`Cluster` code, so ``free_cores`` and ``utilization`` track
+    the cores running jobs hold; under the model's oversubscription
+    ``free_cores`` can go negative and ``utilization`` exceed 1. Use
+    only for the emergent-vs-sampled ablation.
     """
 
     def __init__(
@@ -63,8 +67,8 @@ class SampledWaitCluster(Cluster):
         )
 
     def _enqueue(self, job: BatchJob) -> None:
-        if job.state is JobState.CANCELLED:
-            return
+        if job.state in (JobState.CANCELLED, JobState.FAILED):
+            return  # cancelled/killed during the submit overhead window
         job.submit_time = self.sim.now
         self._pending.append(job)
         self._arrival_order[job.uid] = self._arrival_seq
@@ -74,48 +78,10 @@ class SampledWaitCluster(Cluster):
         self.sim.call_in(wait, self._sampled_start, job)
 
     def _sampled_start(self, job: BatchJob) -> None:
-        if job.state is not JobState.PENDING:
-            return  # cancelled while "queued"
-        # Capacity never blocks in the sampled model: the node pool is
-        # bypassed entirely (waits are the model, not the machine).
-        self._start_unchecked(job)
+        # Capacity never blocks in the sampled model (waits are the
+        # model, not the machine), so the job skips _run_picks' check.
+        if job.state is JobState.PENDING:  # not cancelled while "queued"
+            self._start(job)
 
-    def cancel(self, job: BatchJob) -> None:
-        """Cancel without pool bookkeeping (jobs never allocate here)."""
-        if job.state is JobState.RUNNING:
-            _, _, end_event = self._running.pop(job.uid)
-            self.sim.cancel(end_event)
-            job.end_time = self.sim.now
-            self._transition(job, JobState.CANCELLED)
-        elif job.state is JobState.PENDING:
-            self._pending.remove(job)
-            self._transition(job, JobState.CANCELLED)
-        elif job.state is JobState.NEW:
-            self._transition(job, JobState.CANCELLED)
-
-    def _start_unchecked(self, job: BatchJob) -> None:
-        self._pending.remove(job)
-        job.start_time = self.sim.now
-        duration = min(job.runtime, job.walltime)
-        timed_out = job.runtime > job.walltime
-        end_event = self.sim.call_in(duration, self._finish_unchecked, job,
-                                     timed_out)
-        self._running[job.uid] = (job, self.sim.now + job.walltime, end_event)
-        self.wait_history.append(
-            (self.sim.now, job.start_time - (job.submit_time or 0.0), job.cores)
-        )
-        self._transition(job, JobState.RUNNING)
-
-    def _finish_unchecked(self, job: BatchJob, timed_out: bool) -> None:
-        self._running.pop(job.uid)
-        job.end_time = self.sim.now
-        if timed_out:
-            self.killed_jobs += 1
-            self._transition(job, JobState.TIMEOUT)
-        else:
-            self.completed_jobs += 1
-            self._transition(job, JobState.COMPLETED)
-
-    def _dispatch(self) -> None:
-        # The scheduler never runs: waits are sampled, not scheduled.
-        self._dispatch_scheduled = False
+    def _schedule_dispatch(self) -> None:
+        """The scheduler never runs: waits are sampled, not scheduled."""

@@ -7,7 +7,6 @@ from .base import (
     PriorityFn,
     RunningMirror,
     SchedulerView,
-    shadow_schedule,
 )
 from .fcfs import FcfsScheduler
 
@@ -38,5 +37,4 @@ __all__ = [
     "SCHEDULERS",
     "SchedulerView",
     "make_scheduler",
-    "shadow_schedule",
 ]

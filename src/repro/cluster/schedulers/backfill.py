@@ -11,11 +11,9 @@ what creates the backfill holes that pilots exploit, so modelling this
 faithfully matters for the paper's queue-wait dynamics.
 
 Both schedulers read the cluster's incrementally maintained
-:class:`~.base.RunningMirror` through ``view.running_ends`` — the
-end-sorted running set is patched with start/finish deltas at the
-moment jobs start and finish, never re-sorted per pass. The picks are
-identical to a stateless implementation: a view without a mirror
-(hand-built in tests) falls back to sorting, with the same order.
+:class:`~.base.RunningMirror` through ``view.mirror`` — the end-sorted
+running set is patched with start/finish deltas at the moment jobs
+start and finish, never re-sorted per pass.
 """
 
 from __future__ import annotations
@@ -24,12 +22,7 @@ from bisect import insort
 from typing import List
 
 from ..job import BatchJob
-from .base import (
-    AllocationProfile,
-    BatchScheduler,
-    SchedulerView,
-    entries_from_running,
-)
+from .base import AllocationProfile, BatchScheduler, SchedulerView
 
 
 class EasyBackfillScheduler(BatchScheduler):
@@ -57,15 +50,10 @@ class EasyBackfillScheduler(BatchScheduler):
         # Phase 2: reservation for the (blocked) head, walking the
         # incrementally maintained end-sorted running set. Phase-1 picks
         # join with sequence numbers above every running job, which is
-        # exactly where a stable sort of (view.running + picks) by
-        # expected end would place them.
-        mirror = view.running_ends
-        if mirror is not None:
-            entries = mirror.entries
-            seq = mirror.next_seq()
-        else:
-            entries = entries_from_running(view.running)
-            seq = len(view.running)
+        # exactly where a stable sort of (running + picks) by expected
+        # end would place them.
+        entries = view.mirror.entries
+        seq = view.mirror.next_seq()
         if picks:
             entries = list(entries)
             for i, p in enumerate(picks):
@@ -121,11 +109,7 @@ class ConservativeBackfillScheduler(BatchScheduler):
     name = "conservative-backfill"
 
     def select(self, view: SchedulerView) -> List[BatchJob]:
-        mirror = view.running_ends
-        entries = (
-            mirror.entries if mirror is not None
-            else entries_from_running(view.running)
-        )
+        entries = view.mirror.entries
         now = view.now
         if view.free_cores == 0 and (not entries or entries[0][0] > now):
             # The profile's level at now would be exactly free_cores

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_left, bisect_right, insort
-from operator import itemgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from ..job import BatchJob
 
@@ -34,7 +33,7 @@ class SchedulerView(NamedTuple):
     per scheduler pass on the hot path, and tuple construction is
     several times cheaper than per-field ``object.__setattr__``.
 
-    ``pending`` and ``running`` may alias live cluster state — they are
+    ``pending`` and ``mirror`` alias live cluster state — they are
     valid for the duration of the ``select`` call only, and policies
     must not retain or mutate them.
 
@@ -43,28 +42,19 @@ class SchedulerView(NamedTuple):
     now:
         Current simulated time.
     free_cores:
-        Cores not allocated to any running job.
-    total_cores:
-        Capacity of the resource.
+        Cores not held by any running job.
     pending:
         Queued jobs in priority order (head first).
-    running:
-        ``(job, expected_end)`` pairs for running jobs, where
-        ``expected_end = start + walltime`` (the scheduler's knowledge,
-        not the job's hidden runtime).
-    running_ends:
-        Optional cluster-maintained end-sorted running mirror (see
-        :class:`RunningMirror`). Backfill policies use it to skip
-        re-sorting ``running``; None (hand-built views) falls back to a
-        stateless sort with identical results.
+    mirror:
+        The cluster's end-sorted running set (see :class:`RunningMirror`):
+        each running job's cores and ``expected_end = start + walltime``
+        (the scheduler's knowledge, not the job's hidden runtime).
     """
 
     now: float
     free_cores: int
-    total_cores: int
     pending: Sequence[BatchJob]
-    running: Sequence[Tuple[BatchJob, float]]
-    running_ends: "Optional[RunningMirror]" = None
+    mirror: "RunningMirror"
 
 
 class BatchScheduler(abc.ABC):
@@ -89,16 +79,14 @@ class RunningMirror:
 
     The cluster facade owns one of these and applies job start/finish
     deltas at the moment they happen — O(log R) bisect insertion and
-    removal — instead of every scheduler pass re-sorting ``view.running``
+    removal — instead of every scheduler pass sorting the running set
     from scratch. ``entries`` stays sorted by
-    ``(expected_end, start_order)``: exactly the order a stable sort of
-    the running view by expected end produces, because start order is
-    the view's iteration order. Backfill schedulers read it through
-    :attr:`SchedulerView.running_ends`; views built without one (e.g.
-    hand-constructed in tests) fall back to :func:`entries_from_running`.
+    ``(expected_end, start_order)``: a stable sort of the running jobs
+    by expected end, in start order. Schedulers read it through
+    :attr:`SchedulerView.mirror`.
     """
 
-    __slots__ = ("_jobs", "_seq", "entries", "starts", "finishes")
+    __slots__ = ("_jobs", "_seq", "entries")
 
     def __init__(self) -> None:
         #: uid -> (expected_end, start_seq)
@@ -106,8 +94,6 @@ class RunningMirror:
         self._seq = 0
         #: sorted list of (expected_end, start_seq, cores)
         self.entries: List[Tuple[float, int, int]] = []
-        self.starts = 0
-        self.finishes = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -121,22 +107,11 @@ class RunningMirror:
         self._seq += 1
         self._jobs[uid] = (expected_end, self._seq)
         insort(self.entries, (expected_end, self._seq, cores))
-        self.starts += 1
 
     def finish(self, uid: int) -> None:
         """Record that job ``uid`` left the machine (done/killed/cancelled)."""
         end, seq = self._jobs.pop(uid)
         del self.entries[bisect_left(self.entries, (end, seq))]
-        self.finishes += 1
-
-
-def entries_from_running(
-    running: Sequence[Tuple[BatchJob, float]],
-) -> List[Tuple[float, int, int]]:
-    """Stateless fallback: mirror-shaped entries from a running view."""
-    return sorted(
-        (end, i, job.cores) for i, (job, end) in enumerate(running)
-    )
 
 
 class AllocationProfile:
@@ -233,32 +208,3 @@ class AllocationProfile:
             free_at.insert(idx, level)
         return idx
 
-
-def shadow_schedule(
-    head_cores: int,
-    free_cores: int,
-    running: Sequence[Tuple[BatchJob, float]],
-) -> Tuple[float, int]:
-    """Compute the EASY-backfill *shadow time* and *extra cores*.
-
-    The shadow time is the earliest time the queue head could start if no
-    further jobs were admitted, assuming running jobs end at their
-    expected (walltime-based) ends. Extra cores are the cores that will
-    be free at the shadow time beyond what the head needs; backfilled
-    jobs that fit within the extra cores can never delay the head,
-    regardless of how long they run.
-
-    Returns ``(shadow_time, extra_cores)``. If the head already fits,
-    shadow time is ``-inf`` and extra is the free cores minus the head's
-    request.
-    """
-    if head_cores <= free_cores:
-        return float("-inf"), free_cores - head_cores
-    available = free_cores
-    ends = sorted(running, key=itemgetter(1))
-    for job, expected_end in ends:
-        available += job.cores
-        if available >= head_cores:
-            return expected_end, available - head_cores
-    # Unreachable when head_cores <= total capacity (enforced at submit).
-    raise ValueError("queue head can never fit on this resource")

@@ -53,13 +53,13 @@ class PbsAdaptor(Adaptor):
     submission_latency_s = 2.0
 
     def translate(self, description: JobDescription) -> BatchJob:
-        cpn = self.cluster.pool.cores_per_node
+        cpn = self.cluster.cores_per_node
         nodes = math.ceil(description.total_cpu_count / cpn)
         cores = nodes * cpn
         if cores > self.cluster.total_cores:
             raise AdaptorError(
                 f"pbs: {nodes} nodes exceed the machine "
-                f"({self.cluster.pool.nodes} nodes)"
+                f"({self.cluster.nodes} nodes)"
             )
         return BatchJob(
             cores=cores,

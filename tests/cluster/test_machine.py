@@ -1,10 +1,15 @@
 """Integration tests for the Cluster facade on the DES kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
+    AllocationError,
     BatchJob,
+    BatchScheduler,
     Cluster,
+    EasyBackfillScheduler,
     FcfsScheduler,
     JobState,
     SubmissionError,
@@ -22,6 +27,30 @@ def make_cluster(sim, nodes=2, cpn=8, scheduler=None, overhead=0.0, priority_fn=
         submit_overhead=overhead,
         priority_fn=priority_fn,
     )
+
+
+def test_construction_validation():
+    sim = Simulation()
+    with pytest.raises(ValueError):
+        make_cluster(sim, nodes=0)
+    with pytest.raises(ValueError):
+        make_cluster(sim, cpn=0)
+
+
+def test_core_accounting():
+    sim = Simulation()
+    cluster = make_cluster(sim, nodes=4, cpn=16)
+    assert (cluster.nodes, cluster.cores_per_node) == (4, 16)
+    assert cluster.total_cores == cluster.free_cores == 64
+    assert cluster.utilization == 0.0
+    job = cluster.submit(BatchJob(cores=20, runtime=100, walltime=100))
+    sim.run(until=50)
+    assert cluster.free_cores == 44
+    assert cluster.utilization == 20 / 64
+    assert cluster.expected_drain_time() == 100.0
+    sim.run()
+    assert job.state is JobState.COMPLETED
+    assert cluster.free_cores == 64
 
 
 def test_idle_machine_runs_job_immediately():
@@ -223,3 +252,98 @@ def test_queue_metrics():
     assert cluster.queue_length == 1
     assert cluster.queued_core_seconds == 4 * 60
     assert cluster.utilization == 1.0
+
+
+class StubScheduler(BatchScheduler):
+    """Returns whatever ``pick(pending)`` says, valid or not."""
+
+    name = "stub"
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def select(self, view):
+        return self.pick(list(view.pending))
+
+
+@pytest.mark.parametrize(
+    "pick, error",
+    [
+        (lambda p: [p[0], p[1], p[0]], RuntimeError),  # duplicate pick
+        (lambda p: [p[0], p[1]], AllocationError),  # 12 cores, 8 free
+        (lambda p: [p[0], BatchJob(cores=1, runtime=1, walltime=1)],
+         RuntimeError),  # a job that is not pending here
+    ],
+    ids=["duplicate", "over-capacity", "not-pending"],
+)
+def test_dispatch_pass_validated_whole(pick, error):
+    """A bad pass raises before any of its picks starts."""
+    sim = Simulation()
+    cluster = make_cluster(sim, nodes=1, cpn=8, scheduler=StubScheduler(pick))
+    a = cluster.submit(BatchJob(cores=6, runtime=10, walltime=10))
+    b = cluster.submit(BatchJob(cores=6, runtime=10, walltime=10))
+    with pytest.raises(error):
+        sim.run()
+    assert a.state is b.state is JobState.PENDING
+    assert cluster.running_jobs() == []
+    assert cluster.free_cores == 8
+
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.integers(1, 32),  # cores
+            st.integers(1, 400),  # runtime
+            st.integers(1, 400),  # walltime
+        ),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("kill"), st.integers(0, 63)),
+        st.tuples(st.just("offline"), st.integers(1, 300)),
+        st.tuples(st.just("run"), st.integers(1, 200)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _assert_cores_conserved(cluster):
+    running = cluster.running_jobs()
+    assert all(j.state is JobState.RUNNING for j in running)
+    assert 0 <= cluster.free_cores
+    assert cluster.free_cores + sum(j.cores for j in running) == (
+        cluster.total_cores
+    )
+    assert sorted(c for _e, _s, c in cluster._run_mirror.entries) == sorted(
+        j.cores for j in running
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=_steps)
+def test_core_conservation_property(steps):
+    """Free + running cores is the capacity after every kind of step,
+    and the scheduler's mirror holds exactly the running jobs' cores."""
+    sim = Simulation(seed=3)
+    cluster = make_cluster(
+        sim, nodes=4, cpn=8, scheduler=EasyBackfillScheduler(), overhead=1.0
+    )
+    jobs = []
+    for kind, *args in steps:
+        if kind == "submit":
+            cores, runtime, walltime = args
+            jobs.append(cluster.submit(
+                BatchJob(cores=cores, runtime=runtime, walltime=walltime)
+            ))
+        elif kind in ("cancel", "kill") and jobs:
+            job = jobs[args[0] % len(jobs)]
+            (cluster.cancel if kind == "cancel" else cluster.kill_job)(job)
+        elif kind == "offline":
+            cluster.set_offline(args[0])
+        elif kind == "run":
+            sim.run(until=sim.now + args[0])
+        _assert_cores_conserved(cluster)
+    sim.run()
+    _assert_cores_conserved(cluster)
+    assert all(j.is_final for j in jobs)
+    assert cluster.free_cores == cluster.total_cores

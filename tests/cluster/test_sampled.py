@@ -48,6 +48,9 @@ def test_capacity_never_blocks():
         cluster.submit(j)
     sim.run(until=100)
     assert all(j.state is JobState.RUNNING for j in jobs)
+    # the base cluster's accounting still holds, oversubscribed
+    assert cluster.free_cores == 32 - 20 * 32
+    assert cluster.utilization == 20.0
 
 
 def test_cancel_paths():
@@ -73,3 +76,55 @@ def test_walltime_kill_still_applies():
     cluster.submit(job)
     sim.run()
     assert job.state is JobState.TIMEOUT
+
+
+def _assert_accounting(cluster):
+    held = sum(j.cores for j in cluster.running_jobs())
+    assert cluster.free_cores == cluster.total_cores - held
+
+
+@pytest.mark.parametrize("abort", ["kill_job", "set_offline"])
+def test_kill_and_outage_fail_a_running_job(abort):
+    sim = Simulation(seed=9)
+    cluster = make(sim, mu=np.log(10), sigma=0.01)
+    job = cluster.submit(BatchJob(cores=4, runtime=5000, walltime=6000))
+    sim.run(until=100)
+    assert job.state is JobState.RUNNING
+    assert cluster.free_cores == 28
+    _assert_accounting(cluster)
+    if abort == "kill_job":
+        cluster.kill_job(job)
+    else:
+        cluster.set_offline(50)
+    assert job.state is JobState.FAILED
+    assert job.end_time == 100.0
+    assert cluster.running_jobs() == []
+    assert cluster.free_cores == cluster.total_cores
+    sim.run()
+    assert job.state is JobState.FAILED
+
+
+def test_every_path_clears_arrival_order():
+    sim = Simulation(seed=10)
+    cluster = make(sim, mu=np.log(100), sigma=0.01)
+    jobs = [
+        cluster.submit(BatchJob(cores=8, runtime=rt, walltime=wt))
+        for rt, wt in [(50, 100), (500, 100), (5000, 6000), (5000, 6000),
+                       (50, 100), (50, 100)]
+    ]
+    done, timeout, cancel_run, kill_run, cancel_pend, kill_pend = jobs
+    sim.run(until=1)
+    cluster.cancel(cancel_pend)
+    cluster.kill_job(kill_pend)
+    sim.run(until=150)
+    _assert_accounting(cluster)
+    cluster.cancel(cancel_run)
+    cluster.kill_job(kill_run)
+    _assert_accounting(cluster)
+    sim.run()
+    assert [j.state for j in jobs] == [
+        JobState.COMPLETED, JobState.TIMEOUT, JobState.CANCELLED,
+        JobState.FAILED, JobState.CANCELLED, JobState.FAILED,
+    ]
+    assert cluster._arrival_order == {}
+    assert cluster.free_cores == cluster.total_cores

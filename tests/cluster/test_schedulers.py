@@ -9,56 +9,37 @@ from repro.cluster import (
     FcfsScheduler,
     SchedulerView,
     make_scheduler,
-    shadow_schedule,
 )
+from repro.cluster.schedulers import RunningMirror
 
 
 def job(cores, walltime, name=""):
     return BatchJob(cores=cores, runtime=walltime, walltime=walltime, name=name)
 
 
-def view(free, total, pending, running=()):
+def view(free, pending, running=()):
+    """A view at t=0 whose ``running`` is ``(job, expected_end)`` pairs."""
+    mirror = RunningMirror()
+    for j, end in running:
+        mirror.start(j.uid, end, j.cores)
     return SchedulerView(
-        now=0.0,
-        free_cores=free,
-        total_cores=total,
-        pending=tuple(pending),
-        running=tuple(running),
+        now=0.0, free_cores=free, pending=tuple(pending), mirror=mirror
     )
 
 
 class TestFcfs:
     def test_starts_in_order_until_blocked(self):
         a, b, c = job(4, 10, "a"), job(8, 10, "b"), job(1, 10, "c")
-        picks = FcfsScheduler().select(view(10, 16, [a, b, c]))
+        picks = FcfsScheduler().select(view(10, [a, b, c]))
         assert picks == [a]  # b blocks; c must not bypass
 
     def test_all_fit(self):
         a, b = job(4, 10), job(4, 10)
-        picks = FcfsScheduler().select(view(16, 16, [a, b]))
+        picks = FcfsScheduler().select(view(16, [a, b]))
         assert picks == [a, b]
 
     def test_empty_queue(self):
-        assert FcfsScheduler().select(view(16, 16, [])) == []
-
-
-class TestShadowSchedule:
-    def test_head_fits_immediately(self):
-        shadow, extra = shadow_schedule(4, 10, [])
-        assert shadow == float("-inf")
-        assert extra == 6
-
-    def test_shadow_from_running_ends(self):
-        r1 = (job(8, 100, "r1"), 50.0)
-        r2 = (job(8, 100, "r2"), 80.0)
-        shadow, extra = shadow_schedule(12, 0, [r1, r2])
-        # after r1 ends: 8 free < 12; after r2: 16 free >= 12
-        assert shadow == 80.0
-        assert extra == 4
-
-    def test_never_fits_raises(self):
-        with pytest.raises(ValueError):
-            shadow_schedule(100, 10, [])
+        assert FcfsScheduler().select(view(16, [])) == []
 
 
 class TestEasyBackfill:
@@ -68,7 +49,7 @@ class TestEasyBackfill:
         head = job(16, 50, "head")
         short = job(4, 50, "short")  # ends at t=50 <= shadow 100 -> backfill
         picks = EasyBackfillScheduler().select(
-            view(8, 16, [head, short], running)
+            view(8, [head, short], running)
         )
         assert picks == [short]
 
@@ -79,7 +60,7 @@ class TestEasyBackfill:
         # needs 8 > extra (extra = 16-16 = 0) and ends at 200 > 100.
         long_wide = job(8, 200, "lw")
         picks = EasyBackfillScheduler().select(
-            view(8, 16, [head, long_wide], running)
+            view(8, [head, long_wide], running)
         )
         assert picks == []
 
@@ -91,21 +72,46 @@ class TestEasyBackfill:
         # (and 6 <= 8 cores free right now).
         eternal = job(6, 10_000, "eternal")
         picks = EasyBackfillScheduler().select(
-            view(8, 32, [head, eternal], running)
+            view(8, [head, eternal], running)
         )
         assert picks == [eternal]
 
     def test_fcfs_phase_runs_head_first(self):
         a, b = job(4, 10, "a"), job(4, 10, "b")
-        picks = EasyBackfillScheduler().select(view(16, 16, [a, b]))
+        picks = EasyBackfillScheduler().select(view(16, [a, b]))
         assert picks == [a, b]
+
+    def test_head_fits_immediately(self):
+        # the head fits, so there is no shadow: the 6 cores left over
+        # take a job of any length
+        head = job(4, 10, "head")
+        eternal = job(6, 10_000, "eternal")
+        picks = EasyBackfillScheduler().select(view(10, [head, eternal]))
+        assert picks == [head, eternal]
+
+    def test_shadow_from_running_ends(self):
+        # 24-core machine, 8 free; head wants 20. After r1 ends (t=50)
+        # 16 are free, after r2 (t=80) 24: shadow 80, extra 4.
+        running = [(job(8, 100, "r1"), 50.0), (job(8, 100, "r2"), 80.0)]
+        head = job(20, 50, "head")
+        too_wide = job(5, 1000, "toowide")  # 5 > extra, ends after 80
+        in_extra = job(4, 10_000, "inextra")  # 4 <= extra, any length
+        at_shadow = job(4, 80, "atshadow")  # ends exactly at the shadow
+        picks = EasyBackfillScheduler().select(
+            view(8, [head, too_wide, in_extra, at_shadow], running)
+        )
+        assert picks == [in_extra, at_shadow]
+
+    def test_never_fits_raises(self):
+        with pytest.raises(ValueError):
+            EasyBackfillScheduler().select(view(10, [job(100, 10)]))
 
     def test_backfill_candidates_respect_current_free(self):
         running = [(job(12, 100, "r"), 100.0)]
         head = job(16, 50, "head")
         too_wide = job(6, 10, "toowide")  # only 4 free now
         picks = EasyBackfillScheduler().select(
-            view(4, 16, [head, too_wide], running)
+            view(4, [head, too_wide], running)
         )
         assert picks == []
 
@@ -113,7 +119,7 @@ class TestEasyBackfill:
 class TestConservativeBackfill:
     def test_behaves_like_fcfs_when_everything_fits(self):
         a, b = job(4, 10, "a"), job(4, 10, "b")
-        picks = ConservativeBackfillScheduler().select(view(16, 16, [a, b]))
+        picks = ConservativeBackfillScheduler().select(view(16, [a, b]))
         assert picks == [a, b]
 
     def test_backfills_job_with_no_delay_to_any_reservation(self):
@@ -121,7 +127,7 @@ class TestConservativeBackfill:
         head = job(16, 50, "head")
         short = job(4, 50, "short")
         picks = ConservativeBackfillScheduler().select(
-            view(8, 16, [head, short], running)
+            view(8, [head, short], running)
         )
         assert picks == [short]
 
@@ -133,7 +139,7 @@ class TestConservativeBackfill:
         second = job(8, 10, "second")   # reserved at t=110 (after head)
         sneaky = job(8, 150, "sneaky")  # would run 0..150, delaying second
         cons_picks = ConservativeBackfillScheduler().select(
-            view(8, 16, [head, second, sneaky], running)
+            view(8, [head, second, sneaky], running)
         )
         assert sneaky not in cons_picks
 

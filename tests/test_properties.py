@@ -15,6 +15,7 @@ from repro.cluster import (
     FcfsScheduler,
     SchedulerView,
 )
+from repro.cluster.schedulers import RunningMirror
 from repro.des import Simulation
 from repro.net import Link
 from repro.pilot.states import (
@@ -47,22 +48,16 @@ def scheduler_views(draw):
     total = 128
     pending = draw(st.lists(job_strategy, min_size=0, max_size=20))
     running_jobs = draw(st.lists(job_strategy, min_size=0, max_size=10))
-    used = sum(j.cores for j in running_jobs)
     # clip the running set so it fits the machine
-    kept, acc = [], 0
+    mirror, acc = RunningMirror(), 0
     for j in running_jobs:
         if acc + j.cores <= total:
-            kept.append(j)
+            mirror.start(j.uid, float(j.walltime), j.cores)
             acc += j.cores
-    running = tuple((j, float(j.walltime)) for j in kept)
     # drop pending jobs that can never fit at all
     pending = tuple(j for j in pending if j.cores <= total)
     return SchedulerView(
-        now=0.0,
-        free_cores=total - acc,
-        total_cores=total,
-        pending=pending,
-        running=running,
+        now=0.0, free_cores=total - acc, pending=pending, mirror=mirror
     )
 
 
