@@ -65,13 +65,11 @@ from .experiments import (
     migrate_json,
     nonuniform_tasks_study,
     parse_serve_spec,
+    monitor_from_path,
     render_dashboard,
-    state_from_path,
     state_from_url,
     pilot_count_sweep,
     pool_scaling_study,
-    read_ledger,
-    read_ledger_any,
     render_ablation,
     store_summary,
     render_all,
@@ -82,6 +80,7 @@ from .experiments import (
 )
 from .experiments import calibrate_all, render_calibration
 from .experiments.io import load_campaign, save_campaign
+from .experiments.runner import cost_eta
 from .logutil import setup_logging
 from .faults import (
     FaultInjector,
@@ -110,34 +109,18 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 class _EtaProgress:
-    """Progress line with an ETA from the runner's cell cost model.
-
-    Observed wall seconds per unit of estimated cost, applied to the
-    cost of the cells still outstanding — robust to the x30 spread
-    between an 8-task and a 2048-task cell that a naive
-    mean-wall-per-cell ETA gets badly wrong.
+    """Progress line with the cost-weighted ETA of ``runner.cost_eta``,
+    the same one ``repro tail``, ``repro watch`` and ``/metrics`` show.
     """
 
     def __init__(self, grid, stream=None) -> None:
-        from .experiments.runner import cell_cost
-
-        self._cost = cell_cost
-        self._remaining = {cell: cell_cost(cell) for cell in grid}
-        self._total_cost = sum(self._remaining.values())
-        self._spent_cost = 0
-        self._spent_wall = 0.0
+        self._grid = list(grid)
+        self._walls: dict = {}
         self._stream = stream if stream is not None else sys.stderr
-        self._t0 = time.perf_counter()
 
     def __call__(self, progress: CellProgress) -> None:
-        cost = self._remaining.pop(progress.cell, 0)
-        self._spent_cost += cost
-        self._spent_wall += progress.wall_s
-        eta = ""
-        if self._spent_cost:
-            per_cost = self._spent_wall / self._spent_cost
-            left = sum(self._remaining.values())
-            eta = f", ETA {per_cost * left:.0f}s"
+        self._walls[progress.cell] = progress.wall_s
+        eta = f", ETA {cost_eta(self._grid, self._walls):.0f}s"
         exp_id, n_tasks, rep = progress.cell
         state = "ok" if progress.ok else "ERROR"
         print(
@@ -445,12 +428,15 @@ def _report_data(result, args) -> dict:
         for a in detect_anomalies(result)
     ]
     if args.ledger and os.path.exists(args.ledger):
-        for rec in read_ledger_any(args.ledger):
-            if rec.get("kind") == "cell" and rec.get("anomalies"):
+        # the fold's deduplicated cells: a retried cell's superseded
+        # record raises no anomaly.
+        for row in monitor_from_path(args.ledger).grid():
+            if row.get("anomalies"):
+                exp_id, n_tasks, rep = row["cell"]
                 anomalies.append({
-                    "cell": f"{rec['exp']}:{rec['n']}",
-                    "kind": ",".join(rec["anomalies"]),
-                    "detail": f"rep {rec['rep']} (ledger)",
+                    "cell": f"{exp_id}:{n_tasks}",
+                    "kind": ",".join(row["anomalies"]),
+                    "detail": f"rep {rep} (ledger)",
                 })
 
     data: dict = {
@@ -537,14 +523,14 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     if not os.path.exists(args.ledger):
         print(f"no such ledger: {args.ledger}", file=sys.stderr)
         return 2
-    records = read_ledger_any(args.ledger)
+    monitor = monitor_from_path(args.ledger)
     if args.json:
         # machine-readable: every record, one JSON object per line, in
         # ledger order with stable keys (--last does not apply).
-        for record in records:
+        for _id, record in monitor.events_after(0):
             print(json.dumps(record, sort_keys=True))
         return 0
-    print(render_tail(records, last=args.last))
+    print(render_tail(monitor, last=args.last))
     return 0
 
 
@@ -563,7 +549,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     def fetch():
         if args.url is not None:
             return state_from_url(args.url)
-        return state_from_path(args.source)
+        return monitor_from_path(args.source).state()
 
     if args.once:
         print(render_dashboard(fetch(), color=color))

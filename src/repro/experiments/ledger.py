@@ -4,10 +4,11 @@ A long campaign is opaque while it runs and forensically mute after it
 crashes; the ledger fixes both. The runner appends one JSON object per
 event — campaign start, every cell completion (coordinates, wall cost,
 worker pid, digests, anomaly flags), campaign end — flushing each line,
-so the file is valid and current at every instant: ``repro tail`` reads
-it live, post-hoc tools (``repro analyze``/``repro report``) read it
-after the fact, and a killed campaign leaves every completed cell on
-disk.
+so the file is valid and current at every instant: ``repro tail`` and
+``repro watch`` read it live, ``repro report`` reads it after the fact,
+and a killed campaign leaves every completed cell on disk. This module
+writes and reads records only; folding them into campaign state is the
+job of :class:`~repro.experiments.monitor.CampaignMonitor` alone.
 
 Line kinds::
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from typing import IO, Any, Dict, Iterable, List, Optional
+from typing import IO, Any, Dict, List, Optional
 
 from .campaign import CellProgress, RunResult
 
@@ -284,9 +285,9 @@ def read_ledger(path: str) -> List[Dict[str, Any]]:
 def read_ledger_any(path: str) -> List[Dict[str, Any]]:
     """Read ledger records from an NDJSON file *or* a campaign store.
 
-    ``repro tail`` points here: the campaign runner streams the same
-    records to both sinks, so consumers need not care which one they
-    were handed.
+    :func:`~repro.experiments.watch.monitor_from_path` points here: the
+    campaign runner streams the same records to both sinks, so consumers
+    need not care which one they were handed.
     """
     from .store import CampaignStore, is_store
 
@@ -294,135 +295,3 @@ def read_ledger_any(path: str) -> List[Dict[str, Any]]:
         with CampaignStore(path, readonly=True) as store:
             return store.ledger_records()
     return read_ledger(path)
-
-
-def _cell_key(rec: Dict[str, Any], index: int):
-    """Coordinates key for deduping cell records across resumed sessions.
-
-    A retried cell (``--retry-errors``) emits a second ``cell`` record
-    in the resumed session; the later record supersedes the earlier
-    one. Records without coordinates (hand-rolled/legacy) never
-    collide — each keeps its own identity.
-    """
-    exp, n, rep = rec.get("exp"), rec.get("n"), rec.get("rep")
-    if exp is None or n is None or rep is None:
-        return ("_", index)
-    return (exp, n, rep)
-
-
-def ledger_progress(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold ledger records into one progress snapshot.
-
-    Understands resumed campaigns: ``cell`` records are deduplicated by
-    coordinates (last record wins, so a retried error cell counts
-    once), attempt events fold into per-cell attempt counts, and the
-    latest ``campaign_resumed`` record is surfaced as ``resumed``.
-    """
-    total = 0
-    finished = False
-    interrupted = False
-    resumed: Optional[Dict[str, Any]] = None
-    cells: Dict[Any, Dict[str, Any]] = {}
-    attempts: Dict[Any, int] = {}
-    retries = 0
-    timeouts = 0
-    for i, rec in enumerate(records):
-        kind = rec.get("kind")
-        if kind == "campaign-start":
-            total = int(rec.get("total", 0))
-            finished = False
-        elif kind == "campaign_resumed":
-            resumed = rec
-        elif kind == "attempt_started":
-            key = _cell_key(rec, i)
-            attempts[key] = attempts.get(key, 0) + 1
-        elif kind == "attempt_timeout":
-            timeouts += 1
-        elif kind == "cell_retried":
-            retries += 1
-        elif kind == "cell":
-            cells[_cell_key(rec, i)] = rec
-        elif kind == "campaign-end":
-            finished = True
-            interrupted = bool(rec.get("interrupted", False))
-    done = len(cells)
-    errors = sum(1 for rec in cells.values() if not rec.get("ok", False))
-    anomalies = [rec for rec in cells.values() if rec.get("anomalies")]
-    wall_spent = sum(float(r.get("wall_s", 0.0)) for r in cells.values())
-    mean_wall = wall_spent / done if done else 0.0
-    remaining = max(0, total - done)
-    return {
-        "total": total,
-        "done": done,
-        "errors": errors,
-        "finished": finished,
-        "interrupted": interrupted,
-        "resumed": resumed,
-        "attempts": attempts,
-        "retries": retries,
-        "timeouts": timeouts,
-        "anomalies": anomalies,
-        "wall_spent_s": wall_spent,
-        "eta_s": mean_wall * remaining,
-    }
-
-
-def render_tail(records: List[Dict[str, Any]], last: int = 8) -> str:
-    """Human-readable snapshot of a (possibly still running) campaign."""
-    snap = ledger_progress(records)
-    total, done = snap["total"], snap["done"]
-    frac = done / total if total else 0.0
-    bar_w = 32
-    fill = int(round(bar_w * min(1.0, frac)))
-    if snap["finished"] and snap["interrupted"]:
-        state = "interrupted (resumable)"
-    elif snap["finished"]:
-        state = "finished"
-    else:
-        state = "running"
-    lines = [
-        f"campaign {state}: [{'#' * fill}{'.' * (bar_w - fill)}] "
-        f"{done}/{total} cells"
-        + (f", {snap['errors']} errors" if snap["errors"] else "")
-        + (f", {snap['retries']} retries" if snap["retries"] else "")
-        + (
-            f", ETA {snap['eta_s']:.0f}s"
-            if not snap["finished"] and done else ""
-        ),
-    ]
-    if snap["resumed"] is not None:
-        r = snap["resumed"]
-        lines.append(
-            f"  resumed: {r.get('committed', 0)} committed skipped, "
-            f"{r.get('errors_retried', 0)} errors retried, "
-            f"{r.get('reclaimed', 0)} stale leases reclaimed, "
-            f"{r.get('remaining', 0)} cells to run"
-        )
-    cells = [r for r in records if r.get("kind") == "cell"]
-    attempts = snap["attempts"]
-    for rec in cells[-last:]:
-        mark = "ok " if rec.get("ok") else "ERR"
-        extra = ""
-        n_att = attempts.get(
-            (rec.get("exp"), rec.get("n"), rec.get("rep")), 0
-        )
-        if n_att > 1:
-            extra += f"  att={n_att}"
-        if rec.get("anomalies"):
-            extra += "  !" + ",".join(rec["anomalies"])
-        ttc = rec.get("ttc")
-        ttc_s = f" TTC={ttc:.0f}s" if isinstance(ttc, (int, float)) else ""
-        lines.append(
-            f"  {mark} exp{rec.get('exp', '?')} n={rec.get('n', '?')}"
-            f" rep={rec.get('rep', '?')}"
-            f"{ttc_s} wall={rec.get('wall_s', 0.0):.2f}s"
-            f" w{rec.get('worker', '-')}{extra}"
-        )
-    for rec in snap["anomalies"]:
-        if rec not in cells[-last:]:
-            lines.append(
-                f"  !  exp{rec.get('exp', '?')} n={rec.get('n', '?')}"
-                f" rep={rec.get('rep', '?')}: "
-                + ",".join(rec.get("anomalies", ()))
-            )
-    return "\n".join(lines)

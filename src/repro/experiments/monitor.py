@@ -1,16 +1,18 @@
 """Live campaign state: fold the event stream into one observable model.
 
-The :class:`CampaignMonitor` is the stateful half of the observability
-plane. The :mod:`bus <repro.telemetry.bus>` moves raw ledger records;
-the monitor *folds* them — incrementally, with the same semantics as
-the post-hoc :func:`~repro.experiments.ledger.ledger_progress` — into a
-live model any frontend can snapshot:
+The :class:`CampaignMonitor` is the only fold of ledger records into
+campaign state. The :mod:`bus <repro.telemetry.bus>` moves raw ledger
+records live; a durable ledger replays them after the fact
+(:func:`~repro.experiments.watch.monitor_from_path`). Either way the
+monitor *folds* them incrementally into one model that ``repro tail``,
+``repro watch``, ``repro report``, ``/state.json`` and ``/metrics``
+all read:
 
 * a per-cell **status grid** (``pending``/``running``/``ok``/``error``),
   seeded from the ``campaign-start`` meta so unstarted cells are
   visible, not merely absent;
-* progress, per-cell attempt counts, retries/timeouts, ETA and
-  throughput from observed wall costs;
+* progress, per-cell attempt counts, retries/timeouts, throughput, and
+  the cost-weighted ETA of :func:`~repro.experiments.runner.cost_eta`;
 * **worker liveness** — last-seen wall time per worker pid, fed by cell
   records and the bus-only heartbeat pulses;
 * **TTC component shares** summed across completed cells (the live
@@ -34,7 +36,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..telemetry.bus import EventBus, Subscription
-from ..telemetry.metrics import MetricsRegistry
+from .runner import cost_eta
 
 __all__ = ["CampaignMonitor", "host_sample"]
 
@@ -89,7 +91,6 @@ class CampaignMonitor:
         self._clock = clock
         #: retained durable events, ``events[i]`` has id ``i + 1``.
         self.events: List[Dict[str, Any]] = []
-        self.metrics = MetricsRegistry()
         self._sub: Optional[Subscription] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -97,6 +98,7 @@ class CampaignMonitor:
         self.started_at: Optional[float] = None
         self.meta: Dict[str, Any] = {}
         self.total = 0
+        self.starts = 0
         self.finished = False
         self.interrupted = False
         self.resumed: Optional[Dict[str, Any]] = None
@@ -147,8 +149,7 @@ class CampaignMonitor:
         """Fold one ledger record into the model; returns its event id.
 
         Heartbeats update liveness only and return 0 (no replay id).
-        Folding mirrors :func:`~repro.experiments.ledger.ledger_progress`:
-        cell records dedupe by coordinates (last wins), so a retried
+        Cell records dedupe by coordinates (last wins), so a retried
         cell from a resumed session counts once.
         """
         kind = record.get("kind")
@@ -181,48 +182,41 @@ class CampaignMonitor:
             self.total = int(record.get("total", 0))
             self.meta = dict(record.get("meta") or {})
             self.finished = False
-            self.metrics.counter("monitor.campaign_starts").inc()
+            self.starts += 1
         elif kind == "campaign_resumed":
             self.resumed = record
         elif kind == "attempt_started":
             cell = _coords(record)
-            if cell is not None:
-                self.attempts[cell] = self.attempts.get(cell, 0) + 1
-                self.running[cell] = {
-                    "attempt": record.get("attempt"),
-                    "worker": record.get("worker"),
-                    "last_seen": wall,
-                }
+            self.attempts[cell] = self.attempts.get(cell, 0) + 1
+            self.running[cell] = {
+                "attempt": record.get("attempt"),
+                "worker": record.get("worker"),
+                "last_seen": wall,
+            }
             worker = record.get("worker")
             if worker is not None and wall is not None:
                 self.workers[int(worker)] = float(wall)
         elif kind == "attempt_timeout":
             self.timeouts += 1
-            self.metrics.counter("monitor.timeouts").inc()
         elif kind == "cell_retried":
             self.retries += 1
-            self.metrics.counter("monitor.retries").inc()
         elif kind == "cell":
             cell = _coords(record)
-            if cell is not None:
-                previous = self.cells.get(cell)
-                if previous is not None:
-                    # resumed retry supersedes: back out the old record.
-                    self.wall_spent -= float(previous.get("wall_s", 0.0))
-                    for name, share in (previous.get("components") or {}).items():
-                        self.components[name] = (
-                            self.components.get(name, 0.0) - float(share)
-                        )
-                self.cells[cell] = record
-                self.running.pop(cell, None)
-                self.wall_spent += float(record.get("wall_s", 0.0))
-                for name, share in (record.get("components") or {}).items():
+            previous = self.cells.get(cell)
+            if previous is not None:
+                # resumed retry supersedes: back out the old record.
+                self.wall_spent -= float(previous.get("wall_s", 0.0))
+                for name, share in (previous.get("components") or {}).items():
                     self.components[name] = (
-                        self.components.get(name, 0.0) + float(share)
+                        self.components.get(name, 0.0) - float(share)
                     )
-                self.metrics.counter("monitor.cells").inc()
-                if not record.get("ok", False):
-                    self.metrics.counter("monitor.cell_errors").inc()
+            self.cells[cell] = record
+            self.running.pop(cell, None)
+            self.wall_spent += float(record.get("wall_s", 0.0))
+            for name, share in (record.get("components") or {}).items():
+                self.components[name] = (
+                    self.components.get(name, 0.0) + float(share)
+                )
             worker = record.get("worker")
             if worker is not None and wall is not None:
                 self.workers[int(worker)] = float(wall)
@@ -267,17 +261,19 @@ class CampaignMonitor:
         with self._cond:
             return self._grid_locked()
 
-    def _grid_locked(self) -> List[Dict[str, Any]]:
-        coords: List[Cell] = []
-        seen = set()
-        experiments = self.meta.get("experiments") or []
-        task_counts = self.meta.get("task_counts") or []
+    def _declared_locked(self) -> List[Cell]:
+        """The grid the ``campaign-start`` meta declares, in grid order."""
         reps = int(self.meta.get("reps") or 0)
-        for exp in experiments:
-            for n in task_counts:
-                for rep in range(reps):
-                    coords.append((int(exp), int(n), int(rep)))
-        seen.update(coords)
+        return [
+            (int(exp), int(n), rep)
+            for exp in self.meta.get("experiments") or []
+            for n in self.meta.get("task_counts") or []
+            for rep in range(reps)
+        ]
+
+    def _grid_locked(self) -> List[Dict[str, Any]]:
+        coords = self._declared_locked()
+        seen = set(coords)
         # cells observed outside the declared grid (hand-fed histories)
         # still show up rather than vanishing.
         for cell in sorted(set(self.cells) | set(self.running)):
@@ -321,8 +317,13 @@ class CampaignMonitor:
             errors = sum(
                 1 for rec in self.cells.values() if not rec.get("ok", False)
             )
-            mean_wall = self.wall_spent / done if done else 0.0
-            remaining = max(0, self.total - done)
+            eta = cost_eta(
+                self._declared_locked(),
+                {
+                    cell: float(rec.get("wall_s", 0.0))
+                    for cell, rec in self.cells.items()
+                },
+            )
             elapsed = (
                 now - self.started_at if self.started_at is not None else 0.0
             )
@@ -344,7 +345,7 @@ class CampaignMonitor:
                 "meta": self.meta,
                 "elapsed_s": elapsed,
                 "wall_spent_s": self.wall_spent,
-                "eta_s": mean_wall * remaining,
+                "eta_s": eta,
                 "throughput_cps": throughput,
                 "running": [
                     {
@@ -375,19 +376,31 @@ class CampaignMonitor:
         return state
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """Monitor counters + live gauges, in registry-snapshot shape."""
+        """Counters and gauges of the folded state, in the snapshot shape
+        :func:`~repro.telemetry.metrics.render_prometheus` renders.
+
+        ``monitor.cells`` and ``monitor.cell_errors`` count deduplicated
+        cells, so a retried error cell that passes leaves the error count.
+        """
         state = self.state()
-        snap = self.metrics.snapshot(diagnostics=True)
-        gauges = snap["gauges"]
-        gauges["monitor.cells_total"] = state["total"]
-        gauges["monitor.cells_done"] = state["done"]
-        gauges["monitor.cells_errored"] = state["errors"]
-        gauges["monitor.cells_running"] = len(state["running"])
-        gauges["monitor.finished"] = state["finished"]
-        gauges["monitor.eta_s"] = state["eta_s"]
-        gauges["monitor.throughput_cps"] = state["throughput_cps"]
-        gauges["monitor.workers_seen"] = len(state["workers"])
-        gauges["monitor.wall_spent_s"] = state["wall_spent_s"]
+        counters = {
+            "monitor.campaign_starts": self.starts,
+            "monitor.cell_errors": state["errors"],
+            "monitor.cells": state["done"],
+            "monitor.retries": state["retries"],
+            "monitor.timeouts": state["timeouts"],
+        }
+        gauges: Dict[str, Any] = {
+            "monitor.cells_total": state["total"],
+            "monitor.cells_done": state["done"],
+            "monitor.cells_errored": state["errors"],
+            "monitor.cells_running": len(state["running"]),
+            "monitor.finished": state["finished"],
+            "monitor.eta_s": state["eta_s"],
+            "monitor.throughput_cps": state["throughput_cps"],
+            "monitor.workers_seen": len(state["workers"]),
+            "monitor.wall_spent_s": state["wall_spent_s"],
+        }
         for name, comp in state["components"].items():
             gauges[f"monitor.component_share.{name}"] = comp["share"]
         host = state["host"]
@@ -395,11 +408,8 @@ class CampaignMonitor:
             gauges["monitor.host_cpu_s"] = host["cpu_s"]
         if "rss_kb" in host:
             gauges["monitor.host_rss_kb"] = host["rss_kb"]
-        return snap
+        return {"counters": counters, "gauges": gauges}
 
 
-def _coords(record: Dict[str, Any]) -> Optional[Cell]:
-    exp, n, rep = record.get("exp"), record.get("n"), record.get("rep")
-    if exp is None or n is None or rep is None:
-        return None
-    return (int(exp), int(n), int(rep))
+def _coords(record: Dict[str, Any]) -> Cell:
+    return (int(record["exp"]), int(record["n"]), int(record["rep"]))

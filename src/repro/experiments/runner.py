@@ -84,7 +84,9 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..skeleton import PAPER_TASK_COUNTS
 from . import campaign
@@ -144,6 +146,21 @@ def cell_cost(cell: Cell) -> int:
     """
     exp_id, n_tasks, _ = cell
     return _COST_PER_RESOURCE * TABLE1[exp_id].n_pilots + n_tasks
+
+
+def cost_eta(grid: Iterable[Cell], walls: Mapping[Cell, float]) -> float:
+    """Seconds left: observed wall per unit of :func:`cell_cost`, times
+    the cost of the ``grid`` cells not in ``walls`` (the cells done).
+
+    Weighting by cost keeps the estimate honest across the x30 spread
+    between an 8-task and a 2048-task cell, which a mean wall per cell
+    gets badly wrong.
+    """
+    spent_cost = sum(cell_cost(cell) for cell in walls)
+    if not spent_cost:
+        return 0.0
+    left = sum(cell_cost(cell) for cell in grid if cell not in walls)
+    return sum(walls.values()) / spent_cost * left
 
 
 def plan_chunks(cells: Sequence[Cell], jobs: int) -> List[List[Cell]]:

@@ -1,21 +1,24 @@
-"""`repro watch`: an ANSI terminal dashboard over the observability plane.
+"""`repro watch` and `repro tail`: terminal views of one campaign monitor.
 
-Three attachment modes, one renderer:
+Both views render a :class:`~repro.experiments.monitor.CampaignMonitor`
+and share one header (phase, done/total, errors/retries/timeouts,
+progress bar with ETA, the ``resumed:`` line). Their sources:
 
 * ``repro watch --url http://host:port`` polls a live
   :class:`~repro.experiments.serve.MonitorServer`'s ``/state.json``;
-* ``repro watch LEDGER_OR_STORE`` re-folds the durable ledger each poll
-  — an NDJSON file via the torn-line-tolerant reader or a sqlite store
-  via the WAL multi-reader contract — so it can watch a campaign it
-  shares nothing with but the filesystem;
+* ``repro watch`` and ``repro tail`` on a ``LEDGER_OR_STORE`` load a
+  monitor through :func:`monitor_from_path`, which re-folds the durable
+  ledger — an NDJSON file via the torn-line-tolerant reader or a sqlite
+  store via the WAL multi-reader contract — so they can observe a
+  campaign they share nothing with but the filesystem;
 * programmatic callers pass any :meth:`CampaignMonitor.state()
   <repro.experiments.monitor.CampaignMonitor.state>` dict straight to
-  :func:`render_dashboard`.
+  :func:`render_dashboard`, or a fed monitor to :func:`render_tail`.
 
-The renderer is a pure ``state dict -> str`` function (every frame is
-testable without a terminal); the CLI loop just clears the screen and
-reprints. Color degrades to plain ASCII with ``--no-color`` or when
-stdout is not a tty.
+The renderers are pure functions (every frame is testable without a
+terminal); the CLI loop just clears the screen and reprints. Color
+degrades to plain ASCII with ``--no-color`` or when stdout is not a
+tty; ``tail`` is always plain.
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ import json
 from typing import Any, Dict, List, Optional
 from urllib.request import urlopen
 
+from .ledger import read_ledger_any
 from .monitor import CampaignMonitor
 
-__all__ = ["render_dashboard", "state_from_path", "state_from_url"]
+__all__ = [
+    "monitor_from_path", "render_dashboard", "render_tail", "state_from_url",
+]
 
 #: glyph + ANSI color per cell status (color key None = no color).
 _STATUS_GLYPH = {
@@ -37,19 +43,18 @@ _STATUS_GLYPH = {
 }
 
 
-def state_from_path(path: str) -> Dict[str, Any]:
-    """Fold a durable ledger (NDJSON file or campaign store) into state.
+def monitor_from_path(path: str) -> CampaignMonitor:
+    """Fold a durable ledger (NDJSON file or campaign store) into a monitor.
 
     Builds a throwaway monitor per call: the WAL multi-reader contract
     (store) and the torn-line-tolerant reader (file) make re-reading a
     live artifact safe, and campaigns are small enough that a full
-    re-fold per poll tick is cheap.
+    re-fold per poll tick is cheap. The monitor retains every record,
+    in ledger order, as its events.
     """
-    from .ledger import read_ledger_any
-
     monitor = CampaignMonitor()
     monitor.feed_many(read_ledger_any(path))
-    return monitor.state()
+    return monitor
 
 
 def state_from_url(url: str, timeout: float = 5.0) -> Dict[str, Any]:
@@ -81,11 +86,8 @@ def _fmt_eta(seconds: float) -> str:
     return f"{seconds:.0f}s"
 
 
-def render_dashboard(
-    state: Dict[str, Any], color: bool = True, width: int = 72
-) -> str:
-    """Render one dashboard frame from a monitor state snapshot."""
-    lines: List[str] = []
+def _header(state: Dict[str, Any], color: bool, width: int) -> List[str]:
+    """The campaign header ``watch`` and ``tail`` share."""
     total, done = state.get("total", 0), state.get("done", 0)
     errors = state.get("errors", 0)
     frac = done / total if total else 0.0
@@ -104,7 +106,7 @@ def render_dashboard(
         head += f"  {state['retries']} retries"
     if state.get("timeouts"):
         head += f"  {state['timeouts']} timeouts"
-    lines.append(head)
+    lines = [head]
 
     bar_w = max(16, width - 24)
     eta = ""
@@ -119,9 +121,54 @@ def render_dashboard(
     if resumed:
         lines.append(
             f"resumed: {resumed.get('committed', 0)} committed skipped, "
-            f"{resumed.get('reclaimed', 0)} leases reclaimed, "
-            f"{resumed.get('remaining', 0)} to run"
+            f"{resumed.get('errors_retried', 0)} errors retried, "
+            f"{resumed.get('reclaimed', 0)} stale leases reclaimed, "
+            f"{resumed.get('remaining', 0)} cells to run"
         )
+    return lines
+
+
+def render_tail(monitor: CampaignMonitor, last: int = 8) -> str:
+    """Header, the last ``last`` cell records, then other anomalous cells."""
+    state = monitor.state()
+    lines = _header(state, color=False, width=72)
+    rows = {tuple(row["cell"]): row for row in state["grid"]}
+    cells = [
+        event for _id, event in monitor.events_after(0)
+        if event.get("kind") == "cell"
+    ]
+    shown = set()
+    for rec in cells[-last:]:
+        cell = (rec["exp"], rec["n"], rec["rep"])
+        shown.add(cell)
+        mark = "ok " if rec.get("ok") else "ERR"
+        extra = ""
+        n_att = rows[cell].get("attempts", 0)
+        if n_att > 1:
+            extra += f"  att={n_att}"
+        if rec.get("anomalies"):
+            extra += "  !" + ",".join(rec["anomalies"])
+        ttc = rec.get("ttc")
+        ttc_s = f" TTC={ttc:.0f}s" if isinstance(ttc, (int, float)) else ""
+        lines.append(
+            f"  {mark} exp{cell[0]} n={cell[1]} rep={cell[2]}"
+            f"{ttc_s} wall={rec.get('wall_s', 0.0):.2f}s"
+            f" w{rec.get('worker', '-')}{extra}"
+        )
+    for cell, row in rows.items():
+        if row.get("anomalies") and cell not in shown:
+            lines.append(
+                f"  !  exp{cell[0]} n={cell[1]} rep={cell[2]}: "
+                + ",".join(row["anomalies"])
+            )
+    return "\n".join(lines)
+
+
+def render_dashboard(
+    state: Dict[str, Any], color: bool = True, width: int = 72
+) -> str:
+    """Render one dashboard frame from a monitor state snapshot."""
+    lines = _header(state, color, width)
 
     # -- cell grid: one row per (exp, n) series, one glyph per rep ---------
     grid = state.get("grid") or []

@@ -258,6 +258,40 @@ class TestObservatoryCLI:
         assert "Critical path" in html
         assert "Tw (queue wait)" in html
 
+    def test_report_lists_only_current_ledger_anomalies(
+        self, campaign_file, tmp_path, capsys
+    ):
+        """A retried cell's superseded error record raises no anomaly."""
+        path, ledger = campaign_file
+        records = [json.loads(line) for line in ledger.read_text().splitlines()]
+        retried = next(
+            r for r in records
+            if r["kind"] == "cell" and (r["exp"], r["n"], r["rep"]) == (1, 8, 0)
+        )
+        failed = next(
+            r for r in records
+            if r["kind"] == "cell" and (r["exp"], r["n"], r["rep"]) == (3, 8, 1)
+        )
+        error = {"ok": False, "error": "boom", "anomalies": ["error"]}
+        edited = []
+        for rec in records:
+            if rec is retried:  # failed first, passed on the retry
+                edited.append({**rec, **error})
+            edited.append({**rec, **error} if rec is failed else rec)
+        resumed = tmp_path / "resumed.ndjson"
+        resumed.write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in edited)
+        )
+        out_html = tmp_path / "report.html"
+        assert main([
+            "report", str(path), "-o", str(out_html),
+            "--ledger", str(resumed),
+        ]) == 0
+        html = out_html.read_text(encoding="utf-8")
+        row = '<td>{}</td><td class="bad">error</td><td>rep {} (ledger)</td>'
+        assert row.format("1:8", 0) not in html
+        assert row.format("3:8", 1) in html
+
     def test_tail_renders_the_ledger(self, campaign_file, capsys):
         _, ledger = campaign_file
         rc = main(["tail", str(ledger)])

@@ -8,11 +8,12 @@ from repro.experiments import (
     CellProgress,
     RunLedger,
     flag_anomalies,
-    ledger_progress,
+    monitor_from_path,
     read_ledger,
     render_tail,
     run_campaign,
 )
+from repro.experiments.monitor import CampaignMonitor
 from repro.experiments.campaign import RunResult
 
 
@@ -179,36 +180,53 @@ class TestRunLedger:
 
 
 class TestLedgerProgress:
+    """Progress as the monitor folds it from ``RunLedger``-shaped records."""
+
     def _records(self):
         return [
-            {"kind": "campaign-start", "total": 4},
-            {"kind": "cell", "ok": True, "wall_s": 2.0},
-            {"kind": "cell", "ok": False, "wall_s": 1.0,
-             "anomalies": ["error"]},
+            {"kind": "campaign-start", "total": 4,
+             "meta": {"experiments": [1], "task_counts": [8, 16],
+                      "reps": 2}},
+            {"kind": "cell", "exp": 1, "n": 8, "rep": 0, "ok": True,
+             "wall_s": 2.0},
+            {"kind": "cell", "exp": 1, "n": 8, "rep": 1, "ok": False,
+             "wall_s": 1.0, "anomalies": ["error"]},
         ]
 
+    def _fold(self, records):
+        monitor = CampaignMonitor()
+        monitor.feed_many(records)
+        return monitor
+
     def test_progress_snapshot(self):
-        snap = ledger_progress(self._records())
-        assert snap["total"] == 4 and snap["done"] == 2
-        assert snap["errors"] == 1 and not snap["finished"]
-        assert snap["eta_s"] == pytest.approx(1.5 * 2)
-        assert len(snap["anomalies"]) == 1
+        monitor = self._fold(self._records())
+        state = monitor.state()
+        assert state["total"] == 4 and state["done"] == 2
+        assert state["errors"] == 1 and not state["finished"]
+        # both n=16 cells left, at the exp1 n=8 cells' wall per cost
+        assert state["eta_s"] == pytest.approx(3.0 / 336 * 352)
+        assert [r["cell"] for r in monitor.grid() if r.get("anomalies")] == [
+            [1, 8, 1]
+        ]
 
     def test_finished_campaign(self):
         records = self._records() + [
-            {"kind": "cell", "ok": True, "wall_s": 1.0},
-            {"kind": "cell", "ok": True, "wall_s": 1.0},
+            {"kind": "cell", "exp": 1, "n": 16, "rep": 0, "ok": True,
+             "wall_s": 1.0},
+            {"kind": "cell", "exp": 1, "n": 16, "rep": 1, "ok": True,
+             "wall_s": 1.0},
             {"kind": "campaign-end", "completed": 3, "errors": 1,
              "wall_s": 5.0},
         ]
-        snap = ledger_progress(records)
-        assert snap["finished"] and snap["done"] == 4
-        assert snap["eta_s"] == 0.0
+        state = self._fold(records).state()
+        assert state["finished"] and state["done"] == 4
+        assert state["eta_s"] == 0.0
 
     def test_render_tail(self):
-        text = render_tail(self._records())
+        text = render_tail(self._fold(self._records()))
         assert "2/4" in text
         assert "running" in text
+        assert "ERR exp1 n=8 rep=1" in text
 
 
 class TestEndToEnd:
@@ -229,7 +247,7 @@ class TestEndToEnd:
         for rec, run in zip(cells, result.runs):
             assert rec["attribution_digest"] == run.attribution_digest
             assert rec["ttc"] == run.ttc
-        assert "finished" in render_tail(records)
+        assert "finished" in render_tail(monitor_from_path(path))
 
     def test_parallel_campaign_streams_a_ledger(self, tmp_path):
         path = str(tmp_path / "p.ndjson")
@@ -242,4 +260,5 @@ class TestEndToEnd:
         cells = [r for r in records if r["kind"] == "cell"]
         assert len(cells) == len(result.runs) == 2
         assert all("worker" in rec for rec in cells)
-        assert ledger_progress(records)["finished"]
+        state = monitor_from_path(path).state()
+        assert state["finished"] and state["done"] == 2

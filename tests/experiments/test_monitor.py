@@ -1,19 +1,23 @@
 """CampaignMonitor folding, the watch renderer, and live-file re-reads."""
 
+import io
 import json
 import threading
 import time
+import urllib.request
 
+from repro.cli import _EtaProgress, main
 from repro.experiments import (
     CampaignStore,
     CellProgress,
+    MonitorServer,
     RunLedger,
-    ledger_progress,
+    monitor_from_path,
     render_dashboard,
     run_campaign,
-    state_from_path,
 )
 from repro.experiments.monitor import CampaignMonitor, host_sample
+from repro.experiments.runner import cell_cost
 from repro.telemetry.bus import EventBus
 
 from .test_ledger import _run
@@ -53,8 +57,11 @@ class TestFolding:
         assert state["total"] == 4 and state["done"] == 2
         assert state["errors"] == 1
         assert not state["finished"]
-        # mean wall 1.5s x 2 remaining
-        assert state["eta_s"] == 1.5 * 2
+        # 3s of wall over two exp1 n=8 cells' cost, times the cost of
+        # the two n=16 cells left
+        assert state["eta_s"] == 3.0 / (2 * cell_cost((1, 8, 0))) * (
+            2 * cell_cost((1, 16, 0))
+        )
         assert state["elapsed_s"] == 10.0
         assert state["throughput_cps"] == 2 / 10.0
         assert state["last_event_id"] == 5
@@ -122,26 +129,28 @@ class TestFolding:
         assert state["finished"] and state["interrupted"]
         assert state["running"] == []
 
-    def test_matches_ledger_progress_fold(self):
-        """The live fold agrees with the post-hoc one on shared fields."""
-        records = [
-            {"kind": "campaign-start", "total": 3, "meta": {}},
-            {"kind": "attempt_started", "exp": 1, "n": 8, "rep": 0,
-             "attempt": 1},
-            {"kind": "cell", "exp": 1, "n": 8, "rep": 0, "ok": True,
-             "wall_s": 2.0},
-            {"kind": "cell_retried", "exp": 1, "n": 8, "rep": 1,
-             "attempt": 2, "backoff_s": 0.5},
-            {"kind": "cell", "exp": 1, "n": 8, "rep": 1, "ok": False,
-             "wall_s": 1.0, "anomalies": ["error"]},
-        ]
-        snap = ledger_progress(records)
+    def test_eta_matches_the_campaign_progress_line(self):
+        """One ETA: the monitor and ``repro campaign``'s progress line
+        give the same estimate for the same grid and the same walls."""
+        grid = [(exp, n, rep) for exp in (1, 3) for n in (8, 256)
+                for rep in range(2)]
+        walls = {(1, 8, 0): 2.5, (3, 256, 1): 41.0, (1, 256, 0): 7.25}
         monitor = CampaignMonitor()
-        monitor.feed_many(records)
-        state = monitor.state()
-        for key in ("total", "done", "errors", "finished", "retries"):
-            assert state[key] == snap[key], key
-        assert state["eta_s"] == snap["eta_s"]
+        monitor.feed({
+            "kind": "campaign-start", "total": len(grid),
+            "meta": {"experiments": [1, 3], "task_counts": [8, 256],
+                     "reps": 2},
+        })
+        stream = io.StringIO()
+        progress = _EtaProgress(grid, stream=stream)
+        for done, (cell, wall) in enumerate(walls.items(), start=1):
+            exp, n, rep = cell
+            monitor.feed({"kind": "cell", "exp": exp, "n": n, "rep": rep,
+                          "ok": True, "wall_s": wall})
+            progress(CellProgress(done, len(grid), cell, wall_s=wall))
+            eta = monitor.state()["eta_s"]
+            assert eta > 0
+            assert stream.getvalue().rstrip().endswith(f"ETA {eta:.0f}s")
 
     def test_metrics_snapshot_carries_live_gauges(self):
         monitor = CampaignMonitor(clock=lambda: 110.0)
@@ -274,6 +283,47 @@ class TestDashboard:
 
 
 class TestStateFromPath:
+    def test_tail_watch_and_state_json_agree(self, tmp_path, capsys):
+        """One real stored campaign, three read surfaces, one answer.
+
+        The campaign streams its ledger into a store and, live, through
+        a bus into a served monitor; ``repro tail`` and ``repro watch``
+        re-fold the store afterwards.
+        """
+        path = str(tmp_path / "c.sqlite")
+        bus = EventBus()
+        monitor = CampaignMonitor()
+        monitor.attach(bus)
+        try:
+            with CampaignStore(path) as store, MonitorServer(monitor) as srv:
+                with RunLedger(store=store, bus=bus) as ledger:
+                    run_campaign(
+                        experiments=(1, 3), task_counts=(8,), reps=2,
+                        campaign_seed=21, store=store, ledger=ledger,
+                    )
+                deadline = time.monotonic() + 10.0
+                while not monitor.state()["finished"]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                with urllib.request.urlopen(
+                    srv.url + "/state.json", timeout=5
+                ) as resp:
+                    served = json.loads(resp.read().decode("utf-8"))
+        finally:
+            monitor.stop()
+            bus.close()
+        assert main(["tail", path]) == 0
+        tail = capsys.readouterr().out.splitlines()
+        assert main(["watch", path, "--once", "--no-color"]) == 0
+        watch = capsys.readouterr().out.splitlines()
+        assert (served["done"], served["total"], served["errors"]) == (4, 4, 0)
+        assert served["finished"] and not served["interrupted"]
+        served_head = render_dashboard(served, color=False).splitlines()
+        # phase word, done/total and errors all live in the header
+        assert tail[0] == watch[0] == served_head[0]
+        assert tail[0].startswith("campaign finished  4/4 cells")
+        assert tail[1] == watch[1] == served_head[1]
+
     def test_ndjson_and_store_agree(self, tmp_path):
         ndjson = str(tmp_path / "l.ndjson")
         sqlite_path = str(tmp_path / "l.sqlite")
@@ -285,7 +335,8 @@ class TestStateFromPath:
                     run=_run(), worker=5,
                 )
                 ledger.campaign_end(completed=1, errors=0, wall_s=0.5)
-        a, b = state_from_path(ndjson), state_from_path(sqlite_path)
+        a = monitor_from_path(ndjson).state()
+        b = monitor_from_path(sqlite_path).state()
         for key in ("total", "done", "errors", "finished", "grid"):
             assert a[key] == b[key], key
         assert a["finished"] and a["done"] == 1
@@ -322,7 +373,7 @@ class TestStateFromPath:
         try:
             last_done = 0
             for _ in range(200):
-                state = state_from_path(path)
+                state = monitor_from_path(path).state()
                 assert state["done"] >= last_done
                 last_done = state["done"]
                 if state["done"] >= 30:
@@ -331,4 +382,4 @@ class TestStateFromPath:
         finally:
             stop.set()
             writer.join(timeout=10.0)
-        assert state_from_path(path)["done"] == 30
+        assert monitor_from_path(path).state()["done"] == 30

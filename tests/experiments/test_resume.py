@@ -29,8 +29,8 @@ from repro.experiments import (
     campaign_fingerprint_from_store,
     campaign_meta,
     config_digest,
-    ledger_progress,
     meta_diff,
+    monitor_from_path,
     prepare_resume,
     read_ledger_any,
     render_tail,
@@ -392,10 +392,11 @@ class TestResumeLedger:
             kinds = {r["kind"] for r in records}
             assert "attempt_started" in kinds
             assert "campaign_resumed" in kinds
-            snap = ledger_progress(records)
-            assert snap["done"] == 4  # deduped across both sessions
-            assert snap["resumed"]["committed"] == 4
-            text = render_tail(records)
+            monitor = monitor_from_path(source)
+            state = monitor.state()
+            assert state["done"] == 4  # deduped across both sessions
+            assert state["resumed"]["committed"] == 4
+            text = render_tail(monitor)
             assert "resumed:" in text
             assert "4/4" in text
 
@@ -405,7 +406,9 @@ class TestResumeLedger:
         ledger.campaign_start(4, {})
         ledger.campaign_end(2, 0, 1.0, interrupted=True)
         ledger.close()
-        assert "interrupted (resumable)" in render_tail(read_ledger_any(ndjson))
+        assert "interrupted (resumable)" in render_tail(
+            monitor_from_path(ndjson)
+        )
 
 
 # -- CLI guards and exit codes -------------------------------------------------

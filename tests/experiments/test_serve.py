@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.experiments.monitor import CampaignMonitor
+from repro.experiments.monitor import CampaignMonitor, host_sample
 from repro.experiments.serve import MonitorServer, parse_serve_spec
 
 
@@ -73,6 +73,34 @@ class TestEndpoints:
         assert "# TYPE repro_monitor_cells counter" in body
         assert "repro_monitor_cells_done 1" in body
         assert "repro_monitor_cells_total 2" in body
+
+    def test_metrics_exports_every_monitor_metric(self, plane):
+        """Every name ``/metrics`` has exported stays exported; counters
+        come from the folded state, so ones never bumped read 0."""
+        monitor, server = plane
+        monitor.feed({
+            "kind": "cell", "exp": 1, "n": 8, "rep": 1, "ok": True,
+            "done": 2, "total": 2, "wall_s": 0.4, "wall": 102.0,
+            "components": {"tx": 3.0, "tw": 1.0},
+        })
+        _status, _headers, body = _get(server.url + "/metrics")
+        counters = ("campaign_starts", "cells", "cell_errors", "retries",
+                    "timeouts")
+        gauges = ("cells_total", "cells_done", "cells_errored",
+                  "cells_running", "finished", "eta_s", "throughput_cps",
+                  "workers_seen", "wall_spent_s", "component_share_tx",
+                  "component_share_tw")
+        gauges += tuple(
+            {"cpu_s": "host_cpu_s", "rss_kb": "host_rss_kb"}[key]
+            for key in host_sample()
+        )
+        for name in counters:
+            assert f"# TYPE repro_monitor_{name} counter" in body, name
+        for name in gauges:
+            assert f"# TYPE repro_monitor_{name} gauge" in body, name
+        for name in ("cell_errors", "retries", "timeouts"):
+            assert f"\nrepro_monitor_{name} 0\n" in body, name
+        assert "\nrepro_monitor_cells 2\n" in body
 
     def test_unknown_path_404(self, plane):
         _monitor, server = plane

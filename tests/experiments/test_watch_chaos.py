@@ -20,7 +20,7 @@ from repro.cli import main
 from repro.experiments import (
     CampaignStore,
     campaign_fingerprint_from_store,
-    state_from_path,
+    monitor_from_path,
 )
 
 from .test_resume import _digest, _poll_runs
@@ -84,7 +84,7 @@ class TestWatchThroughSigkill:
                     metrics = r.read().decode()
                 assert "repro_monitor_cells_total 8" in metrics
                 # a live file watcher agrees with the store, mid-flight
-                watched = state_from_path(chaos)
+                watched = monitor_from_path(chaos).state()
                 assert watched["total"] == 8
                 # SIGKILL the process group: parent, workers, server
                 os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
@@ -98,7 +98,7 @@ class TestWatchThroughSigkill:
         if seen >= 0:
             # the dead monitor took nothing with it: the store folds
             # cleanly and shows the interruption
-            mid = state_from_path(chaos)
+            mid = monitor_from_path(chaos).state()
             assert not mid["finished"]
             assert mid["done"] < 8
 
@@ -108,7 +108,7 @@ class TestWatchThroughSigkill:
             "--reps", "8", "--seed", "5", "-q", "-j", "2",
             "--store", chaos, "--resume",
         ]) == 0
-        final = state_from_path(chaos)
+        final = monitor_from_path(chaos).state()
         assert final["done"] == 8 and final["errors"] == 0
         # watch-fold and analyze-oracle agree on the same store
         with CampaignStore(chaos, readonly=True) as store:
