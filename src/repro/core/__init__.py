@@ -43,11 +43,7 @@ from .instrumentation import (
     IntrospectionError,
     TTCDecomposition,
     decompose,
-    execution_intervals,
-    lost_intervals,
     quarantine_seconds,
-    staging_intervals,
-    unit_intervals,
 )
 from .metrics import (
     merge_intervals,
@@ -104,9 +100,7 @@ __all__ = [
     "estimate_trp_s",
     "estimate_ts_s",
     "estimate_tx_s",
-    "execution_intervals",
     "load_session",
-    "lost_intervals",
     "report_energy",
     "report_to_session",
     "merge_intervals",
@@ -115,8 +109,6 @@ __all__ = [
     "save_session",
     "session_from_dict",
     "span",
-    "staging_intervals",
     "throughput",
     "union_duration",
-    "unit_intervals",
 ]

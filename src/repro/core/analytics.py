@@ -11,15 +11,22 @@ quantities an experimenter plots:
   tasks finish is only half the story — how full were they?);
 * :func:`export_trace` — dump a telemetry hub's records as JSON for
   external tooling (the RADICAL-Analytics workflow).
+
+Execution time is read per attempt, by the walk that gives the causal
+graph its ``executing`` activities, so a restarted unit's requeue gap
+between two attempts is never execution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..pilot import ComputePilot, ComputeUnit, PilotState, UnitState
+from ..pilot import ComputePilot, ComputeUnit
 from ..telemetry import trace_records_json
+from ..telemetry.causality import _pilot_end_time, _unit_activities
+from .metrics import Interval
 
 
 def state_durations(
@@ -45,31 +52,29 @@ def state_durations(
     return totals
 
 
+def _executing_attempts(unit) -> List[Tuple[float, float, str]]:
+    """``(t0, t1, end)`` of each closed EXECUTING attempt of ``unit``."""
+    return [
+        (t0, t1, end)
+        for kind, _, t0, t1, end in _unit_activities(unit, math.inf)
+        if kind == "executing" and end is not None
+    ]
+
+
 def concurrency_series(
     units: Sequence[ComputeUnit],
-    state: str = UnitState.EXECUTING.value,
-    end_states: Sequence[str] = (UnitState.STAGING_OUTPUT.value,),
 ) -> List[Tuple[float, int]]:
-    """Step series of how many units were in ``state`` at once.
+    """Step series of how many units were executing at once.
 
     Returns [(time, level), ...], one point per change, starting at the
-    first entry. The series is what Figure-style concurrency plots
-    consume.
+    first entry. Every attempt counts, lost ones included. The series
+    is what Figure-style concurrency plots consume.
     """
     events: List[Tuple[float, int]] = []
     for unit in units:
-        t0 = unit.history.timestamp(state)
-        if t0 is None:
-            continue
-        t1 = None
-        for s in end_states:
-            cand = unit.history.timestamp(s)
-            if cand is not None and cand >= t0:
-                t1 = cand if t1 is None else min(t1, cand)
-        if t1 is None:
-            continue
-        events.append((t0, +1))
-        events.append((t1, -1))
+        for t0, t1, _ in _executing_attempts(unit):
+            events.append((t0, +1))
+            events.append((t1, -1))
     events.sort()
     series: List[Tuple[float, int]] = []
     level = 0
@@ -97,6 +102,19 @@ class AllocationMetrics:
     efficiency: float          # used / consumed (0 when nothing consumed)
 
 
+def _pilot_active_window(
+    pilot, final_time: Optional[float] = None
+) -> Optional[Interval]:
+    """``(activated, ended)``, or None; a live pilot ends at final_time."""
+    t0 = pilot.activated_at
+    if t0 is None:
+        return None
+    t1 = _pilot_end_time(pilot)
+    if t1 is None:
+        t1 = final_time if final_time is not None else t0
+    return (t0, max(t0, t1))
+
+
 def allocation_metrics(
     pilots: Sequence[ComputePilot],
     units: Sequence[ComputeUnit],
@@ -105,23 +123,13 @@ def allocation_metrics(
     """How much allocation the pilots burned, and how much did work."""
     consumed = 0.0
     for pilot in pilots:
-        t0 = pilot.activated_at
-        if t0 is None:
-            continue
-        t1 = None
-        for state in (PilotState.DONE, PilotState.CANCELED, PilotState.FAILED):
-            cand = pilot.history.timestamp(state.value)
-            if cand is not None:
-                t1 = cand if t1 is None else min(t1, cand)
-        if t1 is None:
-            t1 = final_time if final_time is not None else t0
-        consumed += pilot.cores * max(0.0, t1 - t0)
+        window = _pilot_active_window(pilot, final_time)
+        if window is not None:
+            consumed += pilot.cores * (window[1] - window[0])
 
     used = 0.0
     for unit in units:
-        t0 = unit.history.timestamp(UnitState.EXECUTING.value)
-        t1 = unit.history.timestamp(UnitState.STAGING_OUTPUT.value)
-        if t0 is not None and t1 is not None and t1 >= t0:
+        for t0, t1, _ in _executing_attempts(unit):
             used += unit.cores * (t1 - t0)
 
     efficiency = used / consumed if consumed > 0 else 0.0

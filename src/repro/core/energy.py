@@ -13,10 +13,10 @@ directly as on TTC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from ..pilot import ComputePilot, ComputeUnit, PilotState, UnitState
-from .metrics import Interval
+from ..pilot import ComputePilot, ComputeUnit, UnitState
+from .analytics import _executing_attempts, _pilot_active_window
 
 #: defaults representative of 2015-era HPC nodes (per core).
 DEFAULT_ACTIVE_WATTS = 12.0
@@ -46,22 +46,6 @@ class EnergyEstimate:
         return self.idle_core_s / total if total else 0.0
 
 
-def _pilot_active_window(
-    pilot: ComputePilot, final_time: Optional[float]
-) -> Optional[Interval]:
-    t0 = pilot.activated_at
-    if t0 is None:
-        return None
-    t1 = None
-    for state in (PilotState.DONE, PilotState.CANCELED, PilotState.FAILED):
-        cand = pilot.history.timestamp(state.value)
-        if cand is not None:
-            t1 = cand if t1 is None else min(t1, cand)
-    if t1 is None:
-        t1 = final_time if final_time is not None else t0
-    return (t0, max(t0, t1))
-
-
 def estimate_energy(
     pilots: Sequence[ComputePilot],
     units: Sequence[ComputeUnit],
@@ -73,18 +57,18 @@ def estimate_energy(
     if active_watts < 0 or idle_watts < 0:
         raise ValueError("power draws must be non-negative")
 
-    # Per-pilot busy core-seconds from the units that ran on it.
+    # Per-pilot busy core-seconds from the units that ran on it: only
+    # a unit's last attempt, if it staged out, ran on ``unit.pilot``.
     busy_core_s: Dict[str, float] = {}
     for unit in units:
-        if unit.pilot is None:
+        attempts = _executing_attempts(unit)
+        if unit.pilot is None or not attempts:
             continue
-        t0 = unit.history.timestamp(UnitState.EXECUTING.value)
-        t1 = unit.history.timestamp(UnitState.STAGING_OUTPUT.value)
-        if t0 is None or t1 is None or t1 < t0:
-            continue
-        busy_core_s[unit.pilot.uid] = (
-            busy_core_s.get(unit.pilot.uid, 0.0) + unit.cores * (t1 - t0)
-        )
+        t0, t1, end = attempts[-1]
+        if end == UnitState.STAGING_OUTPUT.value:
+            busy_core_s[unit.pilot.uid] = (
+                busy_core_s.get(unit.pilot.uid, 0.0) + unit.cores * (t1 - t0)
+            )
 
     active_core_s = 0.0
     idle_core_s = 0.0

@@ -44,7 +44,12 @@ from ..pilot import (
     UnitState,
 )
 from ..skeleton import SkeletonAPI
-from ..telemetry import TelemetrySummary
+from ..telemetry import (
+    CausalGraph,
+    TelemetrySummary,
+    attribute_report,
+    build_graph,
+)
 from .adaptive import AdaptationEvent, AdaptationPolicy, PilotReinforcer
 from .instrumentation import TTCDecomposition, decompose
 from .planner import PlannerConfig, derive_strategy
@@ -130,6 +135,9 @@ class ExecutionReport:
     #: carries the metrics snapshot, the hub digest, and the enactment
     #: steps' virtual-time intervals for the Gantt renderer.
     telemetry: Optional[TelemetrySummary] = field(repr=False, default=None)
+    #: the causal activity graph, built once per execution; both the
+    #: decomposition and the attribution read it.
+    graph: Optional[CausalGraph] = field(repr=False, default=None)
 
     @property
     def ttc(self) -> float:
@@ -170,11 +178,9 @@ class ExecutionReport:
         Returns a :class:`repro.telemetry.causality.TTCAttribution`:
         every virtual second of the run charged to exactly one component
         (the partition sums to TTC by construction), plus the backward-
-        walked critical path. Derived from the entity state histories,
-        so it works whether or not telemetry was enabled.
+        walked critical path. Derived from :attr:`graph`, so it works
+        whether or not telemetry was enabled.
         """
-        from ..telemetry.causality import attribute_report
-
         return attribute_report(self)
 
 
@@ -574,12 +580,20 @@ class ExecutionManager:
             self.health.log.between(t_start, t_end)
             if self.health is not None else None
         )
+        summary = (
+            tel.execution_summary([s for s in em_spans if s is not None])
+            if tel.enabled else None
+        )
+        graph = build_graph(
+            pilots, units, t_start, t_end,
+            em_steps=summary.em_steps if summary is not None else None,
+        )
         report = ExecutionReport(
             application=app_name,
             n_tasks=req.n_tasks,
             strategy=strategy,
             decomposition=decompose(
-                pilots, units, t_start, t_end, fault_log=fault_log,
+                graph, pilots, units, fault_log=fault_log,
                 health_log=health_log,
             ),
             pilots=pilots,
@@ -590,10 +604,8 @@ class ExecutionManager:
             health_log=health_log,
             replans=list(supervisor.replans) if supervisor else [],
             deadline_expired=supervisor.expired if supervisor else False,
-            telemetry=(
-                tel.execution_summary([s for s in em_spans if s is not None])
-                if tel.enabled else None
-            ),
+            telemetry=summary,
+            graph=graph,
         )
         self.reports.append(report)
         log.info("%s", report.summary())

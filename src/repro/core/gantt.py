@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..pilot import ComputePilot, ComputeUnit, PilotState
+from ..telemetry.causality import _pilot_end_time
 from .analytics import concurrency_series
 
 #: density ramp for the unit-concurrency row.
@@ -90,11 +91,7 @@ def render_timeline(
         row = _row(width)
         submit = pilot.history.timestamp(PilotState.LAUNCHING.value)
         active = pilot.activated_at
-        final = None
-        for state in (PilotState.DONE, PilotState.CANCELED, PilotState.FAILED):
-            cand = pilot.history.timestamp(state.value)
-            if cand is not None:
-                final = cand if final is None else min(final, cand)
+        final = _pilot_end_time(pilot)
         if submit is not None:
             _mark(row, submit, (active if active is not None else
                                 (final if final is not None else t_end)),

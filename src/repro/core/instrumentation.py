@@ -9,8 +9,8 @@ Figure 3:
   pilot becomes active (the execution can start draining tasks then).
   ``tw_last`` (until the last activation) is also reported, since early
   binding's makespan is governed by it.
-* **Tx** — execution span: from the first unit entering EXECUTING to the
-  last unit leaving it.
+* **Tx** — execution span: from the start of the first completed attempt
+  (EXECUTING until STAGING_OUTPUT) to the end of the last one.
 * **Ts** — staging time: the union of all intervals during which at
   least one data transfer of this run was in flight (input or output).
 * **Trp** — middleware overhead: the portion of TTC not covered by the
@@ -18,15 +18,29 @@ Figure 3:
 
 The components overlap by design, so ``TTC <= Tw + Tx + Ts + Trp`` need
 not hold; instead ``TTC = union(...) + Trp`` exactly.
+
+Tx, Ts and the lost work are read off the unit activities of the
+execution's :class:`~repro.telemetry.causality.CausalGraph`, the graph
+the causal attribution partitions (see ``docs/INTERNALS.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..pilot import ComputePilot, ComputeUnit, PilotState, UnitState
-from .metrics import Interval, merge_intervals, span, union_duration
+from ..telemetry.causality import CausalGraph
+from .metrics import merge_intervals, span, union_duration
+
+#: what a unit activity's interval counts toward, by (kind, end state).
+_ROLES = {
+    ("executing", UnitState.STAGING_OUTPUT.value): "tx",
+    ("executing", UnitState.FAILED.value): "lost",
+    ("executing", UnitState.CANCELED.value): "lost",
+    ("staging-in", UnitState.PENDING_EXECUTION.value): "ts",
+    ("staging-out", UnitState.DONE.value): "ts",
+}
 
 
 @dataclass(frozen=True)
@@ -66,72 +80,6 @@ class IntrospectionError(Exception):
     """Raised when traces are insufficient to decompose the execution."""
 
 
-def unit_intervals(
-    units: Sequence[ComputeUnit], start_state: str, end_states: Sequence[str]
-) -> List[Interval]:
-    """Per-attempt intervals from ``start_state`` to the next of ``end_states``.
-
-    Restarted units contribute one interval per attempt: each entry into
-    ``start_state`` is paired with the next entry into one of the end
-    states *before* the state recurs. An attempt cut short by failure
-    (the pilot died under the unit) contributes no interval here — the
-    lost time is accounted separately by :func:`lost_intervals` — so Tx
-    and Ts never silently absorb requeue gaps between attempts.
-    """
-    ends = set(end_states)
-    out: List[Interval] = []
-    for unit in units:
-        entries = unit.history.as_list()
-        for i, (state, t0) in enumerate(entries):
-            if state != start_state:
-                continue
-            for later_state, t1 in entries[i + 1:]:
-                if later_state == start_state:
-                    break  # a new attempt began without closing this one
-                if later_state in ends:
-                    out.append((t0, t1))
-                    break
-    return out
-
-
-def lost_intervals(units: Sequence[ComputeUnit]) -> List[Interval]:
-    """EXECUTING intervals that ended in failure or cancellation.
-
-    This is the re-run work a fault costs: compute that was burned on a
-    pilot that died (or a unit that was canceled) before staging out.
-    """
-    terminal = {UnitState.FAILED.value, UnitState.CANCELED.value}
-    out: List[Interval] = []
-    for unit in units:
-        entries = unit.history.as_list()
-        for i, (state, t0) in enumerate(entries):
-            if state != UnitState.EXECUTING.value:
-                continue
-            if i + 1 < len(entries):
-                next_state, t1 = entries[i + 1]
-                if next_state in terminal:
-                    out.append((t0, t1))
-    return out
-
-
-def staging_intervals(units: Sequence[ComputeUnit]) -> List[Interval]:
-    """Intervals each unit spent staging data (input and output)."""
-    ins = unit_intervals(
-        units, UnitState.STAGING_INPUT.value, (UnitState.PENDING_EXECUTION.value,)
-    )
-    outs = unit_intervals(
-        units, UnitState.STAGING_OUTPUT.value, (UnitState.DONE.value,)
-    )
-    return ins + outs
-
-
-def execution_intervals(units: Sequence[ComputeUnit]) -> List[Interval]:
-    """Intervals each unit spent on pilot cores."""
-    return unit_intervals(
-        units, UnitState.EXECUTING.value, (UnitState.STAGING_OUTPUT.value,)
-    )
-
-
 def quarantine_seconds(health_log, t_start: float, t_end: float) -> float:
     """Summed per-resource breaker-open time overlapping [t_start, t_end].
 
@@ -160,22 +108,23 @@ def quarantine_seconds(health_log, t_start: float, t_end: float) -> float:
 
 
 def decompose(
+    graph: CausalGraph,
     pilots: Sequence[ComputePilot],
     units: Sequence[ComputeUnit],
-    t_start: float,
-    t_end: float,
     fault_log=None,
     health_log=None,
 ) -> TTCDecomposition:
     """Derive the TTC decomposition for one application execution.
 
-    ``fault_log`` (a :class:`~repro.faults.FaultLog`, when the run was
-    executed under fault injection) contributes the count of injected
-    faults inside the execution window, so reports carry the chaos
-    context alongside the time components. ``health_log`` (a
+    ``graph`` gives the TTC window, Tx, Ts and ``t_lost``; the pilot
+    histories give Tw; ``units`` give only final states and restart
+    counts. ``fault_log`` (a :class:`~repro.faults.FaultLog`, when the
+    run was executed under fault injection) contributes the count of
+    injected faults inside the execution window. ``health_log`` (a
     :class:`~repro.health.HealthEventLog`, when the run was supervised)
     contributes the quarantine time and watchdog reschedule count.
     """
+    t_start, t_end = graph.t_start, graph.t_end
     if t_end < t_start:
         raise IntrospectionError("t_end precedes t_start")
     if not pilots:
@@ -193,8 +142,12 @@ def decompose(
     else:
         tw = tw_last = t_end - first_submit  # no pilot ever activated
 
-    exec_ivals = execution_intervals(units)
-    stage_ivals = staging_intervals(units)
+    ivals = {"tx": [], "ts": [], "lost": []}
+    for act in graph.activities:
+        role = _ROLES.get((act.kind, act.end))
+        if role is not None:
+            ivals[role].append((act.t0, act.t1))
+    exec_ivals, stage_ivals = ivals["tx"], ivals["ts"]
     tx = span(exec_ivals)
     ts = union_duration(stage_ivals)
 
@@ -230,7 +183,7 @@ def decompose(
         ),
         # summed, not unioned: two units losing work concurrently both
         # have to re-run, so the recovery cost is additive.
-        t_lost=sum(t1 - t0 for t0, t1 in lost_intervals(units)),
+        t_lost=sum(t1 - t0 for t0, t1 in ivals["lost"]),
         n_faults=(
             len(fault_log.between(t_start, t_end)) if fault_log is not None else 0
         ),

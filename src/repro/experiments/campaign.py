@@ -307,10 +307,13 @@ def run_single(
             telemetry=collect_digests,
         )
         d = report.decomposition
-        # Causal attribution is derived from the entity histories alone,
-        # so it is available (and digest-stable) with or without
-        # telemetry.
+        # Causal attribution reads the graph execute built from the
+        # entity histories, so it is available (and digest-stable) with
+        # or without telemetry.
         att = attribute_report(report)
+        # Only the RunResult outlives the cell: free the graph now, not
+        # when the collector reaches the report's cycle (em.reports).
+        report.graph = None
     log.debug(
         "cell exp=%d n=%d rep=%d: %s",
         spec.exp_id, n_tasks, rep, att.summary(),

@@ -3,8 +3,9 @@
 RADICAL-Pilot's distinguishing capability (per the paper) is that every
 state transition of every component is timestamped and recorded. Both
 entities here keep an ordered ``history`` of (state, time) pairs and
-write each transition to the simulation trace; the TTC decomposition in
-:mod:`repro.core.instrumentation` is derived from these records.
+write each transition to the simulation trace; each execution's causal
+graph (:func:`repro.telemetry.causality.build_graph`) is built from these
+records, and both the TTC decomposition and the attribution read it.
 """
 
 from __future__ import annotations

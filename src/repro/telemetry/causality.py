@@ -42,7 +42,9 @@ Unlike the overlapping components of
 :class:`~repro.core.instrumentation.TTCDecomposition` (where
 ``TTC = union(...) + Trp``), this attribution is a *partition*: each
 instant belongs to one component, decided by priority when activities
-overlap. Both views are derived from the same state histories.
+overlap. Both views read one graph, built once per execution: its unit
+activities record the state that ended them (``end``), which tells
+:func:`~repro.core.instrumentation.decompose` completed from lost work.
 
 This module — like the rest of :mod:`repro.telemetry` — imports nothing
 from the rest of :mod:`repro`; it duck-types the pilot/unit entities
@@ -55,7 +57,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .digest import canonical_json, sha256_digest
 
@@ -133,6 +135,7 @@ class Activity:
     t1: float
     label: str            # e.g. "pilot.0001 queue-wait @stampede-sim"
     preds: List[int] = field(default_factory=list, repr=False)
+    end: Optional[str] = None  # unit state that ended it (None: still open)
 
     @property
     def duration(self) -> float:
@@ -240,16 +243,35 @@ class TTCAttribution:
 # -- graph construction --------------------------------------------------------
 
 
-def _first_timestamp(history, state: str) -> Optional[float]:
-    # StateHistory.timestamp scans in place; fall back to the list copy
-    # only for duck-typed histories without it.
-    ts = getattr(history, "timestamp", None)
-    if ts is not None:
-        return ts(state)
-    for s, t in history.as_list():
-        if s == state:
-            return t
-    return None
+def _pilot_end_time(pilot: Any) -> Optional[float]:
+    """When ``pilot`` first reached DONE, CANCELED or FAILED, or None."""
+    ends = [
+        t for s in _P_FINAL if (t := pilot.history.timestamp(s)) is not None
+    ]
+    return min(ends, default=None)
+
+
+def _unit_activities(
+    unit: Any, t_end: float
+) -> Iterator[Tuple[str, str, float, float, Optional[str]]]:
+    """``(kind, component, t0, t1, end)`` per state interval of a unit.
+
+    ``end`` is the state that closed the interval, or None (and ``t1``
+    is ``t_end``) for the last, still open one. A restarted unit has one
+    ``executing`` activity per attempt. FAILED is an interval only when
+    a restart follows it.
+    """
+    entries = unit.history.as_list()
+    for i, (state, t0) in enumerate(entries):
+        kind_comp = _UNIT_KINDS.get(state)
+        if kind_comp is None:
+            continue
+        if state == _U_FAILED and not any(
+            s == _U_UNSCHEDULED for s, _ in entries[i + 1:]
+        ):
+            continue
+        end, t1 = entries[i + 1] if i + 1 < len(entries) else (None, t_end)
+        yield kind_comp[0], kind_comp[1], t0, t1, end
 
 
 def build_graph(
@@ -271,10 +293,10 @@ def build_graph(
     activities: List[Activity] = []
 
     def add(kind: str, component: str, t0: float, t1: float,
-            label: str) -> Activity:
+            label: str, end: Optional[str] = None) -> Activity:
         act = Activity(
             key=len(activities), kind=kind, component=component,
-            t0=t0, t1=min(t1, t_end), label=label,
+            t0=t0, t1=min(t1, t_end), label=label, end=end,
         )
         activities.append(act)
         return act
@@ -298,14 +320,10 @@ def build_graph(
     # -- pilots: queue wait and bootstrap -------------------------------------
     pilot_boot: Dict[str, Activity] = {}   # pilot uid -> gate activity
     for pilot in pilots:
-        submit = _first_timestamp(pilot.history, _P_LAUNCHING)
+        submit = pilot.history.timestamp(_P_LAUNCHING)
         if submit is None:
             continue
-        active = _first_timestamp(pilot.history, _P_ACTIVE)
-        finals = [
-            t for s in _P_FINAL
-            if (t := _first_timestamp(pilot.history, s)) is not None
-        ]
+        active = pilot.history.timestamp(_P_ACTIVE)
         job = getattr(pilot, "saga_job", None)
         job_start = getattr(job, "started_at", None)
         uid = getattr(pilot, "uid", "pilot")
@@ -317,7 +335,9 @@ def build_graph(
         if wait_end is None:
             wait_end = active
         if wait_end is None:
-            wait_end = min(finals) if finals else t_end
+            wait_end = _pilot_end_time(pilot)
+        if wait_end is None:
+            wait_end = t_end
         qw = add("queue-wait", "tw", submit, wait_end,
                  f"{uid} queue-wait @{resource}")
         qw.preds.append(anchor.key)
@@ -335,24 +355,13 @@ def build_graph(
     unit_execs: List[Tuple[Activity, Optional[str]]] = []
 
     for unit in units:
-        entries = unit.history.as_list()
         pilot = getattr(unit, "pilot", None)
         pilot_uid = getattr(pilot, "uid", None)
         uid = getattr(unit, "uid", "unit")
         prev: Optional[Activity] = None
         first: Optional[Activity] = None
-        for i, (state, t0) in enumerate(entries):
-            kind_comp = _UNIT_KINDS.get(state)
-            if kind_comp is None:
-                continue
-            # FAILED is an interval only when a restart follows.
-            if state == _U_FAILED and not any(
-                s == _U_UNSCHEDULED for s, _ in entries[i + 1:]
-            ):
-                continue
-            t1 = entries[i + 1][1] if i + 1 < len(entries) else t_end
-            kind, component = kind_comp
-            act = add(kind, component, t0, t1, f"{uid} {kind}")
+        for kind, component, t0, t1, end in _unit_activities(unit, t_end):
+            act = add(kind, component, t0, t1, f"{uid} {kind}", end)
             if prev is not None:
                 act.preds.append(prev.key)
             prev = act
@@ -583,26 +592,25 @@ def attribute(
     em_steps: Optional[Sequence[Tuple[str, float, float]]] = None,
 ) -> TTCAttribution:
     """Attribution + critical path for one execution's entities."""
-    graph = build_graph(pilots, units, t_start, t_end, em_steps=em_steps)
-    totals = sweep_attribution(graph)
-    path = critical_path(graph)
-    return TTCAttribution(
-        t_start=t_start,
-        t_end=t_end,
-        components=tuple((name, totals[name]) for name in COMPONENTS),
-        critical_path=tuple(path),
+    return _attribute_graph(
+        build_graph(pilots, units, t_start, t_end, em_steps=em_steps)
     )
 
 
 def attribute_report(report: Any) -> TTCAttribution:
-    """Attribution straight from an ExecutionReport (duck-typed).
+    """Attribution from the graph an ExecutionReport carries.
 
-    Uses the report's decomposition window, its pilots/units, and — when
-    the run was telemetry-enabled — the enactment-step spans.
+    The execution manager builds ``report.graph`` once per execution;
+    this runs only the sweep and the critical-path walk on it.
     """
-    d = report.decomposition
-    tel = getattr(report, "telemetry", None)
-    em_steps = tel.em_steps if tel is not None else None
-    return attribute(
-        report.pilots, report.units, d.t_start, d.t_end, em_steps=em_steps,
+    return _attribute_graph(report.graph)
+
+
+def _attribute_graph(graph: CausalGraph) -> TTCAttribution:
+    totals = sweep_attribution(graph)
+    return TTCAttribution(
+        t_start=graph.t_start,
+        t_end=graph.t_end,
+        components=tuple((name, totals[name]) for name in COMPONENTS),
+        critical_path=tuple(critical_path(graph)),
     )

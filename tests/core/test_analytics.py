@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.des import Simulation
 from repro.net import Network
+from repro.pilot import ComputeUnit, ComputeUnitDescription, UnitState
 from repro.skeleton import SkeletonAPI, bag_of_tasks
 
 
@@ -73,6 +74,39 @@ def test_allocation_metrics(executed):
     assert m.used_core_s == pytest.approx(8 * 300, rel=0.05)
     assert m.consumed_core_s >= m.used_core_s
     assert 0 < m.efficiency <= 1
+
+
+def restarted_unit(sim):
+    """A 1-core unit executing 10..110 (fails), then again 200..300."""
+    unit = ComputeUnit(sim, ComputeUnitDescription(name="r", duration_s=100))
+    for state, t in [
+        (UnitState.UNSCHEDULED, 0.0),
+        (UnitState.SCHEDULING, 0.0),
+        (UnitState.STAGING_INPUT, 0.0),
+        (UnitState.PENDING_EXECUTION, 10.0),
+        (UnitState.EXECUTING, 10.0),
+        (UnitState.FAILED, 110.0),
+        (UnitState.UNSCHEDULED, 110.0),
+        (UnitState.SCHEDULING, 150.0),
+        (UnitState.STAGING_INPUT, 150.0),
+        (UnitState.PENDING_EXECUTION, 200.0),
+        (UnitState.EXECUTING, 200.0),
+        (UnitState.STAGING_OUTPUT, 300.0),
+        (UnitState.DONE, 305.0),
+    ]:
+        sim.call_at(t, unit.advance, state)
+    sim.run()
+    return unit
+
+
+def test_requeue_gap_is_not_execution():
+    unit = restarted_unit(Simulation())
+    # both attempts burned cores; the gap 110..200 between them did not
+    assert allocation_metrics([], [unit]).used_core_s == 200.0
+    assert concurrency_series([unit]) == [
+        (10.0, 1), (110.0, 0), (200.0, 1), (300.0, 0),
+    ]
+    assert peak_concurrency([unit]) == 1
 
 
 def test_allocation_metrics_empty():

@@ -125,3 +125,15 @@ class TestEnergy:
         assert est.idle_core_s == pytest.approx(
             metrics.consumed_core_s - metrics.used_core_s, rel=0.01
         )
+
+    def test_only_the_staged_out_attempt_is_charged(self, executed):
+        from tests.core.test_analytics import restarted_unit
+
+        sim, report = executed
+        pilot = report.pilots[0]
+        unit = restarted_unit(Simulation())
+        unit.pilot = pilot
+        est = estimate_energy([pilot], [unit])
+        # 200..300 on the pilot; the failed attempt and the requeue gap
+        # are not charged to it
+        assert est.active_core_s == 100.0
