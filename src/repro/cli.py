@@ -19,9 +19,11 @@ Usage::
     python -m repro watch --url http://127.0.0.1:8765
     python -m repro migrate campaign_2016.json campaign.sqlite
 
-``analyze``, ``figures``, ``report``, and ``tail`` accept either a
-legacy campaign JSON artifact or an indexed sqlite store (the file
-format is sniffed).
+Every campaign records through a sqlite result store (``--store FILE``,
+or a private in-memory one); ``-o`` exports a JSON artifact.
+``analyze``, ``figures`` and ``report`` open either kind of file
+through one reader, migrating a JSON artifact into memory first;
+``tail`` reads a store or an NDJSON ledger.
 
 Global flags: ``-v/--verbose`` (repeatable: INFO, then DEBUG) and
 ``--log-file FILE`` (full DEBUG trail regardless of terminal verbosity).
@@ -50,10 +52,12 @@ from .experiments import (
     MonitorServer,
     ResiliencePolicy,
     RunLedger,
+    StoreInUseError,
     binding_rationale_study,
     build_environment,
     campaign_fingerprint,
     campaign_fingerprint_from_store,
+    check_fresh,
     compare_fingerprints,
     data_affinity_ablation,
     detect_anomalies,
@@ -64,6 +68,7 @@ from .experiments import (
     energy_study,
     migrate_json,
     nonuniform_tasks_study,
+    open_campaign,
     parse_serve_spec,
     monitor_from_path,
     render_dashboard,
@@ -79,7 +84,7 @@ from .experiments import (
     scheduler_ablation,
 )
 from .experiments import calibrate_all, render_calibration
-from .experiments.io import load_campaign, save_campaign
+from .experiments.io import save_campaign
 from .experiments.runner import cost_eta
 from .logutil import setup_logging
 from .faults import (
@@ -158,17 +163,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
         return 2
     on_progress = None if args.quiet else _EtaProgress(grid)
-    store = CampaignStore(args.store) if args.store else None
-    if store is not None and not args.resume and store.run_count() > 0:
-        committed = store.run_count()
-        store.close()
-        print(
-            f"error: {args.store} already holds {committed} committed "
-            "run(s); pass --resume to continue it, or point --store at "
-            "a fresh path",
-            file=sys.stderr,
-        )
-        return 2
+    store = CampaignStore(args.store or ":memory:")
+    if not args.resume:
+        # refused before the ledger truncates its file or a server binds
+        try:
+            check_fresh(store)
+        except StoreInUseError as exc:
+            store.close()
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     policy = ResiliencePolicy(
         cell_timeout_s=args.cell_timeout,
         max_attempts=args.max_attempts,
@@ -202,14 +205,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             return 2
         print(f"monitor serving on {server.url} "
               "(/metrics /events /state.json)", file=sys.stderr)
-    # With a store but no NDJSON path the ledger still streams: its
-    # records land in the store's ledger table (`repro tail` reads both).
-    # On resume the NDJSON file is appended, not truncated — the prior
-    # session's trail stays forensically intact.
-    ledger = (
-        RunLedger(args.ledger, store=store, append=args.resume, bus=bus)
-        if (args.ledger or store is not None or bus is not None) else None
-    )
+    # The ledger's records always land in the store's ledger table
+    # (`repro tail` reads it or the NDJSON file). On resume the NDJSON
+    # file is appended, not truncated — the prior session's trail stays
+    # forensically intact.
+    ledger = RunLedger(args.ledger, store=store, append=args.resume, bus=bus)
     try:
         result = run_campaign(
             experiments=tuple(args.experiments),
@@ -225,8 +225,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             resume=args.resume,
             resilience=policy,
         )
-        if store is not None:
-            store.set_fingerprint("campaign", campaign_fingerprint(result))
     except IncompatibleResumeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -246,16 +244,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             )
         return EXIT_RESUMABLE
     finally:
-        if ledger is not None:
-            ledger.close()
+        ledger.close()
         if server is not None:
             server.stop()
         if monitor is not None:
             monitor.stop()
         if bus is not None:
             bus.close()
-        if store is not None:
-            store.close()
+        store.close()
     if args.ledger:
         print(f"run ledger streamed to {args.ledger}")
     for err in result.errors:
@@ -274,17 +270,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0 if not result.errors else 1
 
 
-def _load_campaign_any(path: str):
-    """Load a campaign from a legacy JSON artifact or a sqlite store."""
-    if is_store(path):
-        with CampaignStore(path, readonly=True) as store:
-            return store.load_campaign()
-    return load_campaign(path)
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
-    result = _load_campaign_any(args.campaign)
-    print(render_all(result))
+    with open_campaign(args.campaign) as store:
+        print(render_all(store.load_campaign()))
     return 0
 
 
@@ -311,34 +299,29 @@ def _write_baseline(path: str, key: str, fingerprint: dict) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    summary = None
-    if is_store(args.campaign):
-        # Store-backed: the fingerprint streams cell by cell through
-        # the index; the anomaly scan still needs the materialized view.
-        with CampaignStore(args.campaign, readonly=True) as store:
-            fingerprint = campaign_fingerprint_from_store(store)
-            result = store.load_campaign()
-            summary = store_summary(store)
-    else:
-        result = load_campaign(args.campaign)
-        fingerprint = campaign_fingerprint(result)
+    # the fingerprint streams cell by cell through the store's index;
+    # the anomaly scan still needs the materialized view.
+    with open_campaign(args.campaign) as store:
+        fingerprint = campaign_fingerprint_from_store(store)
+        result = store.load_campaign()
+        summary = store_summary(store)
     rc = 0
 
     print(
         f"campaign: {len(result.runs)} runs, {len(result.errors)} errors, "
         f"fingerprint {fingerprint['digest'][:12]}"
     )
-    if summary is not None and summary.get("attempts"):
+    if summary["attempts"]:
         print(
             f"execution history: {summary['attempts']} attempt(s) "
             f"recorded, {summary['stale_leases']} stale lease(s)"
         )
-    if summary is not None and summary.get("interrupted"):
+    if summary["interrupted"]:
         print(
             "store is marked interrupted (cleanly drained mid-campaign); "
             f"resume with `repro campaign --store {args.campaign} --resume`"
         )
-    elif summary is not None and summary.get("stale_leases"):
+    elif summary["stale_leases"]:
         print(
             "stale leases mean a previous run died in flight; "
             f"`repro campaign --store {args.campaign} --resume` reclaims "
@@ -509,10 +492,9 @@ def _report_data(result, args) -> dict:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .telemetry.report import save_html
 
-    result = _load_campaign_any(args.campaign)
-    data = _report_data(result, args)
-    if is_store(args.campaign):
-        with CampaignStore(args.campaign, readonly=True) as store:
+    with open_campaign(args.campaign) as store:
+        data = _report_data(store.load_campaign(), args)
+        if store.readonly:  # provenance of a store file, not of a JSON
             data["store"] = store_summary(store)
     save_html(data, args.output)
     print(f"report written to {args.output}")
@@ -591,7 +573,6 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         return 2
     with store:
         fingerprint = campaign_fingerprint_from_store(store)
-        store.set_fingerprint("campaign", fingerprint)
         print(
             f"migrated {store.run_count()} runs, "
             f"{store.error_count()} errors from {args.source} "

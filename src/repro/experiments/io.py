@@ -1,15 +1,16 @@
-"""The campaign JSON codec: import/export for campaign artifacts.
+"""The campaign JSON codec: export and ``migrate`` input for campaigns.
 
-Historically this module *was* the persistence layer — campaigns lived
-in ad-hoc JSON files loaded whole. The indexed sqlite store
-(:mod:`repro.experiments.store`) is now the queryable source of truth
-for large campaigns; this module remains the interchange codec both
-paths share: per-run/per-error dict conversion (used verbatim for the
-store's row payloads) plus whole-campaign JSON files for portability,
-diffing, and the committed legacy artifacts (``campaign_2016.json``).
-Because the store serializes rows through the same
-:func:`run_to_dict`/:func:`run_from_dict` pair, a campaign round-trips
-field-for-field identically through either path.
+Campaigns record into the sqlite store
+(:mod:`repro.experiments.store`), the one result sink and read model.
+This module is the codec the store and the JSON files share:
+per-run/per-error dict conversion (used verbatim for the store's row
+payloads) plus whole-campaign JSON files — what ``repro campaign -o``
+exports, and what ``repro migrate`` (or
+:func:`~repro.experiments.store.open_campaign`, in memory) reads into a
+store, as for the committed ``campaign_2016.json``. Because the store
+serializes rows through the same :func:`run_to_dict`/:func:`run_from_dict`
+pair, a campaign round-trips field-for-field identically through either
+form.
 """
 
 from __future__ import annotations

@@ -115,12 +115,32 @@ class IncompatibleResumeError(ValueError):
         super().__init__("\n".join(lines))
 
 
+class StoreInUseError(ValueError):
+    """A fresh campaign pointed at a store that already holds one."""
+
+
+def check_fresh(store) -> None:
+    """Refuse to start a fresh campaign in a store that was used.
+
+    Any committed run, any quarantined error and any recorded campaign
+    config count: a fresh grid merged into them leaves rows that no
+    fingerprint can vouch for. ``--resume`` is the way to continue one.
+    """
+    runs, errors = store.run_count(), store.error_count()
+    if runs or errors or store.campaign_meta():
+        raise StoreInUseError(
+            f"{store.path} already holds a campaign ({runs} committed "
+            f"run(s), {errors} error(s)); pass --resume to continue it, "
+            "or point --store at a fresh path"
+        )
+
+
 class CampaignInterrupted(RuntimeError):
     """A campaign stopped by SIGINT/SIGTERM after a clean drain.
 
     Carries the partial :class:`~repro.experiments.campaign.CampaignResult`
-    of the cells that completed *in this session* (with a store, every
-    one of them is already committed on disk). The CLI maps this to
+    of the cells that completed *in this session* (every one of them is
+    already committed to the store). The CLI maps this to
     :data:`EXIT_RESUMABLE`.
     """
 
@@ -303,11 +323,11 @@ class ExecutionSupervisor:
     One instance per campaign execution, whichever worker runs the cells.
     Tracks per-cell dispatch counts for this session's retry budget;
     durable attempt numbering continues from whatever the store already
-    holds, so a resumed campaign's history reads as one sequence.
-    All methods are no-ops on the sinks they were not given.
+    holds, so a resumed campaign's history reads as one sequence. The
+    ledger is optional; the store is not.
     """
 
-    def __init__(self, store=None, ledger=None,
+    def __init__(self, store, ledger=None,
                  policy: Optional[ResiliencePolicy] = None) -> None:
         self.store = store
         self.ledger = ledger
@@ -321,10 +341,7 @@ class ExecutionSupervisor:
     def begin(self, cell: Cell, worker: Optional[int] = None) -> int:
         """Open a lease for one dispatch; returns the durable attempt #."""
         self._session_attempts[cell] = self._session_attempts.get(cell, 0) + 1
-        if self.store is not None:
-            attempt = self.store.begin_attempt(*cell, worker=worker)
-        else:
-            attempt = self._session_attempts[cell]
+        attempt = self.store.begin_attempt(*cell, worker=worker)
         self._open[cell] = attempt
         if self.ledger is not None:
             self.ledger.attempt_started(cell, attempt, worker=worker)
@@ -333,8 +350,6 @@ class ExecutionSupervisor:
     def commit(self, cell: Cell, run, worker: Optional[int] = None) -> None:
         """Atomically persist the result and close the lease ``committed``."""
         attempt = self._open.pop(cell, None)
-        if self.store is None:
-            return
         with self.store.transaction():
             self.store.put_run(run)
             if attempt is not None:
@@ -345,8 +360,6 @@ class ExecutionSupervisor:
     def fail(self, cell: Cell, error: str) -> None:
         """Quarantine the cell: error row + lease closed ``failed``."""
         attempt = self._open.pop(cell, None)
-        if self.store is None:
-            return
         with self.store.transaction():
             self.store.put_error(CellError(*cell, error=error))
             if attempt is not None:
@@ -357,7 +370,7 @@ class ExecutionSupervisor:
     def timeout(self, cell: Cell, budget_s: float) -> None:
         """Close the lease ``timeout`` (the cell may still be retried)."""
         attempt = self._open.pop(cell, None)
-        if self.store is not None and attempt is not None:
+        if attempt is not None:
             self.store.finish_attempt(
                 *cell, attempt=attempt, state="timeout",
                 error=f"exceeded the {budget_s:.1f}s wall budget",
@@ -368,7 +381,7 @@ class ExecutionSupervisor:
     def close(self, cell: Cell, state: str, reason: str = "") -> None:
         """Close the lease without a result (drain, crash, teardown)."""
         attempt = self._open.pop(cell, None)
-        if self.store is not None and attempt is not None:
+        if attempt is not None:
             self.store.finish_attempt(
                 *cell, attempt=attempt, state=state, error=reason or None
             )
@@ -395,7 +408,7 @@ class ExecutionSupervisor:
             return
         self._last_heartbeat = now
         open_cells = [c for c in cells if c in self._open]
-        if self.store is not None and open_cells:
+        if open_cells:
             self.store.heartbeat_attempts(
                 [(c, self._open[c]) for c in open_cells]
             )

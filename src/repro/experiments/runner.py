@@ -5,7 +5,9 @@ every ``(experiment, n_tasks)`` cell derives its seeds independently
 from ``(campaign_seed, exp_id, n_tasks, rep)`` via
 ``np.random.SeedSequence`` and runs in a fresh simulation.
 :func:`run_campaign` is the only campaign entry point. It builds the grid,
-plans a resume, opens and closes every cell's lease through one
+plans a resume, records every cell in one
+:class:`~repro.experiments.store.CampaignStore` (the caller's, or a
+private in-memory one), opens and closes every cell's lease through one
 :class:`~repro.experiments.resilience.ExecutionSupervisor`, streams the
 ledger and handles SIGINT/SIGTERM the same way whatever ``jobs`` is.
 Only *where* a cell runs differs, and the executor picks that from
@@ -104,9 +106,10 @@ from .resilience import (
     ExecutionSupervisor,
     ResiliencePolicy,
     ShutdownControl,
-    config_digest,
+    check_fresh,
     prepare_resume,
 )
+from .store import CampaignStore
 
 log = logging.getLogger(__name__)
 
@@ -543,12 +546,16 @@ def run_campaign(
     ``on_progress`` receives one :class:`CellProgress` per completed
     repetition (coordinates, wall cost, error status). ``ledger`` (a
     :class:`repro.experiments.ledger.RunLedger`) streams the campaign's
-    NDJSON run ledger. ``store`` (a
-    :class:`repro.experiments.store.CampaignStore`) persists each
-    repetition (or :class:`CellError`) as it completes — one committed
-    row per cell plus a lease/attempt history, written by this process
-    alone, so a concurrent reader (``repro tail``) and a post-crash
-    forensic pass both see exactly the completed prefix.
+    NDJSON run ledger. Every repetition (or :class:`CellError`) is
+    recorded in a :class:`repro.experiments.store.CampaignStore` as it
+    completes — one committed row per cell plus a lease/attempt history,
+    written by this process alone, so a concurrent reader (``repro
+    tail``) and a post-crash forensic pass both see exactly the
+    completed prefix. That is ``store`` when given, which must then hold
+    no earlier campaign unless resuming
+    (:class:`~repro.experiments.resilience.StoreInUseError`), and a
+    private in-memory store otherwise. The returned campaign is
+    assembled from the cells' own results, not read back from the store.
 
     ``resume=True`` (requires ``store``) continues a half-finished
     campaign: the stored config is verified against the requested one
@@ -567,6 +574,16 @@ def run_campaign(
     execution function (the containment tests inject failures with it).
     ``stats``, when given, is filled with aggregated runner telemetry.
     """
+    if store is None:
+        if resume:
+            raise ValueError("resume=True requires a store")
+        with CampaignStore(":memory:") as private:
+            return run_campaign(
+                experiments, task_counts, reps, campaign_seed, resource_pool,
+                verbose, jobs, collect_digests, on_progress, ledger,
+                store=private, resilience=resilience, run_fn=run_fn,
+                stats=stats,
+            )
     t0 = time.perf_counter()
     jobs = resolve_jobs(jobs)
     experiments = list(experiments)
@@ -587,13 +604,12 @@ def run_campaign(
         campaign_seed=campaign_seed, resource_pool=resource_pool,
     )
     if resume:
-        if store is None:
-            raise ValueError("resume=True requires a store")
         plan = prepare_resume(
             store, meta, grid, retry_errors=policy.retry_errors
         )
         remaining = plan.remaining
     else:
+        check_fresh(store)
         plan = None
         remaining = list(grid)
     done_offset = len(grid) - len(remaining)
@@ -607,9 +623,7 @@ def run_campaign(
         "in-process" if in_process else f"on {jobs} worker(s)",
         campaign_seed,
     )
-    if store is not None:
-        store.set_campaign_meta(meta)
-        store.set_config_digest(config_digest(meta))
+    store.set_campaign_meta(meta)
     if ledger is not None:
         ledger.campaign_start(len(grid), meta)
         if plan is not None:
@@ -710,8 +724,7 @@ def run_campaign(
             out.add(results[cell])
         elif cell in errors:
             out.errors.append(CellError(*cell, error=errors[cell]))
-    if store is not None:
-        store.set_interrupted(interrupted)
+    store.set_interrupted(interrupted)
     if ledger is not None:
         ledger.campaign_end(
             stats.completed, stats.errors, stats.wall_s,
@@ -729,7 +742,7 @@ def run_campaign(
         "campaign done: %d ok, %d errors, %.1fs wall",
         stats.completed, stats.errors, stats.wall_s,
     )
-    if resume and store is not None:
+    if resume:
         # previously committed cells live only in the store; return the
         # whole campaign in grid order, as an uninterrupted run would.
         return store.load_campaign()

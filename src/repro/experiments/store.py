@@ -1,27 +1,32 @@
-"""Indexed campaign result store: a sqlite-backed repository layer.
+"""The campaign result store: the one sink and read model of a campaign.
 
-The load-everything JSON persistence of :mod:`repro.experiments.io` is
-fine for a 4-experiment grid and fatal for a million-cell campaign:
-every consumer — the sentinel, the report, a single-cell replay — paid
-O(campaign) to look at O(cell) data. :class:`CampaignStore` replaces it
-as the source of truth. One sqlite file (WAL mode) holds
+Every campaign records through a :class:`CampaignStore` — a file the
+caller names, or a private in-memory one that
+:func:`~repro.experiments.runner.run_campaign` opens when it is given
+none — and every reader opens one through :func:`open_campaign`. A
+legacy JSON artifact (:mod:`repro.experiments.io`) is an export and a
+:func:`migrate_json` input: opened for reading, it is migrated into an
+in-memory store first, so one code path reads both. One sqlite file
+(WAL mode) holds
 
 * ``runs`` — one row per repetition, keyed ``(exp_id, n_tasks, rep)``,
   with the full :class:`~repro.experiments.campaign.RunResult` as a
   JSON payload (the exact :func:`repro.experiments.io.run_to_dict`
-  codec, so store and legacy JSON round-trip identically) plus indexed
+  codec, so store and JSON export round-trip identically) plus indexed
   scalar columns (``ttc``, digests) for queries;
 * ``cell_errors`` — repetitions lost to crashes, same key;
 * ``ledger`` — the NDJSON run-ledger event stream, mirrored row by row
   (``repro tail`` reads either representation);
-* ``fingerprints`` — sentinel campaign fingerprints by key;
 * ``attempts`` — the per-dispatch lease/attempt history: one row per
   dispatch of a cell (attempt number, state ``leased``/``committed``/
   ``failed``/``timeout``/``crashed``/``reclaimed``/``interrupted``/
   ``drained``, worker pid, wall start/end, parent heartbeat, error) —
   see :mod:`repro.experiments.resilience`;
-* ``store_meta`` — format version, the campaign provenance dict, its
-  config digest, and the cleanly-interrupted flag.
+* ``store_meta`` — format version, the campaign provenance dict, and
+  the cleanly-interrupted flag.
+
+The store holds primary data only: the sentinel fingerprint and the
+config digest are derived from these rows whenever they are needed.
 
 Concurrency contract: exactly one writer (the campaign runner's parent
 process — workers never touch the store), any number of readers. WAL
@@ -99,10 +104,6 @@ CREATE TABLE IF NOT EXISTS attempts (
     heartbeat  REAL,
     error      TEXT,
     PRIMARY KEY (exp_id, n_tasks, rep, attempt)
-);
-CREATE TABLE IF NOT EXISTS fingerprints (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
 );
 """
 
@@ -205,15 +206,6 @@ class CampaignStore:
             ),
         )
 
-    def put_runs(self, runs: Iterable[RunResult]) -> int:
-        """Insert many repetitions in one transaction; returns the count."""
-        n = 0
-        with self.transaction():
-            for run in runs:
-                self.put_run(run)
-                n += 1
-        return n
-
     def put_error(self, err: CellError) -> None:
         """Insert or replace one failed repetition."""
         self._conn.execute(
@@ -240,13 +232,6 @@ class CampaignStore:
         self._conn.execute(
             "INSERT INTO ledger (kind, record) VALUES (?, ?)",
             (str(record.get("kind", "?")), json.dumps(record, sort_keys=True)),
-        )
-
-    def set_fingerprint(self, key: str, fingerprint: Dict[str, Any]) -> None:
-        """Persist a sentinel campaign fingerprint under ``key``."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO fingerprints (key, value) VALUES (?, ?)",
-            (key, json.dumps(fingerprint, sort_keys=True)),
         )
 
     # -- leases / attempts -----------------------------------------------------
@@ -397,19 +382,6 @@ class CampaignStore:
         ).fetchone()
         return bool(row) and row[0] == "1"
 
-    def set_config_digest(self, digest: str) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO store_meta (key, value) "
-            "VALUES ('config_digest', ?)",
-            (digest,),
-        )
-
-    def config_digest(self) -> Optional[str]:
-        row = self._conn.execute(
-            "SELECT value FROM store_meta WHERE key='config_digest'"
-        ).fetchone()
-        return row[0] if row else None
-
     def ingest(self, result: CampaignResult) -> Tuple[int, int]:
         """Import a whole campaign atomically; returns (runs, errors).
 
@@ -442,20 +414,6 @@ class CampaignStore:
             "SELECT COUNT(*) FROM cell_errors"
         ).fetchone()[0]
 
-    def get_run(
-        self, exp_id: int, n_tasks: int, rep: int
-    ) -> Optional[RunResult]:
-        """Fetch one repetition by coordinates — O(1), not O(campaign)."""
-        row = self._conn.execute(
-            "SELECT payload FROM runs "
-            "WHERE exp_id=? AND n_tasks=? AND rep=?",
-            (exp_id, n_tasks, rep),
-        ).fetchone()
-        if row is None:
-            return None
-        self.rows_read += 1
-        return run_from_dict(json.loads(row[0]))
-
     def cell_runs(self, exp_id: int, n_tasks: int) -> List[RunResult]:
         """All repetitions of one cell, reps ascending."""
         rows = self._conn.execute(
@@ -476,14 +434,6 @@ class CampaignStore:
             )
         ]
 
-    def iter_runs(self) -> Iterator[RunResult]:
-        """Stream every repetition in ``(exp_id, n_tasks, rep)`` order."""
-        for row in self._conn.execute(
-            "SELECT payload FROM runs ORDER BY exp_id, n_tasks, rep"
-        ):
-            self.rows_read += 1
-            yield run_from_dict(json.loads(row[0]))
-
     def errors(self) -> List[CellError]:
         """Every failed repetition, in grid order when meta allows."""
         rows = self._conn.execute(
@@ -494,17 +444,6 @@ class CampaignStore:
         rows.sort(key=lambda r: key(r[0], r[1], r[2], r[3]))
         return [error_from_dict(json.loads(r[4])) for r in rows]
 
-    def slowest_run(self) -> Optional[RunResult]:
-        """The repetition with the largest TTC (index-served)."""
-        row = self._conn.execute(
-            "SELECT payload FROM runs "
-            "ORDER BY ttc DESC, exp_id DESC, n_tasks DESC, rep DESC LIMIT 1"
-        ).fetchone()
-        if row is None:
-            return None
-        self.rows_read += 1
-        return run_from_dict(json.loads(row[0]))
-
     def ledger_records(self) -> List[Dict[str, Any]]:
         """The mirrored run-ledger event stream, in emission order."""
         return [
@@ -513,12 +452,6 @@ class CampaignStore:
                 "SELECT record FROM ledger ORDER BY seq"
             )
         ]
-
-    def fingerprint(self, key: str = "campaign") -> Optional[Dict[str, Any]]:
-        row = self._conn.execute(
-            "SELECT value FROM fingerprints WHERE key=?", (key,)
-        ).fetchone()
-        return json.loads(row[0]) if row else None
 
     def load_campaign(self) -> CampaignResult:
         """Materialize the whole campaign (the legacy-compatible view).
@@ -582,6 +515,18 @@ def migrate_json(json_path: str, store_path: str) -> CampaignStore:
         json_path, store_path, n_runs, n_errors,
     )
     return store
+
+
+def open_campaign(path: str) -> CampaignStore:
+    """Open any campaign artifact for reading; the caller closes it.
+
+    A store file opens read-only. A JSON artifact is migrated into a
+    private in-memory store, so every reader goes through one read
+    model whichever kind of file it was handed.
+    """
+    if is_store(path):
+        return CampaignStore(path, readonly=True)
+    return migrate_json(path, ":memory:")
 
 
 def store_summary(store: CampaignStore) -> Dict[str, Any]:

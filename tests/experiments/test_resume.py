@@ -26,6 +26,7 @@ from repro.experiments import (
     IncompatibleResumeError,
     ResiliencePolicy,
     RunLedger,
+    StoreInUseError,
     campaign_fingerprint_from_store,
     campaign_meta,
     config_digest,
@@ -254,6 +255,22 @@ class TestParallelResume:
         assert stats.completed == 3  # only the remainder was executed
         assert _digest(partial) == _digest(clean)
 
+    @pytest.mark.parametrize("used", ["meta", "error", "run"])
+    def test_fresh_campaign_refuses_used_store(self, tmp_path, used):
+        with CampaignStore(str(tmp_path / "a.sqlite")) as store:
+            if used == "meta":
+                store.set_campaign_meta(campaign_meta(**GRID_KW))
+            elif used == "error":
+                store.put_error(CellError(1, 8, 0, "stale"))
+            else:
+                store.put_run(_fake_run((1, 8, 0), 0, None, False))
+            with pytest.raises(StoreInUseError, match="pass --resume"):
+                run_campaign(
+                    jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
+                    store=store, **GRID_KW,
+                )
+            assert store.attempt_count() == 0  # nothing was dispatched
+
     def test_resume_requires_store(self):
         with pytest.raises(ValueError, match="requires a store"):
             run_campaign(jobs=1, resume=True, **GRID_KW)
@@ -432,6 +449,21 @@ class TestCliGuards:
         assert main(self.ARGS + ["--store", path]) == 0
         assert main(self.ARGS + ["--store", path]) == 2
         assert "pass --resume" in capsys.readouterr().err
+
+    def test_store_with_errors_only_refused(self, tmp_path, capsys):
+        # a seed-7 campaign's meta and one quarantined cell, no runs: a
+        # fresh seed-3 campaign must not merge into them
+        path = str(tmp_path / "c.sqlite")
+        with CampaignStore(path) as store:
+            store.set_campaign_meta(campaign_meta(
+                experiments=(1,), task_counts=(8,), reps=1, campaign_seed=7,
+            ))
+            store.put_error(CellError(1, 8, 0, "stale"))
+        assert main(self.ARGS + ["--store", path]) == 2
+        assert "pass --resume" in capsys.readouterr().err
+        with CampaignStore(path, readonly=True) as store:
+            assert store.run_count() == 0
+            assert store.campaign_meta()["campaign_seed"] == 7
 
     def test_non_store_file_refused(self, tmp_path, capsys):
         path = str(tmp_path / "c.sqlite")

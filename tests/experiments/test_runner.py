@@ -15,8 +15,15 @@ from collections import Counter
 
 import pytest
 
-from repro.experiments import CampaignStore, RunLedger, read_ledger, run_campaign
+from repro.experiments import (
+    CampaignStore,
+    ResiliencePolicy,
+    RunLedger,
+    read_ledger,
+    run_campaign,
+)
 from repro.experiments.campaign import CampaignResult, CellError, RunResult
+from repro.experiments.io import run_to_dict
 from repro.experiments.runner import (
     RunnerStats,
     cell_cost,
@@ -182,6 +189,69 @@ class TestParallelEqualsSerial:
         serial = run_campaign(**kwargs)
         par = run_campaign(jobs=2, **kwargs)
         assert _canon(par.runs) == _canon(serial.runs)
+
+
+class TestPrivateStoreEqualsFileStore:
+    """A campaign given no store records into a private in-memory one.
+
+    It must return the same payloads and stream the same attempt numbers
+    as the same campaign recording into a store file, at every ``jobs``.
+    Payloads are compared as JSON: ``pilot_waits`` holds NaN for pilots
+    that never started, and NaN breaks ``RunResult ==``.
+    """
+
+    @staticmethod
+    def _outcome(tmp_path, name, jobs, store_path=None, **kwargs):
+        ndjson = str(tmp_path / f"{name}.ndjson")
+        with RunLedger(ndjson) as ledger:
+            if store_path is None:
+                result = run_campaign(jobs=jobs, ledger=ledger, **kwargs)
+            else:
+                with CampaignStore(store_path) as store:
+                    result = run_campaign(
+                        jobs=jobs, ledger=ledger, store=store, **kwargs
+                    )
+        payloads = [
+            json.dumps(run_to_dict(r), sort_keys=True) for r in result.runs
+        ]
+        errors = [(e.exp_id, e.n_tasks, e.rep) for e in result.errors]
+        attempts = sorted(
+            (r["exp"], r["n"], r["rep"], r["attempt"])
+            for r in read_ledger(ndjson) if r["kind"] == "attempt_started"
+        )
+        return payloads, errors, attempts
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_payloads_equal(self, tmp_path, jobs):
+        kwargs = dict(
+            experiments=(1, 3), task_counts=(8, 16), reps=2,
+            campaign_seed=2016,
+        )
+        private = self._outcome(tmp_path, "private", jobs, **kwargs)
+        on_file = self._outcome(
+            tmp_path, "file", jobs, str(tmp_path / "c.sqlite"), **kwargs
+        )
+        assert private == on_file
+        assert len(private[0]) == 8 and not private[1]
+        assert any("NaN" in p for p in private[0])  # the case == misses
+
+    def test_retry_attempt_numbers_equal(self, tmp_path):
+        # a wall budget sends jobs=1 to a one-worker pool, where the
+        # crashing cell is retried, so its attempt numbers reach 2. (At
+        # jobs=2 which cells share the broken pool depends on timing.)
+        jobs = 1
+        kwargs = dict(
+            run_fn="tests.experiments.test_runner:_crash_run",
+            resilience=ResiliencePolicy(cell_timeout_s=60.0),
+            experiments=(1,), task_counts=(8, 16), reps=2, campaign_seed=0,
+        )
+        private = self._outcome(tmp_path, "private", jobs, **kwargs)
+        on_file = self._outcome(
+            tmp_path, "file", jobs, str(tmp_path / "c.sqlite"), **kwargs
+        )
+        assert private == on_file
+        assert private[1] == [(1, 16, 1)]
+        assert (1, 16, 1, 2) in private[2]
 
 
 # -- containment and reporting -------------------------------------------------

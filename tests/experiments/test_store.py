@@ -48,25 +48,24 @@ class TestBasics:
         run = _run()
         store.put_run(run)
         assert store.run_count() == 1
-        assert store.get_run(1, 8, 0) == run
-        assert store.get_run(1, 8, 99) is None
+        assert store.cell_runs(1, 8) == [run]
+        assert store.cell_runs(1, 16) == []
 
     def test_put_is_idempotent_by_coordinates(self, store):
         store.put_run(_run(ttc=1000.0))
         store.put_run(_run(ttc=2000.0))  # same (exp, n, rep): replace
         assert store.run_count() == 1
-        assert store.get_run(1, 8, 0).ttc == 2000.0
+        assert [r.ttc for r in store.cell_runs(1, 8)] == [2000.0]
 
     def test_cell_runs_ordered_by_rep(self, store):
-        store.put_runs([_run(rep=2), _run(rep=0), _run(rep=1)])
+        for rep in (2, 0, 1):
+            store.put_run(_run(rep=rep))
         assert [r.rep for r in store.cell_runs(1, 8)] == [0, 1, 2]
         assert store.cell_runs(9, 9) == []
 
     def test_cells_sorted(self, store):
-        store.put_runs([
-            _run(exp_id=3, n_tasks=16), _run(exp_id=1, n_tasks=8),
-            _run(exp_id=3, n_tasks=8),
-        ])
+        for exp_id, n_tasks in ((3, 16), (1, 8), (3, 8)):
+            store.put_run(_run(exp_id=exp_id, n_tasks=n_tasks))
         assert store.cells() == [(1, 8), (3, 8), (3, 16)]
 
     def test_errors_roundtrip(self, store):
@@ -81,35 +80,23 @@ class TestBasics:
         store.set_campaign_meta(meta)
         assert store.campaign_meta() == meta
 
-    def test_fingerprint_roundtrip(self, store):
-        assert store.fingerprint() is None
-        fp = {"digest": "x" * 64, "cells": {}}
-        store.set_fingerprint("campaign", fp)
-        assert store.fingerprint("campaign") == fp
-
     def test_ledger_mirror_roundtrip(self, store):
         store.append_ledger({"kind": "campaign-start", "total": 2})
         store.append_ledger({"kind": "cell", "exp": 1, "n": 8, "rep": 0})
         records = store.ledger_records()
         assert [r["kind"] for r in records] == ["campaign-start", "cell"]
 
-    def test_slowest_run_served_by_index(self, store):
-        store.put_runs([
-            _run(rep=0, ttc=10.0), _run(rep=1, ttc=5000.0),
-            _run(rep=2, ttc=70.0),
-        ])
-        assert store.slowest_run().rep == 1
-
     def test_nan_ttc_survives_via_payload(self, store):
         store.put_run(_run(ttc=float("nan")))
-        got = store.get_run(1, 8, 0)
+        (got,) = store.cell_runs(1, 8)
         assert got.ttc != got.ttc  # NaN round-trips through the payload
         # and the scalar column holds NULL, not a bogus number
         row = store._conn.execute("SELECT ttc FROM runs").fetchone()
         assert row[0] is None
 
     def test_store_summary_counts(self, store):
-        store.put_runs([_run(rep=0), _run(rep=1)])
+        store.put_run(_run(rep=0))
+        store.put_run(_run(rep=1))
         store.put_error(CellError(1, 8, 2, "x"))
         summary = store_summary(store)
         assert summary["runs"] == 2 and summary["errors"] == 1
@@ -158,7 +145,7 @@ class TestReadonlyAndVersioning:
         store.put_run(_run())
         ro = CampaignStore(store.path, readonly=True)
         assert ro.run_count() == 1
-        assert ro.get_run(1, 8, 0) == _run()
+        assert ro.cell_runs(1, 8) == [_run()]
         with pytest.raises(sqlite3.OperationalError):
             ro.put_run(_run(rep=5))
         ro.close()
@@ -181,9 +168,11 @@ class TestReadonlyAndVersioning:
 
 class TestRowReadAccounting:
     def test_counts_only_materialized_rows(self, store):
-        store.put_runs([_run(rep=r) for r in range(5)])
+        for rep in range(5):
+            store.put_run(_run(rep=rep))
+        store.put_run(_run(n_tasks=16))
         assert store.rows_read == 0
-        store.get_run(1, 8, 3)
+        store.cell_runs(1, 16)
         assert store.rows_read == 1
         store.cell_runs(1, 8)
         assert store.rows_read == 6

@@ -139,9 +139,9 @@ class TestLiveCampaignReaders:
             assert (err.exp_id, err.n_tasks, err.rep) == (1, 16, 1)
             assert "crashed" in err.error
             # no runs row shadows the crashed repetition
-            assert store.get_run(1, 16, 1) is None
+            assert [r.rep for r in store.cell_runs(1, 16)] == [0]
             # and every committed payload is whole
-            for run in store.iter_runs():
+            for run in store.load_campaign().runs:
                 assert set(RunResult.__dataclass_fields__) == set(
                     run.__dataclass_fields__
                 )
