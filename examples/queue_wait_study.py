@@ -10,24 +10,27 @@ Exercises all three bundle interfaces on a live testbed:
   a resource's queue backs up).
 
 The closing section replays the probe measurement on several
-independently-seeded testbeds at once with ``parallel_map`` — each
-replica is its own simulation, so the fan-out cannot perturb any
-result, and on a single-CPU machine it quietly runs as an in-process
-loop instead.
+independently-seeded testbeds at once, as the cells of one grid on the
+campaign executor (``run_grid``) — each replica is its own simulation,
+so the fan-out cannot perturb any result; a replica that fails is named
+without losing the others, and on a single-CPU machine the grid quietly
+runs in-process instead.
 
 Run:  python examples/queue_wait_study.py
 """
 
 import math
-import os
 
-from repro.experiments import build_environment, parallel_map
+from repro.experiments import build_environment, resolve_jobs, run_grid
 from repro.pilot import ComputePilotDescription, PilotManager
 
+SEEDS = [101, 202, 303, 404]
 
-def probe_replica(seed):
-    """Measure 128-core probe waits on a fresh seed-`seed` testbed."""
-    env = build_environment(seed=seed)
+
+def probe_replica(cell):
+    """Measure 128-core probe waits on a fresh testbed seeded by
+    ``SEEDS[rep]`` (runs in a worker process)."""
+    env = build_environment(seed=SEEDS[cell[2]])
     env.warm_up(8 * 3600)
     clusters = {n: env.bundle.cluster(n) for n in env.bundle.resources()}
     pm = PilotManager(env.sim, clusters)
@@ -105,17 +108,14 @@ def main() -> None:
     for t, name, qlen in alerts[:5]:
         print(f"  t={t / 3600:.1f}h {name}: queue length {qlen}")
 
-    # Replicate the probe measurement on independent testbeds, one
-    # worker process per seed (serial fallback on a single CPU).
-    seeds = [101, 202, 303, 404]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    jobs = min(len(seeds), cpus)
+    # Replicate the probe measurement on independent testbeds, up to
+    # one worker process per usable CPU (in-process on a single CPU).
+    jobs = min(len(SEEDS), resolve_jobs(0))
     mode = f"{jobs} workers" if jobs > 1 else "serially (1 CPU)"
-    print(f"\nProbe waits across {len(seeds)} independent testbeds ({mode}):")
-    replicas = parallel_map(probe_replica, seeds, jobs=jobs)
+    print(f"\nProbe waits across {len(SEEDS)} independent testbeds ({mode}):")
+    replicas = run_grid(
+        probe_replica, [(0, 0, rep) for rep in range(len(SEEDS))], jobs=jobs
+    )
     header = f"{'resource':>16} | {'min':>8} | {'mean':>8} | {'max':>8}"
     print(header)
     print("-" * len(header))

@@ -7,19 +7,18 @@ dynamic resources, which coupling wins? This example executes the same
 each on a fresh, identically-seeded testbed (paired comparison), and
 prints the TTC decomposition side by side.
 
-The four strategies are independent simulations, so they fan out across
-worker processes with ``parallel_map``. Each worker builds its own
-testbed from the same seed, which makes the table identical to a serial
-run — on a single-CPU machine the map quietly degrades to an in-process
-loop, so there is no penalty for asking.
+The four strategies are independent simulations, so they run as the
+cells of one grid on the campaign executor (``run_grid``), across
+worker processes. Each worker builds its own testbed from the same
+seed, which makes the table identical to a serial run — on a single-CPU
+machine the grid quietly runs in-process, so there is no penalty for
+asking.
 
 Run:  python examples/strategy_comparison.py
 """
 
-import os
-
 from repro.core import Binding, PlannerConfig
-from repro.experiments import build_environment, parallel_map
+from repro.experiments import build_environment, resolve_jobs, run_grid
 from repro.skeleton import SkeletonAPI, paper_skeleton
 
 N_TASKS = 256
@@ -37,9 +36,9 @@ STRATEGIES = [
 ]
 
 
-def run_strategy(item):
-    """One strategy on a fresh testbed (runs in a worker process)."""
-    label, config = item
+def run_strategy(cell):
+    """Strategy ``cell[0]`` on a fresh testbed (runs in a worker process)."""
+    label, config = STRATEGIES[cell[0]]
     # The *same* seed for every strategy: identical background load,
     # so differences come from the strategy alone.
     env = build_environment(seed=SEED)
@@ -52,16 +51,15 @@ def run_strategy(item):
 
 
 def main() -> None:
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    jobs = min(len(STRATEGIES), cpus)
+    jobs = min(len(STRATEGIES), resolve_jobs(0))
     mode = f"{jobs} worker processes" if jobs > 1 else "serially (1 CPU)"
     print(f"Application: {N_TASKS} x 15-minute single-core tasks")
     print(f"Running {len(STRATEGIES)} paired strategies {mode}\n")
 
-    rows = parallel_map(run_strategy, STRATEGIES, jobs=jobs)
+    rows = run_grid(
+        run_strategy, [(i, N_TASKS, 0) for i in range(len(STRATEGIES))],
+        jobs=jobs,
+    )
 
     header = (
         f"{'strategy':>26} | {'TTC(s)':>8} | {'Tw(s)':>7} | {'Tx(s)':>7} | "

@@ -48,6 +48,7 @@ from .experiments import (
     CampaignMonitor,
     CampaignStore,
     CellProgress,
+    GridError,
     IncompatibleResumeError,
     MonitorServer,
     ResiliencePolicy,
@@ -776,6 +777,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if report.succeeded else 1
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse ``type``: a ``kind`` value for which ``ok`` holds."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
+
+
+_REPS = _checked(int, lambda v: v >= 1, ">= 1")
+_JOBS = _checked(int, lambda v: v >= 0, ">= 0")
+_HOURS = _checked(float, lambda v: v > 0, "> 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -797,12 +814,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiments", type=int, nargs="+", default=[1, 2, 3, 4])
     p.add_argument("--sizes", type=int, nargs="*", default=None,
                    help="task counts (default: the paper's 8..2048)")
-    p.add_argument("--reps", type=int, default=4)
+    p.add_argument("--reps", type=_REPS, default=4)
     p.add_argument("--seed", type=int, default=2016)
     p.add_argument("-o", "--output", default=None,
                    help="save results to this JSON file")
     p.add_argument("-q", "--quiet", action="store_true")
-    p.add_argument("-j", "--jobs", type=int, default=1,
+    p.add_argument("-j", "--jobs", type=_JOBS, default=1,
                    help="worker processes for the repetition grid "
                         "(0 = one per usable CPU; default: 1, "
                         "in-process). Results are identical at every -j.")
@@ -935,14 +952,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablation", help="run one ablation study")
     p.add_argument("study", choices=sorted(list(_ABLATIONS) + ["waits"]))
-    p.add_argument("--reps", type=int, default=4)
-    p.add_argument("-j", "--jobs", type=int, default=1,
+    p.add_argument("--reps", type=_REPS, default=4)
+    p.add_argument("-j", "--jobs", type=_JOBS, default=1,
                    help="worker processes (0 = one per usable CPU)")
 
     p = sub.add_parser("calibrate", help="validate the substrate calibration")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hours", type=float, default=24.0)
-    p.add_argument("-j", "--jobs", type=int, default=1,
+    p.add_argument("--hours", type=_HOURS, default=24.0)
+    p.add_argument("-j", "--jobs", type=_JOBS, default=1,
                    help="worker processes (0 = one per usable CPU)")
 
     p = sub.add_parser("probe", help="probe queue waits with pilot jobs")
@@ -1026,6 +1043,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except (GridError, CampaignInterrupted) as exc:
+        # a failed or interrupted ablation/calibration grid; `campaign`
+        # handles its own interruption
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:  # e.g. `repro tail ... | head`
         try:
             sys.stdout.close()

@@ -1,38 +1,57 @@
 """Ablation studies over the design decisions called out in DESIGN.md.
 
 These go beyond the paper's four experiments, probing the decision space
-the Execution Strategy abstraction exposes:
+the Execution Strategy abstraction exposes and the paper's §V future
+work. Each returns one :class:`AblationPoint` per configuration:
 
 * :func:`pilot_count_sweep` — TTC vs number of pilots (1..5). The paper
   claims three resources already normalize queue-wait variability.
 * :func:`scheduler_ablation` — backfill vs round-robin for late binding
   (the paper deliberately does not compare unit schedulers; we measure
   the difference to justify that choice).
-* :func:`heterogeneity_ablation` — diverse resource pool vs a pool of
-  clones of a single preset (the paper's "relation with resource
+* :func:`heterogeneity_ablation` — the diverse five-preset pool vs one
+  pilot on a single busy resource (the paper's "relation with resource
   homogeneity" future work).
+* :func:`data_affinity_ablation` — TTC-optimized vs data-aware resource
+  selection for tasks with large inputs.
+* :func:`binding_rationale_study` — the early-binding, multi-pilot
+  coupling Table I discards (§IV.A), beside the two it keeps.
+* :func:`nonuniform_tasks_study` — early vs late binding on 1-16-core
+  tasks (§V).
+* :func:`pool_scaling_study` — pilots drawn from a 17-resource
+  synthetic pool (§V).
+* :func:`locality_study` — data-locality unit scheduling on a two-stage
+  pipeline (§V).
+* :func:`energy_study` — TTC vs consumed energy per strategy (§V).
 
-Every study takes ``jobs=``: samples are seeded per (configuration,
-repetition) item up front, so fanning them out over worker processes via
-:func:`~repro.experiments.runner.parallel_map` returns exactly the
-serial results, in the same order. The per-study ``_sample_*`` functions
-are module-level so they pickle.
+:func:`emergent_vs_sampled_study` compares the two queue-wait models
+instead.
+
+Every study takes ``jobs=`` and runs its samples as the cells of one
+grid on the campaign executor
+(:func:`~repro.experiments.runner.run_grid`): a cell ``(arm, size,
+rep)`` seeds itself from its arm's entropy plus ``rep`` alone, so every
+``jobs`` returns exactly the serial results, and a failing sample
+raises :class:`~repro.experiments.runner.GridError` naming it once the
+rest of the grid has finished. One sample function serves all nine
+:class:`AblationPoint` studies; each study only describes its arms.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster import PRESETS, ResourcePreset, synthetic_pool
-from ..core import Binding, PlannerConfig
-from ..skeleton import SkeletonAPI, bag_of_tasks, paper_skeleton
+from ..core import Binding, PlannerConfig, report_energy
+from ..skeleton import SkeletonAPI, bag_of_tasks, map_reduce, paper_skeleton
 from ..skeleton.distributions import Uniform
-from .environment import Environment, build_environment, draw_observed
-from .runner import parallel_map
+from .environment import build_environment, draw_observed
+from .runner import Cell, run_grid
 
 
 @dataclass(frozen=True)
@@ -40,7 +59,7 @@ class AblationPoint:
     """One configuration's aggregated outcome.
 
     ``aux`` is the study's secondary metric (Tw for queue-wait studies,
-    Ts for data-affinity studies), named by ``aux_name``.
+    Ts for data studies, energy in kJ), named by ``aux_name``.
     """
 
     label: str
@@ -61,76 +80,92 @@ class AblationPoint:
         return self.aux_std
 
 
-def _observed_environment(
-    rng: np.random.Generator,
-    seed: int,
-    n_pilots: int,
-    warmup_s: Tuple[float, float],
-    resource_pool: Optional[Sequence[str]] = None,
-    presets: Optional[Sequence[ResourcePreset]] = None,
-) -> Tuple[Environment, Tuple[str, ...]]:
-    """Draw the offset and resources, then build and warm up only those.
+_HOUR = 3600.0
 
-    Returns ``(env, chosen)``; see :func:`draw_observed`. ``presets``
-    replaces the built-in pool with explicit presets.
+
+@dataclass(frozen=True)
+class _Arm:
+    """One configuration of a study: how each of its samples runs.
+
+    A sample at repetition ``rep`` seeds itself from ``entropy + rep``.
+    It draws a warm-up offset in ``warmup_s`` and ``n_pilots`` resources
+    from ``presets`` (default: the five built-in ones), builds only
+    those — or the whole pool when ``observe_all`` (the planner picks
+    the resources) — and warms them up. It then executes
+    ``skeleton(size)`` under the planner fields and returns
+    ``(ttc, aux)``, where ``aux`` is ``"Tw"``, ``"Ts"`` or consumed
+    energy in ``"kJ"``.
     """
-    known = PRESETS if presets is None else {p.name: p for p in presets}
+
+    label: str
+    entropy: int
+    n_pilots: int
+    skeleton: Callable
+    warmup_s: Tuple[float, float]
+    binding: Binding = Binding.LATE
+    scheduler: str = "backfill"
+    optimize: str = "ttc"
+    observe_all: bool = False
+    presets: Optional[Tuple[ResourcePreset, ...]] = None
+    aux: str = "Tw"
+
+
+def _sample(arms: Sequence[_Arm], cell: Cell) -> Tuple[float, float]:
+    """One execution: arm ``cell[0]`` at size ``cell[1]``, rep ``cell[2]``."""
+    index, size, rep = cell
+    arm = arms[index]
+    s = np.random.SeedSequence(entropy=arm.entropy + rep).generate_state(3)
+    known = PRESETS if arm.presets is None else {
+        p.name: p for p in arm.presets
+    }
     offset, chosen, observed = draw_observed(
-        rng, n_pilots, warmup_s, resource_pool, known,
+        np.random.default_rng(s[0]), arm.n_pilots, arm.warmup_s,
+        presets=known,
     )
-    env = build_environment(seed=seed, presets=[known[n] for n in observed])
+    env = build_environment(
+        seed=int(s[1]),
+        presets=[known[n] for n in (known if arm.observe_all else observed)],
+    )
     env.warm_up(offset)
-    return env, chosen
-
-
-def _run_once(
-    seed: int,
-    n_tasks: int,
-    binding: Binding,
-    scheduler: str,
-    n_pilots: int,
-    resource_pool: Optional[Sequence[str]] = None,
-) -> Tuple[float, float]:
-    """One execution; returns (ttc, tw)."""
-    ss = np.random.SeedSequence(entropy=seed)
-    s = ss.generate_state(3)
-    rng = np.random.default_rng(s[0])
-    env, chosen = _observed_environment(
-        rng, int(s[1]), n_pilots, (2 * 3600.0, 12 * 3600.0), resource_pool,
-    )
-    skeleton = SkeletonAPI(paper_skeleton(n_tasks, gaussian=False), seed=int(s[2]))
     report = env.execution_manager.execute(
-        skeleton,
+        SkeletonAPI(arm.skeleton(size), seed=int(s[2])),
         PlannerConfig(
-            binding=binding, unit_scheduler=scheduler,
-            n_pilots=n_pilots, resources=chosen,
+            binding=arm.binding, unit_scheduler=arm.scheduler,
+            n_pilots=arm.n_pilots, optimize=arm.optimize,
+            resources=None if arm.observe_all else chosen,
         ),
     )
-    return report.ttc, report.decomposition.tw
+    if arm.aux == "kJ":
+        return report.ttc, report_energy(report).total_joules / 1e3
+    return report.ttc, getattr(report.decomposition, arm.aux.lower())
 
 
-def _sample_run_once(item) -> Tuple[float, float]:
-    """:func:`parallel_map` adapter: one packed :func:`_run_once` call."""
-    args, kwargs = item
-    return _run_once(*args, **kwargs)
+def _run_arms(
+    arms: Sequence[_Arm], size: int, reps: int, jobs: int,
+) -> List[AblationPoint]:
+    """Run ``reps`` samples of every arm on one grid; one point per arm."""
+    arms = tuple(arms)
+    cells = [(i, size, rep) for i in range(len(arms)) for rep in range(reps)]
+    samples = run_grid(partial(_sample, arms), cells, jobs=jobs)
+    points = []
+    for i, arm in enumerate(arms):
+        runs = samples[i * reps:(i + 1) * reps]
+        ttcs = np.asarray([ttc for ttc, _ in runs])
+        aux = np.asarray([value for _, value in runs])
+        points.append(AblationPoint(
+            label=arm.label,
+            ttc_mean=float(ttcs.mean()),
+            ttc_std=float(ttcs.std(ddof=0)),
+            aux_mean=float(aux.mean()),
+            aux_std=float(aux.std(ddof=0)),
+            n_runs=reps,
+            aux_name=arm.aux,
+        ))
+    return points
 
 
-def _aggregate(
-    label: str,
-    samples: List[Tuple[float, float]],
-    aux_name: str = "Tw",
-) -> AblationPoint:
-    ttcs = np.asarray([t for t, _ in samples])
-    aux = np.asarray([w for _, w in samples])
-    return AblationPoint(
-        label=label,
-        ttc_mean=float(ttcs.mean()),
-        ttc_std=float(ttcs.std(ddof=0)),
-        aux_mean=float(aux.mean()),
-        aux_std=float(aux.std(ddof=0)),
-        n_runs=len(samples),
-        aux_name=aux_name,
-    )
+#: the paper's uniform 15-minute tasks (Exp 1 and 3), at any size
+_PAPER_UNIFORM = partial(paper_skeleton, gaussian=False)
 
 
 def pilot_count_sweep(
@@ -145,18 +180,12 @@ def pilot_count_sweep(
     (One pilot with late binding degenerates to early-binding behaviour
     but keeps the scheduler fixed, isolating the multi-resource effect.)
     """
-    pilot_counts = list(pilot_counts)
-    items = [
-        ((seed * 10_000 + k * 100 + rep, n_tasks,
-          Binding.LATE, "backfill", k), {})
+    arms = [
+        _Arm(f"{k} pilot(s)", seed * 10_000 + k * 100, k, _PAPER_UNIFORM,
+             (2 * _HOUR, 12 * _HOUR))
         for k in pilot_counts
-        for rep in range(reps)
     ]
-    samples = parallel_map(_sample_run_once, items, jobs=jobs)
-    return [
-        _aggregate(f"{k} pilot(s)", samples[i * reps:(i + 1) * reps])
-        for i, k in enumerate(pilot_counts)
-    ]
+    return _run_arms(arms, n_tasks, reps, jobs)
 
 
 def scheduler_ablation(
@@ -166,20 +195,15 @@ def scheduler_ablation(
     jobs: int = 1,
 ) -> List[AblationPoint]:
     """Backfill vs round-robin unit scheduling under late binding."""
-    schedulers = ("backfill", "round-robin")
     # zlib.crc32, not hash(): str hashes are salted per process, which
     # would give every invocation (and every worker) different seeds.
-    items = [
-        ((seed * 10_000 + zlib.crc32(scheduler.encode()) % 97 * 100 + rep,
-          n_tasks, Binding.LATE, scheduler, 3), {})
-        for scheduler in schedulers
-        for rep in range(reps)
+    arms = [
+        _Arm(scheduler,
+             seed * 10_000 + zlib.crc32(scheduler.encode()) % 97 * 100,
+             3, _PAPER_UNIFORM, (2 * _HOUR, 12 * _HOUR), scheduler=scheduler)
+        for scheduler in ("backfill", "round-robin")
     ]
-    samples = parallel_map(_sample_run_once, items, jobs=jobs)
-    return [
-        _aggregate(scheduler, samples[i * reps:(i + 1) * reps])
-        for i, scheduler in enumerate(schedulers)
-    ]
+    return _run_arms(arms, n_tasks, reps, jobs)
 
 
 def heterogeneity_ablation(
@@ -188,50 +212,20 @@ def heterogeneity_ablation(
     seed: int = 2,
     jobs: int = 1,
 ) -> List[AblationPoint]:
-    """Diverse five-resource pool vs three mid-size clones.
+    """Diverse five-resource pool vs a single busy resource.
 
-    The clone pool uses three instances of the same preset family
-    (comet-sim alone), so all pilots sample statistically identical
-    queues; the diverse pool mixes the five presets.
+    The diverse arm runs three late-binding pilots drawn from the five
+    presets; the homogeneous arm runs one pilot on comet-sim alone, so
+    the application sees one queue's dynamics instead of a mix.
     """
-    items = [
-        ((seed * 10_000 + rep, n_tasks, Binding.LATE, "backfill", 3), {})
-        for rep in range(reps)
+    warmup = (2 * _HOUR, 12 * _HOUR)
+    arms = [
+        _Arm("diverse pool (5 presets)", seed * 10_000, 3, _PAPER_UNIFORM,
+             warmup),
+        _Arm("homogeneous (single busy resource)", seed * 10_000 + 500, 1,
+             _PAPER_UNIFORM, warmup, presets=(PRESETS["comet-sim"],)),
     ]
-    items += [
-        ((seed * 10_000 + 500 + rep, n_tasks, Binding.LATE, "backfill", 1),
-         {"resource_pool": ("comet-sim",)})
-        for rep in range(reps)
-    ]
-    samples = parallel_map(_sample_run_once, items, jobs=jobs)
-    return [
-        _aggregate("diverse pool (5 presets)", samples[:reps]),
-        _aggregate("homogeneous (single busy resource)", samples[reps:]),
-    ]
-
-
-def _sample_data_affinity(item) -> Tuple[float, float]:
-    seed, rep, mode, n_tasks, input_mb = item
-    ss = np.random.SeedSequence(entropy=seed * 1000 + rep)
-    s = ss.generate_state(3)
-    rng = np.random.default_rng(s[0])
-    env = build_environment(seed=int(s[1]))
-    env.warm_up(float(rng.uniform(2 * 3600.0, 8 * 3600.0)))
-    skeleton = SkeletonAPI(
-        bag_of_tasks(
-            n_tasks, task_duration=900.0,
-            input_size=input_mb * 1e6, output_size=2_000.0,
-        ),
-        seed=int(s[2]),
-    )
-    report = env.execution_manager.execute(
-        skeleton,
-        PlannerConfig(
-            binding=Binding.LATE, unit_scheduler="backfill",
-            n_pilots=2, optimize=mode,
-        ),
-    )
-    return (report.ttc, report.decomposition.ts)
+    return _run_arms(arms, n_tasks, reps, jobs)
 
 
 def data_affinity_ablation(
@@ -249,20 +243,17 @@ def data_affinity_ablation(
     fat-pipe resources. This probes the paper's planned data-intensive
     execution strategies.
     """
-    modes = ("ttc", "data")
-    items = [
-        (seed, rep, mode, n_tasks, input_mb)
-        for mode in modes
-        for rep in range(reps)
+    skeleton = partial(
+        bag_of_tasks, task_duration=900.0,
+        input_size=input_mb * 1e6, output_size=2_000.0,
+    )
+    arms = [
+        _Arm(f"optimize={mode}", seed * 1000, 2, skeleton,
+             (2 * _HOUR, 8 * _HOUR), optimize=mode, observe_all=True,
+             aux="Ts")
+        for mode in ("ttc", "data")
     ]
-    samples = parallel_map(_sample_data_affinity, items, jobs=jobs)
-    return [
-        _aggregate(
-            f"optimize={mode}", samples[i * reps:(i + 1) * reps],
-            aux_name="Ts",
-        )
-        for i, mode in enumerate(modes)
-    ]
+    return _run_arms(arms, n_tasks, reps, jobs)
 
 
 def binding_rationale_study(
@@ -281,49 +272,18 @@ def binding_rationale_study(
     should never beat late binding and should inherit early binding's
     variance.
     """
-    arms = (
-        ("early, 1 pilot (Table I row 1)", Binding.EARLY, "direct", 1),
-        ("early, 3 pilots (discarded)", Binding.EARLY, "direct", 3),
-        ("late, 3 pilots (Table I row 3)", Binding.LATE, "backfill", 3),
-    )
-    # Same (seed, rep) across arms: paired comparison on the same
-    # testbeds, differing only in the strategy.
-    items = [
-        ((seed * 10_000 + rep, n_tasks, binding, scheduler, k), {})
-        for _, binding, scheduler, k in arms
-        for rep in range(reps)
+    # Same entropy across arms: paired comparison on the same testbeds,
+    # differing only in the strategy.
+    arms = [
+        _Arm(label, seed * 10_000, k, _PAPER_UNIFORM,
+             (2 * _HOUR, 12 * _HOUR), binding=binding, scheduler=scheduler)
+        for label, binding, scheduler, k in (
+            ("early, 1 pilot (Table I row 1)", Binding.EARLY, "direct", 1),
+            ("early, 3 pilots (discarded)", Binding.EARLY, "direct", 3),
+            ("late, 3 pilots (Table I row 3)", Binding.LATE, "backfill", 3),
+        )
     ]
-    samples = parallel_map(_sample_run_once, items, jobs=jobs)
-    return [
-        _aggregate(label, samples[i * reps:(i + 1) * reps])
-        for i, (label, _, _, _) in enumerate(arms)
-    ]
-
-
-def _sample_nonuniform(item) -> Tuple[float, float]:
-    seed, k, rep, n_tasks, binding, scheduler = item
-    ss = np.random.SeedSequence(entropy=seed * 1000 + k * 10 + rep)
-    s = ss.generate_state(3)
-    rng = np.random.default_rng(s[0])
-    env, chosen = _observed_environment(
-        rng, int(s[1]), k, (2 * 3600.0, 10 * 3600.0),
-    )
-    skeleton = SkeletonAPI(
-        bag_of_tasks(
-            n_tasks,
-            task_duration="gauss(900, 300, 60, 1800)",
-            cores_per_task=Uniform(1.0, 16.0),
-        ),
-        seed=int(s[2]),
-    )
-    report = env.execution_manager.execute(
-        skeleton,
-        PlannerConfig(
-            binding=binding, unit_scheduler=scheduler,
-            n_pilots=k, resources=chosen,
-        ),
-    )
-    return (report.ttc, report.decomposition.tw)
+    return _run_arms(arms, n_tasks, reps, jobs)
 
 
 def nonuniform_tasks_study(
@@ -339,41 +299,19 @@ def nonuniform_tasks_study(
     cores, so strategy differences can shift relative to the single-core
     baseline; this study measures both strategies on the mixed workload.
     """
-    arms = (
-        ("early 1 pilot (mixed cores)", Binding.EARLY, "direct", 1),
-        ("late 3 pilots (mixed cores)", Binding.LATE, "backfill", 3),
+    skeleton = partial(
+        bag_of_tasks, task_duration="gauss(900, 300, 60, 1800)",
+        cores_per_task=Uniform(1.0, 16.0),
     )
-    items = [
-        (seed, k, rep, n_tasks, binding, scheduler)
-        for _, binding, scheduler, k in arms
-        for rep in range(reps)
+    arms = [
+        _Arm(label, seed * 1000 + k * 10, k, skeleton,
+             (2 * _HOUR, 10 * _HOUR), binding=binding, scheduler=scheduler)
+        for label, binding, scheduler, k in (
+            ("early 1 pilot (mixed cores)", Binding.EARLY, "direct", 1),
+            ("late 3 pilots (mixed cores)", Binding.LATE, "backfill", 3),
+        )
     ]
-    samples = parallel_map(_sample_nonuniform, items, jobs=jobs)
-    return [
-        _aggregate(label, samples[i * reps:(i + 1) * reps])
-        for i, (label, _, _, _) in enumerate(arms)
-    ]
-
-
-def _sample_pool_scaling(item) -> Tuple[float, float]:
-    presets, seed, k, rep, n_tasks = item
-    ss = np.random.SeedSequence(entropy=seed * 1000 + k * 10 + rep)
-    s = ss.generate_state(3)
-    rng = np.random.default_rng(s[0])
-    env, chosen = _observed_environment(
-        rng, int(s[1]), k, (2 * 3600.0, 8 * 3600.0), presets=presets,
-    )
-    skeleton = SkeletonAPI(
-        bag_of_tasks(n_tasks, task_duration=900.0), seed=int(s[2])
-    )
-    report = env.execution_manager.execute(
-        skeleton,
-        PlannerConfig(
-            binding=Binding.LATE, unit_scheduler="backfill",
-            n_pilots=k, resources=chosen,
-        ),
-    )
-    return (report.ttc, report.decomposition.tw)
+    return _run_arms(arms, n_tasks, reps, jobs)
 
 
 def pool_scaling_study(
@@ -391,50 +329,14 @@ def pool_scaling_study(
     executions with increasing pilot counts.
     """
     presets = tuple(synthetic_pool(pool_size, seed=seed))
-    counts = [k for k in pilot_counts if k <= pool_size]
-    items = [
-        (presets, seed, k, rep, n_tasks)
-        for k in counts
-        for rep in range(reps)
+    skeleton = partial(bag_of_tasks, task_duration=900.0)
+    arms = [
+        _Arm(f"{k}/{pool_size} pilots", seed * 1000 + k * 10, k, skeleton,
+             (2 * _HOUR, 8 * _HOUR), presets=presets)
+        for k in pilot_counts
+        if k <= pool_size
     ]
-    samples = parallel_map(_sample_pool_scaling, items, jobs=jobs)
-    return [
-        _aggregate(
-            f"{k}/{pool_size} pilots", samples[i * reps:(i + 1) * reps]
-        )
-        for i, k in enumerate(counts)
-    ]
-
-
-def _sample_locality(item) -> Tuple[float, float]:
-    seed, rep, scheduler, n_map_tasks, intermediate_mb = item
-    from ..skeleton import map_reduce
-
-    ss = np.random.SeedSequence(entropy=seed * 1000 + rep)
-    s = ss.generate_state(3)
-    rng = np.random.default_rng(s[0])
-    env = build_environment(seed=int(s[1]))
-    env.warm_up(float(rng.uniform(2 * 3600.0, 6 * 3600.0)))
-    skeleton = SkeletonAPI(
-        map_reduce(
-            n_map_tasks=n_map_tasks,
-            n_reduce_tasks=8,
-            map_duration=300.0,
-            reduce_duration=120.0,
-            input_size=1e6,
-            intermediate_size=intermediate_mb * 1e6,
-            output_size=2_000.0,
-        ),
-        seed=int(s[2]),
-    )
-    report = env.execution_manager.execute(
-        skeleton,
-        PlannerConfig(
-            binding=Binding.LATE, unit_scheduler=scheduler,
-            n_pilots=3,
-        ),
-    )
-    return (report.ttc, report.decomposition.ts)
+    return _run_arms(arms, n_tasks, reps, jobs)
 
 
 def locality_study(
@@ -453,43 +355,17 @@ def locality_study(
     With 20 MB intermediates the staging difference is material; Ts is
     the auxiliary metric.
     """
-    schedulers = ("backfill", "locality")
-    items = [
-        (seed, rep, scheduler, n_map_tasks, intermediate_mb)
-        for scheduler in schedulers
-        for rep in range(reps)
+    skeleton = partial(
+        map_reduce, n_reduce_tasks=8, map_duration=300.0,
+        reduce_duration=120.0, input_size=1e6,
+        intermediate_size=intermediate_mb * 1e6, output_size=2_000.0,
+    )
+    arms = [
+        _Arm(scheduler, seed * 1000, 3, skeleton, (2 * _HOUR, 6 * _HOUR),
+             scheduler=scheduler, observe_all=True, aux="Ts")
+        for scheduler in ("backfill", "locality")
     ]
-    samples = parallel_map(_sample_locality, items, jobs=jobs)
-    return [
-        _aggregate(
-            scheduler, samples[i * reps:(i + 1) * reps], aux_name="Ts"
-        )
-        for i, scheduler in enumerate(schedulers)
-    ]
-
-
-def _sample_energy(item) -> Tuple[float, float]:
-    seed, rep, binding, scheduler, k, n_tasks = item
-    from ..core import report_energy
-
-    ss = np.random.SeedSequence(entropy=seed * 1000 + rep)
-    s = ss.generate_state(3)
-    rng = np.random.default_rng(s[0])
-    env, chosen = _observed_environment(
-        rng, int(s[1]), k, (2 * 3600.0, 10 * 3600.0),
-    )
-    skeleton = SkeletonAPI(
-        paper_skeleton(n_tasks, gaussian=False), seed=int(s[2])
-    )
-    report = env.execution_manager.execute(
-        skeleton,
-        PlannerConfig(
-            binding=binding, unit_scheduler=scheduler,
-            n_pilots=k, resources=chosen,
-        ),
-    )
-    energy_kj = report_energy(report).total_joules / 1e3
-    return (report.ttc, energy_kj)
+    return _run_arms(arms, n_map_tasks, reps, jobs)
 
 
 def energy_study(
@@ -506,20 +382,15 @@ def energy_study(
     consumed energy (kJ) as the auxiliary metric, making the
     TTC-vs-energy trade-off of the two Table I strategies explicit.
     """
-    arms = (
-        ("early, 1 pilot", Binding.EARLY, "direct", 1),
-        ("late, 3 pilots", Binding.LATE, "backfill", 3),
-    )
-    items = [
-        (seed, rep, binding, scheduler, k, n_tasks)
-        for _, binding, scheduler, k in arms
-        for rep in range(reps)
+    arms = [
+        _Arm(label, seed * 1000, k, _PAPER_UNIFORM, (2 * _HOUR, 10 * _HOUR),
+             binding=binding, scheduler=scheduler, aux="kJ")
+        for label, binding, scheduler, k in (
+            ("early, 1 pilot", Binding.EARLY, "direct", 1),
+            ("late, 3 pilots", Binding.LATE, "backfill", 3),
+        )
     ]
-    samples = parallel_map(_sample_energy, items, jobs=jobs)
-    return [
-        _aggregate(label, samples[i * reps:(i + 1) * reps], aux_name="kJ")
-        for i, (label, _, _, _) in enumerate(arms)
-    ]
+    return _run_arms(arms, n_tasks, reps, jobs)
 
 
 @dataclass(frozen=True)
@@ -562,23 +433,27 @@ def _probe_pair_on(cluster, sim, probe_cores: int) -> Tuple[float, float]:
     )
 
 
-def _sample_emergent_pair(item) -> Tuple[float, float]:
-    seed, rep, probe_cores = item
-    ss = np.random.SeedSequence(entropy=seed * 100 + rep)
-    s = ss.generate_state(2)
-    rng = np.random.default_rng(s[0])
-    env, (name,) = _observed_environment(
-        rng, int(s[1]), 1, (2 * 3600.0, 10 * 3600.0),
+def _sample_emergent_pair(seed: int, cell: Cell) -> Tuple[float, float]:
+    """A probe pair on one drawn, warmed-up resource of the built-in pool."""
+    _, probe_cores, rep = cell
+    s = np.random.SeedSequence(entropy=seed * 100 + rep).generate_state(2)
+    offset, (name,), _ = draw_observed(
+        np.random.default_rng(s[0]), 1, (2 * _HOUR, 10 * _HOUR),
     )
+    env = build_environment(seed=int(s[1]), resources=(name,))
+    env.warm_up(offset)
     return _probe_pair_on(env.pool[name].cluster, env.sim, probe_cores)
 
 
-def _sample_sampled_pair(item) -> Tuple[float, float]:
-    seed, rep, mu, sigma, probe_cores = item
+def _sample_sampled_pair(
+    seed: int, mu: float, sigma: float, cell: Cell,
+) -> Tuple[float, float]:
+    """A probe pair on a cluster whose waits are i.i.d. lognormal draws."""
     from ..cluster.sampled import SampledWaitCluster
     from ..des import Simulation
     from ..net import Network
 
+    _, probe_cores, rep = cell
     sim = Simulation(seed=seed * 1000 + rep)
     Network(sim)  # parity with the emergent arm's construction
     cluster = SampledWaitCluster(
@@ -606,19 +481,19 @@ def emergent_vs_sampled_study(
     """
     from ..cluster.sampled import fit_lognormal_waits
 
-    # --- emergent arm -------------------------------------------------------
-    emergent_pairs: List[Tuple[float, float]] = parallel_map(
-        _sample_emergent_pair,
-        [(seed, rep, probe_cores) for rep in range(n_pairs)],
+    # --- emergent arm: cells (0, probe_cores, rep) ---------------------------
+    emergent_pairs: List[Tuple[float, float]] = run_grid(
+        partial(_sample_emergent_pair, seed),
+        [(0, probe_cores, rep) for rep in range(n_pairs)],
         jobs=jobs,
     )
 
     # --- sampled arm (marginals fitted to the emergent waits) ----------------
     all_waits = [w for pair in emergent_pairs for w in pair]
     mu, sigma = fit_lognormal_waits(all_waits)
-    sampled_pairs: List[Tuple[float, float]] = parallel_map(
-        _sample_sampled_pair,
-        [(seed, rep, mu, sigma, probe_cores) for rep in range(n_pairs)],
+    sampled_pairs: List[Tuple[float, float]] = run_grid(
+        partial(_sample_sampled_pair, seed, mu, sigma),
+        [(1, probe_cores, rep) for rep in range(n_pairs)],
         jobs=jobs,
     )
 

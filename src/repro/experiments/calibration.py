@@ -17,7 +17,8 @@ for a simulated period and reports the observables that must be in range:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from functools import partial
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from ..cluster import (
     build_resource,
 )
 from ..des import Simulation
+from .runner import Cell, run_grid
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,7 @@ class ResourceCalibration:
     short_job_fraction: float            # 30 s - 30 min bucket
     probe_waits: Sequence[float]         # seconds, one per probe
     jobs_finished: int
+    hours: float                         # simulated horizon
 
     def render(self) -> str:
         waits = ", ".join(f"{w:.0f}" for w in self.probe_waits)
@@ -102,12 +105,15 @@ def calibrate_resource(
         short_job_fraction=report.fraction("30s-30m"),
         probe_waits=waits,
         jobs_finished=report.total_jobs,
+        hours=hours,
     )
 
 
-def _sample_calibration(item) -> ResourceCalibration:
-    name, seed, hours = item
-    return calibrate_resource(name, seed=seed, hours=hours)
+def _sample_calibration(
+    names: Tuple[str, ...], seed: int, hours: float, cell: Cell,
+) -> ResourceCalibration:
+    """Calibrate preset ``names[cell[0]]``: one cell of the preset grid."""
+    return calibrate_resource(names[cell[0]], seed=seed, hours=hours)
 
 
 def calibrate_all(
@@ -115,22 +121,26 @@ def calibrate_all(
 ) -> Dict[str, ResourceCalibration]:
     """Calibrate every preset (``jobs`` presets at a time).
 
-    Each preset's calibration is independently seeded, so the parallel
-    run returns exactly the serial results.
+    Each preset is one cell ``(index, 0, 0)`` of a grid on the campaign
+    executor, independently seeded, so the parallel run returns exactly
+    the serial results.
     """
-    from .runner import parallel_map
-
-    names = list(PRESETS)
-    results = parallel_map(
-        _sample_calibration,
-        [(name, seed, hours) for name in names],
+    names = tuple(PRESETS)
+    results = run_grid(
+        partial(_sample_calibration, names, seed, hours),
+        [(i, 0, 0) for i in range(len(names))],
         jobs=jobs,
     )
     return dict(zip(names, results))
 
 
 def render_calibration(results: Dict[str, ResourceCalibration]) -> str:
-    lines = ["Substrate calibration (24 simulated hours per resource):"]
+    """Format calibrations that share one simulated horizon."""
+    hours = next(iter(results.values())).hours
+    unit = "hour" if hours == 1 else "hours"
+    lines = [
+        f"Substrate calibration ({hours:g} simulated {unit} per resource):"
+    ]
     for cal in results.values():
         lines.append("  " + cal.render())
     return "\n".join(lines)

@@ -379,7 +379,9 @@ class ExecutionSupervisor:
             self.ledger.attempt_timeout(cell, attempt, budget_s)
 
     def close(self, cell: Cell, state: str, reason: str = "") -> None:
-        """Close the lease without a result (drain, crash, teardown)."""
+        """Close the lease without storing a result: a drain, crash or
+        teardown, or a ``run_grid`` cell committed with its result kept
+        in memory."""
         attempt = self._open.pop(cell, None)
         if attempt is not None:
             self.store.finish_attempt(

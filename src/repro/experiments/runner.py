@@ -1,17 +1,16 @@
-"""Campaign execution: one executor, with an in-process or a pool worker.
+"""Grid execution: one executor, with an in-process or a pool worker.
 
-A Monte-Carlo campaign is embarrassingly parallel: every repetition of
-every ``(experiment, n_tasks)`` cell derives its seeds independently
-from ``(campaign_seed, exp_id, n_tasks, rep)`` via
-``np.random.SeedSequence`` and runs in a fresh simulation.
-:func:`run_campaign` is the only campaign entry point. It builds the grid,
-plans a resume, records every cell in one
-:class:`~repro.experiments.store.CampaignStore` (the caller's, or a
-private in-memory one), opens and closes every cell's lease through one
-:class:`~repro.experiments.resilience.ExecutionSupervisor`, streams the
-ledger and handles SIGINT/SIGTERM the same way whatever ``jobs`` is.
-Only *where* a cell runs differs, and the executor picks that from
-what it can observe:
+A Monte-Carlo grid is embarrassingly parallel: every cell seeds itself
+from its own integer coordinates via ``np.random.SeedSequence`` and
+runs in a fresh simulation. One executor (:func:`_execute`) runs a
+picklable cell function over the grid, leases every cell through one
+:class:`~repro.experiments.resilience.ExecutionSupervisor` over a
+:class:`~repro.experiments.store.CampaignStore`, and handles
+SIGINT/SIGTERM the same way whatever ``jobs`` is. Its two callers are
+:func:`run_campaign` (the Table I grid, with resume and a ledger) and
+:func:`run_grid` (the ablation studies and the calibration). Only
+*where* a cell runs differs, and the executor picks that from what it
+can observe:
 
 * **In-process** when ``jobs`` resolves to 1 or at most one cell
   remains, and no per-cell wall budget is set. No pool is started, and
@@ -23,33 +22,34 @@ what it can observe:
 Either way a cell runs through :func:`_run_chunk`, which turns an
 exception into a :class:`~repro.experiments.campaign.CellError` for
 that cell alone. One difference remains by design: an in-process cell
-that kills its process (``os._exit``, segfault) takes the campaign down
-with it, and ``--resume`` recovers it; a pool worker's crash costs the
-cell only.
+that kills its process (``os._exit``, segfault) takes the grid down
+with it, and a campaign's ``--resume`` recovers it; a pool worker's
+crash costs the cell only.
 
 Determinism contract
 --------------------
-Every ``jobs`` gives a *bit-identical* campaign:
+Every ``jobs`` gives a *bit-identical* grid:
 
 * Seeding depends only on the cell coordinates, never on execution
   order, worker identity, or wall-clock time.
-* Workers return completed :class:`RunResult` values; the parent never
-  mutates them.
-* Results are re-ordered into grid order (experiments x task_counts x
-  reps) before the :class:`CampaignResult` is assembled, so downstream
-  consumers see the same sequence regardless of which worker finished
-  first.
+* Workers return completed results; the parent never mutates them.
+* Results are re-ordered into grid order before they are returned, so
+  downstream consumers see the same sequence regardless of which
+  worker finished first.
 
 ``tests/experiments/test_runner.py`` asserts field-by-field equality of
 ``jobs=1`` and ``jobs=N`` campaigns — including the per-repetition
 telemetry/fault/health digests, and the error and timeout paths — and
-CI re-checks it on every push.
+``tests/experiments/test_ablation_golden.py`` the same, bit for bit,
+for every ablation study and the calibration.
 
 Scheduling
 ----------
-Cells are packed into chunks, biggest first (cost model: a cell's wall
-time grows roughly linearly in ``n_tasks`` on top of a fixed
-environment-construction overhead). Big-first packing keeps the long
+Cells are packed into chunks, biggest first, by the grid's cost
+function (a campaign's :func:`cell_cost`: a cell's wall time grows
+roughly linearly in ``n_tasks`` on top of a fixed
+environment-construction overhead; every other grid's cells cost one
+unit each). Big-first packing keeps the long
 cells from landing at the tail of the schedule where they would leave
 all other workers idle. Each chunk is one executor task, which
 amortizes process-pool dispatch overhead for the many small cells. The
@@ -74,7 +74,6 @@ the worker catches them per cell and reports them as errors.
 
 from __future__ import annotations
 
-import importlib
 import logging
 import os
 import time
@@ -86,6 +85,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -113,8 +113,9 @@ from .store import CampaignStore
 
 log = logging.getLogger(__name__)
 
-#: One repetition's coordinates in the campaign grid.
-Cell = Tuple[int, int, int]  # (exp_id, n_tasks, rep)
+#: One cell's coordinates: ``(exp_id, n_tasks, rep)`` in a campaign,
+#: ``(arm, size, rep)`` in an ablation grid.
+Cell = Tuple[int, int, int]
 
 #: Environment setup (building, priming and warming up one observed
 #: resource) costs about as much as 160 tasks' worth of simulated
@@ -166,8 +167,10 @@ def cost_eta(grid: Iterable[Cell], walls: Mapping[Cell, float]) -> float:
     return sum(walls.values()) / spent_cost * left
 
 
-def plan_chunks(cells: Sequence[Cell], jobs: int) -> List[List[Cell]]:
-    """Pack cells into chunks for dispatch, biggest cells first.
+def plan_chunks(
+    cells: Sequence[Cell], jobs: int, cost: Callable[[Cell], int],
+) -> List[List[Cell]]:
+    """Pack cells into chunks for dispatch, costliest cells first.
 
     The chunk size target is ``total_cost / (jobs * 4)`` (but at least
     one maximal cell), giving ~4 waves of chunks per worker: small
@@ -178,15 +181,15 @@ def plan_chunks(cells: Sequence[Cell], jobs: int) -> List[List[Cell]]:
     if not cells:
         return []
     jobs = max(1, jobs)
-    costed = sorted(cells, key=cell_cost, reverse=True)
-    total = sum(cell_cost(c) for c in cells)
-    target = max(cell_cost(costed[0]), total // (jobs * 4))
+    costed = sorted(cells, key=cost, reverse=True)
+    total = sum(cost(c) for c in cells)
+    target = max(cost(costed[0]), total // (jobs * 4))
     chunks: List[List[Cell]] = []
     current: List[Cell] = []
     acc = 0
     for cell in costed:
         current.append(cell)
-        acc += cell_cost(cell)
+        acc += cost(cell)
         if acc >= target:
             chunks.append(current)
             current = []
@@ -205,7 +208,7 @@ def _default_run_cell(
     resource_pool: Optional[Tuple[str, ...]],
     collect_digests: bool,
 ) -> RunResult:
-    """Execute one repetition in the worker process."""
+    """Execute one campaign repetition in the worker process."""
     exp_id, n_tasks, rep = cell
     # looked up per call, so a wrapped ``campaign.run_single`` (tracing,
     # fault injection in tests) takes effect
@@ -217,35 +220,22 @@ def _default_run_cell(
     )
 
 
-def _resolve_run_fn(path: Optional[str]):
-    """Import a ``module:attr`` run function (test injection hook)."""
-    if path is None:
-        return _default_run_cell
-    module_name, _, attr = path.partition(":")
-    return getattr(importlib.import_module(module_name), attr)
-
-
 def _run_chunk(
-    chunk: Sequence[Cell],
-    campaign_seed: int,
-    resource_pool: Optional[Tuple[str, ...]],
-    collect_digests: bool,
-    run_fn_path: Optional[str],
+    fn: Callable[[Cell], object], chunk: Sequence[Cell],
 ) -> List[Tuple[str, Cell, object, dict]]:
-    """Worker entry point: run every cell of one chunk.
+    """Worker entry point: run ``fn`` on every cell of one chunk.
 
-    Exceptions are contained per cell — one failing repetition costs
-    that repetition, not the chunk and not the campaign. Each row
-    carries a meta dict with the cell's wall time and the worker's pid,
-    feeding the run ledger and progress callbacks.
+    Exceptions are contained per cell — one failing cell costs that
+    cell, not the chunk and not the grid. Each row carries a meta dict
+    with the cell's wall time and the worker's pid, feeding the run
+    ledger and progress callbacks.
     """
-    run_fn = _resolve_run_fn(run_fn_path)
     pid = os.getpid()
     out: List[Tuple[str, Cell, object, dict]] = []
     for cell in chunk:
         w0 = time.perf_counter()
         try:
-            run = run_fn(cell, campaign_seed, resource_pool, collect_digests)
+            run = fn(cell)
             meta = {"wall_s": time.perf_counter() - w0, "worker": pid}
             out.append(("ok", cell, run, meta))
         except Exception as exc:  # noqa: BLE001 - containment boundary
@@ -306,7 +296,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 def _execute_chunks(
     chunks: List[List[Cell]],
     jobs: int,
-    worker_args: Tuple,
+    fn: Callable[[Cell], object],
     stats: RunnerStats,
     on_cell: Callable[[str, Cell, object, dict], None],
     supervisor: ExecutionSupervisor,
@@ -328,7 +318,7 @@ def _execute_chunks(
     (with seeded backoff), and innocent in-flight chunks are requeued
     without attempt penalty. ``control`` drain requests stop new
     dispatch and let running chunks finish; hard-cancel kills the pool.
-    Returns ``True`` when the campaign was interrupted before completion.
+    Returns ``True`` when the grid was interrupted before completion.
     """
     pending: List[List[Cell]] = [list(chunk) for chunk in chunks]
     suspects: set = set()  # cells of an ambiguous pool break
@@ -360,7 +350,7 @@ def _execute_chunks(
                     ):
                         return  # a suspect waits for, then holds, the pool
                     try:
-                        fut = pool.submit(_run_chunk, pending[0], *worker_args)
+                        fut = pool.submit(_run_chunk, fn, pending[0])
                     except BrokenProcessPool:
                         return  # the in-flight futures report the break
                     chunk = pending.pop(0)
@@ -514,6 +504,67 @@ def _execute_chunks(
     return False
 
 
+def _execute(
+    fn: Callable[[Cell], object],
+    cells: List[Cell],
+    jobs: int,
+    cost: Callable[[Cell], int],
+    on_cell: Callable[[str, Cell, object, dict], None],
+    supervisor: ExecutionSupervisor,
+    policy: ResiliencePolicy,
+    stats: RunnerStats,
+    campaign_seed: int = 0,
+) -> bool:
+    """Run ``fn`` over ``cells``, reporting every outcome to ``on_cell``.
+
+    The one executor behind :func:`run_campaign` and :func:`run_grid`:
+    in this process when ``jobs`` is 1 or at most one cell is left and
+    no wall budget is set, otherwise on the :func:`_execute_chunks`
+    pool. Returns ``True`` when SIGINT/SIGTERM interrupted the grid.
+    """
+    # a wall budget needs a worker process it can kill
+    in_process = policy.cell_timeout_s is None and (
+        jobs <= 1 or len(cells) <= 1
+    )
+    # in-process, the second signal must preempt the running cell, so it
+    # raises; a pool parent polls the flags instead, because a raise
+    # could land inside pool bookkeeping and corrupt teardown.
+    control = ShutdownControl(raise_on_hard=in_process)
+    control.install()
+    try:
+        if not in_process:
+            chunks = plan_chunks(cells, jobs, cost)
+            stats.chunks = len(chunks)
+            return _execute_chunks(
+                chunks, jobs, fn, stats, on_cell,
+                supervisor=supervisor, control=control, policy=policy,
+                campaign_seed=campaign_seed,
+            )
+        stats.chunks = len(cells)
+        for cell in cells:
+            if control.draining or control.hard:
+                return True
+            supervisor.begin(cell, worker=os.getpid())
+            try:
+                rows = _run_chunk(fn, [cell])
+            except KeyboardInterrupt:
+                # hard cancel mid-cell: the cell is lost (a campaign
+                # re-runs it on resume), but nothing partial was written.
+                supervisor.close(
+                    cell, "interrupted", "hard-cancelled mid-cell"
+                )
+                return True
+            for row in rows:
+                on_cell(*row)
+        return False
+    except KeyboardInterrupt:
+        # a hard cancel landing between cells (or inside a ledger/store
+        # call): transactions keep the store consistent either way.
+        return True
+    finally:
+        control.restore()
+
+
 def run_campaign(
     experiments: Sequence[int] = (1, 2, 3, 4),
     task_counts: Sequence[int] = PAPER_TASK_COUNTS,
@@ -528,7 +579,7 @@ def run_campaign(
     store=None,
     resume: bool = False,
     resilience: Optional[ResiliencePolicy] = None,
-    run_fn: Optional[str] = None,
+    run_fn: Optional[Callable[..., RunResult]] = None,
     stats: Optional[RunnerStats] = None,
 ) -> CampaignResult:
     """Run the experiment grid; returns every repetition in grid order.
@@ -570,9 +621,11 @@ def run_campaign(
     :class:`~repro.experiments.resilience.CampaignInterrupted` with the
     store marked cleanly interrupted; a second signal hard-cancels.
 
-    ``run_fn`` names a ``module:attr`` replacement for the per-cell
-    execution function (the containment tests inject failures with it).
-    ``stats``, when given, is filled with aggregated runner telemetry.
+    ``run_fn`` replaces the per-cell execution function, called as
+    ``run_fn(cell, campaign_seed, resource_pool, collect_digests)``; it
+    must be module-level so a worker can unpickle it (the containment
+    tests inject failures with it). ``stats``, when given, is filled
+    with aggregated runner telemetry.
     """
     if store is None:
         if resume:
@@ -613,15 +666,9 @@ def run_campaign(
         plan = None
         remaining = list(grid)
     done_offset = len(grid) - len(remaining)
-    # a wall budget needs a worker process it can kill
-    in_process = policy.cell_timeout_s is None and (
-        jobs <= 1 or len(remaining) <= 1
-    )
     log.info(
-        "campaign: %d cells (%d to run) %s, seed=%d",
-        len(grid), len(remaining),
-        "in-process" if in_process else f"on {jobs} worker(s)",
-        campaign_seed,
+        "campaign: %d cells (%d to run), seed=%d",
+        len(grid), len(remaining), campaign_seed,
     )
     store.set_campaign_meta(meta)
     if ledger is not None:
@@ -636,15 +683,13 @@ def run_campaign(
             )
 
     pool_arg = tuple(resource_pool) if resource_pool is not None else None
-    worker_args = (campaign_seed, pool_arg, collect_digests, run_fn)
+    fn = partial(
+        run_fn or _default_run_cell, campaign_seed=campaign_seed,
+        resource_pool=pool_arg, collect_digests=collect_digests,
+    )
     results: Dict[Cell, RunResult] = {}
     errors: Dict[Cell, str] = {}
     supervisor = ExecutionSupervisor(store=store, ledger=ledger, policy=policy)
-    # in-process, the second signal must preempt the running cell, so it
-    # raises; a pool parent polls the flags instead, because a raise
-    # could land inside pool bookkeeping and corrupt teardown.
-    control = ShutdownControl(raise_on_hard=in_process)
-    control.install()
 
     def on_cell(status: str, cell: Cell, payload: object, cmeta: dict) -> None:
         run: Optional[RunResult] = None
@@ -679,42 +724,10 @@ def run_campaign(
         if on_progress is not None:
             on_progress(progress)
 
-    interrupted = False
-    try:
-        if in_process:
-            stats.chunks = len(remaining)
-            for cell in remaining:
-                if control.draining or control.hard:
-                    interrupted = True
-                    break
-                supervisor.begin(cell, worker=os.getpid())
-                try:
-                    rows = _run_chunk([cell], *worker_args)
-                except KeyboardInterrupt:
-                    # hard cancel mid-cell: the repetition is lost (it
-                    # re-runs on resume), but nothing partial was written.
-                    supervisor.close(
-                        cell, "interrupted", "hard-cancelled mid-cell"
-                    )
-                    interrupted = True
-                    break
-                for row in rows:
-                    on_cell(*row)
-        else:
-            chunks = plan_chunks(remaining, jobs)
-            stats.chunks = len(chunks)
-            interrupted = _execute_chunks(
-                chunks, jobs, worker_args, stats, on_cell,
-                supervisor=supervisor, control=control, policy=policy,
-                campaign_seed=campaign_seed,
-            )
-    except KeyboardInterrupt:
-        # a hard cancel landing between cells (or inside a ledger/store
-        # call): transactions keep the store consistent either way.
-        interrupted = True
-    finally:
-        control.restore()
-
+    interrupted = _execute(
+        fn, remaining, jobs, cell_cost, on_cell, supervisor, policy, stats,
+        campaign_seed=campaign_seed,
+    )
     stats.wall_s = time.perf_counter() - t0
     # Re-assemble in grid order: deterministic, independent of worker
     # completion order.
@@ -749,25 +762,59 @@ def run_campaign(
     return out
 
 
-def parallel_map(
-    fn: Callable,
-    items: Sequence,
-    jobs: int = 1,
-) -> List:
-    """Order-preserving process-parallel map for campaign-style drivers.
+class GridError(RuntimeError):
+    """Cells of a :func:`run_grid` grid failed; ``errors`` names them."""
 
-    ``fn`` must be a module-level (picklable) callable and every item's
-    result must be independent of the others — true for the ablation and
-    calibration drivers, whose samples are seeded per item. Falls back
-    to a plain in-process loop when ``jobs`` resolves to one worker or
-    there is at most one item, so callers need no single-CPU special
-    case. Unlike the campaign runner this helper does not survive
-    worker crashes; a crash propagates as :class:`BrokenProcessPool`.
+    def __init__(self, errors: List[CellError], total: int) -> None:
+        self.errors = errors
+        super().__init__(
+            f"{len(errors)} of {total} cell(s) failed: " + "; ".join(
+                f"({e.exp_id}, {e.n_tasks}, {e.rep}) {e.error}"
+                for e in errors
+            )
+        )
+
+
+def run_grid(
+    fn: Callable[[Cell], object], cells: Sequence[Cell], jobs: int = 1,
+) -> List:
+    """Run ``fn`` on every cell; returns the results in ``cells`` order.
+
+    ``fn`` is a picklable function of one cell (module-level, or a
+    :func:`functools.partial` of one) whose result depends on the cell
+    alone. Every cell is leased in a private in-memory store and run as
+    a campaign cell is, on ``jobs`` workers (0 = one per usable CPU). A
+    cell that raises or crashes its worker stops no other;
+    :class:`GridError` names every failed cell once the rest are done.
+    SIGINT/SIGTERM drain the in-flight cells and raise
+    :class:`~repro.experiments.resilience.CampaignInterrupted`.
     """
-    items = list(items)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        return [f.result() for f in futures]
+    cells = list(cells)
+    results: Dict[Cell, object] = {}
+    errors: Dict[Cell, str] = {}
+    with CampaignStore(":memory:") as store:
+        supervisor = ExecutionSupervisor(store)
+
+        def on_cell(status: str, cell: Cell, payload: object, _) -> None:
+            if status == "ok":
+                results[cell] = payload
+                supervisor.close(cell, "committed")
+            else:
+                errors[cell] = str(payload)
+                supervisor.fail(cell, str(payload))
+
+        interrupted = _execute(
+            fn, cells, resolve_jobs(jobs), lambda cell: 1, on_cell,
+            supervisor, ResiliencePolicy(), RunnerStats(),
+        )
+    if interrupted:
+        raise CampaignInterrupted(
+            f"interrupted after {len(results) + len(errors)}/{len(cells)} "
+            "cells"
+        )
+    if errors:
+        raise GridError(
+            [CellError(*c, error=errors[c]) for c in cells if c in errors],
+            len(cells),
+        )
+    return [results[c] for c in cells]

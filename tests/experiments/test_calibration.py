@@ -42,6 +42,13 @@ def test_render(gordon_cal):
     assert "probe waits" in text
 
 
+def test_render_reports_the_simulated_hours(gordon_cal):
+    text = render_calibration({"gordon-sim": gordon_cal})
+    assert text.startswith(
+        "Substrate calibration (8 simulated hours per resource):"
+    )
+
+
 def test_deterministic():
     a = calibrate_resource("gordon-sim", seed=9, hours=4, n_probes=1)
     b = calibrate_resource("gordon-sim", seed=9, hours=4, n_probes=1)

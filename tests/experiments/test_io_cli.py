@@ -156,6 +156,68 @@ class TestCLI:
         assert "calibration" in out
         assert "stampede-sim" in out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["campaign", "--reps", "0"], "--reps"),
+        (["ablation", "pilots", "--reps", "0"], "--reps"),
+        (["campaign", "-j", "-1"], "-j/--jobs"),
+        (["ablation", "pilots", "-j", "-1"], "-j/--jobs"),
+        (["calibrate", "-j", "-1"], "-j/--jobs"),
+        (["calibrate", "--hours", "0"], "--hours"),
+        (["calibrate", "--hours", "-2"], "--hours"),
+    ])
+    def test_rejects_out_of_range_inputs(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro ")
+        assert f"argument {flag}: must be " in err
+
+    def test_calibrate_header_reports_simulated_hours(self, capsys):
+        assert main(["calibrate", "--hours", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "Substrate calibration (1 simulated hour per resource):"
+        )
+
+    @staticmethod
+    def _failing_sample(arms, cell):
+        raise ValueError(f"boom at rep {cell[2]}")
+
+    def test_ablation_failure_is_one_line_and_nonzero(
+        self, capsys, monkeypatch
+    ):
+        from repro.experiments import ablation
+
+        monkeypatch.setattr(ablation, "_sample", self._failing_sample)
+        assert main(["ablation", "scheduler", "--reps", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 2 of 2 cell(s) failed: (0, 256, 0) ValueError: boom at "
+            "rep 0; (1, 256, 0) ValueError: boom at rep 0\n"
+        )
+
+    def test_ablation_sigint_drains_and_exits_nonzero(
+        self, capsys, monkeypatch
+    ):
+        """A first SIGINT lets the running sample finish, starts no
+        other, and ends the study with one line on stderr."""
+        import os
+        import signal
+
+        from repro.experiments import ablation
+
+        def interrupted_sample(arms, cell):
+            os.kill(os.getpid(), signal.SIGINT)
+            return 1.0, 2.0
+
+        monkeypatch.setattr(ablation, "_sample", interrupted_sample)
+        assert main(["ablation", "scheduler", "--reps", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: interrupted after 1/4 cells\n"
+
     def test_run_with_timeline_and_save(self, tmp_path, capsys):
         path = tmp_path / "session.json"
         rc = main([

@@ -11,6 +11,8 @@ unobserved resources' events are gone), so they are not compared.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ from repro.cluster import PRESETS
 from repro.core import Binding, PlannerConfig
 from repro.experiments import TABLE1, build_environment, run_single
 from repro.experiments import campaign
-from repro.experiments.ablation import _observed_environment, _run_once
+from repro.experiments.ablation import _Arm, _sample
 from repro.experiments.campaign import run_cell_report
+from repro.experiments.environment import draw_observed
 from repro.skeleton import SkeletonAPI, paper_skeleton
 from repro.telemetry.causality import attribute_report
 
@@ -83,6 +86,20 @@ def test_environment_holds_only_the_chosen_resources(exp_id):
     assert set(env.bundle.resources()) == set(chosen)
 
 
+def _run_once(seed, n_tasks, binding, scheduler, n_pilots,
+              resource_pool=None):
+    """One ablation sample of the paper skeleton with entropy ``seed``."""
+    presets = (
+        tuple(PRESETS[n] for n in resource_pool) if resource_pool else None
+    )
+    arm = _Arm(
+        "sample", seed, n_pilots, partial(paper_skeleton, gaussian=False),
+        (2 * 3600.0, 12 * 3600.0), binding=binding, scheduler=scheduler,
+        presets=presets,
+    )
+    return _sample((arm,), (0, n_tasks, 0))
+
+
 def _full_pool_run_once(seed, n_tasks, binding, scheduler, n_pilots,
                         resource_pool=None):
     ss = np.random.SeedSequence(entropy=seed)
@@ -142,7 +159,7 @@ def test_unknown_pool_name_lists_known_presets(no_build):
     assert "'nope'" in message
     assert all(name in message for name in PRESETS)
     with pytest.raises(ValueError, match="unknown resource preset"):
-        _run_once(1, 8, Binding.EARLY, "direct", 1, resource_pool=("nope",))
+        draw_observed(np.random.default_rng(0), 1, (0.0, 1.0), ("nope",))
 
 
 def test_more_pilots_than_resources_names_both_numbers(no_build):
@@ -150,7 +167,7 @@ def test_more_pilots_than_resources_names_both_numbers(no_build):
         run_cell_report(TABLE1[3], 8, resource_pool=("comet-sim",))
     assert "pool has 1" in str(exc.value)
     with pytest.raises(ValueError, match=r"4 pilots.*pool has 2"):
-        _observed_environment(
-            np.random.default_rng(0), 1, 4, (0.0, 1.0),
+        _run_once(
+            1, 8, Binding.LATE, "backfill", 4,
             resource_pool=("comet-sim", "gordon-sim"),
         )

@@ -42,8 +42,8 @@ from repro.experiments.campaign import CellError
 from repro.experiments.runner import RunnerStats
 
 # reuse the module-level worker hooks the runner tests ship (workers
-# import them by dotted path, so they must live at module scope).
-from tests.experiments.test_runner import (  # noqa: F401
+# unpickle them by reference, so they must live at module scope).
+from tests.experiments.test_runner import (
     _error_run,
     _fake_run,
     _stored_outcome,
@@ -214,7 +214,7 @@ class TestHardCancel:
             with pytest.raises(CampaignInterrupted):
                 run_campaign(
                     experiments=(1,), task_counts=(8,), reps=1, jobs=jobs,
-                    run_fn="tests.experiments.test_resume:_signal_twice_run",
+                    run_fn=_signal_twice_run,
                     store=store,
                 )
             assert time.monotonic() - w0 < 30
@@ -233,7 +233,7 @@ class TestParallelResume:
         clean = str(tmp_path / "clean.sqlite")
         with CampaignStore(clean) as store:
             run_campaign(
-                jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
+                jobs=1, run_fn=_fake_run,
                 store=store, **GRID_KW,
             )
 
@@ -246,7 +246,7 @@ class TestParallelResume:
         with CampaignStore(partial) as store:
             stats = RunnerStats()
             result = run_campaign(
-                jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
+                jobs=1, run_fn=_fake_run,
                 store=store, resume=True, stats=stats, **GRID_KW,
             )
             assert store.lease_count() == 0  # stale lease reclaimed
@@ -266,7 +266,7 @@ class TestParallelResume:
                 store.put_run(_fake_run((1, 8, 0), 0, None, False))
             with pytest.raises(StoreInUseError, match="pass --resume"):
                 run_campaign(
-                    jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
+                    jobs=1, run_fn=_fake_run,
                     store=store, **GRID_KW,
                 )
             assert store.attempt_count() == 0  # nothing was dispatched
@@ -279,21 +279,21 @@ class TestParallelResume:
         clean = str(tmp_path / "clean.sqlite")
         with CampaignStore(clean) as store:
             run_campaign(
-                jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
+                jobs=1, run_fn=_fake_run,
                 store=store, **GRID_KW,
             )
 
         chaos = str(tmp_path / "chaos.sqlite")
         with CampaignStore(chaos) as store:
             result = run_campaign(
-                jobs=1, run_fn="tests.experiments.test_runner:_error_run",
+                jobs=1, run_fn=_error_run,
                 store=store, **GRID_KW,
             )
             assert len(result.errors) == 2
         # plain resume skips quarantined cells: nothing to do, errors stay
         with CampaignStore(chaos) as store:
             result = run_campaign(
-                jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
+                jobs=1, run_fn=_fake_run,
                 store=store, resume=True, **GRID_KW,
             )
             assert len(result.errors) == 2
@@ -301,7 +301,7 @@ class TestParallelResume:
         # store converges to the clean run, digest-identical.
         with CampaignStore(chaos) as store:
             result = run_campaign(
-                jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
+                jobs=1, run_fn=_fake_run,
                 store=store, resume=True,
                 resilience=ResiliencePolicy(retry_errors=True),
                 **GRID_KW,
@@ -323,7 +323,7 @@ class TestHungWorker:
         stats = RunnerStats()
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
             result = run_campaign(
-                jobs=2, run_fn="tests.experiments.test_resume:_hang_run",
+                jobs=2, run_fn=_hang_run,
                 resilience=policy, stats=stats, store=store, **GRID_KW,
             )
             rows = store.attempt_rows(1, 16, 1)
@@ -355,7 +355,7 @@ class TestHungWorker:
         )
         stats = RunnerStats()
         result, states, quarantined, kinds = _stored_outcome(
-            tmp_path, jobs, "tests.experiments.test_resume:_hang_run",
+            tmp_path, jobs, _hang_run,
             resilience=policy, stats=stats, **GRID_KW,
         )
         hung = (1, 16, 1)
@@ -393,14 +393,14 @@ class TestResumeLedger:
         with CampaignStore(path) as store:
             ledger = RunLedger(ndjson, store=store)
             run_campaign(
-                jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
+                jobs=1, run_fn=_fake_run,
                 store=store, ledger=ledger, **GRID_KW,
             )
             ledger.close()
         with CampaignStore(path) as store:
             ledger = RunLedger(ndjson, store=store, append=True)
             run_campaign(
-                jobs=1, run_fn="tests.experiments.test_runner:_fake_run",
+                jobs=1, run_fn=_fake_run,
                 store=store, ledger=ledger, resume=True, **GRID_KW,
             )
             ledger.close()

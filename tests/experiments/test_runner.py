@@ -8,6 +8,7 @@ repetition seeds itself from its grid coordinates alone and every
 """
 
 import dataclasses
+import functools
 import json
 import os
 import time
@@ -27,9 +28,10 @@ from repro.experiments.io import run_to_dict
 from repro.experiments.runner import (
     RunnerStats,
     cell_cost,
-    parallel_map,
+    GridError,
     plan_chunks,
     resolve_jobs,
+    run_grid,
 )
 
 
@@ -40,7 +42,7 @@ def _canon(runs):
     )
 
 
-# -- module-level run functions (workers import them by path) ------------------
+# -- module-level run functions (workers unpickle them by reference) ----------
 
 _FAKE_FIELDS = dict(
     resources=("r",), ttc=1.0, tw=0.0, tw_last=0.0, tx=0.0, ts=0.0,
@@ -74,8 +76,19 @@ def _crash_beside_slow_run(cell, campaign_seed, resource_pool, collect_digests):
     return _crash_run(cell, campaign_seed, resource_pool, collect_digests)
 
 
-def _double(x):
-    return 2 * x
+def _double(cell):
+    return 2 * cell[2]
+
+
+def _fail_rep_1(marks, how, cell):
+    """Raise (``how="raise"``) or kill the worker (``"exit"``) on rep 1;
+    any other cell leaves a marker file in ``marks`` as it completes."""
+    if cell[2] == 1:
+        if how == "exit":
+            os._exit(13)  # simulate a segfaulting worker
+        raise ValueError("injected failure")
+    open(os.path.join(marks, "%d-%d-%d" % cell), "w").close()
+    return cell
 
 
 def _stored_outcome(tmp_path, jobs, run_fn, **kwargs):
@@ -126,24 +139,26 @@ class TestPlanChunks:
     ]
 
     def test_covers_every_cell_exactly_once(self):
-        chunks = plan_chunks(self.GRID, jobs=4)
+        chunks = plan_chunks(self.GRID, jobs=4, cost=cell_cost)
         flat = [c for chunk in chunks for c in chunk]
         assert sorted(flat) == sorted(self.GRID)
 
     def test_biggest_cells_dispatch_first(self):
-        chunks = plan_chunks(self.GRID, jobs=4)
+        chunks = plan_chunks(self.GRID, jobs=4, cost=cell_cost)
         assert chunks[0][0][1] == 2048
         costs = [cell_cost(c) for chunk in chunks for c in chunk]
         assert costs == sorted(costs, reverse=True)
 
     def test_deterministic(self):
-        assert plan_chunks(self.GRID, jobs=4) == plan_chunks(self.GRID, 4)
+        assert plan_chunks(self.GRID, 4, cell_cost) == plan_chunks(
+            self.GRID, 4, cell_cost
+        )
 
     def test_empty_grid(self):
-        assert plan_chunks([], jobs=4) == []
+        assert plan_chunks([], jobs=4, cost=cell_cost) == []
 
     def test_single_worker_still_chunks(self):
-        chunks = plan_chunks(self.GRID, jobs=1)
+        chunks = plan_chunks(self.GRID, jobs=1, cost=cell_cost)
         assert sum(len(c) for c in chunks) == len(self.GRID)
 
     def test_cost_scales_with_observed_resources(self):
@@ -155,7 +170,8 @@ class TestPlanChunks:
 
     def test_equal_costs_keep_grid_order(self):
         grid = [(1, 64, r) for r in range(5)] + [(2, 64, r) for r in range(5)]
-        flat = [c for chunk in plan_chunks(grid, jobs=2) for c in chunk]
+        chunks = plan_chunks(grid, jobs=2, cost=cell_cost)
+        flat = [c for chunk in chunks for c in chunk]
         assert flat == grid
 
 
@@ -241,7 +257,7 @@ class TestPrivateStoreEqualsFileStore:
         # jobs=2 which cells share the broken pool depends on timing.)
         jobs = 1
         kwargs = dict(
-            run_fn="tests.experiments.test_runner:_crash_run",
+            run_fn=_crash_run,
             resilience=ResiliencePolicy(cell_timeout_s=60.0),
             experiments=(1,), task_counts=(8, 16), reps=2, campaign_seed=0,
         )
@@ -271,7 +287,7 @@ class TestContainment:
         under a pool the crash costs that cell only.
         """
         result, states, quarantined, kinds = _stored_outcome(
-            tmp_path, jobs, "tests.experiments.test_runner:_error_run",
+            tmp_path, jobs, _error_run,
             **self.GRID_KW,
         )
         ok, bad = [(1, 8, 0), (1, 16, 0)], [(1, 8, 1), (1, 16, 1)]
@@ -293,7 +309,7 @@ class TestContainment:
     def test_worker_crash_contained_to_one_cell(self):
         stats = RunnerStats()
         result = run_campaign(
-            jobs=2, run_fn="tests.experiments.test_runner:_crash_run",
+            jobs=2, run_fn=_crash_run,
             stats=stats, **self.GRID_KW,
         )
         # the crashing repetition is reported, the other three survive
@@ -309,7 +325,7 @@ class TestContainment:
         was running beside the crash is retried alone, not charged."""
         result = run_campaign(
             jobs=2,
-            run_fn="tests.experiments.test_runner:_crash_beside_slow_run",
+            run_fn=_crash_beside_slow_run,
             **self.GRID_KW,
         )
         assert [(e.exp_id, e.n_tasks, e.rep) for e in result.errors] == [
@@ -322,7 +338,7 @@ class TestContainment:
     def test_progress_callback_counts_to_total(self):
         seen = []
         result = run_campaign(
-            jobs=2, run_fn="tests.experiments.test_runner:_fake_run",
+            jobs=2, run_fn=_fake_run,
             on_progress=seen.append,
             **self.GRID_KW,
         )
@@ -337,7 +353,7 @@ class TestContainment:
 
     def test_results_in_grid_order_regardless_of_completion(self):
         result = run_campaign(
-            jobs=2, run_fn="tests.experiments.test_runner:_fake_run",
+            jobs=2, run_fn=_fake_run,
             **self.GRID_KW,
         )
         assert [(r.exp_id, r.n_tasks, r.rep) for r in result.runs] == [
@@ -345,18 +361,56 @@ class TestContainment:
         ]
 
 
-# -- parallel_map --------------------------------------------------------------
+# -- run_grid: the executor for ablation-style grids --------------------------
 
 
-class TestParallelMap:
+class TestRunGrid:
+    @staticmethod
+    def _cells(n):
+        return [(0, 8, rep) for rep in range(n)]
+
     def test_serial_fallback_preserves_order(self):
-        assert parallel_map(_double, [3, 1, 2], jobs=1) == [6, 2, 4]
+        cells = [(0, 8, 3), (0, 8, 1), (0, 8, 2)]
+        assert run_grid(_double, cells, jobs=1) == [6, 2, 4]
 
     def test_parallel_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(_double, items, jobs=4) == [
-            2 * i for i in items
-        ]
+        cells = self._cells(20)
+        assert run_grid(_double, cells, jobs=4) == [2 * i for i in range(20)]
 
     def test_single_item_runs_in_process(self):
-        assert parallel_map(_double, [21], jobs=8) == [42]
+        assert run_grid(_double, [(0, 8, 21)], jobs=8) == [42]
+
+    # an ablation-style grid: two arms x three reps, rep 1 of each bad
+    ARMS = [(arm, 8, rep) for arm in range(2) for rep in range(3)]
+    BAD = [(0, 8, 1), (1, 8, 1)]
+
+    def _failing_grid(self, tmp_path, how, jobs):
+        """Run the grid; return its GridError and the completed cells."""
+        fn = functools.partial(_fail_rep_1, str(tmp_path), how)
+        with pytest.raises(GridError) as info:
+            run_grid(fn, self.ARMS, jobs=jobs)
+        done = sorted(
+            tuple(int(x) for x in name.split("-"))
+            for name in os.listdir(tmp_path)
+        )
+        return info.value, done
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_cell_is_named_after_the_rest_finish(self, tmp_path, jobs):
+        err, done = self._failing_grid(tmp_path, "raise", jobs)
+        assert done == [c for c in self.ARMS if c not in self.BAD]
+        assert err.errors == [
+            CellError(*c, error="ValueError: injected failure")
+            for c in self.BAD
+        ]
+        assert str(err).startswith("2 of 6 cell(s) failed: ")
+        assert "(0, 8, 1) ValueError: injected failure" in str(err)
+        assert "(1, 8, 1) ValueError: injected failure" in str(err)
+
+    def test_crashing_cell_is_contained(self, tmp_path):
+        err, done = self._failing_grid(tmp_path, "exit", jobs=2)
+        assert done == [c for c in self.ARMS if c not in self.BAD]
+        assert [(e.exp_id, e.n_tasks, e.rep) for e in err.errors] == self.BAD
+        assert all("crashed" in e.error for e in err.errors)
+        assert "(0, 8, 1) worker process crashed" in str(err)
+        assert "(1, 8, 1) worker process crashed" in str(err)

@@ -19,8 +19,13 @@ from repro.experiments import CampaignStore, run_campaign
 from repro.experiments.campaign import CellError, RunResult
 
 # reuse the module-level worker hooks the runner tests ship (workers
-# import them by dotted path, so they must live at module scope).
-from tests.experiments.test_runner import _FAKE_FIELDS
+# unpickle them by reference, so they must live at module scope).
+from tests.experiments.test_runner import (
+    _FAKE_FIELDS,
+    _crash_run,
+    _error_run,
+    _fake_run,
+)
 
 GRID_KW = dict(
     experiments=(1,), task_counts=(8, 16), reps=2, campaign_seed=0,
@@ -109,7 +114,7 @@ class TestLiveCampaignReaders:
             try:
                 result = run_campaign(
                     jobs=2,
-                    run_fn="tests.experiments.test_runner:_fake_run",
+                    run_fn=_fake_run,
                     store=store,
                     **GRID_KW,
                 )
@@ -129,7 +134,7 @@ class TestLiveCampaignReaders:
         with CampaignStore(path) as store:
             result = run_campaign(
                 jobs=2,
-                run_fn="tests.experiments.test_runner:_crash_run",
+                run_fn=_crash_run,
                 store=store,
                 **GRID_KW,
             )
@@ -151,7 +156,7 @@ class TestLiveCampaignReaders:
         with CampaignStore(path) as store:
             result = run_campaign(
                 jobs=2,
-                run_fn="tests.experiments.test_runner:_error_run",
+                run_fn=_error_run,
                 store=store,
                 **GRID_KW,
             )
