@@ -18,12 +18,33 @@ Both degrade gracefully on thin history (falling back to a prior).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 #: History record: (finish_or_start_time, wait_seconds, cores)
 WaitSample = Tuple[float, float, int]
+
+
+@lru_cache(maxsize=4096)
+def binomial_rank(n: int, quantile: float, confidence: float) -> int:
+    """Index into ``n`` sorted samples that upper-bounds the ``quantile``
+    with probability ``confidence``.
+
+    The smallest rank k such that P(X_(k) >= q-quantile) >= confidence,
+    i.e. Binomial(n, q) CDF at k-1 >= confidence, found by walking the
+    CDF once; ``n - 1`` when the walk never reaches the confidence. The
+    rank depends only on its arguments, so it is memoized: a predictor
+    queried over a full history ring walks the CDF once, not per query.
+    """
+    cdf = 0.0
+    q = quantile
+    for k in range(n):
+        cdf += math.comb(n, k) * q**k * (1 - q) ** (n - k)
+        if cdf >= confidence:
+            return min(k, n - 1)
+    return n - 1
 
 
 class QuantilePredictor:
@@ -60,17 +81,7 @@ class QuantilePredictor:
         if len(waits) < self.min_samples:
             return self.prior_seconds
         xs = np.sort(np.asarray(waits))
-        n = len(xs)
-        # Find the smallest rank k such that P(X_(k) >= q-quantile) >= conf,
-        # i.e. Binomial(n, q) CDF at k-1 >= confidence.
-        # Walk the binomial CDF once (n is at most the history ring size).
-        cdf = 0.0
-        q = self.quantile
-        for k in range(n):
-            cdf += math.comb(n, k) * q**k * (1 - q) ** (n - k)
-            if cdf >= self.confidence:
-                return float(xs[min(k, n - 1)])
-        return float(xs[-1])
+        return float(xs[binomial_rank(len(xs), self.quantile, self.confidence)])
 
     def _relevant_waits(
         self, history: Sequence[WaitSample], cores: Optional[int]

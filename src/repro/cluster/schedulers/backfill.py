@@ -13,16 +13,24 @@ faithfully matters for the paper's queue-wait dynamics.
 Both schedulers read the cluster's incrementally maintained
 :class:`~.base.RunningMirror` through ``view.mirror`` — the end-sorted
 running set is patched with start/finish deltas at the moment jobs
-start and finish, never re-sorted per pass.
+start and finish, never re-sorted per pass. The conservative scheduler
+also keeps its reservation plan between passes: a pass that follows no
+finish plans only the jobs the previous pass left unplanned (see
+:class:`ConservativeBackfillScheduler`).
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import List
+from typing import List, NamedTuple, Optional
 
 from ..job import BatchJob
-from .base import AllocationProfile, BatchScheduler, SchedulerView
+from .base import (
+    AllocationProfile,
+    BatchScheduler,
+    RunningMirror,
+    SchedulerView,
+)
 
 
 class EasyBackfillScheduler(BatchScheduler):
@@ -90,6 +98,18 @@ class EasyBackfillScheduler(BatchScheduler):
         return picks
 
 
+class _KeptPlan(NamedTuple):
+    """What one conservative pass leaves for the next."""
+
+    mirror: RunningMirror
+    releases: int
+    #: the mirror's start count once the pass's picks have started.
+    starts: int
+    profile: AllocationProfile
+    #: the jobs reserved but not picked, in queue order.
+    unpicked: List[BatchJob]
+
+
 class ConservativeBackfillScheduler(BatchScheduler):
     """Conservative backfilling: reservations for every queued job.
 
@@ -101,37 +121,105 @@ class ConservativeBackfillScheduler(BatchScheduler):
 
     The base profile (capacity releases from running jobs) comes from
     the cluster's running mirror — start/finish deltas, no per-call
-    sort — and the per-pass reservation plan uses bisect-based
-    breakpoint insertion and a skip-jump anchor search (see
-    :class:`~.base.AllocationProfile`).
+    sort — and reservations use bisect-based breakpoint insertion and a
+    skip-jump anchor search (see :class:`~.base.AllocationProfile`).
+
+    **The plan is kept across passes.** After a pass the scheduler keeps
+    its profile and the jobs it reserved but did not pick. The next pass
+    resumes that plan, planning only the jobs behind them, when
+
+    * the view's mirror is the same object and has seen no finish since
+      the last pass (:attr:`~.base.RunningMirror.releases`);
+    * the only starts since then are the last pass's own picks
+      (:attr:`~.base.RunningMirror.starts`);
+    * the pending queue begins with the kept jobs, as the same objects
+      in the same order; and
+    * no breakpoint after the kept profile's first one lies at or before
+      ``now``.
+
+    Otherwise the pass plans from scratch. Resuming is exact — it picks
+    what a fresh scheduler would. Without a finish, the profile a fresh
+    pass builds equals the kept base profile less the picks'
+    reservations, which the kept profile already holds: a started pick
+    releases at ``start + walltime``, exactly where its reservation
+    ends. Every breakpoint after the old ``now`` is also after the new
+    one, so moving the first breakpoint to ``now`` changes no level. A
+    fresh pass re-reserves the kept jobs first, on a profile no higher
+    than the one each met when the kept pass reserved it, so every
+    window that failed then still fails. The kept anchor still fits,
+    because every level stays non-negative after all reservations. So
+    no kept anchor moves, none is ``now``, and the tail is planned on
+    the same step function either way. Anchors depend only on the step
+    function, not on which redundant breakpoints it carries.
     """
 
     name = "conservative-backfill"
 
+    def __init__(self) -> None:
+        self._kept: Optional[_KeptPlan] = None
+
     def select(self, view: SchedulerView) -> List[BatchJob]:
-        entries = view.mirror.entries
+        mirror = view.mirror
         now = view.now
-        if view.free_cores == 0 and (not entries or entries[0][0] > now):
-            # The profile's level at now would be exactly free_cores
-            # (no release folds into the base level), so nothing can be
-            # picked — skip building the profile entirely.
-            return []
-        profile = AllocationProfile.from_entries(
-            now, view.free_cores, entries
-        )
+        profile = self._resume(view)
+        if profile is None:
+            entries = mirror.entries
+            if view.free_cores == 0 and (not entries or entries[0][0] > now):
+                # The profile's level at now would be exactly free_cores
+                # (no release folds into the base level), so nothing can
+                # be picked — skip building the profile entirely.
+                self._kept = None
+                return []
+            profile = AllocationProfile.from_entries(
+                now, view.free_cores, entries
+            )
+            unpicked: List[BatchJob] = []
+        else:
+            unpicked = self._kept.unpicked
         picks: List[BatchJob] = []
         free_now = profile.free_at
-        if free_now[0] == 0:
-            return picks  # nothing free at now => nothing can be picked
-        for job in view.pending:
+        pending = view.pending
+        # Plan from the first job the kept plan has not reserved. Only
+        # jobs anchored at now are picked, so once the capacity free at
+        # now is exhausted the remaining reservations cannot change the
+        # picks; they are left unplanned for a later pass.
+        i = len(unpicked)
+        while free_now[0] and i < len(pending):
+            job = pending[i]
+            i += 1
             anchor = profile.find_anchor(job.cores, job.walltime)
             profile.reserve(anchor, job.cores, job.walltime)
             if anchor == now:
                 picks.append(job)
-                # Only jobs anchored at *now* are externally visible; the
-                # profile exists for this pass alone. Once the capacity
-                # free at now is exhausted no later job can anchor there,
-                # so the remaining reservations cannot change the picks.
-                if free_now[0] == 0:
-                    break
+            else:
+                unpicked.append(job)
+        self._kept = _KeptPlan(
+            mirror, mirror.releases, mirror.starts + len(picks), profile,
+            unpicked,
+        )
         return picks
+
+    def _resume(self, view: SchedulerView) -> Optional[AllocationProfile]:
+        """The kept profile moved to ``view.now``, or None when the last
+        pass's plan does not carry over (see the class docstring)."""
+        kept = self._kept
+        if kept is None:
+            return None
+        mirror, releases, starts, profile, unpicked = kept
+        if (
+            view.mirror is not mirror
+            or mirror.releases != releases
+            or mirror.starts != starts
+        ):
+            return None
+        pending = view.pending
+        if len(pending) < len(unpicked) or any(
+            a is not b for a, b in zip(unpicked, pending)
+        ):
+            return None
+        times = profile.times
+        now = view.now
+        if len(times) > 1 and times[1] <= now:
+            return None
+        times[0] = now
+        return profile

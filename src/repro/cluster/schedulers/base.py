@@ -1,9 +1,12 @@
 """Batch-scheduler interface for the simulated resources.
 
-A scheduler is a pure policy: given a read-only view of the resource
-state it returns the ordered list of pending jobs to start *now*. The
-cluster facade owns all mutation (allocation, state transitions, end
-events), so policies stay small and independently testable.
+A scheduler is a policy: given a read-only view of the resource state
+it returns the ordered list of pending jobs to start *now*. The cluster
+facade owns all mutation (allocation, state transitions, end events),
+so policies stay small and independently testable. A policy may keep
+its own plan between passes — conservative backfilling keeps its
+:class:`AllocationProfile` while the running set only gains its picks —
+but its picks must equal those of a fresh instance on the same view.
 
 Schedulers plan with *requested* walltimes, never actual runtimes —
 they know exactly what a production resource manager would know.
@@ -33,9 +36,10 @@ class SchedulerView(NamedTuple):
     per scheduler pass on the hot path, and tuple construction is
     several times cheaper than per-field ``object.__setattr__``.
 
-    ``pending`` and ``mirror`` alias live cluster state — they are
-    valid for the duration of the ``select`` call only, and policies
-    must not retain or mutate them.
+    ``pending`` and ``mirror`` alias live cluster state. Policies must
+    not mutate them, and may read ``pending`` during the ``select`` call
+    only; keeping the ``mirror`` object to recognise it, and its
+    counters, on a later pass is allowed.
 
     Attributes
     ----------
@@ -86,17 +90,25 @@ class RunningMirror:
     :attr:`SchedulerView.mirror`.
     """
 
-    __slots__ = ("_jobs", "_seq", "entries")
+    __slots__ = ("_jobs", "_seq", "releases", "entries")
 
     def __init__(self) -> None:
         #: uid -> (expected_end, start_seq)
         self._jobs: Dict[int, Tuple[float, int]] = {}
         self._seq = 0
+        #: finishes recorded so far; with :attr:`starts` it tells a
+        #: policy whether the running set changed since its last pass.
+        self.releases = 0
         #: sorted list of (expected_end, start_seq, cores)
         self.entries: List[Tuple[float, int, int]] = []
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def starts(self) -> int:
+        """Starts recorded so far."""
+        return self._seq
 
     def next_seq(self) -> int:
         """A sequence number larger than any start order in the mirror."""
@@ -112,6 +124,7 @@ class RunningMirror:
         """Record that job ``uid`` left the machine (done/killed/cancelled)."""
         end, seq = self._jobs.pop(uid)
         del self.entries[bisect_left(self.entries, (end, seq))]
+        self.releases += 1
 
 
 class AllocationProfile:
@@ -188,13 +201,12 @@ class AllocationProfile:
 
     def reserve(self, anchor: float, cores: int, walltime: float) -> None:
         """Subtract ``cores`` over ``[anchor, anchor + walltime)``."""
-        times = self.times
         free_at = self.free_at
-        end = anchor + walltime
         lo = self._ensure_breakpoint(anchor)
-        self._ensure_breakpoint(end)
-        for j in range(lo, bisect_left(times, end, lo)):
-            free_at[j] -= cores
+        # The window's end is not before its anchor, so inserting the
+        # end cannot shift ``lo``.
+        hi = self._ensure_breakpoint(anchor + walltime)
+        free_at[lo:hi] = [level - cores for level in free_at[lo:hi]]
 
     def _ensure_breakpoint(self, boundary: float) -> int:
         """Insert ``boundary`` (inheriting the level in effect there) if

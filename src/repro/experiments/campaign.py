@@ -14,11 +14,11 @@ This module is the campaign model: the specs, one repetition
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import json
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -32,26 +32,37 @@ from .environment import build_environment, draw_observed
 log = logging.getLogger(__name__)
 
 
-@contextmanager
-def _gc_paused():
-    """Suspend the cyclic garbage collector for one repetition.
+def _gc_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector suspended.
 
     A repetition allocates hundreds of thousands of short-lived tracked
     objects (events, trace records, state tuples); with the default
     thresholds the gen-2 collector fires mid-simulation and costs more
     than the entire attribution sweep. Pausing for the bounded lifetime
     of one repetition moves that work to the natural boundary between
-    repetitions. Reentrant (the inner pause is a no-op), and the prior
+    repetitions. Reentrant (an inner pause is a no-op), and the prior
     collector state is always restored.
+
+    The outermost pause ends with one generation-0 collection, run once
+    ``fn``'s frame is gone: the repetition's simulation, unless ``fn``
+    returns it, is freed right there. Re-enabling the collector while
+    the frame still held it would let the first automatic pass promote
+    the whole environment to generation 1, where a dozen cells of
+    garbage pile up until a generation-1 pass.
     """
-    was_enabled = gc.isenabled()
-    if was_enabled:
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
         gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.collect(0)
             gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)
@@ -222,6 +233,7 @@ class CampaignResult:
         ]
 
 
+@_gc_paused
 def run_cell_report(
     spec: ExperimentSpec,
     n_tasks: int,
@@ -256,25 +268,25 @@ def run_cell_report(
         rng, spec.n_pilots, (min_warmup_s, max_warmup_s), resource_pool,
     )
 
-    with _gc_paused():
-        env = build_environment(
-            seed=int(seeds[1]), resources=observed, telemetry=telemetry,
-        )
-        env.warm_up(offset)
+    env = build_environment(
+        seed=int(seeds[1]), resources=observed, telemetry=telemetry,
+    )
+    env.warm_up(offset)
 
-        skeleton = SkeletonAPI(
-            paper_skeleton(n_tasks, gaussian=spec.gaussian), seed=int(seeds[2])
-        )
-        config = PlannerConfig(
-            binding=spec.binding,
-            unit_scheduler=spec.unit_scheduler,
-            n_pilots=spec.n_pilots,
-            resources=chosen,
-        )
-        report = env.execution_manager.execute(skeleton, config)
+    skeleton = SkeletonAPI(
+        paper_skeleton(n_tasks, gaussian=spec.gaussian), seed=int(seeds[2])
+    )
+    config = PlannerConfig(
+        binding=spec.binding,
+        unit_scheduler=spec.unit_scheduler,
+        n_pilots=spec.n_pilots,
+        resources=chosen,
+    )
+    report = env.execution_manager.execute(skeleton, config)
     return report, env, chosen
 
 
+@_gc_paused
 def run_single(
     spec: ExperimentSpec,
     n_tasks: int,
@@ -297,23 +309,19 @@ def run_single(
     executions of the same cell (e.g. serial vs. parallel campaign)
     observed the identical simulated history.
     """
-    with _gc_paused():
-        report, env, chosen = run_cell_report(
-            spec, n_tasks, rep,
-            campaign_seed=campaign_seed,
-            resource_pool=resource_pool,
-            min_warmup_s=min_warmup_s,
-            max_warmup_s=max_warmup_s,
-            telemetry=collect_digests,
-        )
-        d = report.decomposition
-        # Causal attribution reads the graph execute built from the
-        # entity histories, so it is available (and digest-stable) with
-        # or without telemetry.
-        att = attribute_report(report)
-        # Only the RunResult outlives the cell: free the graph now, not
-        # when the collector reaches the report's cycle (em.reports).
-        report.graph = None
+    report, env, chosen = run_cell_report(
+        spec, n_tasks, rep,
+        campaign_seed=campaign_seed,
+        resource_pool=resource_pool,
+        min_warmup_s=min_warmup_s,
+        max_warmup_s=max_warmup_s,
+        telemetry=collect_digests,
+    )
+    d = report.decomposition
+    # Causal attribution reads the graph execute built from the
+    # entity histories, so it is available (and digest-stable) with
+    # or without telemetry.
+    att = attribute_report(report)
     log.debug(
         "cell exp=%d n=%d rep=%d: %s",
         spec.exp_id, n_tasks, rep, att.summary(),

@@ -8,7 +8,9 @@
 * :class:`BackfillScheduler` — **late binding**: units stay in a shared
   pool and are bound only to *active* pilots with uncommitted cores,
   earliest-activated pilot first. The first pilot out of the queue
-  starts draining the pool immediately (experiments 3–4).
+  starts draining the pool immediately (experiments 3–4). The walk over
+  the eligible units stops once no active pilot has an uncommitted
+  core, so a pass costs in proportion to what it binds.
 * :class:`RoundRobinScheduler` — late binding without capacity
   awareness: units are spread evenly over active pilots as they appear.
   Included as an ablation of the backfill policy.
@@ -39,7 +41,11 @@ class UnitScheduler(abc.ABC):
         eligible: Sequence[ComputeUnit],
         pilots: Sequence[ComputePilot],
     ) -> List[Tuple[ComputeUnit, ComputePilot]]:
-        """Return the bindings to enact now, in order."""
+        """Return the bindings to enact now, in order.
+
+        ``eligible`` is the unit manager's live eligible queue, in entry
+        order: read it during the call, never mutate or keep it.
+        """
 
 
 class DirectScheduler(UnitScheduler):
@@ -79,10 +85,14 @@ class BackfillScheduler(UnitScheduler):
         active.sort(key=lambda p: (p.activated_at, p.uid))
         out = []
         free = {p.uid: p.agent.uncommitted_cores for p in active}
+        left = sum(free.values())
         for unit in eligible:
+            if not left:
+                break  # unit cores >= 1: no later unit can fit either
             for pilot in active:
                 if free[pilot.uid] >= unit.cores:
                     free[pilot.uid] -= unit.cores
+                    left -= unit.cores
                     out.append((unit, pilot))
                     break
         return out
@@ -152,7 +162,10 @@ class LocalityScheduler(UnitScheduler):
         active.sort(key=lambda p: (p.activated_at, p.uid))
         out = []
         free = {p.uid: p.agent.uncommitted_cores for p in active}
+        left = sum(free.values())
         for unit in eligible:
+            if not left:
+                break  # unit cores >= 1: no later unit can fit either
             fitting = [p for p in active if free[p.uid] >= unit.cores]
             if not fitting:
                 continue
@@ -161,6 +174,7 @@ class LocalityScheduler(UnitScheduler):
                 key=lambda p: self._resident_inputs(unit, p.resource),
             )
             free[best.uid] -= unit.cores
+            left -= unit.cores
             out.append((unit, best))
         return out
 

@@ -9,7 +9,8 @@ by a dying pilot are automatically re-dispatched to surviving pilots.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..des import Interrupt, Process, Simulation, Waitable
 from ..net import Network, ORIGIN
@@ -52,7 +53,20 @@ class UnitManager:
             self.scheduler.network = network
         self.pilots: List[ComputePilot] = []
         self.units: List[ComputeUnit] = []
-        self._unbound: List[ComputeUnit] = []
+        #: The unbound pool: uid -> (entry seq, unit). A unit takes the
+        #: next seq each time it enters (submission or restart), so the
+        #: dict's order is entry order.
+        self._unbound: Dict[int, Tuple[int, ComputeUnit]] = {}
+        self._entries = 0
+        #: The eligible queue: unbound units with no unmet dependency,
+        #: in entry order (``_eligible_seq`` holds their seqs, so a unit
+        #: whose last dependency resolves is inserted at its entry
+        #: position). Changed only when a unit enters or leaves the
+        #: pool or its dependencies resolve, never rebuilt per pass.
+        self._eligible: List[ComputeUnit] = []
+        self._eligible_seq: List[int] = []
+        #: unit name -> unbound units of that name with unmet deps.
+        self._blocked: Dict[str, List[ComputeUnit]] = {}
         self._processes: Dict[str, Process] = {}
         #: unit names that have completed (for dependency resolution).
         self._done_names: Set[str] = set()
@@ -108,6 +122,7 @@ class UnitManager:
             descriptions = [descriptions]
         deps = depends_on or {}
         out = []
+        reused_name = False
         for desc in descriptions:
             unit = ComputeUnit(self.sim, desc)
             self.units.append(unit)
@@ -115,12 +130,17 @@ class UnitManager:
                 d for d in deps.get(desc.name, ())
                 if d not in self._done_names
             }
+            # Dependencies are kept per name: a repeated name replaces
+            # the dependency set every unit of that name is gated on.
+            reused_name = reused_name or unit.name in self._deps
             self._deps[unit.name] = unmet
             for dep in unmet:
                 self._rdeps.setdefault(dep, set()).add(unit.name)
             unit.advance(UnitState.UNSCHEDULED)
-            self._unbound.append(unit)
+            self._enter_pool(unit)
             out.append(unit)
+        if reused_name:
+            self._rebuild_eligible()
         self._schedule_pass()
         return out
 
@@ -140,8 +160,8 @@ class UnitManager:
             proc = self._processes.pop(unit.uid, None)
             if proc is not None and proc.is_alive:
                 proc.interrupt("canceled")
-            if unit in self._unbound:
-                self._unbound.remove(unit)
+            if unit.uid in self._unbound:
+                self._leave_pool(unit)
             if unit.state is not UnitState.CANCELED:
                 unit.advance(UnitState.CANCELED)
 
@@ -177,13 +197,7 @@ class UnitManager:
 
     def _run_pass(self) -> None:
         self._reschedule_pending = False
-        if not self._unbound:
-            return
-        deps_get = self._deps.get
-        eligible = [
-            u for u in self._unbound
-            if not deps_get(u.description.name)  # no unmet dependencies
-        ]
+        eligible = self._eligible
         if not eligible:
             return
         pilots = self.pilots
@@ -212,14 +226,60 @@ class UnitManager:
         tel.metrics.counter("unit-manager.bindings").inc(len(assignments))
 
     def _apply_assignments(self, assignments) -> None:
-        if not assignments:
-            return
-        # Drop every newly bound unit from the pool in one sweep — a
-        # per-assignment list.remove makes large binding passes quadratic.
-        bound = set(map(id, (u for u, _ in assignments)))
-        self._unbound = [u for u in self._unbound if id(u) not in bound]
+        # Every newly bound unit leaves the pool before any binds, as
+        # the policy returned them against the pool as it stood.
+        for unit, _ in assignments:
+            self._leave_pool(unit)
         for unit, pilot in assignments:
             self._bind(unit, pilot)
+
+    # -- the unbound pool ------------------------------------------------------------------
+
+    def _enter_pool(self, unit: ComputeUnit) -> None:
+        """Add a (re)submitted unit to the pool, behind every entry."""
+        self._entries += 1
+        seq = self._entries
+        self._unbound[unit.uid] = (seq, unit)
+        if self._deps.get(unit.name):
+            self._blocked.setdefault(unit.name, []).append(unit)
+        else:
+            self._eligible.append(unit)
+            self._eligible_seq.append(seq)
+
+    def _leave_pool(self, unit: ComputeUnit) -> None:
+        """Drop a bound or cancelled unit from the pool."""
+        seq, _ = self._unbound.pop(unit.uid)
+        if self._deps.get(unit.name):
+            self._blocked[unit.name].remove(unit)
+        else:
+            i = bisect_left(self._eligible_seq, seq)
+            del self._eligible_seq[i]
+            del self._eligible[i]
+
+    def _unblock(self, name: str) -> None:
+        """The last dependency of ``name`` resolved: its unbound units
+        join the eligible queue at their entry positions."""
+        eligible, seqs = self._eligible, self._eligible_seq
+        for unit in self._blocked.pop(name, ()):
+            seq = self._unbound[unit.uid][0]
+            i = bisect_left(seqs, seq)
+            seqs.insert(i, seq)
+            eligible.insert(i, unit)
+
+    def _rebuild_eligible(self) -> None:
+        """Re-derive the eligible queue and blocked index from the pool.
+
+        Only a repeated unit name needs this: it can gate units already
+        in the pool, so their eligibility is recomputed from scratch.
+        """
+        deps_get = self._deps.get
+        self._eligible, self._eligible_seq, self._blocked = [], [], {}
+        for seq, unit in self._unbound.values():
+            if deps_get(unit.name):
+                self._blocked.setdefault(unit.name, []).append(unit)
+            else:
+                self._eligible.append(unit)
+                self._eligible_seq.append(seq)
 
     def _bind(self, unit: ComputeUnit, pilot: ComputePilot) -> None:
         unit.pilot = pilot
@@ -318,7 +378,7 @@ class UnitManager:
         unit.advance(UnitState.FAILED)
         if unit.can_restart:
             unit.advance(UnitState.UNSCHEDULED)
-            self._unbound.append(unit)
+            self._enter_pool(unit)
             self._schedule_pass()
 
     # -- reactions ---------------------------------------------------------------------------
@@ -332,6 +392,8 @@ class UnitManager:
             if deps and name in deps:
                 deps.discard(name)
                 changed = True
+                if not deps:
+                    self._unblock(dependent)
         if changed or self._unbound:
             self._schedule_pass()
 

@@ -16,11 +16,12 @@ scripts that create the input files. We reproduce all four:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict
 
 from .model import ConcreteApplication
+
+if TYPE_CHECKING:  # networkx is optional: the ``dag`` extra
+    import networkx as nx
 
 
 def to_preparation_script(app: ConcreteApplication) -> str:
@@ -107,7 +108,12 @@ def to_json(app: ConcreteApplication) -> str:
 
 
 def to_dag(app: ConcreteApplication) -> "nx.DiGraph":
-    """Task-dependency DAG; node attributes carry the task payload."""
+    """Task-dependency DAG; node attributes carry the task payload.
+
+    Needs networkx (``pip install 'repro[dag]'``).
+    """
+    import networkx as nx
+
     g = nx.DiGraph(name=app.name)
     for t in app.all_tasks():
         g.add_node(

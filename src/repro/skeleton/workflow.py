@@ -24,9 +24,7 @@ Node attributes:
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List
 
 from .model import (
     ConcreteApplication,
@@ -35,6 +33,9 @@ from .model import (
     FileSpec,
     SkeletonError,
 )
+
+if TYPE_CHECKING:  # networkx is optional: the ``dag`` extra
+    import networkx as nx
 
 
 def partition_levels(graph: "nx.DiGraph") -> List[List[str]]:
@@ -45,6 +46,8 @@ def partition_levels(graph: "nx.DiGraph") -> List[List[str]]:
     are done. This is the decomposition used to adapt workflow phases
     to resource availability.
     """
+    import networkx as nx
+
     if not nx.is_directed_acyclic_graph(graph):
         raise SkeletonError("workflow graph must be a DAG")
     depth: Dict[str, int] = {}

@@ -1,9 +1,12 @@
 """Tests for the predictive query mode (queue-wait forecasting)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.bundle import EwmaPredictor, QuantilePredictor
+from repro.bundle.prediction import binomial_rank
 
 
 def hist(waits, cores=64, t0=0.0):
@@ -77,3 +80,32 @@ class TestEwmaPredictor:
 
     def test_constant_history_exact(self):
         assert EwmaPredictor().predict(hist([250] * 30)) == pytest.approx(250)
+
+
+def _walked_rank(n, quantile, confidence):
+    """The binomial CDF walk, unmemoized (the reference)."""
+    cdf = 0.0
+    for k in range(n):
+        cdf += math.comb(n, k) * quantile**k * (1 - quantile) ** (n - k)
+        if cdf >= confidence:
+            return min(k, n - 1)
+    return n - 1
+
+
+@pytest.mark.parametrize("quantile", [0.5, 0.75, 0.95])
+@pytest.mark.parametrize("confidence", [0.5, 0.95, 0.99])
+def test_memoized_rank_equals_the_walk(quantile, confidence):
+    for n in range(1, 513):
+        assert binomial_rank(n, quantile, confidence) == _walked_rank(
+            n, quantile, confidence
+        ), n
+
+
+def test_predict_is_the_sample_at_the_walked_rank():
+    rng = np.random.default_rng(4)
+    p = QuantilePredictor(quantile=0.75, confidence=0.95)
+    for n in (8, 9, 100, 512):
+        waits = list(rng.exponential(600, size=n))
+        rank = _walked_rank(n, 0.75, 0.95)
+        assert p.predict(hist(waits)) == float(np.sort(waits)[rank])
+        assert p.predict(hist(waits)) == p.predict(hist(waits))  # memo hit

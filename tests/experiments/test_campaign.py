@@ -176,3 +176,30 @@ def test_win_fraction_synthetic():
         result.runs.append(run(3, n, 500))
     assert win_fraction(result, 3, 1) == 1.0
     assert win_fraction(result, 1, 3) == 0.0
+
+
+@pytest.mark.parametrize("exp_id", [1, 3])
+def test_cell_simulation_is_freed_when_run_single_returns(
+    exp_id, monkeypatch
+):
+    """The cell's environment dies at the cell boundary, with no explicit
+    collection: the pause's generation-0 pass frees its cycles."""
+    import gc
+    import weakref
+
+    from repro.experiments import campaign
+
+    sims = []
+    build = campaign.build_environment
+
+    def recording_build(**kwargs):
+        env = build(**kwargs)
+        sims.append(weakref.ref(env.sim))
+        return env
+
+    monkeypatch.setattr(campaign, "build_environment", recording_build)
+    assert gc.isenabled()
+    result = run_single(TABLE1[exp_id], 8, rep=0, campaign_seed=7)
+    assert result.units_done == 8
+    assert len(sims) == 1 and sims[0]() is None
+    assert gc.isenabled()
