@@ -1,7 +1,7 @@
 """Campaign runner benchmarks: kernel throughput, speedup, digests, attribution.
 
-Four measurements, all written to ``benchmarks/BENCH_campaign.json``
-(the artifact CI uploads):
+Four measurements, all written to the untracked
+``.bench_out/BENCH_campaign.json`` (the artifact CI uploads):
 
 * **Kernel throughput** — the Exp. 3, 256-task cell with telemetry off,
   the hot-path cell the DES optimizations target. Gated three ways
@@ -24,10 +24,12 @@ Four measurements, all written to ``benchmarks/BENCH_campaign.json``
   seed must produce identical per-repetition telemetry/fault/health
   digests and identical results.
 * **Attribution fingerprint** — the causal TTC attribution of a small
-  committed grid must match the ``campaign-attribution`` baseline
-  exactly (virtual-time quantities; host-independent).
+  committed grid must match the ``campaign-attribution`` baseline in
+  the committed ``benchmarks/BENCH_campaign.json`` exactly (virtual-time
+  quantities; host-independent).
 
-Regenerate the baseline on a quiet machine with::
+Only ``REPRO_BENCH_UPDATE=1`` writes the committed files. Regenerate
+the baselines on a quiet machine with::
 
     REPRO_BENCH_UPDATE=1 PYTHONPATH=src python -m pytest benchmarks/test_bench_campaign.py -q
 """
@@ -47,7 +49,10 @@ from repro.experiments.runner import RunnerStats
 
 _HERE = Path(__file__).parent
 BASELINE_PATH = _HERE / "BENCH_baseline.json"
-RESULTS_PATH = _HERE / "BENCH_campaign.json"
+#: the committed ``campaign-attribution`` fingerprint (``repro analyze``
+#: reads the same file as its default baseline).
+ATTRIBUTION_PATH = _HERE / "BENCH_campaign.json"
+RESULTS_PATH = _HERE.parent / ".bench_out" / "BENCH_campaign.json"
 
 #: wall time may legitimately vary with load; only a doubling fails.
 REGRESSION_FACTOR = 2.0
@@ -71,13 +76,14 @@ _results: dict = {}
 
 
 def _flush_results() -> None:
-    # Read-merge-write: other writers (the attribution sentinel's
-    # committed baseline, a partial earlier run) keep their keys.
+    # Read-merge-write: other writers (the monitor bench, a partial
+    # earlier run) keep their keys.
     data: dict = {}
     if RESULTS_PATH.exists():
         with open(RESULTS_PATH, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     data.update(_results)
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
     with open(RESULTS_PATH, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
 
@@ -224,18 +230,18 @@ def test_bench_attribution_fingerprint():
 
     if os.environ.get("REPRO_BENCH_UPDATE"):
         data = {}
-        if RESULTS_PATH.exists():
-            with open(RESULTS_PATH, "r", encoding="utf-8") as fh:
+        if ATTRIBUTION_PATH.exists():
+            with open(ATTRIBUTION_PATH, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         data[ATTRIBUTION_KEY] = fingerprint
-        with open(RESULTS_PATH, "w", encoding="utf-8") as fh:
+        with open(ATTRIBUTION_PATH, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=1, sort_keys=True)
         return
 
-    with open(RESULTS_PATH, "r", encoding="utf-8") as fh:
+    with open(ATTRIBUTION_PATH, "r", encoding="utf-8") as fh:
         baseline = json.load(fh).get(ATTRIBUTION_KEY)
     assert baseline is not None, (
-        f"no committed {ATTRIBUTION_KEY!r} baseline in {RESULTS_PATH}; "
+        f"no committed {ATTRIBUTION_KEY!r} baseline in {ATTRIBUTION_PATH}; "
         "run with REPRO_BENCH_UPDATE=1 to record one"
     )
     findings = compare_fingerprints(fingerprint, baseline)

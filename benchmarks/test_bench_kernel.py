@@ -3,8 +3,8 @@
 Isolates the two hot primitives the campaign benchmark aggregates —
 event scheduling and backfill selection — so a regression can be
 attributed to a layer, not just observed end to end. All measurements
-are written to ``benchmarks/BENCH_kernel.json`` (uploaded by the CI
-``kernel-bench`` job) and gated against the committed
+are written to the untracked ``.bench_out/BENCH_kernel.json`` (uploaded
+by the CI ``kernel-bench`` job) and gated against the committed
 ``benchmarks/BENCH_baseline.json``:
 
 * **Pop order** — the event queue must pop the pushed workload,
@@ -36,7 +36,7 @@ from repro.des.events import EventQueue
 
 _HERE = Path(__file__).parent
 BASELINE_PATH = _HERE / "BENCH_baseline.json"
-RESULTS_PATH = _HERE / "BENCH_kernel.json"
+RESULTS_PATH = _HERE.parent / ".bench_out" / "BENCH_kernel.json"
 
 #: wall time may legitimately vary with load; only a doubling fails.
 REGRESSION_FACTOR = 2.0
@@ -56,6 +56,7 @@ def _flush_results() -> None:
         with open(RESULTS_PATH, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     data.update(_results)
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
     with open(RESULTS_PATH, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
 

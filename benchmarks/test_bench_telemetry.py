@@ -2,8 +2,8 @@
 
 Times three scenarios of the same 64-task execution — hub disabled, hub
 enabled, hub enabled with the kernel profiler — and writes the measured
-wall seconds and events/sec to ``benchmarks/BENCH_telemetry.json`` (the
-artifact CI uploads). Each scenario then gates against the committed
+wall seconds and events/sec to the untracked
+``.bench_out/BENCH_telemetry.json`` (the artifact CI uploads). Each scenario then gates against the committed
 baseline in ``benchmarks/BENCH_baseline.json``: more than 2x the
 baseline wall time fails the bench.
 
@@ -27,7 +27,7 @@ from repro.skeleton import SkeletonAPI, paper_skeleton
 
 _HERE = Path(__file__).parent
 BASELINE_PATH = _HERE / "BENCH_baseline.json"
-RESULTS_PATH = _HERE / "BENCH_telemetry.json"
+RESULTS_PATH = _HERE.parent / ".bench_out" / "BENCH_telemetry.json"
 
 #: wall time may legitimately vary with load; only a doubling fails.
 REGRESSION_FACTOR = 2.0
@@ -81,6 +81,7 @@ def _baseline() -> dict:
 
 def _flush_results() -> None:
     """Write whatever has been measured so far (also on partial failure)."""
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
     with open(RESULTS_PATH, "w", encoding="utf-8") as fh:
         json.dump(_results, fh, indent=1, sort_keys=True)
 

@@ -694,7 +694,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.max_resubmit > 0:
             # chaos runs desynchronize their recovery backoffs; the
             # jitter comes from the kernel's seeded stream, so the
-            # FaultLog digest stays reproducible run to run.
+            # fault-log digest stays reproducible run to run.
             recovery = RecoveryPolicy(
                 max_resubmissions=args.max_resubmit, jitter_frac=0.1
             )

@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..lifecycle import IllegalTransition
+
 _job_ids = itertools.count(1)
 
 
@@ -45,10 +47,6 @@ _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
         {JobState.COMPLETED, JobState.TIMEOUT, JobState.CANCELLED, JobState.FAILED}
     ),
 }
-
-
-class IllegalTransition(Exception):
-    """Raised on a state transition not permitted by the job state model."""
 
 
 @dataclass

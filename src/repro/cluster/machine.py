@@ -156,37 +156,34 @@ class Cluster:
 
     def cancel(self, job: BatchJob) -> None:
         """Remove a pending job or kill a running one."""
-        if job.state is JobState.PENDING:
-            self._pending.remove(job)
-            self._arrival_order.pop(job.uid, None)
-            self._transition(job, JobState.CANCELLED)
-        elif job.state is JobState.RUNNING:
-            self.sim.cancel(self._release(job))
-            self._transition(job, JobState.CANCELLED)
-            self._schedule_dispatch()
-        elif job.state is JobState.NEW:
-            self._transition(job, JobState.CANCELLED)
-        # cancelling a final job is a no-op
+        self._end(job, JobState.CANCELLED)
 
     def kill_job(self, job: BatchJob) -> None:
         """Abort one job as a *resource* failure (node crash, OOM kill).
 
         Unlike :meth:`cancel`, the job ends FAILED — the state the SAGA
         layer maps to a pilot death, which is what the fault injector
-        needs to kill a pilot mid-run. Killing a final job is a no-op.
+        needs to kill a pilot mid-run.
         """
-        if job.state is JobState.PENDING:
+        self._end(job, JobState.FAILED)
+
+    def _end(self, job: BatchJob, state: JobState) -> None:
+        """End a NEW, PENDING or RUNNING job in ``state`` (a final job is
+        left alone). Removing a queued or running job can let the jobs
+        behind it start, so both schedule a dispatch pass."""
+        old = job.state
+        if old is JobState.PENDING:
             self._pending.remove(job)
             self._arrival_order.pop(job.uid, None)
-            self._transition(job, JobState.FAILED)
-        elif job.state is JobState.RUNNING:
+        elif old is JobState.RUNNING:
             self.sim.cancel(self._release(job))
-            self.killed_jobs += 1
-            self._transition(job, JobState.FAILED)
+            if state is JobState.FAILED:
+                self.killed_jobs += 1
+        elif old is not JobState.NEW:
+            return
+        self._transition(job, state)
+        if old is not JobState.NEW:
             self._schedule_dispatch()
-        elif job.state is JobState.NEW:
-            self._transition(job, JobState.FAILED)
-        # killing a final job is a no-op
 
     @property
     def is_offline(self) -> bool:

@@ -23,10 +23,8 @@ from typing import Dict, List, Optional
 
 from ..bundle import ResourceBundle
 from ..des import Process, Simulation
-from ..faults import FaultLog
 from ..health import (
     DeadlineSupervisor,
-    HealthEventLog,
     HealthRegistry,
     ReplanEvent,
     SupervisionPolicy,
@@ -46,6 +44,7 @@ from ..pilot import (
 from ..skeleton import SkeletonAPI
 from ..telemetry import (
     CausalGraph,
+    EventLog,
     TelemetrySummary,
     attribute_report,
     build_graph,
@@ -74,7 +73,7 @@ class RecoveryPolicy:
     backoff_factor: float = 2.0
     #: desynchronize backoffs by up to +-this fraction. The draw comes
     #: from the kernel's seeded "recovery-jitter" stream — independent of
-    #: the fault plan's streams — so FaultLog digests stay reproducible
+    #: the fault plan's streams — so fault-log digests stay reproducible
     #: while concurrent recoveries stop retrying in lockstep.
     jitter_frac: float = 0.0
 
@@ -123,9 +122,10 @@ class ExecutionReport:
     units: List[ComputeUnit] = field(repr=False, default_factory=list)
     adaptations: List[AdaptationEvent] = field(default_factory=list)
     recoveries: List[RecoveryEvent] = field(default_factory=list)
-    fault_log: Optional[FaultLog] = field(repr=False, default=None)
+    #: fault-log slice of this execution's window (chaos runs).
+    fault_log: Optional[EventLog] = field(repr=False, default=None)
     #: health-event slice of this execution's window (supervised runs).
-    health_log: Optional[HealthEventLog] = field(repr=False, default=None)
+    health_log: Optional[EventLog] = field(repr=False, default=None)
     #: mid-run strategy revisions enacted by the deadline supervisor.
     replans: List[ReplanEvent] = field(default_factory=list)
     #: True when the TTC budget expired and the run degraded to a
@@ -230,7 +230,7 @@ class ExecutionManager:
     def attach_faults(self, injector, arm: bool = True):
         """Attach (and by default arm) a fault injector to this manager.
 
-        Subsequent reports carry the injector's :class:`FaultLog` slice
+        Subsequent reports carry the injector's fault-log slice
         for their execution window, and the TTC decomposition counts the
         faults that landed inside the run.
         """
@@ -555,7 +555,7 @@ class ExecutionManager:
                 if ev.kind in ("breaker-close", "breaker-half-open"):
                     unit_manager.poke()
 
-            self.health.add_listener(on_health_event)
+            self.health.log.add_listener(on_health_event)
 
         yield unit_manager.wait_units(units)
         step5.__exit__(None, None, None)
@@ -568,7 +568,7 @@ class ExecutionManager:
         if supervisor is not None:
             supervisor.stop()
         if on_health_event is not None:
-            self.health.remove_listener(on_health_event)
+            self.health.log.remove_listener(on_health_event)
         # Cancel leftover pilots (do not waste allocation).
         self.pilot_manager.cancel_pilots(pilots)
 

@@ -118,11 +118,11 @@ def decompose(
 
     ``graph`` gives the TTC window, Tx, Ts and ``t_lost``; the pilot
     histories give Tw; ``units`` give only final states and restart
-    counts. ``fault_log`` (a :class:`~repro.faults.FaultLog`, when the
-    run was executed under fault injection) contributes the count of
-    injected faults inside the execution window. ``health_log`` (a
-    :class:`~repro.health.HealthEventLog`, when the run was supervised)
-    contributes the quarantine time and watchdog reschedule count.
+    counts. ``fault_log`` (an :class:`~repro.telemetry.EventLog`, when
+    the run was executed under fault injection) contributes the count of
+    injected faults inside the execution window. ``health_log`` (another
+    one, when the run was supervised) contributes the quarantine time
+    and watchdog reschedule count.
     """
     t_start, t_end = graph.t_start, graph.t_end
     if t_end < t_start:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..pilot.states import StateHistory
+from ..lifecycle import PilotState, StateHistory
 
 FORMAT_VERSION = 1
 
@@ -33,7 +33,7 @@ class EntityRecord:
     # pilot-flavoured accessors (used by analytics/allocation_metrics)
     @property
     def activated_at(self) -> Optional[float]:
-        return self.history.timestamp("ACTIVE")
+        return self.history.timestamp(PilotState.ACTIVE)
 
     @property
     def resource(self) -> Optional[str]:

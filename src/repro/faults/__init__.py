@@ -11,12 +11,12 @@ probabilistic hazards) is enacted by a :class:`FaultInjector` that can
 * degrade or partition WAN links,
 * take whole resources offline for a window,
 
-recording every enacted fault to a :class:`FaultLog` whose digest is
-byte-for-byte reproducible from the plan's seed.
+recording every enacted fault to a fault log (an
+:class:`~repro.telemetry.eventlog.EventLog`, see :func:`fault_log`)
+whose digest is byte-for-byte reproducible from the plan's seed.
 """
 
-from .injector import FaultInjectionError, FaultInjector
-from .log import FaultEvent, FaultLog
+from .injector import FaultInjectionError, FaultInjector, fault_log
 from .plan import (
     ACTION_KINDS,
     DegradeLink,
@@ -34,10 +34,8 @@ from .plan import (
 __all__ = [
     "ACTION_KINDS",
     "DegradeLink",
-    "FaultEvent",
     "FaultInjectionError",
     "FaultInjector",
-    "FaultLog",
     "FaultPlan",
     "FaultPlanError",
     "KillPilot",
@@ -46,5 +44,6 @@ __all__ = [
     "PilotHazard",
     "SubmitFailures",
     "SubmitHazard",
+    "fault_log",
     "preset_plan",
 ]

@@ -3,7 +3,7 @@
 The injector is armed once against the stack's handles (pilot manager,
 network, clusters) and then drives everything through the kernel:
 scripted actions become scheduled events, hazards become seeded Poisson
-processes. Every enacted fault is recorded to the :class:`FaultLog`
+processes. Every enacted fault is recorded to the injector's fault log
 with *stable* target names, so a seeded run reproduces an identical log
 byte-for-byte.
 
@@ -22,8 +22,13 @@ from ..des import Process, RngStreams, Simulation, hazard_process
 from ..net import Network
 from ..pilot import ComputePilot, PilotManager, PilotState
 from ..saga import FallibleAdaptor, SagaState, SubmissionFaultModel
-from .log import FaultLog
+from ..telemetry.eventlog import EventLog
 from .plan import DegradeLink, FaultPlan, KillPilot, Outage, PilotHazard
+
+
+def fault_log() -> EventLog:
+    """An empty fault log ("faults: 2 injected (pilot-kill x2); ...")."""
+    return EventLog("faults", empty="none injected", noun="injected")
 
 
 class FaultInjectionError(Exception):
@@ -53,7 +58,7 @@ class FaultInjector:
         #: to the arming time, so ``at=3600`` means "an hour into the
         #: chaos run" regardless of any warm-up that preceded it.
         self.epoch = epoch
-        self.log = FaultLog()
+        self.log = fault_log()
         self._rng = RngStreams(plan.seed)
         self._armed = False
         self._hazard_procs: List[Process] = []

@@ -8,8 +8,8 @@ out to be degraded or flapping.
 
 * :class:`HealthRegistry` — per-resource health state fed by Bundle
   monitor subscriptions, SAGA submission outcomes, pilot lifecycles and
-  :class:`~repro.faults.FaultLog` events; keeps a deterministic
-  :class:`HealthEventLog` for reproducibility checks.
+  fault-log events; keeps a deterministic health-event log (an
+  :class:`~repro.telemetry.eventlog.EventLog`) for reproducibility checks.
 * :class:`CircuitBreaker` — closed -> open -> half-open quarantine per
   resource; open resources receive no pilots and no units until a probe
   pilot succeeds.
@@ -22,7 +22,6 @@ out to be degraded or flapping.
 """
 
 from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
-from .events import HealthEvent, HealthEventLog
 from .registry import HealthRegistry
 from .supervisor import DeadlineSupervisor, ReplanEvent, SupervisionPolicy
 from .watchdog import UnitWatchdog
@@ -32,8 +31,6 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "DeadlineSupervisor",
-    "HealthEvent",
-    "HealthEventLog",
     "HealthRegistry",
     "ReplanEvent",
     "SupervisionPolicy",

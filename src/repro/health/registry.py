@@ -10,23 +10,25 @@ per-resource health state:
   exhausted submissions (failures) and accepted ones (successes);
 * **pilot lifecycles** (:meth:`observe_pilot`) — an ACTIVE transition is
   a success, a FAILED one a failure (quarantine fail-fasts excluded);
-* **FaultLog events** (:meth:`on_fault_event`) — observed outages and
+* **fault-log events** (:meth:`on_fault_event`) — observed outages and
   full link partitions are direct evidence and trip the breaker without
   waiting for the failure threshold.
 
 Each resource gets a :class:`~repro.health.breaker.CircuitBreaker` and a
 smoothed health score; every transition lands in the deterministic
-:class:`~repro.health.events.HealthEventLog` and the kernel trace, so
-the supervision timeline is reproducible byte-for-byte from the seeds.
+health-event log (an :class:`~repro.telemetry.eventlog.EventLog`) and
+the kernel trace, so the supervision timeline is reproducible
+byte-for-byte from the seeds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..des import Simulation
+from ..lifecycle import PilotState
+from ..telemetry.eventlog import Event, EventLog
 from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
-from .events import HealthEvent, HealthEventLog
 
 #: EWMA weight of the previous score (successes/failures move it slowly).
 SCORE_DECAY = 0.7
@@ -48,10 +50,11 @@ class HealthRegistry:
         #: (the registry still scores resources and keeps the trace).
         self.breaker_policy = breaker
         self.score_decay = score_decay
-        self.log = HealthEventLog()
+        #: the supervision trace; its listeners see every health event
+        #: (e.g. to poke a scheduler when a breaker closes).
+        self.log = EventLog("health", empty="no supervision events", noun="events")
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._scores: Dict[str, float] = {}
-        self._listeners: List[Callable[[HealthEvent], None]] = []
         self._watch_subs: list = []
         sim.telemetry.metrics.gauge(
             "health.quarantined",
@@ -143,9 +146,6 @@ class HealthRegistry:
         pilot.add_callback(self._on_pilot_state)
 
     def _on_pilot_state(self, pilot, state) -> None:
-        # local import: repro.pilot must stay importable without health
-        from ..pilot import PilotState
-
         if state is PilotState.ACTIVE:
             self.record_success(pilot.resource, "pilot-active")
         elif state is PilotState.FAILED:
@@ -155,7 +155,7 @@ class HealthRegistry:
                 self.record_failure(pilot.resource, "pilot-failed")
 
     def on_fault_event(self, event) -> None:
-        """FaultLog listener: direct evidence trips the breaker at once."""
+        """Fault-log listener: direct evidence trips the breaker at once."""
         brk = self.breaker(event.target)
         if brk is None:
             return
@@ -198,24 +198,13 @@ class HealthRegistry:
 
     # -- event plumbing ------------------------------------------------------
 
-    def add_listener(self, fn: Callable[[HealthEvent], None]) -> None:
-        """Call ``fn`` on every health event (e.g. to poke a scheduler)."""
-        self._listeners.append(fn)
-
-    def remove_listener(self, fn: Callable[[HealthEvent], None]) -> None:
-        if fn in self._listeners:
-            self._listeners.remove(fn)
-
-    def record_event(self, kind: str, target: str, **details) -> HealthEvent:
+    def record_event(self, kind: str, target: str, **details) -> Event:
         """Append a supervision event (watchdog, supervisor) to the trace."""
-        ev = self.log.record(self.sim.now, kind, target, **details)
         tel = self.sim.telemetry
         if tel.enabled:
             tel.instant("health", kind, track=f"health/{target}", **details)
             tel.metrics.counter(f"health.event.{kind}").inc()
-        for fn in list(self._listeners):
-            fn(ev)
-        return ev
+        return self.log.record(self.sim.now, kind, target, **details)
 
     def _emit(self, kind: str, resource: str, **details) -> None:
         self.record_event(kind, resource, **details)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..des import Simulation
+from ..lifecycle import UnitState
 from .breaker import BreakerPolicy
 
 
@@ -169,13 +170,13 @@ class DeadlineSupervisor:
             "deadline-expired",
             "*",
             unfinished=len(unfinished),
-            done=sum(1 for u in self.units if u.state.value == "DONE"),
+            done=sum(1 for u in self.units if u.state is UnitState.DONE),
         )
         # Degrade to a partial result: units already staging output get
         # to finish (their compute is spent and safe); everything else
         # is canceled so the execution terminates with honest accounting.
         self.unit_manager.cancel_units([
-            u for u in unfinished if u.state.value != "STAGING_OUTPUT"
+            u for u in unfinished if u.state is not UnitState.STAGING_OUTPUT
         ])
         self.pilot_manager.cancel_pilots(self.pilots)
         # Termination guarantee: output staging gets one check interval

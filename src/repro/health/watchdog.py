@@ -21,9 +21,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..des import Simulation
+from ..lifecycle import UNIT_TABLE, UnitState
 
-#: states with a live driving process where "no transition" means "stuck".
-_WATCHED_STATES = ("STAGING_INPUT", "EXECUTING", "STAGING_OUTPUT")
+#: states with a live driving process where "no transition" means "stuck":
+#: the ones that feed execution (tx) or staging (ts).
+_WATCHED = frozenset(
+    state for state, row in UNIT_TABLE.items() if row.component in ("tx", "ts")
+)
 
 
 class UnitWatchdog:
@@ -61,12 +65,12 @@ class UnitWatchdog:
     # -- internals -----------------------------------------------------------
 
     def _allowance(self, unit) -> float:
-        if unit.state.value == "EXECUTING":
+        if unit.state is UnitState.EXECUTING:
             return self.timeout_s + unit.description.duration_s
         return self.timeout_s
 
     def _is_stalled(self, unit) -> bool:
-        if unit.is_final or unit.state.value not in _WATCHED_STATES:
+        if unit.is_final or unit.state not in _WATCHED:
             return False
         pilot = unit.pilot
         if pilot is None or not pilot.is_active:

@@ -6,6 +6,15 @@ units to pilots under early-binding (direct) or late-binding (backfill,
 round-robin) policies — all with fully instrumented state models.
 """
 
+from ..lifecycle import (
+    IllegalTransition,
+    PILOT_FINAL,
+    PilotState,
+    StateHistory,
+    UNIT_FINAL,
+    UnitState,
+    check_transition,
+)
 from .agent import Agent, AgentError
 from .description import ComputePilotDescription, ComputeUnitDescription
 from .entities import ComputePilot, ComputeUnit
@@ -19,15 +28,6 @@ from .schedulers import (
     UnitScheduler,
     make_unit_scheduler,
 )
-from .states import (
-    IllegalUnitTransition,
-    PILOT_FINAL,
-    PilotState,
-    StateHistory,
-    UNIT_FINAL,
-    UnitState,
-    check_unit_transition,
-)
 from .unit_manager import UnitManager, UnitManagerError
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "ComputeUnit",
     "ComputeUnitDescription",
     "DirectScheduler",
-    "IllegalUnitTransition",
+    "IllegalTransition",
     "LocalityScheduler",
     "PILOT_FINAL",
     "PilotManager",
@@ -53,6 +53,6 @@ __all__ = [
     "UnitManagerError",
     "UnitScheduler",
     "UnitState",
-    "check_unit_transition",
+    "check_transition",
     "make_unit_scheduler",
 ]

@@ -6,15 +6,15 @@ import itertools
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..des import Signal, Simulation, Waitable
-from .description import ComputePilotDescription, ComputeUnitDescription
-from .states import (
+from ..lifecycle import (
     PILOT_FINAL,
     PilotState,
     StateHistory,
     UNIT_FINAL,
     UnitState,
-    check_unit_transition,
+    check_transition,
 )
+from .description import ComputePilotDescription, ComputeUnitDescription
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agent import Agent
@@ -97,21 +97,22 @@ class ComputePilot:
         return self.history.timestamp(PilotState.ACTIVE.value)
 
     @property
-    def submitted_at(self) -> Optional[float]:
-        return self.history.timestamp(PilotState.LAUNCHING.value)
-
-    @property
     def queue_wait(self) -> Optional[float]:
         """Seconds from submission to activation (the pilot's share of Tw)."""
-        return self.history.duration_between(
-            PilotState.LAUNCHING.value, PilotState.ACTIVE.value
-        )
+        submitted = self.history.timestamp(PilotState.LAUNCHING.value)
+        activated = self.activated_at
+        if submitted is None or activated is None:
+            return None
+        return activated - submitted
 
     # -- state machine ---------------------------------------------------------------
 
     def advance(self, new_state: PilotState) -> None:
         if self.is_final:
-            return  # late native-job echoes after cancellation are ignored
+            # A late echo (a SAGA job state change arriving after a
+            # cancel or kill already finalized the pilot) is ignored.
+            return
+        check_transition(self.state, new_state)
         self.state = new_state
         sv = new_state.value
         self.history.append(sv, self.sim._now)  # property bypass: hot path
@@ -180,17 +181,10 @@ class ComputeUnit:
     def add_callback(self, fn: Callable[["ComputeUnit", UnitState], None]) -> None:
         self._callbacks.append(fn)
 
-    @property
-    def executed_for(self) -> Optional[float]:
-        """Wall seconds spent in EXECUTING (first attempt to completion)."""
-        return self.history.duration_between(
-            UnitState.EXECUTING.value, UnitState.STAGING_OUTPUT.value
-        )
-
     # -- state machine -----------------------------------------------------------------
 
     def advance(self, new_state: UnitState) -> None:
-        check_unit_transition(self.state, new_state)
+        check_transition(self.state, new_state)
         self.state = new_state
         sv = new_state.value
         self.history.append(sv, self.sim._now)  # property bypass: hot path

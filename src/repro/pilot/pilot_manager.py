@@ -6,6 +6,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..cluster import Cluster
 from ..des import Simulation, Waitable
+from ..lifecycle import PilotState
 from ..saga import (
     Adaptor,
     JobDescription,
@@ -18,7 +19,6 @@ from ..saga import (
 from .agent import Agent
 from .description import ComputePilotDescription
 from .entities import ComputePilot
-from .states import PilotState
 
 
 class PilotManagerError(Exception):

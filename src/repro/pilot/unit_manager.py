@@ -13,11 +13,11 @@ from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..des import Interrupt, Process, Simulation, Waitable
+from ..lifecycle import PILOT_FINAL, PilotState, UnitState
 from ..net import Network, ORIGIN
 from .description import ComputeUnitDescription
 from .entities import ComputePilot, ComputeUnit
 from .schedulers import UnitScheduler, make_unit_scheduler
-from .states import PilotState, UnitState
 
 
 class UnitManagerError(Exception):
@@ -400,7 +400,7 @@ class UnitManager:
     def _on_pilot_state(self, pilot: ComputePilot, state: PilotState) -> None:
         if state is PilotState.ACTIVE:
             self._schedule_pass()
-        elif state in (PilotState.DONE, PilotState.CANCELED, PilotState.FAILED):
+        elif state in PILOT_FINAL:
             self._abort_units_of(pilot)
 
     def _abort_units_of(self, pilot: ComputePilot) -> None:

@@ -15,8 +15,10 @@ those instruments report to:
 * :mod:`~repro.telemetry.exporters` — Chrome trace-event JSON (loadable
   in Perfetto), OTLP-style JSON spans, and the legacy flat trace dump;
 * :mod:`~repro.telemetry.digest` — the canonical-JSON/SHA-256 contract
-  shared by the fault log, the health-event log, and the telemetry hub,
-  so every record stream is byte-reproducible under a fixed seed;
+  shared by the event logs and the telemetry hub, so every record
+  stream is byte-reproducible under a fixed seed;
+* :mod:`~repro.telemetry.eventlog` — the append-only event log that
+  records injected faults and supervision decisions;
 * :mod:`~repro.telemetry.causality` — the causal analysis layer:
   reconstructs an activity graph from recorded state histories, walks
   the critical path backward through each run's TTC, and attributes
@@ -31,8 +33,10 @@ Every :class:`~repro.des.Simulation` owns a disabled-by-default
 instrumentation points across des, cluster, bundle, saga, pilot, core,
 and health into live span/metric emitters.
 
-This package deliberately imports nothing from the rest of :mod:`repro`,
-so every layer (including the DES kernel itself) can depend on it.
+This package imports nothing from the rest of :mod:`repro` but the
+leaf module :mod:`repro.lifecycle` (the pilot and unit state tables,
+standard library only), so every layer (including the DES kernel
+itself) can depend on it.
 """
 
 from .causality import (
@@ -48,6 +52,7 @@ from .causality import (
 )
 from .bus import EventBus, Subscription
 from .digest import canonical_json, sha256_digest
+from .eventlog import EventLog
 from .exporters import (
     chrome_trace,
     otlp_trace,
@@ -72,6 +77,7 @@ __all__ = [
     "CausalGraph",
     "Counter",
     "EventBus",
+    "EventLog",
     "Gauge",
     "Histogram",
     "KernelProfiler",

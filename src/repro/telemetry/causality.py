@@ -46,10 +46,11 @@ overlap. Both views read one graph, built once per execution: its unit
 activities record the state that ended them (``end``), which tells
 :func:`~repro.core.instrumentation.decompose` completed from lost work.
 
-This module — like the rest of :mod:`repro.telemetry` — imports nothing
-from the rest of :mod:`repro`; it duck-types the pilot/unit entities
-(``history``, ``saga_job``, ``resource``) and works on any objects with
-the same shape.
+Which unit state feeds which component is read off the unit table of
+:mod:`repro.lifecycle`, the one module outside :mod:`repro.telemetry`
+this package imports. The pilot/unit entities themselves are
+duck-typed (``history``, ``saga_job``, ``resource``): any objects with
+the same shape work.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..lifecycle import PILOT_FINAL, UNIT_TABLE, PilotState, UnitState
 from .digest import canonical_json, sha256_digest
 
 log = logging.getLogger(__name__)
@@ -91,28 +93,6 @@ _GATE_RANK: Dict[str, int] = {
 }
 
 _EPS = 1e-9
-
-# Unit state names (string literals on purpose: no repro.pilot import).
-_U_UNSCHEDULED = "UNSCHEDULED"
-_U_SCHEDULING = "SCHEDULING"
-_U_STAGING_IN = "STAGING_INPUT"
-_U_PENDING = "PENDING_EXECUTION"
-_U_EXECUTING = "EXECUTING"
-_U_STAGING_OUT = "STAGING_OUTPUT"
-_U_FAILED = "FAILED"
-_P_LAUNCHING = "LAUNCHING"
-_P_ACTIVE = "ACTIVE"
-_P_FINAL = ("DONE", "CANCELED", "FAILED")
-
-_UNIT_KINDS = {
-    _U_UNSCHEDULED: ("unscheduled", "trp"),
-    _U_SCHEDULING: ("scheduling", "trp"),
-    _U_STAGING_IN: ("staging-in", "ts"),
-    _U_PENDING: ("pending", "trp"),
-    _U_EXECUTING: ("executing", "tx"),
-    _U_STAGING_OUT: ("staging-out", "ts"),
-    _U_FAILED: ("recovery-wait", "trp"),
-}
 
 #: state intervals that are pure waiting — the backward walk prefers the
 #: productive activity that *ended* the wait over the wait itself.
@@ -246,7 +226,7 @@ class TTCAttribution:
 def _pilot_end_time(pilot: Any) -> Optional[float]:
     """When ``pilot`` first reached DONE, CANCELED or FAILED, or None."""
     ends = [
-        t for s in _P_FINAL if (t := pilot.history.timestamp(s)) is not None
+        t for s in PILOT_FINAL if (t := pilot.history.timestamp(s)) is not None
     ]
     return min(ends, default=None)
 
@@ -263,15 +243,15 @@ def _unit_activities(
     """
     entries = unit.history.as_list()
     for i, (state, t0) in enumerate(entries):
-        kind_comp = _UNIT_KINDS.get(state)
-        if kind_comp is None:
+        row = UNIT_TABLE[state]
+        if row.activity is None:
             continue
-        if state == _U_FAILED and not any(
-            s == _U_UNSCHEDULED for s, _ in entries[i + 1:]
+        if state == UnitState.FAILED and not any(
+            s == UnitState.UNSCHEDULED for s, _ in entries[i + 1:]
         ):
             continue
         end, t1 = entries[i + 1] if i + 1 < len(entries) else (None, t_end)
-        yield kind_comp[0], kind_comp[1], t0, t1, end
+        yield row.activity, row.component, t0, t1, end
 
 
 def build_graph(
@@ -320,10 +300,10 @@ def build_graph(
     # -- pilots: queue wait and bootstrap -------------------------------------
     pilot_boot: Dict[str, Activity] = {}   # pilot uid -> gate activity
     for pilot in pilots:
-        submit = pilot.history.timestamp(_P_LAUNCHING)
+        submit = pilot.history.timestamp(PilotState.LAUNCHING)
         if submit is None:
             continue
-        active = pilot.history.timestamp(_P_ACTIVE)
+        active = pilot.history.timestamp(PilotState.ACTIVE)
         job = getattr(pilot, "saga_job", None)
         job_start = getattr(job, "started_at", None)
         uid = getattr(pilot, "uid", "pilot")

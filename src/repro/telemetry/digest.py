@@ -1,9 +1,9 @@
 """The canonical-JSON/SHA-256 reproducibility contract.
 
 Three record streams promise byte-identical replays under a fixed seed:
-the :class:`~repro.faults.FaultLog`, the
-:class:`~repro.health.HealthEventLog`, and the telemetry hub itself.
-They all render through this one helper pair, so "canonical" means the
+the fault log, the health-event log (both
+:class:`~repro.telemetry.eventlog.EventLog`), and the telemetry hub
+itself. They all render through this one helper pair, so "canonical" means the
 same thing everywhere: stable key order, compact separators, exact float
 repr — equal digests iff the streams are identical.
 """

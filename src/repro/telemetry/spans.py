@@ -31,7 +31,7 @@ class Span:
     sid: int                      # unique, ordered by begin
     parent: Optional[int]         # enclosing span's sid (context nesting)
     category: str                 # span taxonomy, e.g. "cluster", "execution"
-    name: str                     # e.g. "scheduler-pass", "EXECUTING"
+    name: str                     # e.g. "scheduler-pass", or a state name
     track: str                    # display lane, e.g. "cluster/stampede-sim"
     t0: float                     # virtual begin (simulated seconds)
     w0: float                     # wall begin (perf_counter seconds)

@@ -154,6 +154,25 @@ def test_cancel_pending_job():
     assert queued.start_time is None
 
 
+@pytest.mark.parametrize("remove", ["cancel", "kill_job"])
+def test_removing_a_pending_head_dispatches_the_jobs_behind_it(remove):
+    """EASY holds a 4-core job back for a queued 8-core head; removing
+    the head must let it start at once, not at the next finish."""
+    sim = Simulation()
+    cluster = make_cluster(sim, nodes=1, cpn=8,
+                           scheduler=EasyBackfillScheduler())
+    running = BatchJob(cores=4, runtime=100, walltime=100)
+    head = BatchJob(cores=8, runtime=10, walltime=10)
+    small = BatchJob(cores=4, runtime=500, walltime=500)
+    for job in (running, head, small):
+        cluster.submit(job)
+    sim.run(until=10)
+    assert small.state is JobState.PENDING  # would delay the head
+    getattr(cluster, remove)(head)
+    sim.run()
+    assert small.start_time == 10.0
+
+
 def test_cancel_running_job_frees_cores():
     sim = Simulation()
     cluster = make_cluster(sim, nodes=1, cpn=8)

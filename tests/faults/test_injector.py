@@ -1,4 +1,4 @@
-"""FaultInjector: enacting plans against the live stack, and the FaultLog."""
+"""FaultInjector: enacting plans against the live stack, and its fault log."""
 
 import pytest
 
@@ -8,11 +8,11 @@ from repro.faults import (
     DegradeLink,
     FaultInjectionError,
     FaultInjector,
-    FaultLog,
     FaultPlan,
     KillPilot,
     Outage,
     PilotHazard,
+    fault_log,
 )
 from repro.net import Network
 from repro.pilot import ComputePilotDescription, PilotManager, PilotState
@@ -213,7 +213,7 @@ def test_degrade_link_requires_a_network():
 
 
 def test_fault_log_views_and_digest():
-    log = FaultLog()
+    log = fault_log()
     log.record(10.0, "pilot-kill", "a/pilot#0", cause="scripted")
     log.record(20.0, "submit-fail", "b", permanent=False)
     log.record(30.0, "pilot-kill", "a/pilot#1", cause="hazard")
@@ -222,13 +222,13 @@ def test_fault_log_views_and_digest():
     sub = log.between(15.0, 30.0)
     assert [e.time for e in sub] == [20.0, 30.0]
     # digest is order- and content-sensitive, stable across instances
-    clone = FaultLog()
+    clone = fault_log()
     clone.record(10.0, "pilot-kill", "a/pilot#0", cause="scripted")
     clone.record(20.0, "submit-fail", "b", permanent=False)
     clone.record(30.0, "pilot-kill", "a/pilot#1", cause="hazard")
     assert clone.digest() == log.digest()
     assert "3 injected" in log.summary()
-    assert FaultLog().summary() == "faults: none injected"
+    assert fault_log().summary() == "faults: none injected"
 
 
 def test_arm_is_idempotent():

@@ -5,7 +5,7 @@ import pytest
 from repro.bundle import BundleManager
 from repro.cluster import Cluster
 from repro.des import Simulation
-from repro.faults import FaultLog
+from repro.faults import fault_log
 from repro.health import BreakerPolicy, BreakerState, HealthRegistry
 from repro.net import Network
 from repro.pilot import ComputePilotDescription, PilotManager, PilotState
@@ -107,7 +107,7 @@ def test_quarantine_rejected_pilot_is_not_counted_as_failure():
 
 def test_fault_log_listener_trips_on_outage_and_partition():
     sim, reg = make_registry()
-    log = FaultLog()
+    log = fault_log()
     log.add_listener(reg.on_fault_event)
     log.record(sim.now, "outage", "alpha", duration=600.0)
     assert reg.is_quarantined("alpha")
@@ -122,7 +122,7 @@ def test_fault_log_listener_trips_on_outage_and_partition():
 
 def test_fault_listener_ignores_other_kinds():
     sim, reg = make_registry(breaker=BreakerPolicy(failure_threshold=5))
-    log = FaultLog()
+    log = fault_log()
     log.add_listener(reg.on_fault_event)
     log.record(sim.now, "pilot-kill", "alpha/pilot#0", cause="scripted")
     assert not reg.is_quarantined("alpha")
@@ -179,11 +179,11 @@ def test_record_event_reaches_listeners_and_the_trace():
     sim, reg = make_registry()
     sim.telemetry.enable()
     seen = []
-    reg.add_listener(seen.append)
+    reg.log.add_listener(seen.append)
     reg.record_event("watchdog-reschedule", "unit-1", state="EXECUTING")
     assert len(seen) == 1 and seen[0].kind == "watchdog-reschedule"
     (inst,) = sim.telemetry.instants
     assert (inst["name"], inst["track"]) == ("watchdog-reschedule", "health/unit-1")
-    reg.remove_listener(seen.append)
+    reg.log.remove_listener(seen.append)
     reg.record_event("replan", "*")
     assert len(seen) == 1  # removed listeners stay quiet

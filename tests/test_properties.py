@@ -18,11 +18,11 @@ from repro.cluster import (
 from repro.cluster.schedulers import RunningMirror
 from repro.des import Simulation
 from repro.net import Link
-from repro.pilot.states import (
-    IllegalUnitTransition,
+from repro.lifecycle import (
+    IllegalTransition,
     UNIT_FINAL,
     UnitState,
-    check_unit_transition,
+    check_transition,
 )
 from repro.skeleton import (
     SkeletonApp,
@@ -135,9 +135,9 @@ def test_unit_transitions_match_model(old, new):
     if old is UnitState.FAILED and new is UnitState.UNSCHEDULED:
         allowed = True
     try:
-        check_unit_transition(old, new)
+        check_transition(old, new)
         ok = True
-    except IllegalUnitTransition:
+    except IllegalTransition:
         ok = False
     assert ok == allowed, f"{old} -> {new}: model={ok} reference={allowed}"
 
