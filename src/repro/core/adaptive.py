@@ -10,9 +10,13 @@ out to be slow — exactly the early-binding failure mode the paper
 measures), the adaptive policy revises the strategy mid-flight: it
 submits a *backup pilot* on the best-ranked resource not already used,
 consulting the bundle's predictive interface at revision time, when the
-queue-state information is fresher than it was at planning time. Each
-revision is recorded as an explicit decision, keeping the Execution
-Strategy abstraction's "decisions are explicit" property.
+queue-state information is fresher than it was at planning time. With
+``renew_before_s`` set, a pilot nearing its walltime with work left gets
+a *successor* on the same resource. Each revision is recorded as an
+explicit decision, keeping the Execution Strategy abstraction's
+"decisions are explicit" property. Both kinds of pilot join the run
+through the Execution Manager's one per-execution path (``describe`` and
+``add_pilot``), exactly like the initial pilots.
 """
 
 from __future__ import annotations
@@ -20,15 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..bundle import ResourceBundle
-from ..des import Simulation
-from ..pilot import (
-    ComputePilot,
-    ComputePilotDescription,
-    PilotManager,
-    UnitManager,
-)
-from .strategy import Decision, ExecutionStrategy
+from .strategy import Decision
 
 
 @dataclass(frozen=True)
@@ -61,90 +57,48 @@ class AdaptationEvent:
 
 
 class PilotReinforcer:
-    """Watches an execution and submits backup pilots on stalled starts."""
+    """Watches an execution and adds backup and successor pilots.
 
-    def __init__(
-        self,
-        sim: Simulation,
-        bundle: ResourceBundle,
-        pilot_manager: PilotManager,
-        unit_manager: UnitManager,
-        strategy: ExecutionStrategy,
-        pilots: List[ComputePilot],
-        policy: AdaptationPolicy,
-        access_schemas: Optional[dict] = None,
-        on_new_pilot=None,
-        health=None,
-    ) -> None:
-        self.sim = sim
-        self.bundle = bundle
-        self.pilot_manager = pilot_manager
-        self.unit_manager = unit_manager
-        self.strategy = strategy
-        self.pilots = pilots
+    ``execution`` is the Execution Manager's per-execution object: every
+    pilot this class adds goes through its ``describe``/``add_pilot``
+    path, backups land on ``best_healthy``, and both watchers end at
+    their next wake-up once the execution is ``closed``.
+    """
+
+    def __init__(self, execution, policy: AdaptationPolicy) -> None:
+        self.execution = execution
         self.policy = policy
-        self.access_schemas = access_schemas or {}
-        #: a :class:`~repro.health.HealthRegistry`; when set, backup and
-        #: successor pilots avoid quarantined resources.
-        self.health = health
-        #: called with each backup pilot (e.g. to attach failure guards).
-        self.on_new_pilot = on_new_pilot
         self.events: List[AdaptationEvent] = []
-        self._stopped = False
         self._renewed: set = set()
         self._renewals = 0
+        sim = execution.sim
         sim.process(self._watch(), name="pilot-reinforcer")
         if policy.renew_before_s is not None:
             sim.process(self._renewal_watch(), name="pilot-renewer")
 
-    def stop(self) -> None:
-        self._stopped = True
-
     # -- internals ---------------------------------------------------------------
 
-    def _any_active(self) -> bool:
-        return any(p.is_active for p in self.pilots)
-
-    def _used_resources(self) -> set:
-        return {p.resource for p in self.pilots if not p.is_final}
-
-    def _pick_backup_resource(self) -> Optional[str]:
-        used = self._used_resources()
-        for name, _wait in self.bundle.rank_by_expected_wait(
-            cores=self.strategy.pilot_cores
-        ):
-            if name in used:
-                continue
-            if self.health is not None and self.health.is_quarantined(name):
-                continue  # reinforcing with a sick resource helps nobody
-            cap = self.bundle.query(name).compute.total_cores
-            if self.strategy.pilot_cores <= cap:
-                return name
-        return None
-
     def _watch(self):
+        ex = self.execution
+        strategy = ex.strategy
         deadline = self.policy.activation_deadline_s
         backups = 0
-        while not self._stopped and backups < self.policy.max_backup_pilots:
-            yield self.sim.timeout(deadline)
-            if self._stopped or self._any_active():
+        while not ex.closed and backups < self.policy.max_backup_pilots:
+            yield ex.sim.timeout(deadline)
+            if ex.closed or any(p.is_active for p in ex.pilots):
                 return
-            resource = self._pick_backup_resource()
+            # reinforcing with a sick or already used resource helps nobody
+            resource = ex.best_healthy(
+                strategy.pilot_cores,
+                exclude={p.resource for p in ex.pilots if not p.is_final},
+            )
             if resource is None:
                 return  # nowhere left to reinforce
-            desc = ComputePilotDescription(
-                resource=resource,
-                cores=self.strategy.pilot_cores,
-                runtime_min=self.strategy.pilot_walltime_min,
-                access_schema=self.access_schemas.get(resource, "slurm"),
-            )
-            (pilot,) = self.pilot_manager.submit_pilots(desc)
-            self.pilots.append(pilot)
-            self.unit_manager.add_pilots(pilot)
-            if self.on_new_pilot is not None:
-                self.on_new_pilot(pilot)
+            pilot = ex.add_pilot(ex.describe(
+                resource, strategy.pilot_cores, strategy.pilot_walltime_min
+            ))
             event = AdaptationEvent(
-                time=self.sim.now,
+                time=ex.sim.now,
                 reason=(
                     f"no pilot active after {deadline:.0f}s; predicted "
                     f"best remaining queue is {resource}"
@@ -153,7 +107,7 @@ class PilotReinforcer:
                 pilot_uid=pilot.uid,
             )
             self.events.append(event)
-            self.strategy.decisions.append(
+            strategy.decisions.append(
                 Decision(
                     name=f"backup_pilot_{backups + 1}",
                     value=resource,
@@ -161,28 +115,26 @@ class PilotReinforcer:
                     depends_on=("resources",),
                 )
             )
-            self.sim.telemetry.instant(
+            ex.sim.telemetry.instant(
                 "execution", "backup-pilot", track="adaptation",
                 resource=resource, pilot=pilot.uid,
             )
             backups += 1
             deadline = self.policy.redeadline_s
 
-    def _work_remaining(self) -> bool:
-        return any(not u.is_final for u in self.unit_manager.units)
-
     def _renewal_watch(self):
         """Pilot succession: replace pilots about to hit their walltime."""
+        ex = self.execution
         horizon = self.policy.renew_before_s
         interval = max(30.0, horizon / 2.0)
-        while not self._stopped:
-            yield self.sim.timeout(interval)
-            if self._stopped or self._renewals >= self.policy.max_renewals:
+        while not ex.closed:
+            yield ex.sim.timeout(interval)
+            if ex.closed or self._renewals >= self.policy.max_renewals:
                 return
-            if not self._work_remaining():
+            if not ex.work_remaining():
                 return
-            now = self.sim.now
-            for pilot in list(self.pilots):
+            now = ex.sim.now
+            for pilot in list(ex.pilots):
                 if not pilot.is_active or pilot.uid in self._renewed:
                     continue
                 activated = pilot.activated_at
@@ -191,25 +143,16 @@ class PilotReinforcer:
                 expected_end = activated + pilot.description.runtime_s
                 if expected_end - now > horizon:
                     continue
-                if self.health is not None and self.health.is_quarantined(
+                if ex.health is not None and ex.health.is_quarantined(
                     pilot.resource
                 ):
                     continue  # no successor on a quarantined resource
-                desc = ComputePilotDescription(
-                    resource=pilot.resource,
-                    cores=pilot.cores,
-                    runtime_min=pilot.description.runtime_min,
-                    access_schema=self.access_schemas.get(
-                        pilot.resource, "slurm"
-                    ),
-                )
-                (successor,) = self.pilot_manager.submit_pilots(desc)
+                successor = ex.add_pilot(ex.describe(
+                    pilot.resource, pilot.cores,
+                    pilot.description.runtime_min,
+                ))
                 self._renewed.add(pilot.uid)
                 self._renewals += 1
-                self.pilots.append(successor)
-                self.unit_manager.add_pilots(successor)
-                if self.on_new_pilot is not None:
-                    self.on_new_pilot(successor)
                 event = AdaptationEvent(
                     time=now,
                     reason=(
@@ -220,7 +163,7 @@ class PilotReinforcer:
                     pilot_uid=successor.uid,
                 )
                 self.events.append(event)
-                self.strategy.decisions.append(
+                ex.strategy.decisions.append(
                     Decision(
                         name=f"renewal_{self._renewals}",
                         value=pilot.resource,
@@ -228,7 +171,7 @@ class PilotReinforcer:
                         depends_on=("pilot_walltime_min",),
                     )
                 )
-                self.sim.telemetry.instant(
+                ex.sim.telemetry.instant(
                     "execution", "renewal", track="adaptation",
                     resource=pilot.resource, pilot=successor.uid,
                     predecessor=pilot.uid,

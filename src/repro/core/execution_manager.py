@@ -188,6 +188,183 @@ class ExecutionError(Exception):
     """Raised when an execution cannot be set up."""
 
 
+class _Execution:
+    """One live execution and the one path by which a pilot joins it.
+
+    The initial pilots, recovery replacements, backup and successor
+    pilots (:class:`PilotReinforcer`) and re-plan pilots
+    (:class:`~repro.health.DeadlineSupervisor`) are all described by
+    :meth:`describe` and added by :meth:`add_pilot`, which registers each
+    pilot in one fixed order: the unit manager, the health registry, then
+    the final-state guard (:meth:`on_pilot_final`).
+    """
+
+    def __init__(self, manager, req, config, strategy, recovery, track):
+        self.sim = manager.sim
+        self.bundle = manager.bundle
+        self.pilot_manager = manager.pilot_manager
+        self.health = manager.health
+        self.strategy = strategy
+        self.unit_manager = UnitManager(
+            manager.sim, manager.network, scheduler=strategy.unit_scheduler,
+            health=manager.health,
+        )
+        self.pilots: List[ComputePilot] = []
+        self.units: List[ComputeUnit] = []
+        self.recovery = recovery
+        self.recoveries: List[RecoveryEvent] = []
+        #: set when the execution ends; watchers stop at their next wake.
+        self.closed = False
+        self._access_schemas = manager.access_schemas
+        self._req = req
+        self._config = config
+        self._track = track
+        #: recovery budget: replacements started, and those still
+        #: waiting out their backoff.
+        self._resubmissions = 0
+        self._pending = 0
+        if self.health is not None:
+            self.health.log.add_listener(self._on_health_event)
+
+    def describe(
+        self, resource: str, cores: int, runtime_min: float
+    ) -> ComputePilotDescription:
+        return ComputePilotDescription(
+            resource=resource,
+            cores=cores,
+            runtime_min=runtime_min,
+            access_schema=self._access_schemas.get(resource, "slurm"),
+        )
+
+    def add_pilot(self, desc: ComputePilotDescription) -> ComputePilot:
+        (pilot,) = self.pilot_manager.submit_pilots(desc)
+        self.pilots.append(pilot)
+        self.unit_manager.add_pilots(pilot)
+        if self.health is not None:
+            self.health.observe_pilot(pilot)
+        pilot.add_callback(self.on_pilot_final)
+        if pilot.is_final:
+            # failed inside its own submission (a quarantine fail-fast or a
+            # permanent rejection), before the guard was registered
+            self.on_pilot_final(pilot, pilot.state)
+        return pilot
+
+    def best_healthy(self, cores: int, exclude=()) -> Optional[str]:
+        """The best-ranked resource for a ``cores``-core pilot that is not
+        quarantined, not in ``exclude`` and big enough; None if none is."""
+        for name, _wait in self.bundle.rank_by_expected_wait(cores=cores):
+            if name in exclude:
+                continue
+            if self.health is not None and self.health.is_quarantined(name):
+                continue
+            if self.bundle.query(name).compute.total_cores >= cores:
+                return name
+        return None
+
+    def work_remaining(self) -> bool:
+        return any(not u.is_final for u in self.units)
+
+    def cancel_stranded(self) -> None:
+        """Cancel the units that cannot finish. Units already in
+        STAGING_OUTPUT have finished executing and complete without their
+        pilot; they count as done, not as casualties."""
+        self.unit_manager.cancel_units([
+            u for u in self.units
+            if not u.is_final and u.state is not UnitState.STAGING_OUTPUT
+        ])
+
+    def replan(self, exclude) -> ExecutionStrategy:
+        """Re-derive the strategy over the bundle minus ``exclude``.
+
+        The pins are cleared: a re-plan must be free to choose fewer
+        pilots on different resources than the original run. Raises
+        PlanningError when nothing healthy remains.
+        """
+        base = self._config or PlannerConfig()
+        cfg = replace(
+            base, resources=None, n_pilots=None,
+            exclude=tuple(sorted(set(base.exclude) | set(exclude))),
+        )
+        return derive_strategy(self._req, self.bundle, cfg)
+
+    def on_pilot_final(self, pilot: ComputePilot, state: PilotState) -> None:
+        """Replace a FAILED pilot within the recovery budget. Only when
+        every pilot is final *and* no replacement is pending are the
+        stranded units canceled, so the execution terminates with a
+        faithful failure report."""
+        if not pilot.is_final:
+            return
+        recovery = self.recovery
+        if (
+            state is PilotState.FAILED
+            and recovery is not None
+            and self._resubmissions < recovery.max_resubmissions
+            and self.work_remaining()
+        ):
+            delay = recovery.delay(
+                self._resubmissions, rng=self.sim.rng.get("recovery-jitter")
+            )
+            self._resubmissions += 1
+            self._pending += 1
+            self.sim.telemetry.instant(
+                "execution", "recovery-backoff", track=self._track,
+                resource=pilot.resource, backoff_s=delay,
+            )
+            self.sim.call_in(
+                delay, self.resubmit, pilot.description, self._resubmissions,
+                delay,
+            )
+            return
+        if self._pending == 0 and all(p.is_final for p in self.pilots):
+            self.cancel_stranded()
+
+    def resubmit(
+        self, desc: ComputePilotDescription, attempt: int, delay: float
+    ) -> None:
+        self._pending -= 1
+        if not self.work_remaining():
+            return  # nothing left to recover for
+        tel = self.sim.telemetry
+        if self.health is not None and self.health.is_quarantined(
+            desc.resource
+        ):
+            # The breaker isolated the original resource while the backoff
+            # ran; reroute the replacement to the best healthy resource
+            # that fits instead of burning the attempt on a submission the
+            # pilot manager would fail fast. With none, retry in place.
+            alt = self.best_healthy(desc.cores)
+            if alt is not None:
+                tel.instant(
+                    "execution", "recovery-reroute", track=self._track,
+                    quarantined=desc.resource, resource=alt,
+                )
+                desc = replace(desc, resource=alt)
+        self.add_pilot(desc)
+        self.recoveries.append(RecoveryEvent(
+            time=self.sim.now,
+            resource=desc.resource,
+            attempt=attempt,
+            backoff_s=delay,
+        ))
+        tel.instant(
+            "execution", "pilot-resubmit", track=self._track,
+            resource=desc.resource, attempt=attempt,
+        )
+
+    def close(self) -> None:
+        """End the execution: stop the watchers and cancel leftover pilots
+        (do not waste allocation)."""
+        self.closed = True
+        if self.health is not None:
+            self.health.log.remove_listener(self._on_health_event)
+        self.pilot_manager.cancel_pilots(self.pilots)
+
+    def _on_health_event(self, ev) -> None:
+        # a breaker re-closing frees its resource's pilots for new work
+        if ev.kind in ("breaker-close", "breaker-half-open"):
+            self.unit_manager.poke()
+
+
 class ExecutionManager:
     """Couples one or more applications to the resources of a bundle."""
 
@@ -356,20 +533,15 @@ class ExecutionManager:
         em_spans.append(sp)
 
         # Step 4: describe and instantiate pilots.
+        ex = _Execution(self, req, config, strategy, recovery, em_track)
         with tel.span(
             "execution", "instantiate-pilots", track=em_track,
             app=app_name, n_pilots=strategy.n_pilots,
         ) as sp:
-            descriptions = [
-                ComputePilotDescription(
-                    resource=r,
-                    cores=strategy.pilot_cores,
-                    runtime_min=strategy.pilot_walltime_min,
-                    access_schema=self.access_schemas.get(r, "slurm"),
-                )
-                for r in strategy.resources
-            ]
-            pilots = self.pilot_manager.submit_pilots(descriptions)
+            for r in strategy.resources:
+                ex.add_pilot(ex.describe(
+                    r, strategy.pilot_cores, strategy.pilot_walltime_min
+                ))
         em_spans.append(sp)
 
         # Step 5: execute the application on the pilots. The span stays
@@ -380,11 +552,6 @@ class ExecutionManager:
             app=app_name, n_tasks=req.n_tasks,
         )
         em_spans.append(step5.__enter__())
-        unit_manager = UnitManager(
-            self.sim, self.network, scheduler=strategy.unit_scheduler,
-            health=self.health,
-        )
-        unit_manager.add_pilots(pilots)
         concrete = skeleton.concrete
         unit_descs = [
             ComputeUnitDescription(
@@ -397,180 +564,39 @@ class ExecutionManager:
             for t in concrete.all_tasks()
         ]
         depends = {t.uid: t.depends_on for t in concrete.all_tasks()}
-        units = unit_manager.submit_units(unit_descs, depends_on=depends)
+        ex.units = ex.unit_manager.submit_units(unit_descs, depends_on=depends)
 
-        # Recovery accounting and the all-pilots-dead guard. A FAILED
-        # pilot may be replaced within the recovery budget; only when
-        # every pilot is final *and* no replacement is pending are the
-        # stranded units canceled, so the execution terminates with a
-        # faithful failure report. Units already in STAGING_OUTPUT have
-        # finished executing and complete without their pilot — they are
-        # never canceled (they count as done, not as casualties).
-        recoveries: List[RecoveryEvent] = []
-        rec_state = {"used": 0, "pending": 0}
-
-        def cancel_stranded_units():
-            unit_manager.cancel_units([
-                u for u in units
-                if not u.is_final and u.state is not UnitState.STAGING_OUTPUT
-            ])
-
-        def resubmit(
-            description: ComputePilotDescription, attempt: int, delay: float
-        ) -> None:
-            rec_state["pending"] -= 1
-            if all(u.is_final for u in units):
-                return  # nothing left to recover for
-            if self.health is not None and self.health.is_quarantined(
-                description.resource
-            ):
-                # The breaker isolated the original resource while the
-                # backoff ran; reroute the replacement to the healthiest
-                # alternative instead of burning the attempt on a
-                # submission the pilot manager would fail fast.
-                healthy = self.health.healthy(self.bundle.resources())
-                if healthy:
-                    ranked = [
-                        name
-                        for name, _ in self.bundle.rank_by_expected_wait(
-                            cores=None
-                        )
-                        if name in healthy
-                    ]
-                    alt = ranked[0] if ranked else healthy[0]
-                    tel.instant(
-                        "execution", "recovery-reroute", track=em_track,
-                        quarantined=description.resource, resource=alt,
-                    )
-                    description = replace(description, resource=alt)
-            replacement = self.pilot_manager.submit_pilots([description])[0]
-            pilots.append(replacement)
-            attach_guard(replacement)
-            unit_manager.add_pilots(replacement)
-            recoveries.append(RecoveryEvent(
-                time=self.sim.now,
-                resource=description.resource,
-                attempt=attempt,
-                backoff_s=delay,
-            ))
-            tel.instant(
-                "execution", "pilot-resubmit", track=em_track,
-                resource=description.resource, attempt=attempt,
-            )
-
-        def on_pilot_final(pilot, state):
-            if (
-                state is PilotState.FAILED
-                and recovery is not None
-                and rec_state["used"] < recovery.max_resubmissions
-                and not all(u.is_final for u in units)
-            ):
-                delay = recovery.delay(
-                    rec_state["used"],
-                    rng=self.sim.rng.get("recovery-jitter"),
-                )
-                rec_state["used"] += 1
-                rec_state["pending"] += 1
-                tel.instant(
-                    "execution", "recovery-backoff", track=em_track,
-                    resource=pilot.resource, backoff_s=delay,
-                )
-                self.sim.call_in(
-                    delay, resubmit, pilot.description, rec_state["used"], delay
-                )
-                return
-            if all(p.is_final for p in pilots) and rec_state["pending"] == 0:
-                cancel_stranded_units()
-
-        def attach_guard(pilot):
-            if self.health is not None:
-                self.health.observe_pilot(pilot)
-            pilot.add_callback(
-                lambda p, state: (
-                    on_pilot_final(p, state) if p.is_final else None
-                )
-            )
-
-        for p in pilots:
-            attach_guard(p)
-
-        # Optional dynamic execution: revise the strategy while it runs.
-        # Backup pilots join the `pilots` list and get the same guard.
-        reinforcer = None
-        if adaptation is not None:
-            reinforcer = PilotReinforcer(
-                self.sim, self.bundle, self.pilot_manager, unit_manager,
-                strategy, pilots, adaptation, self.access_schemas,
-                on_new_pilot=attach_guard, health=self.health,
-            )
-
-        # Health supervision: the watchdog frees units hung on a wedged
+        # Optional dynamic execution (backup and successor pilots) and
+        # health supervision: the watchdog frees units hung on a wedged
         # resource; the deadline supervisor enforces the TTC budget and
-        # re-plans around quarantined resources; breaker re-closures poke
-        # the unit scheduler so freed work flows again immediately.
+        # re-plans around quarantined resources. Every pilot they add
+        # joins through ``ex.add_pilot``.
+        reinforcer = (
+            PilotReinforcer(ex, adaptation) if adaptation is not None
+            else None
+        )
         watchdog = None
         supervisor = None
-        on_health_event = None
         sup = self.supervision
         if sup is not None and sup.watchdog_timeout_s is not None:
             watchdog = UnitWatchdog(
-                self.sim, unit_manager, units, sup.watchdog_timeout_s,
+                self.sim, ex.unit_manager, ex.units, sup.watchdog_timeout_s,
                 registry=self.health,
             )
         if sup is not None and sup.deadline_s is not None:
-
-            def replan_fn(exclude):
-                base = config or PlannerConfig()
-                # clear the pins: a re-plan must be free to choose fewer
-                # pilots on different resources than the original run
-                cfg = replace(
-                    base, resources=None, n_pilots=None,
-                    exclude=tuple(sorted(set(base.exclude) | set(exclude))),
-                )
-                return derive_strategy(req, self.bundle, cfg)
-
-            def submit_fn(resource, strat):
-                desc = ComputePilotDescription(
-                    resource=resource,
-                    cores=strat.pilot_cores,
-                    runtime_min=strat.pilot_walltime_min,
-                    access_schema=self.access_schemas.get(resource, "slurm"),
-                )
-                pilot = self.pilot_manager.submit_pilots([desc])[0]
-                pilots.append(pilot)
-                attach_guard(pilot)
-                unit_manager.add_pilots(pilot)
-                return pilot
-
             supervisor = DeadlineSupervisor(
-                self.sim, self.health, unit_manager, self.pilot_manager,
-                self.bundle, units, pilots, sup.deadline_s,
-                replan_fn, submit_fn,
+                ex, self.health, sup.deadline_s,
                 check_interval_s=sup.check_interval_s,
                 max_replans=sup.max_replans,
             )
-        if self.health is not None:
 
-            def on_health_event(ev):
-                if ev.kind in ("breaker-close", "breaker-half-open"):
-                    unit_manager.poke()
-
-            self.health.log.add_listener(on_health_event)
-
-        yield unit_manager.wait_units(units)
+        yield ex.unit_manager.wait_units(ex.units)
         step5.__exit__(None, None, None)
         t_end = self.sim.now
 
-        if reinforcer is not None:
-            reinforcer.stop()
         if watchdog is not None:
             watchdog.stop()
-        if supervisor is not None:
-            supervisor.stop()
-        if on_health_event is not None:
-            self.health.log.remove_listener(on_health_event)
-        # Cancel leftover pilots (do not waste allocation).
-        self.pilot_manager.cancel_pilots(pilots)
+        ex.close()
 
         fault_log = (
             self.fault_injector.log.between(t_start, t_end)
@@ -584,6 +610,7 @@ class ExecutionManager:
             tel.execution_summary([s for s in em_spans if s is not None])
             if tel.enabled else None
         )
+        pilots, units = ex.pilots, ex.units
         graph = build_graph(
             pilots, units, t_start, t_end,
             em_steps=summary.em_steps if summary is not None else None,
@@ -599,7 +626,7 @@ class ExecutionManager:
             pilots=pilots,
             units=units,
             adaptations=list(reinforcer.events) if reinforcer else [],
-            recoveries=recoveries,
+            recoveries=ex.recoveries,
             fault_log=fault_log,
             health_log=health_log,
             replans=list(supervisor.replans) if supervisor else [],

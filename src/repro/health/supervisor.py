@@ -10,17 +10,17 @@ gracefully — cancels what cannot finish, lets units that already reached
 output staging complete, and stamps the report with explicit accounting
 (``deadline_expired``) instead of running forever.
 
-The planner is injected as a callable so this module stays below
-:mod:`repro.core` in the layering (the Execution Manager closes the
-loop by passing ``derive_strategy`` down).
+The supervisor works on the Execution Manager's per-execution object:
+its ``replan`` calls the planner and its ``add_pilot`` adds the pilots
+the revised strategy asks for, so this module stays below
+:mod:`repro.core` in the layering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..des import Simulation
 from ..lifecycle import UnitState
 from .breaker import BreakerPolicy
 
@@ -70,56 +70,40 @@ class ReplanEvent:
 
 
 class DeadlineSupervisor:
-    """Enforces one execution's TTC budget and re-plans around quarantine."""
+    """Enforces one execution's TTC budget and re-plans around quarantine.
+
+    ``execution`` is the Execution Manager's per-execution object; this
+    class reads its ``pilots`` and ``units``, re-derives through its
+    ``replan``, adds pilots through its ``describe``/``add_pilot`` path,
+    degrades through ``cancel_stranded``, and stops once it is ``closed``.
+    """
 
     def __init__(
         self,
-        sim: Simulation,
+        execution,
         registry,
-        unit_manager,
-        pilot_manager,
-        bundle,
-        units: List,
-        pilots: List,
         deadline_s: float,
-        replan_fn: Callable[[Tuple[str, ...]], object],
-        submit_fn: Callable[[str, object], object],
         check_interval_s: float = 300.0,
         max_replans: int = 2,
     ) -> None:
-        self.sim = sim
+        self.execution = execution
+        self.sim = execution.sim
         self.registry = registry
-        self.unit_manager = unit_manager
-        self.pilot_manager = pilot_manager
-        self.bundle = bundle
-        self.units = units
-        self.pilots = pilots
-        self.t_deadline = sim.now + deadline_s
-        #: derives a strategy over the bundle minus the given resources;
-        #: may raise PlanningError when nothing healthy remains.
-        self.replan_fn = replan_fn
-        #: submits one pilot for (resource, strategy); returns the pilot.
-        self.submit_fn = submit_fn
+        self.t_deadline = self.sim.now + deadline_s
         self.check_interval_s = check_interval_s
         self.max_replans = max_replans
         self.replans: List[ReplanEvent] = []
         self.expired = False
-        self._stopped = False
-        sim.process(self._watch(), name="deadline-supervisor")
-
-    def stop(self) -> None:
-        self._stopped = True
+        self.sim.process(self._watch(), name="deadline-supervisor")
 
     # -- internals -----------------------------------------------------------
 
-    def _work_remaining(self) -> bool:
-        return any(not u.is_final for u in self.units)
-
     def _watch(self):
-        while not self._stopped:
+        ex = self.execution
+        while not ex.closed:
             wait = min(self.check_interval_s, self.t_deadline - self.sim.now)
             yield self.sim.timeout(max(wait, 0.0))
-            if self._stopped or not self._work_remaining():
+            if ex.closed or not ex.work_remaining():
                 return
             if self.sim.now >= self.t_deadline:
                 self._expire()
@@ -129,13 +113,14 @@ class DeadlineSupervisor:
     def _maybe_replan(self) -> None:
         if len(self.replans) >= self.max_replans:
             return
-        live = {p.resource for p in self.pilots if not p.is_final}
+        ex = self.execution
+        live = {p.resource for p in ex.pilots if not p.is_final}
         quarantined = self.registry.quarantined(tuple(live))
         if not quarantined:
             return
-        exclude = self.registry.quarantined(self.bundle.resources())
+        exclude = self.registry.quarantined(ex.bundle.resources())
         try:
-            strategy = self.replan_fn(exclude)
+            strategy = ex.replan(exclude)
         except Exception as exc:  # PlanningError: nothing healthy remains
             self.registry.record_event(
                 "replan-failed", ",".join(sorted(exclude)), error=str(exc),
@@ -146,9 +131,10 @@ class DeadlineSupervisor:
         for resource in strategy.resources:
             if resource in usable:
                 continue  # already carried by a healthy pilot
-            pilot = self.submit_fn(resource, strategy)
-            if pilot is not None:
-                submitted.append(resource)
+            ex.add_pilot(ex.describe(
+                resource, strategy.pilot_cores, strategy.pilot_walltime_min
+            ))
+            submitted.append(resource)
         event = ReplanEvent(
             time=self.sim.now,
             quarantined=tuple(sorted(exclude)),
@@ -165,29 +151,28 @@ class DeadlineSupervisor:
 
     def _expire(self) -> None:
         self.expired = True
-        unfinished = [u for u in self.units if not u.is_final]
+        ex = self.execution
         self.registry.record_event(
             "deadline-expired",
             "*",
-            unfinished=len(unfinished),
-            done=sum(1 for u in self.units if u.state is UnitState.DONE),
+            unfinished=sum(1 for u in ex.units if not u.is_final),
+            done=sum(1 for u in ex.units if u.state is UnitState.DONE),
         )
         # Degrade to a partial result: units already staging output get
         # to finish (their compute is spent and safe); everything else
         # is canceled so the execution terminates with honest accounting.
-        self.unit_manager.cancel_units([
-            u for u in unfinished if u.state is not UnitState.STAGING_OUTPUT
-        ])
-        self.pilot_manager.cancel_pilots(self.pilots)
+        ex.cancel_stranded()
+        ex.pilot_manager.cancel_pilots(ex.pilots)
         # Termination guarantee: output staging gets one check interval
         # of grace, then anything still pending (e.g. a transfer hung on
         # a partitioned link) is cut loose too.
         self.sim.call_in(self.check_interval_s, self._final_sweep)
 
     def _final_sweep(self) -> None:
-        leftovers = [u for u in self.units if not u.is_final]
+        ex = self.execution
+        leftovers = [u for u in ex.units if not u.is_final]
         if leftovers:
             self.registry.record_event(
                 "deadline-sweep", "*", canceled=len(leftovers),
             )
-            self.unit_manager.cancel_units(leftovers)
+            ex.unit_manager.cancel_units(leftovers)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bundle import BundleManager
 from repro.cluster import Cluster
-from repro.core import ExecutionManager, RecoveryPolicy
+from repro.core import Binding, ExecutionManager, PlannerConfig, RecoveryPolicy
 from repro.des import RngStreams, Simulation
 from repro.faults import (
     FaultInjector,
@@ -12,6 +12,8 @@ from repro.faults import (
     KillPilot,
     SubmitFailures,
 )
+from repro.health import SupervisionPolicy
+from repro.net import Network
 from repro.pilot import ComputePilotDescription, PilotManager, PilotState
 from repro.saga import FallibleAdaptor, SubmissionFaultModel
 from repro.skeleton import SkeletonAPI, bag_of_tasks
@@ -120,8 +122,6 @@ def test_recovery_policy_validation_and_delay():
 
 def make_em(seed=0, sites=("alpha", "beta", "gamma"), **em_kw):
     sim = Simulation(seed=seed)
-    from repro.net import Network
-
     net = Network(sim)
     clusters = {}
     for name in sites:
@@ -212,3 +212,57 @@ def test_submission_faults_ride_through_execution():
     assert em.pilot_manager.submit_faults == 2
     assert report.decomposition.n_faults == 2
     assert report.fault_log.by_kind() == {"submit-fail": 2}
+
+
+# -- recovery reroute around a quarantined resource ------------------------------
+
+
+def reroute_run(nodes_by_site):
+    """One 64-core early-bound pilot on ``big``, whose outage at t=900 s
+    kills the pilot and trips the breaker before the replacement is due."""
+    sim = Simulation(seed=0)
+    sim.telemetry.enable()
+    net = Network(sim)
+    clusters = {}
+    for name, nodes in nodes_by_site.items():
+        net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
+        clusters[name] = Cluster(sim, name, nodes=nodes, cores_per_node=16,
+                                 submit_overhead=1.0)
+    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    em = ExecutionManager(sim, net, bundle, supervision=SupervisionPolicy())
+    sim.call_at(900.0, clusters["big"].set_offline, 3600.0)
+    report = em.execute(
+        SkeletonAPI(bag_of_tasks(64, task_duration=7200), seed=1),
+        PlannerConfig(binding=Binding.EARLY, n_pilots=1, resources=("big",),
+                      unit_scheduler="direct"),
+        recovery=RecoveryPolicy(max_resubmissions=2),
+    )
+    assert report.strategy.pilot_cores == 64
+    return sim, report
+
+
+def test_reroute_goes_to_the_best_healthy_resource_that_fits():
+    # "small" ranks ahead of "alt" but cannot hold a 64-core pilot
+    sim, report = reroute_run({"big": 16, "small": 1, "alt": 16})
+    (reroute,) = instants(sim, "recovery-reroute")
+    assert reroute["attrs"] == {"quarantined": "big", "resource": "alt"}
+    (rec,) = report.recoveries
+    assert rec.resource == "alt"
+    replacement = report.pilots[-1]
+    assert (replacement.resource, replacement.cores) == ("alt", 64)
+    assert replacement.history.timestamp("ACTIVE") is not None
+    assert report.succeeded
+
+
+def test_reroute_with_nothing_that_fits_retries_in_place():
+    """No healthy resource can hold the pilot: the replacement goes back
+    to the quarantined original and fails fast, and the run ends with a
+    failure report instead of a submission error."""
+    sim, report = reroute_run({"big": 16, "small": 1})
+    assert not instants(sim, "recovery-reroute")
+    assert [r.resource for r in report.recoveries] == ["big", "big"]
+    assert {(p.resource, p.cores) for p in report.pilots} == {("big", 64)}
+    assert all(p.state is PilotState.FAILED for p in report.pilots)
+    assert not report.succeeded
+    d = report.decomposition
+    assert d.units_done + d.units_failed + d.units_canceled == 64

@@ -1,11 +1,12 @@
 """The fault log and the health-event log of one supervised chaos run,
-held against digests recorded before the two logs shared one class.
+held against recorded digests.
 
 The scenario is the ``pilot-storm`` preset (fault seed 4) against late
 binding over three pilots, 512 tasks, with a one-failure breaker, the
-unit watchdog and a 12 h deadline: eight pilot kills and fifteen
-supervision events (breaker open/half-open/probe, re-plans). Regenerate
-the golden only for a deliberate behaviour change:
+unit watchdog and a 12 h deadline: five pilot kills, two recovery
+reroutes and five supervision events (breaker open/half-open), ending
+when the last replacement dies. Regenerate the golden only for a
+deliberate behaviour change:
 
     PYTHONPATH=src python tests/health/test_event_log_golden.py
 """
