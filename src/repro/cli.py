@@ -62,6 +62,7 @@ from .experiments import (
     compare_fingerprints,
     data_affinity_ablation,
     detect_anomalies,
+    flag_anomalies,
     heterogeneity_ablation,
     is_store,
     locality_study,
@@ -411,17 +412,18 @@ def _report_data(result, args) -> dict:
         {"cell": a.cell, "kind": a.kind, "detail": a.detail}
         for a in detect_anomalies(result)
     ]
-    if args.ledger and os.path.exists(args.ledger):
-        # the fold's deduplicated cells: a retried cell's superseded
-        # record raises no anomaly.
-        for row in monitor_from_path(args.ledger).grid():
-            if row.get("anomalies"):
-                exp_id, n_tasks, rep = row["cell"]
-                anomalies.append({
-                    "cell": f"{exp_id}:{n_tasks}",
-                    "kind": ",".join(row["anomalies"]),
-                    "detail": f"rep {rep} (ledger)",
-                })
+    # per-repetition flags, as the run ledger records them, derived from
+    # the record itself: a retried cell's superseded error is not in it.
+    flagged = [
+        (r.exp_id, r.n_tasks, r.rep, ",".join(flag_anomalies(r)))
+        for r in result.runs
+    ] + [(e.exp_id, e.n_tasks, e.rep, "error") for e in result.errors]
+    for exp_id, n_tasks, rep, kind in sorted(flagged):
+        if kind:
+            anomalies.append({
+                "cell": f"{exp_id}:{n_tasks}", "kind": kind,
+                "detail": f"rep {rep}",
+            })
 
     data: dict = {
         "title": "Causal TTC attribution report",
@@ -902,8 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "sqlite store from `repro campaign --store`")
     p.add_argument("-o", "--output", default="report.html",
                    help="output HTML path (default: %(default)s)")
-    p.add_argument("--ledger", default=None, metavar="FILE",
-                   help="include anomaly flags from this NDJSON run ledger")
     p.add_argument("--baseline", default=None,
                    help="bench JSON to include a drift section against")
     p.add_argument("--baseline-key", default=BASELINE_KEY)

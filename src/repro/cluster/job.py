@@ -49,7 +49,7 @@ _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchJob:
     """A job as submitted to a simulated batch system.
 
@@ -127,8 +127,8 @@ class BatchJob:
             return None
         return self.start_time - self.submit_time
 
+    # Equality is identity (``eq=False``; ``uid`` is unique per job). The
+    # hash stays the uid, so set iteration order never depends on object
+    # addresses.
     def __hash__(self) -> int:
         return self.uid
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BatchJob) and other.uid == self.uid

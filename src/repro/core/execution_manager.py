@@ -338,7 +338,7 @@ class _Execution:
                     "execution", "recovery-reroute", track=self._track,
                     quarantined=desc.resource, resource=alt,
                 )
-                desc = replace(desc, resource=alt)
+                desc = self.describe(alt, desc.cores, desc.runtime_min)
         self.add_pilot(desc)
         self.recoveries.append(RecoveryEvent(
             time=self.sim.now,
@@ -565,6 +565,12 @@ class ExecutionManager:
         ]
         depends = {t.uid: t.depends_on for t in concrete.all_tasks()}
         ex.units = ex.unit_manager.submit_units(unit_descs, depends_on=depends)
+        # A step-4 pilot that failed inside its own submission met the
+        # final-state guard before any unit existed; run the guard again
+        # now that there is work to recover or cancel.
+        for pilot in ex.pilots:
+            if pilot.is_final:
+                ex.on_pilot_final(pilot, pilot.state)
 
         # Optional dynamic execution (backup and successor pilots) and
         # health supervision: the watchdog frees units hung on a wedged

@@ -1,9 +1,11 @@
 """Discrete-event simulation kernel.
 
-This package is the substrate's foundation: a deterministic event queue, a
-simulated clock, generator-based processes, shared-resource primitives,
-and seeded RNG streams. What the middleware layers above record about
-themselves goes to the kernel's telemetry hub (``sim.telemetry``).
+This package is the substrate's foundation: a deterministic event queue,
+a simulated clock with one dispatch loop (``Simulation.run`` and
+``Simulation.run_process`` share it), generator-based processes, a
+counted capacity pool, and seeded RNG streams. What the middleware
+layers above record about themselves goes to the kernel's telemetry hub
+(``sim.telemetry``).
 """
 
 from .errors import (
@@ -16,14 +18,13 @@ from .errors import (
 from .events import EventQueue, ScheduledEvent
 from .hazard import hazard_process
 from .kernel import Simulation
-from .process import AllOf, AnyOf, Process, Signal, Timeout, Waitable
-from .resources import Acquisition, CapacityResource, Store
+from .process import AllOf, Process, Signal, Timeout, Waitable
+from .resources import Acquisition, CapacityResource
 from .rng import RngStreams
 
 __all__ = [
     "Acquisition",
     "AllOf",
-    "AnyOf",
     "CancelledError",
     "CapacityResource",
     "EventQueue",
@@ -36,7 +37,6 @@ __all__ = [
     "Signal",
     "Simulation",
     "SimulationError",
-    "Store",
     "Timeout",
     "Waitable",
     "hazard_process",

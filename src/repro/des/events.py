@@ -83,11 +83,6 @@ class ScheduledEvent:
         self.callback = _CANCELLED
         self.args = ()
 
-    def release(self) -> None:
-        """Drop callback/args references after dispatch (memory hygiene)."""
-        self.callback = _CANCELLED
-        self.args = ()
-
 
 class EventQueue:
     """Deterministic priority queue of :class:`ScheduledEvent` records.
@@ -161,14 +156,6 @@ class EventQueue:
         heapify(self._heap)
         self._cancelled = 0
 
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next live event, or None if empty."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)
-            self._cancelled -= 1
-        return heap[0][0] if heap else None
-
     def pop(self) -> ScheduledEvent:
         """Remove and return the next live event."""
         ev = self.pop_until(float("inf"))
@@ -179,8 +166,8 @@ class EventQueue:
     def pop_until(self, limit: float) -> Optional[ScheduledEvent]:
         """Pop the next live event with ``time <= limit``, or None.
 
-        The kernel's run loop uses this to merge the peek and the pop
-        into a single pass over the heap head.
+        The kernel's dispatch loop uses this to merge the peek and the
+        pop into a single pass over the heap head.
         """
         heap = self._heap
         while heap and heap[0][3].cancelled:

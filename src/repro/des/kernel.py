@@ -15,7 +15,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from ..telemetry import TelemetryHub
 from .errors import SchedulingError, SimulationError
 from .events import _CANCELLED, EventQueue, ScheduledEvent
-from .process import AllOf, AnyOf, Process, Signal, Timeout, Waitable
+from .process import AllOf, Process, Timeout, Waitable
 from .rng import RngStreams
 
 
@@ -91,26 +91,6 @@ class Simulation:
 
     # -- execution -----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Dispatch the next event. Returns False if the queue is empty."""
-        ev = self._queue.pop_until(float("inf"))
-        if ev is None:
-            return False
-        if ev.time < self._now:
-            raise SimulationError("event queue produced an event in the past")
-        self._now = ev.time
-        self.events_processed += 1
-        prof = self.telemetry.profiler
-        callback = ev.callback
-        if prof is None:
-            callback(*ev.args)
-        else:
-            w0 = perf_counter()
-            callback(*ev.args)
-            prof.record(callback, perf_counter() - w0)
-        ev.release()
-        return True
-
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the queue is empty or simulated ``until``.
 
@@ -124,38 +104,8 @@ class Simulation:
                 f"cannot run until {until} < now ({self._now})"
             )
         self._running = True
-        # The dispatch loop is the hottest path in the system: campaign
-        # repetitions pump tens of thousands of events through it, so it
-        # inlines step() with the queue/telemetry lookups hoisted. The
-        # profiler is re-read each event (it can be attached mid-run);
-        # when absent, dispatch is two attribute loads plus the call.
-        limit = float("inf") if until is None else until
-        queue = self._queue
-        pop_until = queue.pop_until
-        telemetry = self.telemetry
         try:
-            while True:
-                ev = pop_until(limit)
-                if ev is None:
-                    break
-                time = ev.time
-                if time < self._now:
-                    raise SimulationError(
-                        "event queue produced an event in the past"
-                    )
-                self._now = time
-                self.events_processed += 1
-                prof = telemetry.profiler
-                callback = ev.callback
-                if prof is None:
-                    callback(*ev.args)
-                else:
-                    w0 = perf_counter()
-                    callback(*ev.args)
-                    prof.record(callback, perf_counter() - w0)
-                # inlined ev.release() - a method call per event adds up
-                ev.callback = _CANCELLED
-                ev.args = ()
+            self._dispatch(float("inf") if until is None else until, None)
             if until is not None:
                 self._now = until
         finally:
@@ -163,28 +113,51 @@ class Simulation:
         return self._now
 
     def run_process(self, process: "Process", until: Optional[float] = None) -> Any:
-        """Run until ``process`` completes; return its value or raise its error."""
-        # Same inlined dispatch as run(); the extra per-event work is only
-        # the ``triggered`` check and the optional deadline comparison.
-        inf = float("inf")
-        pop_until = self._queue.pop_until
-        telemetry = self.telemetry
-        while not process.triggered:
-            if until is not None and self._now >= until:
-                raise SimulationError(
-                    f"process {process.name!r} did not finish by t={until}"
-                )
-            ev = pop_until(inf)
-            if ev is None:
+        """Run until ``process`` completes; return its value or raise its error.
+
+        Events at or before ``until`` are dispatched. If the process has
+        not finished by then, later events stay queued, the clock is
+        advanced to ``until`` (as :meth:`run` does; never backwards) and
+        a :class:`SimulationError` is raised.
+        """
+        self._dispatch(float("inf") if until is None else until, process)
+        if not process.triggered:
+            if until is None or not self._queue:
                 raise SimulationError(
                     f"deadlock: event queue empty but process {process.name!r} "
                     "has not finished"
                 )
-            if ev.time < self._now:
+            self._now = max(self._now, until)
+            raise SimulationError(
+                f"process {process.name!r} did not finish by t={until}"
+            )
+        if process.ok:
+            return process.value
+        raise process.exception  # type: ignore[misc]
+
+    def _dispatch(self, limit: float, process: Optional["Process"]) -> None:
+        """The kernel's one dispatch loop.
+
+        Pops and runs events at or before ``limit`` until the queue has
+        none left or, when given, ``process`` has triggered. This is the
+        hottest path in the system (campaign repetitions pump tens of
+        thousands of events through it), so the queue and telemetry
+        lookups are hoisted. The profiler is re-read each event (it can
+        be attached mid-run); when absent, dispatch is two attribute
+        loads plus the call.
+        """
+        pop_until = self._queue.pop_until
+        telemetry = self.telemetry
+        while process is None or not process.triggered:
+            ev = pop_until(limit)
+            if ev is None:
+                return
+            time = ev.time
+            if time < self._now:
                 raise SimulationError(
                     "event queue produced an event in the past"
                 )
-            self._now = ev.time
+            self._now = time
             self.events_processed += 1
             prof = telemetry.profiler
             callback = ev.callback
@@ -194,12 +167,9 @@ class Simulation:
                 w0 = perf_counter()
                 callback(*ev.args)
                 prof.record(callback, perf_counter() - w0)
-            # inlined ev.release() - a method call per event adds up
+            # drop the fired event's references (memory hygiene)
             ev.callback = _CANCELLED
             ev.args = ()
-        if process.ok:
-            return process.value
-        raise process.exception  # type: ignore[misc]
 
     # -- process & waitable factories ----------------------------------------
 
@@ -214,14 +184,6 @@ class Simulation:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create a waitable that fires after ``delay`` seconds."""
         return Timeout(self, delay, value)
-
-    def event(self) -> Signal:
-        """Create a one-shot signal waitable."""
-        return Signal(self)
-
-    def any_of(self, children: Iterable[Waitable]) -> AnyOf:
-        """Waitable that fires when any child fires."""
-        return AnyOf(self, children)
 
     def all_of(self, children: Iterable[Waitable]) -> AllOf:
         """Waitable that fires when all children have fired."""

@@ -120,32 +120,6 @@ class Timeout(Waitable):
             self.fail(CancelledError("timeout cancelled"))
 
 
-class AnyOf(Waitable):
-    """Succeeds as soon as any child waitable triggers.
-
-    The value is a ``(waitable, value)`` pair for the first child to fire.
-    A failing child fails the composite.
-    """
-
-    __slots__ = ("children",)
-
-    def __init__(self, sim: "Simulation", children: Iterable[Waitable]) -> None:
-        super().__init__(sim)
-        self.children = list(children)
-        if not self.children:
-            raise ValueError("AnyOf requires at least one child")
-        for child in self.children:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, child: Waitable) -> None:
-        if self.triggered:
-            return
-        if child.ok:
-            self.succeed((child, child.value))
-        else:
-            self.fail(child.exception)  # type: ignore[arg-type]
-
-
 class AllOf(Waitable):
     """Succeeds when every child waitable has triggered successfully.
 

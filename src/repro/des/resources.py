@@ -1,18 +1,17 @@
-"""Shared-resource primitives built on the process layer.
+"""The shared-resource primitive built on the process layer.
 
-:class:`CapacityResource` models a pool of interchangeable units (e.g. CPU
+:class:`CapacityResource` models a pool of interchangeable units (the
 cores inside a pilot agent): processes acquire some units, hold them, and
-release them. :class:`Store` is an unbounded FIFO hand-off queue (e.g. the
-late-binding pool of compute units waiting for any pilot slot).
+release them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque
+from typing import TYPE_CHECKING, Deque
 
 from .errors import ProcessError
-from .process import Signal, Waitable
+from .process import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulation
@@ -97,43 +96,3 @@ class CapacityResource:
             self.in_use += req.amount
             req.succeed(req)
 
-
-class Store:
-    """Unbounded FIFO hand-off queue between processes.
-
-    ``put`` never blocks; ``get`` returns a waitable that fires with the
-    oldest item once one is available. Matching is strictly FIFO on both
-    sides, so consumers receive items in arrival order.
-    """
-
-    def __init__(self, sim: "Simulation", name: str = "store") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Signal] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``, waking the oldest waiting getter if any."""
-        self._items.append(item)
-        self._match()
-
-    def get(self) -> Waitable:
-        """Return a waitable that fires with the next item."""
-        sig = Signal(self.sim)
-        self._getters.append(sig)
-        self._match()
-        return sig
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of queued items (oldest first), without removing them."""
-        return list(self._items)
-
-    def _match(self) -> None:
-        while self._items and self._getters:
-            sig = self._getters.popleft()
-            if sig.triggered:  # cancelled getter
-                continue
-            sig.succeed(self._items.popleft())

@@ -99,10 +99,6 @@ class PilotManager:
             else:  # not yet launched
                 pilot.advance(PilotState.CANCELED)
 
-    def wait_any_active(self, pilots: Sequence[ComputePilot]) -> Waitable:
-        """Waitable fired when the first of ``pilots`` activates."""
-        return self.sim.any_of([p.wait_active() for p in pilots])
-
     def set_adaptor_wrapper(
         self, wrapper: Optional[Callable[[Adaptor], Adaptor]]
     ) -> None:

@@ -366,19 +366,19 @@ def build_graph(
         boot = pilot_boot.get(pilot_uid)
         if boot is not None:
             act.preds.append(boot.key)
-    # Handoff edges per pilot via an end-time-sorted index: each exec
-    # links to every same-pilot exec ending by its start. The edge *set*
-    # matches the naive all-pairs scan (order is irrelevant — the gate
-    # pick is a strict max over (t1, rank, -key)) at O(k log k + edges)
-    # instead of O(k^2) comparisons.
+    # One core-handoff edge per exec: the same-pilot exec that ended
+    # latest by its start, the lowest key on a tie. The gate pick is a
+    # strict max over (t1, rank, -key) and every exec shares one rank,
+    # so no other same-pilot exec could win it.
     for p_execs in execs_by_pilot.values():
-        by_t1 = sorted(p_execs, key=lambda a: a.t1)
+        by_t1 = sorted(p_execs, key=lambda a: (a.t1, -a.key))
         t1s = [a.t1 for a in by_t1]
         for act in p_execs:
             cut = bisect_right(t1s, act.t0 + _EPS)
+            if cut and by_t1[cut - 1] is act:
+                cut -= 1
             if cut:
-                k = act.key
-                act.preds.extend(p.key for p in by_t1[:cut] if p.key != k)
+                act.preds.append(by_t1[cut - 1].key)
 
     # -- sink: the activity whose completion ended the run --------------------
     sink: Optional[int] = None

@@ -69,16 +69,18 @@ def test_cancelled_event_skipped_by_pop():
     assert q.pop().time == 2.0
 
 
-def test_peek_time_skips_cancelled():
+def test_pop_until_skips_cancelled_head_and_keeps_later_events():
     q = EventQueue()
     ev1 = q.push(1.0, lambda: None)
     q.push(4.0, lambda: None)
     q.cancel(ev1)
-    assert q.peek_time() == 4.0
+    assert q.pop_until(3.0) is None
+    assert len(q) == 1
+    assert q.pop_until(4.0).time == 4.0
 
 
-def test_peek_empty_returns_none():
-    assert EventQueue().peek_time() is None
+def test_pop_until_empty_returns_none():
+    assert EventQueue().pop_until(float("inf")) is None
 
 
 def test_pop_empty_raises():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import SchedulingError, Simulation, SimulationError
+from repro.des import SchedulingError, Signal, Simulation, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -80,11 +80,6 @@ def test_events_scheduled_during_run_are_executed():
     assert seen == [("first", 1.0), ("second", 4.0)]
 
 
-def test_step_returns_false_when_empty():
-    sim = Simulation()
-    assert sim.step() is False
-
-
 def test_cancel_scheduled_event():
     sim = Simulation()
     fired = []
@@ -137,7 +132,7 @@ def test_run_process_deadlock_detected():
     sim = Simulation()
 
     def proc():
-        yield sim.event()  # never triggered
+        yield Signal(sim)  # never triggered
 
     p = sim.process(proc())
     with pytest.raises(SimulationError, match="deadlock"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.des import Interrupt, Simulation, SimulationError
+from repro.des import Interrupt, Signal, Simulation, SimulationError
 
 
 def test_run_is_not_reentrant():
@@ -33,6 +33,40 @@ def test_run_process_until_deadline():
     p = sim.process(slow())
     with pytest.raises(SimulationError, match="did not finish"):
         sim.run_process(p, until=100.0)
+
+
+def test_run_process_dispatches_every_event_at_exactly_until():
+    """Events at ``until`` all run, including the one that finishes the
+    process, even when another event at ``until`` is dispatched first."""
+    sim = Simulation()
+    sim.call_in(100.0, lambda: None)
+
+    def proc():
+        yield sim.timeout(100)
+        return "done"
+
+    assert sim.run_process(sim.process(proc()), until=100.0) == "done"
+    assert sim.now == 100.0
+
+
+def test_run_process_deadline_leaves_later_events_queued():
+    """No event after ``until`` is dispatched; the clock stops at
+    ``until`` and a later run picks the queue up where it stopped."""
+    sim = Simulation()
+    fired = []
+    sim.call_in(50.0, fired.append, 50.0)
+
+    def proc():
+        yield sim.timeout(150)
+        fired.append(sim.now)
+        return "late"
+
+    p = sim.process(proc())
+    with pytest.raises(SimulationError, match="did not finish by t=100.0"):
+        sim.run_process(p, until=100.0)
+    assert fired == [50.0] and sim.now == 100.0 and not p.triggered
+    assert sim.run_process(p) == "late"
+    assert fired == [50.0, 150.0]
 
 
 def test_disabled_telemetry_records_nothing_during_simulation():
@@ -226,7 +260,7 @@ def test_run_process_deadlock_detected():
     sim = Simulation()
 
     def waiter():
-        yield sim.event()  # nobody ever triggers it
+        yield Signal(sim)  # nobody ever triggers it
 
     p = sim.process(waiter())
     with pytest.raises(SimulationError, match="deadlock"):
@@ -265,7 +299,7 @@ def test_event_order_deterministic_under_interleaved_cancel_push(seed):
             elif op == 1:
                 sim.cancel(handles[int(rng.integers(len(handles)))])
             else:
-                sim.step()
+                sim.run(until=sim.now + 1.0)
         sim.run()
         return log
 

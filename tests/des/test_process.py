@@ -6,6 +6,7 @@ from repro.des import (
     CancelledError,
     Interrupt,
     ProcessError,
+    Signal,
     Simulation,
 )
 
@@ -63,7 +64,7 @@ def test_timeout_cancel_raises_in_waiter():
 
 def test_signal_wakes_waiter_with_value():
     sim = Simulation()
-    sig = sim.event()
+    sig = Signal(sim)
     got = []
 
     def waiter():
@@ -78,7 +79,7 @@ def test_signal_wakes_waiter_with_value():
 
 def test_signal_fail_raises_in_waiter():
     sim = Simulation()
-    sig = sim.event()
+    sig = Signal(sim)
     got = []
 
     def waiter():
@@ -95,7 +96,7 @@ def test_signal_fail_raises_in_waiter():
 
 def test_signal_double_trigger_rejected():
     sim = Simulation()
-    sig = sim.event()
+    sig = Signal(sim)
     sig.succeed()
     with pytest.raises(ProcessError):
         sig.succeed()
@@ -104,12 +105,12 @@ def test_signal_double_trigger_rejected():
 def test_fail_requires_exception_instance():
     sim = Simulation()
     with pytest.raises(TypeError):
-        sim.event().fail("not an exception")
+        Signal(sim).fail("not an exception")
 
 
 def test_wait_on_already_triggered_waitable():
     sim = Simulation()
-    sig = sim.event()
+    sig = Signal(sim)
     sig.succeed("early")
     got = []
 
@@ -224,21 +225,6 @@ def test_interrupted_wait_does_not_double_resume():
     assert log == ["interrupted", 21]
 
 
-def test_any_of_first_wins():
-    sim = Simulation()
-    got = []
-
-    def proc():
-        t1 = sim.timeout(5, value="fast")
-        t2 = sim.timeout(9, value="slow")
-        which, value = yield sim.any_of([t1, t2])
-        got.append((sim.now, value))
-
-    sim.process(proc())
-    sim.run()
-    assert got == [(5, "fast")]
-
-
 def test_all_of_collects_values_in_order():
     sim = Simulation()
     got = []
@@ -258,12 +244,6 @@ def test_all_of_empty_succeeds_immediately():
     sim = Simulation()
     w = sim.all_of([])
     assert w.triggered and w.ok and w.value == []
-
-
-def test_any_of_empty_rejected():
-    sim = Simulation()
-    with pytest.raises(ValueError):
-        sim.any_of([])
 
 
 def test_all_of_propagates_failure():

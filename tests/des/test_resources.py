@@ -1,8 +1,8 @@
-"""Unit tests for CapacityResource and Store."""
+"""Unit tests for CapacityResource."""
 
 import pytest
 
-from repro.des import CapacityResource, ProcessError, Simulation, Store
+from repro.des import CapacityResource, ProcessError, Simulation
 
 
 def test_capacity_validation():
@@ -104,62 +104,3 @@ def test_cancel_granted_raises():
     with pytest.raises(ProcessError):
         a.cancel()
 
-
-def test_store_fifo_order():
-    sim = Simulation()
-    store = Store(sim)
-    store.put("a")
-    store.put("b")
-    got = []
-
-    def consumer():
-        for _ in range(2):
-            item = yield store.get()
-            got.append(item)
-
-    sim.process(consumer())
-    sim.run()
-    assert got == ["a", "b"]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulation()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    sim.process(consumer())
-    sim.call_in(5, store.put, "late")
-    sim.run()
-    assert got == [(5, "late")]
-
-
-def test_store_multiple_getters_fifo():
-    sim = Simulation()
-    store = Store(sim)
-    got = []
-
-    def consumer(name):
-        item = yield store.get()
-        got.append((name, item))
-
-    sim.process(consumer("first"))
-    sim.process(consumer("second"))
-    sim.call_in(1, store.put, "x")
-    sim.call_in(2, store.put, "y")
-    sim.run()
-    assert got == [("first", "x"), ("second", "y")]
-
-
-def test_store_len_and_peek():
-    sim = Simulation()
-    store = Store(sim)
-    assert len(store) == 0
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-    assert store.peek_all() == [1, 2]
-    assert len(store) == 2  # peek does not consume

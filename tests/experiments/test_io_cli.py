@@ -306,12 +306,9 @@ class TestObservatoryCLI:
     def test_report_is_self_contained_html(
         self, campaign_file, tmp_path, capsys
     ):
-        path, ledger = campaign_file
+        path, _ = campaign_file
         out_html = tmp_path / "report.html"
-        rc = main([
-            "report", str(path), "-o", str(out_html),
-            "--ledger", str(ledger),
-        ])
+        rc = main(["report", str(path), "-o", str(out_html)])
         assert rc == 0
         html = out_html.read_text(encoding="utf-8")
         assert html.startswith("<!DOCTYPE html>")
@@ -320,39 +317,35 @@ class TestObservatoryCLI:
         assert "Critical path" in html
         assert "Tw (queue wait)" in html
 
-    def test_report_lists_only_current_ledger_anomalies(
+    def test_report_anomaly_rows_come_from_the_record(
         self, campaign_file, tmp_path, capsys
     ):
-        """A retried cell's superseded error record raises no anomaly."""
-        path, ledger = campaign_file
-        records = [json.loads(line) for line in ledger.read_text().splitlines()]
-        retried = next(
-            r for r in records
-            if r["kind"] == "cell" and (r["exp"], r["n"], r["rep"]) == (1, 8, 0)
-        )
-        failed = next(
-            r for r in records
-            if r["kind"] == "cell" and (r["exp"], r["n"], r["rep"]) == (3, 8, 1)
-        )
-        error = {"ok": False, "error": "boom", "anomalies": ["error"]}
-        edited = []
-        for rec in records:
-            if rec is retried:  # failed first, passed on the retry
-                edited.append({**rec, **error})
-            edited.append({**rec, **error} if rec is failed else rec)
-        resumed = tmp_path / "resumed.ndjson"
-        resumed.write_text(
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in edited)
-        )
-        out_html = tmp_path / "report.html"
-        assert main([
-            "report", str(path), "-o", str(out_html),
-            "--ledger", str(resumed),
-        ]) == 0
-        html = out_html.read_text(encoding="utf-8")
-        row = '<td>{}</td><td class="bad">error</td><td>rep {} (ledger)</td>'
-        assert row.format("1:8", 0) not in html
-        assert row.format("3:8", 1) in html
+        """Per-repetition flags and cell errors are read from the campaign
+        record, so a JSON file and its store show the same rows."""
+        path, _ = campaign_file
+        doc = json.loads(path.read_text())
+        for run in doc["runs"]:
+            if (run["exp_id"], run["n_tasks"], run["rep"]) == (1, 8, 0):
+                run["units_done"] = run["n_tasks"] - 1
+        doc["runs"] = [
+            r for r in doc["runs"]
+            if (r["exp_id"], r["n_tasks"], r["rep"]) != (3, 8, 1)
+        ]
+        doc["errors"] = [
+            {"exp_id": 3, "n_tasks": 8, "rep": 1, "error": "boom"}
+        ]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        store = tmp_path / "edited.sqlite"
+        assert main(["migrate", str(edited), str(store)]) == 0
+        row = '<td>{}</td><td class="bad">{}</td><td>rep {}</td>'
+        for source in (edited, store):
+            out_html = tmp_path / f"{source.suffix[1:]}.html"
+            assert main(["report", str(source), "-o", str(out_html)]) == 0
+            html = out_html.read_text(encoding="utf-8")
+            assert row.format("1:8", "incomplete", 0) in html
+            assert row.format("3:8", "error", 1) in html
+            assert html.count('<td class="bad">error</td>') == 1
 
     def test_tail_renders_the_ledger(self, campaign_file, capsys):
         _, ledger = campaign_file

@@ -217,7 +217,7 @@ def test_submission_faults_ride_through_execution():
 # -- recovery reroute around a quarantined resource ------------------------------
 
 
-def reroute_run(nodes_by_site):
+def reroute_run(nodes_by_site, access_schemas=None):
     """One 64-core early-bound pilot on ``big``, whose outage at t=900 s
     kills the pilot and trips the breaker before the replacement is due."""
     sim = Simulation(seed=0)
@@ -229,7 +229,8 @@ def reroute_run(nodes_by_site):
         clusters[name] = Cluster(sim, name, nodes=nodes, cores_per_node=16,
                                  submit_overhead=1.0)
     bundle = BundleManager(sim, net).create_bundle("pool", clusters)
-    em = ExecutionManager(sim, net, bundle, supervision=SupervisionPolicy())
+    em = ExecutionManager(sim, net, bundle, access_schemas=access_schemas,
+                          supervision=SupervisionPolicy())
     sim.call_at(900.0, clusters["big"].set_offline, 3600.0)
     report = em.execute(
         SkeletonAPI(bag_of_tasks(64, task_duration=7200), seed=1),
@@ -266,3 +267,51 @@ def test_reroute_with_nothing_that_fits_retries_in_place():
     assert not report.succeeded
     d = report.decomposition
     assert d.units_done + d.units_failed + d.units_canceled == 64
+
+
+def test_rerouted_pilot_uses_the_access_schema_of_its_new_resource():
+    """The replacement is described for ``alt``, so it is submitted
+    through alt's SAGA dialect, not the one of the quarantined ``big``."""
+    sim, report = reroute_run(
+        {"big": 16, "small": 1, "alt": 16},
+        access_schemas={"big": "pbs", "small": "slurm", "alt": "condor"},
+    )
+    original, replacement = report.pilots
+    assert original.description.access_schema == "pbs"
+    assert replacement.resource == "alt"
+    assert replacement.description.access_schema == "condor"
+
+
+# -- a step-4 pilot that fails inside its own submission -------------------------
+
+
+def rejected_first_pilot_run(recovery):
+    """One site whose first submission is permanently rejected: the only
+    step-4 pilot is FAILED before step 5 submits a single unit."""
+    sim, net, clusters, bundle, em = make_em(sites=("alpha",))
+    em.attach_faults(FaultInjector(
+        sim, FaultPlan(actions=(SubmitFailures(count=1, permanent=True),)),
+        pilot_manager=em.pilot_manager, network=net,
+    ))
+    api = SkeletonAPI(bag_of_tasks(8, task_duration=600), seed=1)
+    return em.execute(api, recovery=recovery)
+
+
+def test_pilot_rejected_at_submission_without_recovery_ends_the_run():
+    report = rejected_first_pilot_run(recovery=None)
+    assert not report.succeeded
+    assert report.recoveries == []
+    (pilot,) = report.pilots
+    assert pilot.state is PilotState.FAILED
+    assert report.decomposition.units_canceled == 8
+
+
+def test_pilot_rejected_at_submission_is_replaced_within_budget():
+    report = rejected_first_pilot_run(
+        RecoveryPolicy(max_resubmissions=2, backoff_s=10.0)
+    )
+    assert report.succeeded
+    (rec,) = report.recoveries
+    assert (rec.resource, rec.attempt, rec.backoff_s) == ("alpha", 1, 10.0)
+    assert [p.state for p in report.pilots][0] is PilotState.FAILED
+    assert report.decomposition.units_done == 8

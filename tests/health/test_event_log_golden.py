@@ -5,8 +5,12 @@ The scenario is the ``pilot-storm`` preset (fault seed 4) against late
 binding over three pilots, 512 tasks, with a one-failure breaker, the
 unit watchdog and a 12 h deadline: five pilot kills, two recovery
 reroutes and five supervision events (breaker open/half-open), ending
-when the last replacement dies. Regenerate the golden only for a
-deliberate behaviour change:
+when the last replacement dies. Each rerouted replacement is described
+for its new resource and so submitted through that resource's access
+schema; that moves its PENDING_ACTIVE stamp by one second (gordon-sim
+to comet-sim: 1 s earlier; the second reroute, to hopper-sim: 1 s
+later) but neither log. Regenerate the golden only for a deliberate
+behaviour change:
 
     PYTHONPATH=src python tests/health/test_event_log_golden.py
 """

@@ -83,7 +83,7 @@ def test_cancel_all_defaults(substrate):
     assert all(p.state is PilotState.CANCELED for p in pilots)
 
 
-def test_wait_any_active_fires_for_first(substrate):
+def test_wait_active_fires_on_the_free_resource_first(substrate):
     # resA is blocked by a fat pilot; resB is free.
     blocker = desc(resource="resA", cores=64, runtime_min=60)
     substrate.pilot_manager.submit_pilots(blocker)
@@ -93,11 +93,12 @@ def test_wait_any_active_fires_for_first(substrate):
     )
     got = []
 
-    def waiter():
-        which, value = yield substrate.pilot_manager.wait_any_active(pilots)
+    def waiter(pilot):
+        value = yield pilot.wait_active()
         got.append(value.resource)
 
-    substrate.sim.process(waiter())
+    for pilot in pilots:
+        substrate.sim.process(waiter(pilot))
     substrate.sim.run(until=600)
     assert got == ["resB"]
 

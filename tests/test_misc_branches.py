@@ -77,7 +77,7 @@ def test_render_figures_with_partial_campaign():
     assert "8" in fig3
 
 
-def test_wait_any_active_fails_when_all_pilots_die():
+def test_wait_active_fails_when_the_pilot_is_canceled():
     from repro.pilot import ComputePilotDescription, PilotManager
 
     sim = Simulation(seed=3)
@@ -85,26 +85,20 @@ def test_wait_any_active_fails_when_all_pilots_die():
     net.add_site("z")
     cluster = Cluster(sim, "z", nodes=1, cores_per_node=8, submit_overhead=0.0)
     pm = PilotManager(sim, {"z": cluster})
-    pilots = pm.submit_pilots(
+    (pilot,) = pm.submit_pilots(
         ComputePilotDescription(resource="z", cores=8, runtime_min=10)
     )
-    # cancel before activation is possible: fill the machine first
-    from repro.cluster import BatchJob
-
-    sim2_blocker = BatchJob(cores=8, runtime=5000, walltime=6000)
-    # (submitted after the pilot, so the pilot actually activates; instead
-    # cancel the pilot while pending)
     outcome = []
 
     def waiter():
         try:
-            yield pm.wait_any_active(pilots)
+            yield pilot.wait_active()
             outcome.append("active")
         except RuntimeError:
             outcome.append("failed")
 
     sim.process(waiter())
-    pm.cancel_pilots(pilots)
+    pm.cancel_pilots([pilot])  # canceled while pending: never activates
     sim.run()
     assert outcome == ["failed"]
 
