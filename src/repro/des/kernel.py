@@ -122,7 +122,7 @@ class Simulation:
         """
         self._dispatch(float("inf") if until is None else until, process)
         if not process.triggered:
-            if until is None or not self._queue:
+            if not self._queue:
                 raise SimulationError(
                     f"deadlock: event queue empty but process {process.name!r} "
                     "has not finished"
