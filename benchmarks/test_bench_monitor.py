@@ -1,13 +1,16 @@
 """Observability-plane benchmarks: the monitor must cost (almost) nothing.
 
-The plane's contract is *observation-only*: bus + monitor + HTTP server
-attached to a campaign must neither slow it materially nor perturb a
-single digest. Two gates over the oracle cell (Exp. 3, 256 tasks — the
-same cell ``campaign-cell-exp3-256`` in ``BENCH_campaign.json`` gates):
+The plane's contract is *observation-only*: a monitor and HTTP server
+reading a campaign's store must neither slow the campaign materially
+nor perturb a single digest. Two gates over the oracle cell (Exp. 3,
+256 tasks — the same cell ``campaign-cell-exp3-256`` in
+``BENCH_campaign.json`` gates):
 
-* **Overhead** — a serial campaign of ``REPS`` oracle cells, run dark
-  and run fully instrumented (ledger -> bus -> monitor -> live server
-  with an SSE client attached), best-of-``ROUNDS`` each. The
+* **Overhead** — a serial campaign of ``REPS`` oracle cells, each arm
+  recording through a temporary store file with a ``RunLedger``, run
+  dark and run fully instrumented (a monitor on the store behind a live
+  server with an SSE client attached, and a ``/state.json`` read),
+  best-of-``ROUNDS`` each. The
   instrumented wall must stay within ``OVERHEAD_FRACTION`` (3%) of the
   dark wall, plus a small absolute allowance for scheduler noise, and
   within ``REGRESSION_FACTOR``x the committed per-cell baseline time.
@@ -23,18 +26,19 @@ against is read from the committed ``benchmarks/BENCH_campaign.json``.
 from __future__ import annotations
 
 import json
+import tempfile
 import urllib.request
 from pathlib import Path
 from time import perf_counter
 
 from repro.experiments import (
     CampaignMonitor,
+    CampaignStore,
     MonitorServer,
     RunLedger,
     campaign_fingerprint,
     run_campaign,
 )
-from repro.telemetry.bus import EventBus
 
 _HERE = Path(__file__).parent
 COMMITTED_PATH = _HERE / "BENCH_campaign.json"
@@ -78,46 +82,47 @@ def _flush(key: str, payload: dict) -> None:
         json.dump(data, fh, indent=1, sort_keys=True)
 
 
-def _run_dark():
-    w0 = perf_counter()
-    result = run_campaign(**GRID)
-    return perf_counter() - w0, result
-
-
-def _run_instrumented():
-    """The full plane: bus, monitor, HTTP server, one live SSE reader."""
-    bus = EventBus()
-    monitor = CampaignMonitor()
-    monitor.attach(bus)
-    server = MonitorServer(monitor).start()
-    sse = urllib.request.urlopen(server.url + "/events", timeout=10)
-    try:
-        with RunLedger(bus=bus) as ledger:
-            w0 = perf_counter()
-            result = run_campaign(ledger=ledger, **GRID)
-            wall = perf_counter() - w0
-        # the plane actually observed the run, not just idled beside it
-        state = json.loads(
-            urllib.request.urlopen(server.url + "/state.json", timeout=10)
-            .read()
-        )
-        assert state["done"] == REPS
-        return wall, result
-    finally:
-        sse.close()
-        server.stop()
-        monitor.stop()
-        bus.close()
+def _run(instrumented: bool):
+    """One campaign through a temporary store file and a ``RunLedger``;
+    the instrumented arm adds the plane: a monitor on the store, the
+    HTTP server, one live SSE reader and a ``/state.json`` read."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "campaign.sqlite")
+        with CampaignStore(path) as store:
+            if not instrumented:
+                with RunLedger(store) as ledger:
+                    w0 = perf_counter()
+                    result = run_campaign(ledger=ledger, store=store, **GRID)
+                    return perf_counter() - w0, result
+            with CampaignMonitor(path) as monitor, \
+                    MonitorServer(monitor) as server:
+                sse = urllib.request.urlopen(server.url + "/events",
+                                             timeout=10)
+                try:
+                    with RunLedger(store) as ledger:
+                        w0 = perf_counter()
+                        result = run_campaign(
+                            ledger=ledger, store=store, **GRID
+                        )
+                        wall = perf_counter() - w0
+                    # the plane observed the run, not just idled beside it
+                    state = json.loads(urllib.request.urlopen(
+                        server.url + "/state.json", timeout=10
+                    ).read())
+                    assert state["done"] == REPS
+                    return wall, result
+                finally:
+                    sse.close()
 
 
 def test_bench_monitor_overhead_and_digest_parity():
     dark_wall = instrumented_wall = None
     dark = instrumented = None
     for _ in range(ROUNDS):
-        wall, result = _run_dark()
+        wall, result = _run(instrumented=False)
         if dark_wall is None or wall < dark_wall:
             dark_wall, dark = wall, result
-        wall, result = _run_instrumented()
+        wall, result = _run(instrumented=True)
         if instrumented_wall is None or wall < instrumented_wall:
             instrumented_wall, instrumented = wall, result
 
@@ -141,7 +146,7 @@ def test_bench_monitor_overhead_and_digest_parity():
     # Overhead gate: within 3% of the dark arm (plus scheduler noise).
     limit = dark_wall * (1.0 + OVERHEAD_FRACTION) + NOISE_S
     assert instrumented_wall <= limit, (
-        f"monitor+bus+server overhead {overhead:.3f}s "
+        f"monitor+server overhead {overhead:.3f}s "
         f"({overhead / dark_wall:.1%}) exceeds {OVERHEAD_FRACTION:.0%} of "
         f"the unmonitored wall ({dark_wall:.3f}s)"
     )

@@ -10,7 +10,7 @@ Usage::
     python -m repro run --tasks 128 --binding late --pilots 3
     python -m repro analyze campaign.json --baseline benchmarks/BENCH_campaign.json
     python -m repro report campaign.json -o report.html
-    python -m repro tail campaign.ndjson
+    python -m repro tail campaign.sqlite
     python -m repro tail campaign.sqlite --json
     python -m repro campaign --reps 4 --store campaign.sqlite
     python -m repro campaign --reps 4 --store campaign.sqlite --resume
@@ -20,10 +20,11 @@ Usage::
     python -m repro migrate campaign_2016.json campaign.sqlite
 
 Every campaign records through a sqlite result store (``--store FILE``,
-or a private in-memory one); ``-o`` exports a JSON artifact.
+or a private in-memory one); ``-o`` exports a JSON artifact and
+``--ledger`` an NDJSON copy of the store's campaign log.
 ``analyze``, ``figures`` and ``report`` open either kind of file
 through one reader, migrating a JSON artifact into memory first;
-``tail`` reads a store or an NDJSON ledger.
+``tail`` and ``watch`` fold the campaign log of a store.
 
 Global flags: ``-v/--verbose`` (repeatable: INFO, then DEBUG) and
 ``--log-file FILE`` (full DEBUG trail regardless of terminal verbosity).
@@ -34,7 +35,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
+import tempfile
 import time
 from typing import Optional, Sequence
 
@@ -72,7 +75,6 @@ from .experiments import (
     nonuniform_tasks_study,
     open_campaign,
     parse_serve_spec,
-    monitor_from_path,
     render_dashboard,
     state_from_url,
     pilot_count_sweep,
@@ -80,6 +82,7 @@ from .experiments import (
     render_ablation,
     store_summary,
     render_all,
+    write_ndjson,
     render_tail,
     render_table1,
     run_campaign,
@@ -164,55 +167,55 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    on_progress = None if args.quiet else _EtaProgress(grid)
-    store = CampaignStore(args.store or ":memory:")
-    if not args.resume:
-        # refused before the ledger truncates its file or a server binds
-        try:
-            check_fresh(store)
-        except StoreInUseError as exc:
-            store.close()
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    policy = ResiliencePolicy(
-        cell_timeout_s=args.cell_timeout,
-        max_attempts=args.max_attempts,
-        retry_errors=args.retry_errors,
-    )
-    # --serve: observation-only plane. The ledger publishes every record
-    # to an in-process bus; a monitor folds them into live state behind
-    # /metrics, /events (SSE), and /state.json. Nothing downstream of
-    # the bus can touch execution, so digests are unaffected.
-    bus = monitor = server = None
+    serve_at = None
     if args.serve is not None:
-        from .telemetry.bus import EventBus
-
         try:
-            host, port = parse_serve_spec(args.serve)
+            serve_at = parse_serve_spec(args.serve)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        bus = EventBus()
-        monitor = CampaignMonitor()
-        if args.resume:
-            # replay the interrupted session's history so the live view
-            # (and SSE replay) starts from the true campaign state.
-            monitor.feed_many(store.ledger_records())
-        monitor.attach(bus)
-        try:
-            server = MonitorServer(monitor, host=host, port=port).start()
-        except OSError as exc:
-            print(f"error: cannot bind --serve {args.serve}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"monitor serving on {server.url} "
-              "(/metrics /events /state.json)", file=sys.stderr)
-    # The ledger's records always land in the store's ledger table
-    # (`repro tail` reads it or the NDJSON file). On resume the NDJSON
-    # file is appended, not truncated — the prior session's trail stays
-    # forensically intact.
-    ledger = RunLedger(args.ledger, store=store, append=args.resume, bus=bus)
+    on_progress = None if args.quiet else _EtaProgress(grid)
+    # --serve reads the store through a connection of its own, which an
+    # in-memory database cannot give it: without --store the campaign
+    # then records into a temporary file, deleted on exit.
+    scratch = None
+    path = args.store
+    if path is None and serve_at is not None:
+        scratch = tempfile.mkdtemp(prefix="repro-serve-")
+        path = os.path.join(scratch, "campaign.sqlite")
+    store = CampaignStore(path or ":memory:")
+    monitor = server = ledger = None
     try:
+        if not args.resume:
+            # refused before a server binds
+            try:
+                check_fresh(store)
+            except StoreInUseError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+        policy = ResiliencePolicy(
+            cell_timeout_s=args.cell_timeout,
+            max_attempts=args.max_attempts,
+            retry_errors=args.retry_errors,
+        )
+        # --serve: observation-only plane. A monitor folds the store's
+        # campaign log behind /metrics, /events (SSE) and /state.json;
+        # it only reads the store, so digests are unaffected.
+        if serve_at is not None:
+            monitor = CampaignMonitor(path)
+            try:
+                server = MonitorServer(
+                    monitor, host=serve_at[0], port=serve_at[1]
+                ).start()
+            except OSError as exc:
+                print(f"error: cannot bind --serve {args.serve}: {exc}",
+                      file=sys.stderr)
+                return 2
+            print(f"monitor serving on {server.url} "
+                  "(/metrics /events /state.json)", file=sys.stderr)
+        # every record lands in the store's ledger table; --ledger adds
+        # an NDJSON export of that log, written when the ledger closes.
+        ledger = RunLedger(store, path=args.ledger)
         result = run_campaign(
             experiments=tuple(args.experiments),
             task_counts=sizes,
@@ -246,16 +249,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             )
         return EXIT_RESUMABLE
     finally:
-        ledger.close()
+        if ledger is not None:
+            ledger.close()
         if server is not None:
             server.stop()
         if monitor is not None:
-            monitor.stop()
-        if bus is not None:
-            bus.close()
+            monitor.close()
         store.close()
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
     if args.ledger:
-        print(f"run ledger streamed to {args.ledger}")
+        print(f"run ledger exported to {args.ledger}")
     for err in result.errors:
         print(
             f"error: exp {err.exp_id} n={err.n_tasks} rep={err.rep}: "
@@ -504,42 +508,55 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _not_a_store(path: str) -> bool:
+    """True (after an error line) unless ``path`` is a campaign store."""
+    if is_store(path):
+        return False
+    print(
+        f"error: {path} is not a campaign store; tail and watch read the "
+        "store written by `repro campaign --store`",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _cmd_tail(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.ledger):
-        print(f"no such ledger: {args.ledger}", file=sys.stderr)
+    if _not_a_store(args.store):
         return 2
-    monitor = monitor_from_path(args.ledger)
     if args.json:
         # machine-readable: every record, one JSON object per line, in
-        # ledger order with stable keys (--last does not apply).
-        for _id, record in monitor.events_after(0):
-            print(json.dumps(record, sort_keys=True))
+        # log order with stable keys (--last does not apply) — the same
+        # lines `repro campaign --ledger` exports.
+        with CampaignStore(args.store, readonly=True) as store:
+            write_ndjson(store.ledger_records(), sys.stdout)
         return 0
-    print(render_tail(monitor, last=args.last))
+    with CampaignMonitor(args.store) as monitor:
+        print(render_tail(monitor, last=args.last))
     return 0
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     if (args.source is None) == (args.url is None):
         print(
-            "error: watch needs exactly one of LEDGER_OR_STORE or --url",
+            "error: watch needs exactly one of STORE or --url",
             file=sys.stderr,
         )
         return 2
-    if args.source is not None and not os.path.exists(args.source):
-        print(f"no such ledger or store: {args.source}", file=sys.stderr)
+    if args.source is not None and _not_a_store(args.source):
         return 2
     color = not args.no_color and sys.stdout.isatty()
+    # one monitor for the whole watch: each tick folds only new rows
+    monitor = CampaignMonitor(args.source) if args.source else None
 
     def fetch():
-        if args.url is not None:
+        if monitor is None:
             return state_from_url(args.url)
-        return monitor_from_path(args.source).state()
+        return monitor.state()
 
-    if args.once:
-        print(render_dashboard(fetch(), color=color))
-        return 0
     try:
+        if args.once:
+            print(render_dashboard(fetch(), color=color))
+            return 0
         while True:
             try:
                 state = fetch()
@@ -560,6 +577,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print(file=sys.stderr)
         return 0
+    finally:
+        if monitor is not None:
+            monitor.close()
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
@@ -830,15 +850,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "repetition (used to cross-check serial vs "
                         "parallel execution)")
     p.add_argument("--ledger", default=None, metavar="FILE",
-                   help="stream an NDJSON run ledger to FILE (one line "
-                        "per cell: coordinates, wall cost, worker, "
-                        "digests, anomaly flags); `repro tail` reads it")
+                   help="when the campaign ends, export the store's "
+                        "campaign log to FILE as NDJSON (one record per "
+                        "line: cells with coordinates, wall cost, "
+                        "worker, digests, anomaly flags; attempts; "
+                        "start/end); the lines `repro tail --json` "
+                        "prints")
     p.add_argument("--store", default=None, metavar="FILE",
                    help="persist results into an indexed sqlite store "
                         "(WAL mode, one committed row per cell; "
-                        "analyze/figures/report/tail read it directly "
-                        "and a live `repro tail FILE` never sees a "
-                        "partial row)")
+                        "analyze/figures/report/tail/watch read it "
+                        "directly and a live `repro tail FILE` never "
+                        "sees a partial row)")
     p.add_argument("--resume", action="store_true",
                    help="continue a half-finished campaign from --store: "
                         "skip committed cells, reclaim stale leases, run "
@@ -867,8 +890,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(Prometheus text), /events (SSE ledger stream "
                         "with Last-Event-ID resume), /state.json "
                         "(snapshot). ':0' picks an ephemeral port; the "
-                        "bound URL is printed on stderr. Observation-"
-                        "only: results and digests are unaffected.")
+                        "bound URL is printed on stderr. The endpoints "
+                        "read the store; without --store the campaign "
+                        "records into a temporary store file, deleted "
+                        "on exit. Observation-only: results and digests "
+                        "are unaffected.")
 
     p = sub.add_parser("figures", help="render figures from a saved campaign")
     p.add_argument("campaign",
@@ -910,11 +936,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "tail",
-        help="progress view over a (possibly live) campaign run ledger",
+        help="progress view over the campaign log of a (possibly live) "
+             "campaign store",
     )
-    p.add_argument("ledger",
-                   help="NDJSON ledger from `repro campaign --ledger` or "
-                        "a sqlite store from `repro campaign --store`")
+    p.add_argument("store",
+                   help="sqlite store from `repro campaign --store`")
     p.add_argument("--last", type=int, default=8,
                    help="show the last N cells (default: %(default)s)")
     p.add_argument("--json", action="store_true",
@@ -925,11 +951,10 @@ def build_parser() -> argparse.ArgumentParser:
         "watch",
         help="live ANSI dashboard over a running (or finished) campaign",
     )
-    p.add_argument("source", nargs="?", default=None,
-                   metavar="LEDGER_OR_STORE",
-                   help="NDJSON ledger or sqlite store to re-read each "
-                        "poll (safe on live files: torn-line-tolerant / "
-                        "WAL multi-reader)")
+    p.add_argument("source", nargs="?", default=None, metavar="STORE",
+                   help="sqlite store from `repro campaign --store`; "
+                        "each poll folds the log rows written since the "
+                        "last (safe on a live store: WAL multi-reader)")
     p.add_argument("--url", default=None, metavar="URL",
                    help="poll a live `repro campaign --serve` endpoint "
                         "instead of a file (its /state.json)")

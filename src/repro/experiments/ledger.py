@@ -1,14 +1,16 @@
-"""The campaign observatory's run ledger: streaming NDJSON, one event per line.
+"""The campaign log's record formatter: one ``ledger`` row per event.
 
 A long campaign is opaque while it runs and forensically mute after it
-crashes; the ledger fixes both. The runner appends one JSON object per
-event — campaign start, every cell completion (coordinates, wall cost,
-worker pid, digests, anomaly flags), campaign end — flushing each line,
-so the file is valid and current at every instant: ``repro tail`` and
-``repro watch`` read it live, ``repro report`` reads it after the fact,
-and a killed campaign leaves every completed cell on disk. This module
-writes and reads records only; folding them into campaign state is the
-job of :class:`~repro.experiments.monitor.CampaignMonitor` alone.
+crashes; the log fixes both. The runner hands every event — campaign
+start, every cell completion (coordinates, wall cost, worker pid,
+digests, anomaly flags), campaign end — to a :class:`RunLedger`, which
+formats it as one record and appends it to the ``ledger`` table of the
+campaign's :class:`~repro.experiments.store.CampaignStore`. Each append
+commits on its own, so the log is whole and current at every instant:
+``repro tail``, ``repro watch`` and the ``--serve`` endpoints fold it by
+``seq`` while the campaign runs, and a killed campaign leaves every
+record it wrote. Folding records into campaign state is the job of
+:class:`~repro.experiments.monitor.CampaignMonitor` alone.
 
 Line kinds::
 
@@ -34,6 +36,10 @@ layer that emits them; see :mod:`repro.experiments.resilience`.)
 Wall timestamps are operational metadata (they differ run to run); the
 deterministic content — coordinates, virtual-time results, digests — is
 what the sentinel and the tests consume.
+
+An NDJSON file (one record per line, keys sorted) is an *export* of the
+log, written by :func:`write_ndjson`: ``RunLedger(path=...)`` writes one
+when it closes, and ``repro tail --json`` prints the same lines.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from typing import IO, Any, Dict, List, Optional
+from typing import IO, Any, Dict, Iterable, List, Optional
 
 from .campaign import CellProgress, RunResult
 
@@ -62,37 +68,26 @@ def flag_anomalies(run: RunResult) -> List[str]:
     return flags
 
 
-class RunLedger:
-    """Append-only run-ledger writer the campaign runner streams into.
+def write_ndjson(records: Iterable[Dict[str, Any]], fh: IO[str]) -> None:
+    """Write log records as NDJSON: one sorted-key JSON object per line."""
+    for record in records:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    Writes NDJSON to ``path``, mirrors every record into a
-    :class:`~repro.experiments.store.CampaignStore` ``ledger`` table,
-    publishes it to an in-process :class:`~repro.telemetry.bus.EventBus`
-    (the live observability plane), or any combination — every sink
-    carries identical records and ``repro tail`` reads either durable
-    one. At least one sink must be given. The bus sink is fire-and-
-    forget and never blocks, so attaching a monitor cannot perturb the
-    campaign (see :mod:`repro.telemetry.bus`).
+
+class RunLedger:
+    """Formats the campaign runner's events as records of a store's log.
+
+    Every record lands in ``store``'s ``ledger`` table, which the caller
+    owns. ``path``, when given, receives an NDJSON export of the whole
+    log (earlier sessions of a resumed campaign included) on
+    :meth:`close`.
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        store=None,
-        append: bool = False,
-        bus=None,
-    ) -> None:
-        if path is None and store is None and bus is None:
-            raise ValueError("RunLedger needs a path, a store, or a bus")
-        self.path = path
+    def __init__(self, store, path: Optional[str] = None) -> None:
+        if store is None:
+            raise ValueError("RunLedger needs a campaign store")
         self.store = store
-        self.bus = bus
-        # a resumed campaign appends to the interrupted session's ledger
-        # instead of truncating its history.
-        mode = "a" if append else "w"
-        self._fh: Optional[IO[str]] = (
-            open(path, mode, encoding="utf-8") if path is not None else None
-        )
+        self.path = path
 
     # -- record emitters -------------------------------------------------------
 
@@ -206,45 +201,23 @@ class RunLedger:
             "wall": time.time(),
         })
 
-    def heartbeat(self, cells, workers=()) -> None:
-        """Liveness pulse for in-flight cells — **bus-only**, never persisted.
-
-        Heartbeats are operational noise with no forensic value (the
-        attempts table already timestamps leases durably), so they skip
-        the file and store sinks entirely and only feed live
-        subscribers' worker-liveness views.
-        """
-        if self.bus is None:
-            return
-        self.bus.publish({
-            "kind": "heartbeat",
-            "cells": [list(c) for c in cells],
-            "workers": [int(w) for w in workers],
-            "wall": time.time(),
-        })
-
     # -- plumbing --------------------------------------------------------------
 
     def _emit(self, record: Dict[str, Any]) -> None:
-        if (
-            self._fh is None and self.store is None and self.bus is None
-        ):  # pragma: no cover
-            log.warning("ledger %s already closed; record dropped", self.path)
+        if self.store is None:  # pragma: no cover
+            log.warning("ledger already closed; %s record dropped",
+                        record.get("kind"))
             return
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._fh.flush()
-        if self.store is not None:
-            self.store.append_ledger(record)
-        if self.bus is not None:
-            self.bus.publish(record)
+        self.store.append_ledger(record)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Write the NDJSON export (if a path was given) and detach."""
+        if self.store is None:
+            return
+        if self.path is not None:
+            with open(self.path, "w", encoding="utf-8") as fh:
+                write_ndjson(self.store.ledger_records(), fh)
         self.store = None  # the store handle is owned by the caller
-        self.bus = None  # likewise: subscribers outlive the ledger
 
     def __enter__(self) -> "RunLedger":
         return self
@@ -252,46 +225,3 @@ class RunLedger:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-# -- reading side --------------------------------------------------------------
-
-
-def read_ledger(path: str) -> List[Dict[str, Any]]:
-    """Parse an NDJSON ledger; tolerates a torn trailing line (live file).
-
-    A live tail can split the writer's last line anywhere — including
-    *inside* a multi-byte UTF-8 character — so the file is read as
-    bytes and each line decoded individually: a trailing fragment that
-    fails to decode or to parse is dropped, everything before it is
-    intact. (Text-mode reading would raise ``UnicodeDecodeError`` for
-    the whole file on a mid-character tear.)
-    """
-    records: List[Dict[str, Any]] = []
-    with open(path, "rb") as fh:
-        data = fh.read()
-    for raw in data.split(b"\n"):
-        if not raw.strip():
-            continue
-        try:
-            records.append(json.loads(raw.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            # a writer mid-line (possibly mid-character); everything
-            # before it is intact.
-            log.debug("torn ledger line ignored: %.40r...", raw[:40])
-            break
-    return records
-
-
-def read_ledger_any(path: str) -> List[Dict[str, Any]]:
-    """Read ledger records from an NDJSON file *or* a campaign store.
-
-    :func:`~repro.experiments.watch.monitor_from_path` points here: the
-    campaign runner streams the same records to both sinks, so consumers
-    need not care which one they were handed.
-    """
-    from .store import CampaignStore, is_store
-
-    if is_store(path):
-        with CampaignStore(path, readonly=True) as store:
-            return store.ledger_records()
-    return read_ledger(path)

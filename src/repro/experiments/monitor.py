@@ -1,31 +1,31 @@
-"""Live campaign state: fold the event stream into one observable model.
+"""Live campaign state: fold the campaign log into one observable model.
 
 The :class:`CampaignMonitor` is the only fold of ledger records into
-campaign state. The :mod:`bus <repro.telemetry.bus>` moves raw ledger
-records live; a durable ledger replays them after the fact
-(:func:`~repro.experiments.watch.monitor_from_path`). Either way the
-monitor *folds* them incrementally into one model that ``repro tail``,
-``repro watch``, ``repro report``, ``/state.json`` and ``/metrics``
-all read:
+campaign state. It opens its own read-only handle on a campaign store
+and, on every read, folds only the ``ledger`` rows past the last
+``seq`` it has seen (the WAL reader contract keeps that safe while the
+campaign writes). ``repro tail``, ``repro watch``, ``/state.json`` and
+``/metrics`` all read this one model:
 
 * a per-cell **status grid** (``pending``/``running``/``ok``/``error``),
   seeded from the ``campaign-start`` meta so unstarted cells are
-  visible, not merely absent;
-* progress, per-cell attempt counts, retries/timeouts, throughput, and
-  the cost-weighted ETA of :func:`~repro.experiments.runner.cost_eta`;
-* **worker liveness** — last-seen wall time per worker pid, fed by cell
-  records and the bus-only heartbeat pulses;
+  visible, not merely absent. A cell is ``running`` exactly while it
+  holds an open lease in the store's ``attempts`` table, whose
+  ``heartbeat`` column is its last-seen time;
+* progress, per-cell attempt counts, retries/timeouts, this session's
+  throughput, and the cost-weighted ETA of
+  :func:`~repro.experiments.runner.cost_eta`;
+* **worker liveness** — last-seen wall time per worker pid, from cell
+  and attempt records;
 * **TTC component shares** summed across completed cells (the live
   version of the attribution stack the HTML report draws);
 * **host gauges** (CPU seconds, RSS) sampled from ``/proc/self`` —
-  parent-process cost of the campaign, Linux only, absent elsewhere.
+  cost of the process serving the view, Linux only, absent elsewhere.
 
-Every durable ledger record the monitor ingests is retained with a
-monotonically increasing integer id — the replay log behind the SSE
-endpoint's ``Last-Event-ID`` resume contract (heartbeats fold into
-liveness state but are *not* retained or replayed: they are ephemeral
-by design). The monitor is observation-only: it subscribes, folds, and
-serves; it never talks back to the runner.
+The monitor keeps no copy of the log: :meth:`CampaignMonitor.events_after`
+reads ``(seq, record)`` rows straight from the store, so the SSE
+endpoint's ``Last-Event-ID`` resume is ``WHERE seq > N``. The monitor
+is observation-only: it reads the store and never writes to it.
 """
 
 from __future__ import annotations
@@ -35,16 +35,10 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..telemetry.bus import EventBus, Subscription
 from .runner import cost_eta
+from .store import CampaignStore
 
 __all__ = ["CampaignMonitor", "host_sample"]
-
-#: ledger kinds that enter the retained/replayable event history.
-_DURABLE_KINDS = frozenset({
-    "campaign-start", "campaign-end", "campaign_resumed",
-    "cell", "attempt_started", "attempt_timeout", "cell_retried",
-})
 
 Cell = Tuple[int, int, int]
 
@@ -79,26 +73,27 @@ def host_sample() -> Dict[str, Any]:
 
 
 class CampaignMonitor:
-    """Fold ledger events into live campaign state, retaining a replay log.
+    """Fold one campaign store's log into live campaign state.
 
-    Thread-safe: :meth:`feed` may be called from a bus-drainer thread
-    while HTTP handler threads call :meth:`state` / :meth:`wait_events`
-    and the dashboard polls. ``clock`` is injectable for tests.
+    Thread-safe: HTTP handler threads and the dashboard may read it
+    concurrently; one lock serializes every use of the store handle and
+    of the folded state. ``clock`` is injectable for tests.
     """
 
-    def __init__(self, clock=time.time) -> None:
-        self._cond = threading.Condition()
+    def __init__(self, path: str, clock=time.time) -> None:
+        self._store: Optional[CampaignStore] = CampaignStore(
+            path, readonly=True
+        )
+        self._lock = threading.Lock()
         self._clock = clock
-        #: retained durable events, ``events[i]`` has id ``i + 1``.
-        self.events: List[Dict[str, Any]] = []
-        self._sub: Optional[Subscription] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        #: ``seq`` of the last log row folded.
+        self.last_seq = 0
         # -- folded state ------------------------------------------------------
         self.started_at: Optional[float] = None
         self.meta: Dict[str, Any] = {}
         self.total = 0
         self.starts = 0
+        self.session_cells = 0
         self.finished = False
         self.interrupted = False
         self.resumed: Optional[Dict[str, Any]] = None
@@ -108,91 +103,54 @@ class CampaignMonitor:
         self.retries = 0
         self.timeouts = 0
         self.workers: Dict[int, float] = {}
-        self.heartbeats = 0
         self.components: Dict[str, float] = {}
         self.wall_spent = 0.0
 
+    def close(self) -> None:
+        """Release the store handle; reads then serve the last fold."""
+        with self._lock:
+            if self._store is not None:
+                self._store.close()
+                self._store = None
+
+    def __enter__(self) -> "CampaignMonitor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- ingestion -------------------------------------------------------------
 
-    def attach(self, bus: EventBus, maxsize: int = 4096) -> None:
-        """Subscribe to ``bus`` and drain it on a daemon thread."""
-        self._sub = bus.subscribe(maxsize=maxsize, name="monitor")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._drain, name="campaign-monitor", daemon=True
-        )
-        self._thread.start()
+    def _refresh_locked(self) -> None:
+        """Fold the log rows written since the last read; re-read leases."""
+        if self._store is None:
+            return
+        for seq, record in self._store.ledger_rows(self.last_seq):
+            self._fold(record)
+            self.last_seq = seq
+        self.running = {
+            (lease["exp_id"], lease["n_tasks"], lease["rep"]): {
+                "attempt": lease["attempt"],
+                "worker": lease["worker"],
+                "last_seen": lease["heartbeat"],
+            }
+            for lease in self._store.attempt_rows(state="leased")
+        }
 
-    def _drain(self) -> None:
-        while not self._stop.is_set():
-            event = self._sub.get(timeout=0.25)
-            if event is not None:
-                self.feed(event)
-            elif self._sub.closed and not len(self._sub):
-                break
-
-    def stop(self) -> None:
-        """Detach from the bus and join the drainer thread."""
-        self._stop.set()
-        if self._sub is not None:
-            self._sub.close()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def feed_many(self, records) -> None:
-        """Pre-seed from history (a store's ledger, a resumed session)."""
-        for record in records:
-            self.feed(record)
-
-    def feed(self, record: Dict[str, Any]) -> int:
-        """Fold one ledger record into the model; returns its event id.
-
-        Heartbeats update liveness only and return 0 (no replay id).
-        Cell records dedupe by coordinates (last wins), so a retried
-        cell from a resumed session counts once.
-        """
-        kind = record.get("kind")
-        with self._cond:
-            if kind == "heartbeat":
-                self._fold_heartbeat(record)
-                self._cond.notify_all()
-                return 0
-            if kind in _DURABLE_KINDS:
-                self._fold(kind, record)
-            self.events.append(record)
-            event_id = len(self.events)
-            self._cond.notify_all()
-            return event_id
-
-    def _fold_heartbeat(self, record: Dict[str, Any]) -> None:
-        self.heartbeats += 1
-        wall = float(record.get("wall", self._clock()))
-        for raw in record.get("cells", ()):
-            cell = tuple(int(x) for x in raw)
-            if len(cell) == 3 and self.cells.get(cell) is None:
-                self.running.setdefault(cell, {})["last_seen"] = wall
-        for pid in record.get("workers", ()):
-            self.workers[int(pid)] = wall
-
-    def _fold(self, kind: str, record: Dict[str, Any]) -> None:
-        wall = record.get("wall")
+    def _fold(self, record: Dict[str, Any]) -> None:
+        kind, wall = record.get("kind"), record.get("wall")
         if kind == "campaign-start":
             self.started_at = wall
             self.total = int(record.get("total", 0))
             self.meta = dict(record.get("meta") or {})
             self.finished = False
             self.starts += 1
+            self.session_cells = 0
         elif kind == "campaign_resumed":
             self.resumed = record
         elif kind == "attempt_started":
             cell = _coords(record)
             self.attempts[cell] = self.attempts.get(cell, 0) + 1
-            self.running[cell] = {
-                "attempt": record.get("attempt"),
-                "worker": record.get("worker"),
-                "last_seen": wall,
-            }
             worker = record.get("worker")
             if worker is not None and wall is not None:
                 self.workers[int(worker)] = float(wall)
@@ -211,7 +169,7 @@ class CampaignMonitor:
                         self.components.get(name, 0.0) - float(share)
                     )
             self.cells[cell] = record
-            self.running.pop(cell, None)
+            self.session_cells += 1
             self.wall_spent += float(record.get("wall_s", 0.0))
             for name, share in (record.get("components") or {}).items():
                 self.components[name] = (
@@ -223,42 +181,20 @@ class CampaignMonitor:
         elif kind == "campaign-end":
             self.finished = True
             self.interrupted = bool(record.get("interrupted", False))
-            self.running.clear()
 
     # -- read-out --------------------------------------------------------------
 
-    @property
-    def last_event_id(self) -> int:
-        with self._cond:
-            return len(self.events)
-
-    def events_after(self, after_id: int) -> List[Tuple[int, Dict[str, Any]]]:
-        """Retained events with ids greater than ``after_id`` (replay)."""
-        with self._cond:
-            start = max(0, int(after_id))
-            return [
-                (i + 1, self.events[i]) for i in range(start, len(self.events))
-            ]
-
-    def wait_events(
-        self, after_id: int, timeout: float = 1.0
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Block up to ``timeout`` for events past ``after_id`` (follow)."""
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while len(self.events) <= after_id:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return []
-                self._cond.wait(remaining)
-            return [
-                (i + 1, self.events[i])
-                for i in range(max(0, int(after_id)), len(self.events))
-            ]
+    def events_after(self, after: int) -> List[Tuple[int, Dict[str, Any]]]:
+        """``(seq, record)`` of every log row past ``after``, from the store."""
+        with self._lock:
+            if self._store is None:
+                return []
+            return self._store.ledger_rows(max(0, int(after)))
 
     def grid(self) -> List[Dict[str, Any]]:
         """Per-cell status rows, pending cells included (meta-derived)."""
-        with self._cond:
+        with self._lock:
+            self._refresh_locked()
             return self._grid_locked()
 
     def _declared_locked(self) -> List[Cell]:
@@ -312,7 +248,8 @@ class CampaignMonitor:
     def state(self) -> Dict[str, Any]:
         """One JSON-safe snapshot of everything the plane observes."""
         now = self._clock()
-        with self._cond:
+        with self._lock:
+            self._refresh_locked()
             done = len(self.cells)
             errors = sum(
                 1 for rec in self.cells.values() if not rec.get("ok", False)
@@ -327,7 +264,7 @@ class CampaignMonitor:
             elapsed = (
                 now - self.started_at if self.started_at is not None else 0.0
             )
-            throughput = done / elapsed if elapsed > 0 else 0.0
+            throughput = self.session_cells / elapsed if elapsed > 0 else 0.0
             total_share = sum(self.components.values())
             state = {
                 "kind": "campaign-state",
@@ -340,8 +277,7 @@ class CampaignMonitor:
                 "resumed": self.resumed,
                 "retries": self.retries,
                 "timeouts": self.timeouts,
-                "heartbeats": self.heartbeats,
-                "last_event_id": len(self.events),
+                "last_event_id": self.last_seq,
                 "meta": self.meta,
                 "elapsed_s": elapsed,
                 "wall_spent_s": self.wall_spent,

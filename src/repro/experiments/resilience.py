@@ -399,9 +399,8 @@ class ExecutionSupervisor:
     def heartbeat(self, cells: Sequence[Cell]) -> None:
         """Stamp in-flight leases (rate-limited to ``policy.heartbeat_s``).
 
-        Also pulses the ledger's live bus (if any) with the in-flight
-        cell set — an ephemeral, bus-only event that feeds worker-
-        liveness views without touching the durable sinks.
+        The stamp is each running cell's last-seen time in ``repro
+        watch``, ``/state.json`` and ``/metrics``.
         """
         if not cells:
             return
@@ -414,8 +413,6 @@ class ExecutionSupervisor:
             self.store.heartbeat_attempts(
                 [(c, self._open[c]) for c in open_cells]
             )
-        if self.ledger is not None:
-            self.ledger.heartbeat(open_cells or list(cells))
 
     def session_attempts(self, cell: Cell) -> int:
         """Dispatches of this cell in this session (the retry budget)."""

@@ -596,8 +596,8 @@ def run_campaign(
 
     ``on_progress`` receives one :class:`CellProgress` per completed
     repetition (coordinates, wall cost, error status). ``ledger`` (a
-    :class:`repro.experiments.ledger.RunLedger`) streams the campaign's
-    NDJSON run ledger. Every repetition (or :class:`CellError`) is
+    :class:`repro.experiments.ledger.RunLedger`) appends the campaign's
+    events to its store's campaign log. Every repetition (or :class:`CellError`) is
     recorded in a :class:`repro.experiments.store.CampaignStore` as it
     completes — one committed row per cell plus a lease/attempt history,
     written by this process alone, so a concurrent reader (``repro

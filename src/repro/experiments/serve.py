@@ -9,12 +9,15 @@ A stdlib-only :class:`~http.server.ThreadingHTTPServer` wrapped around a
     liveness, component shares, host CPU/RSS.
 
 ``GET /events``
-    Server-Sent Events: replays the monitor's retained ledger events
-    (``id: N`` / ``data: {json}`` frames), then follows live ones.
-    Honors the ``Last-Event-ID`` request header — a reconnecting client
-    resumes exactly after the last frame it saw; ``?after=N`` does the
-    same for curl. Comment keepalives (``: keepalive``) flow while the
-    stream is idle so proxies do not reap the connection.
+    Server-Sent Events over the store's campaign log: one
+    ``id: SEQ`` / ``data: {json}`` frame per ``ledger`` row, replaying
+    the log from its start and then following new rows (polled every
+    ``POLL_S``). The SSE id is the row's ``seq``, so the
+    ``Last-Event-ID`` request header — or ``?after=N`` for curl —
+    resumes at ``WHERE seq > N``: exactly after the last frame the
+    client saw, across a ``--resume`` too. Comment keepalives
+    (``: keepalive``) flow while the stream is idle so proxies do not
+    reap the connection.
 
 ``GET /state.json``
     The full monitor snapshot (grid, running cells, workers,
@@ -26,13 +29,14 @@ port 0, read the real port back), runs handler threads as daemons, and
 is observation-only: nothing here can write to the campaign. Slow or
 dead clients cost one daemon thread each and are reaped on their next
 write (``BrokenPipeError``), never stalling the runner — the runner
-does not even know the server exists; it only publishes to the bus.
+does not even know the server exists; it only writes its store.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -44,6 +48,12 @@ __all__ = ["MonitorServer", "parse_serve_spec"]
 
 #: idle time between SSE keepalive comments.
 KEEPALIVE_S = 5.0
+
+#: how often an SSE stream looks for new log rows.
+POLL_S = 0.2
+
+#: how long :meth:`MonitorServer.stop` waits for SSE streams to finish.
+STOP_GRACE_S = 2.0
 
 
 def parse_serve_spec(spec: str) -> Tuple[str, int]:
@@ -84,9 +94,11 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args) -> None:
         pass  # HTTP access noise has no place on the campaign's stderr
 
+    server: "_Server"
+
     @property
     def monitor(self) -> CampaignMonitor:
-        return self.server.monitor  # type: ignore[attr-defined]
+        return self.server.monitor
 
     def do_GET(self) -> None:
         parsed = urlparse(self.path)
@@ -132,23 +144,45 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.close_connection = True
         self.end_headers()
+        server = self.server
+        with server.streams:
+            server.open_streams += 1
         try:
-            while not self.server.stopping:  # type: ignore[attr-defined]
-                batch = self.monitor.wait_events(after, timeout=KEEPALIVE_S)
-                if not batch:
-                    self.wfile.write(b": keepalive\n\n")
-                    self.wfile.flush()
-                    continue
-                for event_id, record in batch:
-                    frame = (
-                        f"id: {event_id}\n"
-                        f"data: {json.dumps(record, sort_keys=True)}\n\n"
-                    )
-                    self.wfile.write(frame.encode("utf-8"))
-                    after = event_id
-                self.wfile.flush()
+            self._follow(after)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; the daemon thread unwinds
+        finally:
+            with server.streams:
+                server.open_streams -= 1
+                server.streams.notify_all()
+
+    def _follow(self, after: int) -> None:
+        """Stream log rows past ``after`` until the server stops.
+
+        The stop flag is read *before* each poll, so the last poll after
+        a stop still sends every row the campaign wrote.
+        """
+        quiet_since = time.monotonic()
+        while True:
+            stopping = self.server.stopping
+            rows = self.monitor.events_after(after)
+            for seq, record in rows:
+                frame = (
+                    f"id: {seq}\n"
+                    f"data: {json.dumps(record, sort_keys=True)}\n\n"
+                )
+                self.wfile.write(frame.encode("utf-8"))
+                after = seq
+            if rows:
+                quiet_since = time.monotonic()
+            elif time.monotonic() - quiet_since >= KEEPALIVE_S:
+                self.wfile.write(b": keepalive\n\n")
+                quiet_since = time.monotonic()
+            self.wfile.flush()
+            if stopping:
+                return
+            if not rows:
+                time.sleep(POLL_S)
 
     # -- plumbing --------------------------------------------------------------
 
@@ -178,6 +212,21 @@ def _resume_point(header: Optional[str], parsed) -> int:
     return 0
 
 
+class _Server(ThreadingHTTPServer):
+    """The HTTP server, carrying the monitor its handlers read."""
+
+    daemon_threads = True
+
+    def __init__(self, address, monitor: CampaignMonitor) -> None:
+        super().__init__(address, _Handler)
+        self.monitor = monitor
+        self.stopping = False
+        #: open SSE streams, which :meth:`MonitorServer.stop` lets send
+        #: their last rows.
+        self.streams = threading.Condition()
+        self.open_streams = 0
+
+
 class MonitorServer:
     """Serve a :class:`CampaignMonitor` over HTTP on a daemon thread.
 
@@ -193,10 +242,7 @@ class MonitorServer:
         port: int = 0,
     ) -> None:
         self.monitor = monitor
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.monitor = monitor  # type: ignore[attr-defined]
-        self._httpd.stopping = False  # type: ignore[attr-defined]
+        self._httpd = _Server((host, port), monitor)
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None
 
@@ -215,8 +261,15 @@ class MonitorServer:
         return self
 
     def stop(self) -> None:
-        self._httpd.stopping = True  # type: ignore[attr-defined]
-        self._httpd.shutdown()
+        """Stop serving; open SSE streams first send the rows written
+        up to now (waiting at most ``STOP_GRACE_S`` for them)."""
+        httpd = self._httpd
+        httpd.stopping = True
+        httpd.shutdown()
+        with httpd.streams:
+            httpd.streams.wait_for(
+                lambda: httpd.open_streams == 0, timeout=STOP_GRACE_S
+            )
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=2.0)

@@ -15,8 +15,11 @@ in-memory store first, so one code path reads both. One sqlite file
   codec, so store and JSON export round-trip identically) plus indexed
   scalar columns (``ttc``, digests) for queries;
 * ``cell_errors`` — repetitions lost to crashes, same key;
-* ``ledger`` — the NDJSON run-ledger event stream, mirrored row by row
-  (``repro tail`` reads either representation);
+* ``ledger`` — the campaign log: one row per
+  :class:`~repro.experiments.ledger.RunLedger` record, numbered by an
+  autoincrement ``seq`` that continues across resumed sessions. It is
+  the only campaign log: ``repro tail``, ``repro watch`` and the
+  ``--serve`` endpoints all fold it by ``seq``;
 * ``attempts`` — the per-dispatch lease/attempt history: one row per
   dispatch of a cell (attempt number, state ``leased``/``committed``/
   ``failed``/``timeout``/``crashed``/``reclaimed``/``interrupted``/
@@ -134,7 +137,11 @@ class CampaignStore:
         self.rows_read = 0
         if readonly:
             uri = f"file:{path}?mode=ro"
-            self._conn = sqlite3.connect(uri, uri=True, isolation_level=None)
+            # a monitor shares its handle with the HTTP handler threads
+            # and serializes every use of it with its own lock.
+            self._conn = sqlite3.connect(
+                uri, uri=True, isolation_level=None, check_same_thread=False
+            )
         else:
             self._conn = sqlite3.connect(path, isolation_level=None)
         self._conn.execute("PRAGMA journal_mode=WAL")
@@ -228,7 +235,7 @@ class CampaignStore:
         )
 
     def append_ledger(self, record: Dict[str, Any]) -> None:
-        """Mirror one run-ledger event into the store."""
+        """Append one record to the campaign log."""
         self._conn.execute(
             "INSERT INTO ledger (kind, record) VALUES (?, ?)",
             (str(record.get("kind", "?")), json.dumps(record, sort_keys=True)),
@@ -310,12 +317,17 @@ class CampaignStore:
 
     def attempt_rows(
         self, exp_id: Optional[int] = None, n_tasks: Optional[int] = None,
-        rep: Optional[int] = None,
+        rep: Optional[int] = None, state: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
-        """Attempt history, optionally filtered by coordinates."""
+        """Attempt history, optionally filtered by coordinates and state.
+
+        ``state='leased'`` gives the open leases: the cells running right
+        now (or, with no live run, the ones a killed run left in flight).
+        """
         clauses, params = [], []
         for name, value in (
-            ("exp_id", exp_id), ("n_tasks", n_tasks), ("rep", rep)
+            ("exp_id", exp_id), ("n_tasks", n_tasks), ("rep", rep),
+            ("state", state),
         ):
             if value is not None:
                 clauses.append(f"{name}=?")
@@ -444,14 +456,19 @@ class CampaignStore:
         rows.sort(key=lambda r: key(r[0], r[1], r[2], r[3]))
         return [error_from_dict(json.loads(r[4])) for r in rows]
 
-    def ledger_records(self) -> List[Dict[str, Any]]:
-        """The mirrored run-ledger event stream, in emission order."""
+    def ledger_rows(self, after: int = 0) -> List[Tuple[int, Dict[str, Any]]]:
+        """``(seq, record)`` for every log row with ``seq > after``, in order."""
         return [
-            json.loads(r[0])
-            for r in self._conn.execute(
-                "SELECT record FROM ledger ORDER BY seq"
+            (int(seq), json.loads(record))
+            for seq, record in self._conn.execute(
+                "SELECT seq, record FROM ledger WHERE seq > ? ORDER BY seq",
+                (after,),
             )
         ]
+
+    def ledger_records(self) -> List[Dict[str, Any]]:
+        """The whole campaign log, in emission order."""
+        return [record for _seq, record in self.ledger_rows()]
 
     def load_campaign(self) -> CampaignResult:
         """Materialize the whole campaign (the legacy-compatible view).

@@ -6,19 +6,19 @@ progress bar with ETA, the ``resumed:`` line). Their sources:
 
 * ``repro watch --url http://host:port`` polls a live
   :class:`~repro.experiments.serve.MonitorServer`'s ``/state.json``;
-* ``repro watch`` and ``repro tail`` on a ``LEDGER_OR_STORE`` load a
-  monitor through :func:`monitor_from_path`, which re-folds the durable
-  ledger — an NDJSON file via the torn-line-tolerant reader or a sqlite
-  store via the WAL multi-reader contract — so they can observe a
-  campaign they share nothing with but the filesystem;
+* ``repro watch STORE`` and ``repro tail STORE`` open a monitor on the
+  campaign store itself. ``watch`` keeps that one monitor across poll
+  ticks, so each tick folds only the log rows written since the last;
+  the WAL reader contract lets them observe a campaign they share
+  nothing with but the filesystem;
 * programmatic callers pass any :meth:`CampaignMonitor.state()
   <repro.experiments.monitor.CampaignMonitor.state>` dict straight to
-  :func:`render_dashboard`, or a fed monitor to :func:`render_tail`.
+  :func:`render_dashboard`, or a monitor to :func:`render_tail`.
 
-The renderers are pure functions (every frame is testable without a
-terminal); the CLI loop just clears the screen and reprints. Color
-degrades to plain ASCII with ``--no-color`` or when stdout is not a
-tty; ``tail`` is always plain.
+The renderers are pure functions of the monitor (every frame is
+testable without a terminal); the CLI loop just clears the screen and
+reprints. Color degrades to plain ASCII with ``--no-color`` or when
+stdout is not a tty; ``tail`` is always plain.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ import json
 from typing import Any, Dict, List, Optional
 from urllib.request import urlopen
 
-from .ledger import read_ledger_any
 from .monitor import CampaignMonitor
 
-__all__ = [
-    "monitor_from_path", "render_dashboard", "render_tail", "state_from_url",
-]
+__all__ = ["render_dashboard", "render_tail", "state_from_url"]
 
 #: glyph + ANSI color per cell status (color key None = no color).
 _STATUS_GLYPH = {
@@ -41,20 +38,6 @@ _STATUS_GLYPH = {
     "ok": ("#", "32"),        # green
     "error": ("E", "31"),     # red
 }
-
-
-def monitor_from_path(path: str) -> CampaignMonitor:
-    """Fold a durable ledger (NDJSON file or campaign store) into a monitor.
-
-    Builds a throwaway monitor per call: the WAL multi-reader contract
-    (store) and the torn-line-tolerant reader (file) make re-reading a
-    live artifact safe, and campaigns are small enough that a full
-    re-fold per poll tick is cheap. The monitor retains every record,
-    in ledger order, as its events.
-    """
-    monitor = CampaignMonitor()
-    monitor.feed_many(read_ledger_any(path))
-    return monitor
 
 
 def state_from_url(url: str, timeout: float = 5.0) -> Dict[str, Any]:

@@ -50,7 +50,6 @@ from .causality import (
     critical_path,
     sweep_attribution,
 )
-from .bus import EventBus, Subscription
 from .digest import canonical_json, sha256_digest
 from .eventlog import EventLog
 from .exporters import (
@@ -76,7 +75,6 @@ __all__ = [
     "COMPONENTS",
     "CausalGraph",
     "Counter",
-    "EventBus",
     "EventLog",
     "Gauge",
     "Histogram",
@@ -84,7 +82,6 @@ __all__ = [
     "MetricsRegistry",
     "PathSegment",
     "Span",
-    "Subscription",
     "TTCAttribution",
     "TelemetryHub",
     "TelemetrySummary",

@@ -241,14 +241,15 @@ class TestObservatoryCLI:
     def campaign_file(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("observatory")
         path = tmp / "campaign.json"
-        ledger = tmp / "campaign.ndjson"
+        store = tmp / "campaign.sqlite"
         rc = main([
             "campaign", "--experiments", "1", "3", "--sizes", "8",
             "--reps", "2", "--seed", "2016", "-q",
-            "-o", str(path), "--ledger", str(ledger),
+            "-o", str(path), "--store", str(store),
+            "--ledger", str(tmp / "campaign.ndjson"),
         ])
         assert rc == 0
-        return path, ledger
+        return path, store
 
     def test_analyze_needs_a_baseline(self, campaign_file, tmp_path, capsys):
         path, _ = campaign_file
@@ -355,8 +356,27 @@ class TestObservatoryCLI:
         assert "finished" in out and "4/4" in out
 
     def test_tail_missing_ledger(self, tmp_path, capsys):
-        rc = main(["tail", str(tmp_path / "nope.ndjson")])
+        rc = main(["tail", str(tmp_path / "nope.sqlite")])
         assert rc == 2
+        assert "not a campaign store" in capsys.readouterr().err
+
+    def test_tail_and_watch_refuse_an_ndjson_file(self, campaign_file,
+                                                  capsys):
+        """The NDJSON file is an export; the views read the store."""
+        ndjson = str(campaign_file[1].with_suffix(".ndjson"))
+        for argv in (["tail", ndjson], ["tail", ndjson, "--json"],
+                     ["watch", ndjson, "--once"]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert f"{ndjson} is not a campaign store" in err, argv
+            assert "--store" in err, argv
+
+    def test_ledger_export_is_tail_json(self, campaign_file, capsys):
+        _, store = campaign_file
+        assert main(["tail", str(store), "--json"]) == 0
+        assert capsys.readouterr().out == store.with_suffix(
+            ".ndjson"
+        ).read_text(encoding="utf-8")
 
     def test_tail_json_is_machine_readable(self, campaign_file, capsys):
         _, ledger = campaign_file
@@ -392,4 +412,4 @@ class TestObservatoryCLI:
         assert main([
             "watch", str(tmp_path / "x.ndjson"), "--url", "http://x/",
         ]) == 2
-        assert main(["watch", str(tmp_path / "nope.ndjson")]) == 2
+        assert main(["watch", str(tmp_path / "nope.sqlite")]) == 2

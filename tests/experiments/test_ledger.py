@@ -1,15 +1,14 @@
-"""The campaign observatory: NDJSON run ledger, progress, and tail view."""
+"""The campaign observatory: the store's campaign log, progress, tail."""
 
 import json
 
 import pytest
 
 from repro.experiments import (
+    CampaignStore,
     CellProgress,
     RunLedger,
     flag_anomalies,
-    monitor_from_path,
-    read_ledger,
     render_tail,
     run_campaign,
 )
@@ -48,21 +47,35 @@ class TestFlagAnomalies:
         assert "idle-heavy" in flag_anomalies(run)
 
 
+def write_log(path, records, leases=()):
+    """A store at ``path`` whose campaign log holds ``records`` and whose
+    attempts table holds one open lease per ``(cell, worker, heartbeat)``.
+    """
+    with CampaignStore(path) as store:
+        for record in records:
+            store.append_ledger(record)
+        for cell, worker, heartbeat in leases:
+            store.begin_attempt(*cell, worker=worker, now=heartbeat)
+    return path
+
+
 class TestRunLedger:
+    def _write(self, ledger):
+        ledger.campaign_start(total=2, meta={"seed": 7})
+        ledger.cell(
+            CellProgress(1, 2, (1, 8, 0), wall_s=0.5, ttc=1000.0),
+            run=_run(), worker=123,
+        )
+        ledger.cell(
+            CellProgress(2, 2, (1, 8, 1), wall_s=0.4, error="boom"),
+        )
+        ledger.campaign_end(completed=1, errors=1, wall_s=0.9)
+
     def test_stream_and_read_back(self, tmp_path):
-        path = str(tmp_path / "campaign.ndjson")
-        with RunLedger(path) as ledger:
-            ledger.campaign_start(total=2, meta={"seed": 7})
-            ledger.cell(
-                CellProgress(1, 2, (1, 8, 0), wall_s=0.5, ttc=1000.0),
-                run=_run(), worker=123,
-            )
-            ledger.cell(
-                CellProgress(2, 2, (1, 8, 1), wall_s=0.4,
-                             error="boom"),
-            )
-            ledger.campaign_end(completed=1, errors=1, wall_s=0.9)
-        records = read_ledger(path)
+        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+            with RunLedger(store) as ledger:
+                self._write(ledger)
+            records = store.ledger_records()
         kinds = [r["kind"] for r in records]
         assert kinds == ["campaign-start", "cell", "cell", "campaign-end"]
         ok_cell = records[1]
@@ -72,111 +85,48 @@ class TestRunLedger:
         assert not bad_cell["ok"] and bad_cell["error"] == "boom"
         assert bad_cell["anomalies"] == ["error"]
 
+    def test_cell_records_carry_components(self, tmp_path):
+        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+            with RunLedger(store) as ledger:
+                self._write(ledger)
+            cell = store.ledger_records()[1]
+        # per-component TTC shares, which the live views render
+        assert cell["components"] == dict(_run().attribution)
+
     def test_lines_are_valid_ndjson(self, tmp_path):
         path = str(tmp_path / "l.ndjson")
-        with RunLedger(path) as ledger:
-            ledger.campaign_start(total=1, meta={})
-        for line in open(path, encoding="utf-8"):
-            json.loads(line)
-
-    def test_torn_trailing_line_is_tolerated(self, tmp_path):
-        path = str(tmp_path / "l.ndjson")
-        with RunLedger(path) as ledger:
-            ledger.campaign_start(total=4, meta={})
-            ledger.cell(CellProgress(1, 4, (1, 8, 0), wall_s=0.1))
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "cell", "exp": 1, "n": 8,')  # writer mid-line
-        records = read_ledger(path)
-        assert [r["kind"] for r in records] == ["campaign-start", "cell"]
-
-    def test_line_torn_mid_utf8_character_is_tolerated(self, tmp_path):
-        """Regression: a tail cut through a multi-byte UTF-8 character.
-
-        The old text-mode reader decoded the whole file up front, so a
-        torn trailing line split *inside* one character ('é' is two
-        bytes) raised UnicodeDecodeError and lost every earlier record.
-        The reader now decodes per line and treats the torn tail like
-        any other partial write: ignored.
-        """
-        path = str(tmp_path / "l.ndjson")
-        with RunLedger(path) as ledger:
-            ledger.campaign_start(total=4, meta={"note": "expérience"})
-            ledger.cell(CellProgress(1, 4, (1, 8, 0), wall_s=0.1))
-        torn = '{"kind": "cell", "error": "é'.encode("utf-8")[:-1]
-        with open(path, "ab") as fh:
-            fh.write(torn)  # writer died one byte into 'é'
-        records = read_ledger(path)
-        assert [r["kind"] for r in records] == ["campaign-start", "cell"]
-        assert records[0]["meta"]["note"] == "expérience"
+        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+            with RunLedger(store, path=path) as ledger:
+                ledger.campaign_start(total=1, meta={"note": "expérience"})
+        lines = open(path, encoding="utf-8").read().splitlines()
+        assert [json.loads(line)["kind"] for line in lines] == [
+            "campaign-start"
+        ]
 
     def test_mirrors_into_store(self, tmp_path):
-        from repro.experiments import CampaignStore, read_ledger_any
-
+        """The NDJSON file is an export of the store's log, line for line."""
         ndjson = str(tmp_path / "l.ndjson")
-        sqlite_path = str(tmp_path / "l.sqlite")
-        with CampaignStore(sqlite_path) as store:
-            with RunLedger(ndjson, store=store) as ledger:
-                ledger.campaign_start(total=1, meta={"seed": 7})
-                ledger.cell(
-                    CellProgress(1, 1, (1, 8, 0), wall_s=0.5, ttc=9.0),
-                    run=_run(), worker=5,
-                )
-                ledger.campaign_end(completed=1, errors=0, wall_s=0.5)
-            # both representations carry the identical event stream
-            assert store.ledger_records() == read_ledger(ndjson)
-        # and read_ledger_any dispatches on the artifact kind
-        assert read_ledger_any(sqlite_path) == read_ledger_any(ndjson)
+        with CampaignStore(str(tmp_path / "l.sqlite")) as store:
+            with RunLedger(store, path=ndjson) as ledger:
+                self._write(ledger)
+                # nothing is exported before the ledger closes
+                assert not (tmp_path / "l.ndjson").exists()
+            records = store.ledger_records()
+        lines = open(ndjson, encoding="utf-8").read().splitlines()
+        assert [json.loads(line) for line in lines] == records
+        assert lines == [json.dumps(r, sort_keys=True) for r in records]
 
     def test_store_only_ledger_needs_no_file(self, tmp_path):
-        from repro.experiments import CampaignStore, read_ledger_any
-
-        sqlite_path = str(tmp_path / "l.sqlite")
-        with CampaignStore(sqlite_path) as store:
-            with RunLedger(store=store) as ledger:
+        with CampaignStore(str(tmp_path / "l.sqlite")) as store:
+            with RunLedger(store) as ledger:
                 ledger.campaign_start(total=0, meta={})
             records = store.ledger_records()
         assert [r["kind"] for r in records] == ["campaign-start"]
-        assert read_ledger_any(sqlite_path) == records
+        assert all(p.name.startswith("l.sqlite") for p in tmp_path.iterdir())
 
     def test_ledger_requires_some_sink(self):
         with pytest.raises(ValueError):
-            RunLedger()
-
-    def test_bus_only_ledger_publishes_every_record(self):
-        from repro.telemetry.bus import EventBus
-
-        bus = EventBus()
-        sub = bus.subscribe()
-        with RunLedger(bus=bus) as ledger:
-            ledger.campaign_start(total=1, meta={"seed": 7})
-            ledger.cell(
-                CellProgress(1, 1, (1, 8, 0), wall_s=0.5, ttc=9.0),
-                run=_run(), worker=5,
-            )
-            ledger.campaign_end(completed=1, errors=0, wall_s=0.5)
-        events = sub.drain()
-        assert [e["kind"] for e in events] == [
-            "campaign-start", "cell", "campaign-end",
-        ]
-        # cell records carry the attribution components for live views
-        assert events[1]["components"] == dict(_run().attribution)
-
-    def test_heartbeat_is_bus_only(self, tmp_path):
-        from repro.telemetry.bus import EventBus
-
-        path = str(tmp_path / "l.ndjson")
-        bus = EventBus()
-        sub = bus.subscribe()
-        with RunLedger(path, bus=bus) as ledger:
-            ledger.campaign_start(total=1, meta={})
-            ledger.heartbeat([(1, 8, 0)], workers=(42,))
-        pulses = [e for e in sub.drain() if e["kind"] == "heartbeat"]
-        assert len(pulses) == 1
-        assert pulses[0]["cells"] == [[1, 8, 0]]
-        assert pulses[0]["workers"] == [42]
-        # the durable file never sees the pulse
-        kinds = [r["kind"] for r in read_ledger(path)]
-        assert kinds == ["campaign-start"]
+            RunLedger(None)
 
 
 class TestLedgerProgress:
@@ -193,13 +143,22 @@ class TestLedgerProgress:
              "wall_s": 1.0, "anomalies": ["error"]},
         ]
 
-    def _fold(self, records):
-        monitor = CampaignMonitor()
-        monitor.feed_many(records)
-        return monitor
+    @pytest.fixture()
+    def fold(self, tmp_path):
+        monitors = []
 
-    def test_progress_snapshot(self):
-        monitor = self._fold(self._records())
+        def fold(records):
+            path = write_log(str(tmp_path / f"{len(monitors)}.sqlite"),
+                             records)
+            monitors.append(CampaignMonitor(path))
+            return monitors[-1]
+
+        yield fold
+        for monitor in monitors:
+            monitor.close()
+
+    def test_progress_snapshot(self, fold):
+        monitor = fold(self._records())
         state = monitor.state()
         assert state["total"] == 4 and state["done"] == 2
         assert state["errors"] == 1 and not state["finished"]
@@ -209,7 +168,7 @@ class TestLedgerProgress:
             [1, 8, 1]
         ]
 
-    def test_finished_campaign(self):
+    def test_finished_campaign(self, fold):
         records = self._records() + [
             {"kind": "cell", "exp": 1, "n": 16, "rep": 0, "ok": True,
              "wall_s": 1.0},
@@ -218,12 +177,12 @@ class TestLedgerProgress:
             {"kind": "campaign-end", "completed": 3, "errors": 1,
              "wall_s": 5.0},
         ]
-        state = self._fold(records).state()
+        state = fold(records).state()
         assert state["finished"] and state["done"] == 4
         assert state["eta_s"] == 0.0
 
-    def test_render_tail(self):
-        text = render_tail(self._fold(self._records()))
+    def test_render_tail(self, fold):
+        text = render_tail(fold(self._records()))
         assert "2/4" in text
         assert "running" in text
         assert "ERR exp1 n=8 rep=1" in text
@@ -231,13 +190,14 @@ class TestLedgerProgress:
 
 class TestEndToEnd:
     def test_campaign_streams_a_ledger(self, tmp_path):
-        path = str(tmp_path / "c.ndjson")
-        with RunLedger(path) as ledger:
-            result = run_campaign(
-                experiments=(3,), task_counts=(8,), reps=2,
-                campaign_seed=21, ledger=ledger,
-            )
-        records = read_ledger(path)
+        path = str(tmp_path / "c.sqlite")
+        with CampaignStore(path) as store:
+            with RunLedger(store) as ledger:
+                result = run_campaign(
+                    experiments=(3,), task_counts=(8,), reps=2,
+                    campaign_seed=21, ledger=ledger, store=store,
+                )
+            records = store.ledger_records()
         cells = [r for r in records if r["kind"] == "cell"]
         assert len(cells) == len(result.runs) == 2
         assert all("worker" in rec for rec in cells)
@@ -247,18 +207,21 @@ class TestEndToEnd:
         for rec, run in zip(cells, result.runs):
             assert rec["attribution_digest"] == run.attribution_digest
             assert rec["ttc"] == run.ttc
-        assert "finished" in render_tail(monitor_from_path(path))
+        with CampaignMonitor(path) as monitor:
+            assert "finished" in render_tail(monitor)
 
     def test_parallel_campaign_streams_a_ledger(self, tmp_path):
-        path = str(tmp_path / "p.ndjson")
-        with RunLedger(path) as ledger:
-            result = run_campaign(
-                experiments=(3,), task_counts=(8,), reps=2,
-                campaign_seed=21, jobs=2, ledger=ledger,
-            )
-        records = read_ledger(path)
+        path = str(tmp_path / "p.sqlite")
+        with CampaignStore(path) as store:
+            with RunLedger(store) as ledger:
+                result = run_campaign(
+                    experiments=(3,), task_counts=(8,), reps=2,
+                    campaign_seed=21, jobs=2, ledger=ledger, store=store,
+                )
+            records = store.ledger_records()
         cells = [r for r in records if r["kind"] == "cell"]
         assert len(cells) == len(result.runs) == 2
         assert all("worker" in rec for rec in cells)
-        state = monitor_from_path(path).state()
+        with CampaignMonitor(path) as monitor:
+            state = monitor.state()
         assert state["finished"] and state["done"] == 2

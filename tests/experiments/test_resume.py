@@ -8,6 +8,7 @@ byte-identical to the store of an uninterrupted run. Per-cell seeding
 provable; these tests are what keep it true.
 """
 
+import json
 import os
 import signal
 import sqlite3
@@ -22,6 +23,7 @@ from repro.cli import main
 from repro.experiments import (
     EXIT_RESUMABLE,
     CampaignInterrupted,
+    CampaignMonitor,
     CampaignStore,
     IncompatibleResumeError,
     ResiliencePolicy,
@@ -31,9 +33,7 @@ from repro.experiments import (
     campaign_meta,
     config_digest,
     meta_diff,
-    monitor_from_path,
     prepare_resume,
-    read_ledger_any,
     render_tail,
     run_campaign,
     store_summary,
@@ -388,44 +388,48 @@ class TestHungWorker:
 
 class TestResumeLedger:
     def test_attempt_and_resume_events_reach_both_sinks(self, tmp_path):
+        """Both sessions log into the store; the second session's NDJSON
+        export holds the whole log, the first session's rows included."""
         path = str(tmp_path / "c.sqlite")
-        ndjson = str(tmp_path / "c.ndjson")
+        ndjson = tmp_path / "c.ndjson"
         with CampaignStore(path) as store:
-            ledger = RunLedger(ndjson, store=store)
-            run_campaign(
-                jobs=1, run_fn=_fake_run,
-                store=store, ledger=ledger, **GRID_KW,
-            )
-            ledger.close()
+            with RunLedger(store, path=str(ndjson)) as ledger:
+                run_campaign(
+                    jobs=1, run_fn=_fake_run,
+                    store=store, ledger=ledger, **GRID_KW,
+                )
         with CampaignStore(path) as store:
-            ledger = RunLedger(ndjson, store=store, append=True)
-            run_campaign(
-                jobs=1, run_fn=_fake_run,
-                store=store, ledger=ledger, resume=True, **GRID_KW,
-            )
-            ledger.close()
-        for source in (path, ndjson):
-            records = read_ledger_any(source)
-            kinds = {r["kind"] for r in records}
-            assert "attempt_started" in kinds
-            assert "campaign_resumed" in kinds
-            monitor = monitor_from_path(source)
+            with RunLedger(store, path=str(ndjson)) as ledger:
+                run_campaign(
+                    jobs=1, run_fn=_fake_run,
+                    store=store, ledger=ledger, resume=True, **GRID_KW,
+                )
+            records = store.ledger_records()
+        kinds = [r["kind"] for r in records]
+        assert "attempt_started" in kinds
+        assert "campaign_resumed" in kinds
+        assert kinds.count("campaign-start") == 2
+        exported = [
+            json.loads(line)
+            for line in ndjson.read_text(encoding="utf-8").splitlines()
+        ]
+        assert exported == records
+        with CampaignMonitor(path) as monitor:
             state = monitor.state()
             assert state["done"] == 4  # deduped across both sessions
             assert state["resumed"]["committed"] == 4
             text = render_tail(monitor)
-            assert "resumed:" in text
-            assert "4/4" in text
+        assert "resumed:" in text
+        assert "4/4" in text
 
     def test_interrupted_tail_state(self, tmp_path):
-        ndjson = str(tmp_path / "c.ndjson")
-        ledger = RunLedger(ndjson)
-        ledger.campaign_start(4, {})
-        ledger.campaign_end(2, 0, 1.0, interrupted=True)
-        ledger.close()
-        assert "interrupted (resumable)" in render_tail(
-            monitor_from_path(ndjson)
-        )
+        path = str(tmp_path / "c.sqlite")
+        with CampaignStore(path) as store:
+            with RunLedger(store) as ledger:
+                ledger.campaign_start(4, {})
+                ledger.campaign_end(2, 0, 1.0, interrupted=True)
+        with CampaignMonitor(path) as monitor:
+            assert "interrupted (resumable)" in render_tail(monitor)
 
 
 # -- CLI guards and exit codes -------------------------------------------------

@@ -20,7 +20,6 @@ from repro.experiments import (
     CampaignStore,
     ResiliencePolicy,
     RunLedger,
-    read_ledger,
     run_campaign,
 )
 from repro.experiments.campaign import CampaignResult, CellError, RunResult
@@ -97,9 +96,8 @@ def _stored_outcome(tmp_path, jobs, run_fn, **kwargs):
     quarantined cells in the store, and the multiset of ledger kinds.
     """
     path = str(tmp_path / f"j{jobs}.sqlite")
-    ndjson = str(tmp_path / f"j{jobs}.ndjson")
     with CampaignStore(path) as store:
-        with RunLedger(ndjson) as ledger:
+        with RunLedger(store) as ledger:
             result = run_campaign(
                 jobs=jobs, run_fn=run_fn, store=store, ledger=ledger,
                 **kwargs,
@@ -109,7 +107,7 @@ def _stored_outcome(tmp_path, jobs, run_fn, **kwargs):
             cell = (row["exp_id"], row["n_tasks"], row["rep"])
             states.setdefault(cell, []).append(row["state"])
         quarantined = store.error_cells()
-    kinds = Counter(r["kind"] for r in read_ledger(ndjson))
+        kinds = Counter(r["kind"] for r in store.ledger_records())
     return result, states, quarantined, kinds
 
 
@@ -218,22 +216,25 @@ class TestPrivateStoreEqualsFileStore:
 
     @staticmethod
     def _outcome(tmp_path, name, jobs, store_path=None, **kwargs):
-        ndjson = str(tmp_path / f"{name}.ndjson")
-        with RunLedger(ndjson) as ledger:
-            if store_path is None:
-                result = run_campaign(jobs=jobs, ledger=ledger, **kwargs)
-            else:
-                with CampaignStore(store_path) as store:
-                    result = run_campaign(
-                        jobs=jobs, ledger=ledger, store=store, **kwargs
-                    )
+        # the ledger logs into a store of its own, so the private-store
+        # campaign's attempt numbers can be read back after it returns.
+        with CampaignStore(str(tmp_path / f"{name}.log.sqlite")) as log:
+            with RunLedger(log) as ledger:
+                if store_path is None:
+                    result = run_campaign(jobs=jobs, ledger=ledger, **kwargs)
+                else:
+                    with CampaignStore(store_path) as store:
+                        result = run_campaign(
+                            jobs=jobs, ledger=ledger, store=store, **kwargs
+                        )
+            records = log.ledger_records()
         payloads = [
             json.dumps(run_to_dict(r), sort_keys=True) for r in result.runs
         ]
         errors = [(e.exp_id, e.n_tasks, e.rep) for e in result.errors]
         attempts = sorted(
             (r["exp"], r["n"], r["rep"], r["attempt"])
-            for r in read_ledger(ndjson) if r["kind"] == "attempt_started"
+            for r in records if r["kind"] == "attempt_started"
         )
         return payloads, errors, attempts
 

@@ -1,31 +1,37 @@
 """The monitor's HTTP face: /metrics, /state.json, SSE replay + resume."""
 
 import json
+import os
 import threading
 import time
 import urllib.request
 
 import pytest
 
+from repro.experiments import CampaignStore
 from repro.experiments.monitor import CampaignMonitor, host_sample
 from repro.experiments.serve import MonitorServer, parse_serve_spec
 
 
 @pytest.fixture()
-def plane():
-    """A monitor with history behind a live ephemeral-port server."""
-    monitor = CampaignMonitor()
-    monitor.feed({
-        "kind": "campaign-start", "total": 2, "wall": 100.0,
-        "meta": {"experiments": [1], "task_counts": [8], "reps": 2},
-    })
-    monitor.feed({
-        "kind": "cell", "exp": 1, "n": 8, "rep": 0, "ok": True,
-        "done": 1, "total": 2, "wall_s": 0.5, "ttc": 10.0, "wall": 101.0,
-    })
-    server = MonitorServer(monitor).start()
-    yield monitor, server
-    server.stop()
+def plane(tmp_path):
+    """A store with history, and a monitor on it behind a live
+    ephemeral-port server. Yields the writable store (what the tests
+    append to, as a campaign would) and the server."""
+    with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+        store.append_ledger({
+            "kind": "campaign-start", "total": 2, "wall": 100.0,
+            "meta": {"experiments": [1], "task_counts": [8], "reps": 2},
+        })
+        store.append_ledger({
+            "kind": "cell", "exp": 1, "n": 8, "rep": 0, "ok": True,
+            "done": 1, "total": 2, "wall_s": 0.5, "ttc": 10.0,
+            "wall": 101.0,
+        })
+        with CampaignMonitor(store.path) as monitor:
+            server = MonitorServer(monitor).start()
+            yield store, server
+            server.stop()
 
 
 def _get(url, timeout=5.0):
@@ -48,14 +54,14 @@ def _sse_frames(resp, want, timeout=5.0):
 
 class TestEndpoints:
     def test_ephemeral_port_and_index(self, plane):
-        _monitor, server = plane
+        _store, server = plane
         assert server.port != 0
         status, _headers, body = _get(server.url + "/")
         assert status == 200
         assert "/metrics" in body and "/events" in body
 
     def test_state_json(self, plane):
-        _monitor, server = plane
+        _store, server = plane
         status, headers, body = _get(server.url + "/state.json")
         assert status == 200
         assert headers["Content-Type"] == "application/json"
@@ -66,7 +72,7 @@ class TestEndpoints:
         }
 
     def test_metrics_prometheus_text(self, plane):
-        _monitor, server = plane
+        _store, server = plane
         status, headers, body = _get(server.url + "/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
@@ -77,8 +83,8 @@ class TestEndpoints:
     def test_metrics_exports_every_monitor_metric(self, plane):
         """Every name ``/metrics`` has exported stays exported; counters
         come from the folded state, so ones never bumped read 0."""
-        monitor, server = plane
-        monitor.feed({
+        store, server = plane
+        store.append_ledger({
             "kind": "cell", "exp": 1, "n": 8, "rep": 1, "ok": True,
             "done": 2, "total": 2, "wall_s": 0.4, "wall": 102.0,
             "components": {"tx": 3.0, "tw": 1.0},
@@ -103,14 +109,15 @@ class TestEndpoints:
         assert "\nrepro_monitor_cells 2\n" in body
 
     def test_unknown_path_404(self, plane):
-        _monitor, server = plane
+        _store, server = plane
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(server.url + "/nope")
         assert err.value.code == 404
 
-    def test_server_is_observation_only_context_manager(self):
-        monitor = CampaignMonitor()
-        with MonitorServer(monitor) as server:
+    def test_server_is_observation_only_context_manager(self, plane):
+        store, _server = plane
+        with CampaignMonitor(store.path) as monitor, \
+                MonitorServer(monitor) as server:
             status, _h, _b = _get(server.url + "/state.json")
             assert status == 200
         # stopped on exit: a fresh connection must fail
@@ -120,15 +127,15 @@ class TestEndpoints:
 
 class TestSSE:
     def test_replay_then_follow(self, plane):
-        monitor, server = plane
+        store, server = plane
         resp = urllib.request.urlopen(server.url + "/events", timeout=5)
         assert resp.headers["Content-Type"] == "text/event-stream"
-        # replay: the 2 retained events, ids 1..2
+        # replay: the 2 logged rows, ids = seq 1..2
         replay = _sse_frames(resp, want=2)
         assert [i for i, _ in replay] == [1, 2]
         assert [r["kind"] for _, r in replay] == ["campaign-start", "cell"]
-        # follow: a live event lands on the open stream
-        monitor.feed({
+        # follow: a live row lands on the open stream
+        store.append_ledger({
             "kind": "cell", "exp": 1, "n": 8, "rep": 1, "ok": True,
             "done": 2, "total": 2, "wall_s": 0.4, "wall": 102.0,
         })
@@ -139,16 +146,16 @@ class TestSSE:
 
     def test_last_event_id_resumes_mid_stream(self, plane):
         """Satellite: a reconnecting client resumes exactly after its id."""
-        monitor, server = plane
+        store, server = plane
         # first connection reads both events, then "disconnects" at id 2
         first = urllib.request.urlopen(server.url + "/events", timeout=5)
         assert len(_sse_frames(first, want=2)) == 2
         first.close()
-        # events arrive while the client is away
-        monitor.feed({"kind": "cell", "exp": 1, "n": 8, "rep": 1,
-                      "ok": False, "wall_s": 0.1, "error": "boom"})
-        monitor.feed({"kind": "campaign-end", "completed": 1, "errors": 1,
-                      "wall_s": 1.0})
+        # rows arrive while the client is away
+        store.append_ledger({"kind": "cell", "exp": 1, "n": 8, "rep": 1,
+                             "ok": False, "wall_s": 0.1, "error": "boom"})
+        store.append_ledger({"kind": "campaign-end", "completed": 1,
+                             "errors": 1, "wall_s": 1.0})
         # reconnect with Last-Event-ID: 2 -> only ids 3 and 4
         req = urllib.request.Request(
             server.url + "/events", headers={"Last-Event-ID": "2"}
@@ -159,8 +166,21 @@ class TestSSE:
         assert [r["kind"] for _, r in frames] == ["cell", "campaign-end"]
         second.close()
 
+    def test_stop_sends_every_row_written_before_it(self, plane):
+        """A stream open when the server stops ends with the last row
+        the campaign logged, then EOF — nothing is cut off."""
+        store, server = plane
+        resp = urllib.request.urlopen(server.url + "/events", timeout=5)
+        assert len(_sse_frames(resp, want=2)) == 2
+        store.append_ledger({"kind": "campaign-end", "completed": 2,
+                             "errors": 0, "wall_s": 1.0})
+        server.stop()
+        rest = resp.read().decode("utf-8")
+        resp.close()
+        assert "id: 3\n" in rest and '"campaign-end"' in rest
+
     def test_after_query_param_resumes_too(self, plane):
-        _monitor, server = plane
+        _store, server = plane
         resp = urllib.request.urlopen(
             server.url + "/events?after=1", timeout=5
         )
@@ -172,7 +192,7 @@ class TestSSE:
         monkeypatch.setattr(
             "repro.experiments.serve.KEEPALIVE_S", 0.1
         )
-        _monitor, server = plane
+        _store, server = plane
         resp = urllib.request.urlopen(
             server.url + "/events?after=2", timeout=5
         )
@@ -186,7 +206,7 @@ class TestSSE:
         resp.close()
 
     def test_many_concurrent_sse_clients(self, plane):
-        monitor, server = plane
+        store, server = plane
         results = []
 
         def client():
@@ -198,8 +218,8 @@ class TestSSE:
         for t in threads:
             t.start()
         time.sleep(0.2)
-        monitor.feed({"kind": "campaign-end", "completed": 2, "errors": 0,
-                      "wall_s": 1.0})
+        store.append_ledger({"kind": "campaign-end", "completed": 2,
+                             "errors": 0, "wall_s": 1.0})
         for t in threads:
             t.join(timeout=10.0)
         assert len(results) == 4
@@ -217,3 +237,43 @@ class TestServeSpec:
         for bad in ("", "host:", "nope", ":-1", ":70000", "a:b:c"):
             with pytest.raises(ValueError):
                 parse_serve_spec(bad)
+
+
+class TestServeWithoutStore:
+    def test_temp_store_serves_every_cell_and_is_removed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--serve`` without ``--store`` records into a temporary store
+        file that the served monitor reads through its own connection;
+        the file is gone once the campaign exits."""
+        import tempfile
+
+        import repro.cli as cli
+
+        made, served = [], []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def mkdtemp(**kwargs):
+            made.append(real_mkdtemp(dir=str(tmp_path), **kwargs))
+            return made[-1]
+
+        class LastStateServer(MonitorServer):
+            def stop(self):
+                # the campaign has ended: read what the plane saw last
+                served.append(json.loads(_get(self.url + "/state.json")[2]))
+                super().stop()
+
+        monkeypatch.setattr(cli.tempfile, "mkdtemp", mkdtemp)
+        monkeypatch.setattr(cli, "MonitorServer", LastStateServer)
+        assert cli.main([
+            "campaign", "--experiments", "1", "3", "--sizes", "8",
+            "--reps", "2", "--seed", "2016", "-q", "-j", "2",
+            "-o", str(tmp_path / "c.json"), "--serve", "127.0.0.1:0",
+        ]) == 0
+        assert "serving on http://127.0.0.1:" in capsys.readouterr().err
+        (state,) = served
+        assert (state["done"], state["total"], state["errors"]) == (4, 4, 0)
+        assert state["finished"]
+        assert all(row["status"] == "ok" for row in state["grid"])
+        assert len(made) == 1 and not os.path.exists(made[0])
+        assert os.listdir(str(tmp_path)) == ["c.json"]

@@ -1,10 +1,12 @@
 """Chaos for the observability plane: watch a SIGKILL'd campaign live.
 
-The satellite contract: a ``-j`` campaign served live, SIGKILL'd in
-flight, and resumed must leave observers and the store in agreement —
-the watch fold over the store equals what ``repro analyze`` (the
-fingerprint oracle) sees, and the digests match an uninterrupted run's.
-The plane observes everything and perturbs nothing, even under chaos.
+A ``-j`` campaign served live, SIGKILL'd in flight, and resumed must
+leave observers and the store in agreement — the watch fold over the
+store equals what ``repro analyze`` (the fingerprint oracle) sees, and
+the digests match an uninterrupted run's. An SSE client that reconnects
+with the last id it saw gets exactly the store's log rows past that id,
+within one session and across a ``--resume``. The plane observes
+everything and perturbs nothing, even under chaos.
 """
 
 import json
@@ -18,9 +20,9 @@ import urllib.request
 
 from repro.cli import main
 from repro.experiments import (
+    CampaignMonitor,
     CampaignStore,
     campaign_fingerprint_from_store,
-    monitor_from_path,
 )
 
 from .test_resume import _digest, _poll_runs
@@ -30,15 +32,20 @@ REPO = os.path.dirname(
 )
 
 
-def _spawn_served_campaign(store_path, seed=5):
+#: the CI campaign's grid, long enough at -j 2 to reconnect mid-run.
+CI_GRID = ("--experiments", "1", "3", "--sizes", "8", "16", "--reps", "2")
+
+
+def _spawn_served_campaign(store_path, seed=5, *extra,
+                           grid=("--experiments", "1", "--sizes", "8",
+                                 "--reps", "8")):
     """Start a `-j 2 --serve :0` campaign; returns (proc, monitor_url)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "campaign",
-         "--experiments", "1", "--sizes", "8", "--reps", "8",
+        [sys.executable, "-m", "repro", "campaign", *grid,
          "--seed", str(seed), "-q", "-j", "2",
-         "--store", store_path, "--serve", "127.0.0.1:0"],
+         "--store", store_path, "--serve", "127.0.0.1:0", *extra],
         cwd=REPO, env=env, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
@@ -84,7 +91,8 @@ class TestWatchThroughSigkill:
                     metrics = r.read().decode()
                 assert "repro_monitor_cells_total 8" in metrics
                 # a live file watcher agrees with the store, mid-flight
-                watched = monitor_from_path(chaos).state()
+                with CampaignMonitor(chaos) as watcher:
+                    watched = watcher.state()
                 assert watched["total"] == 8
                 # SIGKILL the process group: parent, workers, server
                 os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
@@ -98,7 +106,8 @@ class TestWatchThroughSigkill:
         if seen >= 0:
             # the dead monitor took nothing with it: the store folds
             # cleanly and shows the interruption
-            mid = monitor_from_path(chaos).state()
+            with CampaignMonitor(chaos) as watcher:
+                mid = watcher.state()
             assert not mid["finished"]
             assert mid["done"] < 8
 
@@ -108,10 +117,93 @@ class TestWatchThroughSigkill:
             "--reps", "8", "--seed", "5", "-q", "-j", "2",
             "--store", chaos, "--resume",
         ]) == 0
-        final = monitor_from_path(chaos).state()
+        with CampaignMonitor(chaos) as watcher:
+            final = watcher.state()
         assert final["done"] == 8 and final["errors"] == 0
         # watch-fold and analyze-oracle agree on the same store
         with CampaignStore(chaos, readonly=True) as store:
             fingerprint = campaign_fingerprint_from_store(store)
             assert store.run_count() == final["done"]
         assert fingerprint["digest"] == _digest(clean)
+
+
+def _sse(url, last_id=None):
+    headers = {} if last_id is None else {"Last-Event-ID": str(last_id)}
+    request = urllib.request.Request(url + "/events", headers=headers)
+    return urllib.request.urlopen(request, timeout=60)
+
+
+def _frames(resp, want=None):
+    """``(id, record)`` SSE frames: ``want`` of them, or all until EOF."""
+    frames, event_id = [], None
+    with resp:
+        for raw in resp:
+            line = raw.decode("utf-8")
+            if line.startswith("id: "):
+                event_id = int(line[4:])
+            elif line.startswith("data: "):
+                frames.append((event_id, json.loads(line[6:])))
+                if want is not None and len(frames) == want:
+                    break
+    return frames
+
+
+def _log_rows(path, after=0):
+    with CampaignStore(path, readonly=True) as store:
+        return store.ledger_rows(after)
+
+
+def _end(proc, kill=False):
+    try:
+        if kill and proc.poll() is None:
+            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+        return proc.wait(timeout=120)
+    finally:
+        proc.stderr.close()
+        if proc.poll() is None:  # pragma: no cover - cleanup path
+            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+            proc.wait(timeout=30)
+
+
+class TestSseResume:
+    def test_last_event_id_mid_campaign(self, tmp_path):
+        """Reconnect mid-run with the last id seen: the new stream is the
+        store's rows past it, in order, no gap, no duplicate, up to the
+        end of the campaign."""
+        path = str(tmp_path / "c.sqlite")
+        proc, url = _spawn_served_campaign(path, 2016, grid=CI_GRID)
+        try:
+            first = _frames(_sse(url), want=4)
+            last_id = first[-1][0]
+            rest = _frames(_sse(url, last_id))
+        finally:
+            assert _end(proc) == 0
+        assert first == _log_rows(path)[:4]
+        assert rest == _log_rows(path, last_id)
+        assert rest[-1][1]["kind"] == "campaign-end"
+        assert [seq for seq, _ in first + rest] == list(
+            range(1, len(first) + len(rest) + 1)
+        )
+
+    def test_last_event_id_across_a_resume(self, tmp_path):
+        """An id taken before a SIGKILL resumes on the resumed session's
+        server: ``seq`` continues across sessions, so the stream is the
+        rest of the first session's rows, then the second's."""
+        path = str(tmp_path / "c.sqlite")
+        proc, url = _spawn_served_campaign(path, 2016, grid=CI_GRID)
+        try:
+            first = _frames(_sse(url), want=4)
+        finally:
+            _end(proc, kill=True)
+        last_id = first[-1][0]
+        proc, url = _spawn_served_campaign(
+            path, 2016, "--resume", grid=CI_GRID
+        )
+        try:
+            rest = _frames(_sse(url, last_id))
+        finally:
+            assert _end(proc) == 0
+        assert first == _log_rows(path)[:4]
+        assert rest == _log_rows(path, last_id)
+        kinds = [record["kind"] for _seq, record in rest]
+        assert "campaign_resumed" in kinds and kinds[-1] == "campaign-end"
