@@ -94,25 +94,25 @@ class TestRunLedger:
         assert cell["components"] == dict(_run().attribution)
 
     def test_lines_are_valid_ndjson(self, tmp_path):
-        path = str(tmp_path / "l.ndjson")
+        path = tmp_path / "l.ndjson"
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
-            with RunLedger(store, path=path) as ledger:
+            with RunLedger(store, path=str(path)) as ledger:
                 ledger.campaign_start(total=1, meta={"note": "expérience"})
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["kind"] for line in lines] == [
             "campaign-start"
         ]
 
     def test_mirrors_into_store(self, tmp_path):
         """The NDJSON file is an export of the store's log, line for line."""
-        ndjson = str(tmp_path / "l.ndjson")
+        ndjson = tmp_path / "l.ndjson"
         with CampaignStore(str(tmp_path / "l.sqlite")) as store:
-            with RunLedger(store, path=ndjson) as ledger:
+            with RunLedger(store, path=str(ndjson)) as ledger:
                 self._write(ledger)
                 # nothing is exported before the ledger closes
-                assert not (tmp_path / "l.ndjson").exists()
+                assert not ndjson.exists()
             records = store.ledger_records()
-        lines = open(ndjson, encoding="utf-8").read().splitlines()
+        lines = ndjson.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line) for line in lines] == records
         assert lines == [json.dumps(r, sort_keys=True) for r in records]
 
