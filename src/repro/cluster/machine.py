@@ -1,7 +1,8 @@
 """The simulated HPC resource: queue + core count + batch scheduler.
 
 A :class:`Cluster` accepts :class:`~repro.cluster.job.BatchJob`
-submissions, keeps them in a priority-ordered pending queue, and asks its
+submissions and a background workload's arrival stream, keeps the jobs
+in a priority-ordered pending queue, and asks its
 scheduling policy which to start whenever the state changes (a submission
 arrives or a job ends). Started jobs hold cores until they complete or
 hit their walltime limit. The machine is accounted as a free-core count:
@@ -17,7 +18,7 @@ layer uses for its predictive interface.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..des import ScheduledEvent, Simulation
 from .job import BatchJob, JobState
@@ -28,6 +29,9 @@ from .schedulers import (
     SchedulerView,
 )
 from .schedulers.base import PriorityFn
+
+if TYPE_CHECKING:
+    from .workload import BackgroundWorkload
 
 
 class SubmissionError(Exception):
@@ -46,7 +50,14 @@ SCHEDULER_PASS_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 class Cluster:
-    """A space-shared HPC resource driven by the simulation kernel."""
+    """A space-shared HPC resource driven by the simulation kernel.
+
+    Jobs reach the queue after ``submit_overhead`` seconds by one of two
+    routes: :meth:`submit` (pilots, ``prime()``, trace replay) schedules
+    the queueing of a job built by the caller, and
+    :meth:`queue_arrivals` queues a background workload's arrivals,
+    building each job at its own queueing event.
+    """
 
     def __init__(
         self,
@@ -154,6 +165,20 @@ class Cluster:
         self.sim.call_in(self.submit_overhead, self._enqueue, job)
         return job
 
+    def queue_arrivals(self, workload: "BackgroundWorkload") -> None:
+        """Queue ``workload``'s arrival stream, one kernel event per job.
+
+        Each accepted arrival is queued at its arrival instant plus the
+        submit overhead, as :meth:`submit` would queue it, but the job is
+        drawn at that event and the same event pulls the next arrival:
+        no process, timeout or submit hop per job, and no event for a
+        candidate the thinning rejects.
+        """
+        arrival = workload.next_arrival()
+        self.sim.call_at(
+            arrival + self.submit_overhead, self._arrive, workload, arrival
+        )
+
     def cancel(self, job: BatchJob) -> None:
         """Remove a pending job or kill a running one."""
         self._end(job, JobState.CANCELLED)
@@ -239,6 +264,14 @@ class Cluster:
         self._pending.append(job)
         self._transition(job, JobState.PENDING)
         self._schedule_dispatch()
+
+    def _arrive(self, workload: "BackgroundWorkload", arrival: float) -> None:
+        """Queue the job that arrived at ``arrival``, then pull the next."""
+        job = workload.job_due(arrival)
+        if job is None:
+            return  # arrived after workload.stop(); the stream ends
+        self._enqueue(job)
+        self.queue_arrivals(workload)
 
     def _sort_pending(self) -> None:
         """Order the queue by the (time-dependent) priority function.

@@ -24,6 +24,12 @@ scalar call costs more than the draw itself (weighted choice, clip,
 uniform) the sampler does the same arithmetic in Python on the same
 uniform draws, so the values and the generator state are bit-identical
 to the numpy calls (``docs/INTERNALS.md``, "Background job sampling").
+
+Arrivals are a lazy stream of accepted instants, thinned from a
+homogeneous Poisson process. The cluster queues each arrival in one
+kernel event at ``arrival + submit_overhead``, drawing its job there and
+then the next accepted instant, so a queued job costs one event and a
+rejected candidate none (``docs/INTERNALS.md``, "Arrivals").
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,7 +152,13 @@ class WorkloadProfile:
 
 
 class BackgroundWorkload:
-    """Generates and submits background jobs to one cluster."""
+    """Generates background jobs for one cluster.
+
+    ``prime()`` submits a starting load through :meth:`Cluster.submit`.
+    ``start()`` hands the arrival stream to the cluster, which queues
+    each accepted arrival in one kernel event and pulls the next one
+    from here, so the stream runs without a process or a timeout.
+    """
 
     def __init__(
         self,
@@ -162,8 +174,10 @@ class BackgroundWorkload:
         self.rng = stream if stream is not None else sim.rng.get(
             f"workload/{cluster.name}"
         )
+        #: jobs queued by the arrival stream (prime() jobs excluded).
         self.submitted = 0
-        self._stopped = False
+        self._stop_at = math.inf
+        self._stream: Iterator[float] = iter(())
         # Interned user labels: one f-string format per account, not one
         # per sampled job.
         self._user_labels = [f"bg{i:02d}" for i in range(profile.n_users)]
@@ -243,26 +257,49 @@ class BackgroundWorkload:
         phase = 2 * math.pi * (t % p.diurnal_period) / p.diurnal_period
         return self.base_rate * (1 + p.diurnal_amplitude * math.sin(phase))
 
-    # -- driving processes -------------------------------------------------------
+    # -- arrivals ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Begin the arrival process (runs until stop() or end of sim)."""
-        self.sim.process(self._arrivals(), name=f"workload/{self.cluster.name}")
+        """Begin the arrival stream (runs until stop() or end of sim).
+
+        Draws the first accepted arrival now; from then on each queued
+        job costs one kernel event (see :meth:`Cluster.queue_arrivals`).
+        """
+        self._stream = self._accepted_arrivals(self.sim.now)
+        self.cluster.queue_arrivals(self)
 
     def stop(self) -> None:
-        self._stopped = True
+        """Stop the stream: a job is queued iff it arrived by now."""
+        if self.sim.now < self._stop_at:
+            self._stop_at = self.sim.now
 
-    def _arrivals(self):
-        # Thinning algorithm for the non-homogeneous Poisson process.
+    def next_arrival(self) -> float:
+        """Instant of the next accepted arrival (draws its candidates)."""
+        return next(self._stream)
+
+    def job_due(self, arrival: float) -> Optional[BatchJob]:
+        """The job arriving at ``arrival``, or None if it came after stop()."""
+        if arrival > self._stop_at:
+            return None
+        self.submitted += 1
+        return self.make_job()
+
+    def _accepted_arrivals(self, t: float) -> Iterator[float]:
+        """Thinning for the non-homogeneous Poisson process after ``t``.
+
+        Per candidate: the exponential gap, then the thinning uniform
+        (``rate_at`` of the candidate's own instant). The caller draws
+        an accepted arrival's job before it asks for the next arrival,
+        so the stream sees gap, uniform, then the job's draws.
+        """
+        rng = self.rng
         rate_max = self.base_rate * (1 + self.profile.diurnal_amplitude)
         scale = 1.0 / rate_max
-        while not self._stopped:
-            yield self.sim.timeout(self.rng.exponential(scale))
-            if self._stopped:
-                return
-            if self.rng.random() <= self.rate_at(self.sim.now) / rate_max:
-                self.cluster.submit(self.make_job())
-                self.submitted += 1
+        rate_at = self.rate_at
+        while True:
+            t += rng.exponential(scale)
+            if rng.random() <= rate_at(t) / rate_max:
+                yield t
 
     def prime(
         self,

@@ -104,15 +104,23 @@ def test_prime_requires_time_zero():
 
 
 def test_stop_halts_arrivals():
+    """stop() at s queues a job iff it arrived by s, also when its submit
+    overhead ends after s; nothing is drawn past the first later arrival."""
     sim = Simulation(seed=7)
-    cluster = small_cluster(sim)
+    cluster = Cluster(sim, "wl-test", nodes=64, cores_per_node=16,
+                      submit_overhead=1800.0)
     wl = BackgroundWorkload(sim, cluster, WorkloadProfile())
+    drawn = []
+    pull = wl.next_arrival
+    wl.next_arrival = lambda: drawn.append(pull()) or drawn[-1]
     wl.start()
     sim.run(until=3600)
     count = wl.submitted
     wl.stop()
-    sim.run(until=2 * 3600)
-    assert wl.submitted <= count + 1  # at most one in-flight arrival
+    sim.run(until=4 * 3600)
+    assert wl.submitted > count  # arrivals in (1800, 3600] queue late
+    assert drawn[-2] <= 3600 < drawn[-1]
+    assert wl.submitted == len(drawn) - 1
 
 
 def test_workload_reproducible_across_runs():

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -127,6 +128,49 @@ class TestWatchThroughSigkill:
         assert fingerprint["digest"] == _digest(clean)
 
 
+def _poll_log(path, at_least, proc):
+    """Wait until the live store's log holds >= ``at_least`` rows."""
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline and proc.poll() is None:
+        try:
+            if len(_log_rows(path)) >= at_least:
+                return
+        except sqlite3.Error:
+            pass  # store not created / schema not there yet
+        time.sleep(0.002)
+    raise AssertionError(f"the log never reached {at_least} rows")
+
+
+def _pool_workers(proc, count):
+    """Pids of the ``count`` pool workers in ``proc``'s session (read
+    from ``/proc``)."""
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline and proc.poll() is None:
+        pids = []
+        for entry in os.listdir("/proc"):
+            if not entry.isdigit() or int(entry) == proc.pid:
+                continue
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    fields = fh.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue  # exited while listed
+            if int(fields[3]) == proc.pid:  # the session id
+                pids.append(int(entry))
+        if len(pids) >= count:
+            return pids
+        time.sleep(0.002)
+    raise AssertionError(f"campaign never started {count} pool workers")
+
+
+def _signal_all(pids, signum):
+    for pid in pids:
+        try:
+            os.kill(pid, signum)
+        except ProcessLookupError:
+            pass
+
+
 def _sse(url, last_id=None):
     headers = {} if last_id is None else {"Last-Event-ID": str(last_id)}
     request = urllib.request.Request(url + "/events", headers=headers)
@@ -172,11 +216,25 @@ class TestSseResume:
         end of the campaign."""
         path = str(tmp_path / "c.sqlite")
         proc, url = _spawn_served_campaign(path, 2016, grid=CI_GRID)
+        workers = []
         try:
+            # Freeze the -j 2 pool once the log holds the 4 rows read
+            # below. A cell not dispatched before the freeze needs a
+            # worker to run, so with fewer than all 8 dispatched the
+            # campaign cannot end until SIGCONT, and its server is
+            # still listening when the client reconnects.
+            _poll_log(path, 4, proc)
+            workers = _pool_workers(proc, 2)
+            _signal_all(workers, signal.SIGSTOP)
+            with CampaignStore(path, readonly=True) as store:
+                assert len(store.attempt_rows()) < 8
             first = _frames(_sse(url), want=4)
             last_id = first[-1][0]
-            rest = _frames(_sse(url, last_id))
+            resumed = _sse(url, last_id)
+            _signal_all(workers, signal.SIGCONT)
+            rest = _frames(resumed)
         finally:
+            _signal_all(workers, signal.SIGCONT)
             assert _end(proc) == 0
         assert first == _log_rows(path)[:4]
         assert rest == _log_rows(path, last_id)
