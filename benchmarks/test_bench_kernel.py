@@ -11,6 +11,9 @@ by the CI ``kernel-bench`` job) and gated against the committed
   including interleaved cancellations, in exactly the
   ``(time, priority, seq)`` order a sort of the surviving events
   gives. This is the host-independent gate and always applies.
+* **Backfill picks** — every timed conservative pass must pick what
+  the textbook reference planner
+  (``tests/cluster/test_conservative_plan.py``) picks.
 * **Wall regression** — each microbenchmark must stay within
   ``REGRESSION_FACTOR``x of its committed baseline wall time (with an
   absolute floor below which load noise is ignored).
@@ -33,6 +36,7 @@ from repro.cluster.job import BatchJob
 from repro.cluster.schedulers.backfill import ConservativeBackfillScheduler
 from repro.cluster.schedulers.base import RunningMirror, SchedulerView
 from repro.des.events import EventQueue
+from tests.cluster.test_conservative_plan import reference_picks
 
 _HERE = Path(__file__).parent
 BASELINE_PATH = _HERE / "BENCH_baseline.json"
@@ -195,15 +199,19 @@ def _select_fixture(depth: int, seed: int = 2016):
 
 
 def test_bench_backfill_select_depth():
+    """Times a conservative pass at three queue depths. Every timed pass
+    must pick what the textbook reference planner picks."""
     scheduler = ConservativeBackfillScheduler()
     for depth in (50, 200, 800):
         view = _select_fixture(depth)
+        expected = reference_picks(view)
         best, picks = None, None
         for _ in range(3):
             w0 = perf_counter()
             picks = scheduler.select(view)
             wall = perf_counter() - w0
             best = wall if best is None else min(best, wall)
+            assert picks == expected, f"depth {depth}: picks differ"
         _gate_wall(
             f"backfill-select-{depth}",
             best,

@@ -76,7 +76,7 @@ class BatchJob:
     name: str = ""
     kind: str = "background"
 
-    uid: int = field(default_factory=lambda: next(_job_ids))
+    uid: int = field(default_factory=_job_ids.__next__)
     state: JobState = JobState.NEW
     submit_time: Optional[float] = None
     start_time: Optional[float] = None

@@ -14,7 +14,8 @@ Both schedulers read the cluster's incrementally maintained
 :class:`~.base.RunningMirror` through ``view.mirror`` — the end-sorted
 running set is patched with start/finish deltas at the moment jobs
 start and finish, never re-sorted per pass. The conservative scheduler
-also keeps its reservation plan between passes: a pass that follows no
+plans a pass only up to the last queued job that can still start now,
+and keeps its reservation plan between passes: a pass that follows no
 finish plans only the jobs the previous pass left unplanned (see
 :class:`ConservativeBackfillScheduler`).
 """
@@ -22,7 +23,7 @@ finish plans only the jobs the previous pass left unplanned (see
 from __future__ import annotations
 
 from bisect import insort
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 from ..job import BatchJob
 from .base import (
@@ -110,6 +111,22 @@ class _KeptPlan(NamedTuple):
     unpicked: List[BatchJob]
 
 
+def _last_pickable(
+    profile: AllocationProfile, pending: Sequence[BatchJob], lo: int, hi: int
+) -> int:
+    """Index of the last job in ``pending[lo:hi]`` whose window from now
+    fits ``profile``, or ``lo - 1`` when none does."""
+    free_now = profile.free_at[0]
+    if not free_now:
+        return lo - 1
+    fits = profile.fits_first
+    for b in range(hi - 1, lo - 1, -1):
+        job = pending[b]
+        if job.cores <= free_now and fits(job.cores, job.walltime):
+            return b
+    return lo - 1
+
+
 class ConservativeBackfillScheduler(BatchScheduler):
     """Conservative backfilling: reservations for every queued job.
 
@@ -123,6 +140,21 @@ class ConservativeBackfillScheduler(BatchScheduler):
     the cluster's running mirror — start/finish deltas, no per-call
     sort — and reservations use bisect-based breakpoint insertion and a
     skip-jump anchor search (see :class:`~.base.AllocationProfile`).
+
+    **A pass plans only up to the last job that can start now.** Before
+    planning, the pass finds the last queued job whose window
+    ``[now, now + walltime)`` fits the profile — the first window
+    :meth:`~.base.AllocationProfile.find_anchor` would try
+    (:meth:`~.base.AllocationProfile.fits_first`). The jobs behind it
+    are left unplanned for a later pass. This is exact: a reservation
+    only lowers levels, so a window that does not fit now never fits
+    later in the same pass, and a job planned after the boundary could
+    never be picked; planning in queue order means the jobs before it
+    are reserved as a full plan would reserve them. A reservation can
+    only make the boundary job stop fitting if it starts inside that
+    job's window, so the boundary is re-checked (and moved back to the
+    last job that still fits) only then. When nothing is free at now,
+    nothing is planned.
 
     **The plan is kept across passes.** After a pass the scheduler keeps
     its profile and the jobs it reserved but did not pick. The next pass
@@ -150,7 +182,9 @@ class ConservativeBackfillScheduler(BatchScheduler):
     because every level stays non-negative after all reservations. So
     no kept anchor moves, none is ``now``, and the tail is planned on
     the same step function either way. Anchors depend only on the step
-    function, not on which redundant breakpoints it carries.
+    function, not on which redundant breakpoints it carries. The kept
+    jobs are a queue prefix whatever the stop rule left unplanned, since
+    planning runs in queue order.
     """
 
     name = "conservative-backfill"
@@ -177,22 +211,30 @@ class ConservativeBackfillScheduler(BatchScheduler):
         else:
             unpicked = self._kept.unpicked
         picks: List[BatchJob] = []
-        free_now = profile.free_at
         pending = view.pending
-        # Plan from the first job the kept plan has not reserved. Only
-        # jobs anchored at now are picked, so once the capacity free at
-        # now is exhausted the remaining reservations cannot change the
-        # picks; they are left unplanned for a later pass.
+        times = profile.times
+        find_anchor = profile.find_anchor
+        reserve = profile.reserve
+        # Plan from the first job the kept plan has not reserved, up to
+        # the last job that can still start now; the jobs behind it are
+        # left unplanned for a later pass (see the class docstring).
         i = len(unpicked)
-        while free_now[0] and i < len(pending):
+        last = _last_pickable(profile, pending, i, len(pending))
+        while i <= last:
             job = pending[i]
             i += 1
-            anchor = profile.find_anchor(job.cores, job.walltime)
-            profile.reserve(anchor, job.cores, job.walltime)
-            if anchor == now:
+            walltime = job.walltime
+            lo, hi = find_anchor(job.cores, walltime)
+            anchor = times[lo]
+            reserve(lo, hi, job.cores, walltime)
+            if lo == 0:  # times[0] is now
                 picks.append(job)
             else:
                 unpicked.append(job)
+            if i <= last and anchor < now + pending[last].walltime:
+                # The reservation overlaps the boundary job's window at
+                # now, which may no longer fit.
+                last = _last_pickable(profile, pending, i, last + 1)
         self._kept = _KeptPlan(
             mirror, mirror.releases, mirror.starts + len(picks), profile,
             unpicked,

@@ -131,10 +131,10 @@ class AllocationProfile:
     """Mutable free-capacity step function over time breakpoints.
 
     ``free_at[i]`` is the number of free cores on the half-open interval
-    ``[times[i], times[i+1])``; the last level extends to infinity, and
-    (for boundaries landing before the first breakpoint) the first level
-    extends flatly backwards. Used by conservative backfilling to plan
-    reservations; all breakpoint insertion is bisect-based.
+    ``[times[i], times[i+1])``; the last level extends to infinity.
+    ``times[0]`` is *now*. Used by conservative backfilling to plan
+    reservations: a reservation starts at a breakpoint and only
+    lowers levels, and its end is inserted by bisection.
     """
 
     __slots__ = ("times", "free_at")
@@ -164,8 +164,7 @@ class AllocationProfile:
         times = [now]
         free_at = [acc]
         last = now
-        for i in range(lo, len(entries)):
-            end, _seq, cores = entries[i]
+        for end, _seq, cores in entries[lo:]:
             acc += cores
             if end == last:
                 free_at[-1] = acc
@@ -175,8 +174,12 @@ class AllocationProfile:
                 last = end
         return cls(times, free_at)
 
-    def find_anchor(self, cores: int, walltime: float) -> float:
+    def find_anchor(self, cores: int, walltime: float) -> Tuple[int, int]:
         """Earliest breakpoint where ``cores`` stay free for ``walltime``.
+
+        Returns ``(i, j)``: the anchor is ``times[i]``, and ``j`` is where
+        the window's end ``times[i] + walltime`` sits in ``times``
+        (``bisect_left``), which is what :meth:`reserve` needs.
 
         Skip-jump search: when the window starting at breakpoint ``i``
         fails at some breakpoint ``k`` (``free_at[k] < cores``), every
@@ -189,34 +192,36 @@ class AllocationProfile:
         n = len(times)
         i = 0
         while i < n:
-            end = times[i] + walltime
-            j = bisect_left(times, end, i)
+            j = bisect_left(times, times[i] + walltime, i)
             if j == i or min(free_at[i:j]) >= cores:
-                return times[i]
+                return i, j
             k = j - 1
             while free_at[k] >= cores:
                 k -= 1
             i = k + 1
-        return times[-1]  # after everything ends, capacity is max
+        return n - 1, n  # after everything ends, capacity is max
 
-    def reserve(self, anchor: float, cores: int, walltime: float) -> None:
-        """Subtract ``cores`` over ``[anchor, anchor + walltime)``."""
-        free_at = self.free_at
-        lo = self._ensure_breakpoint(anchor)
-        # The window's end is not before its anchor, so inserting the
-        # end cannot shift ``lo``.
-        hi = self._ensure_breakpoint(anchor + walltime)
-        free_at[lo:hi] = [level - cores for level in free_at[lo:hi]]
-
-    def _ensure_breakpoint(self, boundary: float) -> int:
-        """Insert ``boundary`` (inheriting the level in effect there) if
-        missing; return its index."""
+    def fits_first(self, cores: int, walltime: float) -> bool:
+        """Whether ``cores`` stay free for ``walltime`` from ``times[0]``:
+        the first window :meth:`find_anchor` tries."""
         times = self.times
-        idx = bisect_left(times, boundary)
-        if idx == len(times) or times[idx] != boundary:
-            free_at = self.free_at
-            level = free_at[idx - 1] if idx > 0 else free_at[0]
-            times.insert(idx, boundary)
-            free_at.insert(idx, level)
-        return idx
+        free_at = self.free_at
+        if free_at[0] < cores:
+            return False
+        j = bisect_left(times, times[0] + walltime)
+        return j < 2 or min(free_at[1:j]) >= cores
 
+    def reserve(self, i: int, j: int, cores: int, walltime: float) -> None:
+        """Subtract ``cores`` over ``[times[i], times[i] + walltime)``,
+        with ``(i, j)`` as :meth:`find_anchor` returns them.
+
+        The window starts at a breakpoint, so only its end may need a new
+        one; it inherits the level in effect there, ``free_at[j - 1]``.
+        """
+        times = self.times
+        free_at = self.free_at
+        end = times[i] + walltime
+        if j == len(times) or times[j] != end:
+            times.insert(j, end)
+            free_at.insert(j, free_at[j - 1])
+        free_at[i:j] = [level - cores for level in free_at[i:j]]

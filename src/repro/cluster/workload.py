@@ -190,6 +190,17 @@ class BackgroundWorkload:
         self._runtime_max = float(profile.runtime_max)
         self._over_min = float(profile.overestimate_min)
         self._over_span = float(profile.overestimate_max) - self._over_min
+        # The generator's bound methods and the profile's scalars, looked
+        # up once instead of once per draw: about a thousand jobs are
+        # drawn per cell. The calls and their order are unchanged.
+        self._random = self.rng.random
+        self._lognormal = self.rng.lognormal
+        self._integers = self.rng.integers
+        self._log_mean = profile.runtime_log_mean
+        self._log_sigma = profile.runtime_log_sigma
+        self._sloppy = profile.sloppy_request_fraction
+        self._walltime_limit = profile.walltime_limit
+        self._n_users = profile.n_users
         # Arrival rate so that E[cores * runtime] * lambda = load * capacity.
         work_per_job = profile.mean_cores * profile.mean_runtime
         self.base_rate = (
@@ -206,29 +217,23 @@ class BackgroundWorkload:
         when runtime is near the queue limit; such jobs get killed at the
         limit, as on real systems.
         """
-        rng = self.rng
-        p = self.profile
+        random = self._random
         # rng.choice(core_choices, p=core_weights)
-        cores = self._choices[bisect_right(self._cdf, rng.random())]
+        cores = self._choices[bisect_right(self._cdf, random())]
         if cores > self.max_cores:
             cores = self.max_cores
         # np.clip(rng.lognormal(...), runtime_min, runtime_max)
-        runtime = min(
-            max(
-                rng.lognormal(p.runtime_log_mean, p.runtime_log_sigma),
-                self._runtime_min,
-            ),
-            self._runtime_max,
-        )
-        if rng.random() < p.sloppy_request_fraction:
-            walltime = p.walltime_limit
+        runtime = self._lognormal(self._log_mean, self._log_sigma)
+        runtime = min(max(runtime, self._runtime_min), self._runtime_max)
+        if random() < self._sloppy:
+            walltime = self._walltime_limit
         else:
             # rng.uniform(overestimate_min, overestimate_max)
-            factor = self._over_min + self._over_span * rng.random()
-            walltime = min(runtime * factor, p.walltime_limit)
+            factor = self._over_min + self._over_span * random()
+            walltime = min(runtime * factor, self._walltime_limit)
         if walltime < 60.0:
             walltime = 60.0
-        user = int(rng.integers(p.n_users))
+        user = int(self._integers(self._n_users))
         return cores, runtime, walltime, user
 
     def draw_residual(self) -> float:
@@ -236,7 +241,7 @@ class BackgroundWorkload:
 
         Bit-identical to ``rng.uniform(0.25, 1.0)``.
         """
-        return 0.25 + 0.75 * self.rng.random()
+        return 0.25 + 0.75 * self._random()
 
     def make_job(self) -> BatchJob:
         """Sample one background job from the profile."""
@@ -292,13 +297,14 @@ class BackgroundWorkload:
         an accepted arrival's job before it asks for the next arrival,
         so the stream sees gap, uniform, then the job's draws.
         """
-        rng = self.rng
+        exponential = self.rng.exponential
+        random = self._random
         rate_max = self.base_rate * (1 + self.profile.diurnal_amplitude)
         scale = 1.0 / rate_max
         rate_at = self.rate_at
         while True:
-            t += rng.exponential(scale)
-            if rng.random() <= rate_at(t) / rate_max:
+            t += exponential(scale)
+            if random() <= rate_at(t) / rate_max:
                 yield t
 
     def prime(

@@ -109,7 +109,6 @@ class EventQueue:
         self._cancelled = 0  # dead entries still occupying heap slots
         #: Cumulative counters surfaced through the telemetry registry.
         self.pushed = 0
-        self.popped = 0
         self.cancels = 0
 
     def __len__(self) -> int:
@@ -117,6 +116,12 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return self._live > 0
+
+    @property
+    def popped(self) -> int:
+        """Events popped for dispatch so far: every pushed event is live,
+        cancelled or popped."""
+        return self.pushed - self._live - self.cancels
 
     def push(
         self,
@@ -151,9 +156,14 @@ class EventQueue:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without dead entries (O(live), order-preserving)."""
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapify(self._heap)
+        """Rebuild the heap without dead entries (O(live), order-preserving).
+
+        The rebuild is in place: the kernel's dispatch loop holds the
+        heap list across callbacks, and a callback's cancel can compact.
+        """
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapify(heap)
         self._cancelled = 0
 
     def pop(self) -> ScheduledEvent:
@@ -178,5 +188,4 @@ class EventQueue:
         ev = heappop(heap)[3]
         ev.fired = True
         self._live -= 1
-        self.popped += 1
         return ev

@@ -9,6 +9,7 @@ stack advances on a single, deterministic timeline.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -141,18 +142,29 @@ class Simulation:
         Pops and runs events at or before ``limit`` until the queue has
         none left or, when given, ``process`` has triggered. This is the
         hottest path in the system (campaign repetitions pump tens of
-        thousands of events through it), so the queue and telemetry
-        lookups are hoisted. The profiler is re-read each event (it can
-        be attached mid-run); when absent, dispatch is two attribute
-        loads plus the call.
+        thousands of events through it), so the heap pop is inlined and
+        the queue and telemetry lookups are hoisted. Dead entries are
+        dropped as :meth:`EventQueue.pop_until` drops them; the first
+        live entry past ``limit`` is pushed back, which cannot change
+        the pop order. The profiler is re-read each event (it can be
+        attached mid-run); when absent, dispatch is two attribute loads
+        plus the call.
         """
-        pop_until = self._queue.pop_until
+        queue = self._queue
+        heap = queue._heap  # compaction rebuilds this list in place
         telemetry = self.telemetry
-        while process is None or not process.triggered:
-            ev = pop_until(limit)
-            if ev is None:
+        while heap and (process is None or not process.triggered):
+            entry = heappop(heap)
+            ev = entry[3]
+            if ev.cancelled:
+                queue._cancelled -= 1
+                continue
+            time = entry[0]
+            if time > limit:
+                heappush(heap, entry)
                 return
-            time = ev.time
+            ev.fired = True
+            queue._live -= 1
             if time < self._now:
                 raise SimulationError(
                     "event queue produced an event in the past"

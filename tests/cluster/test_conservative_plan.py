@@ -2,9 +2,15 @@
 
 A long-lived :class:`ConservativeBackfillScheduler` resumes its last
 reservation plan when the running set has only gained that pass's
-picks. Every pass here is checked against a fresh scheduler planning
-the same view from scratch: the picks must be identical.
+picks, and stops planning after the last queued job that can start
+now. Every pass here is checked against :func:`reference_picks`, the
+textbook planner of Mu'alem & Feitelson (IEEE TPDS 2001), which shares
+no code with the scheduler: a fresh profile, every queued job reserved
+in queue order at its earliest fit, no kept plan and no stop rule. The
+picks must be identical.
 """
+
+from bisect import bisect_right
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +25,51 @@ from repro.cluster.schedulers import RunningMirror
 from repro.des import Simulation
 
 
+def reference_picks(view):
+    """Conservative backfilling as Mu'alem & Feitelson define it.
+
+    The free capacity is a step function of time built from the running
+    set: ``free_cores`` now, raised by each running job's cores at its
+    expected end (ends at or before now count now). Each queued job in
+    queue order is reserved at the earliest breakpoint where its cores
+    stay free for its whole walltime, found by checking every
+    breakpoint in turn. The jobs reserved at now are the picks.
+    """
+    now = view.now
+    releases = {}
+    for end, _seq, cores in view.mirror.entries:
+        t = max(end, now)
+        releases[t] = releases.get(t, 0) + cores
+    times = sorted({now, *releases})
+    free = []
+    level = view.free_cores
+    for t in times:
+        level += releases.get(t, 0)
+        free.append(level)
+    picks = []
+    for job in view.pending:
+        for start, t in enumerate(times):
+            end = t + job.walltime
+            k = start
+            while k < len(times) and times[k] < end and free[k] >= job.cores:
+                k += 1
+            if k == len(times) or times[k] >= end:
+                break
+        if end not in times:
+            k = bisect_right(times, end)
+            times.insert(k, end)
+            free.insert(k, free[k - 1])
+        for k in range(start, len(times)):
+            if times[k] >= end:
+                break
+            free[k] -= job.cores
+        if t == now:
+            picks.append(job)
+    return picks
+
+
 class _CheckedScheduler(ConservativeBackfillScheduler):
-    """Asserts every pass picks what a fresh scheduler picks."""
+    """Asserts every pass picks what the reference planner picks."""
 
     def __init__(self):
         super().__init__()
@@ -28,7 +77,7 @@ class _CheckedScheduler(ConservativeBackfillScheduler):
         self.resumed = 0
 
     def select(self, view):
-        expected = ConservativeBackfillScheduler().select(view)
+        expected = reference_picks(view)
         kept = self._kept
         picks = super().select(view)
         assert picks == expected
@@ -60,8 +109,8 @@ _steps = st.lists(
 @given(steps=_steps, by_walltime=st.booleans())
 def test_kept_plan_picks_what_a_fresh_plan_picks(steps, by_walltime):
     """Submits, early finishes, timeouts, pending cancels, running kills
-    and outages: the long-lived scheduler never diverges from a fresh
-    one. ``cancel`` hits pending and running jobs alike; a priority
+    and outages: the long-lived scheduler, with its kept plan and its
+    stop rule, never diverges from the reference planner. ``cancel`` hits pending and running jobs alike; a priority
     function that reorders the queue is drawn half the time."""
     sim = Simulation(seed=5)
     scheduler = _CheckedScheduler()
@@ -166,6 +215,27 @@ def test_a_release_due_at_now_forces_a_fresh_plan():
     assert scheduler.select(_view(mirror, [wide], free=2, now=50.0)) == []
     late = BatchJob(cores=4, runtime=10, walltime=10)
     view = _view(mirror, [wide, late], free=2, now=100.0)
-    assert scheduler.select(view) == ConservativeBackfillScheduler().select(
-        view
-    ) == [wide]
+    assert scheduler.select(view) == reference_picks(view) == [wide]
+
+
+def test_an_unpickable_tail_is_planned_by_the_next_pass():
+    """A job that cannot start now, behind the last one that can, is
+    left unplanned; the next pass resumes the plan, reserves it and
+    picks what the reference planner picks."""
+    mirror = RunningMirror()
+    mirror.start(1, 100.0, 8)
+    small = BatchJob(cores=2, runtime=50, walltime=50)
+    big = BatchJob(cores=8, runtime=50, walltime=50)
+    scheduler = ConservativeBackfillScheduler()
+    view = _view(mirror, [small, big], free=4)
+    assert scheduler.select(view) == reference_picks(view) == [small]
+    profile = scheduler._kept.profile
+    assert scheduler._kept.unpicked == []
+    assert profile.times == [0.0, 50.0, 100.0]  # big holds no reservation
+    mirror.start(small.uid, 50.0, 2)
+    tiny = BatchJob(cores=2, runtime=10, walltime=10)
+    view = _view(mirror, [big, tiny], free=2, now=1.0)
+    assert scheduler.select(view) == reference_picks(view) == [tiny]
+    assert scheduler._kept.profile is profile  # resumed, not rebuilt
+    assert scheduler._kept.unpicked == [big]
+    assert 150.0 in profile.times  # big reserved at 100 for 50 s

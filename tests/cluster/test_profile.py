@@ -1,12 +1,13 @@
 """AllocationProfile and RunningMirror.
 
-Covers the regression where a reservation boundary landing *before* the
-first profile breakpoint must inherit the first level (the profile
-extends flatly backwards), not wrap around to the last level via a
-negative list index.
+Conservative backfill's planning rests on two facts checked here: a
+reservation only lowers levels, so a window that does not fit at now
+never fits later in the same pass; and anchoring every job where
+``find_anchor`` says it fits keeps every level non-negative.
 """
 
 import random
+from bisect import bisect_left
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,29 +35,40 @@ def test_from_entries_folds_past_releases():
     assert prof.free_at == [6, 10]
 
 
-def test_ensure_breakpoint_before_first_inherits_first_level():
-    """Regression: boundary < times[0] must inherit free_at[0], not the
-    wrap-around free_at[-1] a raw ``idx - 1`` produces."""
+def test_reserve_end_inherits_the_level_before_it():
+    """A window's end that is not a breakpoint yet is inserted with the
+    level in effect there, inside the profile and past its last
+    breakpoint alike."""
     prof = AllocationProfile([10.0, 20.0], [4, 8])
-    idx = prof._ensure_breakpoint(5.0)
-    assert idx == 0
-    assert prof.times == [5.0, 10.0, 20.0]
-    assert prof.free_at == [4, 4, 8]  # inherited 4, not 8
+    prof.reserve(0, 1, 3, 5.0)  # ends at 15, inside [10, 20)
+    assert prof.times == [10.0, 15.0, 20.0]
+    assert prof.free_at == [1, 4, 8]
+    prof.reserve(2, 3, 2, 30.0)  # ends at 50, past the last breakpoint
+    assert prof.times == [10.0, 15.0, 20.0, 50.0]
+    assert prof.free_at == [1, 4, 6, 8]
 
 
-def test_reserve_before_first_breakpoint():
-    prof = AllocationProfile([10.0, 20.0], [4, 8])
-    prof.reserve(5.0, 2, 3.0)  # window [5, 8) entirely before times[0]
-    assert prof.times == [5.0, 8.0, 10.0, 20.0]
-    assert prof.free_at == [2, 4, 4, 8]
+def test_reserve_at_an_existing_end_adds_no_breakpoint():
+    prof = AllocationProfile([0.0, 10.0, 20.0], [4, 6, 8])
+    prof.reserve(0, 1, 4, 10.0)
+    assert prof.times == [0.0, 10.0, 20.0]
+    assert prof.free_at == [0, 6, 8]
+
+
+def _reserve(prof, anchor, cores, walltime):
+    """Reserve at breakpoint ``anchor`` through the indices find_anchor
+    would pass."""
+    i = prof.times.index(anchor)
+    prof.reserve(i, bisect_left(prof.times, anchor + walltime, i), cores,
+                 walltime)
 
 
 def test_reserve_inserts_boundaries_and_subtracts():
     prof = AllocationProfile([0.0, 100.0], [4, 10])
-    prof.reserve(0.0, 2, 50.0)
+    _reserve(prof, 0.0, 2, 50.0)
     assert prof.times == [0.0, 50.0, 100.0]
     assert prof.free_at == [2, 4, 10]
-    prof.reserve(50.0, 4, 100.0)  # spans the 100.0 breakpoint
+    _reserve(prof, 50.0, 4, 100.0)  # spans the 100.0 breakpoint
     assert prof.times == [0.0, 50.0, 100.0, 150.0]
     assert prof.free_at == [2, 0, 6, 10]
 
@@ -64,10 +76,18 @@ def test_reserve_inserts_boundaries_and_subtracts():
 def test_find_anchor_skips_blocked_windows():
     # 0 free until t=10, 2 free until t=20, 6 free after
     prof = AllocationProfile([0.0, 10.0, 20.0], [0, 2, 6])
-    assert prof.find_anchor(1, 5.0) == 10.0
-    assert prof.find_anchor(4, 5.0) == 20.0
-    assert prof.find_anchor(2, 100.0) == 10.0  # window past the end is flat
-    assert prof.find_anchor(8, 1.0) == 20.0  # never enough: last breakpoint
+    assert prof.find_anchor(1, 5.0) == (1, 2)  # anchor 10, ends before 20
+    assert prof.find_anchor(4, 5.0) == (2, 3)
+    assert prof.find_anchor(2, 100.0) == (1, 3)  # window past the end is flat
+    assert prof.find_anchor(8, 1.0) == (2, 3)  # never enough: last breakpoint
+
+
+def test_fits_first_is_find_anchors_first_window():
+    prof = AllocationProfile([0.0, 10.0, 20.0], [3, 2, 6])
+    assert prof.fits_first(2, 20.0)
+    assert not prof.fits_first(3, 10.5)  # the window reaches the 2 level
+    assert prof.fits_first(3, 10.0)  # ends exactly where the 2 level starts
+    assert not prof.fits_first(4, 1.0)
 
 
 @given(
@@ -94,10 +114,68 @@ def test_property_reserved_profile_never_negative(jobs, entries):
     for cores, walltime in jobs:
         if cores > total:
             continue
-        anchor = prof.find_anchor(cores, float(walltime))
-        prof.reserve(anchor, cores, float(walltime))
+        i, j = prof.find_anchor(cores, float(walltime))
+        prof.reserve(i, j, cores, float(walltime))
     assert all(level >= 0 for level in prof.free_at)
     assert prof.times == sorted(prof.times)
+
+
+def _fits_from_now(prof, cores, walltime):
+    """Naive: the level at now and at every breakpoint inside the window
+    is at least ``cores``."""
+    now = prof.times[0]
+    return all(
+        level >= cores
+        for t, level in zip(prof.times, prof.free_at)
+        if now <= t < now + walltime
+    )
+
+
+_reservations = st.lists(
+    st.tuples(
+        st.integers(0, 40),  # breakpoint index, modulo the profile's length
+        st.integers(1, 8),  # cores
+        st.integers(1, 150),  # walltime
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+@given(
+    entries=st.lists(
+        st.tuples(st.integers(1, 100), st.integers(1, 4)),
+        min_size=0,
+        max_size=15,
+    ),
+    free=st.integers(0, 8),
+    window=st.tuples(st.integers(1, 12), st.integers(1, 120)),
+    reservations=_reservations,
+)
+@settings(max_examples=300, deadline=None)
+def test_property_a_window_unfit_at_now_stays_unfit(
+    entries, free, window, reservations
+):
+    """Conservative backfill stops planning after the last job that fits
+    at now. That is exact because a reservation, wherever it lies, only
+    lowers levels: a window that does not fit at now does not fit after
+    any further ``reserve`` either."""
+    ends = sorted(entries)
+    prof = AllocationProfile.from_entries(
+        0.0, free, [(float(t), i, c) for i, (t, c) in enumerate(ends)]
+    )
+    cores, walltime = window
+    fits = _fits_from_now(prof, cores, walltime)
+    assert prof.fits_first(cores, walltime) == fits
+    for idx, r_cores, r_walltime in reservations:
+        i = idx % len(prof.times)
+        j = bisect_left(prof.times, prof.times[i] + r_walltime, i)
+        prof.reserve(i, j, r_cores, float(r_walltime))
+        now_fits = _fits_from_now(prof, cores, walltime)
+        assert prof.fits_first(cores, walltime) == now_fits
+        if not fits:
+            assert not now_fits
+        fits = now_fits
 
 
 # ---------------------------------------------------------------------------

@@ -304,3 +304,55 @@ def test_event_order_deterministic_under_interleaved_cancel_push(seed):
         return log
 
     assert drive(seed) == drive(seed)
+
+
+@pytest.mark.parametrize("until", [None, 50.0])
+def test_mass_cancel_mid_run_compacts_without_losing_events(until):
+    """A callback cancels more than half of the live events, which
+    compacts the heap while the dispatch loop holds it. The survivors,
+    and the events the callback schedules after compacting, all fire in
+    ``(time, priority, seq)`` order."""
+    sim = Simulation()
+    rng = np.random.default_rng(11)
+    fired = []
+    keys = {}
+    handles = []
+
+    def record(key):
+        fired.append(key)
+
+    def schedule(time, priority):
+        ev = sim.call_at(time, record, len(keys), priority=priority)
+        keys[len(keys)] = (time, priority, ev.seq)
+        handles.append(ev)
+
+    for _ in range(200):
+        schedule(float(rng.integers(2, 80)), int(rng.integers(0, 3)))
+    doomed = [ev for i, ev in enumerate(handles) if i % 4 != 0]
+    compacted = []
+
+    def purge():
+        queue = sim._queue
+        heap = queue._heap
+        for ev in doomed:
+            sim.cancel(ev)
+        # without a compaction the heap would still hold every entry
+        compacted.append(len(heap) < len(doomed))
+        assert queue._heap is heap  # rebuilt in place, not rebound
+        for _ in range(20):
+            schedule(float(rng.integers(1, 80)), int(rng.integers(0, 3)))
+
+    sim.call_at(1.0, purge)
+    sim.run(until=until)
+    if until is not None:
+        sim.run()
+    assert compacted == [True]
+    dead = {ev.seq for ev in doomed}
+    survivors = sorted(
+        key for key, (_, _, seq) in keys.items() if seq not in dead
+    )
+    assert sorted(fired) == survivors
+    order = [keys[key] for key in fired]
+    assert order == sorted(order)
+    assert len(sim._queue) == 0
+    assert sim._queue.popped == len(survivors) + 1  # and purge itself
