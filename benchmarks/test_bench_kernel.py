@@ -131,10 +131,11 @@ def _drive(queue, plan):
     for ev in pending:
         queue.cancel(ev)
     while True:
-        ev = queue.pop_until(float("inf"))
-        if ev is None:
+        popped = queue.pop_until(float("inf"))
+        if popped is None:
             break
-        h.update(f"{ev.time!r}:{ev.priority}:{ev.seq};".encode())
+        time_, priority, seq = popped[:3]
+        h.update(f"{time_!r}:{priority}:{seq};".encode())
     return h.hexdigest()
 
 

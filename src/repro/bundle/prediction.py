@@ -17,7 +17,6 @@ Both degrade gracefully on thin history (falling back to a prior).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -37,13 +36,19 @@ def binomial_rank(n: int, quantile: float, confidence: float) -> int:
     CDF once; ``n - 1`` when the walk never reaches the confidence. The
     rank depends only on its arguments, so it is memoized: a predictor
     queried over a full history ring walks the CDF once, not per query.
+    The binomial coefficient ``C(n, k)`` is carried from term to term
+    (``C(n, k + 1) = C(n, k) * (n - k) // (k + 1)``, an exact integer
+    division), so each term costs one small bigint step, not a fresh
+    ``math.comb``.
     """
     cdf = 0.0
     q = quantile
+    comb = 1  # C(n, k)
     for k in range(n):
-        cdf += math.comb(n, k) * q**k * (1 - q) ** (n - k)
+        cdf += comb * q**k * (1 - q) ** (n - k)
         if cdf >= confidence:
             return min(k, n - 1)
+        comb = comb * (n - k) // (k + 1)
     return n - 1
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..des import ScheduledEvent, Simulation
+from ..des import EventHandle, Simulation
 from .job import BatchJob, JobState
 from .schedulers import (
     BatchScheduler,
@@ -96,7 +96,7 @@ class Cluster:
         # The one record of a running job: uid -> (job, expected_end,
         # end event), plus its end-sorted mirror for the scheduler,
         # patched at start/release so dispatch never re-sorts it.
-        self._running: Dict[int, Tuple[BatchJob, float, ScheduledEvent]] = {}
+        self._running: Dict[int, Tuple[BatchJob, float, EventHandle]] = {}
         self._run_mirror = RunningMirror()
         self._dispatch_scheduled = False
         self._offline_until: float = -float("inf")
@@ -399,7 +399,7 @@ class Cluster:
             self._transition(job, JobState.COMPLETED)
         self._schedule_dispatch()
 
-    def _release(self, job: BatchJob) -> ScheduledEvent:
+    def _release(self, job: BatchJob) -> EventHandle:
         """Take a running job off the machine and free its cores.
 
         Returns the job's end event, which the caller cancels unless it

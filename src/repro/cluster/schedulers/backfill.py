@@ -53,7 +53,8 @@ class EasyBackfillScheduler(BatchScheduler):
             picks.append(job)
             free -= job.cores
             head += 1
-        if head == n:
+        if head == n or not free:
+            # every job needs a core: with none free nothing can backfill
             return picks
 
         # Phase 2: reservation for the (blocked) head, walking the
@@ -85,7 +86,8 @@ class EasyBackfillScheduler(BatchScheduler):
                     "queue head can never fit on this resource"
                 )
 
-        # Phase 3: backfill later jobs against the reservation.
+        # Phase 3: backfill later jobs against the reservation, until the
+        # free cores run out.
         for job in pending[head + 1:]:
             if job.cores > free:
                 continue
@@ -96,6 +98,8 @@ class EasyBackfillScheduler(BatchScheduler):
                 free -= job.cores
                 if fits_in_extra:
                     extra -= job.cores
+                if not free:
+                    break
         return picks
 
 

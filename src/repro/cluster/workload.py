@@ -19,11 +19,12 @@ The generator targets an *offered load* (utilization fraction) and derives
 the arrival rate from the mean job size, so presets stay calibrated when
 their size/runtime mixes change.
 
-Jobs are drawn from one numpy generator per resource. Where a numpy
-scalar call costs more than the draw itself (weighted choice, clip,
-uniform) the sampler does the same arithmetic in Python on the same
-uniform draws, so the values and the generator state are bit-identical
-to the numpy calls (``docs/INTERNALS.md``, "Background job sampling").
+Jobs are drawn from one PCG64 generator per resource. A numpy scalar
+call costs more than the draw itself, so the sampler computes every
+variate in Python from the bit generator's raw outputs (:class:`RawDraws`)
+and does the weighted choice, clip and uniform arithmetic on those
+draws. The values and the generator state are bit-identical to the
+numpy calls (``docs/INTERNALS.md``, "Background job sampling").
 
 Arrivals are a lazy stream of accepted instants, thinned from a
 homogeneous Poisson process. The cluster queues each arrival in one
@@ -49,6 +50,103 @@ from .machine import Cluster
 
 #: numpy's tolerance on a probability vector's sum.
 _WEIGHT_SUM_ATOL = math.sqrt(sys.float_info.epsilon)
+
+#: the number of 32-bit values, and the largest ``n`` that
+#: :meth:`RawDraws.integers` takes.
+_UINT32_SPAN = 2**32
+
+
+class RawDraws:
+    """numpy ``Generator`` draws computed from a PCG64 stream's raw output.
+
+    A numpy scalar call costs about a microsecond of argument handling
+    around a draw of a few nanoseconds. Each method here gives the value
+    the named ``Generator`` call gives, from the same bit-generator
+    outputs in the same order (``docs/INTERNALS.md``, "Background job
+    sampling"):
+
+    * :meth:`random` is ``next_double``: the top 53 bits of one raw
+      64-bit output, times 2**-53.
+    * :meth:`lognormal` and :meth:`exponential` scale numpy's own
+      standard normal and standard exponential draws, as numpy's C code
+      does.
+    * :meth:`integers` is numpy's Lemire rejection over 32-bit draws.
+      PCG64 serves those in halves of one raw output, the low half
+      first, and buffers the high half; this class holds that buffer.
+
+    The helper reads the pending half, if any, from the stream's state
+    when it is built and holds the buffer from then on, so every later
+    draw from the stream must go through it. :meth:`state` is the
+    bit-generator state numpy would hold after the same calls.
+    """
+
+    __slots__ = (
+        "_bitgen", "_raw", "_half", "_uinteger",
+        "_standard_normal", "_standard_exponential",
+    )
+
+    def __init__(self, stream: np.random.Generator) -> None:
+        bitgen = stream.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(
+                "RawDraws needs a PCG64 stream, got "
+                f"{type(bitgen).__name__}"
+            )
+        state = bitgen.state
+        self._bitgen = bitgen
+        self._raw = bitgen.random_raw
+        #: the buffered high half, or None when no half is pending.
+        self._half: Optional[int] = (
+            state["uinteger"] if state["has_uint32"] else None
+        )
+        #: the last half buffered, which numpy's state keeps when spent.
+        self._uinteger: int = state["uinteger"]
+        generator = np.random.Generator(bitgen)
+        self._standard_normal = generator.standard_normal
+        self._standard_exponential = generator.standard_exponential
+
+    def state(self) -> dict:
+        """The bit-generator state with the pending half folded in."""
+        state = self._bitgen.state
+        state["has_uint32"] = int(self._half is not None)
+        state["uinteger"] = self._uinteger
+        return state
+
+    def random(self) -> float:
+        """``Generator.random()``."""
+        return (self._raw() >> 11) * 2.0**-53
+
+    def lognormal(self, mean: float, sigma: float) -> float:
+        """``Generator.lognormal(mean, sigma)`` for ``sigma >= 0``."""
+        return math.exp(mean + sigma * self._standard_normal())
+
+    def exponential(self, scale: float) -> float:
+        """``Generator.exponential(scale)`` for ``scale >= 0``."""
+        return scale * self._standard_exponential()
+
+    def integers(self, n: int) -> int:
+        """``int(Generator.integers(n))`` for ``1 <= n <= 2**32``."""
+        if n == 1:
+            return 0
+        if n == _UINT32_SPAN:
+            return self._uint32()
+        m = self._uint32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (_UINT32_SPAN - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def _uint32(self) -> int:
+        """PCG64's ``next_uint32``: a buffered half, else the low half of
+        a fresh raw output (buffering its high half)."""
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        raw = self._raw()
+        self._half = self._uinteger = raw >> 32
+        return raw & 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -111,6 +209,17 @@ class WorkloadProfile:
             )
         if not (0 <= self.diurnal_amplitude < 1):
             raise ValueError("diurnal_amplitude must be in [0, 1)")
+        # numpy's lognormal() rejects a sigma with its sign bit set, -0.0
+        # included; NaN passes.
+        sigma = float(self.runtime_log_sigma)
+        if math.copysign(1.0, sigma) < 0 and not math.isnan(sigma):
+            raise ValueError(
+                f"runtime_log_sigma must not be negative, got {sigma!r}"
+            )
+        if not (1 <= self.n_users <= _UINT32_SPAN):
+            raise ValueError(
+                f"n_users must be in [1, 2**32], got {self.n_users!r}"
+            )
 
     @property
     def mean_cores(self) -> float:
@@ -190,12 +299,14 @@ class BackgroundWorkload:
         self._runtime_max = float(profile.runtime_max)
         self._over_min = float(profile.overestimate_min)
         self._over_span = float(profile.overestimate_max) - self._over_min
-        # The generator's bound methods and the profile's scalars, looked
-        # up once instead of once per draw: about a thousand jobs are
-        # drawn per cell. The calls and their order are unchanged.
-        self._random = self.rng.random
-        self._lognormal = self.rng.lognormal
-        self._integers = self.rng.integers
+        #: every draw of the stream, as numpy would make it.
+        self.draws = RawDraws(self.rng)
+        # The draws' bound methods and the profile's scalars, looked up
+        # once instead of once per draw: about a thousand jobs are drawn
+        # per cell.
+        self._random = self.draws.random
+        self._lognormal = self.draws.lognormal
+        self._integers = self.draws.integers
         self._log_mean = profile.runtime_log_mean
         self._log_sigma = profile.runtime_log_sigma
         self._sloppy = profile.sloppy_request_fraction
@@ -213,27 +324,34 @@ class BackgroundWorkload:
         """One job draw: (cores, runtime, walltime, user index).
 
         Bit-identical to the numpy calls named in the comments, in the
-        same order on the same generator. Walltime may undercut runtime
-        when runtime is near the queue limit; such jobs get killed at the
-        limit, as on real systems.
+        same order on the same generator (through :class:`RawDraws`).
+        Walltime may undercut runtime when runtime is near the queue
+        limit; such jobs get killed at the limit, as on real systems.
         """
         random = self._random
         # rng.choice(core_choices, p=core_weights)
         cores = self._choices[bisect_right(self._cdf, random())]
         if cores > self.max_cores:
             cores = self.max_cores
-        # np.clip(rng.lognormal(...), runtime_min, runtime_max)
+        # np.clip(rng.lognormal(...), runtime_min, runtime_max), as
+        # min(max(x, lo), hi) without the two builtin calls
         runtime = self._lognormal(self._log_mean, self._log_sigma)
-        runtime = min(max(runtime, self._runtime_min), self._runtime_max)
+        if self._runtime_min > runtime:
+            runtime = self._runtime_min
+        if self._runtime_max < runtime:
+            runtime = self._runtime_max
         if random() < self._sloppy:
             walltime = self._walltime_limit
         else:
             # rng.uniform(overestimate_min, overestimate_max)
             factor = self._over_min + self._over_span * random()
-            walltime = min(runtime * factor, self._walltime_limit)
+            walltime = runtime * factor
+            if self._walltime_limit < walltime:
+                walltime = self._walltime_limit
         if walltime < 60.0:
             walltime = 60.0
-        user = int(self._integers(self._n_users))
+        # int(rng.integers(n_users))
+        user = self._integers(self._n_users)
         return cores, runtime, walltime, user
 
     def draw_residual(self) -> float:
@@ -246,13 +364,7 @@ class BackgroundWorkload:
     def make_job(self) -> BatchJob:
         """Sample one background job from the profile."""
         cores, runtime, walltime, user = self.draw_job()
-        return BatchJob(
-            cores=cores,
-            runtime=runtime,
-            walltime=walltime,
-            user=self._user_labels[user],
-            kind="background",
-        )
+        return BatchJob(cores, runtime, walltime, self._user_labels[user])
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate (jobs/s) with diurnal modulation."""
@@ -297,7 +409,7 @@ class BackgroundWorkload:
         an accepted arrival's job before it asks for the next arrival,
         so the stream sees gap, uniform, then the job's draws.
         """
-        exponential = self.rng.exponential
+        exponential = self.draws.exponential
         random = self._random
         rate_max = self.base_rate * (1 + self.profile.diurnal_amplitude)
         scale = 1.0 / rate_max

@@ -15,7 +15,7 @@ from .errors import (
     SchedulingError,
     SimulationError,
 )
-from .events import EventQueue, ScheduledEvent
+from .events import EventHandle, EventQueue
 from .hazard import hazard_process
 from .kernel import Simulation
 from .process import AllOf, Process, Signal, Timeout, Waitable
@@ -27,12 +27,12 @@ __all__ = [
     "AllOf",
     "CancelledError",
     "CapacityResource",
+    "EventHandle",
     "EventQueue",
     "Interrupt",
     "Process",
     "ProcessError",
     "RngStreams",
-    "ScheduledEvent",
     "SchedulingError",
     "Signal",
     "Simulation",

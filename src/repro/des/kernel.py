@@ -15,7 +15,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..telemetry import TelemetryHub
 from .errors import SchedulingError, SimulationError
-from .events import _CANCELLED, EventQueue, ScheduledEvent
+from .events import _FIRED, EventHandle, EventQueue
 from .process import AllOf, Process, Timeout, Waitable
 from .rng import RngStreams
 
@@ -24,7 +24,9 @@ class Simulation:
     """Deterministic discrete-event simulation kernel.
 
     Events are dispatched in ``(time, priority, seq)`` order from one
-    binary heap (:class:`~repro.des.events.EventQueue`).
+    binary heap (:class:`~repro.des.events.EventQueue`). ``call_at`` and
+    ``call_in`` return the event's heap entry as its handle; pass it to
+    :meth:`cancel`.
     """
 
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
@@ -66,7 +68,7 @@ class Simulation:
         callback: Callable[..., None],
         *args: Any,
         priority: int = 0,
-    ) -> ScheduledEvent:
+    ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         if time < self._now:
             raise SchedulingError(
@@ -80,13 +82,13 @@ class Simulation:
         callback: Callable[..., None],
         *args: Any,
         priority: int = 0,
-    ) -> ScheduledEvent:
+    ) -> EventHandle:
         """Schedule ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
         return self._queue.push(self._now + delay, callback, args, priority)
 
-    def cancel(self, event: ScheduledEvent) -> None:
+    def cancel(self, event: EventHandle) -> None:
         """Cancel a scheduled event (safe to call more than once)."""
         self._queue.cancel(event)
 
@@ -143,27 +145,33 @@ class Simulation:
         none left or, when given, ``process`` has triggered. This is the
         hottest path in the system (campaign repetitions pump tens of
         thousands of events through it), so the heap pop is inlined and
-        the queue and telemetry lookups are hoisted. Dead entries are
-        dropped as :meth:`EventQueue.pop_until` drops them; the first
-        live entry past ``limit`` is pushed back, which cannot change
-        the pop order. The profiler is re-read each event (it can be
-        attached mid-run); when absent, dispatch is two attribute loads
-        plus the call.
+        the queue and telemetry lookups are hoisted. Cancelled entries
+        (callback ``None``) are dropped as :meth:`EventQueue.pop_until`
+        drops them; the first live entry past ``limit`` is pushed back,
+        which cannot change the pop order. A live entry is marked fired
+        before its call, as ``pop_until`` marks it: the callback slot
+        takes the fired sentinel and the args are dropped, so the handle
+        keeps no reference to them. The profiler is re-read each event
+        (it can be attached mid-run); when absent, dispatch is two
+        attribute loads plus the call.
         """
         queue = self._queue
         heap = queue._heap  # compaction rebuilds this list in place
         telemetry = self.telemetry
         while heap and (process is None or not process.triggered):
             entry = heappop(heap)
-            ev = entry[3]
-            if ev.cancelled:
+            callback = entry[3]
+            if callback is None:  # cancelled
                 queue._cancelled -= 1
                 continue
             time = entry[0]
             if time > limit:
                 heappush(heap, entry)
                 return
-            ev.fired = True
+            # mark fired and drop the references before the call
+            args = entry[4]
+            entry[3] = _FIRED
+            entry[4] = ()
             queue._live -= 1
             if time < self._now:
                 raise SimulationError(
@@ -172,16 +180,12 @@ class Simulation:
             self._now = time
             self.events_processed += 1
             prof = telemetry.profiler
-            callback = ev.callback
             if prof is None:
-                callback(*ev.args)
+                callback(*args)
             else:
                 w0 = perf_counter()
-                callback(*ev.args)
+                callback(*args)
                 prof.record(callback, perf_counter() - w0)
-            # drop the fired event's references (memory hygiene)
-            ev.callback = _CANCELLED
-            ev.args = ()
 
     # -- process & waitable factories ----------------------------------------
 

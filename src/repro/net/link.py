@@ -15,7 +15,7 @@ from operator import attrgetter
 
 from typing import Dict, Optional
 
-from ..des import ScheduledEvent, Signal, Simulation
+from ..des import EventHandle, Signal, Simulation
 
 
 #: C-level key extractor for the soonest-to-finish scan.
@@ -70,7 +70,7 @@ class Link:
         self._degradation = 1.0
         self._active: Dict[int, Transfer] = {}
         self._last_update = 0.0
-        self._completion_event: Optional[ScheduledEvent] = None
+        self._completion_event: Optional[EventHandle] = None
         self.completed_transfers = 0
         self.bytes_moved = 0.0
 

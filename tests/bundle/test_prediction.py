@@ -101,6 +101,32 @@ def test_memoized_rank_equals_the_walk(quantile, confidence):
         ), n
 
 
+_QUANTILES = (0.05, 0.5, 0.75, 0.95, 0.99)
+_CONFIDENCES = (0.05, 0.5, 0.95, 0.99)
+
+
+@pytest.mark.slow
+def test_incremental_coefficient_rank_equals_math_comb_walk():
+    """The walk's carried C(n, k) gives the rank the ``math.comb`` formula
+    gives, for every history size up to 1024 over a quantile/confidence
+    grid. Each ``math.comb(n, k)`` is computed once and shared by the
+    grid's walks, in the reference's expression."""
+    walk = binomial_rank.__wrapped__  # unmemoized
+    for n in range(1, 1025):
+        combs = []
+        for q in _QUANTILES:
+            for confidence in _CONFIDENCES:
+                cdf, rank = 0.0, n - 1
+                for k in range(n):
+                    if k == len(combs):
+                        combs.append(math.comb(n, k))
+                    cdf += combs[k] * q**k * (1 - q) ** (n - k)
+                    if cdf >= confidence:
+                        rank = min(k, n - 1)
+                        break
+                assert walk(n, q, confidence) == rank, (n, q, confidence)
+
+
 def test_predict_is_the_sample_at_the_walked_rank():
     rng = np.random.default_rng(4)
     p = QuantilePredictor(quantile=0.75, confidence=0.95)

@@ -5,7 +5,8 @@ runtime clip and the overestimate factor in Python on the generator's
 uniform draws. The reference below is the numpy sampler it replaced,
 copied verbatim; every test drives both from generators in the same
 state and requires identical values, identical value types and the same
-final bit-generator state.
+final bit-generator state (the workload's ``draws.state()``, which folds
+in the 32-bit half its draws hold).
 """
 
 import math
@@ -84,7 +85,7 @@ def _assert_same_stream(profile, seed, nodes, n_jobs=N_JOBS):
         got, want = wl.draw_job(), ref.job()
         assert got == want
         assert tuple(map(type, got)) == tuple(map(type, want))
-    assert wl.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert wl.draws.state() == ref.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -147,7 +148,7 @@ def test_residual_factor_matches_numpy_uniform():
     for _ in range(N_JOBS):
         got, want = wl.draw_residual(), ref.uniform(0.25, 1.0)
         assert got == want and type(got) is type(want)
-    assert wl.rng.bit_generator.state == ref.bit_generator.state
+    assert wl.draws.state() == ref.bit_generator.state
 
 
 def test_kernel_stream_is_the_named_workload_stream():
@@ -212,3 +213,25 @@ def test_inverted_overestimate_range_rejected_at_construction():
         np.random.default_rng(0).uniform(3.0, 1.1)
     with pytest.raises(ValueError, match="overestimate"):
         WorkloadProfile(overestimate_min=3.0, overestimate_max=1.1)
+
+
+@pytest.mark.parametrize("n_users", [0, -3, 2**32 + 1])
+def test_user_count_outside_raw_draw_range_rejected_at_construction(n_users):
+    if n_users <= 0:
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).integers(n_users)
+    with pytest.raises(ValueError, match="n_users"):
+        WorkloadProfile(n_users=n_users)
+
+
+def test_user_count_bounds_accepted():
+    for n_users in (1, 2**32):
+        WorkloadProfile(n_users=n_users)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, -0.0])
+def test_negative_runtime_sigma_rejected_at_construction(sigma):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).lognormal(0.0, sigma)
+    with pytest.raises(ValueError, match="runtime_log_sigma"):
+        WorkloadProfile(runtime_log_sigma=sigma)

@@ -1,11 +1,16 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the event queue.
+
+A pushed event is its heap entry ``[time, priority, seq, callback,
+args]``; ``pop`` returns the tuple of what the fired entry held.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des.errors import SchedulingError
-from repro.des.events import EventQueue
+from repro.des.events import _FIRED, EventQueue
+from repro.des.kernel import Simulation
 
 
 def _noop() -> None:  # events need a callback; ordering ignores it
@@ -20,9 +25,9 @@ def test_push_pop_orders_by_time():
     q.push(9.0, fired.append, ("c",))
     times = []
     while q:
-        ev = q.pop()
-        times.append(ev.time)
-        ev.callback(*ev.args)
+        time, _, _, callback, args = q.pop()
+        times.append(time)
+        callback(*args)
     assert times == [1.0, 5.0, 9.0]
     assert fired == ["a", "b", "c"]
 
@@ -33,8 +38,8 @@ def test_same_time_fifo_tiebreak():
     for i in range(10):
         q.push(3.0, order.append, (i,))
     while q:
-        ev = q.pop()
-        ev.callback(*ev.args)
+        _, _, _, callback, args = q.pop()
+        callback(*args)
     assert order == list(range(10))
 
 
@@ -44,8 +49,8 @@ def test_priority_breaks_ties_before_sequence():
     q.push(1.0, order.append, ("low",), priority=10)
     q.push(1.0, order.append, ("high",), priority=0)
     while q:
-        ev = q.pop()
-        ev.callback(*ev.args)
+        _, _, _, callback, args = q.pop()
+        callback(*args)
     assert order == ["high", "low"]
 
 
@@ -66,7 +71,7 @@ def test_cancelled_event_skipped_by_pop():
     ev1 = q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
     q.cancel(ev1)
-    assert q.pop().time == 2.0
+    assert q.pop()[0] == 2.0
 
 
 def test_pop_until_skips_cancelled_head_and_keeps_later_events():
@@ -76,7 +81,7 @@ def test_pop_until_skips_cancelled_head_and_keeps_later_events():
     q.cancel(ev1)
     assert q.pop_until(3.0) is None
     assert len(q) == 1
-    assert q.pop_until(4.0).time == 4.0
+    assert q.pop_until(4.0)[0] == 4.0
 
 
 def test_pop_until_empty_returns_none():
@@ -99,7 +104,7 @@ def test_orders_by_time_priority_seq():
     q.push(1.0, _noop)
     q.push(5.0, _noop, priority=-1)
     q.push(1.0, _noop)
-    got = [(ev.time, ev.priority, ev.seq) for ev in (q.pop() for _ in range(4))]
+    got = [q.pop()[:3] for _ in range(4)]
     # time first, then priority, then seq FIFO on full ties
     assert got == [(1.0, 0, 1), (1.0, 0, 3), (5.0, -1, 2), (5.0, 0, 0)]
     assert len(q) == 0
@@ -112,7 +117,7 @@ def test_nan_rejected_inf_allowed():
     q.push(float("inf"), _noop)
     q.push(float("-inf"), _noop)
     q.push(0.0, _noop)
-    assert [q.pop().time for _ in range(3)] == [float("-inf"), 0.0, float("inf")]
+    assert [q.pop()[0] for _ in range(3)] == [float("-inf"), 0.0, float("inf")]
 
 
 def test_len_counts_live_only():
@@ -158,23 +163,22 @@ def test_property_pops_match_reference_model(ops):
         if op == "push":
             ev = q.push(float(a), _noop, (), b)
             handles.append(ev)
-            model[ev.seq] = (ev.time, ev.priority, ev.seq)
+            model[ev[2]] = tuple(ev[:3])
         elif op == "cancel" and handles:
             # may hit live, fired, or already-cancelled events: all legal
             ev = handles[a % len(handles)]
             q.cancel(ev)
-            model.pop(ev.seq, None)
+            model.pop(ev[2], None)
         elif op == "pop":
             ev = q.pop_until(float("inf"))
             expect = min(model.values(), default=None)
-            assert (None if ev is None else (ev.time, ev.priority, ev.seq)) == expect
+            assert (None if ev is None else ev[:3]) == expect
             if expect is not None:
                 del model[expect[2]]
         assert len(q) == len(model)
     drained = []
     while q:
-        ev = q.pop()
-        drained.append((ev.time, ev.priority, ev.seq))
+        drained.append(q.pop()[:3])
     assert drained == sorted(model.values())
 
 
@@ -192,7 +196,7 @@ def test_property_float_times_pop_sorted(times):
     q = EventQueue()
     for t in times:
         q.push(t, _noop)
-    assert [q.pop().time for _ in range(len(times))] == sorted(times)
+    assert [q.pop()[0] for _ in range(len(times))] == sorted(times)
 
 
 # -- lazy cancellation bounds (compaction) ------------------------------------
@@ -203,11 +207,38 @@ def test_cancel_after_fire_is_noop():
     ev = q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
     popped = q.pop()
-    assert popped is ev and popped.fired
+    assert popped[:3] == (1.0, 0, 0)
+    assert ev[3] is _FIRED and ev[4] == ()
     q.cancel(ev)  # fired events must not perturb the live count
     assert len(q) == 1 and bool(q)
-    assert q.pop().time == 2.0
+    assert q.pop()[0] == 2.0
     assert len(q) == 0 and not q
+
+
+def test_cancelled_entry_drops_callback_and_args():
+    q = EventQueue()
+    ev = q.push(1.0, print, ("x",))
+    q.cancel(ev)
+    assert ev[3] is None and ev[4] == ()
+    assert q.cancels == 1
+
+
+def test_kernel_fired_entry_holds_nothing_and_ignores_cancel():
+    """Dispatch marks the entry fired before the call: the handle keeps
+    neither callback nor args, and cancelling it afterwards is a no-op."""
+    sim = Simulation()
+    seen = []
+    held = []
+    ev = sim.call_at(1.0, lambda tag: held.append((ev[3], ev[4], tag)), "x")
+    sim.call_at(2.0, seen.append, "y")
+    sim.run(until=1.5)
+    assert held == [(_FIRED, (), "x")]
+    assert ev[3] is _FIRED and ev[4] == ()
+    sim.cancel(ev)
+    assert ev[3] is _FIRED
+    assert len(sim._queue) == 1 and sim._queue.cancels == 0
+    sim.run()
+    assert seen == ["y"] and sim._queue.popped == 2
 
 
 def test_compaction_bounds_cancelled_backlog():
@@ -223,7 +254,7 @@ def test_compaction_bounds_cancelled_backlog():
     # Draining pops every live event exactly once, in order.
     times = []
     while q:
-        times.append(q.pop().time)
+        times.append(q.pop()[0])
     assert times == [float(i) for i in range(150, 200)]
 
 
@@ -235,7 +266,7 @@ def test_small_heaps_never_compact():
     # Below the compaction floor dead entries drain lazily on pop.
     assert len(q._heap) == 10
     assert len(q) == 1
-    assert q.pop().time == 9.0
+    assert q.pop()[0] == 9.0
 
 
 def test_compaction_preserves_pop_order():
@@ -254,9 +285,9 @@ def test_compaction_preserves_pop_order():
         q.cancel(handles[i])  # triggers at least one compaction
     expected = sorted(
         (ev for i, ev in enumerate(handles) if i not in cancelled),
-        key=lambda e: (e.time, e.priority, e.seq),
+        key=lambda e: e[:3],
     )
     popped = []
     while q:
-        popped.append(q.pop())
-    assert popped == expected
+        popped.append(q.pop()[:3])
+    assert popped == [tuple(e[:3]) for e in expected]

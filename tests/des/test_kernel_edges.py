@@ -323,7 +323,7 @@ def test_mass_cancel_mid_run_compacts_without_losing_events(until):
 
     def schedule(time, priority):
         ev = sim.call_at(time, record, len(keys), priority=priority)
-        keys[len(keys)] = (time, priority, ev.seq)
+        keys[len(keys)] = (time, priority, ev[2])
         handles.append(ev)
 
     for _ in range(200):
@@ -347,7 +347,7 @@ def test_mass_cancel_mid_run_compacts_without_losing_events(until):
     if until is not None:
         sim.run()
     assert compacted == [True]
-    dead = {ev.seq for ev in doomed}
+    dead = {ev[2] for ev in doomed}
     survivors = sorted(
         key for key, (_, _, seq) in keys.items() if seq not in dead
     )
