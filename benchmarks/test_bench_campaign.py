@@ -189,7 +189,7 @@ def test_bench_parallel_speedup():
         "jobs": 4,
         "cpus": cpus,
         "cells": stats.cells,
-        "chunks": stats.chunks,
+        "workers": stats.workers,
         "serial_wall_s": serial_wall,
         "parallel_wall_s": parallel_wall,
         "speedup": speedup,

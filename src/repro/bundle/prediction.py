@@ -17,6 +17,7 @@ Both degrade gracefully on thin history (falling back to a prior).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -39,13 +40,20 @@ def binomial_rank(n: int, quantile: float, confidence: float) -> int:
     The binomial coefficient ``C(n, k)`` is carried from term to term
     (``C(n, k + 1) = C(n, k) * (n - k) // (k + 1)``, an exact integer
     division), so each term costs one small bigint step, not a fresh
-    ``math.comb``.
+    ``math.comb``. Past ``n = 1029`` the middle coefficients exceed the
+    largest double; those terms are summed in log space instead
+    (``math.log`` takes an integer of any size).
     """
     cdf = 0.0
     q = quantile
     comb = 1  # C(n, k)
     for k in range(n):
-        cdf += comb * q**k * (1 - q) ** (n - k)
+        try:
+            cdf += comb * q**k * (1 - q) ** (n - k)
+        except OverflowError:  # C(n, k) does not fit a double
+            cdf += math.exp(
+                math.log(comb) + k * math.log(q) + (n - k) * math.log(1 - q)
+            )
         if cdf >= confidence:
             return min(k, n - 1)
         comb = comb * (n - k) // (k + 1)

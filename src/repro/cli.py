@@ -874,16 +874,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "quarantined as errors instead of skipping them")
     p.add_argument("--cell-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="per-cell wall-time budget at every -j; hung "
-                        "workers are killed and their cells retried, "
-                        "then quarantined after --max-attempts. At "
-                        "-j 1 it runs cells in one worker process, "
-                        "so a hung cell can be killed "
-                        "(default: no timeout)")
+                   help="wall-time budget of each cell, from its own "
+                        "dispatch, at every -j; a cell past it has its "
+                        "worker killed and is retried, then quarantined "
+                        "after --max-attempts. At -j 1 it runs cells in "
+                        "one worker process, so a hung cell can be "
+                        "killed (default: no timeout)")
     p.add_argument("--max-attempts", type=int, default=2,
-                   help="dispatches of one cell (timeouts and worker "
-                        "crashes both count) before it is quarantined "
-                        "as a poison cell (default: %(default)s)")
+                   help="losses of one cell (timeouts and crashes of "
+                        "the worker holding it both count; no other "
+                        "cell is charged) before it is quarantined as "
+                        "a poison cell (default: %(default)s)")
     p.add_argument("--serve", default=None, metavar="[HOST]:PORT",
                    help="serve a live observability plane over HTTP "
                         "while the campaign runs: GET /metrics "

@@ -14,7 +14,7 @@ Four cooperating pieces:
 * **Leases** — every dispatch of a ``(exp_id, n_tasks, rep)`` cell
   writes an *attempt* row into the store (attempt number, state,
   worker pid, wall start/end, heartbeat). The row is opened ``leased``
-  before the cell runs and closed ``committed``/``failed``/``timeout``/
+  as the cell is dispatched and closed ``committed``/``failed``/``timeout``/
   ``crashed``/``reclaimed``/``interrupted`` afterwards, so a campaign's
   execution history is durable and a half-finished store is
   forensically legible: whatever is still ``leased`` died in flight.
@@ -29,9 +29,10 @@ Four cooperating pieces:
   digests.
 * **Supervision** — :class:`ExecutionSupervisor` is the parent-side
   bookkeeper the campaign executor calls at each dispatch/commit/
-  failure; its worker pool adds per-chunk heartbeats and a per-cell
-  wall-time budget on top, killing hung workers and retrying their cells under a
-  seeded-backoff budget before quarantining them as poison cells.
+  failure; its worker processes, one cell each, add heartbeats and a
+  per-cell wall-time budget on top, killing a hung cell's worker and
+  retrying the cell under a seeded-backoff budget before quarantining
+  it as a poison cell.
 * **Graceful shutdown** — :class:`ShutdownControl` turns SIGINT/SIGTERM
   into a two-stage drain: the first signal stops dispatching and lets
   in-flight cells finish (and commit); the second hard-cancels. Either
@@ -153,9 +154,8 @@ class CampaignInterrupted(RuntimeError):
 class ResiliencePolicy:
     """Knobs for execution supervision and retry budgets.
 
-    ``cell_timeout_s`` is the per-cell wall-time budget; an in-flight
-    chunk's budget is ``cell_timeout_s * len(chunk)``, measured from the
-    moment the parent observes the chunk running. ``None`` disables
+    ``cell_timeout_s`` is the per-cell wall-time budget, measured from
+    the cell's dispatch to its worker process. ``None`` disables
     timeout supervision (the default: simulated cells are fast, but a
     pathological workload or a wedged interpreter is exactly what this
     guard exists for).
@@ -190,8 +190,8 @@ class ShutdownControl:
     finish and commit. Second signal: ``hard`` — cancel everything still
     running. With ``raise_on_hard`` (a cell running in-process) the
     second signal raises :class:`KeyboardInterrupt` so the cell is
-    actually preempted; a worker-pool parent polls the flags instead and
-    kills its pool.
+    actually preempted; a parent of worker processes polls the flags
+    instead and kills its workers.
 
     Worker processes fork a copy of the installed handler; the copy
     recognizes the pid mismatch and only flips its (invisible) flags,

@@ -1,4 +1,4 @@
-"""Grid execution: one executor, with an in-process or a pool worker.
+"""Grid execution: one executor, with an in-process or a worker-process cell.
 
 A Monte-Carlo grid is embarrassingly parallel: every cell seeds itself
 from its own integer coordinates via ``np.random.SeedSequence`` and
@@ -13,18 +13,18 @@ SIGINT/SIGTERM the same way whatever ``jobs`` is. Its two callers are
 can observe:
 
 * **In-process** when ``jobs`` resolves to 1 or at most one cell
-  remains, and no per-cell wall budget is set. No pool is started, and
-  a second signal preempts the running cell.
-* **Worker pool** otherwise (:func:`_execute_chunks`). A wall budget
-  needs a process it can kill, so ``cell_timeout_s`` sends even
-  ``jobs=1`` to a one-worker pool.
+  remains, and no per-cell wall budget is set. No worker is started,
+  and a second signal preempts the running cell.
+* **Worker processes** otherwise (:func:`_execute_workers`). A wall
+  budget needs a process it can kill, so ``cell_timeout_s`` sends even
+  ``jobs=1`` to one worker process.
 
-Either way a cell runs through :func:`_run_chunk`, which turns an
+Either way a cell runs through :func:`_run_cell`, which turns an
 exception into a :class:`~repro.experiments.campaign.CellError` for
 that cell alone. One difference remains by design: an in-process cell
 that kills its process (``os._exit``, segfault) takes the grid down
-with it, and a campaign's ``--resume`` recovers it; a pool worker's
-crash costs the cell only.
+with it, and a campaign's ``--resume`` recovers it; a worker's crash
+costs the cell only.
 
 Determinism contract
 --------------------
@@ -39,53 +39,48 @@ Every ``jobs`` gives a *bit-identical* grid:
 
 ``tests/experiments/test_runner.py`` asserts field-by-field equality of
 ``jobs=1`` and ``jobs=N`` campaigns — including the per-repetition
-telemetry/fault/health digests, and the error and timeout paths — and
-``tests/experiments/test_ablation_golden.py`` the same, bit for bit,
-for every ablation study and the calibration.
+telemetry/fault/health digests, and the error, crash and timeout
+paths — and ``tests/experiments/test_ablation_golden.py`` the same, bit
+for bit, for every ablation study and the calibration.
 
-Scheduling
-----------
-Cells are packed into chunks, biggest first, by the grid's cost
-function (a campaign's :func:`cell_cost`: a cell's wall time grows
-roughly linearly in ``n_tasks`` on top of a fixed
-environment-construction overhead; every other grid's cells cost one
-unit each). Big-first packing keeps the long
-cells from landing at the tail of the schedule where they would leave
-all other workers idle. Each chunk is one executor task, which
-amortizes process-pool dispatch overhead for the many small cells. The
-parent keeps at most one chunk per worker in flight, so a chunk it sees
-running really is running and its wall budget starts when it does.
+Workers
+-------
+Each of the ``jobs`` long-lived worker processes owns one
+:func:`multiprocessing.Pipe` and holds at most one cell. The parent
+hands cells out biggest first by the grid's cost function (a
+campaign's :func:`cell_cost`: a cell's wall time grows roughly
+linearly in ``n_tasks`` on top of a fixed environment-construction
+overhead; every other grid's cells cost one unit each; ties keep grid
+order), so the long cells do not land at the tail of the schedule
+where they would leave the other workers idle. It waits on the pipes
+with :func:`multiprocessing.connection.wait`, and because it knows
+which cell each worker holds, every loss has one owner:
 
-Crash containment
------------------
-A worker process dying (segfault, OOM kill) breaks the whole pool: all
-in-flight futures raise :class:`BrokenProcessPool` and we cannot tell
-which chunk was guilty. When the broken chunk was the only one in
-flight and held one cell, the crash is that cell's. Otherwise every
-cell of every broken chunk becomes a *suspect*: it is retried in a
-fresh pool as a chunk of its own that runs with nothing else in
-flight, so its next crash, if any, is unambiguous. A cell that crashes
-``max_attempts`` times is recorded as a
-:class:`~repro.experiments.campaign.CellError` instead of a result;
-innocent cells complete normally, even one that was running beside the
-crash. Ordinary exceptions inside a repetition never break the pool —
-the worker catches them per cell and reports them as errors.
+* EOF on a busy worker's pipe means the worker died (segfault, OOM
+  kill): the cell it held is charged a crash and retried at once.
+* A cell past ``cell_timeout_s`` since its own dispatch gets its worker
+  SIGKILLed, and is charged a timeout and retried after a seeded
+  backoff.
+* A worker that died while idle costs no attempt.
+
+A dead or killed worker is replaced by a fresh one, and no other cell
+is touched. A cell charged ``max_attempts`` losses is recorded as a
+:class:`~repro.experiments.campaign.CellError` instead of a result.
+Ordinary exceptions inside a repetition never cost a worker — the
+worker catches them per cell and reports them as errors. A worker
+reads EOF when the parent dies, too, and exits once its cell ends, so
+a SIGKILLed campaign leaves no worker behind.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing.connection import Connection, wait
 from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -167,38 +162,6 @@ def cost_eta(grid: Iterable[Cell], walls: Mapping[Cell, float]) -> float:
     return sum(walls.values()) / spent_cost * left
 
 
-def plan_chunks(
-    cells: Sequence[Cell], jobs: int, cost: Callable[[Cell], int],
-) -> List[List[Cell]]:
-    """Pack cells into chunks for dispatch, costliest cells first.
-
-    The chunk size target is ``total_cost / (jobs * 4)`` (but at least
-    one maximal cell), giving ~4 waves of chunks per worker: small
-    enough for load balancing when cell costs are skewed, large enough
-    that pool dispatch overhead stays negligible. Deterministic — no
-    randomness, ties keep grid order (stable sort).
-    """
-    if not cells:
-        return []
-    jobs = max(1, jobs)
-    costed = sorted(cells, key=cost, reverse=True)
-    total = sum(cost(c) for c in cells)
-    target = max(cost(costed[0]), total // (jobs * 4))
-    chunks: List[List[Cell]] = []
-    current: List[Cell] = []
-    acc = 0
-    for cell in costed:
-        current.append(cell)
-        acc += cost(cell)
-        if acc >= target:
-            chunks.append(current)
-            current = []
-            acc = 0
-    if current:
-        chunks.append(current)
-    return chunks
-
-
 # -- worker side (module-level: must be picklable under spawn too) -------------
 
 
@@ -220,28 +183,42 @@ def _default_run_cell(
     )
 
 
-def _run_chunk(
-    fn: Callable[[Cell], object], chunk: Sequence[Cell],
-) -> List[Tuple[str, Cell, object, dict]]:
-    """Worker entry point: run ``fn`` on every cell of one chunk.
+def _run_cell(
+    fn: Callable[[Cell], object], cell: Cell,
+) -> Tuple[str, Cell, object, dict]:
+    """Run ``fn`` on one cell; returns a ``(status, cell, payload, meta)``
+    row.
 
-    Exceptions are contained per cell — one failing cell costs that
-    cell, not the chunk and not the grid. Each row carries a meta dict
-    with the cell's wall time and the worker's pid, feeding the run
-    ledger and progress callbacks.
+    An exception is contained to the cell — it costs that cell, not the
+    worker and not the grid. The meta dict carries the cell's wall time
+    and the worker's pid, feeding the run ledger and progress callbacks.
     """
-    pid = os.getpid()
-    out: List[Tuple[str, Cell, object, dict]] = []
-    for cell in chunk:
-        w0 = time.perf_counter()
-        try:
-            run = fn(cell)
-            meta = {"wall_s": time.perf_counter() - w0, "worker": pid}
-            out.append(("ok", cell, run, meta))
-        except Exception as exc:  # noqa: BLE001 - containment boundary
-            meta = {"wall_s": time.perf_counter() - w0, "worker": pid}
-            out.append(("error", cell, f"{type(exc).__name__}: {exc}", meta))
-    return out
+    w0 = time.perf_counter()
+    try:
+        status, payload = "ok", fn(cell)
+    except Exception as exc:  # noqa: BLE001 - containment boundary
+        status, payload = "error", f"{type(exc).__name__}: {exc}"
+    meta = {"wall_s": time.perf_counter() - w0, "worker": os.getpid()}
+    return status, cell, payload, meta
+
+
+def _serve(
+    conn: Connection, fn: Callable[[Cell], object],
+    inherited: Sequence[Connection],
+) -> None:
+    """Worker process: run each cell the pipe brings until it closes.
+
+    ``inherited`` are the parent's ends of every pipe, this worker's own
+    among them. A forked worker holds copies of them, and must close
+    those, or it would never read EOF when the parent dies.
+    """
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            conn.send(_run_cell(fn, conn.recv()))
+    except (EOFError, OSError):
+        pass  # the parent closed the pipe, or died
 
 
 # -- parent side ---------------------------------------------------------------
@@ -252,11 +229,13 @@ class RunnerStats:
     """Aggregated telemetry for one campaign."""
 
     jobs: int = 0
-    chunks: int = 0
+    #: worker processes started at the outset (0: cells ran in-process).
+    workers: int = 0
     cells: int = 0
     completed: int = 0
     errors: int = 0
-    pool_restarts: int = 0
+    #: workers replaced after a crash, a timeout kill or an idle death.
+    worker_restarts: int = 0
     wall_s: float = 0.0
     #: total kernel events processed across every repetition.
     events: int = 0
@@ -272,31 +251,49 @@ class RunnerStats:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """SIGKILL the pool's workers and reap the executor.
+class _Worker:
+    """One worker process, the parent's end of its pipe, and its cell."""
 
-    ``shutdown(wait=True)`` would block on a hung worker, and because
-    workers inherit the parent's benign :class:`ShutdownControl` handler
-    a SIGTERM is shielded too — SIGKILL is the only reliable teardown.
-    """
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    for proc in procs:
+    def __init__(
+        self, fn: Callable[[Cell], object], siblings: Sequence[Connection],
+    ) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.proc = multiprocessing.Process(
+            target=_serve, args=(child, fn, [*siblings, self.conn]),
+        )
+        self.proc.start()
+        child.close()  # the worker's death must close its pipe
+        #: the cell this worker holds, and when it was handed over.
+        self.cell: Optional[Cell] = None
+        self.since = 0.0
+
+    def give(self, cell: Cell) -> bool:
+        """Hand ``cell`` over; ``False`` when the worker died while idle."""
         try:
-            proc.kill()
-        except Exception:  # noqa: BLE001 - already-dead race
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        try:
-            proc.join(timeout=5)
-        except Exception:  # noqa: BLE001 - already-reaped race
-            pass
+            self.conn.send(cell)
+        except OSError:
+            return False
+        self.cell, self.since = cell, time.monotonic()
+        return True
+
+    def stop(self, kill: bool = False) -> None:
+        """Close the pipe (an idle worker exits on EOF) and reap the
+        process; SIGKILL it first when ``kill``, or when it lingers (its
+        exit joins any thread a cell left running)."""
+        if kill:
+            self.proc.kill()
+        self.conn.close()
+        self.proc.join(timeout=5)
+        if self.proc.exitcode is None:
+            self.proc.kill()
+            self.proc.join()
 
 
-def _execute_chunks(
-    chunks: List[List[Cell]],
+def _execute_workers(
+    cells: List[Cell],
     jobs: int,
     fn: Callable[[Cell], object],
+    cost: Callable[[Cell], int],
     stats: RunnerStats,
     on_cell: Callable[[str, Cell, object, dict], None],
     supervisor: ExecutionSupervisor,
@@ -304,204 +301,119 @@ def _execute_chunks(
     policy: ResiliencePolicy,
     campaign_seed: int = 0,
 ) -> bool:
-    """Drive chunks to completion, surviving crashes, hangs, and signals.
+    """Drive ``cells`` over ``jobs`` worker processes, one cell each.
 
-    At most ``jobs`` chunks are in flight; the next is submitted when one
-    finishes. A pool break is charged to a cell only when that cell was
-    the one chunk in flight; otherwise the cells of every broken chunk
-    become suspects and are retried one at a time with nothing else in
-    flight. A cell charged ``policy.max_attempts`` crashes is quarantined
-    as an error. When ``policy.cell_timeout_s`` is set,
-    the parent polls in-flight chunks against a
-    ``cell_timeout_s * len(chunk)`` wall budget; an overdue chunk's
-    workers are killed, its cells retried under the same attempt budget
-    (with seeded backoff), and innocent in-flight chunks are requeued
-    without attempt penalty. ``control`` drain requests stop new
-    dispatch and let running chunks finish; hard-cancel kills the pool.
-    Returns ``True`` when the grid was interrupted before completion.
+    Cells go out biggest first by ``cost`` (ties in grid order). A
+    worker that dies holding a cell charges it a crash, and a cell past
+    ``policy.cell_timeout_s`` since its dispatch has its worker killed
+    and is charged a timeout. Either loss replaces that one worker and
+    retries the cell — a crash at once, a timeout after its seeded
+    backoff — until its ``policy.max_attempts``-th loss quarantines it
+    as an error. ``control`` drain requests stop dispatch and let
+    running cells finish and commit (no timeout is enforced while
+    draining); a hard cancel kills every worker. Returns ``True`` when
+    the grid was interrupted before completion.
     """
-    pending: List[List[Cell]] = [list(chunk) for chunk in chunks]
-    suspects: set = set()  # cells of an ambiguous pool break
-    solo_crashes: Dict[Cell, int] = {}
-    cell_timeouts: Dict[Cell, int] = {}
-    while pending:
-        if control.draining or control.hard:
-            # drain requested between pool generations: nothing new
-            # starts; requeued cells' leases are already closed.
-            return True
-        broken: List[List[Cell]] = []
-        requeue: List[List[Cell]] = []
-        backoff = 0.0
-        workers = min(jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: Dict = {}
-            started: Dict = {}  # future -> monotonic time first seen running
-            not_done: set = set()
+    pending = sorted(cells, key=cost, reverse=True)  # stable: grid order
+    not_before: Dict[Cell, float] = {}  # a timed-out cell's backoff
+    losses: Dict[Cell, int] = {}
+    workers: List[_Worker] = []
 
-            def top_up() -> None:
-                # one chunk per worker: a future seen running really is
-                # running, not queued behind a hung chunk. A suspect
-                # runs alone, so a crash while it runs is its own.
-                while pending and len(not_done) < workers and not (
-                    broken or control.draining or control.hard
-                ):
-                    if not_done and not suspects.isdisjoint(
-                        [pending[0][0]] + [futures[f][0] for f in not_done]
-                    ):
-                        return  # a suspect waits for, then holds, the pool
-                    try:
-                        fut = pool.submit(_run_chunk, fn, pending[0])
-                    except BrokenProcessPool:
-                        return  # the in-flight futures report the break
-                    chunk = pending.pop(0)
-                    for cell in chunk:
-                        supervisor.begin(cell)
-                    futures[fut] = chunk
-                    not_done.add(fut)
+    def respawn(i: int) -> None:
+        workers[i].stop(kill=True)
+        workers[i] = _Worker(
+            fn, [w.conn for j, w in enumerate(workers) if j != i]
+        )
+        stats.worker_restarts += 1
 
-            top_up()
-            while not_done:
-                done, not_done = wait(
-                    not_done, timeout=policy.poll_s,
-                    return_when=FIRST_COMPLETED,
-                )
-                top_up()  # before the commits, so no worker waits on them
-                for fut in done:
-                    chunk = futures[fut]
-                    try:
-                        rows = fut.result()
-                    except BrokenProcessPool:
-                        broken.append(chunk)
-                        continue
-                    for status, cell, payload, cmeta in rows:
-                        on_cell(status, cell, payload, cmeta)
-                if not not_done:
-                    break
-                now = time.monotonic()
-                running = [f for f in not_done if f in started or f.running()]
-                for fut in running:
-                    started.setdefault(fut, now)
-                supervisor.heartbeat(
-                    [c for f in running for c in futures[f]]
-                )
-                if control.hard:
-                    _kill_pool(pool)
-                    for fut in not_done:
-                        fut.cancel()
-                        for cell in futures[fut]:
-                            supervisor.close(
-                                cell, "interrupted", "hard-cancelled"
-                            )
-                    return True
-                if control.draining or policy.cell_timeout_s is None:
-                    continue  # a drain lets running chunks finish and commit
-                overdue = {
-                    f for f in running
-                    if now - started[f]
-                    > policy.cell_timeout_s * len(futures[f])
-                }
-                if not overdue:
-                    continue
-                # one hung worker also wedges pool shutdown, so kill the
-                # whole pool and sort guilty from innocent below.
-                _kill_pool(pool)
-                stats.pool_restarts += 1
-                log.warning(
-                    "%d chunk(s) exceeded the wall budget; killing the "
-                    "pool and retrying",
-                    len(overdue),
-                )
-                for fut in list(not_done):
-                    fut.cancel()
-                    chunk = futures[fut]
-                    if fut in overdue:
-                        budget = policy.cell_timeout_s * len(chunk)
-                        for cell in chunk:
-                            stats.timeouts += 1
-                            count = cell_timeouts.get(cell, 0) + 1
-                            cell_timeouts[cell] = count
-                            supervisor.timeout(cell, budget)
-                            if count >= policy.max_attempts:
-                                on_cell(
-                                    "error", cell,
-                                    f"cell timed out ({count} attempt(s) "
-                                    f"over a {budget:.1f}s wall budget); "
-                                    "quarantined as a poison cell",
-                                    {"wall_s": budget, "worker": None},
-                                )
-                            else:
-                                stats.retried += 1
-                                pause = policy.backoff_s(
-                                    cell, count, campaign_seed
-                                )
-                                backoff = max(backoff, pause)
-                                supervisor.retried(cell, pause)
-                                requeue.append([cell])
-                    else:
-                        if fut.done() and not fut.cancelled():
-                            # finished in the race window between the
-                            # wait() and the teardown: keep the results.
-                            try:
-                                for status, cell, payload, cmeta in (
-                                    fut.result()
-                                ):
-                                    on_cell(status, cell, payload, cmeta)
-                                continue
-                            except (BrokenProcessPool, CancelledError):
-                                pass
-                        # innocent bystanders of the teardown: requeue
-                        # with no attempt penalty.
-                        for cell in chunk:
-                            supervisor.close(
-                                cell, "reclaimed",
-                                "collateral of a timeout teardown",
-                            )
-                        requeue.append(list(chunk))
-                not_done = set()
-        if broken:
-            stats.pool_restarts += 1
-            log.warning(
-                "worker pool broke; retrying %d chunk(s) solo in a "
-                "fresh pool",
-                len(broken),
+    def lose(i: int, state: str, now: float) -> None:
+        cell, wall = workers[i].cell, now - workers[i].since
+        respawn(i)
+        count = losses[cell] = losses.get(cell, 0) + 1
+        if state == "timeout":
+            stats.timeouts += 1
+            budget = policy.cell_timeout_s
+            supervisor.timeout(cell, budget)
+            error = (
+                f"cell timed out ({count} attempt(s) over a {budget:.1f}s "
+                "wall budget); quarantined as a poison cell"
             )
-            # the crash is a cell's own only if nothing ran beside it
-            alone = len(broken) == 1 and len(broken[0]) == 1
-            culprit = broken[0] if alone else None
-            for chunk in broken:
-                for cell in chunk:
-                    supervisor.close(
-                        cell, "crashed",
-                        "worker pool broke while this cell was in flight",
-                    )
-                if chunk is culprit:
-                    cell = chunk[0]
-                    count = solo_crashes.get(cell, 0) + 1
-                    solo_crashes[cell] = count
-                    if count >= policy.max_attempts:
-                        on_cell(
-                            "error", cell,
-                            "worker process crashed while running this "
-                            f"repetition ({count} time(s) in isolation)",
-                            {"wall_s": 0.0, "worker": None},
-                        )
+            pause = min(policy.backoff_s(cell, count, campaign_seed), 30.0)
+        else:
+            supervisor.close(
+                cell, "crashed", "worker process died while running this cell"
+            )
+            error = (
+                "worker process crashed while running this repetition "
+                f"({count} attempt(s))"
+            )
+            pause = 0.0
+        if count >= policy.max_attempts:
+            on_cell("error", cell, error, {"wall_s": wall, "worker": None})
+            return
+        stats.retried += 1
+        supervisor.retried(cell, pause)
+        not_before[cell] = now + pause
+        pending.append(cell)
+
+    def dispatch() -> None:
+        now = time.monotonic()
+        for i in range(len(workers)):
+            while workers[i].cell is None:
+                cell = next(
+                    (c for c in pending if not_before.get(c, 0.0) <= now),
+                    None,
+                )
+                if cell is None:
+                    return
+                if not workers[i].give(cell):
+                    respawn(i)  # died while idle: no attempt charged
+                    continue
+                pending.remove(cell)
+                supervisor.begin(cell, worker=workers[i].proc.pid)
+
+    for _ in range(min(jobs, len(pending))):
+        workers.append(_Worker(fn, [w.conn for w in workers]))
+    stats.workers = len(workers)
+    rows: List[Tuple[str, Cell, object, dict]] = []
+    try:
+        while True:
+            if not (control.draining or control.hard):
+                dispatch()
+            for row in rows:  # after the dispatch: no worker waits on a commit
+                on_cell(*row)
+            held = [w.cell for w in workers if w.cell is not None]
+            if control.hard:
+                for cell in held:
+                    supervisor.close(cell, "interrupted", "hard-cancelled")
+                return True
+            if not held and (control.draining or not pending):
+                return control.draining
+            supervisor.heartbeat(held)
+            ready = set(wait([w.conn for w in workers], policy.poll_s))
+            now = time.monotonic()
+            rows = []
+            for i, w in enumerate(workers):
+                if w.conn in ready:
+                    try:
+                        rows.append(w.conn.recv())
+                    except (EOFError, OSError):
+                        if w.cell is None:
+                            respawn(i)  # died while idle: nothing lost
+                        else:
+                            lose(i, "crashed", now)
                     else:
-                        stats.retried += 1
-                        supervisor.retried(cell, 0.0)
-                        requeue.append([cell])
-                else:
-                    # split: every cell runs alone, so the guilty one
-                    # accrues crash attempts and no innocent one does.
-                    for cell in chunk:
-                        suspects.add(cell)
-                        requeue.append([cell])
-        # chunks never submitted keep their place ahead of the retries
-        pending.extend(requeue)
-        if control.draining or control.hard:
-            return True
-        if pending and backoff > 0:
-            time.sleep(min(backoff, 30.0))
-    return False
+                        w.cell = None
+                elif (
+                    w.cell is not None
+                    and policy.cell_timeout_s is not None
+                    and not control.draining
+                    and now - w.since > policy.cell_timeout_s
+                ):
+                    lose(i, "timeout", now)
+    finally:
+        for w in workers:
+            w.stop(kill=w.cell is not None)
 
 
 def _execute(
@@ -519,34 +431,31 @@ def _execute(
 
     The one executor behind :func:`run_campaign` and :func:`run_grid`:
     in this process when ``jobs`` is 1 or at most one cell is left and
-    no wall budget is set, otherwise on the :func:`_execute_chunks`
-    pool. Returns ``True`` when SIGINT/SIGTERM interrupted the grid.
+    no wall budget is set, otherwise on :func:`_execute_workers`.
+    Returns ``True`` when SIGINT/SIGTERM interrupted the grid.
     """
     # a wall budget needs a worker process it can kill
     in_process = policy.cell_timeout_s is None and (
         jobs <= 1 or len(cells) <= 1
     )
     # in-process, the second signal must preempt the running cell, so it
-    # raises; a pool parent polls the flags instead, because a raise
-    # could land inside pool bookkeeping and corrupt teardown.
+    # raises; a worker parent polls the flags instead, because a raise
+    # could land between a dispatch and its lease.
     control = ShutdownControl(raise_on_hard=in_process)
     control.install()
     try:
         if not in_process:
-            chunks = plan_chunks(cells, jobs, cost)
-            stats.chunks = len(chunks)
-            return _execute_chunks(
-                chunks, jobs, fn, stats, on_cell,
+            return _execute_workers(
+                cells, jobs, fn, cost, stats, on_cell,
                 supervisor=supervisor, control=control, policy=policy,
                 campaign_seed=campaign_seed,
             )
-        stats.chunks = len(cells)
         for cell in cells:
             if control.draining or control.hard:
                 return True
             supervisor.begin(cell, worker=os.getpid())
             try:
-                rows = _run_chunk(fn, [cell])
+                row = _run_cell(fn, cell)
             except KeyboardInterrupt:
                 # hard cancel mid-cell: the cell is lost (a campaign
                 # re-runs it on resume), but nothing partial was written.
@@ -554,8 +463,7 @@ def _execute(
                     cell, "interrupted", "hard-cancelled mid-cell"
                 )
                 return True
-            for row in rows:
-                on_cell(*row)
+            on_cell(*row)
         return False
     except KeyboardInterrupt:
         # a hard cancel landing between cells (or inside a ledger/store
@@ -587,7 +495,7 @@ def run_campaign(
     One executor for every ``jobs``: each cell of the
     (experiment, size, rep) grid is leased, run, and then committed or
     quarantined the same way, and only *where* it runs differs — in this
-    process, or on a pool of ``jobs`` worker processes (0 = one per
+    process, or on ``jobs`` worker processes (0 = one per
     usable CPU). See the module docstring for how the executor chooses.
     Each repetition is seeded from ``(campaign_seed, exp_id, n_tasks,
     rep)`` alone, so every ``jobs`` returns identical results. A cell

@@ -1,6 +1,7 @@
 """Tests for the predictive query mode (queue-wait forecasting)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,11 +109,12 @@ _CONFIDENCES = (0.05, 0.5, 0.95, 0.99)
 @pytest.mark.slow
 def test_incremental_coefficient_rank_equals_math_comb_walk():
     """The walk's carried C(n, k) gives the rank the ``math.comb`` formula
-    gives, for every history size up to 1024 over a quantile/confidence
-    grid. Each ``math.comb(n, k)`` is computed once and shared by the
-    grid's walks, in the reference's expression."""
+    gives, for every history size up to 1029 (the largest whose every
+    C(n, k) fits a double) over a quantile/confidence grid. Each
+    ``math.comb(n, k)`` is computed once and shared by the grid's walks,
+    in the reference's expression."""
     walk = binomial_rank.__wrapped__  # unmemoized
-    for n in range(1, 1025):
+    for n in range(1, 1030):
         combs = []
         for q in _QUANTILES:
             for confidence in _CONFIDENCES:
@@ -125,6 +127,32 @@ def test_incremental_coefficient_rank_equals_math_comb_walk():
                         rank = min(k, n - 1)
                         break
                 assert walk(n, q, confidence) == rank, (n, q, confidence)
+
+
+def _exact_rank(n, quantile, confidence):
+    """The CDF walk in exact arithmetic: with ``quantile = a / d`` every
+    term times ``d**n`` is the integer ``C(n, k) a**k (d - a)**(n - k)``."""
+    a, d = Fraction(quantile).as_integer_ratio()
+    target = Fraction(confidence) * d**n
+    term, total = (d - a) ** n, 0  # the k = 0 term
+    for k in range(n):
+        total += term
+        if total >= target:
+            return k
+        term = term * (n - k) * a // ((k + 1) * (d - a))
+    return n - 1
+
+
+@pytest.mark.parametrize("n", [1030, 1100, 2048, 4096])
+def test_rank_past_double_range_equals_exact_sum(n):
+    """From n = 1030 the middle C(n, k) overflow a double; the walk must
+    still give the rank exact rational summation gives."""
+    walk = binomial_rank.__wrapped__  # unmemoized
+    for q in (0.5, 0.75, 0.95):
+        for confidence in (0.5, 0.95, 0.99):
+            assert walk(n, q, confidence) == _exact_rank(
+                n, q, confidence
+            ), (q, confidence)
 
 
 def test_predict_is_the_sample_at_the_walked_rank():

@@ -8,6 +8,7 @@ byte-identical to the store of an uninterrupted run. Per-cell seeding
 provable; these tests are what keep it true.
 """
 
+import functools
 import json
 import os
 import signal
@@ -56,6 +57,40 @@ def _hang_run(cell, campaign_seed, resource_pool, collect_digests):
     if cell == (1, 16, 1):
         time.sleep(120)  # simulate a wedged worker; the parent kills us
     return _fake_run(cell, campaign_seed, resource_pool, collect_digests)
+
+
+def _hang_behind_fast_run(marks, cell, campaign_seed, resource_pool,
+                          collect_digests):
+    """Rep 1 hangs and keeps writing how long it has run into ``marks``;
+    every other rep takes 50 ms."""
+    if cell[2] != 1:
+        time.sleep(0.05)
+        return _fake_run(cell, campaign_seed, resource_pool, collect_digests)
+    t0 = time.monotonic()
+    path = os.path.join(marks, "ran_s")
+    while True:
+        with open(path + ".tmp", "w") as f:
+            f.write(repr(time.monotonic() - t0))
+        os.replace(path + ".tmp", path)
+        time.sleep(0.01)
+
+
+def _session_procs(sid):
+    """Pids of the live (not zombie) processes in session ``sid``."""
+    pids = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                state, _ppid, _pgrp, session = (
+                    f.read().rsplit(")", 1)[1].split()[:4]
+                )
+        except (OSError, ValueError):
+            continue  # exited while we looked
+        if int(session) == sid and state != "Z":
+            pids.append(int(name))
+    return pids
 
 
 def _signal_twice_run(cell, campaign_seed, resource_pool, collect_digests):
@@ -328,7 +363,7 @@ class TestHungWorker:
             )
             rows = store.attempt_rows(1, 16, 1)
         # the hung cell timed out max_attempts times, then quarantined;
-        # every other cell survived the pool teardowns.
+        # every other cell survived the timeout kills.
         assert {(e.exp_id, e.n_tasks, e.rep) for e in result.errors} == {
             (1, 16, 1),
         }
@@ -341,13 +376,11 @@ class TestHungWorker:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_hung_cell_quarantined_alike_at_every_jobs(self, tmp_path, jobs):
         """A wall budget holds at ``jobs=1`` too: the cell runs in a
-        one-worker pool, so the hung attempt can be killed and retried,
+        worker process, so the hung attempt can be killed and retried,
         and the store and ledger read the same as under ``jobs=2``.
 
-        At ``jobs=2`` the innocent chunk starts once ``(1, 16, 0)``
-        finishes and must commit before the hung cell's budget runs out,
-        or it is reclaimed as collateral; the 2 s budget leaves a loaded
-        host ample room for a few fake cells.
+        At ``jobs=2`` the other worker runs the other cells; killing the
+        hung cell's worker touches none of them.
         """
         policy = ResiliencePolicy(
             cell_timeout_s=2.0, max_attempts=2,
@@ -374,6 +407,25 @@ class TestHungWorker:
             "cell_retried": 1, "cell": 4, "campaign-end": 1,
         })
         assert (stats.timeouts, stats.retried) == (2, 1)
+
+    def test_budget_runs_from_the_cells_own_dispatch(self, tmp_path):
+        """A hung cell handed to a worker right behind a fast cell gets
+        its own budget, not what the fast cell left of a shared one."""
+        policy = ResiliencePolicy(
+            cell_timeout_s=1.0, max_attempts=1, poll_s=0.05,
+        )
+        result = run_campaign(
+            jobs=1, run_fn=functools.partial(_hang_behind_fast_run,
+                                             str(tmp_path)),
+            resilience=policy, experiments=(1,), task_counts=(8,), reps=8,
+        )
+        with open(tmp_path / "ran_s") as f:
+            ran_s = float(f.read())
+        assert 0 < ran_s <= 1.0 + 2 * 0.05 + 0.5
+        assert [(e.exp_id, e.n_tasks, e.rep) for e in result.errors] == [
+            (1, 8, 1),
+        ]
+        assert len(result.runs) == 7
 
     def test_backoff_is_deterministic(self):
         policy = ResiliencePolicy(backoff_base_s=0.5)
@@ -563,6 +615,26 @@ class TestKillProofResume:
                 assert store.run_count() < 8
         assert _cli_campaign(chaos, extra=["--resume"]) == 0
         assert _digest(chaos) == _digest(clean)
+
+    def test_sigkill_of_the_parent_leaves_no_worker(self, tmp_path):
+        """Workers read EOF on their pipes when the parent dies, and exit
+        once their cell ends: no orphan keeps running."""
+        store = str(tmp_path / "c.sqlite")
+        proc = _spawn_campaign(store, extra=["--reps", "64"])
+        try:
+            assert _poll_runs(store, 1, proc) >= 1
+            assert len(_session_procs(proc.pid)) >= 3  # parent + 2 workers
+            os.kill(proc.pid, signal.SIGKILL)
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+            deadline = time.monotonic() + 10
+            while _session_procs(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _session_procs(proc.pid) == []
+        finally:
+            for pid in _session_procs(proc.pid):  # pragma: no cover
+                os.kill(pid, signal.SIGKILL)
+            if proc.poll() is None:  # pragma: no cover - cleanup only
+                os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
 
     def test_sigint_drains_to_exit_75_then_resumes(self, tmp_path):
         clean = str(tmp_path / "clean.sqlite")

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import os
+import signal
 import time
 from collections import Counter
 
@@ -28,7 +29,7 @@ from repro.experiments.runner import (
     RunnerStats,
     cell_cost,
     GridError,
-    plan_chunks,
+    _Worker,
     resolve_jobs,
     run_grid,
 )
@@ -73,6 +74,32 @@ def _crash_beside_slow_run(cell, campaign_seed, resource_pool, collect_digests):
     if cell == (1, 16, 0):
         time.sleep(0.5)  # still running when (1, 16, 1) kills its worker
     return _crash_run(cell, campaign_seed, resource_pool, collect_digests)
+
+
+def _dead(pid):
+    """Whether ``pid`` has exited (a zombie not yet reaped counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _idle_pid_run(marks, cell, campaign_seed, resource_pool, collect_digests):
+    """``(1, 8, 0)`` leaves its worker's pid in ``marks``; ``(1, 16, 0)``
+    runs until that worker is dead."""
+    path = os.path.join(marks, "idle.pid")
+    if cell == (1, 8, 0):
+        with open(path + ".tmp", "w") as f:
+            f.write(str(os.getpid()))
+        os.replace(path + ".tmp", path)
+    elif cell == (1, 16, 0):
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and not (
+            os.path.exists(path) and _dead(int(open(path).read()))
+        ):
+            time.sleep(0.01)
+    return _fake_run(cell, campaign_seed, resource_pool, collect_digests)
 
 
 def _double(cell):
@@ -128,37 +155,7 @@ class TestResolveJobs:
             resolve_jobs(-1)
 
 
-class TestPlanChunks:
-    GRID = [
-        (e, n, r)
-        for e in (1, 3)
-        for n in (8, 64, 512, 2048)
-        for r in range(3)
-    ]
-
-    def test_covers_every_cell_exactly_once(self):
-        chunks = plan_chunks(self.GRID, jobs=4, cost=cell_cost)
-        flat = [c for chunk in chunks for c in chunk]
-        assert sorted(flat) == sorted(self.GRID)
-
-    def test_biggest_cells_dispatch_first(self):
-        chunks = plan_chunks(self.GRID, jobs=4, cost=cell_cost)
-        assert chunks[0][0][1] == 2048
-        costs = [cell_cost(c) for chunk in chunks for c in chunk]
-        assert costs == sorted(costs, reverse=True)
-
-    def test_deterministic(self):
-        assert plan_chunks(self.GRID, 4, cell_cost) == plan_chunks(
-            self.GRID, 4, cell_cost
-        )
-
-    def test_empty_grid(self):
-        assert plan_chunks([], jobs=4, cost=cell_cost) == []
-
-    def test_single_worker_still_chunks(self):
-        chunks = plan_chunks(self.GRID, jobs=1, cost=cell_cost)
-        assert sum(len(c) for c in chunks) == len(self.GRID)
-
+class TestDispatchOrder:
     def test_cost_scales_with_observed_resources(self):
         # Exp3/4 simulate three resources, Exp1/2 one
         for n in (8, 64, 2048):
@@ -166,11 +163,39 @@ class TestPlanChunks:
             assert cell_cost((4, n, 0)) > cell_cost((2, n, 0))
             assert cell_cost((1, n, 0)) == cell_cost((2, n, 0))
 
-    def test_equal_costs_keep_grid_order(self):
-        grid = [(1, 64, r) for r in range(5)] + [(2, 64, r) for r in range(5)]
-        chunks = plan_chunks(grid, jobs=2, cost=cell_cost)
-        flat = [c for chunk in chunks for c in chunk]
-        assert flat == grid
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_attempts_start_in_cost_order_ties_in_grid_order(
+        self, tmp_path, jobs,
+    ):
+        """Every cell is dispatched once, biggest first, ties in grid
+        order, on one worker (a wall budget at ``jobs=1``) or two."""
+        stats = RunnerStats()
+        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+            with RunLedger(store) as ledger:
+                run_campaign(
+                    experiments=(1, 3), task_counts=(8, 64), reps=2,
+                    jobs=jobs, run_fn=_fake_run, store=store, ledger=ledger,
+                    resilience=ResiliencePolicy(cell_timeout_s=60.0),
+                    stats=stats,
+                )
+            started = [
+                (r["exp"], r["n"], r["rep"]) for r in store.ledger_records()
+                if r["kind"] == "attempt_started"
+            ]
+        assert stats.workers == jobs
+        assert started == [
+            (3, 64, 0), (3, 64, 1), (3, 8, 0), (3, 8, 1),
+            (1, 64, 0), (1, 64, 1), (1, 8, 0), (1, 8, 1),
+        ]
+
+    def test_empty_grid_starts_no_worker(self):
+        stats = RunnerStats()
+        result = run_campaign(
+            experiments=(1,), task_counts=(8,), reps=0, jobs=2,
+            resilience=ResiliencePolicy(cell_timeout_s=60.0), stats=stats,
+        )
+        assert not result.runs and not result.errors
+        assert stats.workers == 0
 
 
 # -- the determinism contract --------------------------------------------------
@@ -253,22 +278,22 @@ class TestPrivateStoreEqualsFileStore:
         assert any("NaN" in p for p in private[0])  # the case == misses
 
     def test_retry_attempt_numbers_equal(self, tmp_path):
-        # a wall budget sends jobs=1 to a one-worker pool, where the
-        # crashing cell is retried, so its attempt numbers reach 2. (At
-        # jobs=2 which cells share the broken pool depends on timing.)
-        jobs = 1
+        # the crashing cell is retried in a fresh worker, so its attempt
+        # numbers reach 2; a wall budget sends jobs=1 to one worker.
         kwargs = dict(
             run_fn=_crash_run,
             resilience=ResiliencePolicy(cell_timeout_s=60.0),
             experiments=(1,), task_counts=(8, 16), reps=2, campaign_seed=0,
         )
-        private = self._outcome(tmp_path, "private", jobs, **kwargs)
-        on_file = self._outcome(
-            tmp_path, "file", jobs, str(tmp_path / "c.sqlite"), **kwargs
-        )
-        assert private == on_file
-        assert private[1] == [(1, 16, 1)]
-        assert (1, 16, 1, 2) in private[2]
+        for jobs in (1, 2):
+            private = self._outcome(tmp_path, f"private{jobs}", jobs, **kwargs)
+            on_file = self._outcome(
+                tmp_path, f"file{jobs}", jobs,
+                str(tmp_path / f"c{jobs}.sqlite"), **kwargs,
+            )
+            assert private == on_file
+            assert private[1] == [(1, 16, 1)]
+            assert (1, 16, 1, 2) in private[2]
 
 
 # -- containment and reporting -------------------------------------------------
@@ -285,7 +310,7 @@ class TestContainment:
         result, store attempts and ledger kinds. One difference remains
         by design: an in-process cell (``jobs=1``) that calls
         ``os._exit`` takes the campaign down, and resume recovers it;
-        under a pool the crash costs that cell only.
+        in a worker process the crash costs that cell only.
         """
         result, states, quarantined, kinds = _stored_outcome(
             tmp_path, jobs, _error_run,
@@ -319,11 +344,11 @@ class TestContainment:
         }
         assert "crashed" in result.errors[0].error
         assert len(result.runs) == 3
-        assert stats.pool_restarts >= 1
+        assert stats.worker_restarts == 2  # one per crash
 
     def test_cell_running_beside_a_crash_is_not_blamed(self):
-        """A broken pool does not say which worker died, so the cell that
-        was running beside the crash is retried alone, not charged."""
+        """Each worker holds one cell, so a crash is charged to the cell
+        its worker held, never to the cell running beside it."""
         result = run_campaign(
             jobs=2,
             run_fn=_crash_beside_slow_run,
@@ -335,6 +360,82 @@ class TestContainment:
         assert [(r.exp_id, r.n_tasks, r.rep) for r in result.runs] == [
             (1, 8, 0), (1, 8, 1), (1, 16, 0),
         ]
+
+    def test_crash_beside_a_slow_cell_reads_alike_at_every_jobs(
+        self, tmp_path,
+    ):
+        """``jobs=2`` leaves the attempt states and ledger kinds of
+        ``jobs=1`` with a wall budget (one worker process): the crashing
+        cell is charged two crashes, its neighbour none."""
+        serial = _stored_outcome(
+            tmp_path, 1, _crash_beside_slow_run,
+            resilience=ResiliencePolicy(cell_timeout_s=60.0), **self.GRID_KW,
+        )
+        par = _stored_outcome(
+            tmp_path, 2, _crash_beside_slow_run, **self.GRID_KW,
+        )
+        assert par[0].runs == serial[0].runs
+        assert par[0].errors == serial[0].errors
+        assert par[1:] == serial[1:]
+        result, states, quarantined, kinds = par
+        assert states == {
+            (1, 8, 0): ["committed"], (1, 8, 1): ["committed"],
+            (1, 16, 0): ["committed"], (1, 16, 1): ["crashed", "crashed"],
+        }
+        assert quarantined == {(1, 16, 1)}
+        assert kinds == Counter({
+            "campaign-start": 1, "attempt_started": 5, "cell_retried": 1,
+            "cell": 4, "campaign-end": 1,
+        })
+
+    def test_idle_worker_death_costs_no_attempt(self, tmp_path):
+        def kill_idle_worker(progress):
+            if progress.cell == (1, 8, 0):  # its worker has nothing left
+                with open(tmp_path / "idle.pid") as f:
+                    os.kill(int(f.read()), signal.SIGKILL)
+
+        stats = RunnerStats()
+        result, states, quarantined, kinds = _stored_outcome(
+            tmp_path, 2, functools.partial(_idle_pid_run, str(tmp_path)),
+            on_progress=kill_idle_worker, stats=stats,
+            experiments=(1,), task_counts=(8, 16), reps=1,
+        )
+        assert not result.errors and len(result.runs) == 2
+        assert states == {(1, 8, 0): ["committed"], (1, 16, 0): ["committed"]}
+        assert not quarantined
+        assert kinds == Counter({
+            "campaign-start": 1, "attempt_started": 2, "cell": 2,
+            "campaign-end": 1,
+        })
+        assert stats.worker_restarts == 1
+
+    def test_cell_handed_to_a_dead_idle_worker_goes_to_a_fresh_one(
+        self, tmp_path, monkeypatch,
+    ):
+        """The first hand-over finds its worker already dead: the cell
+        goes to a fresh worker and no attempt is charged."""
+        give = _Worker.give
+
+        def give_after_killing_the_first(worker, cell):
+            if not killed:
+                worker.proc.kill()
+                worker.proc.join()
+                killed.append(cell)
+            return give(worker, cell)
+
+        killed = []
+        monkeypatch.setattr(_Worker, "give", give_after_killing_the_first)
+        stats = RunnerStats()
+        result, states, quarantined, kinds = _stored_outcome(
+            tmp_path, 2, _fake_run, stats=stats, **self.GRID_KW,
+        )
+        assert killed == [(1, 16, 0)]
+        assert not result.errors and len(result.runs) == 4
+        assert set(map(len, states.values())) == {1}
+        assert set(sum(states.values(), [])) == {"committed"}
+        assert not quarantined
+        assert kinds["attempt_started"] == 4
+        assert stats.worker_restarts == 1
 
     def test_progress_callback_counts_to_total(self):
         seen = []
