@@ -346,27 +346,11 @@ class TestContainment:
         assert len(result.runs) == 3
         assert stats.worker_restarts == 2  # one per crash
 
-    def test_cell_running_beside_a_crash_is_not_blamed(self):
+    def test_cell_running_beside_a_crash_is_not_blamed(self, tmp_path):
         """Each worker holds one cell, so a crash is charged to the cell
-        its worker held, never to the cell running beside it."""
-        result = run_campaign(
-            jobs=2,
-            run_fn=_crash_beside_slow_run,
-            **self.GRID_KW,
-        )
-        assert [(e.exp_id, e.n_tasks, e.rep) for e in result.errors] == [
-            (1, 16, 1),
-        ]
-        assert [(r.exp_id, r.n_tasks, r.rep) for r in result.runs] == [
-            (1, 8, 0), (1, 8, 1), (1, 16, 0),
-        ]
-
-    def test_crash_beside_a_slow_cell_reads_alike_at_every_jobs(
-        self, tmp_path,
-    ):
-        """``jobs=2`` leaves the attempt states and ledger kinds of
-        ``jobs=1`` with a wall budget (one worker process): the crashing
-        cell is charged two crashes, its neighbour none."""
+        its worker held, never to the cell running beside it: ``jobs=2``
+        leaves the result, attempt states and ledger kinds of ``jobs=1``
+        with a wall budget (one worker process)."""
         serial = _stored_outcome(
             tmp_path, 1, _crash_beside_slow_run,
             resilience=ResiliencePolicy(cell_timeout_s=60.0), **self.GRID_KW,
@@ -378,6 +362,12 @@ class TestContainment:
         assert par[0].errors == serial[0].errors
         assert par[1:] == serial[1:]
         result, states, quarantined, kinds = par
+        assert [(e.exp_id, e.n_tasks, e.rep) for e in result.errors] == [
+            (1, 16, 1),
+        ]
+        assert [(r.exp_id, r.n_tasks, r.rep) for r in result.runs] == [
+            (1, 8, 0), (1, 8, 1), (1, 16, 0),
+        ]
         assert states == {
             (1, 8, 0): ["committed"], (1, 8, 1): ["committed"],
             (1, 16, 0): ["committed"], (1, 16, 1): ["crashed", "crashed"],
