@@ -155,40 +155,55 @@ class TestResolveJobs:
             resolve_jobs(-1)
 
 
-class TestDispatchOrder:
-    def test_cost_scales_with_observed_resources(self):
-        # Exp3/4 simulate three resources, Exp1/2 one
-        for n in (8, 64, 2048):
-            assert cell_cost((3, n, 0)) > cell_cost((1, n, 0))
-            assert cell_cost((4, n, 0)) > cell_cost((2, n, 0))
-            assert cell_cost((1, n, 0)) == cell_cost((2, n, 0))
+class TestPlanChunks:
+    """The executor's dispatch plan: every worker holds a chunk of one
+    cell, and the cells go out biggest cost first, ties in grid order.
+    The plan is read back from the ledger's ``attempt_started`` records.
+    """
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_attempts_start_in_cost_order_ties_in_grid_order(
-        self, tmp_path, jobs,
-    ):
-        """Every cell is dispatched once, biggest first, ties in grid
-        order, on one worker (a wall budget at ``jobs=1``) or two."""
+    GRID_KW = dict(experiments=(1, 3), task_counts=(8, 64, 512, 2048), reps=3)
+    GRID = [
+        (e, n, r)
+        for e in (1, 3)
+        for n in (8, 64, 512, 2048)
+        for r in range(3)
+    ]
+
+    @staticmethod
+    def _dispatched(tmp_path, jobs, name="c", **grid_kw):
+        """Cells in the order their attempts started, and the stats."""
         stats = RunnerStats()
-        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+        with CampaignStore(str(tmp_path / f"{name}.sqlite")) as store:
             with RunLedger(store) as ledger:
                 run_campaign(
-                    experiments=(1, 3), task_counts=(8, 64), reps=2,
                     jobs=jobs, run_fn=_fake_run, store=store, ledger=ledger,
                     resilience=ResiliencePolicy(cell_timeout_s=60.0),
-                    stats=stats,
+                    stats=stats, **grid_kw,
                 )
             started = [
                 (r["exp"], r["n"], r["rep"]) for r in store.ledger_records()
                 if r["kind"] == "attempt_started"
             ]
-        assert stats.workers == jobs
-        assert started == [
-            (3, 64, 0), (3, 64, 1), (3, 8, 0), (3, 8, 1),
-            (1, 64, 0), (1, 64, 1), (1, 8, 0), (1, 8, 1),
-        ]
+        return started, stats
 
-    def test_empty_grid_starts_no_worker(self):
+    def test_covers_every_cell_exactly_once(self, tmp_path):
+        started, stats = self._dispatched(tmp_path, 2, **self.GRID_KW)
+        assert sorted(started) == sorted(self.GRID)
+        assert stats.workers == 2
+
+    def test_biggest_cells_dispatch_first(self, tmp_path):
+        started, _ = self._dispatched(tmp_path, 2, **self.GRID_KW)
+        assert started[0][1] == 2048
+        costs = [cell_cost(c) for c in started]
+        assert costs == sorted(costs, reverse=True)
+
+    def test_deterministic(self, tmp_path):
+        first, _ = self._dispatched(tmp_path, 2, "a", **self.GRID_KW)
+        second, _ = self._dispatched(tmp_path, 2, "b", **self.GRID_KW)
+        assert first == second
+        assert first == sorted(self.GRID, key=cell_cost, reverse=True)
+
+    def test_empty_grid(self):
         stats = RunnerStats()
         result = run_campaign(
             experiments=(1,), task_counts=(8,), reps=0, jobs=2,
@@ -196,6 +211,26 @@ class TestDispatchOrder:
         )
         assert not result.runs and not result.errors
         assert stats.workers == 0
+
+    def test_single_worker_still_chunks(self, tmp_path):
+        # jobs=1 with a wall budget runs on one worker, one cell at a time
+        started, stats = self._dispatched(tmp_path, 1, **self.GRID_KW)
+        assert stats.workers == 1
+        assert started == sorted(self.GRID, key=cell_cost, reverse=True)
+
+    def test_cost_scales_with_observed_resources(self):
+        # Exp3/4 simulate three resources, Exp1/2 one
+        for n in (8, 64, 2048):
+            assert cell_cost((3, n, 0)) > cell_cost((1, n, 0))
+            assert cell_cost((4, n, 0)) > cell_cost((2, n, 0))
+            assert cell_cost((1, n, 0)) == cell_cost((2, n, 0))
+
+    def test_equal_costs_keep_grid_order(self, tmp_path):
+        grid = [(1, 64, r) for r in range(5)] + [(2, 64, r) for r in range(5)]
+        started, _ = self._dispatched(
+            tmp_path, 2, experiments=(1, 2), task_counts=(64,), reps=5,
+        )
+        assert started == grid
 
 
 # -- the determinism contract --------------------------------------------------

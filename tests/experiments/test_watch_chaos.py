@@ -79,6 +79,11 @@ class TestWatchThroughSigkill:
         chaos = str(tmp_path / "chaos.sqlite")
         proc, url = _spawn_served_campaign(chaos)
         try:
+            # Freeze one of the two workers as soon as it starts: the
+            # cell it holds cannot finish, so while the other worker
+            # commits runs the campaign cannot end, and its server is
+            # still listening through the mid-run checks below.
+            _signal_all(_pool_workers(proc, 1)[:1], signal.SIGSTOP)
             seen = _poll_runs(chaos, at_least=2, proc=proc)
             if seen >= 0:
                 # live endpoints answer mid-run with coherent state
