@@ -183,7 +183,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if path is None and serve_at is not None:
         scratch = tempfile.mkdtemp(prefix="repro-serve-")
         path = os.path.join(scratch, "campaign.sqlite")
-    store = CampaignStore(path or ":memory:")
+    try:
+        store = CampaignStore(path or ":memory:")
+    except ValueError as exc:  # a store of another format
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     monitor = server = ledger = None
     try:
         if not args.resume:

@@ -287,9 +287,6 @@ class BackgroundWorkload:
         self.submitted = 0
         self._stop_at = math.inf
         self._stream: Iterator[float] = iter(())
-        # Interned user labels: one f-string format per account, not one
-        # per sampled job.
-        self._user_labels = [f"bg{i:02d}" for i in range(profile.n_users)]
         # Core-count sampling table, built as numpy's choice() builds it.
         cdf = np.asarray(profile.core_weights, dtype=np.float64).cumsum()
         cdf /= cdf[-1]
@@ -312,6 +309,9 @@ class BackgroundWorkload:
         self._sloppy = profile.sloppy_request_fraction
         self._walltime_limit = profile.walltime_limit
         self._n_users = profile.n_users
+        # user labels, formatted once per account drawn: interned without
+        # a per-account table (``n_users`` may be 2**32).
+        self._labels: Dict[int, str] = {}
         # Arrival rate so that E[cores * runtime] * lambda = load * capacity.
         work_per_job = profile.mean_cores * profile.mean_runtime
         self.base_rate = (
@@ -364,7 +364,10 @@ class BackgroundWorkload:
     def make_job(self) -> BatchJob:
         """Sample one background job from the profile."""
         cores, runtime, walltime, user = self.draw_job()
-        return BatchJob(cores, runtime, walltime, self._user_labels[user])
+        label = self._labels.get(user)
+        if label is None:
+            label = self._labels[user] = f"bg{user:02d}"
+        return BatchJob(cores, runtime, walltime, label)
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate (jobs/s) with diurnal modulation."""

@@ -2,11 +2,13 @@
 
 A long campaign is opaque while it runs and forensically mute after it
 crashes; the log fixes both. The runner hands every event — campaign
-start, every cell completion (coordinates, wall cost, worker pid,
-digests, anomaly flags), campaign end — to a :class:`RunLedger`, which
-formats it as one record and appends it to the ``ledger`` table of the
-campaign's :class:`~repro.experiments.store.CampaignStore`. Each append
-commits on its own, so the log is whole and current at every instant:
+start, every attempt, every cell completion (coordinates, wall cost,
+worker pid, digests, anomaly flags), campaign end — to a
+:class:`RunLedger`, which formats it as one record and appends it to the
+``ledger`` table of the campaign's
+:class:`~repro.experiments.store.CampaignStore`. Each append commits on
+its own or with the cell result it belongs to, so the log is whole and
+current at every instant:
 ``repro tail``, ``repro watch`` and the ``--serve`` endpoints fold it by
 ``seq`` while the campaign runs, and a killed campaign leaves every
 record it wrote. Folding records into campaign state is the job of
@@ -20,7 +22,9 @@ Line kinds::
     {"kind": "attempt_started", "exp": 3, "n": 256, "rep": 1,
      "attempt": 2, "worker": 12345, "wall": ...}
     {"kind": "attempt_timeout", "exp": 3, "n": 256, "rep": 1,
-     "attempt": 2, "budget_s": 30.0, "wall": ...}
+     "budget_s": 30.0, "wall": ...}
+    {"kind": "attempt_lost", "exp": 3, "n": 256, "rep": 1,
+     "state": "crashed", "error": "...", "wall": ...}
     {"kind": "cell_retried", "exp": 3, "n": 256, "rep": 1,
      "attempt": 3, "backoff_s": 0.7, "wall": ...}
     {"kind": "cell", "exp": 3, "n": 256, "rep": 1, "ok": true,
@@ -32,6 +36,15 @@ Line kinds::
 
 (The attempt/resume events keep the snake_case names of the resilience
 layer that emits them; see :mod:`repro.experiments.resilience`.)
+
+The log is also the campaign's only attempt record. ``attempt_started``
+opens an attempt, and ``cell``, ``attempt_timeout`` or ``attempt_lost``
+(``crashed``, ``interrupted``, ``reclaimed``) closes it: the store's
+:meth:`~repro.experiments.store.CampaignStore.begin_attempt` and
+:meth:`~repro.experiments.store.CampaignStore.finish_attempt` write those
+records, and the emitters here of the same kinds hand their content to
+them. The runner writes a ``cell`` record in the transaction that stores
+the cell's run or error.
 
 Wall timestamps are operational metadata (they differ run to run); the
 deterministic content — coordinates, virtual-time results, digests — is
@@ -105,22 +118,15 @@ class RunLedger:
         run: Optional[RunResult] = None,
         worker: Optional[int] = None,
     ) -> None:
-        exp_id, n_tasks, rep = progress.cell
-        record: Dict[str, Any] = {
-            "kind": "cell",
-            "exp": exp_id,
-            "n": n_tasks,
-            "rep": rep,
-            "ok": progress.ok,
+        """Close the cell's attempt with its outcome: the ``cell`` record."""
+        fields: Dict[str, Any] = {
             "done": progress.done,
             "total": progress.total,
             "wall_s": progress.wall_s,
-            "wall": time.time(),
+            "worker": worker,
         }
-        if worker is not None:
-            record["worker"] = worker
         if run is not None:
-            record.update(
+            fields.update(
                 ttc=run.ttc,
                 units_done=run.units_done,
                 events=run.events,
@@ -131,11 +137,13 @@ class RunLedger:
             if run.attribution:
                 # per-component TTC shares; deterministic content the
                 # live dashboard renders as share bars.
-                record["components"] = {k: v for k, v in run.attribution}
+                fields["components"] = {k: v for k, v in run.attribution}
         if progress.error is not None:
-            record["error"] = progress.error
-            record["anomalies"] = ["error"]
-        self._emit(record)
+            fields["anomalies"] = ["error"]
+        self.store.finish_attempt(
+            *progress.cell, state="committed" if progress.ok else "failed",
+            error=progress.error, **fields,
+        )
 
     def campaign_end(
         self, completed: int, errors: int, wall_s: float,
@@ -165,29 +173,13 @@ class RunLedger:
             "wall": time.time(),
         })
 
-    def attempt_started(
-        self, cell, attempt: int, worker: Optional[int] = None
-    ) -> None:
-        exp_id, n_tasks, rep = cell
-        record: Dict[str, Any] = {
-            "kind": "attempt_started",
-            "exp": exp_id, "n": n_tasks, "rep": rep,
-            "attempt": attempt,
-            "wall": time.time(),
-        }
-        if worker is not None:
-            record["worker"] = worker
-        self._emit(record)
+    def attempt_started(self, cell, worker: Optional[int] = None) -> int:
+        """Open an attempt of ``cell``; returns its attempt number."""
+        return self.store.begin_attempt(*cell, worker=worker)
 
-    def attempt_timeout(self, cell, attempt, budget_s: float) -> None:
-        exp_id, n_tasks, rep = cell
-        self._emit({
-            "kind": "attempt_timeout",
-            "exp": exp_id, "n": n_tasks, "rep": rep,
-            "attempt": attempt,
-            "budget_s": budget_s,
-            "wall": time.time(),
-        })
+    def attempt_timeout(self, cell, budget_s: float) -> None:
+        """Close the cell's attempt, killed past its wall budget."""
+        self.store.finish_attempt(*cell, state="timeout", budget_s=budget_s)
 
     def cell_retried(
         self, cell, attempt: int, backoff_s: float = 0.0

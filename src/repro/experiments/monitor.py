@@ -9,9 +9,11 @@ campaign writes). ``repro tail``, ``repro watch``, ``/state.json`` and
 
 * a per-cell **status grid** (``pending``/``running``/``ok``/``error``),
   seeded from the ``campaign-start`` meta so unstarted cells are
-  visible, not merely absent. A cell is ``running`` exactly while it
-  holds an open lease in the store's ``attempts`` table, whose
-  ``heartbeat`` column is its last-seen time;
+  visible, not merely absent. A cell is ``running`` exactly while its
+  latest ``attempt_started`` record has no closing record
+  (:func:`~repro.experiments.store.closing_state`) — the same fold the
+  store's attempt history and resume make. Its last-seen time is the
+  later of its attempt's start and the campaign parent's heartbeat;
 * progress, per-cell attempt counts, retries/timeouts, this session's
   throughput, and the cost-weighted ETA of
   :func:`~repro.experiments.runner.cost_eta`;
@@ -36,7 +38,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from .runner import cost_eta
-from .store import CampaignStore
+from .store import CampaignStore, closing_state, record_cell
 
 __all__ = ["CampaignMonitor", "host_sample"]
 
@@ -122,23 +124,23 @@ class CampaignMonitor:
     # -- ingestion -------------------------------------------------------------
 
     def _refresh_locked(self) -> None:
-        """Fold the log rows written since the last read; re-read leases."""
+        """Fold the log rows written since the last read; the parent's
+        heartbeat refreshes the running cells' last-seen times."""
         if self._store is None:
             return
         for seq, record in self._store.ledger_rows(self.last_seq):
             self._fold(record)
             self.last_seq = seq
-        self.running = {
-            (lease["exp_id"], lease["n_tasks"], lease["rep"]): {
-                "attempt": lease["attempt"],
-                "worker": lease["worker"],
-                "last_seen": lease["heartbeat"],
-            }
-            for lease in self._store.attempt_rows(state="leased")
-        }
+        beat = self._store.heartbeat()
+        if beat is not None:
+            for live in self.running.values():
+                if live["last_seen"] is None or beat > live["last_seen"]:
+                    live["last_seen"] = beat
 
     def _fold(self, record: Dict[str, Any]) -> None:
         kind, wall = record.get("kind"), record.get("wall")
+        if closing_state(record) is not None:
+            self.running.pop(record_cell(record), None)
         if kind == "campaign-start":
             self.started_at = wall
             self.total = int(record.get("total", 0))
@@ -149,8 +151,13 @@ class CampaignMonitor:
         elif kind == "campaign_resumed":
             self.resumed = record
         elif kind == "attempt_started":
-            cell = _coords(record)
+            cell = record_cell(record)
             self.attempts[cell] = self.attempts.get(cell, 0) + 1
+            self.running[cell] = {
+                "attempt": record.get("attempt"),
+                "worker": record.get("worker"),
+                "last_seen": wall,
+            }
             worker = record.get("worker")
             if worker is not None and wall is not None:
                 self.workers[int(worker)] = float(wall)
@@ -159,7 +166,7 @@ class CampaignMonitor:
         elif kind == "cell_retried":
             self.retries += 1
         elif kind == "cell":
-            cell = _coords(record)
+            cell = record_cell(record)
             previous = self.cells.get(cell)
             if previous is not None:
                 # resumed retry supersedes: back out the old record.
@@ -345,7 +352,3 @@ class CampaignMonitor:
         if "rss_kb" in host:
             gauges["monitor.host_rss_kb"] = host["rss_kb"]
         return {"counters": counters, "gauges": gauges}
-
-
-def _coords(record: Dict[str, Any]) -> Cell:
-    return (int(record["exp"]), int(record["n"]), int(record["rep"]))

@@ -1,4 +1,4 @@
-"""Crash-safe campaign execution: leases, resume planning, and shutdown.
+"""Crash-safe campaign execution: attempts, resume planning, and shutdown.
 
 The campaign runner simulates resilient *distributed* execution (faults,
 breakers, deadline re-planning), but before this module it was itself
@@ -11,28 +11,32 @@ RADICAL-Pilot and the P* pilot model.
 
 Four cooperating pieces:
 
-* **Leases** — every dispatch of a ``(exp_id, n_tasks, rep)`` cell
-  writes an *attempt* row into the store (attempt number, state,
-  worker pid, wall start/end, heartbeat). The row is opened ``leased``
-  as the cell is dispatched and closed ``committed``/``failed``/``timeout``/
-  ``crashed``/``reclaimed``/``interrupted`` afterwards, so a campaign's
-  execution history is durable and a half-finished store is
-  forensically legible: whatever is still ``leased`` died in flight.
+* **Attempts** — every dispatch of a ``(exp_id, n_tasks, rep)`` cell is
+  an *attempt*, recorded in the store's campaign log and nowhere else:
+  an ``attempt_started`` record (attempt number, worker pid) opens it as
+  the cell is dispatched, and one closing record ends it — the cell's
+  ``cell`` record (committed or failed, written in the transaction that
+  stores its run or error), an ``attempt_timeout``, or an
+  ``attempt_lost`` that names how it was lost (``crashed``,
+  ``interrupted``, ``reclaimed``). So a campaign's execution history is
+  durable and a half-finished store is forensically legible: an attempt
+  with no closing record died in flight.
 * **Resume** — :func:`prepare_resume` verifies the campaign config
   fingerprint (grid, reps, seed, resource pool hashed canonically)
   against the store, refuses incompatible resumes with a per-key diff,
-  reclaims stale leases, skips committed cells, and returns the
-  remaining grid. Because every cell seeds itself from its coordinates
-  alone (``SeedSequence`` spawn keys), re-running only the remainder
-  is provably identical to an uninterrupted run — the chaos-resume
-  suite asserts byte-identical ``campaign_fingerprint_from_store``
-  digests.
-* **Supervision** — :class:`ExecutionSupervisor` is the parent-side
-  bookkeeper the campaign executor calls at each dispatch/commit/
-  failure; its worker processes, one cell each, add heartbeats and a
-  per-cell wall-time budget on top, killing a hung cell's worker and
-  retrying the cell under a seeded-backoff budget before quarantining
-  it as a poison cell.
+  closes the attempts a dead run left open (``reclaimed``), skips
+  committed cells, and returns the remaining grid. Because every cell
+  seeds itself from its coordinates alone (``SeedSequence`` spawn
+  keys), re-running only the remainder is provably identical to an
+  uninterrupted run — the chaos-resume suite asserts byte-identical
+  ``campaign_fingerprint_from_store`` digests.
+* **Supervision** — the campaign executor
+  (:mod:`repro.experiments.runner`) records every attempt through the
+  campaign's :class:`~repro.experiments.ledger.RunLedger`. While cells
+  run on worker processes, one cell each, it stamps one parent
+  heartbeat in the store and adds a per-cell wall-time budget, killing
+  a hung cell's worker and retrying the cell under a seeded-backoff
+  budget before quarantining it as a poison cell.
 * **Graceful shutdown** — :class:`ShutdownControl` turns SIGINT/SIGTERM
   into a two-stage drain: the first signal stops dispatching and lets
   in-flight cells finish (and commit); the second hard-cancels. Either
@@ -55,14 +59,12 @@ import logging
 import os
 import signal
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..telemetry.digest import sha256_digest
-from .campaign import CellError
 
 log = logging.getLogger(__name__)
 
@@ -163,14 +165,13 @@ class ResiliencePolicy:
 
     cell_timeout_s: Optional[float] = None
     #: dispatches of one cell (timeouts and crashes both count) before
-    #: it is quarantined as a poison-cell :class:`CellError`.
+    #: it is quarantined as a poison-cell
+    #: :class:`~repro.experiments.campaign.CellError`.
     max_attempts: int = 2
     #: base of the seeded exponential backoff between retries.
     backoff_base_s: float = 0.5
     #: parent-side poll cadence for heartbeats/timeouts/signals.
     poll_s: float = 0.25
-    #: minimum interval between heartbeat writes per poll loop.
-    heartbeat_s: float = 1.0
     #: on resume, re-attempt cells previously quarantined as errors.
     retry_errors: bool = False
 
@@ -315,105 +316,3 @@ def prepare_resume(
     )
     log.info(plan.describe())
     return plan
-
-
-class ExecutionSupervisor:
-    """Parent-side attempt bookkeeping over the store and the ledger.
-
-    One instance per campaign execution, whichever worker runs the cells.
-    Tracks per-cell dispatch counts for this session's retry budget;
-    durable attempt numbering continues from whatever the store already
-    holds, so a resumed campaign's history reads as one sequence. The
-    ledger is optional; the store is not.
-    """
-
-    def __init__(self, store, ledger=None,
-                 policy: Optional[ResiliencePolicy] = None) -> None:
-        self.store = store
-        self.ledger = ledger
-        self.policy = policy or ResiliencePolicy()
-        self._session_attempts: Dict[Cell, int] = {}
-        self._open: Dict[Cell, int] = {}
-        self._last_heartbeat = 0.0
-
-    # -- lifecycle of one attempt ----------------------------------------------
-
-    def begin(self, cell: Cell, worker: Optional[int] = None) -> int:
-        """Open a lease for one dispatch; returns the durable attempt #."""
-        self._session_attempts[cell] = self._session_attempts.get(cell, 0) + 1
-        attempt = self.store.begin_attempt(*cell, worker=worker)
-        self._open[cell] = attempt
-        if self.ledger is not None:
-            self.ledger.attempt_started(cell, attempt, worker=worker)
-        return attempt
-
-    def commit(self, cell: Cell, run, worker: Optional[int] = None) -> None:
-        """Atomically persist the result and close the lease ``committed``."""
-        attempt = self._open.pop(cell, None)
-        with self.store.transaction():
-            self.store.put_run(run)
-            if attempt is not None:
-                self.store.finish_attempt(
-                    *cell, attempt=attempt, state="committed", worker=worker
-                )
-
-    def fail(self, cell: Cell, error: str) -> None:
-        """Quarantine the cell: error row + lease closed ``failed``."""
-        attempt = self._open.pop(cell, None)
-        with self.store.transaction():
-            self.store.put_error(CellError(*cell, error=error))
-            if attempt is not None:
-                self.store.finish_attempt(
-                    *cell, attempt=attempt, state="failed", error=error
-                )
-
-    def timeout(self, cell: Cell, budget_s: float) -> None:
-        """Close the lease ``timeout`` (the cell may still be retried)."""
-        attempt = self._open.pop(cell, None)
-        if attempt is not None:
-            self.store.finish_attempt(
-                *cell, attempt=attempt, state="timeout",
-                error=f"exceeded the {budget_s:.1f}s wall budget",
-            )
-        if self.ledger is not None:
-            self.ledger.attempt_timeout(cell, attempt, budget_s)
-
-    def close(self, cell: Cell, state: str, reason: str = "") -> None:
-        """Close the lease without storing a result: a drain, crash or
-        teardown, or a ``run_grid`` cell committed with its result kept
-        in memory."""
-        attempt = self._open.pop(cell, None)
-        if attempt is not None:
-            self.store.finish_attempt(
-                *cell, attempt=attempt, state=state, error=reason or None
-            )
-
-    def retried(self, cell: Cell, backoff_s: float = 0.0) -> None:
-        if self.ledger is not None:
-            self.ledger.cell_retried(
-                cell, self.session_attempts(cell) + 1, backoff_s
-            )
-
-    # -- liveness --------------------------------------------------------------
-
-    def heartbeat(self, cells: Sequence[Cell]) -> None:
-        """Stamp in-flight leases (rate-limited to ``policy.heartbeat_s``).
-
-        The stamp is each running cell's last-seen time in ``repro
-        watch``, ``/state.json`` and ``/metrics``.
-        """
-        if not cells:
-            return
-        now = time.monotonic()
-        if now - self._last_heartbeat < self.policy.heartbeat_s:
-            return
-        self._last_heartbeat = now
-        open_cells = [c for c in cells if c in self._open]
-        if open_cells:
-            self.store.heartbeat_attempts(
-                [(c, self._open[c]) for c in open_cells]
-            )
-
-    def session_attempts(self, cell: Cell) -> int:
-        """Dispatches of this cell in this session (the retry budget)."""
-        return self._session_attempts.get(cell, 0)

@@ -3,11 +3,11 @@
 A Monte-Carlo grid is embarrassingly parallel: every cell seeds itself
 from its own integer coordinates via ``np.random.SeedSequence`` and
 runs in a fresh simulation. One executor (:func:`_execute`) runs a
-picklable cell function over the grid, leases every cell through one
-:class:`~repro.experiments.resilience.ExecutionSupervisor` over a
-:class:`~repro.experiments.store.CampaignStore`, and handles
+picklable cell function over the grid, records every attempt of a cell
+in a :class:`~repro.experiments.store.CampaignStore`'s campaign log
+through one :class:`~repro.experiments.ledger.RunLedger`, and handles
 SIGINT/SIGTERM the same way whatever ``jobs`` is. Its two callers are
-:func:`run_campaign` (the Table I grid, with resume and a ledger) and
+:func:`run_campaign` (the Table I grid, with a result store and resume) and
 :func:`run_grid` (the ablation studies and the calibration). Only
 *where* a cell runs differs, and the executor picks that from what it
 can observe:
@@ -98,7 +98,6 @@ from .campaign import (
 from .ledger import RunLedger
 from .resilience import (
     CampaignInterrupted,
-    ExecutionSupervisor,
     ResiliencePolicy,
     ShutdownControl,
     check_fresh,
@@ -111,6 +110,9 @@ log = logging.getLogger(__name__)
 #: One cell's coordinates: ``(exp_id, n_tasks, rep)`` in a campaign,
 #: ``(arm, size, rep)`` in an ablation grid.
 Cell = Tuple[int, int, int]
+
+#: minimum interval between two writes of the parent's heartbeat.
+HEARTBEAT_S = 1.0
 
 #: Environment setup (building, priming and warming up one observed
 #: resource) costs about as much as 160 tasks' worth of simulated
@@ -296,7 +298,7 @@ def _execute_workers(
     cost: Callable[[Cell], int],
     stats: RunnerStats,
     on_cell: Callable[[str, Cell, object, dict], None],
-    supervisor: ExecutionSupervisor,
+    ledger: RunLedger,
     control: ShutdownControl,
     policy: ResiliencePolicy,
     campaign_seed: int = 0,
@@ -309,8 +311,10 @@ def _execute_workers(
     and is charged a timeout. Either loss replaces that one worker and
     retries the cell — a crash at once, a timeout after its seeded
     backoff — until its ``policy.max_attempts``-th loss quarantines it
-    as an error. ``control`` drain requests stop dispatch and let
-    running cells finish and commit (no timeout is enforced while
+    as an error. Every attempt opens and closes as a ``ledger`` record,
+    and the parent stamps its heartbeat in the store at most every
+    :data:`HEARTBEAT_S`. ``control`` drain requests stop dispatch and
+    let running cells finish and commit (no timeout is enforced while
     draining); a hard cancel kills every worker. Returns ``True`` when
     the grid was interrupted before completion.
     """
@@ -333,15 +337,16 @@ def _execute_workers(
         if state == "timeout":
             stats.timeouts += 1
             budget = policy.cell_timeout_s
-            supervisor.timeout(cell, budget)
+            ledger.attempt_timeout(cell, budget)
             error = (
                 f"cell timed out ({count} attempt(s) over a {budget:.1f}s "
                 "wall budget); quarantined as a poison cell"
             )
             pause = min(policy.backoff_s(cell, count, campaign_seed), 30.0)
         else:
-            supervisor.close(
-                cell, "crashed", "worker process died while running this cell"
+            ledger.store.finish_attempt(
+                *cell, "crashed",
+                error="worker process died while running this cell",
             )
             error = (
                 "worker process crashed while running this repetition "
@@ -352,7 +357,7 @@ def _execute_workers(
             on_cell("error", cell, error, {"wall_s": wall, "worker": None})
             return
         stats.retried += 1
-        supervisor.retried(cell, pause)
+        ledger.cell_retried(cell, count + 1, pause)
         not_before[cell] = now + pause
         pending.append(cell)
 
@@ -370,12 +375,13 @@ def _execute_workers(
                     respawn(i)  # died while idle: no attempt charged
                     continue
                 pending.remove(cell)
-                supervisor.begin(cell, worker=workers[i].proc.pid)
+                ledger.attempt_started(cell, worker=workers[i].proc.pid)
 
     for _ in range(min(jobs, len(pending))):
         workers.append(_Worker(fn, [w.conn for w in workers]))
     stats.workers = len(workers)
     rows: List[Tuple[str, Cell, object, dict]] = []
+    beat = float("-inf")
     try:
         while True:
             if not (control.draining or control.hard):
@@ -385,13 +391,17 @@ def _execute_workers(
             held = [w.cell for w in workers if w.cell is not None]
             if control.hard:
                 for cell in held:
-                    supervisor.close(cell, "interrupted", "hard-cancelled")
+                    ledger.store.finish_attempt(
+                        *cell, "interrupted", error="hard-cancelled"
+                    )
                 return True
             if not held and (control.draining or not pending):
                 return control.draining
-            supervisor.heartbeat(held)
             ready = set(wait([w.conn for w in workers], policy.poll_s))
             now = time.monotonic()
+            if now - beat >= HEARTBEAT_S:
+                ledger.store.set_heartbeat()  # running cells' last-seen time
+                beat = now
             rows = []
             for i, w in enumerate(workers):
                 if w.conn in ready:
@@ -422,7 +432,7 @@ def _execute(
     jobs: int,
     cost: Callable[[Cell], int],
     on_cell: Callable[[str, Cell, object, dict], None],
-    supervisor: ExecutionSupervisor,
+    ledger: RunLedger,
     policy: ResiliencePolicy,
     stats: RunnerStats,
     campaign_seed: int = 0,
@@ -440,27 +450,27 @@ def _execute(
     )
     # in-process, the second signal must preempt the running cell, so it
     # raises; a worker parent polls the flags instead, because a raise
-    # could land between a dispatch and its lease.
+    # could land between a dispatch and its attempt record.
     control = ShutdownControl(raise_on_hard=in_process)
     control.install()
     try:
         if not in_process:
             return _execute_workers(
                 cells, jobs, fn, cost, stats, on_cell,
-                supervisor=supervisor, control=control, policy=policy,
+                ledger=ledger, control=control, policy=policy,
                 campaign_seed=campaign_seed,
             )
         for cell in cells:
             if control.draining or control.hard:
                 return True
-            supervisor.begin(cell, worker=os.getpid())
+            ledger.attempt_started(cell, worker=os.getpid())
             try:
                 row = _run_cell(fn, cell)
             except KeyboardInterrupt:
                 # hard cancel mid-cell: the cell is lost (a campaign
                 # re-runs it on resume), but nothing partial was written.
-                supervisor.close(
-                    cell, "interrupted", "hard-cancelled mid-cell"
+                ledger.store.finish_attempt(
+                    *cell, "interrupted", error="hard-cancelled mid-cell"
                 )
                 return True
             on_cell(*row)
@@ -493,7 +503,7 @@ def run_campaign(
     """Run the experiment grid; returns every repetition in grid order.
 
     One executor for every ``jobs``: each cell of the
-    (experiment, size, rep) grid is leased, run, and then committed or
+    (experiment, size, rep) grid is dispatched, run, and then committed or
     quarantined the same way, and only *where* it runs differs — in this
     process, or on ``jobs`` worker processes (0 = one per
     usable CPU). See the module docstring for how the executor chooses.
@@ -503,26 +513,30 @@ def run_campaign(
     :class:`CellError` in ``result.errors``; the campaign goes on.
 
     ``on_progress`` receives one :class:`CellProgress` per completed
-    repetition (coordinates, wall cost, error status). ``ledger`` (a
-    :class:`repro.experiments.ledger.RunLedger`) appends the campaign's
-    events to its store's campaign log. Every repetition (or :class:`CellError`) is
-    recorded in a :class:`repro.experiments.store.CampaignStore` as it
-    completes — one committed row per cell plus a lease/attempt history,
-    written by this process alone, so a concurrent reader (``repro
-    tail``) and a post-crash forensic pass both see exactly the
-    completed prefix. That is ``store`` when given, which must then hold
-    no earlier campaign unless resuming
+    repetition (coordinates, wall cost, error status). The campaign
+    records into a :class:`repro.experiments.store.CampaignStore` —
+    ``store`` when given, which must then hold no earlier campaign
+    unless resuming
     (:class:`~repro.experiments.resilience.StoreInUseError`), and a
-    private in-memory store otherwise. The returned campaign is
+    private in-memory store otherwise — through a
+    :class:`repro.experiments.ledger.RunLedger` over it: ``ledger``
+    when given (it must record into ``store``), and a plain one
+    otherwise. The store's campaign log receives every event, every
+    attempt of every cell included; each repetition's run (or
+    :class:`CellError`) is stored as it completes, in one transaction
+    with the ``cell`` record that closes its attempt. This process alone
+    writes, so a concurrent reader (``repro tail``) and a post-crash
+    forensic pass both see exactly the completed prefix, and never a
+    stored run whose cell still reads pending. The returned campaign is
     assembled from the cells' own results, not read back from the store.
 
     ``resume=True`` (requires ``store``) continues a half-finished
     campaign: the stored config is verified against the requested one
     (:class:`~repro.experiments.resilience.IncompatibleResumeError` on
-    mismatch), committed cells are skipped, stale leases reclaimed, and
-    only the remainder runs — per-cell seeding makes the resumed store
-    byte-identical (by campaign fingerprint digest) to an uninterrupted
-    run. ``resilience`` is a
+    mismatch), committed cells are skipped, the attempts a dead run left
+    open are closed ``reclaimed``, and only the remainder runs —
+    per-cell seeding makes the resumed store byte-identical (by campaign
+    fingerprint digest) to an uninterrupted run. ``resilience`` is a
     :class:`~repro.experiments.resilience.ResiliencePolicy` (per-cell
     wall budgets, retry budgets, ``retry_errors``). SIGINT/SIGTERM drain
     the in-flight cells and raise
@@ -545,6 +559,10 @@ def run_campaign(
                 store=private, resilience=resilience, run_fn=run_fn,
                 stats=stats,
             )
+    if ledger is None:
+        ledger = RunLedger(store)
+    elif ledger.store is not store:
+        raise ValueError("the ledger must record into the campaign's store")
     t0 = time.perf_counter()
     jobs = resolve_jobs(jobs)
     experiments = list(experiments)
@@ -579,16 +597,15 @@ def run_campaign(
         len(grid), len(remaining), campaign_seed,
     )
     store.set_campaign_meta(meta)
-    if ledger is not None:
-        ledger.campaign_start(len(grid), meta)
-        if plan is not None:
-            ledger.campaign_resumed(
-                committed=len(plan.committed),
-                errors_skipped=len(plan.errors_skipped),
-                errors_retried=len(plan.errors_retried),
-                reclaimed=plan.reclaimed_leases,
-                remaining=len(plan.remaining),
-            )
+    ledger.campaign_start(len(grid), meta)
+    if plan is not None:
+        ledger.campaign_resumed(
+            committed=len(plan.committed),
+            errors_skipped=len(plan.errors_skipped),
+            errors_retried=len(plan.errors_retried),
+            reclaimed=plan.reclaimed_leases,
+            remaining=len(plan.remaining),
+        )
 
     pool_arg = tuple(resource_pool) if resource_pool is not None else None
     fn = partial(
@@ -597,8 +614,6 @@ def run_campaign(
     )
     results: Dict[Cell, RunResult] = {}
     errors: Dict[Cell, str] = {}
-    supervisor = ExecutionSupervisor(store=store, ledger=ledger, policy=policy)
-
     def on_cell(status: str, cell: Cell, payload: object, cmeta: dict) -> None:
         run: Optional[RunResult] = None
         error: Optional[str] = None
@@ -607,13 +622,24 @@ def run_campaign(
             results[cell] = run
             stats.completed += 1
             stats.events += getattr(payload, "events", 0)
-            supervisor.commit(cell, run, worker=cmeta.get("worker"))
         else:
             error = str(payload)
             errors[cell] = error
             stats.errors += 1
             log.warning("cell %s failed: %s", cell, error)
-            supervisor.fail(cell, error)
+        progress = CellProgress(
+            done=done_offset + len(results) + len(errors), total=len(grid),
+            cell=cell, wall_s=float(cmeta.get("wall_s", 0.0)),
+            error=error, ttc=run.ttc if run is not None else float("nan"),
+        )
+        # the run (or error) and the record that closes its attempt
+        # commit together: no reader sees a stored run still pending
+        with store.transaction():
+            if run is not None:
+                store.put_run(run)
+            else:
+                store.put_error(CellError(*cell, error=error))
+            ledger.cell(progress, run=run, worker=cmeta.get("worker"))
         if verbose:
             exp_id, n_tasks, rep = cell
             outcome = (
@@ -622,18 +648,11 @@ def run_campaign(
                 if run is not None else f"ERROR {payload}"
             )
             print(f"{TABLE1[exp_id].label} n={n_tasks} rep={rep}: {outcome}")
-        progress = CellProgress(
-            done=done_offset + len(results) + len(errors), total=len(grid),
-            cell=cell, wall_s=float(cmeta.get("wall_s", 0.0)),
-            error=error, ttc=run.ttc if run is not None else float("nan"),
-        )
-        if ledger is not None:
-            ledger.cell(progress, run=run, worker=cmeta.get("worker"))
         if on_progress is not None:
             on_progress(progress)
 
     interrupted = _execute(
-        fn, remaining, jobs, cell_cost, on_cell, supervisor, policy, stats,
+        fn, remaining, jobs, cell_cost, on_cell, ledger, policy, stats,
         campaign_seed=campaign_seed,
     )
     stats.wall_s = time.perf_counter() - t0
@@ -646,11 +665,9 @@ def run_campaign(
         elif cell in errors:
             out.errors.append(CellError(*cell, error=errors[cell]))
     store.set_interrupted(interrupted)
-    if ledger is not None:
-        ledger.campaign_end(
-            stats.completed, stats.errors, stats.wall_s,
-            interrupted=interrupted,
-        )
+    ledger.campaign_end(
+        stats.completed, stats.errors, stats.wall_s, interrupted=interrupted,
+    )
     if interrupted:
         stats.interrupted = True
         raise CampaignInterrupted(
@@ -690,8 +707,9 @@ def run_grid(
 
     ``fn`` is a picklable function of one cell (module-level, or a
     :func:`functools.partial` of one) whose result depends on the cell
-    alone. Every cell is leased in a private in-memory store and run as
-    a campaign cell is, on ``jobs`` workers (0 = one per usable CPU). A
+    alone. Every cell is run as a campaign cell is, its attempts recorded
+    in the log of a private in-memory store, on ``jobs`` workers (0 = one
+    per usable CPU); results stay in memory. A
     cell that raises or crashes its worker stops no other;
     :class:`GridError` names every failed cell once the rest are done.
     SIGINT/SIGTERM drain the in-flight cells and raise
@@ -701,19 +719,20 @@ def run_grid(
     results: Dict[Cell, object] = {}
     errors: Dict[Cell, str] = {}
     with CampaignStore(":memory:") as store:
-        supervisor = ExecutionSupervisor(store)
 
         def on_cell(status: str, cell: Cell, payload: object, _) -> None:
             if status == "ok":
                 results[cell] = payload
-                supervisor.close(cell, "committed")
             else:
                 errors[cell] = str(payload)
-                supervisor.fail(cell, str(payload))
+            store.finish_attempt(
+                *cell, "committed" if status == "ok" else "failed",
+                error=errors.get(cell),
+            )
 
         interrupted = _execute(
             fn, cells, resolve_jobs(jobs), lambda cell: 1, on_cell,
-            supervisor, ResiliencePolicy(), RunnerStats(),
+            RunLedger(store), ResiliencePolicy(), RunnerStats(),
         )
     if interrupted:
         raise CampaignInterrupted(

@@ -18,15 +18,17 @@ in-memory store first, so one code path reads both. One sqlite file
 * ``ledger`` — the campaign log: one row per
   :class:`~repro.experiments.ledger.RunLedger` record, numbered by an
   autoincrement ``seq`` that continues across resumed sessions. It is
-  the only campaign log: ``repro tail``, ``repro watch`` and the
-  ``--serve`` endpoints all fold it by ``seq``;
-* ``attempts`` — the per-dispatch lease/attempt history: one row per
-  dispatch of a cell (attempt number, state ``leased``/``committed``/
-  ``failed``/``timeout``/``crashed``/``reclaimed``/``interrupted``/
-  ``drained``, worker pid, wall start/end, parent heartbeat, error) —
-  see :mod:`repro.experiments.resilience`;
-* ``store_meta`` — format version, the campaign provenance dict, and
-  the cleanly-interrupted flag.
+  the only campaign log (``repro tail``, ``repro watch`` and the
+  ``--serve`` endpoints all fold it by ``seq``) and the only attempt
+  record: :meth:`CampaignStore.begin_attempt` opens an attempt, and
+  :meth:`CampaignStore.finish_attempt` closes it (see
+  :func:`closing_state`);
+* ``store_meta`` — format version, the campaign provenance dict, the
+  cleanly-interrupted flag, and the campaign parent's heartbeat.
+
+A format-1 store (which kept a second, ``attempts``-table copy of every
+attempt) still opens read-only for ``repro analyze``, ``report``,
+``tail`` and ``watch``; opening one read-write refuses with a message.
 
 The store holds primary data only: the sentinel fingerprint and the
 config digest are derived from these rows whenever they are needed.
@@ -37,7 +39,9 @@ mode gives readers a consistent committed snapshot while the writer
 appends; every ``put_*`` is one transaction, so a reader can never
 observe a torn or partial row and a crashed writer leaves no orphan
 rows — whatever committed is whole, the in-flight cell simply is not
-there.
+there. A run and the ``cell`` record that closes its attempt commit
+together, so no reader sees a stored run whose cell still reads
+pending.
 
 ``rows_read`` counts rows actually materialized into Python objects;
 the differential harness uses it to prove that fetching one cell of a
@@ -52,14 +56,15 @@ import os
 import sqlite3
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .campaign import CampaignResult, CellError, RunResult
 from .io import error_from_dict, error_to_dict, run_from_dict, run_to_dict
 
 log = logging.getLogger(__name__)
 
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 #: the first 16 bytes of every sqlite3 database file.
 _SQLITE_MAGIC = b"SQLite format 3\x00"
@@ -95,19 +100,6 @@ CREATE TABLE IF NOT EXISTS ledger (
     kind   TEXT NOT NULL,
     record TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS attempts (
-    exp_id     INTEGER NOT NULL,
-    n_tasks    INTEGER NOT NULL,
-    rep        INTEGER NOT NULL,
-    attempt    INTEGER NOT NULL,
-    state      TEXT NOT NULL,
-    worker     INTEGER,
-    wall_start REAL,
-    wall_end   REAL,
-    heartbeat  REAL,
-    error      TEXT,
-    PRIMARY KEY (exp_id, n_tasks, rep, attempt)
-);
 """
 
 
@@ -135,6 +127,8 @@ class CampaignStore:
         #: rows materialized into Python objects by this handle — the
         #: differential harness's O(cell)-not-O(campaign) evidence.
         self.rows_read = 0
+        #: ``attempt_started`` records per cell, once this handle opens one.
+        self._opened: Optional[Counter] = None
         if readonly:
             uri = f"file:{path}?mode=ro"
             # a monitor shares its handle with the HTTP handler threads
@@ -161,9 +155,13 @@ class CampaignStore:
                 (str(STORE_FORMAT),),
             )
         elif int(row[0]) != STORE_FORMAT:
+            self.close()
             raise ValueError(
-                f"unsupported store format {row[0]!r} in {self.path} "
-                f"(expected {STORE_FORMAT})"
+                f"unsupported store format {row[0]!r} in {self.path}: this "
+                f"version writes format {STORE_FORMAT}, which records every "
+                "attempt in the campaign log. `repro analyze`, `report`, "
+                "`tail` and `watch` still read it; to run or resume a "
+                "campaign, point --store at a fresh path"
             )
 
     # -- lifecycle -------------------------------------------------------------
@@ -241,119 +239,132 @@ class CampaignStore:
             (str(record.get("kind", "?")), json.dumps(record, sort_keys=True)),
         )
 
-    # -- leases / attempts -----------------------------------------------------
+    # -- attempts --------------------------------------------------------------
 
     def begin_attempt(
         self, exp_id: int, n_tasks: int, rep: int,
         worker: Optional[int] = None, now: Optional[float] = None,
     ) -> int:
-        """Open a ``leased`` attempt row for one dispatch of one cell.
+        """Open an attempt: append the cell's ``attempt_started`` record.
 
-        Attempt numbers continue from whatever the store already holds,
-        so a resumed campaign's history reads as one sequence. Returns
-        the attempt number.
+        Attempt numbers continue from the cell's earlier
+        ``attempt_started`` records (counted once per handle, the first
+        time it opens one: the store has one writer), so a resumed
+        campaign's history reads as one sequence. Returns the number.
         """
-        now = time.time() if now is None else now
-        attempt = self._conn.execute(
-            "SELECT COALESCE(MAX(attempt), 0) + 1 FROM attempts "
-            "WHERE exp_id=? AND n_tasks=? AND rep=?",
-            (exp_id, n_tasks, rep),
-        ).fetchone()[0]
-        self._conn.execute(
-            "INSERT INTO attempts "
-            "(exp_id, n_tasks, rep, attempt, state, worker, wall_start, "
-            " heartbeat) VALUES (?, ?, ?, ?, 'leased', ?, ?, ?)",
-            (exp_id, n_tasks, rep, attempt, worker, now, now),
+        if self._opened is None:
+            self._opened = Counter(
+                record_cell(json.loads(record))
+                for (record,) in self._conn.execute(
+                    "SELECT record FROM ledger WHERE kind='attempt_started'"
+                )
+            )
+        attempt = self._opened[(exp_id, n_tasks, rep)] + 1
+        self._append_attempt(
+            "attempt_started", exp_id, n_tasks, rep, now,
+            attempt=attempt, worker=worker,
         )
-        return int(attempt)
+        self._opened[(exp_id, n_tasks, rep)] = attempt
+        return attempt
 
     def finish_attempt(
-        self, exp_id: int, n_tasks: int, rep: int, attempt: int,
-        state: str, error: Optional[str] = None,
-        worker: Optional[int] = None, now: Optional[float] = None,
+        self, exp_id: int, n_tasks: int, rep: int, state: str,
+        error: Optional[str] = None, now: Optional[float] = None,
+        **fields: Any,
     ) -> None:
-        """Close one attempt row (``committed``/``failed``/``timeout``...)."""
-        now = time.time() if now is None else now
-        if worker is not None:
-            self._conn.execute(
-                "UPDATE attempts SET state=?, wall_end=?, error=?, worker=? "
-                "WHERE exp_id=? AND n_tasks=? AND rep=? AND attempt=?",
-                (state, now, error, worker, exp_id, n_tasks, rep, attempt),
-            )
-        else:
-            self._conn.execute(
-                "UPDATE attempts SET state=?, wall_end=?, error=? "
-                "WHERE exp_id=? AND n_tasks=? AND rep=? AND attempt=?",
-                (state, now, error, exp_id, n_tasks, rep, attempt),
-            )
+        """Close the cell's open attempt: append the record that ends it.
 
-    def heartbeat_attempts(
-        self, leases: Iterable[Tuple[Tuple[int, int, int], int]],
-        now: Optional[float] = None,
-    ) -> None:
-        """Stamp the parent-side heartbeat on a batch of open leases."""
-        now = time.time() if now is None else now
-        self._conn.executemany(
-            "UPDATE attempts SET heartbeat=? "
-            "WHERE exp_id=? AND n_tasks=? AND rep=? AND attempt=? "
-            "AND state='leased'",
-            [(now, *cell, attempt) for cell, attempt in leases],
+        ``committed`` and ``failed`` end it with the cell's ``cell``
+        record, ``timeout`` with ``attempt_timeout``, and any other state
+        (``crashed``, ``interrupted``, ``reclaimed``) with an
+        ``attempt_lost`` record that names it; :func:`closing_state`
+        reads the state back. ``fields`` are the rest of the record.
+        """
+        if state in ("committed", "failed"):
+            kind, fields["ok"] = "cell", state == "committed"
+        elif state == "timeout":
+            kind = "attempt_timeout"
+        else:
+            kind, fields["state"] = "attempt_lost", state
+        self._append_attempt(
+            kind, exp_id, n_tasks, rep, now, error=error, **fields
         )
+
+    def _append_attempt(
+        self, kind: str, exp_id: int, n_tasks: int, rep: int,
+        now: Optional[float], **fields: Any,
+    ) -> None:
+        record = {k: v for k, v in fields.items() if v is not None}
+        record.update(
+            kind=kind, exp=exp_id, n=n_tasks, rep=rep,
+            wall=time.time() if now is None else now,
+        )
+        self.append_ledger(record)
 
     def reclaim_stale_leases(self, now: Optional[float] = None) -> int:
-        """Close every still-``leased`` attempt as ``reclaimed``.
+        """Close every open attempt ``reclaimed``; returns how many.
 
-        Called by resume planning: any lease left open belongs to a run
-        that died (SIGKILL, power loss) — its cell never committed, so
-        it is safe and necessary to re-dispatch.
+        Called by resume planning: any attempt left open belongs to a
+        run that died (SIGKILL, power loss) — its cell never committed,
+        so it is safe and necessary to re-dispatch.
         """
-        now = time.time() if now is None else now
-        cur = self._conn.execute(
-            "UPDATE attempts SET state='reclaimed', wall_end=?, "
-            "error='stale lease reclaimed on resume' WHERE state='leased'",
-            (now,),
-        )
-        return cur.rowcount
+        stale = self.attempt_rows(state="leased")
+        with self.transaction():
+            for row in stale:
+                self.finish_attempt(
+                    row["exp_id"], row["n_tasks"], row["rep"], "reclaimed",
+                    error="stale lease reclaimed on resume", now=now,
+                )
+        return len(stale)
 
     def attempt_rows(
         self, exp_id: Optional[int] = None, n_tasks: Optional[int] = None,
         rep: Optional[int] = None, state: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
-        """Attempt history, optionally filtered by coordinates and state.
+        """Attempt history folded from the log, optionally filtered by
+        coordinates and state, in cell order and then attempt order.
 
-        ``state='leased'`` gives the open leases: the cells running right
-        now (or, with no live run, the ones a killed run left in flight).
+        An attempt opens with its ``attempt_started`` record and is
+        ``leased`` until the next record of its cell that
+        :func:`closing_state` gives a state. ``state='leased'`` gives the
+        open attempts: the cells running right now (or, with no live
+        run, the ones a killed run left in flight).
         """
-        clauses, params = [], []
-        for name, value in (
-            ("exp_id", exp_id), ("n_tasks", n_tasks), ("rep", rep),
-            ("state", state),
-        ):
-            if value is not None:
-                clauses.append(f"{name}=?")
-                params.append(value)
-        where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
-        cols = (
-            "exp_id", "n_tasks", "rep", "attempt", "state", "worker",
-            "wall_start", "wall_end", "heartbeat", "error",
-        )
-        rows = self._conn.execute(
-            f"SELECT {', '.join(cols)} FROM attempts{where} "
-            "ORDER BY exp_id, n_tasks, rep, attempt",
-            params,
-        ).fetchall()
-        return [dict(zip(cols, r)) for r in rows]
+        rows: List[Dict[str, Any]] = []
+        held: Dict[Tuple[int, int, int], Dict[str, Any]] = {}
+        for record in self.ledger_records():
+            closed = closing_state(record)
+            if record.get("kind") == "attempt_started":
+                cell = record_cell(record)
+                held[cell] = dict(
+                    zip(("exp_id", "n_tasks", "rep"), cell),
+                    attempt=record.get("attempt"), state="leased",
+                    worker=record.get("worker"), wall_start=record.get("wall"),
+                    wall_end=None, error=None,
+                )
+                rows.append(held[cell])
+            elif closed and record_cell(record) in held:
+                row = held.pop(record_cell(record))
+                row.update(
+                    state=closed, wall_end=record.get("wall"),
+                    error=record.get("error"),
+                    worker=record.get("worker", row["worker"]),
+                )
+        want = {"exp_id": exp_id, "n_tasks": n_tasks, "rep": rep,
+                "state": state}
+        rows = [
+            row for row in rows
+            if all(v is None or row[k] == v for k, v in want.items())
+        ]
+        rows.sort(key=lambda r: (r["exp_id"], r["n_tasks"], r["rep"]))
+        return rows
 
     def attempt_count(self) -> int:
-        return self._conn.execute(
-            "SELECT COUNT(*) FROM attempts"
-        ).fetchone()[0]
+        return len(self.attempt_rows())
 
     def lease_count(self) -> int:
-        """Attempts still open (``leased``) — stale unless a run is live."""
-        return self._conn.execute(
-            "SELECT COUNT(*) FROM attempts WHERE state='leased'"
-        ).fetchone()[0]
+        """Attempts still open — stale unless a run is live."""
+        return len(self.attempt_rows(state="leased"))
 
     def committed_cells(self) -> set:
         """Coordinates of every committed repetition."""
@@ -393,6 +404,21 @@ class CampaignStore:
             "SELECT value FROM store_meta WHERE key='interrupted'"
         ).fetchone()
         return bool(row) and row[0] == "1"
+
+    def set_heartbeat(self, now: Optional[float] = None) -> None:
+        """Stamp the campaign parent's liveness: its wall time now."""
+        self._conn.execute(
+            "INSERT OR REPLACE INTO store_meta (key, value) "
+            "VALUES ('heartbeat', ?)",
+            (repr(time.time() if now is None else float(now)),),
+        )
+
+    def heartbeat(self) -> Optional[float]:
+        """The campaign parent's last liveness stamp, if it wrote one."""
+        row = self._conn.execute(
+            "SELECT value FROM store_meta WHERE key='heartbeat'"
+        ).fetchone()
+        return float(row[0]) if row else None
 
     def ingest(self, result: CampaignResult) -> Tuple[int, int]:
         """Import a whole campaign atomically; returns (runs, errors).
@@ -554,13 +580,38 @@ def store_summary(store: CampaignStore) -> Dict[str, Any]:
             size += os.path.getsize(store.path + suffix)
         except OSError:
             pass
+    attempts = store.attempt_rows()
     return {
         "path": store.path,
         "runs": store.run_count(),
         "errors": store.error_count(),
         "cells": len(store.cells()),
         "size_bytes": size,
-        "attempts": store.attempt_count(),
-        "stale_leases": store.lease_count(),
+        "attempts": len(attempts),
+        "stale_leases": sum(row["state"] == "leased" for row in attempts),
         "interrupted": store.interrupted(),
     }
+
+
+def closing_state(record: Dict[str, Any]) -> Optional[str]:
+    """The state an attempt ends in when ``record`` closes it, or ``None``
+    when the record closes no attempt.
+
+    The one test of whether a log record closes its cell's open attempt
+    (the inverse of :meth:`CampaignStore.finish_attempt`): the store's
+    attempt history, resume's reclaim, :func:`store_summary` and the
+    monitor's running cells all fold the log through it.
+    """
+    kind = record.get("kind")
+    if kind == "cell":
+        return "committed" if record.get("ok") else "failed"
+    if kind == "attempt_timeout":
+        return "timeout"
+    if kind == "attempt_lost":
+        return str(record.get("state", "lost"))
+    return None
+
+
+def record_cell(record: Dict[str, Any]) -> Tuple[int, int, int]:
+    """The ``(exp_id, n_tasks, rep)`` cell a log record names."""
+    return (int(record["exp"]), int(record["n"]), int(record["rep"]))

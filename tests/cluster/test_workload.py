@@ -1,6 +1,7 @@
 """Tests for the synthetic background workload and resource presets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,28 @@ def test_make_job_within_bounds():
         assert job.runtime <= wl.profile.runtime_max
         assert job.walltime >= 60.0
         assert job.kind == "background"
+
+
+def test_accounts_cost_no_memory_until_drawn():
+    """Building a workload allocates nothing per user account: labels are
+    formatted for drawn accounts only. The 10**6-account build runs
+    first, so a per-account table fails the test before the 2**32 one
+    could exhaust memory."""
+    sim = Simulation(seed=3)
+    cluster = small_cluster(sim)
+    BackgroundWorkload(sim, cluster, WorkloadProfile())  # one-time set-up
+    for n_users in (10**6, 2**32):
+        tracemalloc.start()
+        try:
+            wl = BackgroundWorkload(
+                sim, cluster, WorkloadProfile(n_users=n_users)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, (n_users, peak)
+        job = wl.make_job()
+        assert job.user.startswith("bg") and int(job.user[2:]) < n_users
 
 
 def test_rate_modulation_bounds():

@@ -47,15 +47,12 @@ class TestFlagAnomalies:
         assert "idle-heavy" in flag_anomalies(run)
 
 
-def write_log(path, records, leases=()):
-    """A store at ``path`` whose campaign log holds ``records`` and whose
-    attempts table holds one open lease per ``(cell, worker, heartbeat)``.
-    """
+def write_log(path, records):
+    """A store at ``path`` whose campaign log holds ``records``; an
+    ``attempt_started`` record among them is an open attempt."""
     with CampaignStore(path) as store:
         for record in records:
             store.append_ledger(record)
-        for cell, worker, heartbeat in leases:
-            store.begin_attempt(*cell, worker=worker, now=heartbeat)
     return path
 
 

@@ -1,6 +1,7 @@
 """CampaignMonitor folding of the store's log, the watch renderer, and
 live re-reads of a store a campaign is writing."""
 
+import contextlib
 import io
 import json
 import threading
@@ -21,6 +22,7 @@ from repro.experiments.monitor import CampaignMonitor, host_sample
 from repro.experiments.runner import cell_cost
 
 from .test_ledger import _run
+from .test_runner import _fake_run
 
 
 @pytest.fixture()
@@ -46,10 +48,7 @@ def _feed_basic(store):
         "kind": "campaign-start", "total": 4, "wall": 100.0,
         "meta": {"experiments": [1], "task_counts": [8, 16], "reps": 2},
     })
-    store.append_ledger({
-        "kind": "attempt_started", "exp": 1, "n": 8, "rep": 0,
-        "attempt": 1, "worker": 11, "wall": 100.5,
-    })
+    store.begin_attempt(1, 8, 0, worker=11, now=100.5)
     store.append_ledger({
         "kind": "cell", "exp": 1, "n": 8, "rep": 0, "ok": True,
         "done": 1, "total": 4, "wall_s": 2.0, "worker": 11, "ttc": 100.0,
@@ -59,10 +58,6 @@ def _feed_basic(store):
         "kind": "cell", "exp": 1, "n": 8, "rep": 1, "ok": False,
         "done": 2, "total": 4, "wall_s": 1.0, "error": "boom",
         "wall": 103.0, "anomalies": ["error"],
-    })
-    store.append_ledger({
-        "kind": "attempt_started", "exp": 1, "n": 16, "rep": 0,
-        "attempt": 1, "worker": 12, "wall": 103.5,
     })
     store.begin_attempt(1, 16, 0, worker=12, now=103.5)
 
@@ -79,10 +74,6 @@ def _killed_then_resumed(store):
             "kind": "cell", "exp": 1, "n": 8, "rep": rep, "ok": True,
             "wall_s": 1.0, "wall": 101.0 + rep,
         })
-    store.append_ledger({
-        "kind": "attempt_started", "exp": 1, "n": 8, "rep": 2,
-        "attempt": 1, "wall": 103.0,
-    })
     store.begin_attempt(1, 8, 2, now=103.0)
 
 
@@ -156,7 +147,7 @@ class TestFolding:
 
     def test_worker_liveness_from_cells_and_heartbeats(self, log):
         _feed_basic(log)
-        log.heartbeat_attempts([((1, 16, 0), 1)], now=108.0)
+        log.set_heartbeat(108.0)
         state = log.monitor(clock=lambda: 110.0).state()
         ages = {w["pid"]: w["age_s"] for w in state["workers"]}
         assert ages[11] == 110.0 - 102.5  # its cell record
@@ -273,6 +264,48 @@ class TestLiveFollow:
         assert state["errors"] == 0 and state["running"] == []
         # component shares flowed through the cell records
         assert state["components"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_read_sees_a_committed_run_as_pending(
+        self, log, monkeypatch, jobs,
+    ):
+        """A second read-only handle and a monitor read the store at the
+        commit/log boundary of every cell — as each commit ends, and
+        as the cell record is written: every run stored reads ``ok``."""
+        reader = CampaignStore(log.path, readonly=True)
+        monitor = log.monitor()
+        reads, pending = [], []
+
+        def read():
+            status = {tuple(r["cell"]): r["status"] for r in monitor.grid()}
+            committed = reader.committed_cells()
+            reads.append(len(committed))
+            pending.extend(c for c in committed if status.get(c) != "ok")
+
+        transaction, cell = CampaignStore.transaction, RunLedger.cell
+
+        @contextlib.contextmanager
+        def read_after_commit(store):
+            with transaction(store):
+                yield
+            read()
+
+        def read_before_cell(ledger, *args, **kwargs):
+            read()
+            return cell(ledger, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignStore, "transaction", read_after_commit)
+        monkeypatch.setattr(RunLedger, "cell", read_before_cell)
+        try:
+            result = run_campaign(
+                experiments=(1,), task_counts=(8, 16), reps=2, jobs=jobs,
+                run_fn=_fake_run, store=log, ledger=RunLedger(log),
+            )
+        finally:
+            reader.close()
+        assert len(result.runs) == 4
+        assert len(reads) == 8 and max(reads) == 4
+        assert pending == []
 
     def test_follow_sees_concurrent_writes(self, log):
         """A writer thread appends to the log through its own connection

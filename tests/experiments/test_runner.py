@@ -275,44 +275,44 @@ class TestPrivateStoreEqualsFileStore:
     """
 
     @staticmethod
-    def _outcome(tmp_path, name, jobs, store_path=None, **kwargs):
-        # the ledger logs into a store of its own, so the private-store
-        # campaign's attempt numbers can be read back after it returns.
-        with CampaignStore(str(tmp_path / f"{name}.log.sqlite")) as log:
-            with RunLedger(log) as ledger:
-                if store_path is None:
-                    result = run_campaign(jobs=jobs, ledger=ledger, **kwargs)
-                else:
-                    with CampaignStore(store_path) as store:
-                        result = run_campaign(
-                            jobs=jobs, ledger=ledger, store=store, **kwargs
-                        )
-            records = log.ledger_records()
+    def _outcome(monkeypatch, jobs, store_path=None, **kwargs):
+        # the parent opens every attempt through ``begin_attempt``, so a
+        # spy on it reads the attempt numbers of a private store too.
+        attempts = []
+        begin = CampaignStore.begin_attempt
+
+        def spy(store, *cell, **kw):
+            attempts.append((*cell, begin(store, *cell, **kw)))
+            return attempts[-1][-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CampaignStore, "begin_attempt", spy)
+            if store_path is None:
+                result = run_campaign(jobs=jobs, **kwargs)
+            else:
+                with CampaignStore(store_path) as store:
+                    result = run_campaign(jobs=jobs, store=store, **kwargs)
         payloads = [
             json.dumps(run_to_dict(r), sort_keys=True) for r in result.runs
         ]
         errors = [(e.exp_id, e.n_tasks, e.rep) for e in result.errors]
-        attempts = sorted(
-            (r["exp"], r["n"], r["rep"], r["attempt"])
-            for r in records if r["kind"] == "attempt_started"
-        )
-        return payloads, errors, attempts
+        return payloads, errors, sorted(attempts)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_payloads_equal(self, tmp_path, jobs):
+    def test_payloads_equal(self, tmp_path, monkeypatch, jobs):
         kwargs = dict(
             experiments=(1, 3), task_counts=(8, 16), reps=2,
             campaign_seed=2016,
         )
-        private = self._outcome(tmp_path, "private", jobs, **kwargs)
+        private = self._outcome(monkeypatch, jobs, **kwargs)
         on_file = self._outcome(
-            tmp_path, "file", jobs, str(tmp_path / "c.sqlite"), **kwargs
+            monkeypatch, jobs, str(tmp_path / "c.sqlite"), **kwargs
         )
         assert private == on_file
         assert len(private[0]) == 8 and not private[1]
         assert any("NaN" in p for p in private[0])  # the case == misses
 
-    def test_retry_attempt_numbers_equal(self, tmp_path):
+    def test_retry_attempt_numbers_equal(self, tmp_path, monkeypatch):
         # the crashing cell is retried in a fresh worker, so its attempt
         # numbers reach 2; a wall budget sends jobs=1 to one worker.
         kwargs = dict(
@@ -321,10 +321,10 @@ class TestPrivateStoreEqualsFileStore:
             experiments=(1,), task_counts=(8, 16), reps=2, campaign_seed=0,
         )
         for jobs in (1, 2):
-            private = self._outcome(tmp_path, f"private{jobs}", jobs, **kwargs)
+            private = self._outcome(monkeypatch, jobs, **kwargs)
             on_file = self._outcome(
-                tmp_path, f"file{jobs}", jobs,
-                str(tmp_path / f"c{jobs}.sqlite"), **kwargs,
+                monkeypatch, jobs, str(tmp_path / f"c{jobs}.sqlite"),
+                **kwargs,
             )
             assert private == on_file
             assert private[1] == [(1, 16, 1)]
@@ -409,8 +409,8 @@ class TestContainment:
         }
         assert quarantined == {(1, 16, 1)}
         assert kinds == Counter({
-            "campaign-start": 1, "attempt_started": 5, "cell_retried": 1,
-            "cell": 4, "campaign-end": 1,
+            "campaign-start": 1, "attempt_started": 5, "attempt_lost": 2,
+            "cell_retried": 1, "cell": 4, "campaign-end": 1,
         })
 
     def test_idle_worker_death_costs_no_attempt(self, tmp_path):

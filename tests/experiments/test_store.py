@@ -1,10 +1,12 @@
 """Unit tests for the indexed campaign result store (repository layer)."""
 
 import json
+import os
 import sqlite3
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import CampaignStore, is_store, store_summary
 from repro.experiments.campaign import CampaignResult, CellError, RunResult
 from repro.experiments.store import STORE_FORMAT
@@ -157,6 +159,70 @@ class TestReadonlyAndVersioning:
         )
         with pytest.raises(ValueError, match="unsupported store format"):
             CampaignStore(store.path)
+
+    @staticmethod
+    def _format_1_store(path):
+        """A finished campaign as format 1 wrote it: its ``attempts``
+        table beside the log, and ``format`` 1."""
+        assert main(["campaign", "--experiments", "1", "--sizes", "8",
+                     "--reps", "2", "--seed", "3", "-q", "--store", path]) == 0
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE store_meta SET value='1' WHERE key='format'")
+            conn.execute(
+                "CREATE TABLE attempts (exp_id INTEGER NOT NULL, "
+                "n_tasks INTEGER NOT NULL, rep INTEGER NOT NULL, "
+                "attempt INTEGER NOT NULL, state TEXT NOT NULL, "
+                "worker INTEGER, wall_start REAL, wall_end REAL, "
+                "heartbeat REAL, error TEXT, "
+                "PRIMARY KEY (exp_id, n_tasks, rep, attempt))"
+            )
+            conn.executemany(
+                "INSERT INTO attempts (exp_id, n_tasks, rep, attempt, state) "
+                "VALUES (1, 8, ?, 1, 'committed')", [(0,), (1,)],
+            )
+        conn.close()
+        return path
+
+    def test_format_1_store_refused_read_write(self, tmp_path, capsys):
+        path = self._format_1_store(str(tmp_path / "old.sqlite"))
+        with pytest.raises(ValueError) as err:
+            CampaignStore(path)
+        message = str(err.value)
+        assert "unsupported store format '1'" in message
+        assert "fresh path" in message and "repro analyze" in message
+        capsys.readouterr()
+        assert main(["campaign", "--experiments", "1", "--sizes", "8",
+                     "--reps", "2", "--seed", "3", "-q", "--store", path,
+                     "--resume"]) == 2
+        assert "unsupported store format '1'" in capsys.readouterr().err
+        with CampaignStore(path, readonly=True) as store:
+            assert store.run_count() == 2  # refused before any write
+
+    def test_format_1_store_opens_for_readers(self, tmp_path, capsys):
+        path = self._format_1_store(str(tmp_path / "old.sqlite"))
+        capsys.readouterr()
+        assert main(["analyze", path, "--update-baseline", "--baseline",
+                     str(tmp_path / "b.json")]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("campaign: 2 runs, 0 errors")
+        assert "execution history: 2 attempt(s) recorded, 0 stale" in out
+        assert main(["tail", path]) == 0
+        assert "campaign finished  2/2 cells" in capsys.readouterr().out
+        assert main(["watch", path, "--once", "--no-color"]) == 0
+        assert "2/2 cells" in capsys.readouterr().out
+        report = str(tmp_path / "r.html")
+        assert main(["report", path, "-o", report]) == 0
+        assert os.path.getsize(report) > 0
+
+    def test_fresh_store_has_no_attempts_table(self, store):
+        tables = {
+            name for (name,) in store._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type='table'"
+            )
+        }
+        assert "attempts" not in tables
+        assert {"runs", "cell_errors", "ledger", "store_meta"} <= tables
 
     def test_reopen_preserves_rows(self, tmp_path):
         path = str(tmp_path / "c.sqlite")
