@@ -559,9 +559,8 @@ def run_campaign(
                 store=private, resilience=resilience, run_fn=run_fn,
                 stats=stats,
             )
-    if ledger is None:
-        ledger = RunLedger(store)
-    elif ledger.store is not store:
+    ledger = ledger or RunLedger(store)
+    if ledger.store is not store:
         raise ValueError("the ledger must record into the campaign's store")
     t0 = time.perf_counter()
     jobs = resolve_jobs(jobs)
