@@ -10,9 +10,9 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    BundleManager,
     ExecutionManager,
     Network,
+    ResourceBundle,
     SkeletonAPI,
     Simulation,
     bag_of_tasks,
@@ -31,7 +31,7 @@ def main() -> None:
         network.add_site(name)
 
     # A bundle characterizes the resources uniformly.
-    bundle = BundleManager(sim, network).create_bundle("testbed", pool.values())
+    bundle = ResourceBundle("testbed", sim, network, pool.values())
     schemas = {n: r.preset.access_schema for n, r in pool.items()}
 
     # Let the machines churn for two simulated hours before we submit.

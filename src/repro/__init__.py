@@ -8,7 +8,7 @@ running here on a discrete-event-simulated multi-HPC substrate.
 Quickstart::
 
     from repro import (
-        Simulation, Network, build_pool, BundleManager,
+        Simulation, Network, build_pool, ResourceBundle,
         ExecutionManager, PlannerConfig, Binding,
         SkeletonAPI, bag_of_tasks,
     )
@@ -18,13 +18,13 @@ Quickstart::
     pool = build_pool(sim)
     for name in pool:
         net.add_site(name)
-    bundle = BundleManager(sim, net).create_bundle("all", pool.values())
+    bundle = ResourceBundle("all", sim, net, pool.values())
     em = ExecutionManager(sim, net, bundle)
     report = em.execute(SkeletonAPI(bag_of_tasks(64), seed=1))
     print(report.summary())
 """
 
-from .bundle import BundleManager, QuantilePredictor, ResourceBundle
+from .bundle import QuantilePredictor, ResourceBundle
 from .cluster import (
     BackgroundWorkload,
     BatchJob,
@@ -83,7 +83,6 @@ __all__ = [
     "BackgroundWorkload",
     "BatchJob",
     "Binding",
-    "BundleManager",
     "Cluster",
     "ComputePilot",
     "ComputePilotDescription",

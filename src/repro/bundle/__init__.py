@@ -5,14 +5,7 @@ storage), with on-demand and predictive query modes and a threshold
 monitoring interface, aggregated into shareable resource bundles.
 """
 
-from .backtest import BacktestResult, backtest_predictor
-from .bundle import BundleManager, ResourceBundle, UnknownResource
-from .discovery import (
-    Constraint,
-    RequirementError,
-    matches,
-    parse_requirements,
-)
+from .bundle import ResourceBundle, UnknownResource
 from .monitor import ResourceMonitor, Subscription
 from .prediction import EwmaPredictor, QuantilePredictor, WaitSample
 from .representation import (
@@ -23,15 +16,10 @@ from .representation import (
 )
 
 __all__ = [
-    "BacktestResult",
-    "BundleManager",
-    "backtest_predictor",
-    "Constraint",
     "ComputeRepresentation",
     "EwmaPredictor",
     "NetworkRepresentation",
     "QuantilePredictor",
-    "RequirementError",
     "ResourceBundle",
     "ResourceMonitor",
     "ResourceRepresentation",
@@ -39,6 +27,4 @@ __all__ = [
     "Subscription",
     "UnknownResource",
     "WaitSample",
-    "matches",
-    "parse_requirements",
 ]

@@ -8,14 +8,14 @@ It exposes:
 * the **predictive interface** (queue-wait forecasts from history), and
 * the **monitoring interface** (threshold subscriptions).
 
-The :class:`BundleManager` builds bundles over the simulated substrate
-(clusters + network) and hands the Execution Manager the uniform
-resource information it integrates with application requirements.
+A bundle is built over the simulated substrate (clusters + network)
+and hands the Execution Manager the uniform resource information it
+integrates with application requirements.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..cluster import Cluster, SimulatedResource
 from ..des import Simulation
@@ -35,28 +35,32 @@ class UnknownResource(KeyError):
 
 
 class ResourceBundle:
-    """A named collection of resources with uniform interfaces."""
+    """A named collection of resources with uniform interfaces.
+
+    ``resources`` are the simulated resources (their clusters join the
+    bundle under their own names) or a ``{name: Cluster}`` mapping.
+    """
 
     def __init__(
         self,
         name: str,
         sim: Simulation,
         network: Network,
-        clusters: Dict[str, Cluster],
-        predictor: Optional[QuantilePredictor] = None,
-        monitor_interval_s: float = 60.0,
+        resources: Union[Iterable[SimulatedResource], Dict[str, Cluster]],
     ) -> None:
+        if isinstance(resources, dict):
+            clusters = dict(resources)
+        else:
+            clusters = {r.cluster.name: r.cluster for r in resources}
         if not clusters:
             raise ValueError("a bundle needs at least one resource")
         self.name = name
         self.sim = sim
         self.network = network
-        self._clusters = dict(clusters)
-        self.predictor = predictor or QuantilePredictor()
+        self._clusters = clusters
+        self.predictor = QuantilePredictor()
         self.ewma = EwmaPredictor()
-        self.monitor = ResourceMonitor(
-            sim, self.query, interval_s=monitor_interval_s
-        )
+        self.monitor = ResourceMonitor(sim, self.query)
 
     # -- membership ---------------------------------------------------------------
 
@@ -170,68 +174,3 @@ class ResourceBundle:
         return self.monitor.subscribe(
             resource, predicate, callback, dwell_s=dwell_s, renotify_s=renotify_s
         )
-
-
-class BundleManager:
-    """Builds bundles over the simulated substrate."""
-
-    def __init__(self, sim: Simulation, network: Network) -> None:
-        self.sim = sim
-        self.network = network
-        self._bundles: Dict[str, ResourceBundle] = {}
-
-    def create_bundle(
-        self,
-        name: str,
-        resources: "Iterable[SimulatedResource] | Dict[str, Cluster]",
-        **kwargs,
-    ) -> ResourceBundle:
-        """Create and register a bundle over the given resources."""
-        if name in self._bundles:
-            raise ValueError(f"bundle {name!r} already exists")
-        if isinstance(resources, dict):
-            clusters = dict(resources)
-        else:
-            clusters = {r.cluster.name: r.cluster for r in resources}
-        bundle = ResourceBundle(name, self.sim, self.network, clusters, **kwargs)
-        self._bundles[name] = bundle
-        return bundle
-
-    def get(self, name: str) -> ResourceBundle:
-        try:
-            return self._bundles[name]
-        except KeyError:
-            raise UnknownResource(name) from None
-
-    def bundles(self) -> Tuple[str, ...]:
-        return tuple(self._bundles)
-
-    def discover(
-        self,
-        name: str,
-        requirements: str,
-        from_bundle: ResourceBundle,
-        **kwargs,
-    ) -> ResourceBundle:
-        """Create a tailored bundle of the resources matching a spec.
-
-        This is the paper's discovery interface: ``requirements`` is the
-        compact constraint notation of :mod:`repro.bundle.discovery`,
-        evaluated against live snapshots of ``from_bundle``'s resources.
-        Raises ValueError when nothing matches (an empty bundle would be
-        useless to the caller).
-        """
-        from .discovery import matches, parse_requirements
-
-        constraints = parse_requirements(requirements)
-        selected = {
-            resource: from_bundle.cluster(resource)
-            for resource in from_bundle.resources()
-            if matches(from_bundle.query(resource), constraints)
-        }
-        if not selected:
-            raise ValueError(
-                f"no resource in bundle {from_bundle.name!r} satisfies "
-                f"{requirements!r}"
-            )
-        return self.create_bundle(name, selected, **kwargs)

@@ -43,10 +43,6 @@ class NetworkRepresentation:
     latency_s: float
     active_flows: int
 
-    def transfer_estimate(self, size_bytes: float) -> float:
-        """End-to-end estimate for one file, uncongested."""
-        return self.latency_s + size_bytes / self.bandwidth_bytes_per_s
-
 
 @dataclass(frozen=True)
 class StorageRepresentation:

@@ -8,7 +8,6 @@ realistic, heavy-tailed queue-wait dynamics for the pilot jobs
 submitted on top.
 """
 
-from .fairshare import FairshareTracker
 from .job import BatchJob, FINAL_STATES, IllegalTransition, JobState
 from .machine import AllocationError, Cluster, SubmissionError
 from .presets import (
@@ -19,7 +18,7 @@ from .presets import (
     build_pool,
     build_resource,
 )
-from .swf import SwfError, SwfJob, SwfReplay, export_swf, parse_swf, parse_swf_file
+from .swf import SwfError, SwfJob, SwfReplay, export_swf, parse_swf
 from .synthetic import synthetic_pool, synthetic_preset
 from .schedulers import (
     BatchScheduler,
@@ -49,7 +48,6 @@ __all__ = [
     "DEFAULT_POOL",
     "EasyBackfillScheduler",
     "FINAL_STATES",
-    "FairshareTracker",
     "FcfsScheduler",
     "IllegalTransition",
     "JobState",
@@ -71,7 +69,6 @@ __all__ = [
     "export_swf",
     "make_scheduler",
     "parse_swf",
-    "parse_swf_file",
     "synthetic_pool",
     "synthetic_preset",
 ]

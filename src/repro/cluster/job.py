@@ -63,7 +63,7 @@ class BatchJob:
         Requested limit in seconds; the scheduler plans with this and the
         resource kills the job when it is exceeded.
     user:
-        Account name, used by priority/fairshare policies.
+        Account name, carried through SWF import and export.
     kind:
         Free-form tag (``"background"``, ``"pilot"``, ...) used by traces
         and analyses.

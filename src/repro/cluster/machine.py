@@ -18,7 +18,7 @@ layer uses for its predictive interface.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..des import EventHandle, Simulation
 from .job import BatchJob, JobState
@@ -28,7 +28,6 @@ from .schedulers import (
     RunningMirror,
     SchedulerView,
 )
-from .schedulers.base import PriorityFn
 
 if TYPE_CHECKING:
     from .workload import BackgroundWorkload
@@ -66,7 +65,6 @@ class Cluster:
         nodes: int,
         cores_per_node: int,
         scheduler: Optional[BatchScheduler] = None,
-        priority_fn: Optional[PriorityFn] = None,
         submit_overhead: float = 1.0,
         dispatch_interval: float = 0.0,
         wait_history_size: int = 512,
@@ -82,7 +80,6 @@ class Cluster:
         #: _release, so free + running cores == total_cores always.
         self.free_cores = self.total_cores
         self.scheduler = scheduler or EasyBackfillScheduler()
-        self.priority_fn = priority_fn
         self.submit_overhead = float(submit_overhead)
         #: minimum seconds between scheduler passes. Production resource
         #: managers schedule in periodic cycles (tens of seconds to a few
@@ -91,8 +88,8 @@ class Cluster:
         self._last_dispatch = -float("inf")
 
         self._pending: List[BatchJob] = []
-        self._arrival_order: Dict[int, int] = {}
-        self._arrival_seq = 0
+        #: uids of the queued jobs, for O(1) pick validation.
+        self._pending_uids: Set[int] = set()
         # The one record of a running job: uid -> (job, expected_end,
         # end event), plus its end-sorted mirror for the scheduler,
         # patched at start/release so dispatch never re-sorts it.
@@ -199,7 +196,7 @@ class Cluster:
         old = job.state
         if old is JobState.PENDING:
             self._pending.remove(job)
-            self._arrival_order.pop(job.uid, None)
+            self._pending_uids.discard(job.uid)
         elif old is JobState.RUNNING:
             self.sim.cancel(self._release(job))
             if state is JobState.FAILED:
@@ -243,24 +240,15 @@ class Cluster:
         )
         self._schedule_dispatch()
 
-    def expected_drain_time(self) -> float:
-        """Crude bound: when would the machine be empty if nothing arrived."""
-        if not self._running:
-            return self.sim.now
-        return max(expected_end for _, expected_end, _ in self._running.values())
-
     # -- internal machinery ----------------------------------------------------
 
     def _enqueue(self, job: BatchJob) -> None:
         if job.state in (JobState.CANCELLED, JobState.FAILED):
             return  # cancelled/killed during the submit overhead window
         job.submit_time = self.sim._now  # property bypass on the hot path
-        self._arrival_order[job.uid] = self._arrival_seq
-        self._arrival_seq += 1
-        # Appending keeps the FIFO queue sorted by construction (removals
-        # preserve relative order), so plain arrival-ordered queues never
-        # sort. Priority queues re-sort at dispatch time anyway, because
-        # their keys are time-dependent — sorting here too would be wasted.
+        self._pending_uids.add(job.uid)
+        # Appending keeps the queue in arrival order by construction
+        # (removals preserve relative order), so it is never sorted.
         self._pending.append(job)
         self._transition(job, JobState.PENDING)
         self._schedule_dispatch()
@@ -272,17 +260,6 @@ class Cluster:
             return  # arrived after workload.stop(); the stream ends
         self._enqueue(job)
         self.queue_arrivals(workload)
-
-    def _sort_pending(self) -> None:
-        """Order the queue by the (time-dependent) priority function.
-
-        Only called from :meth:`_dispatch` when ``priority_fn`` is set;
-        FIFO queues are kept in arrival order incrementally.
-        """
-        now = self.sim.now
-        fn = self.priority_fn
-        order = self._arrival_order
-        self._pending.sort(key=lambda j: (-fn(j, now), order[j.uid]))
 
     def _schedule_dispatch(self) -> None:
         """Coalesce dispatches: one scheduler pass per cycle at most."""
@@ -302,8 +279,6 @@ class Cluster:
         self._last_dispatch = now
         if not self._pending:
             return
-        if self.priority_fn is not None:
-            self._sort_pending()
         # The view aliases live queue state (see SchedulerView): select
         # completes before _run_picks mutates anything, so no copies.
         view = SchedulerView(
@@ -342,9 +317,9 @@ class Cluster:
         """
         if not picks:
             return
-        # The arrival-order dict keys mirror the pending queue exactly,
-        # so membership is O(1) instead of an O(queue) scan.
-        pending = self._arrival_order
+        # The uid set mirrors the pending queue exactly, so membership
+        # is O(1) instead of an O(queue) scan.
+        pending = self._pending_uids
         seen = set()
         cores = 0
         for job in picks:
@@ -371,7 +346,7 @@ class Cluster:
         """Start a pending job; the caller has checked it may start."""
         self._pending.remove(job)
         uid = job.uid
-        del self._arrival_order[uid]
+        self._pending_uids.remove(uid)
         cores = job.cores
         self.free_cores -= cores
         now = self.sim._now

@@ -71,8 +71,7 @@ class SampledWaitCluster(Cluster):
             return  # cancelled/killed during the submit overhead window
         job.submit_time = self.sim.now
         self._pending.append(job)
-        self._arrival_order[job.uid] = self._arrival_seq
-        self._arrival_seq += 1
+        self._pending_uids.add(job.uid)
         self._transition(job, JobState.PENDING)
         wait = float(self.rng.lognormal(self.wait_mu, self.wait_sigma))
         self.sim.call_in(wait, self._sampled_start, job)

@@ -4,7 +4,6 @@ from .backfill import ConservativeBackfillScheduler, EasyBackfillScheduler
 from .base import (
     AllocationProfile,
     BatchScheduler,
-    PriorityFn,
     RunningMirror,
     SchedulerView,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "ConservativeBackfillScheduler",
     "EasyBackfillScheduler",
     "FcfsScheduler",
-    "PriorityFn",
     "RunningMirror",
     "SCHEDULERS",
     "SchedulerView",

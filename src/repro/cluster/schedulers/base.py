@@ -16,13 +16,9 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_left, bisect_right, insort
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ..job import BatchJob
-
-#: Priority function: larger value = scheduled earlier. Ties broken by
-#: submission order. The default (None) is plain FIFO.
-PriorityFn = Callable[[BatchJob, float], float]
 
 #: Sorts after every real (end, start_seq, ...) mirror entry with the
 #: same end time; used to bisect the fold prefix in one comparison pass.

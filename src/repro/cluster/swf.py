@@ -82,11 +82,6 @@ def parse_swf(lines: Iterable[str]) -> List[SwfJob]:
     return jobs
 
 
-def parse_swf_file(path: str) -> List[SwfJob]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_swf(fh)
-
-
 class SwfReplay:
     """Submit an SWF trace to a simulated cluster as background load."""
 

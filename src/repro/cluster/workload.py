@@ -182,7 +182,7 @@ class WorkloadProfile:
     diurnal_amplitude: float = 0.3
     diurnal_period: float = 24 * 3600.0
 
-    #: distinct background user accounts (for fairshare experiments).
+    #: distinct background user accounts.
     n_users: int = 24
 
     def __post_init__(self) -> None:

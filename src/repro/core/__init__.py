@@ -14,8 +14,6 @@ from .analytics import (
     allocation_metrics,
     concurrency_series,
     export_trace,
-    peak_concurrency,
-    state_durations,
 )
 from .energy import (
     DEFAULT_ACTIVE_WATTS,
@@ -47,7 +45,6 @@ from .instrumentation import (
 )
 from .metrics import (
     merge_intervals,
-    overlap_fraction,
     span,
     throughput,
     union_duration,
@@ -71,10 +68,8 @@ __all__ = [
     "allocation_metrics",
     "concurrency_series",
     "export_trace",
-    "peak_concurrency",
     "render_report_timeline",
     "render_timeline",
-    "state_durations",
     "Binding",
     "DEFAULT_ACTIVE_WATTS",
     "DEFAULT_IDLE_WATTS",
@@ -104,7 +99,6 @@ __all__ = [
     "report_energy",
     "report_to_session",
     "merge_intervals",
-    "overlap_fraction",
     "quarantine_seconds",
     "save_session",
     "session_from_dict",

@@ -4,7 +4,6 @@ The AIMES middleware's self-introspection makes every execution a data
 set. This module turns raw traces and instrumented entities into the
 quantities an experimenter plots:
 
-* :func:`state_durations` — how long entities spent in each state;
 * :func:`concurrency_series` — how many units were executing over time;
 * :func:`allocation_metrics` — pilot core-seconds consumed vs used
   (the paper's "allocation consumption" concern: canceling pilots when
@@ -21,35 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..pilot import ComputePilot, ComputeUnit
 from ..telemetry import trace_records_json
 from ..telemetry.causality import _pilot_end_time, _unit_activities
 from .metrics import Interval
-
-
-def state_durations(
-    entities: Sequence,
-    final_time: Optional[float] = None,
-) -> Dict[str, float]:
-    """Total seconds spent in each state, summed over entities.
-
-    Works on anything with a ``history`` (pilots, units). Open-ended
-    final states are closed at ``final_time`` when given, else ignored.
-    """
-    totals: Dict[str, float] = {}
-    for entity in entities:
-        entries = entity.history.as_list()
-        for (state, t0), (_, t1) in zip(entries, entries[1:]):
-            totals[state] = totals.get(state, 0.0) + (t1 - t0)
-        if entries and final_time is not None:
-            last_state, last_t = entries[-1]
-            if final_time > last_t:
-                totals[last_state] = (
-                    totals.get(last_state, 0.0) + final_time - last_t
-                )
-    return totals
 
 
 def _executing_attempts(unit) -> List[Tuple[float, float, str]]:
@@ -85,12 +61,6 @@ def concurrency_series(
         else:
             series.append((t, level))
     return series
-
-
-def peak_concurrency(units: Sequence[ComputeUnit]) -> int:
-    """Maximum number of simultaneously executing units."""
-    series = concurrency_series(units)
-    return max((level for _, level in series), default=0)
 
 
 @dataclass(frozen=True)

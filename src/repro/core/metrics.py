@@ -32,27 +32,6 @@ def span(intervals: Iterable[Interval]) -> float:
     return max(hi for _, hi in items) - min(lo for lo, _ in items)
 
 
-def overlap_fraction(a: Iterable[Interval], b: Iterable[Interval]) -> float:
-    """Fraction of A's covered time that is also covered by B."""
-    a_merged = merge_intervals(a)
-    b_merged = merge_intervals(b)
-    total_a = sum(hi - lo for lo, hi in a_merged)
-    if total_a == 0:
-        return 0.0
-    shared = 0.0
-    j = 0
-    for lo, hi in a_merged:
-        while j < len(b_merged) and b_merged[j][1] < lo:
-            j += 1
-        k = j
-        while k < len(b_merged) and b_merged[k][0] < hi:
-            shared += max(
-                0.0, min(hi, b_merged[k][1]) - max(lo, b_merged[k][0])
-            )
-            k += 1
-    return shared / total_a
-
-
 def throughput(n_tasks: int, ttc_s: float) -> float:
     """Completed tasks per hour."""
     if ttc_s <= 0:

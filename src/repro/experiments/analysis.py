@@ -144,37 +144,6 @@ def component_shares(
     return out
 
 
-def throughput_series(
-    result: CampaignResult, exp_id: int
-) -> List[Tuple[int, float, float]]:
-    """[(n_tasks, mean, std)] of tasks/hour for one experiment.
-
-    Throughput is the alternative metric the paper plans to generalize
-    to: completed tasks per hour of TTC. Late binding's advantage shows
-    as *higher and steadier* throughput at scale.
-    """
-    sizes = sorted({r.n_tasks for r in result.runs if r.exp_id == exp_id})
-    out = []
-    for n in sizes:
-        values = np.asarray([
-            r.units_done / (r.ttc / 3600.0)
-            for r in result.cell(exp_id, n)
-            if r.ttc > 0
-        ])
-        if values.size:
-            out.append((n, float(values.mean()), float(values.std(ddof=0))))
-        else:
-            out.append((n, float("nan"), float("nan")))
-    return out
-
-
-def success_rate(result: CampaignResult) -> float:
-    """Fraction of runs that completed every task."""
-    if not result.runs:
-        return float("nan")
-    return sum(1 for r in result.runs if r.succeeded) / len(result.runs)
-
-
 def significance(
     result: CampaignResult,
     exp_a: int,

@@ -26,7 +26,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bundle import BundleManager, ResourceBundle
+from ..bundle import ResourceBundle
 from ..cluster import PRESETS, ResourcePreset, SimulatedResource, build_pool, build_resource
 from ..core import ExecutionManager
 from ..des import Simulation
@@ -134,7 +134,7 @@ def build_environment(
                 latency_s if latency_s is not None else res.preset.wan_latency_s
             ),
         )
-    bundle = BundleManager(sim, network).create_bundle("testbed", pool.values())
+    bundle = ResourceBundle("testbed", sim, network, pool.values())
     schemas = {n: r.preset.access_schema for n, r in pool.items()}
     em = ExecutionManager(
         sim, network, bundle, access_schemas=schemas, supervision=supervision,

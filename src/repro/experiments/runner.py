@@ -265,9 +265,11 @@ class _Worker:
         )
         self.proc.start()
         child.close()  # the worker's death must close its pipe
-        #: the cell this worker holds, and when it was handed over.
+        #: the cell this worker holds, when it was handed over, and the
+        #: attempt number the store gave it.
         self.cell: Optional[Cell] = None
         self.since = 0.0
+        self.attempt = 0
 
     def give(self, cell: Cell) -> bool:
         """Hand ``cell`` over; ``False`` when the worker died while idle."""
@@ -331,7 +333,8 @@ def _execute_workers(
         stats.worker_restarts += 1
 
     def lose(i: int, state: str, now: float) -> None:
-        cell, wall = workers[i].cell, now - workers[i].since
+        lost = workers[i]
+        cell, wall = lost.cell, now - lost.since
         respawn(i)
         count = losses[cell] = losses.get(cell, 0) + 1
         if state == "timeout":
@@ -357,7 +360,9 @@ def _execute_workers(
             on_cell("error", cell, error, {"wall_s": wall, "worker": None})
             return
         stats.retried += 1
-        ledger.cell_retried(cell, count + 1, pause)
+        # numbered as the store will number the retry's attempt, which
+        # counts this cell's attempts in earlier sessions too
+        ledger.cell_retried(cell, lost.attempt + 1, pause)
         not_before[cell] = now + pause
         pending.append(cell)
 
@@ -375,7 +380,9 @@ def _execute_workers(
                     respawn(i)  # died while idle: no attempt charged
                     continue
                 pending.remove(cell)
-                ledger.attempt_started(cell, worker=workers[i].proc.pid)
+                workers[i].attempt = ledger.attempt_started(
+                    cell, worker=workers[i].proc.pid
+                )
 
     for _ in range(min(jobs, len(pending))):
         workers.append(_Worker(fn, [w.conn for w in workers]))

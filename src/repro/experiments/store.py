@@ -359,13 +359,6 @@ class CampaignStore:
         rows.sort(key=lambda r: (r["exp_id"], r["n_tasks"], r["rep"]))
         return rows
 
-    def attempt_count(self) -> int:
-        return len(self.attempt_rows())
-
-    def lease_count(self) -> int:
-        """Attempts still open — stale unless a run is live."""
-        return len(self.attempt_rows(state="leased"))
-
     def committed_cells(self) -> set:
         """Coordinates of every committed repetition."""
         return {

@@ -55,7 +55,6 @@ class HealthRegistry:
         self.log = EventLog("health", empty="no supervision events", noun="events")
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._scores: Dict[str, float] = {}
-        self._watch_subs: list = []
         sim.telemetry.metrics.gauge(
             "health.quarantined",
             lambda: sum(
@@ -176,19 +175,12 @@ class HealthRegistry:
             # re-trip a still-offline resource before its cooldown probes it
             renotify_s = self.breaker_policy.cooldown_s / 2.0
         for resource in bundle.resources():
-            sub = bundle.subscribe(
+            bundle.subscribe(
                 resource,
                 predicate=lambda snap: snap.compute.offline,
                 callback=self._on_monitor_offline,
                 renotify_s=renotify_s,
             )
-            self._watch_subs.append((bundle, sub))
-
-    def unwatch(self) -> None:
-        """Drop all monitor subscriptions (the sampling loop then stops)."""
-        for bundle, sub in self._watch_subs:
-            bundle.monitor.unsubscribe(sub)
-        self._watch_subs = []
 
     def _on_monitor_offline(self, sub_uid: int, snapshot) -> None:
         self._update_score(snapshot.name, 0.0)

@@ -93,13 +93,6 @@ class Link:
     def is_partitioned(self) -> bool:
         return self._degradation == 0.0
 
-    @property
-    def current_rate_per_flow(self) -> float:
-        """Bytes/s each active flow is currently receiving."""
-        n = len(self._active)
-        eff = self.effective_bandwidth
-        return eff / n if n else eff
-
     def set_degradation(self, factor: float) -> None:
         """Throttle the link to ``factor`` of its bandwidth (0 = partition).
 

@@ -21,7 +21,6 @@ from .fallible import (
     SubmitFault,
     TransientSubmitError,
 )
-from .filesystem import CopyTask, FileService, FileUrlError, TaskState, parse_url
 from .job import JobService, SagaJob
 from .states import SAGA_FINAL, SagaState, map_native_state
 
@@ -30,10 +29,7 @@ __all__ = [
     "Adaptor",
     "AdaptorError",
     "CondorAdaptor",
-    "CopyTask",
     "FallibleAdaptor",
-    "FileService",
-    "FileUrlError",
     "PermanentSubmitError",
     "SubmissionFaultModel",
     "SubmitFault",
@@ -45,7 +41,5 @@ __all__ = [
     "SagaJob",
     "SagaState",
     "SlurmAdaptor",
-    "TaskState",
     "map_native_state",
-    "parse_url",
 ]

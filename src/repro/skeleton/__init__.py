@@ -40,7 +40,7 @@ from .model import (
     StageSpec,
     VALID_MAPPINGS,
 )
-from .parser import parse_config, parse_config_file
+from .parser import parse_config
 from .workflow import WorkflowAPI, from_dag, partition_levels
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "multistage",
     "paper_skeleton",
     "parse_config",
-    "parse_config_file",
     "parse_sampler",
     "partition_levels",
     "WorkflowAPI",

@@ -75,8 +75,3 @@ def parse_config(text: str) -> SkeletonApp:
         )
     return SkeletonApp(name=name, stages=stages, iterations=iterations)
 
-
-def parse_config_file(path: str) -> SkeletonApp:
-    """Parse a skeleton description from a file on disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bundle import BundleManager, ResourceBundle, UnknownResource
+from repro.bundle import ResourceBundle, UnknownResource
 from repro.cluster import BatchJob, Cluster
 from repro.des import Simulation
 from repro.net import Network
@@ -17,9 +17,8 @@ def substrate():
         net.add_site(name, bandwidth_bytes_per_s=1e6, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=nodes, cores_per_node=8,
                                  submit_overhead=0.0)
-    manager = BundleManager(sim, net)
-    bundle = manager.create_bundle("main", clusters)
-    return sim, net, clusters, manager, bundle
+    bundle = ResourceBundle("main", sim, net, clusters)
+    return sim, net, clusters, bundle
 
 
 def test_bundle_requires_resources():
@@ -30,7 +29,7 @@ def test_bundle_requires_resources():
 
 
 def test_membership(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     assert bundle.resources() == ("alpha", "beta")
     assert "alpha" in bundle
     assert "gamma" not in bundle
@@ -41,7 +40,7 @@ def test_membership(substrate):
 
 
 def test_query_snapshot_reflects_state(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     snap = bundle.query("alpha")
     assert snap.compute.total_cores == 64
     assert snap.compute.free_cores == 64
@@ -59,13 +58,13 @@ def test_query_snapshot_reflects_state(substrate):
 
 
 def test_query_all(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     snaps = bundle.query_all()
     assert [s.name for s in snaps] == ["alpha", "beta"]
 
 
 def test_transfer_estimate(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     est = bundle.estimate_transfer_time("alpha", 1e6)
     assert est == pytest.approx(0.01 + 1.0)
     with pytest.raises(UnknownResource):
@@ -73,7 +72,7 @@ def test_transfer_estimate(substrate):
 
 
 def test_predictive_interface_uses_history(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     # Manufacture history: alpha fast, beta slow.
     for i in range(20):
         clusters["alpha"].wait_history.append((float(i), 30.0, 64))
@@ -86,7 +85,7 @@ def test_predictive_interface_uses_history(substrate):
 
 
 def test_prediction_modes(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     for i in range(20):
         clusters["alpha"].wait_history.append((float(i), 100.0, 8))
     assert bundle.predict_wait("alpha", mode="ewma") == pytest.approx(100.0)
@@ -95,7 +94,7 @@ def test_prediction_modes(substrate):
 
 
 def test_setup_time_estimate_in_snapshot(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     for i in range(20):
         clusters["beta"].wait_history.append((float(i), 500.0, 16))
     snap = bundle.query("beta")
@@ -103,7 +102,7 @@ def test_setup_time_estimate_in_snapshot(substrate):
 
 
 def test_monitoring_threshold_fires(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     fired = []
     bundle.subscribe(
         "alpha",
@@ -119,7 +118,7 @@ def test_monitoring_threshold_fires(substrate):
 
 
 def test_monitoring_dwell_and_renotify(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     fired = []
     bundle.subscribe(
         "alpha",
@@ -136,7 +135,7 @@ def test_monitoring_dwell_and_renotify(substrate):
 
 
 def test_unsubscribe_stops_notifications(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     fired = []
     sub = bundle.subscribe(
         "alpha",
@@ -152,22 +151,32 @@ def test_unsubscribe_stops_notifications(substrate):
     assert len(fired) == count
 
 
-def test_manager_registry(substrate):
-    sim, net, clusters, manager, bundle = substrate
-    assert manager.bundles() == ("main",)
-    assert manager.get("main") is bundle
-    with pytest.raises(UnknownResource):
-        manager.get("other")
-    with pytest.raises(ValueError):
-        manager.create_bundle("main", clusters)
-    sub = manager.create_bundle("alpha-only", {"alpha": clusters["alpha"]})
+def test_last_unsubscribe_stops_sampling(substrate):
+    """Dropping the last subscription must end the sampling loop."""
+    sim, net, clusters, bundle = substrate
+    subs = [
+        bundle.subscribe(r, lambda snap: False, lambda uid, snap: None)
+        for r in bundle.resources()
+    ]
+    sim.run(until=120.0)
+    assert bundle.monitor._running
+    for sub in subs:
+        bundle.monitor.unsubscribe(sub)
+    sim.run(until=300.0)  # past the next sampling tick
+    assert not bundle.monitor._running
+    assert not bundle.monitor._subs
+
+
+def test_bundles_share_clusters(substrate):
+    sim, net, clusters, bundle = substrate
+    sub = ResourceBundle("alpha-only", sim, net, {"alpha": clusters["alpha"]})
     assert sub.resources() == ("alpha",)
     # the same cluster may appear in several bundles (bundles don't own)
     assert sub.cluster("alpha") is bundle.cluster("alpha")
 
 
 def test_queue_composition_in_snapshot(substrate):
-    sim, net, clusters, manager, bundle = substrate
+    sim, net, clusters, bundle = substrate
     # fill alpha, then queue a background job and a pilot job behind it
     clusters["alpha"].submit(BatchJob(cores=64, runtime=5000, walltime=6000))
     clusters["alpha"].submit(

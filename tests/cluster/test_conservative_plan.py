@@ -19,6 +19,7 @@ from repro.cluster import (
     BatchJob,
     Cluster,
     ConservativeBackfillScheduler,
+    JobState,
     SchedulerView,
 )
 from repro.cluster.schedulers import RunningMirror
@@ -82,7 +83,9 @@ class _CheckedScheduler(ConservativeBackfillScheduler):
         picks = super().select(view)
         assert picks == expected
         self.passes += 1
-        if kept is not None and self._kept.profile is kept.profile:
+        if kept is not None and self._kept is not None and (
+            self._kept.profile is kept.profile
+        ):
             self.resumed += 1
         return picks
 
@@ -106,18 +109,17 @@ _steps = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(steps=_steps, by_walltime=st.booleans())
-def test_kept_plan_picks_what_a_fresh_plan_picks(steps, by_walltime):
+@given(steps=_steps)
+def test_kept_plan_picks_what_a_fresh_plan_picks(steps):
     """Submits, early finishes, timeouts, pending cancels, running kills
     and outages: the long-lived scheduler, with its kept plan and its
-    stop rule, never diverges from the reference planner. ``cancel`` hits pending and running jobs alike; a priority
-    function that reorders the queue is drawn half the time."""
+    stop rule, never diverges from the reference planner. ``cancel``
+    hits pending and running jobs alike."""
     sim = Simulation(seed=5)
     scheduler = _CheckedScheduler()
     cluster = Cluster(
         sim, "c", nodes=4, cores_per_node=8, scheduler=scheduler,
         submit_overhead=1.0,
-        priority_fn=(lambda j, now: -j.walltime) if by_walltime else None,
     )
     jobs = []
     for kind, *args in steps:
@@ -135,6 +137,33 @@ def test_kept_plan_picks_what_a_fresh_plan_picks(steps, by_walltime):
             sim.run(until=sim.now + args[0])
     sim.run()
     assert all(j.is_final for j in jobs)
+
+
+def test_cancelling_a_planned_job_replans_from_scratch():
+    """A pending cancel through the cluster: the kept plan reserved the
+    cancelled job, so the queue no longer begins with the kept jobs and
+    the next pass plans afresh, still picking what the reference does."""
+    sim = Simulation(seed=1)
+    scheduler = _CheckedScheduler()
+    cluster = Cluster(
+        sim, "c", nodes=1, cores_per_node=8, scheduler=scheduler,
+        submit_overhead=0.0,
+    )
+    cluster.submit(BatchJob(cores=5, runtime=100, walltime=100))
+    sim.run(until=1)
+    wide = cluster.submit(BatchJob(cores=8, runtime=50, walltime=50))
+    small = cluster.submit(BatchJob(cores=2, runtime=50, walltime=50))
+    behind = cluster.submit(BatchJob(cores=8, runtime=50, walltime=50))
+    sim.run(until=2)
+    kept = scheduler._kept
+    assert kept.unpicked == [wide]  # reserved at 100; small backfilled
+    assert small.state is JobState.RUNNING
+    cluster.cancel(wide)
+    sim.run(until=3)
+    assert scheduler._kept.profile is not kept.profile
+    assert scheduler._kept.unpicked == []  # behind cannot start now
+    sim.run()
+    assert behind.start_time == 100.0
 
 
 def test_busy_queue_resumes_the_kept_plan():

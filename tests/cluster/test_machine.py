@@ -17,7 +17,7 @@ from repro.cluster import (
 from repro.des import Simulation
 
 
-def make_cluster(sim, nodes=2, cpn=8, scheduler=None, overhead=0.0, priority_fn=None):
+def make_cluster(sim, nodes=2, cpn=8, scheduler=None, overhead=0.0):
     return Cluster(
         sim,
         "test-cluster",
@@ -25,7 +25,6 @@ def make_cluster(sim, nodes=2, cpn=8, scheduler=None, overhead=0.0, priority_fn=
         cores_per_node=cpn,
         scheduler=scheduler,
         submit_overhead=overhead,
-        priority_fn=priority_fn,
     )
 
 
@@ -47,7 +46,6 @@ def test_core_accounting():
     sim.run(until=50)
     assert cluster.free_cores == 44
     assert cluster.utilization == 20 / 64
-    assert cluster.expected_drain_time() == 100.0
     sim.run()
     assert job.state is JobState.COMPLETED
     assert cluster.free_cores == 64
@@ -239,27 +237,6 @@ def test_wait_history_populated():
     sim.run()
     waits = [w for _, w, _ in cluster.wait_history]
     assert waits == [0.0, 100.0]
-
-
-def test_priority_fn_reorders_queue():
-    sim = Simulation()
-    # Give priority to the "vip" user.
-    cluster = make_cluster(
-        sim,
-        nodes=1,
-        cpn=8,
-        priority_fn=lambda j, now: 10.0 if j.user == "vip" else 0.0,
-    )
-    blocker = BatchJob(cores=8, runtime=100, walltime=100)
-    normal = BatchJob(cores=8, runtime=10, walltime=10, user="joe")
-    vip = BatchJob(cores=8, runtime=10, walltime=10, user="vip")
-    cluster.submit(blocker)
-    sim.run(until=1)  # blocker is running before the contenders arrive
-    cluster.submit(normal)
-    cluster.submit(vip)
-    sim.run()
-    assert vip.start_time == 100.0
-    assert normal.start_time == 110.0
 
 
 def test_queue_metrics():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import BatchJob, Cluster, JobState
 from repro.core import Binding, ExecutionManager, PlannerConfig
 from repro.des import Simulation
@@ -99,7 +99,7 @@ def test_execution_survives_mid_run_outage():
     for name in ("fragile", "sturdy"):
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = make_cluster(sim, name, nodes=4, cpn=8)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
 
     # Schedule an outage on "fragile" during task execution.

@@ -126,5 +126,5 @@ def test_every_path_clears_arrival_order():
         JobState.COMPLETED, JobState.TIMEOUT, JobState.CANCELLED,
         JobState.FAILED, JobState.CANCELLED, JobState.FAILED,
     ]
-    assert cluster._arrival_order == {}
+    assert cluster._pending_uids == set()
     assert cluster.free_cores == cluster.total_cores

@@ -1,10 +1,10 @@
-"""Tests for session analytics (state durations, concurrency, allocation)."""
+"""Tests for session analytics (concurrency, allocation, trace export)."""
 
 import json
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import (
     ExecutionManager,
@@ -13,8 +13,6 @@ from repro.core import (
     allocation_metrics,
     concurrency_series,
     export_trace,
-    peak_concurrency,
-    state_durations,
 )
 from repro.des import Simulation
 from repro.net import Network
@@ -32,7 +30,7 @@ def executed():
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=4, cores_per_node=4,
                                  submit_overhead=0.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
     # 8 tasks on 2 pilots x 4 cores -> exactly one wave of 8
     api = SkeletonAPI(bag_of_tasks(8, task_duration=300), seed=2)
@@ -40,20 +38,6 @@ def executed():
         api, PlannerConfig(binding=Binding.LATE, n_pilots=2)
     )
     return sim, report
-
-
-def test_state_durations_units(executed):
-    sim, report = executed
-    totals = state_durations(report.units)
-    # eight units x 300 s of execution each
-    assert totals["EXECUTING"] == pytest.approx(8 * 300, rel=0.05)
-    assert totals.get("STAGING_INPUT", 0) > 0
-
-
-def test_state_durations_with_final_time(executed):
-    sim, report = executed
-    totals = state_durations(report.pilots, final_time=sim.now)
-    assert totals.get("ACTIVE", 0) > 0
 
 
 def test_concurrency_series_shape(executed):
@@ -65,7 +49,6 @@ def test_concurrency_series_shape(executed):
     assert series[-1][1] == 0  # everything drained by the end
     times = [t for t, _ in series]
     assert times == sorted(times)
-    assert peak_concurrency(report.units) == 8
 
 
 def test_allocation_metrics(executed):
@@ -106,7 +89,6 @@ def test_requeue_gap_is_not_execution():
     assert concurrency_series([unit]) == [
         (10.0, 1), (110.0, 0), (200.0, 1), (300.0, 0),
     ]
-    assert peak_concurrency([unit]) == 1
 
 
 def test_allocation_metrics_empty():

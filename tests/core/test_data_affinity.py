@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import PlannerConfig, PlanningError, derive_strategy
 from repro.des import Simulation
@@ -24,7 +24,7 @@ def env():
         # identical wait history -> identical predicted waits
         for i in range(20):
             clusters[name].wait_history.append((float(i), 300.0, 64))
-    bundle = BundleManager(sim, net).create_bundle("b", clusters)
+    bundle = ResourceBundle("b", sim, net, clusters)
     return sim, bundle
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import Binding, ExecutionManager, PlannerConfig
 from repro.des import Simulation
@@ -21,7 +21,7 @@ def make_env(seed=0, sites=("alpha", "beta", "gamma"), nodes=16, cpn=16):
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=nodes, cores_per_node=cpn,
                                  submit_overhead=1.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle)
     return sim, net, clusters, bundle, em
 

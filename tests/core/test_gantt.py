@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import (
     ExecutionManager,
@@ -23,7 +23,7 @@ def report():
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=4, cores_per_node=8,
                                  submit_overhead=0.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
     api = SkeletonAPI(bag_of_tasks(12, task_duration=300), seed=1)
     return em.execute(api)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     merge_intervals,
-    overlap_fraction,
     span,
     throughput,
     union_duration,
@@ -38,20 +37,6 @@ def test_union_duration():
 def test_span():
     assert span([(2, 4), (10, 12)]) == 10.0
     assert span([]) == 0.0
-
-
-def test_overlap_fraction():
-    assert overlap_fraction([(0, 10)], [(5, 15)]) == pytest.approx(0.5)
-    assert overlap_fraction([(0, 10)], [(20, 30)]) == 0.0
-    assert overlap_fraction([(0, 10)], [(0, 10)]) == 1.0
-    assert overlap_fraction([], [(0, 1)]) == 0.0
-
-
-def test_overlap_fraction_multiple_segments():
-    a = [(0, 4), (10, 14)]
-    b = [(2, 12)]
-    # covered of a: [2,4] and [10,12] = 4 of 8
-    assert overlap_fraction(a, b) == pytest.approx(0.5)
 
 
 def test_throughput():

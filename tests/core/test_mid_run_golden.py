@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import (
     AdaptationPolicy,
@@ -52,7 +52,7 @@ def small_stack(sites, seed=0, faults=None, **em_kw):
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=nodes, cores_per_node=16,
                                  submit_overhead=1.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle, **em_kw)
     if faults is not None:
         em.attach_faults(FaultInjector(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import Binding, ExecutionManager, PlannerConfig
 from repro.des import Simulation
@@ -27,7 +27,7 @@ def test_combination_executes_cleanly(binding, scheduler, n_pilots):
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=8, cores_per_node=8,
                                  submit_overhead=1.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
     api = SkeletonAPI(bag_of_tasks(18, task_duration=120), seed=4)
     report = em.execute(
@@ -65,7 +65,7 @@ def test_combination_is_deterministic(binding, scheduler, n_pilots):
             net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
             clusters[name] = Cluster(sim, name, nodes=4, cores_per_node=8,
                                      submit_overhead=1.0)
-        bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+        bundle = ResourceBundle("pool", sim, net, clusters)
         em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
         api = SkeletonAPI(bag_of_tasks(8, task_duration=60), seed=4)
         k = min(n_pilots, 2)

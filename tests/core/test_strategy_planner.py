@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import (
     Binding,
@@ -67,7 +67,7 @@ def planning_env():
         net.add_site(name)
         clusters[name] = Cluster(sim, name, nodes=nodes, cores_per_node=16,
                                  submit_overhead=0.0)
-    bundle = BundleManager(sim, net).create_bundle("b", clusters)
+    bundle = ResourceBundle("b", sim, net, clusters)
     return sim, bundle, clusters
 
 

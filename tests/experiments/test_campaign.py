@@ -11,7 +11,6 @@ from repro.experiments import (
     cell_stats,
     run_campaign,
     run_single,
-    success_rate,
     tw_range,
     win_fraction,
 )
@@ -96,7 +95,7 @@ class TestCampaignAggregation:
                 assert len(small_campaign.cell(exp, n)) == 2
 
     def test_all_runs_succeed(self, small_campaign):
-        assert success_rate(small_campaign) == 1.0
+        assert all(r.succeeded for r in small_campaign.runs)
 
     def test_cell_stats(self, small_campaign):
         s = cell_stats(small_campaign, 1, 8, "ttc")

@@ -87,18 +87,6 @@ def test_component_shares():
     assert shares[8]["ttc"] == pytest.approx(1550)
 
 
-def test_throughput_series():
-    from repro.experiments import throughput_series
-
-    result = synthetic_result()
-    series = throughput_series(result, 3)
-    assert [n for n, _, _ in series] == [8, 64]
-    n8 = series[0]
-    # ttc ~1550 s for 8 tasks -> ~18.6 tasks/hour
-    assert n8[1] == pytest.approx(8 / (1550 / 3600), rel=0.05)
-    assert n8[2] >= 0
-
-
 def test_significance():
     from repro.experiments import significance
 

@@ -93,6 +93,16 @@ def _session_procs(sid):
     return pids
 
 
+def _crash_once_run(marks, cell, campaign_seed, resource_pool,
+                    collect_digests):
+    """``(1, 16, 0)`` kills its worker the first time it runs."""
+    path = os.path.join(marks, "crashed")
+    if cell == (1, 16, 0) and not os.path.exists(path):
+        open(path, "w").close()
+        os._exit(13)  # simulate a segfaulting worker
+    return _fake_run(cell, campaign_seed, resource_pool, collect_digests)
+
+
 def _signal_twice_run(cell, campaign_seed, resource_pool, collect_digests):
     # a drain, then a hard cancel, while the cell is still running; the
     # sleep stands for a long cell the second signal must preempt
@@ -144,9 +154,9 @@ class TestAttemptRecords:
             store.begin_attempt(1, 16, 0)
             att = store.begin_attempt(1, 16, 1)
             store.finish_attempt(1, 16, 1, attempt=att, state="committed")
-            assert store.lease_count() == 2
+            assert len(store.attempt_rows(state="leased")) == 2
             assert store.reclaim_stale_leases() == 2
-            assert store.lease_count() == 0
+            assert not store.attempt_rows(state="leased")
             states = {r["state"] for r in store.attempt_rows()}
             assert states == {"reclaimed", "committed"}
 
@@ -284,7 +294,7 @@ class TestParallelResume:
                 jobs=1, run_fn=_fake_run,
                 store=store, resume=True, stats=stats, **GRID_KW,
             )
-            assert store.lease_count() == 0  # stale lease reclaimed
+            assert not store.attempt_rows(state="leased")  # stale lease reclaimed
             assert store.interrupted() is False
         assert len(result.runs) == 4  # committed cells fold back in
         assert stats.completed == 3  # only the remainder was executed
@@ -304,7 +314,33 @@ class TestParallelResume:
                     jobs=1, run_fn=_fake_run,
                     store=store, **GRID_KW,
                 )
-            assert store.attempt_count() == 0  # nothing was dispatched
+            assert store.attempt_rows() == []  # nothing was dispatched
+
+    def test_retry_numbers_the_attempt_that_follows(self, tmp_path):
+        """Attempt numbers run across sessions, and a ``cell_retried``
+        record names the attempt the retry opens: a cell reclaimed from
+        a killed session and crashed once in the resumed one reads
+        attempts 1, 2, retry 3, attempt 3."""
+        path = str(tmp_path / "c.sqlite")
+        with CampaignStore(path) as store:
+            store.set_campaign_meta(campaign_meta(**GRID_KW))
+            store.begin_attempt(1, 16, 0)  # a lease that died in flight
+            store.set_interrupted(True)
+        with CampaignStore(path) as store:
+            result = run_campaign(
+                jobs=2, run_fn=functools.partial(_crash_once_run, str(tmp_path)),
+                store=store, resume=True, **GRID_KW,
+            )
+            history = [
+                (r["kind"], r["attempt"]) for r in store.ledger_records()
+                if r["kind"] in ("attempt_started", "cell_retried")
+                and (r["exp"], r["n"], r["rep"]) == (1, 16, 0)
+            ]
+        assert not result.errors
+        assert history == [
+            ("attempt_started", 1), ("attempt_started", 2),
+            ("cell_retried", 3), ("attempt_started", 3),
+        ]
 
     def test_resume_requires_store(self):
         with pytest.raises(ValueError, match="requires a store"):
@@ -655,7 +691,7 @@ class TestKillProofResume:
             assert rc == EXIT_RESUMABLE
             with CampaignStore(chaos, readonly=True) as store:
                 assert store.interrupted() is True
-                assert store.lease_count() == 0  # drain closed every lease
+                assert not store.attempt_rows(state="leased")  # drain closed every lease
         else:  # raced to completion before the signal landed
             assert rc == 0
         assert _cli_campaign(chaos, extra=["--resume"]) == 0

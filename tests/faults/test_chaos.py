@@ -9,7 +9,7 @@ Two headline properties:
   simulation.
 """
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import Binding, ExecutionManager, PlannerConfig, RecoveryPolicy
 from repro.des import Simulation
@@ -45,7 +45,7 @@ def run_chaos(
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=16, cores_per_node=16,
                                  submit_overhead=1.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle)
     em.attach_faults(FaultInjector(
         sim, plan, pilot_manager=em.pilot_manager, network=net

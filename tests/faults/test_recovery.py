@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import Binding, ExecutionManager, PlannerConfig, RecoveryPolicy
 from repro.des import RngStreams, Simulation
@@ -128,7 +128,7 @@ def make_em(seed=0, sites=("alpha", "beta", "gamma"), **em_kw):
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=16, cores_per_node=16,
                                  submit_overhead=1.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle, **em_kw)
     return sim, net, clusters, bundle, em
 
@@ -228,7 +228,7 @@ def reroute_run(nodes_by_site, access_schemas=None):
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=nodes, cores_per_node=16,
                                  submit_overhead=1.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle, access_schemas=access_schemas,
                           supervision=SupervisionPolicy())
     sim.call_at(900.0, clusters["big"].set_offline, 3600.0)

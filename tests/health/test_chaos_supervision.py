@@ -11,7 +11,7 @@ Three headline properties:
   byte-for-byte identical FaultLog *and* health-event traces.
 """
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import (
     Binding,
@@ -46,7 +46,7 @@ def run_supervised(
         net.add_site(name, bandwidth_bytes_per_s=bandwidth, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=16, cores_per_node=16,
                                  submit_overhead=1.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(
         sim, net, bundle, supervision=supervision,
         submit_jitter_frac=submit_jitter,

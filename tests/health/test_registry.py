@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.des import Simulation
 from repro.faults import fault_log
@@ -135,7 +135,7 @@ def make_bundle(sim, names=("alpha", "beta")):
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=4, cores_per_node=8,
                                  submit_overhead=1.0)
-    return clusters, BundleManager(sim, net).create_bundle("pool", clusters)
+    return clusters, ResourceBundle("pool", sim, net, clusters)
 
 
 def test_bundle_monitor_offline_trips_the_breaker():
@@ -148,20 +148,6 @@ def test_bundle_monitor_offline_trips_the_breaker():
     assert reg.is_quarantined("alpha")
     assert not reg.is_quarantined("beta")
     assert reg.log.of_kind("breaker-open")[0].target == "alpha"
-
-
-def test_unwatch_releases_the_monitor_and_stops_sampling():
-    """Dropping the last subscription must end the sampling loop."""
-    sim = Simulation(seed=0)
-    clusters, bundle = make_bundle(sim)
-    reg = HealthRegistry(sim)
-    reg.watch(bundle)
-    sim.run(until=120.0)
-    assert bundle.monitor._running
-    reg.unwatch()
-    sim.run(until=300.0)  # past the next sampling tick
-    assert not bundle.monitor._running
-    assert not bundle.monitor._subs
 
 
 def test_snapshot_reports_scores_and_states():

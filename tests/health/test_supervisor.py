@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import (
     Binding,
@@ -31,7 +31,7 @@ def build_stack(seed=0, supervision=None, names=("alpha", "beta", "gamma")):
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=16, cores_per_node=16,
                                  submit_overhead=1.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle, supervision=supervision)
     return sim, net, bundle, em
 

@@ -6,17 +6,6 @@ from repro.des import Simulation
 from repro.net import Link
 
 
-def test_current_rate_per_flow():
-    sim = Simulation()
-    link = Link(sim, "l", 100.0, latency_s=0.0)
-    assert link.current_rate_per_flow == 100.0  # idle: full bandwidth
-    link.transfer(1000)
-    link.transfer(1000)
-    sim.run(until=1.0)
-    assert link.active_flows == 2
-    assert link.current_rate_per_flow == 50.0
-
-
 def test_duration_none_while_in_flight():
     sim = Simulation()
     link = Link(sim, "l", 100.0, latency_s=0.0)

@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import ExecutionManager
 from repro.des import Simulation
@@ -92,7 +92,7 @@ class TestWorkflowExecution:
             net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
             clusters[name] = Cluster(sim, name, nodes=8, cores_per_node=16,
                                      submit_overhead=0.0)
-        bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+        bundle = ResourceBundle("pool", sim, net, clusters)
         em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
         return sim, net, em
 

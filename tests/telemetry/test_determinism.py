@@ -1,6 +1,6 @@
 """Seed-stability: sampling and digests must not depend on wall clocks."""
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import Binding, ExecutionManager, PlannerConfig
 from repro.des import Simulation
@@ -46,7 +46,7 @@ def _chaos_run(seed=0):
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=16, cores_per_node=16,
                                  submit_overhead=1.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle)
     plan = FaultPlan(seed=0, actions=(KillPilot(at=600.0, index=0),))
     em.attach_faults(FaultInjector(

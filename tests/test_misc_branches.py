@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import Binding, ExecutionManager, ExecutionStrategy
 from repro.des import Simulation
@@ -24,7 +24,7 @@ def make_env(seed=0):
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = Cluster(sim, name, nodes=8, cores_per_node=8,
                                  submit_overhead=0.0)
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
     return sim, net, bundle, em
 

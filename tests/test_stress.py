@@ -12,7 +12,7 @@ cancellations — the invariants must hold regardless:
 import numpy as np
 import pytest
 
-from repro.bundle import BundleManager
+from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.core import Binding, ExecutionManager, PlannerConfig
 from repro.des import Simulation
@@ -37,7 +37,7 @@ def chaos_run(seed: int):
             cores_per_node=int(rng.choice([8, 16])),
             submit_overhead=float(rng.uniform(0, 5)),
         )
-    bundle = BundleManager(sim, net).create_bundle("pool", clusters)
+    bundle = ResourceBundle("pool", sim, net, clusters)
     em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
 
     # Random outages on random resources.
