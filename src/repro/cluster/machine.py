@@ -18,7 +18,9 @@ layer uses for its predictive interface.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple,
+)
 
 from ..des import EventHandle, Simulation
 from .job import BatchJob, JobState

@@ -294,7 +294,8 @@ class TestParallelResume:
                 jobs=1, run_fn=_fake_run,
                 store=store, resume=True, stats=stats, **GRID_KW,
             )
-            assert not store.attempt_rows(state="leased")  # stale lease reclaimed
+            # the stale lease was reclaimed
+            assert not store.attempt_rows(state="leased")
             assert store.interrupted() is False
         assert len(result.runs) == 4  # committed cells fold back in
         assert stats.completed == 3  # only the remainder was executed
@@ -327,9 +328,10 @@ class TestParallelResume:
             store.begin_attempt(1, 16, 0)  # a lease that died in flight
             store.set_interrupted(True)
         with CampaignStore(path) as store:
+            crash_once = functools.partial(_crash_once_run, str(tmp_path))
             result = run_campaign(
-                jobs=2, run_fn=functools.partial(_crash_once_run, str(tmp_path)),
-                store=store, resume=True, **GRID_KW,
+                jobs=2, run_fn=crash_once, store=store, resume=True,
+                **GRID_KW,
             )
             history = [
                 (r["kind"], r["attempt"]) for r in store.ledger_records()
@@ -691,7 +693,8 @@ class TestKillProofResume:
             assert rc == EXIT_RESUMABLE
             with CampaignStore(chaos, readonly=True) as store:
                 assert store.interrupted() is True
-                assert not store.attempt_rows(state="leased")  # drain closed every lease
+                # the drain closed every lease
+                assert not store.attempt_rows(state="leased")
         else:  # raced to completion before the signal landed
             assert rc == 0
         assert _cli_campaign(chaos, extra=["--resume"]) == 0

@@ -133,7 +133,7 @@ def entry_points(work: str) -> List[Tuple[str, str, list, Tuple[int, ...]]]:
     ]
 
 
-# -- tracing -------------------------------------------------------------------
+# -- tracing ------------------------------------------------------------------
 
 
 class CallTracer:
@@ -192,7 +192,7 @@ def _keys(codes) -> Set[Tuple[str, int]]:
     }
 
 
-# -- running the entry points ----------------------------------------------------
+# -- running the entry points -------------------------------------------------
 
 
 def _runs_in(store: str) -> int:
@@ -307,7 +307,7 @@ def run_entries(work: str) -> List[dict]:
     return results
 
 
-# -- function inventory ----------------------------------------------------------
+# -- function inventory -------------------------------------------------------
 
 
 def _code_lines(source: List[str], lo: int, hi: int) -> Set[int]:
