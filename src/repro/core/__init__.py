@@ -13,7 +13,6 @@ from .analytics import (
     AllocationMetrics,
     allocation_metrics,
     concurrency_series,
-    export_trace,
 )
 from .energy import (
     DEFAULT_ACTIVE_WATTS,
@@ -67,7 +66,6 @@ __all__ = [
     "AllocationMetrics",
     "allocation_metrics",
     "concurrency_series",
-    "export_trace",
     "render_report_timeline",
     "render_timeline",
     "Binding",

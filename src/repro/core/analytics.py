@@ -7,9 +7,7 @@ quantities an experimenter plots:
 * :func:`concurrency_series` — how many units were executing over time;
 * :func:`allocation_metrics` — pilot core-seconds consumed vs used
   (the paper's "allocation consumption" concern: canceling pilots when
-  tasks finish is only half the story — how full were they?);
-* :func:`export_trace` — dump a telemetry hub's records as JSON for
-  external tooling (the RADICAL-Analytics workflow).
+  tasks finish is only half the story — how full were they?).
 
 Execution time is read per attempt, by the walk that gives the causal
 graph its ``executing`` activities, so a restarted unit's requeue gap
@@ -23,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..pilot import ComputePilot, ComputeUnit
-from ..telemetry import trace_records_json
 from ..telemetry.causality import _pilot_end_time, _unit_activities
 from .metrics import Interval
 
@@ -106,8 +103,3 @@ def allocation_metrics(
     return AllocationMetrics(
         consumed_core_s=consumed, used_core_s=used, efficiency=efficiency
     )
-
-
-#: ``export_trace(sim.telemetry, category=None)``: the hub's records as
-#: flat JSON rows (see :func:`repro.telemetry.exporters.trace_records_json`).
-export_trace = trace_records_json

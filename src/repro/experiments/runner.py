@@ -75,13 +75,12 @@ a SIGKILLed campaign leaves no worker behind.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing.connection import Connection, wait
 from typing import (
+    TYPE_CHECKING,
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
@@ -104,6 +103,9 @@ from .resilience import (
     prepare_resume,
 )
 from .store import CampaignStore
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 log = logging.getLogger(__name__)
 
@@ -259,6 +261,8 @@ class _Worker:
     def __init__(
         self, fn: Callable[[Cell], object], siblings: Sequence[Connection],
     ) -> None:
+        import multiprocessing  # here, so a serial campaign never loads it
+
         self.conn, child = multiprocessing.Pipe()
         self.proc = multiprocessing.Process(
             target=_serve, args=(child, fn, [*siblings, self.conn]),
@@ -320,6 +324,8 @@ def _execute_workers(
     draining); a hard cancel kills every worker. Returns ``True`` when
     the grid was interrupted before completion.
     """
+    from multiprocessing.connection import wait
+
     pending = sorted(cells, key=cost, reverse=True)  # stable: grid order
     not_before: Dict[Cell, float] = {}  # a timed-out cell's backoff
     losses: Dict[Cell, int] = {}

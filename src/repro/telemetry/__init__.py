@@ -57,7 +57,6 @@ from .exporters import (
     otlp_trace,
     save_chrome_trace,
     save_otlp_trace,
-    trace_records_json,
 )
 from .hub import TelemetryHub, TelemetrySummary
 from .metrics import (
@@ -100,5 +99,4 @@ __all__ = [
     "save_otlp_trace",
     "sha256_digest",
     "sweep_attribution",
-    "trace_records_json",
 ]

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON, OTLP-style JSON, flat JSON.
+"""Trace exporters: Chrome trace-event JSON and OTLP-style JSON.
 
 * :func:`chrome_trace` renders the hub into the Chrome trace-event
   format (the JSON Perfetto and ``chrome://tracing`` load). Virtual time
@@ -8,15 +8,12 @@
 * :func:`otlp_trace` renders spans as OTLP-style JSON
   (``resourceSpans`` → ``scopeSpans`` → ``spans``) with deterministic
   trace/span ids, the shape OpenTelemetry collectors ingest.
-* :func:`trace_records_json` is the flat per-record dump behind
-  ``analytics.export_trace``: every span start and instant as one
-  time-ordered row.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from .digest import sha256_digest
 from .hub import TelemetryHub
@@ -171,39 +168,3 @@ def otlp_trace(hub: TelemetryHub) -> Dict[str, Any]:
 def save_otlp_trace(hub: TelemetryHub, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(otlp_trace(hub), fh)
-
-
-# -- the flat record dump ------------------------------------------------------
-
-def trace_records_json(
-    hub: TelemetryHub,
-    category: Optional[str] = None,
-    indent: Optional[int] = 1,
-) -> str:
-    """Serialize the hub's spans and instants as flat, time-ordered rows.
-
-    Each row is ``{"time", "category", "entity", "event", "data"}``: a
-    span contributes its start (the entity is its track, the event its
-    name), an instant its marker. ``category`` keeps only that category.
-    """
-    rows = [
-        (s.t0, s.category, s.track, s.name, s.attrs) for s in hub.spans
-    ] + [
-        (i["t"], i["category"], i["track"], i["name"], i["attrs"])
-        for i in hub.instants
-    ]
-    rows.sort(key=lambda row: row[0])  # stable: record order within a tick
-    return json.dumps(
-        [
-            {
-                "time": t,
-                "category": cat,
-                "entity": entity,
-                "event": event,
-                "data": _plain(data),
-            }
-            for t, cat, entity, event, data in rows
-            if category is None or cat == category
-        ],
-        indent=indent,
-    )

@@ -1,6 +1,4 @@
-"""Tests for session analytics (concurrency, allocation, trace export)."""
-
-import json
+"""Tests for session analytics (concurrency, allocation)."""
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.core import (
     Binding,
     allocation_metrics,
     concurrency_series,
-    export_trace,
 )
 from repro.des import Simulation
 from repro.net import Network
@@ -95,23 +92,3 @@ def test_allocation_metrics_empty():
     m = allocation_metrics([], [])
     assert m.consumed_core_s == 0
     assert m.efficiency == 0
-
-
-def test_export_trace_json(executed):
-    sim, report = executed
-    doc = json.loads(export_trace(sim.telemetry, category="unit"))
-    assert doc, "expected unit trace records"
-    assert all(r["category"] == "unit" for r in doc)
-    sample = doc[0]
-    assert {"time", "category", "entity", "event", "data"} <= set(sample)
-    # every unit's lifecycle is there, NEW first
-    first = {}
-    for r in doc:
-        first.setdefault(r["entity"], r["event"])
-    assert set(first) == {u.uid for u in report.units}
-    assert set(first.values()) == {"NEW"}
-    # the full dump is time-ordered and a superset
-    full = json.loads(export_trace(sim.telemetry))
-    assert len(full) > len(doc)
-    times = [r["time"] for r in full]
-    assert times == sorted(times)

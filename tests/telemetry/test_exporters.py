@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.core import Binding, PlannerConfig
-from repro.core.analytics import export_trace
 from repro.experiments import build_environment
 from repro.skeleton import SkeletonAPI, paper_skeleton
 from repro.telemetry import (
@@ -96,16 +95,6 @@ def test_otlp_trace_shape(telemetered_run, tmp_path):
         assert len(sp["spanId"]) == 16
         assert int(sp["endTimeUnixNano"]) >= int(sp["startTimeUnixNano"])
     assert otlp_trace(env.sim.telemetry) == doc
-
-
-def test_export_trace_flattens_hub_records(telemetered_run):
-    env, report = telemetered_run
-    doc = json.loads(export_trace(env.sim.telemetry, category="pilot"))
-    assert doc and all(rec["category"] == "pilot" for rec in doc)
-    assert {"time", "category", "entity", "event", "data"} <= set(doc[0])
-    for pilot in report.pilots:
-        events = [r["event"] for r in doc if r["entity"] == pilot.uid]
-        assert events == [state for state, _ in pilot.history.as_list()]
 
 
 def test_execution_report_carries_a_telemetry_summary(telemetered_run):
