@@ -1,9 +1,6 @@
 """``repro.experiments`` resolves its names lazily, and completely."""
 
 import importlib
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -37,24 +34,3 @@ def test_unknown_name_raises_attribute_error():
         ex.nope
     assert not hasattr(ex, "nope")
 
-
-def test_cell_path_imports_only_the_campaign_model():
-    code = (
-        "import sys\n"
-        "from repro.experiments import TABLE1, run_single\n"
-        "print(' '.join(sorted(sys.modules)))\n"
-    )
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    heavy = {"http.server", "urllib.request", "sqlite3", "multiprocessing"}
-    assert not heavy & loaded
-    subs = {m.rsplit(".", 1)[1] for m in loaded
-            if m.startswith("repro.experiments.")}
-    assert subs == {"campaign", "environment"}

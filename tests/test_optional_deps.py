@@ -52,6 +52,18 @@ def test_cell_runs_without_the_observatory_or_sqlite():
     assert proc.stdout.strip() == "ok"
 
 
+def test_cell_imports_only_the_campaign_model():
+    proc = _run("""
+        from repro.experiments import TABLE1, run_single
+        print(*sorted(m for m in sys.modules
+                      if m.startswith("repro.experiments.")))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "repro.experiments.campaign", "repro.experiments.environment",
+    ]
+
+
 def test_serial_campaign_runs_without_the_observatory(tmp_path):
     proc = _run(f"""
         from repro.experiments import CampaignStore, RunLedger, run_campaign
