@@ -45,52 +45,8 @@ import os
 
 from .cluster import PRESETS
 from .core import Binding, PlannerConfig, RecoveryPolicy
-from .experiments import (
-    EXIT_RESUMABLE,
-    CampaignInterrupted,
-    CampaignMonitor,
-    CampaignStore,
-    CellProgress,
-    GridError,
-    IncompatibleResumeError,
-    MonitorServer,
-    ResiliencePolicy,
-    RunLedger,
-    StoreInUseError,
-    binding_rationale_study,
-    build_environment,
-    campaign_fingerprint,
-    campaign_fingerprint_from_store,
-    check_fresh,
-    compare_fingerprints,
-    data_affinity_ablation,
-    detect_anomalies,
-    flag_anomalies,
-    heterogeneity_ablation,
-    is_store,
-    locality_study,
-    emergent_vs_sampled_study,
-    energy_study,
-    migrate_json,
-    nonuniform_tasks_study,
-    open_campaign,
-    parse_serve_spec,
-    render_dashboard,
-    state_from_url,
-    pilot_count_sweep,
-    pool_scaling_study,
-    render_ablation,
-    store_summary,
-    render_all,
-    write_ndjson,
-    render_tail,
-    render_table1,
-    run_campaign,
-    scheduler_ablation,
-)
-from .experiments import calibrate_all, render_calibration
+from . import experiments
 from .experiments.io import save_campaign
-from .experiments.runner import cost_eta
 from .logutil import setup_logging
 from .faults import (
     FaultInjector,
@@ -114,7 +70,7 @@ def _load_fault_plan(spec: str, seed: Optional[int]) -> FaultPlan:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    print(render_table1())
+    print(experiments.render_table1())
     return 0
 
 
@@ -128,9 +84,9 @@ class _EtaProgress:
         self._walls: dict = {}
         self._stream = stream if stream is not None else sys.stderr
 
-    def __call__(self, progress: CellProgress) -> None:
+    def __call__(self, progress: experiments.CellProgress) -> None:
         self._walls[progress.cell] = progress.wall_s
-        eta = f", ETA {cost_eta(self._grid, self._walls):.0f}s"
+        eta = f", ETA {experiments.cost_eta(self._grid, self._walls):.0f}s"
         exp_id, n_tasks, rep = progress.cell
         state = "ok" if progress.ok else "ERROR"
         print(
@@ -154,7 +110,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.resume and not args.store:
         print("error: --resume requires --store", file=sys.stderr)
         return 2
-    if args.store and os.path.exists(args.store) and not is_store(args.store):
+    if args.store and os.path.exists(args.store) and not (
+        experiments.is_store(args.store)
+    ):
         print(
             f"error: {args.store} exists and is not a campaign store",
             file=sys.stderr,
@@ -170,7 +128,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     serve_at = None
     if args.serve is not None:
         try:
-            serve_at = parse_serve_spec(args.serve)
+            serve_at = experiments.parse_serve_spec(args.serve)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -184,7 +142,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         scratch = tempfile.mkdtemp(prefix="repro-serve-")
         path = os.path.join(scratch, "campaign.sqlite")
     try:
-        store = CampaignStore(path or ":memory:")
+        store = experiments.CampaignStore(path or ":memory:")
     except ValueError as exc:  # a store of another format
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -193,11 +151,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if not args.resume:
             # refused before a server binds
             try:
-                check_fresh(store)
-            except StoreInUseError as exc:
+                experiments.check_fresh(store)
+            except experiments.StoreInUseError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-        policy = ResiliencePolicy(
+        policy = experiments.ResiliencePolicy(
             cell_timeout_s=args.cell_timeout,
             max_attempts=args.max_attempts,
             retry_errors=args.retry_errors,
@@ -206,9 +164,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # campaign log behind /metrics, /events (SSE) and /state.json;
         # it only reads the store, so digests are unaffected.
         if serve_at is not None:
-            monitor = CampaignMonitor(path)
+            monitor = experiments.CampaignMonitor(path)
             try:
-                server = MonitorServer(
+                server = experiments.MonitorServer(
                     monitor, host=serve_at[0], port=serve_at[1]
                 ).start()
             except OSError as exc:
@@ -219,8 +177,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                   "(/metrics /events /state.json)", file=sys.stderr)
         # every record lands in the store's ledger table; --ledger adds
         # an NDJSON export of that log, written when the ledger closes.
-        ledger = RunLedger(store, path=args.ledger)
-        result = run_campaign(
+        ledger = experiments.RunLedger(store, path=args.ledger)
+        result = experiments.run_campaign(
             experiments=tuple(args.experiments),
             task_counts=sizes,
             reps=args.reps,
@@ -234,10 +192,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             resume=args.resume,
             resilience=policy,
         )
-    except IncompatibleResumeError as exc:
+    except experiments.IncompatibleResumeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CampaignInterrupted as exc:
+    except experiments.CampaignInterrupted as exc:
         print(f"\ninterrupted: {exc}", file=sys.stderr)
         if args.store:
             print(
@@ -251,7 +209,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 "resumable",
                 file=sys.stderr,
             )
-        return EXIT_RESUMABLE
+        return experiments.EXIT_RESUMABLE
     finally:
         if ledger is not None:
             ledger.close()
@@ -276,13 +234,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.store:
         print(f"stored {len(result.runs)} runs in {args.store}")
     if not args.output and not args.store:
-        print(render_all(result))
+        print(experiments.render_all(result))
     return 0 if not result.errors else 1
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    with open_campaign(args.campaign) as store:
-        print(render_all(store.load_campaign()))
+    with experiments.open_campaign(args.campaign) as store:
+        print(experiments.render_all(store.load_campaign()))
     return 0
 
 
@@ -311,10 +269,10 @@ def _write_baseline(path: str, key: str, fingerprint: dict) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     # the fingerprint streams cell by cell through the store's index;
     # the anomaly scan still needs the materialized view.
-    with open_campaign(args.campaign) as store:
-        fingerprint = campaign_fingerprint_from_store(store)
+    with experiments.open_campaign(args.campaign) as store:
+        fingerprint = experiments.campaign_fingerprint_from_store(store)
         result = store.load_campaign()
-        summary = store_summary(store)
+        summary = experiments.store_summary(store)
     rc = 0
 
     print(
@@ -354,7 +312,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    anomalies = detect_anomalies(result)
+    anomalies = experiments.detect_anomalies(result)
     for anomaly in anomalies:
         print(f"anomaly: {anomaly.describe()}")
     if not anomalies:
@@ -373,7 +331,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    findings = compare_fingerprints(
+    findings = experiments.compare_fingerprints(
         fingerprint, baseline, rel_tol=args.rel_tol
     )
     if findings:
@@ -397,7 +355,7 @@ def _report_data(result, args) -> dict:
     """Assemble the pure-data dict `telemetry.report.render_html` takes."""
     from .telemetry.causality import COMPONENTS
 
-    fingerprint = campaign_fingerprint(result)
+    fingerprint = experiments.campaign_fingerprint(result)
     cells = [
         {
             "label": f"exp{key.replace(':', ' n=')}",
@@ -418,12 +376,12 @@ def _report_data(result, args) -> dict:
 
     anomalies = [
         {"cell": a.cell, "kind": a.kind, "detail": a.detail}
-        for a in detect_anomalies(result)
+        for a in experiments.detect_anomalies(result)
     ]
     # per-repetition flags, as the run ledger records them, derived from
     # the record itself: a retried cell's superseded error is not in it.
     flagged = [
-        (r.exp_id, r.n_tasks, r.rep, ",".join(flag_anomalies(r)))
+        (r.exp_id, r.n_tasks, r.rep, ",".join(experiments.flag_anomalies(r)))
         for r in result.runs
     ] + [(e.exp_id, e.n_tasks, e.rep, "error") for e in result.errors]
     for exp_id, n_tasks, rep, kind in sorted(flagged):
@@ -495,7 +453,9 @@ def _report_data(result, args) -> dict:
                     "baseline": f.baseline, "current": f.current,
                     "rel": f.rel_change,
                 }
-                for f in compare_fingerprints(fingerprint, baseline)
+                for f in experiments.compare_fingerprints(
+                    fingerprint, baseline
+                )
             ]
     return data
 
@@ -503,10 +463,10 @@ def _report_data(result, args) -> dict:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .telemetry.report import save_html
 
-    with open_campaign(args.campaign) as store:
+    with experiments.open_campaign(args.campaign) as store:
         data = _report_data(store.load_campaign(), args)
         if store.readonly:  # provenance of a store file, not of a JSON
-            data["store"] = store_summary(store)
+            data["store"] = experiments.store_summary(store)
     save_html(data, args.output)
     print(f"report written to {args.output}")
     return 0
@@ -514,7 +474,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _not_a_store(path: str) -> bool:
     """True (after an error line) unless ``path`` is a campaign store."""
-    if is_store(path):
+    if experiments.is_store(path):
         return False
     print(
         f"error: {path} is not a campaign store; tail and watch read the "
@@ -531,11 +491,11 @@ def _cmd_tail(args: argparse.Namespace) -> int:
         # machine-readable: every record, one JSON object per line, in
         # log order with stable keys (--last does not apply) — the same
         # lines `repro campaign --ledger` exports.
-        with CampaignStore(args.store, readonly=True) as store:
-            write_ndjson(store.ledger_records(), sys.stdout)
+        with experiments.CampaignStore(args.store, readonly=True) as store:
+            experiments.write_ndjson(store.ledger_records(), sys.stdout)
         return 0
-    with CampaignMonitor(args.store) as monitor:
-        print(render_tail(monitor, last=args.last))
+    with experiments.CampaignMonitor(args.store) as monitor:
+        print(experiments.render_tail(monitor, last=args.last))
     return 0
 
 
@@ -550,16 +510,16 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         return 2
     color = not args.no_color and sys.stdout.isatty()
     # one monitor for the whole watch: each tick folds only new rows
-    monitor = CampaignMonitor(args.source) if args.source else None
+    monitor = experiments.CampaignMonitor(args.source) if args.source else None
 
     def fetch():
         if monitor is None:
-            return state_from_url(args.url)
+            return experiments.state_from_url(args.url)
         return monitor.state()
 
     try:
         if args.once:
-            print(render_dashboard(fetch(), color=color))
+            print(experiments.render_dashboard(fetch(), color=color))
             return 0
         while True:
             try:
@@ -568,7 +528,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 state = None
                 print(f"(source unavailable: {exc})", file=sys.stderr)
             if state is not None:
-                frame = render_dashboard(state, color=color)
+                frame = experiments.render_dashboard(state, color=color)
                 # clear screen + home, then the frame; plain reprint
                 # when colors (and thus ANSI control) are off.
                 if color:
@@ -587,19 +547,19 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    if is_store(args.source):
+    if experiments.is_store(args.source):
         print(
             f"{args.source} is already a campaign store; nothing to migrate",
             file=sys.stderr,
         )
         return 2
     try:
-        store = migrate_json(args.source, args.store)
+        store = experiments.migrate_json(args.source, args.store)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot migrate {args.source!r}: {exc}", file=sys.stderr)
         return 2
     with store:
-        fingerprint = campaign_fingerprint_from_store(store)
+        fingerprint = experiments.campaign_fingerprint_from_store(store)
         print(
             f"migrated {store.run_count()} runs, "
             f"{store.error_count()} errors from {args.source} "
@@ -610,40 +570,44 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 
 
 _ABLATIONS = {
-    "pilots": (pilot_count_sweep, "TTC vs number of pilots"),
-    "scheduler": (scheduler_ablation, "backfill vs round-robin"),
-    "heterogeneity": (heterogeneity_ablation, "diverse vs homogeneous pool"),
-    "data": (data_affinity_ablation, "data-aware resource selection"),
-    "pool": (pool_scaling_study, "17-resource synthetic pool scaling"),
-    "nonuniform": (nonuniform_tasks_study, "mixed 1-16-core task sizes"),
-    "binding": (binding_rationale_study, "the couplings Table I discards"),
-    "energy": (energy_study, "TTC vs energy per strategy"),
-    "locality": (locality_study, "data-locality unit scheduling"),
+    "pilots": ("pilot_count_sweep", "TTC vs number of pilots"),
+    "scheduler": ("scheduler_ablation", "backfill vs round-robin"),
+    "heterogeneity": ("heterogeneity_ablation", "diverse vs homogeneous pool"),
+    "data": ("data_affinity_ablation", "data-aware resource selection"),
+    "pool": ("pool_scaling_study", "17-resource synthetic pool scaling"),
+    "nonuniform": ("nonuniform_tasks_study", "mixed 1-16-core task sizes"),
+    "binding": ("binding_rationale_study", "the couplings Table I discards"),
+    "energy": ("energy_study", "TTC vs energy per strategy"),
+    "locality": ("locality_study", "data-locality unit scheduling"),
 }
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
     if args.study == "waits":
         print(
-            emergent_vs_sampled_study(
+            experiments.emergent_vs_sampled_study(
                 n_pairs=max(4, args.reps * 3), jobs=args.jobs
             ).render()
         )
         return 0
-    fn, title = _ABLATIONS[args.study]
-    points = fn(reps=args.reps, jobs=args.jobs)
-    print(render_ablation(f"Ablation — {title}", points))
+    name, title = _ABLATIONS[args.study]
+    points = getattr(experiments, name)(reps=args.reps, jobs=args.jobs)
+    print(experiments.render_ablation(f"Ablation — {title}", points))
     return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    results = calibrate_all(seed=args.seed, hours=args.hours, jobs=args.jobs)
-    print(render_calibration(results))
+    results = experiments.calibrate_all(
+        seed=args.seed, hours=args.hours, jobs=args.jobs
+    )
+    print(experiments.render_calibration(results))
     return 0
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    env = build_environment(seed=args.seed, resources=args.resources or None)
+    env = experiments.build_environment(
+        seed=args.seed, resources=args.resources or None
+    )
     env.warm_up(args.warmup_hours * 3600.0)
     print(f"Queue state after {args.warmup_hours:.1f} simulated hours:")
     for snap in env.bundle.query_all():
@@ -687,7 +651,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     telemetry_on = bool(
         args.telemetry or args.profile or args.trace_out
     )
-    env = build_environment(
+    env = experiments.build_environment(
         seed=args.seed, supervision=_build_supervision(args),
         telemetry=telemetry_on,
     )
@@ -1073,7 +1037,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (GridError, CampaignInterrupted) as exc:
+    except (experiments.GridError, experiments.CampaignInterrupted) as exc:
         # a failed or interrupted ablation/calibration grid; `campaign`
         # handles its own interruption
         print(f"error: {exc}", file=sys.stderr)

@@ -28,13 +28,7 @@ from .execution_manager import (
     RecoveryEvent,
     RecoveryPolicy,
 )
-from .session import (
-    Session,
-    load_session,
-    report_to_session,
-    save_session,
-    session_from_dict,
-)
+from .session import report_to_session, save_session
 from .gantt import render_report_timeline, render_timeline
 from .instrumentation import (
     IntrospectionError,
@@ -83,7 +77,6 @@ __all__ = [
     "PlanningError",
     "RecoveryEvent",
     "RecoveryPolicy",
-    "Session",
     "TRP_BASE_S",
     "TRP_PER_TASK_S",
     "TTCDecomposition",
@@ -93,13 +86,11 @@ __all__ = [
     "estimate_trp_s",
     "estimate_ts_s",
     "estimate_tx_s",
-    "load_session",
     "report_energy",
     "report_to_session",
     "merge_intervals",
     "quarantine_seconds",
     "save_session",
-    "session_from_dict",
     "span",
     "throughput",
     "union_duration",

@@ -1,9 +1,10 @@
 """Discrete-event simulation kernel.
 
-This package is the substrate's foundation: a deterministic event queue,
-a simulated clock with one dispatch loop (``Simulation.run`` and
-``Simulation.run_process`` share it), generator-based processes, a
-counted capacity pool, and seeded RNG streams. What the middleware
+This package is the substrate's foundation: a simulated clock that owns
+a deterministic event heap, with one push (``Simulation._push``) and
+one dispatch loop (``Simulation.run`` and ``Simulation.run_process``
+share it), generator-based processes, a counted capacity pool, and
+seeded RNG streams. What the middleware
 layers above record about themselves goes to the kernel's telemetry hub
 (``sim.telemetry``).
 """
@@ -15,9 +16,8 @@ from .errors import (
     SchedulingError,
     SimulationError,
 )
-from .events import EventHandle, EventQueue
 from .hazard import hazard_process
-from .kernel import Simulation
+from .kernel import EventHandle, Simulation
 from .process import AllOf, Process, Signal, Timeout, Waitable
 from .resources import Acquisition, CapacityResource
 from .rng import RngStreams
@@ -28,7 +28,6 @@ __all__ = [
     "CancelledError",
     "CapacityResource",
     "EventHandle",
-    "EventQueue",
     "Interrupt",
     "Process",
     "ProcessError",

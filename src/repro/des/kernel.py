@@ -1,36 +1,73 @@
 """The discrete-event simulation kernel.
 
-A :class:`Simulation` owns the simulated clock, the event queue, the
+A :class:`Simulation` owns the simulated clock, the event heap, the
 telemetry hub that records what the middleware does, and the registry of
 seeded RNG streams. Everything in the substrate (clusters, networks,
 pilots) is driven by one shared kernel so that the whole middleware
 stack advances on a single, deterministic timeline.
+
+An event is its heap entry: the list ``[time, priority, seq, callback,
+args]``. The binary heap orders entries by list comparison, which
+resolves in C on ``(time, priority, seq)``; ``seq`` is unique, so
+comparison never reaches the callback. Ties in simulated time are broken
+deterministically by that monotonically increasing sequence number, so
+two runs with the same seeds replay the exact same event order.
+
+The entry doubles as the event's handle. Its callback slot carries the
+state: a callable while pending, ``None`` once cancelled, and
+:data:`_FIRED` once popped for dispatch (the args are dropped then).
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..telemetry import TelemetryHub
 from .errors import SchedulingError, SimulationError
-from .events import _FIRED, EventHandle, EventQueue
 from .process import AllOf, Process, Timeout, Waitable
 from .rng import RngStreams
+
+#: A scheduled event: the heap entry ``[time, priority, seq, callback,
+#: args]`` that :meth:`Simulation.call_at` returns as its handle.
+EventHandle = List[Any]
+
+
+def _FIRED(*args: Any) -> None:
+    """Callback slot of an entry popped for dispatch."""
+
+
+#: Heaps smaller than this are never compacted: dispatch drains the few
+#: dead entries cheaper than a rebuild would.
+_COMPACT_MIN = 64
 
 
 class Simulation:
     """Deterministic discrete-event simulation kernel.
 
     Events are dispatched in ``(time, priority, seq)`` order from one
-    binary heap (:class:`~repro.des.events.EventQueue`). ``call_at`` and
-    ``call_in`` return the event's heap entry as its handle; pass it to
+    binary heap that only this class touches: :meth:`_push` is the one
+    way on (``call_at``, ``call_in`` and the process layer use it) and
+    :meth:`_dispatch` the one way off. ``call_at`` and ``call_in``
+    return the event's heap entry as its handle; pass it to
     :meth:`cancel`.
+
+    Cancellation is lazy — dead entries keep their heap slot until they
+    surface — but bounded: whenever cancelled entries outnumber live
+    ones the heap is compacted, so a workload that schedules and cancels
+    aggressively (watchdogs, outages, link churn) cannot retain an
+    unbounded tail of dead events. Compaction cannot change dispatch
+    order because event ordering is a strict total order on
+    ``(time, priority, seq)``.
     """
 
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
-        self._queue = EventQueue()
+        self._heap: List[EventHandle] = []
+        self._seq = 0  # events pushed; a plain int += 1 beats next(count())
+        self._live = 0
+        self._cancelled = 0  # dead entries still occupying heap slots
+        self._cancels = 0  # cumulative: pushed = live + cancels + popped
         self._now = float(start_time)
         self._running = False
         self.events_processed = 0
@@ -39,17 +76,20 @@ class Simulation:
             clock=lambda: self._now, run_id=f"sim-{seed}"
         )
         metrics = self.telemetry.metrics
-        metrics.gauge("kernel.heap-size", lambda: len(self._queue))
+        metrics.gauge("kernel.heap-size", lambda: self._live)
         metrics.gauge(
             "kernel.events-processed", lambda: self.events_processed
         )
         metrics.gauge("kernel.virtual-time", lambda: self._now)
-        # Deterministic queue counters: identical across serial/parallel
+        # Deterministic heap counters: identical across serial/parallel
         # runs, so they may enter sampled snapshots (and hence telemetry
         # digests) safely.
-        metrics.gauge("kernel.events-pushed", lambda: self._queue.pushed)
-        metrics.gauge("kernel.events-popped", lambda: self._queue.popped)
-        metrics.gauge("kernel.events-cancelled", lambda: self._queue.cancels)
+        metrics.gauge("kernel.events-pushed", lambda: self._seq)
+        metrics.gauge(
+            "kernel.events-popped",
+            lambda: self._seq - self._live - self._cancels,
+        )
+        metrics.gauge("kernel.events-cancelled", lambda: self._cancels)
         metrics.gauge("rng.draws", lambda: self.rng.draws)
         metrics.gauge("rng.streams", lambda: len(self.rng))
 
@@ -74,7 +114,7 @@ class Simulation:
             raise SchedulingError(
                 f"cannot schedule at {time} < now ({self._now})"
             )
-        return self._queue.push(time, callback, args, priority)
+        return self._push(time, callback, args, priority)
 
     def call_in(
         self,
@@ -86,11 +126,55 @@ class Simulation:
         """Schedule ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
-        return self._queue.push(self._now + delay, callback, args, priority)
+        return self._push(self._now + delay, callback, args, priority)
 
     def cancel(self, event: EventHandle) -> None:
-        """Cancel a scheduled event (safe to call more than once)."""
-        self._queue.cancel(event)
+        """Lazily cancel a scheduled event; it stays in the heap but will
+        be skipped. Cancelling a cancelled or fired event is a no-op."""
+        callback = event[3]
+        if callback is None or callback is _FIRED:
+            return
+        event[3] = None
+        event[4] = ()
+        self._live -= 1
+        self._cancelled += 1
+        self._cancels += 1
+        if self._cancelled > self._live and len(self._heap) >= _COMPACT_MIN:
+            self._compact()
+
+    def _push(
+        self,
+        time: float,
+        callback: Callable[..., None],
+        args: tuple = (),
+        priority: int = 0,
+    ) -> EventHandle:
+        """Insert ``callback(*args)`` at simulated ``time``; return its entry.
+
+        No past-time check: the callers validate (the process layer
+        pushes at or after ``now`` by construction, and resumptions are
+        hot). Only a NaN time, which would corrupt the heap order, is
+        refused here.
+        """
+        if time != time:  # NaN guard
+            raise SchedulingError("event time is NaN")
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [time, priority, seq, callback, args]
+        heappush(self._heap, entry)
+        self._live += 1
+        return entry
+
+    def _compact(self) -> None:
+        """Rebuild the heap without dead entries (O(live), order-preserving).
+
+        The rebuild is in place: the dispatch loop holds the heap list
+        across callbacks, and a callback's cancel can compact.
+        """
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[3] is not None]
+        heapify(heap)
+        self._cancelled = 0
 
     # -- execution -----------------------------------------------------------
 
@@ -125,7 +209,7 @@ class Simulation:
         """
         self._dispatch(float("inf") if until is None else until, process)
         if not process.triggered:
-            if not self._queue:
+            if not self._live:
                 raise SimulationError(
                     f"deadlock: event queue empty but process {process.name!r} "
                     "has not finished"
@@ -139,30 +223,28 @@ class Simulation:
         raise process.exception  # type: ignore[misc]
 
     def _dispatch(self, limit: float, process: Optional["Process"]) -> None:
-        """The kernel's one dispatch loop.
+        """The kernel's one dispatch loop, and the only heap pop.
 
-        Pops and runs events at or before ``limit`` until the queue has
+        Pops and runs events at or before ``limit`` until the heap has
         none left or, when given, ``process`` has triggered. This is the
         hottest path in the system (campaign repetitions pump tens of
-        thousands of events through it), so the heap pop is inlined and
-        the queue and telemetry lookups are hoisted. Cancelled entries
-        (callback ``None``) are dropped as :meth:`EventQueue.pop_until`
-        drops them; the first live entry past ``limit`` is pushed back,
-        which cannot change the pop order. A live entry is marked fired
-        before its call, as ``pop_until`` marks it: the callback slot
-        takes the fired sentinel and the args are dropped, so the handle
-        keeps no reference to them. The profiler is re-read each event
-        (it can be attached mid-run); when absent, dispatch is two
-        attribute loads plus the call.
+        thousands of events through it), so the heap and telemetry
+        lookups are hoisted. Cancelled entries (callback ``None``) are
+        dropped as they surface; the first live entry past ``limit`` is
+        pushed back, which cannot change the dispatch order. A live
+        entry is marked fired before its call: the callback slot takes
+        the fired sentinel and the args are dropped, so the handle keeps
+        no reference to them. The profiler is re-read each event (it can
+        be attached mid-run); when absent, dispatch is two attribute
+        loads plus the call.
         """
-        queue = self._queue
-        heap = queue._heap  # compaction rebuilds this list in place
+        heap = self._heap  # compaction rebuilds this list in place
         telemetry = self.telemetry
         while heap and (process is None or not process.triggered):
             entry = heappop(heap)
             callback = entry[3]
             if callback is None:  # cancelled
-                queue._cancelled -= 1
+                self._cancelled -= 1
                 continue
             time = entry[0]
             if time > limit:
@@ -172,7 +254,7 @@ class Simulation:
             args = entry[4]
             entry[3] = _FIRED
             entry[4] = ()
-            queue._live -= 1
+            self._live -= 1
             if time < self._now:
                 raise SimulationError(
                     "event queue produced an event in the past"

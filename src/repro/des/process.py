@@ -8,7 +8,7 @@ This is a small, deterministic process layer in the style of SimPy:
 * a :class:`Process` wraps a generator and is itself waitable, so
   processes can wait for each other.
 
-All resumptions go through the kernel's event queue (never re-entrantly),
+All resumptions go through the kernel's event heap (never re-entrantly),
 so process interleaving is a deterministic function of the event order.
 """
 
@@ -32,7 +32,7 @@ class Waitable:
 
     A waitable triggers exactly once, either successfully (with a value) or
     with an exception. Callbacks added after triggering fire immediately via
-    the event queue at the current simulated time.
+    the kernel's event heap at the current simulated time.
 
     The hierarchy is slotted: waitables are allocated on the kernel hot
     path (every timeout and process resume creates one), and slot
@@ -55,9 +55,9 @@ class Waitable:
         """Register ``fn`` to run when the waitable triggers."""
         if self.triggered:
             sim = self.sim
-            # Direct queue push: call_at's past-time guard is vacuous for
-            # an event scheduled at now, and resumptions are hot.
-            sim._queue.push(sim._now, fn, (self,), RESUME_PRIORITY)
+            # Kernel push without call_at's past-time guard, vacuous for
+            # an event scheduled at now; resumptions are hot.
+            sim._push(sim._now, fn, (self,), RESUME_PRIORITY)
         else:
             self._callbacks.append(fn)
 
@@ -83,7 +83,7 @@ class Waitable:
         callbacks, self._callbacks = self._callbacks, []
         if callbacks:
             sim = self.sim
-            push = sim._queue.push
+            push = sim._push
             now = sim._now
             for fn in callbacks:
                 push(now, fn, (self,), RESUME_PRIORITY)
@@ -105,9 +105,9 @@ class Timeout(Waitable):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.delay = delay
-        # Direct queue push; the non-negative check above subsumes
-        # call_in's validation.
-        self._handle = sim._queue.push(sim._now + delay, self._fire, (value,))
+        # Kernel push; the non-negative check above subsumes call_in's
+        # validation.
+        self._handle = sim._push(sim._now + delay, self._fire, (value,))
 
     def _fire(self, value: Any) -> None:
         if not self.triggered:
@@ -173,8 +173,8 @@ class Process(Waitable):
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._waiting_on: Optional[Waitable] = None
-        # Bootstrap: first resume happens via the event queue at `now`.
-        sim._queue.push(sim._now, self._resume, (None, None), RESUME_PRIORITY)
+        # Bootstrap: first resume happens via the event heap at `now`.
+        sim._push(sim._now, self._resume, (None, None), RESUME_PRIORITY)
 
     @property
     def is_alive(self) -> bool:

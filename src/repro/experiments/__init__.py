@@ -83,6 +83,7 @@ _EXPORTS = {
     "runner": (
         "GridError",
         "RunnerStats",
+        "cost_eta",
         "resolve_jobs",
         "run_campaign",
         "run_grid",

@@ -12,11 +12,8 @@ from repro.core import (
     PlannerConfig,
     allocation_metrics,
     estimate_energy,
-    load_session,
     report_energy,
-    report_to_session,
     save_session,
-    session_from_dict,
 )
 from repro.des import Simulation
 from repro.net import Network
@@ -46,17 +43,18 @@ class TestSession:
         sim, report = executed
         path = tmp_path / "session.json"
         save_session(report, str(path))
-        session = load_session(str(path))
-        assert session.application == report.application
-        assert session.n_tasks == 8
-        assert session.ttc == pytest.approx(report.ttc)
-        assert len(session.pilots) == 2
-        assert len(session.units) == 8
-        assert session.strategy["binding"] == "late"
+        session = json.loads(path.read_text())
+        assert session["application"] == report.application
+        assert session["n_tasks"] == 8
+        d = session["decomposition"]
+        assert d["t_end"] - d["t_start"] == pytest.approx(report.ttc)
+        assert len(session["pilots"]) == 2
+        assert len(session["units"]) == 8
+        assert session["strategy"]["binding"] == "late"
         # histories survive intact
         orig = report.units[0].history.as_list()
-        loaded = session.units[0].history.as_list()
-        assert loaded == [(s, t) for s, t in orig]
+        loaded = session["units"][0]["history"]
+        assert loaded == [[s, t] for s, t in orig]
 
     def test_file_is_json(self, executed, tmp_path):
         sim, report = executed
@@ -65,24 +63,6 @@ class TestSession:
         data = json.loads(path.read_text())
         assert data["format"] == 1
         assert "decisions" in data["strategy"]
-
-    def test_version_check(self, executed):
-        sim, report = executed
-        data = report_to_session(report)
-        data["format"] = 42
-        with pytest.raises(ValueError):
-            session_from_dict(data)
-
-    def test_analytics_work_on_reloaded_entities(self, executed, tmp_path):
-        sim, report = executed
-        path = tmp_path / "s.json"
-        save_session(report, str(path))
-        session = load_session(str(path))
-        metrics = allocation_metrics(
-            session.pilots, session.units,
-            final_time=session.decomposition["t_end"],
-        )
-        assert metrics.used_core_s == pytest.approx(8 * 300, rel=0.05)
 
 
 class TestEnergy:

@@ -69,6 +69,23 @@ def test_run_process_deadline_leaves_later_events_queued():
     assert fired == [50.0, 150.0]
 
 
+def test_run_process_returns_when_the_process_finishes():
+    """Dispatch stops at the event that finishes the process: later
+    events stay queued and the clock stays at the finish."""
+    sim = Simulation()
+    fired = []
+    sim.call_in(80.0, fired.append, 80.0)
+
+    def proc():
+        yield sim.timeout(30)
+        return "early"
+
+    assert sim.run_process(sim.process(proc())) == "early"
+    assert sim.now == 30.0 and fired == []
+    sim.run()
+    assert fired == [80.0]
+
+
 def test_disabled_telemetry_records_nothing_during_simulation():
     sim = Simulation()
     sim.call_in(1.0, lambda: sim.telemetry.instant("c", "ev", track="e"))
@@ -332,13 +349,12 @@ def test_mass_cancel_mid_run_compacts_without_losing_events(until):
     compacted = []
 
     def purge():
-        queue = sim._queue
-        heap = queue._heap
+        heap = sim._heap
         for ev in doomed:
             sim.cancel(ev)
         # without a compaction the heap would still hold every entry
         compacted.append(len(heap) < len(doomed))
-        assert queue._heap is heap  # rebuilt in place, not rebound
+        assert sim._heap is heap  # rebuilt in place, not rebound
         for _ in range(20):
             schedule(float(rng.integers(1, 80)), int(rng.integers(0, 3)))
 
@@ -354,5 +370,6 @@ def test_mass_cancel_mid_run_compacts_without_losing_events(until):
     assert sorted(fired) == survivors
     order = [keys[key] for key in fired]
     assert order == sorted(order)
-    assert len(sim._queue) == 0
-    assert sim._queue.popped == len(survivors) + 1  # and purge itself
+    gauges = sim.telemetry.metrics.snapshot()["gauges"]
+    assert gauges["kernel.heap-size"] == 0
+    assert gauges["kernel.events-popped"] == len(survivors) + 1  # and purge

@@ -264,7 +264,7 @@ class TestServeWithoutStore:
                 super().stop()
 
         monkeypatch.setattr(cli.tempfile, "mkdtemp", mkdtemp)
-        monkeypatch.setattr(cli, "MonitorServer", LastStateServer)
+        monkeypatch.setattr(cli.experiments, "MonitorServer", LastStateServer)
         assert cli.main([
             "campaign", "--experiments", "1", "3", "--sizes", "8",
             "--reps", "2", "--seed", "2016", "-q", "-j", "2",

@@ -6,6 +6,8 @@ cells and the CLI working, and fail only the DAG helpers, on use.
 A campaign cell needs none of the observatory's dependencies either:
 the monitor's HTTP server, the watcher's URL client, the ``-j``
 workers' process machinery, and (without a result store) ``sqlite3``.
+Nor does ``repro run``: the CLI loads a command's modules when the
+command runs.
 """
 
 import os
@@ -81,6 +83,18 @@ def test_serial_campaign_runs_without_the_observatory(tmp_path):
     """, block=_OBSERVATORY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_cli_run_loads_neither_the_observatory_nor_sqlite(tmp_path):
+    proc = _run(f"""
+        from repro.cli import main
+        rc = main(["run", "--tasks", "8", "--pilots", "1", "--seed", "3",
+                   "--warmup-hours", "1",
+                   "--save", {str(tmp_path / "s.json")!r}])
+        print("rc", rc)
+    """, block=(*_OBSERVATORY, "sqlite3"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["rc", "0"]
 
 
 def test_cli_help_runs_without_networkx():
