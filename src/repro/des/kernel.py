@@ -146,7 +146,7 @@ class Simulation:
         self,
         time: float,
         callback: Callable[..., None],
-        args: tuple = (),
+        args: tuple,
         priority: int = 0,
     ) -> EventHandle:
         """Insert ``callback(*args)`` at simulated ``time``; return its entry.
