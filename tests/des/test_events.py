@@ -185,7 +185,7 @@ def _act(queue, action, arg):
 
 
 class _Model:
-    """Sorted-list reference: live events by handle index, fired by min()."""
+    """Reference model: live events by handle index, the least fired first."""
 
     def __init__(self) -> None:
         self.now = 0.0
