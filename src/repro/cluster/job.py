@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..lifecycle import IllegalTransition
 
-_job_ids = itertools.count(1)
+_next_uid = itertools.count(1).__next__
 
 
 class JobState(str, enum.Enum):
@@ -35,7 +34,8 @@ FINAL_STATES = frozenset(
     {JobState.COMPLETED, JobState.TIMEOUT, JobState.CANCELLED, JobState.FAILED}
 )
 
-#: Legal state transitions; anything else is a simulator bug.
+#: Legal state transitions; anything else is a simulator bug. A final
+#: state has no successors.
 _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
     JobState.NEW: frozenset(
         {JobState.PENDING, JobState.CANCELLED, JobState.FAILED}
@@ -46,10 +46,10 @@ _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
     JobState.RUNNING: frozenset(
         {JobState.COMPLETED, JobState.TIMEOUT, JobState.CANCELLED, JobState.FAILED}
     ),
+    **{state: frozenset() for state in FINAL_STATES},
 }
 
 
-@dataclass(eq=False)
 class BatchJob:
     """A job as submitted to a simulated batch system.
 
@@ -64,34 +64,61 @@ class BatchJob:
         resource kills the job when it is exceeded.
     user:
         Account name, carried through SWF import and export.
+    name:
+        Display name; ``job.<uid>`` (six digits) when not given.
     kind:
         Free-form tag (``"background"``, ``"pilot"``, ...) used by traces
         and analyses.
+
+    A slotted class with a plain ``__init__``: a campaign cell builds
+    about a thousand background jobs, and the unnamed ones (all of
+    them) format their name only when it is read.
     """
 
-    cores: int
-    runtime: float
-    walltime: float
-    user: str = "user"
-    name: str = ""
-    kind: str = "background"
+    __slots__ = (
+        "cores", "runtime", "walltime", "user", "_name", "kind", "uid",
+        "state", "submit_time", "start_time", "end_time", "_callbacks",
+    )
 
-    uid: int = field(default_factory=_job_ids.__next__)
-    state: JobState = JobState.NEW
-    submit_time: Optional[float] = None
-    start_time: Optional[float] = None
-    end_time: Optional[float] = None
+    def __init__(
+        self,
+        cores: int,
+        runtime: float,
+        walltime: float,
+        user: str = "user",
+        name: str = "",
+        kind: str = "background",
+    ) -> None:
+        if cores <= 0:
+            raise ValueError(f"job cores must be positive, got {cores}")
+        if runtime < 0:
+            raise ValueError(f"job runtime must be >= 0, got {runtime}")
+        if walltime <= 0:
+            raise ValueError(f"job walltime must be positive, got {walltime}")
+        self.cores = cores
+        self.runtime = runtime
+        self.walltime = walltime
+        self.user = user
+        self._name = name
+        self.kind = kind
+        self.uid: int = _next_uid()
+        self.state = JobState.NEW
+        self.submit_time: Optional[float] = None
+        self.start_time: Optional[float] = None
+        self.end_time: Optional[float] = None
+        self._callbacks: list[
+            Callable[["BatchJob", JobState, JobState], None]
+        ] = []
 
-    def __post_init__(self) -> None:
-        if self.cores <= 0:
-            raise ValueError(f"job cores must be positive, got {self.cores}")
-        if self.runtime < 0:
-            raise ValueError(f"job runtime must be >= 0, got {self.runtime}")
-        if self.walltime <= 0:
-            raise ValueError(f"job walltime must be positive, got {self.walltime}")
-        if not self.name:
-            self.name = f"job.{self.uid:06d}"
-        self._callbacks: list[Callable[["BatchJob", JobState, JobState], None]] = []
+    @property
+    def name(self) -> str:
+        return self._name or f"job.{self.uid:06d}"
+
+    def __repr__(self) -> str:
+        return (
+            f"BatchJob({self.name}, cores={self.cores}, "
+            f"walltime={self.walltime}, {self.state.value})"
+        )
 
     # -- observers -----------------------------------------------------------
 
@@ -103,13 +130,13 @@ class BatchJob:
 
     def advance(self, new_state: JobState) -> None:
         """Transition to ``new_state``, enforcing the job state model."""
-        allowed = _TRANSITIONS.get(self.state, frozenset())
-        if new_state not in allowed:
+        old = self.state
+        if new_state not in _TRANSITIONS[old]:
             raise IllegalTransition(
-                f"{self.name}: illegal transition {self.state.value} -> "
+                f"{self.name}: illegal transition {old.value} -> "
                 f"{new_state.value}"
             )
-        old, self.state = self.state, new_state
+        self.state = new_state
         if self._callbacks:
             for fn in list(self._callbacks):
                 fn(self, old, new_state)
@@ -127,8 +154,7 @@ class BatchJob:
             return None
         return self.start_time - self.submit_time
 
-    # Equality is identity (``eq=False``; ``uid`` is unique per job). The
-    # hash stays the uid, so set iteration order never depends on object
-    # addresses.
+    # Equality is identity (``uid`` is unique per job). The hash is the
+    # uid, so set iteration order never depends on object addresses.
     def __hash__(self) -> int:
         return self.uid

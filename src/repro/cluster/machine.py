@@ -92,10 +92,9 @@ class Cluster:
         self._pending: List[BatchJob] = []
         #: uids of the queued jobs, for O(1) pick validation.
         self._pending_uids: Set[int] = set()
-        # The one record of a running job: uid -> (job, expected_end,
-        # end event), plus its end-sorted mirror for the scheduler,
-        # patched at start/release so dispatch never re-sorts it.
-        self._running: Dict[int, Tuple[BatchJob, float, EventHandle]] = {}
+        # The one record of the running jobs: the end-sorted mirror the
+        # scheduler reads, patched at start/release so dispatch never
+        # re-sorts it, holding each job with its end event.
         self._run_mirror = RunningMirror()
         self._dispatch_scheduled = False
         self._offline_until: float = -float("inf")
@@ -143,7 +142,7 @@ class Cluster:
         return list(self._pending)
 
     def running_jobs(self) -> List[BatchJob]:
-        return [job for job, _, _ in self._running.values()]
+        return [job for job, _ in self._run_mirror.items()]
 
     def add_listener(
         self, fn: Callable[[BatchJob, JobState, JobState], None]
@@ -171,11 +170,12 @@ class Cluster:
         submit overhead, as :meth:`submit` would queue it, but the job is
         drawn at that event and the same event pulls the next arrival:
         no process, timeout or submit hop per job, and no event for a
-        candidate the thinning rejects.
+        candidate the thinning rejects. Arrivals only move forward, so
+        each is pushed at or after ``now`` without ``call_at``'s check.
         """
         arrival = workload.next_arrival()
-        self.sim.call_at(
-            arrival + self.submit_overhead, self._arrive, workload, arrival
+        self.sim._push(
+            arrival + self.submit_overhead, self._arrive, (workload, arrival)
         )
 
     def cancel(self, job: BatchJob) -> None:
@@ -229,8 +229,9 @@ class Cluster:
             "cluster", "offline", track=f"cluster/{self.name}",
             until=self._offline_until,
         )
-        for job, _, _ in list(self._running.values()):
+        for job, _ in self._run_mirror.items():
             self.sim.cancel(self._release(job))
+            self.killed_jobs += 1
             self._transition(job, JobState.FAILED)
         self.sim.call_at(self._offline_until, self._back_online)
 
@@ -269,15 +270,17 @@ class Cluster:
             self._dispatch_scheduled = True
             now = self.sim._now
             floor = self._last_dispatch + self.dispatch_interval
-            at = floor if floor > now else now
-            # priority=1 so all same-instant submissions/completions land first
-            self.sim.call_at(at, self._dispatch, priority=1)
+            # priority=1 so all same-instant submissions/completions
+            # land first; never before now, so call_at's check is moot
+            self.sim._push(
+                floor if floor > now else now, self._dispatch, (), 1
+            )
 
     def _dispatch(self) -> None:
         self._dispatch_scheduled = False
-        if self.is_offline:
-            return  # _back_online re-arms dispatching
         now = self.sim._now
+        if now < self._offline_until:
+            return  # _back_online re-arms dispatching
         self._last_dispatch = now
         if not self._pending:
             return
@@ -355,12 +358,17 @@ class Cluster:
         job.start_time = now
         runtime = job.runtime
         walltime = job.walltime
-        timed_out = runtime > walltime
-        duration = walltime if timed_out else runtime
-        end_event = self.sim.call_in(duration, self._finish, job, timed_out)
-        expected_end = now + walltime
-        self._running[uid] = (job, expected_end, end_event)
-        self._run_mirror.start(uid, expected_end, cores)
+        # The end event, pushed as call_in would push it (the job's
+        # runtime and walltime are non-negative).
+        if runtime > walltime:
+            end_event = self.sim._push(
+                now + walltime, self._finish, (job, True)
+            )
+        else:
+            end_event = self.sim._push(
+                now + runtime, self._finish, (job, False)
+            )
+        self._run_mirror.start(uid, now + walltime, cores, (job, end_event))
         self.wait_history.append(
             (now, now - (job.submit_time or 0.0), cores)
         )
@@ -382,15 +390,17 @@ class Cluster:
         Returns the job's end event, which the caller cancels unless it
         is the event being handled.
         """
-        uid = job.uid
-        _, _, end_event = self._running.pop(uid)
-        self._run_mirror.finish(uid)
+        _, end_event = self._run_mirror.finish(job.uid)
         self.free_cores += job.cores
         job.end_time = self.sim._now
         return end_event
 
     def _transition(self, job: BatchJob, new_state: JobState) -> None:
-        old = job.state
-        job.advance(new_state)
-        for fn in self._listener_snapshot:
-            fn(job, old, new_state)
+        listeners = self._listener_snapshot
+        if listeners:
+            old = job.state
+            job.advance(new_state)
+            for fn in listeners:
+                fn(job, old, new_state)
+        else:
+            job.advance(new_state)

@@ -23,7 +23,7 @@ finish plans only the jobs the previous pass left unplanned (see
 from __future__ import annotations
 
 from bisect import insort
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..job import BatchJob
 from .base import (
@@ -117,18 +117,22 @@ class _KeptPlan(NamedTuple):
 
 def _last_pickable(
     profile: AllocationProfile, pending: Sequence[BatchJob], lo: int, hi: int
-) -> int:
-    """Index of the last job in ``pending[lo:hi]`` whose window from now
-    fits ``profile``, or ``lo - 1`` when none does."""
+) -> Tuple[int, int]:
+    """The last job in ``pending[lo:hi]`` whose window from now fits
+    ``profile``: its index and its slack (the least free level over the
+    window less its cores), or ``(lo - 1, 0)`` when none fits."""
     free_now = profile.free_at[0]
     if not free_now:
-        return lo - 1
-    fits = profile.fits_first
+        return lo - 1, 0
+    headroom = profile.headroom
     for b in range(hi - 1, lo - 1, -1):
         job = pending[b]
-        if job.cores <= free_now and fits(job.cores, job.walltime):
-            return b
-    return lo - 1
+        cores = job.cores
+        if cores <= free_now:
+            slack = headroom(job.walltime) - cores
+            if slack >= 0:
+                return b, slack
+    return lo - 1, 0
 
 
 class ConservativeBackfillScheduler(BatchScheduler):
@@ -149,16 +153,19 @@ class ConservativeBackfillScheduler(BatchScheduler):
     planning, the pass finds the last queued job whose window
     ``[now, now + walltime)`` fits the profile — the first window
     :meth:`~.base.AllocationProfile.find_anchor` would try
-    (:meth:`~.base.AllocationProfile.fits_first`). The jobs behind it
+    (:meth:`~.base.AllocationProfile.headroom`). The jobs behind it
     are left unplanned for a later pass. This is exact: a reservation
     only lowers levels, so a window that does not fit now never fits
     later in the same pass, and a job planned after the boundary could
     never be picked; planning in queue order means the jobs before it
     are reserved as a full plan would reserve them. A reservation can
     only make the boundary job stop fitting if it starts inside that
-    job's window, so the boundary is re-checked (and moved back to the
-    last job that still fits) only then. When nothing is free at now,
-    nothing is planned.
+    job's window, and then lowers the window's least level by at most
+    its own cores. So the pass tracks the boundary job's slack (that
+    least level less the job's cores), takes each overlapping
+    reservation's cores off it, and re-checks the boundary (moving it
+    back to the last job that still fits) only once the slack may have
+    run out. When nothing is free at now, nothing is planned.
 
     **The plan is kept across passes.** After a pass the scheduler keeps
     its profile and the jobs it reserved but did not pick. The next pass
@@ -223,22 +230,30 @@ class ConservativeBackfillScheduler(BatchScheduler):
         # the last job that can still start now; the jobs behind it are
         # left unplanned for a later pass (see the class docstring).
         i = len(unpicked)
-        last = _last_pickable(profile, pending, i, len(pending))
+        last, slack = _last_pickable(profile, pending, i, len(pending))
         while i <= last:
             job = pending[i]
             i += 1
+            cores = job.cores
             walltime = job.walltime
-            lo, hi = find_anchor(job.cores, walltime)
+            lo, hi = find_anchor(cores, walltime)
             anchor = times[lo]
-            reserve(lo, hi, job.cores, walltime)
+            reserve(lo, hi, cores, walltime)
             if lo == 0:  # times[0] is now
                 picks.append(job)
             else:
                 unpicked.append(job)
             if i <= last and anchor < now + pending[last].walltime:
                 # The reservation overlaps the boundary job's window at
-                # now, which may no longer fit.
-                last = _last_pickable(profile, pending, i, last + 1)
+                # now and lowers it by ``cores`` at most: the boundary
+                # job still fits while its slack covers that, and is
+                # re-checked (moving back if it no longer fits) once
+                # it may not.
+                slack -= cores
+                if slack < 0:
+                    last, slack = _last_pickable(
+                        profile, pending, i, last + 1
+                    )
         self._kept = _KeptPlan(
             mirror, mirror.releases, mirror.starts + len(picks), profile,
             unpicked,

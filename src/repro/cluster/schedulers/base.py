@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_left, bisect_right, insort
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 from ..job import BatchJob
 
@@ -75,7 +75,7 @@ class BatchScheduler(abc.ABC):
 
 
 class RunningMirror:
-    """Incrementally maintained end-sorted mirror of a running set.
+    """The cluster's record of its running set, kept end-sorted.
 
     The cluster facade owns one of these and applies job start/finish
     deltas at the moment they happen — O(log R) bisect insertion and
@@ -84,13 +84,17 @@ class RunningMirror:
     ``(expected_end, start_order)``: a stable sort of the running jobs
     by expected end, in start order. Schedulers read it through
     :attr:`SchedulerView.mirror`.
+
+    It is the only record of which jobs run: each start may carry an
+    ``item`` (the cluster's job and end event), which :meth:`finish`
+    returns and :meth:`items` lists in start order.
     """
 
     __slots__ = ("_jobs", "_seq", "releases", "entries")
 
     def __init__(self) -> None:
-        #: uid -> (expected_end, start_seq)
-        self._jobs: Dict[int, Tuple[float, int]] = {}
+        #: uid -> (expected_end, start_seq, item)
+        self._jobs: Dict[int, Tuple[float, int, Any]] = {}
         self._seq = 0
         #: finishes recorded so far; with :attr:`starts` it tells a
         #: policy whether the running set changed since its last pass.
@@ -110,17 +114,26 @@ class RunningMirror:
         """A sequence number larger than any start order in the mirror."""
         return self._seq + 1
 
-    def start(self, uid: int, expected_end: float, cores: int) -> None:
-        """Record that job ``uid`` started, ending at ``expected_end``."""
-        self._seq += 1
-        self._jobs[uid] = (expected_end, self._seq)
-        insort(self.entries, (expected_end, self._seq, cores))
+    def items(self) -> List[Any]:
+        """The running jobs' items, in start order."""
+        return [record[2] for record in self._jobs.values()]
 
-    def finish(self, uid: int) -> None:
-        """Record that job ``uid`` left the machine (done/killed/cancelled)."""
-        end, seq = self._jobs.pop(uid)
-        del self.entries[bisect_left(self.entries, (end, seq))]
+    def start(
+        self, uid: int, expected_end: float, cores: int, item: Any = None
+    ) -> None:
+        """Record that job ``uid`` started, ending at ``expected_end``."""
+        seq = self._seq = self._seq + 1
+        self._jobs[uid] = (expected_end, seq, item)
+        insort(self.entries, (expected_end, seq, cores))
+
+    def finish(self, uid: int) -> Any:
+        """Record that job ``uid`` left the machine (done/killed/cancelled);
+        return the item it started with."""
+        end, seq, item = self._jobs.pop(uid)
+        entries = self.entries
+        del entries[bisect_left(entries, (end, seq))]
         self.releases += 1
+        return item
 
 
 class AllocationProfile:
@@ -197,15 +210,13 @@ class AllocationProfile:
             i = k + 1
         return n - 1, n  # after everything ends, capacity is max
 
-    def fits_first(self, cores: int, walltime: float) -> bool:
-        """Whether ``cores`` stay free for ``walltime`` from ``times[0]``:
-        the first window :meth:`find_anchor` tries."""
+    def headroom(self, walltime: float) -> int:
+        """The least free level over ``[times[0], times[0] + walltime)``,
+        the first window :meth:`find_anchor` tries: a job of ``cores``
+        fits there iff ``headroom(walltime) >= cores``."""
         times = self.times
-        free_at = self.free_at
-        if free_at[0] < cores:
-            return False
-        j = bisect_left(times, times[0] + walltime)
-        return j < 2 or min(free_at[1:j]) >= cores
+        j = bisect_left(times, times[0] + walltime, 1)
+        return min(self.free_at[:j])
 
     def reserve(self, i: int, j: int, cores: int, walltime: float) -> None:
         """Subtract ``cores`` over ``[times[i], times[i] + walltime)``,

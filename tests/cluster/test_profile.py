@@ -83,11 +83,13 @@ def test_find_anchor_skips_blocked_windows():
 
 
 def test_fits_first_is_find_anchors_first_window():
+    """``headroom`` is the least level of the first window find_anchor
+    tries, so a job fits from now iff its cores do not exceed it."""
     prof = AllocationProfile([0.0, 10.0, 20.0], [3, 2, 6])
-    assert prof.fits_first(2, 20.0)
-    assert not prof.fits_first(3, 10.5)  # the window reaches the 2 level
-    assert prof.fits_first(3, 10.0)  # ends exactly where the 2 level starts
-    assert not prof.fits_first(4, 1.0)
+    assert prof.headroom(20.0) == 2
+    assert prof.headroom(10.5) == 2  # the window reaches the 2 level
+    assert prof.headroom(10.0) == 3  # ends exactly where the 2 level starts
+    assert prof.headroom(1.0) == 3
 
 
 @given(
@@ -166,13 +168,13 @@ def test_property_a_window_unfit_at_now_stays_unfit(
     )
     cores, walltime = window
     fits = _fits_from_now(prof, cores, walltime)
-    assert prof.fits_first(cores, walltime) == fits
+    assert (prof.headroom(walltime) >= cores) == fits
     for idx, r_cores, r_walltime in reservations:
         i = idx % len(prof.times)
         j = bisect_left(prof.times, prof.times[i] + r_walltime, i)
         prof.reserve(i, j, r_cores, float(r_walltime))
         now_fits = _fits_from_now(prof, cores, walltime)
-        assert prof.fits_first(cores, walltime) == now_fits
+        assert (prof.headroom(walltime) >= cores) == now_fits
         if not fits:
             assert not now_fits
         fits = now_fits
