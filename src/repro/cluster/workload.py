@@ -83,14 +83,13 @@ class RawDraws:
     draw from the stream must go through it. :meth:`state` is the
     bit-generator state numpy would hold after the same calls. Only
     :meth:`integers` touches the buffer, so a hot loop may compute
-    :meth:`random` from :attr:`raw`, and :meth:`lognormal` and
-    :meth:`exponential` from :attr:`standard_normal` and
-    :attr:`standard_exponential`, itself, without the method call.
+    :meth:`random` from :attr:`raw` and :meth:`lognormal` from
+    :attr:`standard_normal` itself, without the method call.
     """
 
     __slots__ = (
         "_bitgen", "raw", "_half", "_uinteger",
-        "standard_normal", "standard_exponential",
+        "standard_normal", "_standard_exponential",
     )
 
     def __init__(self, stream: np.random.Generator) -> None:
@@ -113,8 +112,7 @@ class RawDraws:
         generator = np.random.Generator(bitgen)
         #: ``Generator.standard_normal()``.
         self.standard_normal = generator.standard_normal
-        #: ``Generator.standard_exponential()``.
-        self.standard_exponential = generator.standard_exponential
+        self._standard_exponential = generator.standard_exponential
 
     def state(self) -> dict:
         """The bit-generator state with the pending half folded in."""
@@ -133,7 +131,7 @@ class RawDraws:
 
     def exponential(self, scale: float) -> float:
         """``Generator.exponential(scale)`` for ``scale >= 0``."""
-        return scale * self.standard_exponential()
+        return scale * self._standard_exponential()
 
     def integers(self, n: int) -> int:
         """``int(Generator.integers(n))`` for ``1 <= n <= 2**32``."""
@@ -430,14 +428,14 @@ class BackgroundWorkload:
         an accepted arrival's job before it asks for the next arrival,
         so the stream sees gap, uniform, then the job's draws.
         """
-        standard_exponential = self.draws.standard_exponential
+        exponential = self.draws.exponential
         raw = self._raw
         rate_max = self.base_rate * (1 + self.profile.diurnal_amplitude)
         scale = 1.0 / rate_max
         rate_at = self.rate_at
         while True:
-            # rng.exponential(scale), then rng.random(), in line
-            t += scale * standard_exponential()
+            t += exponential(scale)
+            # rng.random(), in line (see RawDraws)
             if (raw() >> 11) * _DOUBLE_UNIT <= rate_at(t) / rate_max:
                 yield t
 
