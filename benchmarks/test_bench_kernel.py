@@ -16,6 +16,11 @@ job) and gated against the committed ``benchmarks/BENCH_baseline.json``:
 * **Backfill picks** — every timed conservative pass must pick what
   the textbook reference planner
   (``tests/cluster/test_conservative_plan.py``) picks.
+* **Reservation work** — each conservative pass on the three select
+  fixtures must make no more reservations than the committed counts
+  ``MAX_RESERVATIONS``, recorded before the planner was last changed.
+  A reservation is the per-job unit of planning work, and unlike the
+  wall gate below this gate trips on the first extra one.
 * **Wall regression** — each microbenchmark must stay within
   ``REGRESSION_FACTOR``x of its committed baseline wall time, but never
   fails below the absolute floor ``MIN_LIMIT_S`` (loaded-runner noise).
@@ -40,7 +45,11 @@ from time import perf_counter
 
 from repro.cluster.job import BatchJob
 from repro.cluster.schedulers.backfill import ConservativeBackfillScheduler
-from repro.cluster.schedulers.base import RunningMirror, SchedulerView
+from repro.cluster.schedulers.base import (
+    AllocationProfile,
+    RunningMirror,
+    SchedulerView,
+)
 from repro.des import Simulation
 from tests.cluster.test_conservative_plan import reference_picks
 
@@ -224,3 +233,34 @@ def test_bench_backfill_select_depth():
             best,
             {"depth": depth, "picks": len(picks)},
         )
+
+
+#: Reservations one conservative pass makes on each select fixture
+#: (depth -> count), as recorded before the planner's last change: 41,
+#: 180 and 180 jobs planned for 12, 18 and 18 picks.
+MAX_RESERVATIONS = {50: 41, 200: 180, 800: 180}
+
+
+def test_backfill_select_reservations(monkeypatch):
+    """Every conservative pass on the select fixtures makes no more
+    reservations than ``MAX_RESERVATIONS`` allows, and picks what the
+    textbook reference planner picks. Counted by wrapping
+    ``AllocationProfile.reserve``; the scheduler keeps no counter."""
+    calls = []
+    reserve = AllocationProfile.reserve
+
+    def counted(self, *args):
+        calls.append(args)
+        return reserve(self, *args)
+
+    monkeypatch.setattr(AllocationProfile, "reserve", counted)
+    scheduler = ConservativeBackfillScheduler()
+    for depth, limit in MAX_RESERVATIONS.items():
+        view = _select_fixture(depth)
+        expected = reference_picks(view)
+        for _ in range(3):
+            calls.clear()
+            assert scheduler.select(view) == expected
+            assert len(calls) <= limit, (
+                f"depth {depth}: {len(calls)} reservations, limit {limit}"
+            )

@@ -34,6 +34,8 @@ def test_outage_kills_running_jobs():
     assert job.end_time == 100.0
     assert cluster.free_cores == cluster.total_cores
     assert cluster.is_offline
+    # an outage kill counts as a kill, as kill_job and walltime kills do
+    assert cluster.killed_jobs == 1
 
 
 def test_queued_jobs_survive_and_start_after_outage():
