@@ -30,6 +30,9 @@ class JobState(str, enum.Enum):
     CANCELLED = "CANCELLED"    # removed by the user
     FAILED = "FAILED"          # aborted by the resource
 
+#: a module global, cheaper to read than the enum member (see machine.py).
+_NEW = JobState.NEW
+
 FINAL_STATES = frozenset(
     {JobState.COMPLETED, JobState.TIMEOUT, JobState.CANCELLED, JobState.FAILED}
 )
@@ -102,7 +105,7 @@ class BatchJob:
         self._name = name
         self.kind = kind
         self.uid: int = _next_uid()
-        self.state = JobState.NEW
+        self.state = _NEW
         self.submit_time: Optional[float] = None
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None

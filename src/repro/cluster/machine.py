@@ -44,6 +44,13 @@ class AllocationError(Exception):
     scheduler bug)."""
 
 
+# The job states as module globals: reading an enum member off its
+# class costs several times a global lookup, and every job passes
+# through these methods four times.
+_NEW, _PENDING, _RUNNING = JobState.NEW, JobState.PENDING, JobState.RUNNING
+_COMPLETED, _TIMEOUT = JobState.COMPLETED, JobState.TIMEOUT
+_CANCELLED, _FAILED = JobState.CANCELLED, JobState.FAILED
+
 #: Bucket boundaries for the scheduler-pass-length histogram (pending
 #: jobs examined per pass); shared so every cluster observes into the
 #: same instrument without a boundary conflict.
@@ -153,7 +160,7 @@ class Cluster:
 
     def submit(self, job: BatchJob) -> BatchJob:
         """Queue ``job``; it becomes PENDING after the submit overhead."""
-        if job.state is not JobState.NEW:
+        if job.state is not _NEW:
             raise SubmissionError(f"{job.name} already submitted ({job.state})")
         if job.cores > self.total_cores:
             raise SubmissionError(
@@ -180,7 +187,7 @@ class Cluster:
 
     def cancel(self, job: BatchJob) -> None:
         """Remove a pending job or kill a running one."""
-        self._end(job, JobState.CANCELLED)
+        self._end(job, _CANCELLED)
 
     def kill_job(self, job: BatchJob) -> None:
         """Abort one job as a *resource* failure (node crash, OOM kill).
@@ -189,24 +196,24 @@ class Cluster:
         layer maps to a pilot death, which is what the fault injector
         needs to kill a pilot mid-run.
         """
-        self._end(job, JobState.FAILED)
+        self._end(job, _FAILED)
 
     def _end(self, job: BatchJob, state: JobState) -> None:
         """End a NEW, PENDING or RUNNING job in ``state`` (a final job is
         left alone). Removing a queued or running job can let the jobs
         behind it start, so both schedule a dispatch pass."""
         old = job.state
-        if old is JobState.PENDING:
+        if old is _PENDING:
             self._pending.remove(job)
             self._pending_uids.discard(job.uid)
-        elif old is JobState.RUNNING:
+        elif old is _RUNNING:
             self.sim.cancel(self._release(job))
-            if state is JobState.FAILED:
+            if state is _FAILED:
                 self.killed_jobs += 1
-        elif old is not JobState.NEW:
+        elif old is not _NEW:
             return
         self._transition(job, state)
-        if old is not JobState.NEW:
+        if old is not _NEW:
             self._schedule_dispatch()
 
     @property
@@ -232,7 +239,7 @@ class Cluster:
         for job, _ in self._run_mirror.items():
             self.sim.cancel(self._release(job))
             self.killed_jobs += 1
-            self._transition(job, JobState.FAILED)
+            self._transition(job, _FAILED)
         self.sim.call_at(self._offline_until, self._back_online)
 
     def _back_online(self) -> None:
@@ -246,14 +253,14 @@ class Cluster:
     # -- internal machinery ----------------------------------------------------
 
     def _enqueue(self, job: BatchJob) -> None:
-        if job.state in (JobState.CANCELLED, JobState.FAILED):
+        if job.state in (_CANCELLED, _FAILED):
             return  # cancelled/killed during the submit overhead window
         job.submit_time = self.sim._now  # property bypass on the hot path
         self._pending_uids.add(job.uid)
         # Appending keeps the queue in arrival order by construction
         # (removals preserve relative order), so it is never sorted.
         self._pending.append(job)
-        self._transition(job, JobState.PENDING)
+        self._transition(job, _PENDING)
         self._schedule_dispatch()
 
     def _arrive(self, workload: "BackgroundWorkload", arrival: float) -> None:
@@ -287,10 +294,7 @@ class Cluster:
         # The view aliases live queue state (see SchedulerView): select
         # completes before _run_picks mutates anything, so no copies.
         view = SchedulerView(
-            now=now,
-            free_cores=self.free_cores,
-            pending=self._pending,
-            mirror=self._run_mirror,
+            now, self.free_cores, self._pending, self._run_mirror
         )
         tel = self.sim.telemetry
         if not tel.enabled:
@@ -372,16 +376,16 @@ class Cluster:
         self.wait_history.append(
             (now, now - (job.submit_time or 0.0), cores)
         )
-        self._transition(job, JobState.RUNNING)
+        self._transition(job, _RUNNING)
 
     def _finish(self, job: BatchJob, timed_out: bool) -> None:
         self._release(job)
         if timed_out:
             self.killed_jobs += 1
-            self._transition(job, JobState.TIMEOUT)
+            self._transition(job, _TIMEOUT)
         else:
             self.completed_jobs += 1
-            self._transition(job, JobState.COMPLETED)
+            self._transition(job, _COMPLETED)
         self._schedule_dispatch()
 
     def _release(self, job: BatchJob) -> EventHandle:
