@@ -62,12 +62,13 @@ class EasyBackfillScheduler(BatchScheduler):
         # join with sequence numbers above every running job, which is
         # exactly where a stable sort of (running + picks) by expected
         # end would place them.
+        now = view.now
         entries = view.mirror.entries
-        seq = view.mirror.next_seq()
         if picks:
+            seq = view.mirror.next_seq()
             entries = list(entries)
             for i, p in enumerate(picks):
-                insort(entries, (view.now + p.walltime, seq + i, p.cores))
+                insort(entries, (now + p.walltime, seq + i, p.cores))
         head_cores = pending[head].cores
         if head_cores <= free:  # pragma: no cover - head blocked => False
             shadow, extra = float("-inf"), free - head_cores
@@ -89,15 +90,15 @@ class EasyBackfillScheduler(BatchScheduler):
         # Phase 3: backfill later jobs against the reservation, until the
         # free cores run out.
         for job in pending[head + 1:]:
-            if job.cores > free:
+            cores = job.cores
+            if cores > free:
                 continue
-            ends_before_shadow = view.now + job.walltime <= shadow
-            fits_in_extra = job.cores <= extra
-            if ends_before_shadow or fits_in_extra:
+            fits_in_extra = cores <= extra
+            if fits_in_extra or now + job.walltime <= shadow:
                 picks.append(job)
-                free -= job.cores
+                free -= cores
                 if fits_in_extra:
-                    extra -= job.cores
+                    extra -= cores
                 if not free:
                     break
         return picks
