@@ -362,16 +362,12 @@ class Cluster:
         job.start_time = now
         runtime = job.runtime
         walltime = job.walltime
-        # The end event, pushed as call_in would push it (the job's
-        # runtime and walltime are non-negative).
-        if runtime > walltime:
-            end_event = self.sim._push(
-                now + walltime, self._finish, (job, True)
-            )
-        else:
-            end_event = self.sim._push(
-                now + runtime, self._finish, (job, False)
-            )
+        timed_out = runtime > walltime
+        # pushed as call_in would push it: runtime and walltime are >= 0
+        end_event = self.sim._push(
+            now + (walltime if timed_out else runtime),
+            self._finish, (job, timed_out),
+        )
         self._run_mirror.start(uid, now + walltime, cores, (job, end_event))
         self.wait_history.append(
             (now, now - (job.submit_time or 0.0), cores)
@@ -400,11 +396,7 @@ class Cluster:
         return end_event
 
     def _transition(self, job: BatchJob, new_state: JobState) -> None:
-        listeners = self._listener_snapshot
-        if listeners:
-            old = job.state
-            job.advance(new_state)
-            for fn in listeners:
-                fn(job, old, new_state)
-        else:
-            job.advance(new_state)
+        old = job.state
+        job.advance(new_state)
+        for fn in self._listener_snapshot:
+            fn(job, old, new_state)

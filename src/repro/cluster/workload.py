@@ -55,10 +55,6 @@ _WEIGHT_SUM_ATOL = math.sqrt(sys.float_info.epsilon)
 #: :meth:`RawDraws.integers` takes.
 _UINT32_SPAN = 2**32
 
-#: ``next_double``'s scale: a double is the top 53 bits of a raw output
-#: times this.
-_DOUBLE_UNIT = 2.0**-53
-
 
 class RawDraws:
     """numpy ``Generator`` draws computed from a PCG64 stream's raw output.
@@ -81,15 +77,12 @@ class RawDraws:
     The helper reads the pending half, if any, from the stream's state
     when it is built and holds the buffer from then on, so every later
     draw from the stream must go through it. :meth:`state` is the
-    bit-generator state numpy would hold after the same calls. Only
-    :meth:`integers` touches the buffer, so a hot loop may compute
-    :meth:`random` from :attr:`raw` and :meth:`lognormal` from
-    :attr:`standard_normal` itself, without the method call.
+    bit-generator state numpy would hold after the same calls.
     """
 
     __slots__ = (
-        "_bitgen", "raw", "_half", "_uinteger",
-        "standard_normal", "_standard_exponential",
+        "_bitgen", "_raw", "_half", "_uinteger",
+        "_standard_normal", "_standard_exponential",
     )
 
     def __init__(self, stream: np.random.Generator) -> None:
@@ -101,8 +94,7 @@ class RawDraws:
             )
         state = bitgen.state
         self._bitgen = bitgen
-        #: one raw 64-bit output of the stream.
-        self.raw = bitgen.random_raw
+        self._raw = bitgen.random_raw
         #: the buffered high half, or None when no half is pending.
         self._half: Optional[int] = (
             state["uinteger"] if state["has_uint32"] else None
@@ -110,8 +102,7 @@ class RawDraws:
         #: the last half buffered, which numpy's state keeps when spent.
         self._uinteger: int = state["uinteger"]
         generator = np.random.Generator(bitgen)
-        #: ``Generator.standard_normal()``.
-        self.standard_normal = generator.standard_normal
+        self._standard_normal = generator.standard_normal
         self._standard_exponential = generator.standard_exponential
 
     def state(self) -> dict:
@@ -123,11 +114,11 @@ class RawDraws:
 
     def random(self) -> float:
         """``Generator.random()``."""
-        return (self.raw() >> 11) * _DOUBLE_UNIT
+        return (self._raw() >> 11) * 2.0**-53
 
     def lognormal(self, mean: float, sigma: float) -> float:
         """``Generator.lognormal(mean, sigma)`` for ``sigma >= 0``."""
-        return math.exp(mean + sigma * self.standard_normal())
+        return math.exp(mean + sigma * self._standard_normal())
 
     def exponential(self, scale: float) -> float:
         """``Generator.exponential(scale)`` for ``scale >= 0``."""
@@ -153,7 +144,7 @@ class RawDraws:
         if half is not None:
             self._half = None
             return half
-        raw = self.raw()
+        raw = self._raw()
         self._half = self._uinteger = raw >> 32
         return raw & 0xFFFFFFFF
 
@@ -310,9 +301,8 @@ class BackgroundWorkload:
         # The draws' bound methods and the profile's scalars, looked up
         # once instead of once per draw: about a thousand jobs are drawn
         # per cell.
-        self._raw = self.draws.raw
-        self._standard_normal = self.draws.standard_normal
         self._random = self.draws.random
+        self._lognormal = self.draws.lognormal
         self._integers = self.draws.integers
         self._log_mean = profile.runtime_log_mean
         self._log_sigma = profile.runtime_log_sigma
@@ -334,33 +324,27 @@ class BackgroundWorkload:
         """One job draw: (cores, runtime, walltime, user index).
 
         Bit-identical to the numpy calls named in the comments, in the
-        same order on the same generator (through :class:`RawDraws`,
-        whose ``random`` and ``lognormal`` are computed here in line).
+        same order on the same generator (through :class:`RawDraws`).
         Walltime may undercut runtime when runtime is near the queue
         limit; such jobs get killed at the limit, as on real systems.
         """
-        raw = self._raw
+        random = self._random
         # rng.choice(core_choices, p=core_weights)
-        cores = self._choices[
-            bisect_right(self._cdf, (raw() >> 11) * _DOUBLE_UNIT)
-        ]
+        cores = self._choices[bisect_right(self._cdf, random())]
         if cores > self.max_cores:
             cores = self.max_cores
         # np.clip(rng.lognormal(...), runtime_min, runtime_max), as
         # min(max(x, lo), hi) without the two builtin calls
-        runtime = math.exp(
-            self._log_mean + self._log_sigma * self._standard_normal()
-        )
+        runtime = self._lognormal(self._log_mean, self._log_sigma)
         if self._runtime_min > runtime:
             runtime = self._runtime_min
         if self._runtime_max < runtime:
             runtime = self._runtime_max
-        if (raw() >> 11) * _DOUBLE_UNIT < self._sloppy:
+        if random() < self._sloppy:
             walltime = self._walltime_limit
         else:
             # rng.uniform(overestimate_min, overestimate_max)
-            uniform = (raw() >> 11) * _DOUBLE_UNIT
-            factor = self._over_min + self._over_span * uniform
+            factor = self._over_min + self._over_span * random()
             walltime = runtime * factor
             if self._walltime_limit < walltime:
                 walltime = self._walltime_limit
@@ -429,14 +413,13 @@ class BackgroundWorkload:
         so the stream sees gap, uniform, then the job's draws.
         """
         exponential = self.draws.exponential
-        raw = self._raw
+        random = self._random
         rate_max = self.base_rate * (1 + self.profile.diurnal_amplitude)
         scale = 1.0 / rate_max
         rate_at = self.rate_at
         while True:
             t += exponential(scale)
-            # rng.random(), in line (see RawDraws)
-            if (raw() >> 11) * _DOUBLE_UNIT <= rate_at(t) / rate_max:
+            if random() <= rate_at(t) / rate_max:
                 yield t
 
     def prime(

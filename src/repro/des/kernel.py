@@ -48,7 +48,8 @@ class Simulation:
 
     Events are dispatched in ``(time, priority, seq)`` order from one
     binary heap that only this class touches: :meth:`_push` is the one
-    way on (``call_at``, ``call_in`` and the process layer use it) and
+    way on (``call_at``, ``call_in``, the process layer and the
+    cluster's per-job events use it) and
     :meth:`_dispatch` the one way off. ``call_at`` and ``call_in``
     return the event's heap entry as its handle; pass it to
     :meth:`cancel`.
@@ -151,10 +152,10 @@ class Simulation:
     ) -> EventHandle:
         """Insert ``callback(*args)`` at simulated ``time``; return its entry.
 
-        No past-time check: the callers validate (the process layer
-        pushes at or after ``now`` by construction, and resumptions are
-        hot). Only a NaN time, which would corrupt the heap order, is
-        refused here.
+        No past-time check: the callers validate (the process layer and
+        the cluster's arrival, dispatch and job-end events push at or
+        after ``now`` by construction, and are hot). Only a NaN time,
+        which would corrupt the heap order, is refused here.
         """
         if time != time:  # NaN guard
             raise SchedulingError("event time is NaN")
