@@ -24,6 +24,9 @@ Callback = Callable[[int, ResourceRepresentation], None]
 
 _sub_ids = itertools.count(1)
 
+#: simulated seconds between two samples of the subscribed resources.
+INTERVAL_S = 60.0
+
 
 @dataclass
 class Subscription:
@@ -53,13 +56,9 @@ class ResourceMonitor:
         self,
         sim: Simulation,
         snapshot_fn: Callable[[str], ResourceRepresentation],
-        interval_s: float = 60.0,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval must be positive")
         self.sim = sim
         self.snapshot_fn = snapshot_fn
-        self.interval_s = interval_s
         self._subs: Dict[int, Subscription] = {}
         self.notifications = 0
         self._running = False
@@ -99,7 +98,7 @@ class ResourceMonitor:
         # ends rather than leaving a dangling DES process sampling an
         # empty table for the rest of the run.
         while True:
-            yield self.sim.timeout(self.interval_s)
+            yield self.sim.timeout(INTERVAL_S)
             for uid, sub in list(self._subs.items()):
                 if not sub.active:
                     del self._subs[uid]

@@ -60,24 +60,21 @@ def binomial_rank(n: int, quantile: float, confidence: float) -> int:
     return n - 1
 
 
-class QuantilePredictor:
-    """Binomial (QBETS-like) upper quantile bound on queue waits."""
+#: the quantile of the wait distribution that QuantilePredictor bounds,
+#: and the confidence of the bound.
+QUANTILE = 0.75
+CONFIDENCE = 0.95
+#: the forecast (seconds) on too thin a history: fewer than MIN_SAMPLES
+#: waits for the quantile bound, none for the moving average.
+PRIOR_S = 1800.0
+MIN_SAMPLES = 8
+#: EwmaPredictor's weight of the newest wait.
+EWMA_ALPHA = 0.2
 
-    def __init__(
-        self,
-        quantile: float = 0.75,
-        confidence: float = 0.95,
-        prior_seconds: float = 1800.0,
-        min_samples: int = 8,
-    ) -> None:
-        if not (0 < quantile < 1):
-            raise ValueError("quantile must be in (0, 1)")
-        if not (0 < confidence < 1):
-            raise ValueError("confidence must be in (0, 1)")
-        self.quantile = quantile
-        self.confidence = confidence
-        self.prior_seconds = prior_seconds
-        self.min_samples = min_samples
+
+class QuantilePredictor:
+    """Binomial (QBETS-like) upper bound on the ``QUANTILE`` of queue
+    waits, at ``CONFIDENCE``."""
 
     def predict(
         self,
@@ -91,10 +88,10 @@ class QuantilePredictor:
         if that leaves too few samples the full history is used.
         """
         waits = self._relevant_waits(history, cores)
-        if len(waits) < self.min_samples:
-            return self.prior_seconds
+        if len(waits) < MIN_SAMPLES:
+            return PRIOR_S
         xs = np.sort(np.asarray(waits))
-        return float(xs[binomial_rank(len(xs), self.quantile, self.confidence)])
+        return float(xs[binomial_rank(len(xs), QUANTILE, CONFIDENCE)])
 
     def _relevant_waits(
         self, history: Sequence[WaitSample], cores: Optional[int]
@@ -103,19 +100,13 @@ class QuantilePredictor:
             return [w for _, w, _ in history]
         lo, hi = cores / 4, cores * 4
         subset = [w for _, w, c in history if lo <= c <= hi]
-        if len(subset) >= self.min_samples:
+        if len(subset) >= MIN_SAMPLES:
             return subset
         return [w for _, w, _ in history]
 
 
 class EwmaPredictor:
     """Exponentially weighted moving average of recent waits."""
-
-    def __init__(self, alpha: float = 0.2, prior_seconds: float = 1800.0) -> None:
-        if not (0 < alpha <= 1):
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.prior_seconds = prior_seconds
 
     def predict(
         self,
@@ -124,8 +115,8 @@ class EwmaPredictor:
     ) -> float:
         waits = [w for _, w, _ in history]
         if not waits:
-            return self.prior_seconds
+            return PRIOR_S
         estimate = waits[0]
         for w in waits[1:]:
-            estimate = self.alpha * w + (1 - self.alpha) * estimate
+            estimate = EWMA_ALPHA * w + (1 - EWMA_ALPHA) * estimate
         return float(estimate)

@@ -351,8 +351,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return rc
 
 
+class ReplayMismatch(Exception):
+    """The replayed cell's attribution differs from the stored run's."""
+
+
 def _report_data(result, args) -> dict:
-    """Assemble the pure-data dict `telemetry.report.render_html` takes."""
+    """Assemble the pure-data dict `telemetry.report.render_html` takes.
+
+    Raises :class:`ReplayMismatch` when the replay of the slowest cell,
+    whose critical path the page draws, does not reproduce the stored
+    run's attribution digest.
+    """
     from .telemetry.causality import COMPONENTS
 
     fingerprint = experiments.campaign_fingerprint(result)
@@ -415,7 +424,8 @@ def _report_data(result, args) -> dict:
     }
 
     # Critical path: replay the slowest repetition from its coordinates
-    # (deterministic — the campaign file stores the seeds' provenance).
+    # (deterministic — the campaign file stores the seeds' provenance),
+    # and draw it only if the replay is the stored run.
     meta = result.meta
     if result.runs and meta.get("campaign_seed") is not None:
         from .experiments.campaign import TABLE1, run_cell_report
@@ -429,6 +439,14 @@ def _report_data(result, args) -> dict:
             resource_pool=meta.get("resource_pool"),
         )
         att = report.attribution()
+        stored = slowest.attribution_digest
+        if stored and att.digest() != stored:
+            raise ReplayMismatch(
+                f"the replay of exp {slowest.exp_id} n={slowest.n_tasks} "
+                f"rep={slowest.rep} does not reproduce the stored run: "
+                f"attribution digest {att.digest()} replayed, {stored} "
+                "stored; the code that simulated it has changed"
+            )
         data["critical_path"] = [seg.as_dict() for seg in att.critical_path]
         data["summary"].append((
             "critical path of",
@@ -464,7 +482,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .telemetry.report import save_html
 
     with experiments.open_campaign(args.campaign) as store:
-        data = _report_data(store.load_campaign(), args)
+        try:
+            data = _report_data(store.load_campaign(), args)
+        except ReplayMismatch as exc:
+            print(f"error: {exc}; no report written", file=sys.stderr)
+            return 1
         if store.readonly:  # provenance of a store file, not of a JSON
             data["store"] = experiments.store_summary(store)
     save_html(data, args.output)

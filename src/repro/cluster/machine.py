@@ -54,6 +54,10 @@ _CANCELLED, _FAILED = JobState.CANCELLED, JobState.FAILED
 #: Bucket boundaries for the scheduler-pass-length histogram (pending
 #: jobs examined per pass); shared so every cluster observes into the
 #: same instrument without a boundary conflict.
+#: how many recent job starts ``Cluster.wait_history`` keeps for the
+#: bundle's wait predictors.
+WAIT_HISTORY = 512
+
 SCHEDULER_PASS_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
@@ -76,7 +80,6 @@ class Cluster:
         scheduler: Optional[BatchScheduler] = None,
         submit_overhead: float = 1.0,
         dispatch_interval: float = 0.0,
-        wait_history_size: int = 512,
     ) -> None:
         if nodes <= 0 or cores_per_node <= 0:
             raise ValueError("nodes and cores_per_node must be positive")
@@ -111,9 +114,10 @@ class Cluster:
         # cannot perturb an in-flight transition.
         self._listener_snapshot: tuple = ()
 
-        #: (finish_time, wait_seconds, cores) of recently started jobs.
+        #: (finish_time, wait_seconds, cores) of the last
+        #: ``WAIT_HISTORY`` started jobs.
         self.wait_history: Deque[Tuple[float, float, int]] = deque(
-            maxlen=wait_history_size
+            maxlen=WAIT_HISTORY
         )
         self.completed_jobs = 0
         self.killed_jobs = 0

@@ -170,13 +170,11 @@ class SimulatedResource:
 def build_resource(
     sim: Simulation,
     preset: ResourcePreset,
-    prime: bool = True,
-    start_workload: bool = True,
 ) -> SimulatedResource:
     """Instantiate one preset on a simulation kernel.
 
-    ``prime`` pre-loads the machine to a realistic busy state (full cores
-    plus the preset's queued backlog); pass False for an idle machine.
+    The machine is primed to a realistic busy state (full cores plus the
+    preset's queued backlog) and its background workload started.
     """
     cluster = Cluster(
         sim,
@@ -188,18 +186,14 @@ def build_resource(
         dispatch_interval=preset.dispatch_interval,
     )
     workload = BackgroundWorkload(sim, cluster, preset.profile)
-    if prime:
-        workload.prime(backlog_hours=preset.backlog_hours)
-    if start_workload:
-        workload.start()
+    workload.prime(backlog_hours=preset.backlog_hours)
+    workload.start()
     return SimulatedResource(preset=preset, cluster=cluster, workload=workload)
 
 
 def build_pool(
     sim: Simulation,
     names: Optional[tuple[str, ...]] = None,
-    prime: bool = True,
-    start_workload: bool = True,
 ) -> Dict[str, SimulatedResource]:
     """Instantiate several presets (default: all five) on one kernel."""
     out: Dict[str, SimulatedResource] = {}
@@ -210,7 +204,5 @@ def build_pool(
             raise ValueError(
                 f"unknown resource preset {name!r}; known: {sorted(PRESETS)}"
             ) from None
-        out[name] = build_resource(
-            sim, preset, prime=prime, start_workload=start_workload
-        )
+        out[name] = build_resource(sim, preset)
     return out

@@ -422,19 +422,15 @@ class BackgroundWorkload:
             if random() <= rate_at(t) / rate_max:
                 yield t
 
-    def prime(
-        self,
-        fill_fraction: float = 1.0,
-        backlog_hours: float = 1.0,
-    ) -> int:
+    def prime(self, backlog_hours: float = 1.0) -> int:
         """Pre-load the resource as if the workload had been running.
 
         Two phases model a machine in steady state at t=0:
 
         1. *Residual-life fill*: jobs sampled from the profile, with their
            remaining runtime scaled by a uniform residual factor (they are
-           "already partway through"), until ``fill_fraction`` of the cores
-           is spoken for. These start immediately on the empty machine.
+           "already partway through"), until every core is spoken for.
+           These start immediately on the empty machine.
         2. *Backlog*: whole jobs totalling ``backlog_hours`` of machine
            capacity in core-hours are queued behind the fill. This directly
            controls the initial queue depth, which is the main knob for the
@@ -445,15 +441,13 @@ class BackgroundWorkload:
         """
         if self.sim.now != 0:
             raise RuntimeError("prime() must be called at simulated time 0")
-        if not (0 <= fill_fraction <= 1):
-            raise ValueError("fill_fraction must be in [0, 1]")
         injected = 0
         capacity = self.cluster.total_cores
 
         # Phase 1: fill the machine with partially-elapsed jobs.
         planned = 0
         misses = 0
-        while planned < fill_fraction * capacity and misses < 64:
+        while planned < capacity and misses < 64:
             job = self.make_job()
             if planned + job.cores > capacity:
                 misses += 1

@@ -56,6 +56,10 @@ from .strategy import ExecutionStrategy
 
 log = logging.getLogger(__name__)
 
+#: delay between a pilot's placeholder job starting and its agent
+#: accepting units (environment setup, agent handshake).
+AGENT_BOOTSTRAP_S = 60.0
+
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -374,11 +378,6 @@ class ExecutionManager:
         network: Network,
         bundle: ResourceBundle,
         access_schemas: Optional[Dict[str, str]] = None,
-        agent_bootstrap_s: float = 60.0,
-        recovery: Optional[RecoveryPolicy] = None,
-        submit_retries: int = 3,
-        submit_backoff_s: float = 30.0,
-        submit_jitter_frac: float = 0.0,
         supervision: Optional[SupervisionPolicy] = None,
     ) -> None:
         self.sim = sim
@@ -393,12 +392,8 @@ class ExecutionManager:
             self.health.watch(bundle)
         clusters = {name: bundle.cluster(name) for name in bundle.resources()}
         self.pilot_manager = PilotManager(
-            sim, clusters, bootstrap_s=agent_bootstrap_s,
-            submit_retries=submit_retries, submit_backoff_s=submit_backoff_s,
-            submit_jitter_frac=submit_jitter_frac, health=self.health,
+            sim, clusters, bootstrap_s=AGENT_BOOTSTRAP_S, health=self.health,
         )
-        #: default recovery policy for executions (None: no resubmission).
-        self.recovery = recovery
         #: attached fault injector, if the run is under chaos (see
         #: :meth:`attach_faults`); its log is woven into every report.
         self.fault_injector = None
@@ -427,22 +422,19 @@ class ExecutionManager:
         self,
         skeleton: SkeletonAPI,
         config: Optional[PlannerConfig] = None,
-        strategy: Optional[ExecutionStrategy] = None,
         adaptation: Optional[AdaptationPolicy] = None,
         recovery: Optional[RecoveryPolicy] = None,
     ) -> Process:
         """Start an execution; returns a Process whose value is the report.
 
-        Either pass a :class:`PlannerConfig` (the planner derives the
-        strategy, the normal path) or a fully resolved strategy. With an
-        :class:`AdaptationPolicy`, the strategy may be revised during
-        execution (backup pilots on stalled starts). With a
-        :class:`RecoveryPolicy` (or one set on the manager), failed
-        pilots are replaced up to the policy's resubmission budget.
+        The planner derives the strategy from ``config`` (None: the
+        planner's defaults). With an :class:`AdaptationPolicy`, the
+        strategy may be revised during execution (backup pilots on
+        stalled starts). With a :class:`RecoveryPolicy`, failed pilots
+        are replaced up to the policy's resubmission budget.
         """
         return self.sim.process(
-            self._run(skeleton, config, strategy, adaptation,
-                      recovery or self.recovery),
+            self._run(skeleton, config, adaptation, recovery),
             name=f"execute/{skeleton.app.name}",
         )
 
@@ -450,15 +442,13 @@ class ExecutionManager:
         self,
         skeleton: SkeletonAPI,
         config: Optional[PlannerConfig] = None,
-        strategy: Optional[ExecutionStrategy] = None,
         adaptation: Optional[AdaptationPolicy] = None,
-        timeout_s: Optional[float] = None,
         recovery: Optional[RecoveryPolicy] = None,
     ) -> ExecutionReport:
         """Blocking convenience: run the kernel until the execution ends."""
-        proc = self.run(skeleton, config, strategy, adaptation, recovery)
-        until = None if timeout_s is None else self.sim.now + timeout_s
-        return self.sim.run_process(proc, until=until)
+        return self.sim.run_process(
+            self.run(skeleton, config, adaptation, recovery)
+        )
 
     # -- the enactment process ----------------------------------------------------------
 
@@ -466,9 +456,8 @@ class ExecutionManager:
         self,
         skeleton: SkeletonAPI,
         config: Optional[PlannerConfig],
-        strategy: Optional[ExecutionStrategy],
-        adaptation: Optional[AdaptationPolicy] = None,
-        recovery: Optional[RecoveryPolicy] = None,
+        adaptation: Optional[AdaptationPolicy],
+        recovery: Optional[RecoveryPolicy],
     ):
         t_start = self.sim.now
         app_name = skeleton.app.name
@@ -501,28 +490,18 @@ class ExecutionManager:
                         f"({', '.join(sorted(pool))}); wait for a breaker "
                         "cooldown or widen the bundle"
                     )
-            if strategy is None:
-                cfg = config
-                if self.health is not None:
-                    quarantined = self.health.quarantined(
-                        self.bundle.resources()
+            cfg = config
+            if self.health is not None:
+                quarantined = self.health.quarantined(self.bundle.resources())
+                if quarantined:
+                    base = cfg or PlannerConfig()
+                    cfg = replace(
+                        base,
+                        exclude=tuple(
+                            sorted(set(base.exclude) | set(quarantined))
+                        ),
                     )
-                    if quarantined:
-                        base = cfg or PlannerConfig()
-                        cfg = replace(
-                            base,
-                            exclude=tuple(
-                                sorted(set(base.exclude) | set(quarantined))
-                            ),
-                        )
-                strategy = derive_strategy(req, self.bundle, cfg)
-            elif self.health is not None and not self.health.healthy(
-                strategy.resources
-            ):
-                raise ExecutionError(
-                    "every resource of the given strategy is quarantined: "
-                    f"{', '.join(sorted(strategy.resources))}"
-                )
+            strategy = derive_strategy(req, self.bundle, cfg)
         em_spans.append(sp)
 
         # Preparation: input files appear at the origin.

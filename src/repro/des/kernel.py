@@ -63,13 +63,13 @@ class Simulation:
     ``(time, priority, seq)``.
     """
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._heap: List[EventHandle] = []
         self._seq = 0  # events pushed; a plain int += 1 beats next(count())
         self._live = 0
         self._cancelled = 0  # dead entries still occupying heap slots
         self._cancels = 0  # cumulative: pushed = live + cancels + popped
-        self._now = float(start_time)
+        self._now = 0.0
         self._running = False
         self.events_processed = 0
         self.rng = RngStreams(seed)
@@ -280,9 +280,9 @@ class Simulation:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create a waitable that fires after ``delay`` seconds."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def all_of(self, children: Iterable[Waitable]) -> AllOf:
         """Waitable that fires when all children have fired."""

@@ -100,18 +100,18 @@ class Timeout(Waitable):
 
     __slots__ = ("delay", "_handle")
 
-    def __init__(self, sim: "Simulation", delay: float, value: Any = None) -> None:
+    def __init__(self, sim: "Simulation", delay: float) -> None:
         super().__init__(sim)
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.delay = delay
         # Kernel push; the non-negative check above subsumes call_in's
         # validation.
-        self._handle = sim._push(sim._now + delay, self._fire, (value,))
+        self._handle = sim._push(sim._now + delay, self._fire, ())
 
-    def _fire(self, value: Any) -> None:
+    def _fire(self) -> None:
         if not self.triggered:
-            self.succeed(value)
+            self.succeed()
 
     def cancel(self) -> None:
         """Cancel the pending timeout; waiters get a CancelledError."""

@@ -95,53 +95,18 @@ def win_fraction(
 
 
 def component_shares(
-    result: CampaignResult, exp_id: int, normalize: bool = False
+    result: CampaignResult, exp_id: int
 ) -> Dict[int, Dict[str, float]]:
-    """Per-size mean of each TTC component for one experiment.
-
-    With ``normalize=True``, each cell's components are returned as
-    fractions of TTC that sum to 1.0. Runs carrying a causal
-    :attr:`~repro.experiments.campaign.RunResult.attribution` use that
-    exact partition (it sums to TTC by construction); legacy runs fall
-    back to the recorded ``tw/tx/ts/trp`` fields with the remainder
-    reported as ``idle``.
-    """
+    """Per-size mean of TTC and of each decomposition component
+    (``tw``, ``tx``, ``ts``, ``trp``) for one experiment, in seconds."""
     sizes = sorted({r.n_tasks for r in result.runs if r.exp_id == exp_id})
-    out: Dict[int, Dict[str, float]] = {}
-    for n in sizes:
-        if not normalize:
-            out[n] = {
-                attr: cell_stats(result, exp_id, n, attr).mean
-                for attr in ("ttc", "tw", "tx", "ts", "trp")
-            }
-            continue
-        shares: Dict[str, List[float]] = {}
-        for run in result.cell(exp_id, n):
-            if not (run.ttc > 0):
-                continue
-            if run.attribution:
-                parts = {k: v for k, v in run.attribution}
-            else:
-                parts = {
-                    "tw": run.tw,
-                    "tr": 0.0,
-                    "tx": run.tx,
-                    "ts": run.ts,
-                    "trp": run.trp,
-                }
-                parts = {
-                    k: (v if v == v else 0.0) for k, v in parts.items()
-                }
-                parts["idle"] = max(0.0, run.ttc - sum(parts.values()))
-            total = sum(parts.values())
-            if total <= 0:
-                continue
-            for key, value in parts.items():
-                shares.setdefault(key, []).append(value / total)
-        out[n] = {
-            key: float(np.mean(vals)) for key, vals in sorted(shares.items())
+    return {
+        n: {
+            attr: cell_stats(result, exp_id, n, attr).mean
+            for attr in ("ttc", "tw", "tx", "ts", "trp")
         }
-    return out
+        for n in sizes
+    }
 
 
 def significance(

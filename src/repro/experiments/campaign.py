@@ -82,6 +82,11 @@ class ExperimentSpec:
         return f"Exp.{self.exp_id} ({b} {dist} {self.n_pilots} pilot(s))"
 
 
+#: Each repetition submits after a warm-up drawn uniformly from this
+#: range of simulated seconds: the paper's randomized submission instant
+#: (§IV.A), so pilots meet the batch queues in varied states.
+WARMUP_S = (2 * 3600.0, 12 * 3600.0)
+
 #: Table I. Experiments 1-2: early binding, direct scheduler, one pilot
 #: sized to run all tasks concurrently. Experiments 3-4: late binding,
 #: backfill scheduler, three pilots of #tasks/3 cores each.
@@ -240,8 +245,6 @@ def run_cell_report(
     rep: int = 0,
     campaign_seed: int = 0,
     resource_pool: Optional[Sequence[str]] = None,
-    min_warmup_s: float = 2 * 3600.0,
-    max_warmup_s: float = 12 * 3600.0,
     telemetry: bool = False,
 ):
     """Execute one repetition; returns ``(report, env, resources)``.
@@ -265,7 +268,7 @@ def run_cell_report(
     # Randomized submission instant and resource choice/order (paper
     # §IV.A), drawn first so only the chosen resources are simulated.
     offset, chosen, observed = draw_observed(
-        rng, spec.n_pilots, (min_warmup_s, max_warmup_s), resource_pool,
+        rng, spec.n_pilots, WARMUP_S, resource_pool,
     )
 
     env = build_environment(
@@ -293,8 +296,6 @@ def run_single(
     rep: int = 0,
     campaign_seed: int = 0,
     resource_pool: Optional[Sequence[str]] = None,
-    min_warmup_s: float = 2 * 3600.0,
-    max_warmup_s: float = 12 * 3600.0,
     collect_digests: bool = False,
 ) -> RunResult:
     """Execute one repetition of one (experiment, size) cell.
@@ -313,8 +314,6 @@ def run_single(
         spec, n_tasks, rep,
         campaign_seed=campaign_seed,
         resource_pool=resource_pool,
-        min_warmup_s=min_warmup_s,
-        max_warmup_s=max_warmup_s,
         telemetry=collect_digests,
     )
     d = report.decomposition

@@ -90,18 +90,17 @@ def draw_observed(
 def build_environment(
     seed: int,
     resources: Optional[Sequence[str]] = None,
-    bandwidth_bytes_per_s: Optional[float] = None,
-    latency_s: Optional[float] = None,
-    prime: bool = True,
     presets: Optional[Sequence[ResourcePreset]] = None,
     supervision=None,
     telemetry: bool = False,
 ) -> Environment:
     """Create a fresh, fully wired simulated testbed.
 
-    WAN bandwidth/latency default to each preset's own values (the sites
-    have heterogeneous connectivity); pass explicit numbers to force a
-    uniform network for controlled comparisons. ``presets`` replaces the
+    Each site's WAN bandwidth and latency are its preset's own values
+    (the sites have heterogeneous connectivity), and each machine starts
+    primed (see :func:`~repro.cluster.build_resource`). ``resources``
+    names the built-in presets to build (default: all); ``presets``
+    replaces the
     named built-in pool with explicit presets (e.g. a synthetic pool for
     scaling studies). ``supervision`` (a
     :class:`~repro.health.SupervisionPolicy`) turns on resource health
@@ -115,24 +114,15 @@ def build_environment(
         sim.telemetry.enable()
     network = Network(sim)
     if presets is not None:
-        pool = {
-            preset.name: build_resource(sim, preset, prime=prime)
-            for preset in presets
-        }
+        pool = {preset.name: build_resource(sim, preset) for preset in presets}
     else:
         names = tuple(resources) if resources else tuple(PRESETS)
-        pool = build_pool(sim, names=names, prime=prime)
+        pool = build_pool(sim, names=names)
     for name, res in pool.items():
         network.add_site(
             name,
-            bandwidth_bytes_per_s=(
-                bandwidth_bytes_per_s
-                if bandwidth_bytes_per_s is not None
-                else res.preset.wan_bandwidth_bytes_per_s
-            ),
-            latency_s=(
-                latency_s if latency_s is not None else res.preset.wan_latency_s
-            ),
+            bandwidth_bytes_per_s=res.preset.wan_bandwidth_bytes_per_s,
+            latency_s=res.preset.wan_latency_s,
         )
     bundle = ResourceBundle("testbed", sim, network, pool.values())
     schemas = {n: r.preset.access_schema for n, r in pool.items()}

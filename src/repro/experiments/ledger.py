@@ -135,8 +135,9 @@ class RunLedger:
                 anomalies=flag_anomalies(run),
             )
             if run.attribution:
-                # per-component TTC shares; deterministic content the
-                # live dashboard renders as share bars.
+                # seconds of TTC per component (the causal partition);
+                # the monitor derives its share bars from these and the
+                # record's ttc.
                 fields["components"] = {k: v for k, v in run.attribution}
         if progress.error is not None:
             fields["anomalies"] = ["error"]

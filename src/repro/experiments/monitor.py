@@ -19,8 +19,12 @@ campaign writes). ``repro tail``, ``repro watch``, ``/state.json`` and
   :func:`~repro.experiments.runner.cost_eta`;
 * **worker liveness** — last-seen wall time per worker pid, from cell
   and attempt records;
-* **TTC component shares** summed across completed cells (the live
-  version of the attribution stack the HTML report draws);
+* **TTC component shares** of the completed cells: the mean over runs
+  of each component's share of the run's TTC, from the cell records'
+  component seconds through the fingerprint's own
+  :func:`~repro.experiments.sentinel.mean_shares`, so ``watch``,
+  ``/state.json`` and ``/metrics`` show the shares ``analyze`` and
+  ``report`` show;
 * **host gauges** (CPU seconds, RSS) sampled from ``/proc/self`` —
   cost of the process serving the view, Linux only, absent elsewhere.
 
@@ -38,6 +42,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from .runner import cost_eta
+from .sentinel import mean_shares
 from .store import CampaignStore, closing_state, record_cell
 
 __all__ = ["CampaignMonitor", "host_sample"]
@@ -105,8 +110,6 @@ class CampaignMonitor:
         self.retries = 0
         self.timeouts = 0
         self.workers: Dict[int, float] = {}
-        self.components: Dict[str, float] = {}
-        self.wall_spent = 0.0
 
     def close(self) -> None:
         """Release the store handle; reads then serve the last fold."""
@@ -166,22 +169,9 @@ class CampaignMonitor:
         elif kind == "cell_retried":
             self.retries += 1
         elif kind == "cell":
-            cell = record_cell(record)
-            previous = self.cells.get(cell)
-            if previous is not None:
-                # resumed retry supersedes: back out the old record.
-                self.wall_spent -= float(previous.get("wall_s", 0.0))
-                for name, share in (previous.get("components") or {}).items():
-                    self.components[name] = (
-                        self.components.get(name, 0.0) - float(share)
-                    )
-            self.cells[cell] = record
+            # a resumed retry's record supersedes the earlier one
+            self.cells[record_cell(record)] = record
             self.session_cells += 1
-            self.wall_spent += float(record.get("wall_s", 0.0))
-            for name, share in (record.get("components") or {}).items():
-                self.components[name] = (
-                    self.components.get(name, 0.0) + float(share)
-                )
             worker = record.get("worker")
             if worker is not None and wall is not None:
                 self.workers[int(worker)] = float(wall)
@@ -272,7 +262,6 @@ class CampaignMonitor:
                 now - self.started_at if self.started_at is not None else 0.0
             )
             throughput = self.session_cells / elapsed if elapsed > 0 else 0.0
-            total_share = sum(self.components.values())
             state = {
                 "kind": "campaign-state",
                 "wall": now,
@@ -287,7 +276,10 @@ class CampaignMonitor:
                 "last_event_id": self.last_seq,
                 "meta": self.meta,
                 "elapsed_s": elapsed,
-                "wall_spent_s": self.wall_spent,
+                "wall_spent_s": sum(
+                    float(rec.get("wall_s", 0.0))
+                    for rec in self.cells.values()
+                ),
                 "eta_s": eta,
                 "throughput_cps": throughput,
                 "running": [
@@ -306,17 +298,31 @@ class CampaignMonitor:
                     {"pid": pid, "age_s": now - seen}
                     for pid, seen in sorted(self.workers.items())
                 ],
-                "components": {
-                    name: {
-                        "total": share,
-                        "share": share / total_share if total_share else 0.0,
-                    }
-                    for name, share in sorted(self.components.items())
-                },
+                "components": self._components_locked(),
                 "grid": self._grid_locked(),
             }
         state["host"] = host_sample()
         return state
+
+    def _components_locked(self) -> Dict[str, Dict[str, float]]:
+        """Per component of the runs' records, in grid order: ``total``
+        seconds and ``share``, the mean of per-run shares of TTC."""
+        runs = [
+            (float(rec.get("ttc") or 0.0), rec["components"])
+            for _cell, rec in sorted(self.cells.items())
+            if rec.get("ok", False) and rec.get("components")
+        ]
+        if not runs:
+            return {}
+        shares = mean_shares(runs)
+        names = sorted({name for _, comps in runs for name in comps})
+        return {
+            name: {
+                "total": sum(comps.get(name, 0.0) for _, comps in runs),
+                "share": shares.get(name, 0.0),
+            }
+            for name in names
+        }
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Counters and gauges of the folded state, in the snapshot shape

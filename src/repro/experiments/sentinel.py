@@ -83,21 +83,37 @@ def _median(vals: Sequence[float]) -> float:
 # -- fingerprints --------------------------------------------------------------
 
 
+def mean_shares(
+    runs: Sequence[Tuple[float, Dict[str, float]]],
+) -> Dict[str, float]:
+    """The TTC component shares of a set of runs, given as ``(ttc,
+    component seconds)``: per component, the mean over the runs of its
+    share of the run's TTC. A run without TTC counts, with no share.
+    The fingerprint's cell ``shares`` and the live monitor's shares
+    both come from here, so ``analyze``, ``report``, ``watch`` and
+    ``/metrics`` mean one number by "TTC component share"."""
+    sums = {name: 0.0 for name in COMPONENTS}
+    for ttc, comps in runs:
+        if ttc > 0:
+            for name in COMPONENTS:
+                sums[name] += comps.get(name, 0.0) / ttc
+    return {name: sums[name] / len(runs) for name in COMPONENTS}
+
+
 def _cell_fingerprint(runs: Sequence[RunResult]) -> Dict[str, Any]:
     """One cell's fingerprint entry from its repetitions (reps ascending)."""
     comp_sums = {name: 0.0 for name in COMPONENTS}
-    share_sums = {name: 0.0 for name in COMPONENTS}
     ttc_sum = 0.0
     thr_sum = 0.0
+    parts = []
     for run in runs:
         comps = _components_of(run)
+        parts.append((run.ttc, comps))
         ttc_sum += run.ttc
         if run.ttc > 0:
             thr_sum += run.units_done / (run.ttc / 3600.0)
         for name in COMPONENTS:
             comp_sums[name] += comps.get(name, 0.0)
-            if run.ttc > 0:
-                share_sums[name] += comps.get(name, 0.0) / run.ttc
     n = len(runs)
     return {
         "n": n,
@@ -106,9 +122,7 @@ def _cell_fingerprint(runs: Sequence[RunResult]) -> Dict[str, Any]:
         "components": {
             name: comp_sums[name] / n for name in COMPONENTS
         },
-        "shares": {
-            name: share_sums[name] / n for name in COMPONENTS
-        },
+        "shares": mean_shares(parts),
         "attribution_digest": sha256_digest(
             [r.attribution_digest for r in runs]
         ),

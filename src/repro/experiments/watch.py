@@ -178,7 +178,7 @@ def render_dashboard(
     components = state.get("components") or {}
     if components:
         lines.append("")
-        lines.append("TTC component shares (completed cells):")
+        lines.append("TTC component shares (mean per run, completed cells):")
         name_w = max(len(name) for name in components)
         for name, comp in sorted(
             components.items(), key=lambda kv: -kv[1]["share"]

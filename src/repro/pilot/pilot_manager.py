@@ -20,6 +20,12 @@ from .agent import Agent
 from .description import ComputePilotDescription
 from .entities import ComputePilot
 
+#: transient SAGA submission failures are retried this many times, with
+#: a backoff of ``SUBMIT_BACKOFF_S * 2**attempt``, before the pilot is
+#: declared FAILED.
+SUBMIT_RETRIES = 3
+SUBMIT_BACKOFF_S = 30.0
+
 
 class PilotManagerError(Exception):
     """Raised on invalid pilot submissions."""
@@ -39,9 +45,6 @@ class PilotManager:
         sim: Simulation,
         clusters: Dict[str, Cluster],
         bootstrap_s: float = 0.0,
-        submit_retries: int = 3,
-        submit_backoff_s: float = 30.0,
-        submit_jitter_frac: float = 0.0,
         health=None,
     ) -> None:
         self.sim = sim
@@ -51,18 +54,6 @@ class PilotManager:
         #: delay between the placeholder job starting and the agent being
         #: ready to accept units (environment setup, agent handshake).
         self.bootstrap_s = float(bootstrap_s)
-        #: transient SAGA submission failures are retried this many times
-        #: with exponential backoff before the pilot is declared FAILED.
-        self.submit_retries = int(submit_retries)
-        self.submit_backoff_s = float(submit_backoff_s)
-        #: desynchronize retry backoffs by up to +-this fraction, drawn
-        #: from the kernel's seeded "pilot-submit-jitter" stream — several
-        #: pilots dying in one outage window then retry staggered instead
-        #: of hammering the batch system in lockstep. Reproducible: the
-        #: stream derives from the run seed, never from the fault plan.
-        if not 0.0 <= submit_jitter_frac < 1.0:
-            raise ValueError("submit_jitter_frac must be in [0, 1)")
-        self.submit_jitter_frac = float(submit_jitter_frac)
         #: a :class:`~repro.health.HealthRegistry`; when set, submissions
         #: to quarantined resources fail fast instead of feeding a
         #: resource the middleware already knows is sick.
@@ -174,11 +165,8 @@ class PilotManager:
             self.submit_faults += 1
             if self.health is not None:
                 self.health.record_submission(desc.resource, ok=False)
-            if attempt < self.submit_retries:
-                delay = self.submit_backoff_s * (2.0 ** attempt)
-                if self.submit_jitter_frac:
-                    u = self.sim.rng.get("pilot-submit-jitter").random()
-                    delay *= 1.0 + self.submit_jitter_frac * (2.0 * u - 1.0)
+            if attempt < SUBMIT_RETRIES:
+                delay = SUBMIT_BACKOFF_S * (2.0 ** attempt)
                 self.sim.telemetry.instant(
                     "pilot", "submit-retry", track=f"pilot-manager/{desc.resource}",
                     pilot=pilot.uid, attempt=attempt + 1,

@@ -36,8 +36,9 @@ def _track_tids(spans: Iterable[Span], instants: Iterable[dict]) -> Dict[str, in
     return tids
 
 
-def chrome_trace(hub: TelemetryHub, wall_track: bool = True) -> Dict[str, Any]:
-    """Render the hub as a Chrome trace-event JSON object."""
+def chrome_trace(hub: TelemetryHub) -> Dict[str, Any]:
+    """Render the hub as a Chrome trace-event JSON object: a virtual-time
+    process and a wall-time process, one thread per track in each."""
     events: List[Dict[str, Any]] = []
     tids = _track_tids(hub.spans, hub.instants)
 
@@ -49,13 +50,11 @@ def chrome_trace(hub: TelemetryHub, wall_track: bool = True) -> Dict[str, Any]:
 
     events.append(meta(PID_VIRTUAL, 0, "virtual time (simulated s as us)",
                        "process_name"))
-    if wall_track:
-        events.append(meta(PID_WALL, 0, "wall time (host s as us)",
-                           "process_name"))
+    events.append(meta(PID_WALL, 0, "wall time (host s as us)",
+                       "process_name"))
     for track, tid in tids.items():
         events.append(meta(PID_VIRTUAL, tid, track, "thread_name"))
-        if wall_track:
-            events.append(meta(PID_WALL, tid, track, "thread_name"))
+        events.append(meta(PID_WALL, tid, track, "thread_name"))
 
     wall_base = min((s.w0 for s in hub.spans), default=0.0)
     for span in hub.spans:
@@ -71,7 +70,7 @@ def chrome_trace(hub: TelemetryHub, wall_track: bool = True) -> Dict[str, Any]:
             "cat": span.category,
             "args": _plain(span.attrs),
         })
-        if wall_track and span.w1 is not None:
+        if span.w1 is not None:
             events.append({
                 "ph": "X",
                 "pid": PID_WALL,

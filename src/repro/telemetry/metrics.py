@@ -37,27 +37,19 @@ class Counter:
 class Gauge:
     """A point-in-time value: explicitly set, or read through a callback.
 
-    A *diagnostic* gauge reports process-dependent machinery state
-    (cache hit counts) whose value legitimately differs between
-    equivalent runs — e.g. between serial and forked parallel workers.
-    Diagnostic gauges are excluded from the default :meth:`snapshot` so
-    they never enter sampled telemetry (and therefore never enter run
-    digests), while still showing up in ``render_table`` and in
-    ``snapshot(diagnostics=True)``.
+    Every gauge enters :meth:`MetricsRegistry.snapshot`, and so sampled
+    telemetry and run digests: a gauge must read the same in equivalent
+    runs, serial or in a forked worker.
     """
 
-    __slots__ = ("name", "_value", "fn", "diagnostic")
+    __slots__ = ("name", "_value", "fn")
 
     def __init__(
-        self,
-        name: str,
-        fn: Optional[Callable[[], Any]] = None,
-        diagnostic: bool = False,
+        self, name: str, fn: Optional[Callable[[], Any]] = None
     ) -> None:
         self.name = name
         self._value: Any = None
         self.fn = fn
-        self.diagnostic = diagnostic
 
     def set(self, value: Any) -> None:
         self._value = value
@@ -123,26 +115,18 @@ class MetricsRegistry:
         return c
 
     def gauge(
-        self,
-        name: str,
-        fn: Optional[Callable[[], Any]] = None,
-        diagnostic: bool = False,
+        self, name: str, fn: Optional[Callable[[], Any]] = None
     ) -> Gauge:
         """Get or create a gauge; a non-None ``fn`` (re)binds the callback.
 
         Rebinding matters: each execution builds a fresh UnitManager, and
         the latest one's view is the one a live gauge should report.
-        ``diagnostic=True`` keeps the gauge out of digest-bearing
-        snapshots (see :class:`Gauge`); the flag is sticky once set.
         """
         g = self._gauges.get(name)
         if g is None:
-            g = self._gauges[name] = Gauge(name, fn, diagnostic)
-        else:
-            if fn is not None:
-                g.fn = fn
-            if diagnostic:
-                g.diagnostic = True
+            g = self._gauges[name] = Gauge(name, fn)
+        elif fn is not None:
+            g.fn = fn
         return g
 
     def histogram(self, name: str, boundaries: Sequence[float]) -> Histogram:
@@ -157,13 +141,11 @@ class MetricsRegistry:
 
     # -- read-out ------------------------------------------------------------
 
-    def snapshot(self, diagnostics: bool = False) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         """All instruments as one deterministic, JSON-stable dict.
 
-        Diagnostic gauges are omitted unless ``diagnostics=True``: the
-        default snapshot feeds the virtual-time sampler and the telemetry
-        digest, which must stay byte-identical across serial and
-        parallel execution.
+        It feeds the virtual-time sampler and the telemetry digest, which
+        must stay byte-identical across serial and parallel execution.
         """
         return {
             "counters": {
@@ -172,7 +154,6 @@ class MetricsRegistry:
             "gauges": {
                 name: g.read()
                 for name, g in sorted(self._gauges.items())
-                if diagnostics or not g.diagnostic
             },
             "histograms": {
                 name: h.as_dict()
@@ -195,8 +176,7 @@ class MetricsRegistry:
         for name, g in sorted(self._gauges.items()):
             value = g.read()
             shown = f"{value:.6g}" if isinstance(value, float) else str(value)
-            kind = "gauge/dx " if g.diagnostic else "gauge    "
-            lines.append(f"{name:<{width}} | {kind} | {shown}")
+            lines.append(f"{name:<{width}} | gauge     | {shown}")
         for name, h in sorted(self._histograms.items()):
             mean = h.total / h.count if h.count else 0.0
             lines.append(

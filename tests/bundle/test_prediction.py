@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.bundle import EwmaPredictor, QuantilePredictor
-from repro.bundle.prediction import binomial_rank
+from repro.bundle.prediction import PRIOR_S, binomial_rank
 
 
 def hist(waits, cores=64, t0=0.0):
@@ -15,39 +15,29 @@ def hist(waits, cores=64, t0=0.0):
 
 
 class TestQuantilePredictor:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuantilePredictor(quantile=0)
-        with pytest.raises(ValueError):
-            QuantilePredictor(quantile=1)
-        with pytest.raises(ValueError):
-            QuantilePredictor(confidence=1.5)
-
     def test_prior_on_thin_history(self):
-        p = QuantilePredictor(prior_seconds=1234, min_samples=8)
-        assert p.predict(hist([10, 20, 30])) == 1234
-        assert p.predict([]) == 1234
+        p = QuantilePredictor()
+        assert p.predict(hist([10, 20, 30])) == PRIOR_S
+        assert p.predict([]) == PRIOR_S
 
     def test_bound_covers_quantile(self):
         rng = np.random.default_rng(0)
         waits = rng.exponential(600, size=200)
-        p = QuantilePredictor(quantile=0.75, confidence=0.95)
+        p = QuantilePredictor()  # the 0.75 quantile at 0.95 confidence
         bound = p.predict(hist(list(waits)))
         true_q = np.quantile(waits, 0.75)
         assert bound >= true_q * 0.9  # upper bound (allow sampling slack)
         assert bound <= waits.max()
 
     def test_monotone_in_quantile(self):
-        rng = np.random.default_rng(1)
-        h = hist(list(rng.exponential(600, size=100)))
-        lo = QuantilePredictor(quantile=0.5).predict(h)
-        hi = QuantilePredictor(quantile=0.9).predict(h)
-        assert lo <= hi
+        for n in (8, 100, 512):
+            ranks = [binomial_rank(n, q, 0.95) for q in (0.5, 0.75, 0.9)]
+            assert ranks == sorted(ranks), n
 
     def test_core_filtering_prefers_similar_jobs(self):
         # Small jobs waited 10 s, big jobs 5000 s.
         history = hist([10] * 20, cores=1) + hist([5000] * 20, cores=1024)
-        p = QuantilePredictor(min_samples=5)
+        p = QuantilePredictor()
         small = p.predict(history, cores=2)
         big = p.predict(history, cores=512)
         assert small < 100
@@ -55,7 +45,7 @@ class TestQuantilePredictor:
 
     def test_core_filter_falls_back_when_sparse(self):
         history = hist([100] * 20, cores=64)
-        p = QuantilePredictor(min_samples=5)
+        p = QuantilePredictor()
         # no jobs near 4096 cores -> uses full history rather than the prior
         assert p.predict(history, cores=4096) == pytest.approx(100)
 
@@ -65,17 +55,11 @@ class TestQuantilePredictor:
 
 
 class TestEwmaPredictor:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EwmaPredictor(alpha=0)
-        with pytest.raises(ValueError):
-            EwmaPredictor(alpha=1.5)
-
     def test_prior_on_empty(self):
-        assert EwmaPredictor(prior_seconds=777).predict([]) == 777
+        assert EwmaPredictor().predict([]) == PRIOR_S
 
     def test_tracks_recent_values(self):
-        p = EwmaPredictor(alpha=0.5)
+        p = EwmaPredictor()
         rising = p.predict(hist([100] * 10 + [1000] * 10))
         assert 500 < rising <= 1000
 
@@ -157,7 +141,7 @@ def test_rank_past_double_range_equals_exact_sum(n):
 
 def test_predict_is_the_sample_at_the_walked_rank():
     rng = np.random.default_rng(4)
-    p = QuantilePredictor(quantile=0.75, confidence=0.95)
+    p = QuantilePredictor()  # the 0.75 quantile at 0.95 confidence
     for n in (8, 9, 100, 512):
         waits = list(rng.exponential(600, size=n))
         rank = _walked_rank(n, 0.75, 0.95)

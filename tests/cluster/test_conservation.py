@@ -22,8 +22,9 @@ event it asserts:
 
 import pytest
 
-from repro.cluster import JobState
-from repro.cluster.presets import PRESETS, build_resource
+from repro.cluster import Cluster, JobState
+from repro.cluster.presets import PRESETS
+from repro.cluster.workload import BackgroundWorkload
 from repro.des import Simulation
 
 HOURS = 3 * 3600.0
@@ -79,19 +80,27 @@ class _ConservationCheck:
 def test_warm_up_conserves_cores_and_jobs(preset, seed):
     preset = PRESETS[preset]
     sim = Simulation(seed=seed)
-    res = build_resource(sim, preset, prime=False, start_workload=False)
-    primed = res.workload.prime(backlog_hours=preset.backlog_hours)
-    res.workload.start()
+    # build_resource's machine and workload, primed and started here so
+    # the check knows how many jobs the priming queued
+    cluster = Cluster(
+        sim, name=preset.name, nodes=preset.nodes,
+        cores_per_node=preset.cores_per_node,
+        scheduler=preset.scheduler_factory(),
+        submit_overhead=preset.submit_overhead,
+        dispatch_interval=preset.dispatch_interval,
+    )
+    workload = BackgroundWorkload(sim, cluster, preset.profile)
+    primed = workload.prime(backlog_hours=preset.backlog_hours)
+    workload.start()
     check = _ConservationCheck(
-        sim, res.cluster, res.workload, primed, preset.submit_overhead
+        sim, cluster, workload, primed, preset.submit_overhead
     )
     sim.telemetry.profiler = check
-    sim.call_at(OUTAGE_AT, res.cluster.set_offline, OUTAGE_S)
+    sim.call_at(OUTAGE_AT, cluster.set_offline, OUTAGE_S)
     sim.run(until=HOURS)
 
-    cluster = res.cluster
     assert check.events > 100
     assert cluster.completed_jobs > 0
     # the outage failed the jobs running at its start, and they balance
     assert cluster.killed_jobs > 0
-    assert res.workload.submitted > 0
+    assert workload.submitted > 0

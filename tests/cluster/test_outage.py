@@ -102,7 +102,8 @@ def test_execution_survives_mid_run_outage():
         net.add_site(name, bandwidth_bytes_per_s=1e7, latency_s=0.01)
         clusters[name] = make_cluster(sim, name, nodes=4, cpn=8)
     bundle = ResourceBundle("pool", sim, net, clusters)
-    em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
+    em = ExecutionManager(sim, net, bundle)
+    em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
 
     # Schedule an outage on "fragile" during task execution.
     sim.call_at(300.0, clusters["fragile"].set_offline, 4000.0)

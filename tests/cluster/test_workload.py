@@ -171,7 +171,7 @@ def test_build_resource_and_pool():
     res = build_resource(sim, PRESETS["gordon-sim"])
     assert res.cluster.total_cores == PRESETS["gordon-sim"].total_cores
     sim2 = Simulation(seed=1)
-    pool = build_pool(sim2, names=("gordon-sim", "comet-sim"), prime=False)
+    pool = build_pool(sim2, names=("gordon-sim", "comet-sim"))
     assert set(pool) == {"gordon-sim", "comet-sim"}
     with pytest.raises(ValueError):
         build_pool(sim2, names=("missing-sim",))

@@ -24,7 +24,8 @@ def make_env(seed=0, sites=("slow", "fast"), nodes=16, cpn=16):
         clusters[name] = Cluster(sim, name, nodes=nodes, cores_per_node=cpn,
                                  submit_overhead=1.0)
     bundle = ResourceBundle("pool", sim, net, clusters)
-    em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
+    em = ExecutionManager(sim, net, bundle)
+    em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
     return sim, net, clusters, bundle, em
 
 

@@ -20,7 +20,8 @@ def env():
         clusters[name] = Cluster(sim, name, nodes=16, cores_per_node=16,
                                  submit_overhead=1.0)
     bundle = ResourceBundle("pool", sim, net, clusters)
-    em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
+    em = ExecutionManager(sim, net, bundle)
+    em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
     return sim, net, bundle, em
 
 

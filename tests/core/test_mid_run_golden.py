@@ -88,8 +88,8 @@ def backup():
 
 def renewal():
     """Work outlasting the pilot walltime hops to successor pilots."""
-    sim, clusters, em = small_stack({"solo": 16}, seed=21,
-                                    agent_bootstrap_s=0.0)
+    sim, clusters, em = small_stack({"solo": 16}, seed=21)
+    em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
     return em.execute(
         SkeletonAPI(bag_of_tasks(16, task_duration=300), seed=1),
         PlannerConfig(binding=Binding.LATE, n_pilots=1, resources=("solo",),

@@ -28,7 +28,8 @@ def test_combination_executes_cleanly(binding, scheduler, n_pilots):
         clusters[name] = Cluster(sim, name, nodes=8, cores_per_node=8,
                                  submit_overhead=1.0)
     bundle = ResourceBundle("pool", sim, net, clusters)
-    em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
+    em = ExecutionManager(sim, net, bundle)
+    em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
     api = SkeletonAPI(bag_of_tasks(18, task_duration=120), seed=4)
     report = em.execute(
         api,
@@ -66,7 +67,8 @@ def test_combination_is_deterministic(binding, scheduler, n_pilots):
             clusters[name] = Cluster(sim, name, nodes=4, cores_per_node=8,
                                      submit_overhead=1.0)
         bundle = ResourceBundle("pool", sim, net, clusters)
-        em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
+        em = ExecutionManager(sim, net, bundle)
+        em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
         api = SkeletonAPI(bag_of_tasks(8, task_duration=60), seed=4)
         k = min(n_pilots, 2)
         report = em.execute(

@@ -30,7 +30,8 @@ def executed():
         clusters[name] = Cluster(sim, name, nodes=4, cores_per_node=8,
                                  submit_overhead=0.0)
     bundle = ResourceBundle("pool", sim, net, clusters)
-    em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
+    em = ExecutionManager(sim, net, bundle)
+    em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
     api = SkeletonAPI(bag_of_tasks(8, task_duration=300), seed=2)
     report = em.execute(
         api, PlannerConfig(binding=Binding.LATE, n_pilots=2)

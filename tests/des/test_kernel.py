@@ -10,11 +10,6 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
-def test_clock_custom_start():
-    sim = Simulation(start_time=100.0)
-    assert sim.now == 100.0
-
-
 def test_call_in_advances_clock():
     sim = Simulation()
     seen = []

@@ -27,16 +27,20 @@ def test_timeout_sequence():
 
 
 def test_timeout_value_passed_to_process():
+    """A waitable's value is what the process's ``yield`` returns: a
+    timeout's is None, a signal's the one it succeeded with."""
     sim = Simulation()
     got = []
+    signal = Signal(sim)
+    sim.call_in(2, signal.succeed, "payload")
 
     def proc():
-        v = yield sim.timeout(1, value="payload")
-        got.append(v)
+        got.append((yield sim.timeout(1)))
+        got.append((yield signal))
 
     sim.process(proc())
     sim.run()
-    assert got == ["payload"]
+    assert got == [None, "payload"]
 
 
 def test_negative_timeout_rejected():
@@ -230,8 +234,9 @@ def test_all_of_collects_values_in_order():
     got = []
 
     def proc():
-        t1 = sim.timeout(9, value="a")
-        t2 = sim.timeout(2, value="b")
+        t1, t2 = Signal(sim), Signal(sim)
+        sim.call_in(9, t1.succeed, "a")
+        sim.call_in(2, t2.succeed, "b")
         values = yield sim.all_of([t1, t2])
         got.append((sim.now, values))
 

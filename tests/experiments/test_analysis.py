@@ -16,6 +16,7 @@ from repro.experiments.analysis import (
     significance,
 )
 from repro.experiments.campaign import CampaignResult, RunResult
+from repro.experiments.sentinel import campaign_fingerprint
 
 
 def _run(exp_id=1, n_tasks=8, rep=0, ttc=1000.0, attribution=True, **over):
@@ -99,27 +100,18 @@ class TestComponentShares:
         assert shares[8]["tw"] == pytest.approx(100.0)
 
     def test_normalized_shares_sum_to_one(self):
+        """The shares of TTC are the fingerprint's, the mean per run of
+        each component's share; a cell's sum to one."""
         result = _campaign([
             _run(n_tasks=8), _run(n_tasks=8, rep=1, ttc=2000.0),
             _run(n_tasks=16, ttc=4000.0),
         ])
-        shares = component_shares(result, 1, normalize=True)
-        for n, by in shares.items():
-            assert sum(by.values()) == pytest.approx(1.0, abs=1e-9), n
-
-    def test_normalized_legacy_runs_sum_to_one(self):
-        # pre-attribution campaign files: remainder becomes idle.
-        result = _campaign([_run(n_tasks=8, attribution=False)])
-        by = component_shares(result, 1, normalize=True)[8]
-        assert sum(by.values()) == pytest.approx(1.0, abs=1e-9)
-        assert by["idle"] == pytest.approx(0.01, abs=1e-9)
-
-    def test_zero_ttc_runs_are_skipped(self):
-        result = _campaign([
-            _run(n_tasks=8), _run(n_tasks=8, rep=1, ttc=0.0),
-        ])
-        by = component_shares(result, 1, normalize=True)[8]
-        assert sum(by.values()) == pytest.approx(1.0, abs=1e-9)
+        cells = campaign_fingerprint(result)["cells"]
+        assert sorted(cells) == ["1:16", "1:8"]
+        for key, cell in cells.items():
+            assert sum(cell["shares"].values()) == pytest.approx(
+                1.0, abs=1e-9
+            ), key
 
 
 def test_cell_stats_single_run_has_zero_std():

@@ -15,18 +15,23 @@ from repro.faults import (
 from repro.health import SupervisionPolicy
 from repro.net import Network
 from repro.pilot import ComputePilotDescription, PilotManager, PilotState
+from repro.pilot import pilot_manager
 from repro.saga import FallibleAdaptor, SubmissionFaultModel
 from repro.skeleton import SkeletonAPI, bag_of_tasks
 
 
-def make_pm(seed=0, sites=("alpha",), **pm_kw):
-    sim = Simulation(seed=seed)
+def make_pm(monkeypatch, sites=("alpha",), retries=3, backoff_s=30.0):
+    """A pilot manager whose submissions retry ``retries`` times with a
+    backoff of ``backoff_s * 2**attempt``."""
+    monkeypatch.setattr(pilot_manager, "SUBMIT_RETRIES", retries)
+    monkeypatch.setattr(pilot_manager, "SUBMIT_BACKOFF_S", backoff_s)
+    sim = Simulation(seed=0)
     sim.telemetry.enable()
     clusters = {
         name: Cluster(sim, name, nodes=4, cores_per_node=8, submit_overhead=1.0)
         for name in sites
     }
-    pm = PilotManager(sim, clusters, **pm_kw)
+    pm = PilotManager(sim, clusters)
     return sim, clusters, pm
 
 
@@ -47,8 +52,8 @@ def instants(sim, name):
 # -- PilotManager: transient retry with exponential backoff --------------------
 
 
-def test_transient_failures_are_retried_until_success():
-    sim, clusters, pm = make_pm(submit_retries=3, submit_backoff_s=10.0)
+def test_transient_failures_are_retried_until_success(monkeypatch):
+    sim, clusters, pm = make_pm(monkeypatch, retries=3, backoff_s=10.0)
     model = install_model(sim, pm)
     model.add_scripted(2)  # first two submission attempts fail transiently
     (pilot,) = pm.submit_pilots(desc())
@@ -61,8 +66,8 @@ def test_transient_failures_are_retried_until_success():
     assert pilot.history.timestamp("PENDING_ACTIVE") >= 30.0
 
 
-def test_retry_budget_exhaustion_fails_the_pilot():
-    sim, clusters, pm = make_pm(submit_retries=2, submit_backoff_s=5.0)
+def test_retry_budget_exhaustion_fails_the_pilot(monkeypatch):
+    sim, clusters, pm = make_pm(monkeypatch, retries=2, backoff_s=5.0)
     model = install_model(sim, pm)
     model.add_scripted(10)  # more failures than the budget
     (pilot,) = pm.submit_pilots(desc())
@@ -72,8 +77,8 @@ def test_retry_budget_exhaustion_fails_the_pilot():
     assert instants(sim, "submit-exhausted")
 
 
-def test_permanent_failure_fails_the_pilot_without_retry():
-    sim, clusters, pm = make_pm(submit_retries=5)
+def test_permanent_failure_fails_the_pilot_without_retry(monkeypatch):
+    sim, clusters, pm = make_pm(monkeypatch, retries=5)
     model = install_model(sim, pm)
     model.add_scripted(1, permanent=True)
     (pilot,) = pm.submit_pilots(desc())
@@ -84,8 +89,9 @@ def test_permanent_failure_fails_the_pilot_without_retry():
     assert instants(sim, "submit-rejected")
 
 
-def test_scripted_failures_target_one_resource():
-    sim, clusters, pm = make_pm(sites=("alpha", "beta"), submit_retries=0)
+def test_scripted_failures_target_one_resource(monkeypatch):
+    sim, clusters, pm = make_pm(monkeypatch, sites=("alpha", "beta"),
+                                retries=0)
     model = install_model(sim, pm)
     model.add_scripted(5, resource="alpha")
     a, b = pm.submit_pilots([desc("alpha"), desc("beta")])
@@ -94,8 +100,8 @@ def test_scripted_failures_target_one_resource():
     assert b.state is PilotState.ACTIVE
 
 
-def test_cancel_during_backoff_stops_retrying():
-    sim, clusters, pm = make_pm(submit_retries=3, submit_backoff_s=100.0)
+def test_cancel_during_backoff_stops_retrying(monkeypatch):
+    sim, clusters, pm = make_pm(monkeypatch, retries=3, backoff_s=100.0)
     model = install_model(sim, pm)
     model.add_scripted(1)
     (pilot,) = pm.submit_pilots(desc())
@@ -120,7 +126,7 @@ def test_recovery_policy_validation_and_delay():
 # -- ExecutionManager: pilot resubmission --------------------------------------
 
 
-def make_em(seed=0, sites=("alpha", "beta", "gamma"), **em_kw):
+def make_em(seed=0, sites=("alpha", "beta", "gamma")):
     sim = Simulation(seed=seed)
     net = Network(sim)
     clusters = {}
@@ -129,7 +135,7 @@ def make_em(seed=0, sites=("alpha", "beta", "gamma"), **em_kw):
         clusters[name] = Cluster(sim, name, nodes=16, cores_per_node=16,
                                  submit_overhead=1.0)
     bundle = ResourceBundle("pool", sim, net, clusters)
-    em = ExecutionManager(sim, net, bundle, **em_kw)
+    em = ExecutionManager(sim, net, bundle)
     return sim, net, clusters, bundle, em
 
 
@@ -183,20 +189,6 @@ def test_no_recovery_policy_means_no_resubmission():
     report = em.execute(api)
     assert not report.succeeded
     assert report.recoveries == []
-
-
-def test_manager_level_recovery_policy_is_the_default():
-    sim, net, clusters, bundle, em = make_em(
-        recovery=RecoveryPolicy(max_resubmissions=1, backoff_s=20.0)
-    )
-    plan = FaultPlan(actions=(KillPilot(at=400.0, index=0),))
-    em.attach_faults(FaultInjector(
-        sim, plan, pilot_manager=em.pilot_manager, network=net
-    ))
-    api = SkeletonAPI(bag_of_tasks(24, task_duration=600), seed=1)
-    report = em.execute(api)  # no per-call policy: manager default applies
-    assert report.succeeded
-    assert len(report.recoveries) == 1
 
 
 def test_submission_faults_ride_through_execution():

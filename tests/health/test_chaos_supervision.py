@@ -36,7 +36,6 @@ def run_supervised(
     input_size=1e6,
     bandwidth=1e7,
     recovery=None,
-    submit_jitter=0.0,
 ):
     """One supervised execution under a fault plan, in a fresh simulation."""
     sim = Simulation(seed=seed)
@@ -47,10 +46,7 @@ def run_supervised(
         clusters[name] = Cluster(sim, name, nodes=16, cores_per_node=16,
                                  submit_overhead=1.0)
     bundle = ResourceBundle("pool", sim, net, clusters)
-    em = ExecutionManager(
-        sim, net, bundle, supervision=supervision,
-        submit_jitter_frac=submit_jitter,
-    )
+    em = ExecutionManager(sim, net, bundle, supervision=supervision)
     em.attach_faults(FaultInjector(
         sim, plan, pilot_manager=em.pilot_manager, network=net
     ))
@@ -142,7 +138,6 @@ def test_supervised_outage_run_reproduces_byte_for_byte():
             deadline_s=24 * 3600.0,
         ),
         recovery=RecoveryPolicy(max_resubmissions=2, jitter_frac=0.1),
-        submit_jitter=0.1,
     )
     assert report.health_log.of_kind("breaker-open")
 

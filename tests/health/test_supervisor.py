@@ -9,7 +9,6 @@ from repro.core import (
     ExecutionError,
     ExecutionManager,
     PlannerConfig,
-    derive_strategy,
 )
 from repro.des import Simulation
 from repro.health import BreakerPolicy, BreakerState, SupervisionPolicy
@@ -65,16 +64,6 @@ def test_all_resources_quarantined_is_a_clear_error():
         em.health.breaker(name).trip("outage-observed")
     with pytest.raises(ExecutionError, match="quarantined"):
         em.execute(api(), LATE_2P)
-
-
-def test_explicit_strategy_on_quarantined_resources_is_rejected():
-    sim, net, bundle, em = build_stack(supervision=SupervisionPolicy())
-    strategy = derive_strategy(api().requirements(), bundle, LATE_2P)
-    assert len(strategy.resources) < len(bundle.resources())
-    for name in strategy.resources:
-        em.health.breaker(name).trip("outage-observed")
-    with pytest.raises(ExecutionError, match="strategy"):
-        em.execute(api(), strategy=strategy)
 
 
 def test_quarantined_resources_are_invisible_to_the_planner():

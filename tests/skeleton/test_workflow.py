@@ -93,7 +93,8 @@ class TestWorkflowExecution:
             clusters[name] = Cluster(sim, name, nodes=8, cores_per_node=16,
                                      submit_overhead=0.0)
         bundle = ResourceBundle("pool", sim, net, clusters)
-        em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
+        em = ExecutionManager(sim, net, bundle)
+        em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
         return sim, net, em
 
     def test_requirements(self):

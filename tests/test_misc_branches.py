@@ -25,26 +25,9 @@ def make_env(seed=0):
         clusters[name] = Cluster(sim, name, nodes=8, cores_per_node=8,
                                  submit_overhead=0.0)
     bundle = ResourceBundle("pool", sim, net, clusters)
-    em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
+    em = ExecutionManager(sim, net, bundle)
+    em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
     return sim, net, bundle, em
-
-
-def test_execute_with_explicit_strategy():
-    """The planner can be bypassed entirely with a hand-built strategy."""
-    sim, net, bundle, em = make_env(seed=61)
-    strategy = ExecutionStrategy(
-        binding=Binding.LATE,
-        unit_scheduler="round-robin",
-        n_pilots=2,
-        pilot_cores=8,
-        pilot_walltime_min=60,
-        resources=("x", "y"),
-    )
-    api = SkeletonAPI(bag_of_tasks(8, task_duration=60), seed=1)
-    report = em.execute(api, strategy=strategy)
-    assert report.succeeded
-    assert report.strategy is strategy
-    assert {p.resource for p in report.pilots} == {"x", "y"}
 
 
 def test_shell_emitter_handles_inputless_tasks():

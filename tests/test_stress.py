@@ -38,7 +38,8 @@ def chaos_run(seed: int):
             submit_overhead=float(rng.uniform(0, 5)),
         )
     bundle = ResourceBundle("pool", sim, net, clusters)
-    em = ExecutionManager(sim, net, bundle, agent_bootstrap_s=0.0)
+    em = ExecutionManager(sim, net, bundle)
+    em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
 
     # Random outages on random resources.
     for _ in range(int(rng.integers(0, 3))):
@@ -64,7 +65,7 @@ def chaos_run(seed: int):
         n_pilots=n_pilots,
         pilot_walltime_min=walltime_min,
     )
-    report = em.execute(api, config, timeout_s=200_000)
+    report = em.execute(api, config)
     return report, sim
 
 

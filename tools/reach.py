@@ -1,23 +1,40 @@
 #!/usr/bin/env python
-"""Which functions of ``src/repro`` do the program's entry points reach?
+"""Which functions and options of ``src/repro`` do the entry points use?
 
 Runs a committed list of entry points -- CLI commands, HTTP GETs against
 a served campaign, and the examples -- in this process under a call
 tracer, with forked campaign workers traced too, and writes the result
-to ``.bench_out/reach.json``: per module, the functions no entry point
-called and their body lines. Code that only tests reach shows up there.
+to ``.bench_out/reach.json``:
+
+- per module, the functions no entry point called and their body lines,
+  and for every reached function the classes of entry point that reach
+  it (``paper``, ``observatory``, ``extensions``, ``examples``);
+- per class, its entries and how much of the package it reaches;
+- the option report: for every reached function with defaulted
+  parameters, and every ``src/repro`` dataclass built with defaulted
+  fields, which of them an entry point bound to a value other than the
+  default, and which classes did;
+- the CLI's long flags that no entry passes.
+
+Code and options that only tests reach show up there.
 
     python tools/reach.py            # trace, write the JSON
     python tools/reach.py --check    # ...and gate on it
 
-``--check`` exits 1 when an entry point fails, or when a ``src/repro``
+``--check`` exits 1 when an entry point fails, when a ``src/repro``
 module that defines functions has none of them reached (a module only
-tests import). Stdlib only; about 30 s on a 2-CPU x86-64 host.
+tests import), or when the parser defines a long flag that no entry
+passes. Stdlib only; about 30 s on a 2-CPU x86-64 host.
 
 A function is reached when its code object was called at least once;
 its body lines are the non-blank, non-comment lines from its first
 body statement to its end, less the lines of functions nested in it,
-which count as their own.
+which count as their own. A parameter is set when, at the tracer's
+``call`` event, its value is neither the default (``is``) nor equal to
+it (``==`` between values of one type). Defaults are read from the
+AST: literals directly, other expressions evaluated once in the
+function's module globals (a default no globals resolve is not
+checked).
 """
 
 from __future__ import annotations
@@ -25,6 +42,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -70,82 +88,282 @@ EXAMPLES = ("adaptive_rescue", "chaos_study", "mapreduce_pipeline",
             "queue_wait_study", "quickstart", "skeleton_tool",
             "strategy_comparison", "trace_replay", "workflow_import")
 
+#: the classes of entry point, in the order ``reach.json`` lists them:
+#: the paper's campaign and its readers (plus ``table1`` and a plain
+#: ``run``, one execution of the paper's middleware); the live views of
+#: a campaign; faults, supervision, probing, calibration, migration and
+#: the ablations; the examples.
+CLASSES = ("paper", "observatory", "extensions", "examples")
 
-def entry_points(work: str) -> List[Tuple[str, str, list, Tuple[int, ...]]]:
-    """``(name, kind, args, accepted exit codes)`` in run order.
+#: the ``watch`` the served campaign's helper runs against its URL
+WATCH_URL = ["watch", "--once", "--no-color", "--url"]
+#: what the helper of a served campaign must have fetched
+SERVED = {"/", "/events", "/metrics", "/state.json", "watch --url"}
+
+
+def entry_points(
+    work: str,
+) -> List[Tuple[str, str, str, list, Tuple[int, ...]]]:
+    """``(name, class, kind, args, accepted exit codes)`` in run order.
 
     ``kind`` is ``cli`` (``repro.cli.main(args)``), ``interrupt`` (the
     same, SIGINTed once the store holds a committed run), ``serve`` (a
-    ``--serve`` campaign with GETs of every endpoint) or ``example``.
-    Paths under ``work`` are files earlier entries wrote.
+    ``--serve`` campaign with GETs of every endpoint and a ``watch
+    --url`` of it) or ``example``. Paths under ``work`` are files
+    earlier entries wrote.
     """
     w = lambda name: os.path.join(work, name)  # noqa: E731
     run = ["run", "--tasks", "8", "--warmup-hours", "1"]
     return [
-        ("table1", "cli", ["table1"], (0,)),
+        ("table1", "paper", "cli", ["table1"], (0,)),
         # the store campaign: SIGINT drains it, --resume finishes it
-        ("campaign -j 2 (interrupted)", "interrupt",
+        ("campaign -j 2 (interrupted)", "paper", "interrupt",
          ["campaign", *GRID, "-q", "-j", "2", "--store", w("c.sqlite"),
           "--digests"], (0, 75)),
-        ("campaign --resume", "cli",
+        ("campaign --resume", "paper", "cli",
          ["campaign", *GRID, "-q", "-j", "2", "--store", w("c.sqlite"),
-          "--digests", "--resume", "--cell-timeout", "600",
-          "--ledger", w("c.ndjson")], (0,)),
-        ("campaign -o", "cli", ["campaign", *GRID, "-o", w("c.json")], (0,)),
-        ("campaign --serve", "serve",
+          "--digests", "--resume", "--retry-errors", "--cell-timeout",
+          "600", "--max-attempts", "3", "--ledger", w("c.ndjson")], (0,)),
+        ("campaign -o", "paper", "cli",
+         ["campaign", *GRID, "-o", w("c.json")], (0,)),
+        ("campaign --serve", "observatory", "serve",
          ["campaign", *GRID, "-q", "--serve", "127.0.0.1:0"], (0,)),
-        ("analyze", "cli",
-         ["analyze", w("c.sqlite"), "--baseline", BASELINE], (0,)),
-        ("analyze json", "cli",
-         ["analyze", w("c.json"), "--baseline", BASELINE], (0,)),
-        ("figures", "cli", ["figures", w("c.sqlite")], (0,)),
-        ("report", "cli",
+        ("analyze", "paper", "cli",
+         ["analyze", w("c.sqlite"), "--baseline", BASELINE,
+          "--baseline-key", "campaign-attribution"], (0,)),
+        ("analyze json", "paper", "cli",
+         ["analyze", w("c.json"), "--baseline", BASELINE, "--rel-tol",
+          "0.05"], (0,)),
+        # a copy of the committed baseline, so the tracked file stays put
+        ("analyze --update-baseline", "paper", "cli",
+         ["analyze", w("c.sqlite"), "--baseline", w("baseline.json"),
+          "--update-baseline"], (0,)),
+        ("figures", "paper", "cli", ["figures", w("c.sqlite")], (0,)),
+        ("report", "paper", "cli",
          ["report", w("c.sqlite"), "-o", w("report.html"),
-          "--baseline", BASELINE], (0,)),
-        ("tail", "cli", ["tail", w("c.sqlite")], (0,)),
-        ("tail --json", "cli", ["tail", "--json", w("c.sqlite")], (0,)),
-        ("watch --once", "cli",
+          "--baseline", BASELINE, "--baseline-key",
+          "campaign-attribution"], (0,)),
+        ("tail", "observatory", "cli",
+         ["tail", w("c.sqlite"), "--last", "3"], (0,)),
+        ("tail --json", "observatory", "cli",
+         ["tail", "--json", w("c.sqlite")], (0,)),
+        ("watch --once", "observatory", "cli",
          ["watch", w("c.sqlite"), "--once", "--no-color"], (0,)),
-        ("migrate", "cli",
+        # a finished store: the loop draws one frame and returns
+        ("watch", "observatory", "cli",
+         ["watch", w("c.sqlite"), "--no-color", "--interval", "0.1"], (0,)),
+        ("migrate", "extensions", "cli",
          ["migrate", os.path.join(ROOT, "campaign_2016.json"),
           w("m.sqlite")], (0,)),
-        ("run", "cli",
+        ("run", "paper", "cli",
          [*run, "--timeline", "--attribution", "--save", w("s.json"),
-          "--telemetry", "--profile", "--trace-out", w("t.json")], (0,)),
-        ("run otlp", "cli",
-         [*run, "--binding", "early", "--pilots", "1", "--gaussian",
+          "--telemetry", "--sample-interval", "300", "--profile",
+          "--trace-out", w("t.json")], (0,)),
+        ("run otlp", "paper", "cli",
+         ["--verbose", "--log-file", w("run.log"), *run, "--binding",
+          "early", "--pilots", "1", "--gaussian",
           "--trace-out", w("t.otlp.json"), "--trace-format", "otlp"],
          (0,)),
-        *[(f"run --faults {p}", "cli",
+        *[(f"run --faults {p}", "extensions", "cli",
            [*run, "--faults", p, "--breaker", "--watchdog-timeout", "3600",
             "--deadline", "40000", "--timeline"], (0, 1))
           for p in ("pilot-storm", "flaky-submission", "first-pilot-dies")],
-        ("run --faults FILE", "cli",
+        ("run --faults FILE", "extensions", "cli",
          [*run, "--faults", w("plan.json"), "--fault-seed", "4",
-          "--save", w("s-faults.json")], (0, 1)),
-        ("probe", "cli", ["probe", "--warmup-hours", "1"], (0,)),
-        ("calibrate", "cli", ["calibrate", "--hours", "2"], (0,)),
-        *[(f"ablation {s}", "cli", ["ablation", s, "--reps", "1"], (0,))
+          "--max-resubmit", "1", "--save", w("s-faults.json")], (0, 1)),
+        ("probe", "extensions", "cli",
+         ["probe", "--warmup-hours", "1", "--resources", "stampede-sim",
+          "comet-sim", "--cores", "64"], (0,)),
+        ("calibrate", "extensions", "cli", ["calibrate", "--hours", "2"],
+         (0,)),
+        *[(f"ablation {s}", "extensions", "cli",
+           ["ablation", s, "--reps", "1"], (0,))
           for s in ABLATIONS],
-        *[(f"example {e}", "example",
+        *[(f"example {e}", "examples", "example",
            [os.path.join(ROOT, "examples", e + ".py")], (0,))
           for e in EXAMPLES],
     ]
 
 
+# -- the option index -----------------------------------------------------------
+
+
+def _is_dataclass_def(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        name = getattr(target, "id", getattr(target, "attr", None))
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _defaulted(fn) -> List[Tuple[str, ast.expr]]:
+    """``(parameter, default expression)`` of a function definition."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args]
+    out = list(zip([p.arg for p in positional[len(positional)
+                                              - len(a.defaults):]],
+                   a.defaults))
+    out += [(p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _fields(cls: ast.ClassDef) -> List[Tuple[str, ast.expr]]:
+    """``(field, default expression)`` of a dataclass definition."""
+    return [
+        (stmt.target.id, stmt.value) for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+        and isinstance(stmt.target, ast.Name)
+        and "ClassVar" not in ast.unparse(stmt.annotation)
+    ]
+
+
+class OptionIndex:
+    """The defaulted parameters and dataclass fields of the package,
+    read from its source: ``functions[(path, first line)]`` and
+    ``dataclasses[(path, qualified name)]`` map to ``(qualified name or
+    line, [(option, default expression)])``."""
+
+    def __init__(self) -> None:
+        self.functions: Dict[Tuple[str, int], Tuple[str, list]] = {}
+        self.dataclasses: Dict[Tuple[str, str], Tuple[int, list]] = {}
+        for path in _package_files():
+            with open(path, encoding="utf-8") as fh:
+                self._visit(ast.parse(fh.read(), path), path, "")
+
+    def _visit(self, node, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno,
+                             *(d.lineno for d in child.decorator_list)])
+                opts = _defaulted(child)
+                if opts:
+                    self.functions[(path, first)] = (prefix + child.name,
+                                                     opts)
+                self._visit(child, path, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                name = prefix + child.name
+                if _is_dataclass_def(child) and _fields(child):
+                    self.dataclasses[(path, name)] = (child.lineno,
+                                                      _fields(child))
+                self._visit(child, path, name + ".")
+            else:
+                self._visit(child, path, prefix)
+
+    def settable(self) -> Dict[str, int]:
+        return {
+            "parameters": sum(len(o) for _, o in self.functions.values()),
+            "dataclass_fields": sum(
+                len(o) for _, o in self.dataclasses.values()
+            ),
+        }
+
+
+_UNRESOLVED = object()
+
+
+def _default_value(expr: ast.expr, module_globals: dict):
+    try:
+        return ast.literal_eval(expr)
+    except ValueError:
+        pass
+    try:
+        return eval(ast.unparse(expr), module_globals)  # noqa: S307
+    except Exception:  # noqa: BLE001 - a class-scope name, say
+        return _UNRESOLVED
+
+
+def _differs(value, default) -> bool:
+    if value is default:
+        return False
+    if type(value) is not type(default):
+        return True
+    try:
+        return not bool(value == default)
+    except Exception:  # noqa: BLE001 - an array compared elementwise
+        return True
+
+
 # -- tracing ------------------------------------------------------------------
+
+_GENERATOR_FLAGS = 0x20 | 0x80 | 0x200  # generator, coroutine, async gen
 
 
 class CallTracer:
-    """Records the code object of every Python call, in every thread
-    and in every forked child; ``reached()`` is the union."""
+    """Records the code object of every Python call, and the options
+    bound to a non-default value, in every thread and in every forked
+    child, per class of entry point (:meth:`enter`)."""
 
-    def __init__(self, work: str) -> None:
+    def __init__(self, work: str, index: OptionIndex) -> None:
         self.work = work
-        self.seen: Set[object] = set()
+        self.index = index
+        self.cls = CLASSES[0]
+        #: class -> code objects called / option keys set
+        self.seen: Dict[str, Set[object]] = {c: set() for c in CLASSES}
+        self.bound: Dict[str, Set[tuple]] = {c: set() for c in CLASSES}
+        self._seen = self.seen[self.cls]
+        self._bound = self.bound[self.cls]
+        #: code object -> (option key, [(name, default)]) or None
+        self._checks: Dict[object, Optional[tuple]] = {}
+        #: generator code object -> the offset of its first resumption
+        self._starts: Dict[object, int] = {}
+
+    def enter(self, cls: str) -> None:
+        self.cls = cls
+        self._seen = self.seen[cls]
+        self._bound = self.bound[cls]
 
     def __call__(self, frame, event, arg):
-        self.seen.add(frame.f_code)  # the global hook sees only "call"
+        # the global hook sees only "call"
+        code = frame.f_code
+        self._seen.add(code)
+        try:
+            checks = self._checks[code]
+        except KeyError:
+            checks = self._checks[code] = self._checks_for(code, frame)
+        if checks is None:
+            return
+        if code.co_flags & _GENERATOR_FLAGS:
+            # a generator's later resumptions see rebound locals
+            if self._starts.setdefault(code, frame.f_lasti) != frame.f_lasti:
+                return
+        key, options = checks
+        if key[0] == "d":
+            self._bound.add(key)  # built, whatever its fields
+        local = frame.f_locals
+        for name, default in options:
+            if name in local and _differs(local[name], default):
+                self._bound.add((*key, name))
+
+    def _checks_for(self, code, frame) -> Optional[tuple]:
+        if code.co_name == "__init__" and code.co_filename == "<string>":
+            return self._dataclass_checks(frame)
+        path = os.path.realpath(code.co_filename)
+        entry = self.index.functions.get((path, code.co_firstlineno))
+        if entry is None:
+            return None
+        options = [
+            (name, value) for name, expr in entry[1]
+            for value in [_default_value(expr, frame.f_globals)]
+            if value is not _UNRESOLVED
+        ]
+        return (("f", path, code.co_firstlineno), options)
+
+    def _dataclass_checks(self, frame) -> Optional[tuple]:
+        """A dataclass's generated ``__init__``: its defaulted fields."""
+        cls = type(frame.f_locals.get("self"))
+        module = sys.modules.get(cls.__module__)
+        path = os.path.realpath(getattr(module, "__file__", None) or "")
+        if (path, cls.__qualname__) not in self.index.dataclasses:
+            return None
+        options = []
+        for f in dataclasses.fields(cls):
+            if f.default is not dataclasses.MISSING:
+                options.append((f.name, f.default))
+            elif f.default_factory is not dataclasses.MISSING:
+                options.append((f.name, f.default_factory()))
+        return (("d", path, cls.__qualname__), options)
 
     def start(self) -> None:
         os.register_at_fork(after_in_child=self._in_child)
@@ -158,9 +376,10 @@ class CallTracer:
 
     def _in_child(self) -> None:
         """A forked worker keeps the tracer; it writes what it called
-        to a file of its own before it ``os._exit``s, which skips
-        atexit."""
-        self.seen = set()
+        and set to a file of its own before it ``os._exit``s, which
+        skips atexit."""
+        self._seen = set()
+        self._bound = set()
         exit_now = os._exit
 
         def flush_and_exit(code):
@@ -168,19 +387,26 @@ class CallTracer:
                 self.stop()
                 path = os.path.join(self.work, f"seen-{os.getpid()}.json")
                 with open(path, "w") as fh:
-                    json.dump(sorted(_keys(self.seen)), fh)
+                    json.dump({"class": self.cls,
+                               "seen": sorted(_keys(self._seen)),
+                               "bound": sorted(self._bound)}, fh)
             finally:
                 exit_now(code)  # never back into the parent's stack
 
         os._exit = flush_and_exit
 
-    def reached(self) -> Set[Tuple[str, int]]:
-        keys = _keys(self.seen)
+    def reached(self) -> Tuple[Dict[str, Set[tuple]], Dict[str, Set[tuple]]]:
+        """Per class: the ``(file, first line)`` keys called, and the
+        option keys set, this process's and its children's."""
+        seen = {c: _keys(codes) for c, codes in self.seen.items()}
+        bound = {c: set(keys) for c, keys in self.bound.items()}
         for fname in os.listdir(self.work):
             if fname.startswith("seen-"):
                 with open(os.path.join(self.work, fname)) as fh:
-                    keys |= {tuple(k) for k in json.load(fh)}
-        return keys
+                    child = json.load(fh)
+                seen[child["class"]] |= {tuple(k) for k in child["seen"]}
+                bound[child["class"]] |= {tuple(k) for k in child["bound"]}
+        return seen, bound
 
 
 def _keys(codes) -> Set[Tuple[str, int]]:
@@ -218,7 +444,10 @@ def _interrupt_when_committed(store: str, done: threading.Event) -> None:
 def _get_endpoints(stderr: io.StringIO, got: Dict[str, int],
                    done: threading.Event) -> None:
     """GET every endpoint of the served campaign, whose URL the CLI
-    prints on stderr; ``/events`` is read until the server closes it."""
+    prints on stderr, and ``watch --once`` it; ``/events`` is read until
+    the server closes it."""
+    from repro.cli import main
+
     url = None
     while url is None and not done.is_set():
         for word in stderr.getvalue().split():
@@ -227,6 +456,7 @@ def _get_endpoints(stderr: io.StringIO, got: Dict[str, int],
         time.sleep(0.01)
     if url is None:
         return
+    got["watch --url"] = main([*WATCH_URL, url])
     for path in ("/state.json", "/metrics", "/", "/events"):
         with urllib.request.urlopen(url + path, timeout=60) as resp:
             got[path] = len(resp.read())
@@ -262,9 +492,10 @@ def _run_cli(kind: str, args: list, log) -> int:
         if helper is not None:
             helper.join()
         log.write(stderr.getvalue())
-    if kind == "serve" and sorted(got) != ["/", "/events", "/metrics",
-                                           "/state.json"]:
-        log.write(f"GETs incomplete: {sorted(got)}\n")
+    if kind == "serve" and (
+        set(got) != SERVED or got["watch --url"] != 0
+    ):
+        log.write(f"GETs incomplete: {got}\n")
         return -1
     return rc
 
@@ -283,11 +514,13 @@ def _run_example(path: str, log) -> int:
         sys.path.remove(ROOT)
 
 
-def run_entries(work: str) -> List[dict]:
+def run_entries(work: str, tracer: CallTracer) -> List[dict]:
     with open(os.path.join(work, "plan.json"), "w") as fh:
         json.dump(PLAN, fh)
+    shutil.copyfile(BASELINE, os.path.join(work, "baseline.json"))
     results = []
-    for name, kind, args, ok in entry_points(work):
+    for name, cls, kind, args, ok in entry_points(work):
+        tracer.enter(cls)
         t0 = time.perf_counter()
         with open(os.path.join(work, "log.txt"), "a") as log:
             log.write(f"\n== {name}: {' '.join(args)}\n")
@@ -300,14 +533,42 @@ def run_entries(work: str) -> List[dict]:
                 log.write(traceback.format_exc())
                 rc = -1
         wall = time.perf_counter() - t0
-        results.append({"name": name, "args": args, "rc": rc,
+        results.append({"name": name, "class": cls, "args": args, "rc": rc,
                         "ok": rc in ok, "wall_s": round(wall, 2)})
         print(f"  {'ok ' if rc in ok else 'BAD'} {name} (rc {rc}, "
               f"{wall:.1f}s)", flush=True)
     return results
 
 
+def unpassed_flags(work: str) -> List[str]:
+    """The parser's long flags that no entry passes."""
+    from repro.cli import build_parser
+
+    flags: List[List[str]] = []
+    parsers = [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif any(o.startswith("--") for o in action.option_strings):
+                flags.append(action.option_strings)
+    passed = {str(a).split("=")[0] for e in entry_points(work)
+              if e[2] != "example" for a in e[3]} | set(WATCH_URL)
+    return sorted({
+        next(o for o in options if o.startswith("--")) for options in flags
+        if "--help" not in options and not passed & set(options)
+    })
+
+
 # -- function inventory -------------------------------------------------------
+
+
+def _package_files() -> List[str]:
+    return [
+        os.path.realpath(os.path.join(dirpath, fname))
+        for dirpath, _, files in sorted(os.walk(PACKAGE))
+        for fname in sorted(files) if fname.endswith(".py")
+    ]
 
 
 def _code_lines(source: List[str], lo: int, hi: int) -> Set[int]:
@@ -351,33 +612,83 @@ def functions_of(path: str) -> List[dict]:
     return out
 
 
-def inventory(reached: Set[Tuple[str, int]]) -> dict:
+def inventory(seen: Dict[str, Set[tuple]]) -> Tuple[dict, dict]:
+    """Per module: functions reached and not, and the classes reaching
+    each reached function; per class: the functions and body lines it
+    reaches."""
+    reached = set().union(*seen.values())
     modules = {}
-    for dirpath, _, files in sorted(os.walk(PACKAGE)):
-        for fname in sorted(files):
-            if not fname.endswith(".py"):
-                continue
-            path = os.path.realpath(os.path.join(dirpath, fname))
-            funcs = functions_of(path)
-            if not funcs:
-                continue
-            missed = [f for f in funcs if (path, f["line"]) not in reached]
-            rel = os.path.relpath(path, os.path.dirname(PACKAGE))
-            modules[rel] = {
-                "functions": len(funcs),
-                "reached": len(funcs) - len(missed),
-                "body_lines": sum(f["lines"] for f in funcs),
-                "unreached_lines": sum(f["lines"] for f in missed),
-                "unreached": [f"{f['name']}:{f['line']}" for f in missed],
-            }
-    return modules
+    classes = {c: {"functions": 0, "body_lines": 0} for c in CLASSES}
+    for path in _package_files():
+        funcs = functions_of(path)
+        if not funcs:
+            continue
+        missed = [f for f in funcs if (path, f["line"]) not in reached]
+        by: Dict[str, List[str]] = {}
+        for f in funcs:
+            who = [c for c in CLASSES if (path, f["line"]) in seen[c]]
+            for c in who:
+                classes[c]["functions"] += 1
+                classes[c]["body_lines"] += f["lines"]
+            if who:
+                by[f"{f['name']}:{f['line']}"] = who
+        modules[_rel(path)] = {
+            "functions": len(funcs),
+            "reached": len(funcs) - len(missed),
+            "body_lines": sum(f["lines"] for f in funcs),
+            "unreached_lines": sum(f["lines"] for f in missed),
+            "unreached": [f"{f['name']}:{f['line']}" for f in missed],
+            "reached_by": by,
+        }
+    return modules, classes
+
+
+def option_report(index: OptionIndex, seen: Dict[str, Set[tuple]],
+                  bound: Dict[str, Set[tuple]]) -> dict:
+    """Per module, per reached function (``name:line``) or built
+    dataclass (``name``): each defaulted option and the classes that set
+    it (empty: never set by any entry point)."""
+    reached = set().union(*seen.values())
+    setters: Dict[tuple, List[str]] = {}
+    built = set()
+    for c in CLASSES:
+        for key in bound[c]:
+            if len(key) == 3:
+                built.add(key[1:])
+            else:
+                setters.setdefault(key, []).append(c)
+    modules: Dict[str, dict] = {}
+    traced = never = 0
+
+    def add(path, label, kind, ident, options):
+        nonlocal traced, never
+        row = {}
+        for name, _expr in options:
+            row[name] = setters.get((kind, path, ident, name), [])
+            traced += 1
+            never += not row[name]
+        modules.setdefault(_rel(path), {})[label] = row
+
+    for (path, line), (name, options) in sorted(index.functions.items()):
+        if (path, line) in reached:
+            add(path, f"{name}:{line}", "f", line, options)
+    for (path, name), (_line, options) in sorted(index.dataclasses.items()):
+        if (path, name) in built:
+            add(path, name, "d", name, options)
+    return {"settable": index.settable(), "traced": traced,
+            "never_set": never, "modules": modules}
+
+
+def _rel(path: str) -> str:
+    return os.path.relpath(path, os.path.dirname(PACKAGE))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 on a failed entry point or a module "
-                             "none of whose functions is reached")
+                        help="exit 1 on a failed entry point, a module "
+                             "none of whose functions is reached, or a "
+                             "CLI flag no entry passes")
     args = parser.parse_args(argv)
     output = os.path.join(OUT, "reach.json")
 
@@ -387,16 +698,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     os.chdir(work)  # the entry points leave their files here
     print(f"tracing entry points (log: {os.path.join(work, 'log.txt')})")
-    tracer = CallTracer(work)
+    index = OptionIndex()
+    tracer = CallTracer(work, index)
     tracer.start()
     try:
-        entries = run_entries(work)
+        entries = run_entries(work, tracer)
     finally:
         tracer.stop()
 
-    modules = inventory(tracer.reached())
+    seen, bound = tracer.reached()
+    modules, classes = inventory(seen)
+    for c in CLASSES:
+        classes[c]["entries"] = [e["name"] for e in entries
+                                 if e["class"] == c]
+    options = option_report(index, seen, bound)
     dead = sorted(m for m, s in modules.items() if s["reached"] == 0)
     failed = [e["name"] for e in entries if not e["ok"]]
+    unpassed = unpassed_flags(work)
     body = sum(s["body_lines"] for s in modules.values())
     unreached = sum(s["unreached_lines"] for s in modules.values())
     doc = {
@@ -404,18 +722,31 @@ def main(argv: Optional[List[str]] = None) -> int:
         "body_lines": body,
         "unreached_lines": unreached,
         "unreached_modules": dead,
+        "classes": classes,
         "modules": modules,
+        "options": options,
+        "unpassed_flags": unpassed,
     }
     with open(output, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{unreached} of {body} function-body lines unreached, in "
           f"{len(modules)} modules; wrote {output}")
+    for c in CLASSES:
+        print(f"  {c}: {classes[c]['body_lines']} body lines reached "
+              f"by {len(classes[c]['entries'])} entries")
+    settable = options["settable"]
+    print(f"{settable['parameters']} defaulted parameters and "
+          f"{settable['dataclass_fields']} defaulted dataclass fields; "
+          f"{options['never_set']} of the {options['traced']} traced "
+          "never set")
     for m in dead:
         print(f"  no function reached: {m}")
     for name in failed:
         print(f"  entry point failed: {name}")
-    if args.check and (dead or failed):
+    for flag in unpassed:
+        print(f"  no entry passes: {flag}")
+    if args.check and (dead or failed or unpassed):
         return 1
     return 0
 
