@@ -183,7 +183,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             task_counts=sizes,
             reps=args.reps,
             campaign_seed=args.seed,
-            verbose=False,
             jobs=args.jobs,
             collect_digests=args.digests,
             on_progress=on_progress,
@@ -443,9 +442,9 @@ def _report_data(result, args) -> dict:
         if stored and att.digest() != stored:
             raise ReplayMismatch(
                 f"the replay of exp {slowest.exp_id} n={slowest.n_tasks} "
-                f"rep={slowest.rep} does not reproduce the stored run: "
-                f"attribution digest {att.digest()} replayed, {stored} "
-                "stored; the code that simulated it has changed"
+                f"rep={slowest.rep} does not reproduce the stored run "
+                f"(attribution digest {att.digest()} replayed, {stored} "
+                "stored), so its critical path is not that run's"
             )
         data["critical_path"] = [seg.as_dict() for seg in att.critical_path]
         data["summary"].append((

@@ -54,11 +54,11 @@ _CANCELLED, _FAILED = JobState.CANCELLED, JobState.FAILED
 #: Bucket boundaries for the scheduler-pass-length histogram (pending
 #: jobs examined per pass); shared so every cluster observes into the
 #: same instrument without a boundary conflict.
+SCHEDULER_PASS_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
+
 #: how many recent job starts ``Cluster.wait_history`` keeps for the
 #: bundle's wait predictors.
 WAIT_HISTORY = 512
-
-SCHEDULER_PASS_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 class Cluster:

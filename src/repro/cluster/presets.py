@@ -58,10 +58,9 @@ def _profile(
     runtime_hours: float,
     sigma: float,
     big_job_bias: float,
-    diurnal: float = 0.3,
 ) -> WorkloadProfile:
-    """Build a workload profile; ``big_job_bias`` skews mass to large jobs."""
-    choices = (1, 4, 16, 32, 64, 128, 256, 512, 1024)
+    """Build a workload profile over the profile's core choices and
+    diurnal swing; ``big_job_bias`` skews mass to large jobs."""
     base = [0.28, 0.20, 0.16, 0.12, 0.09, 0.07, 0.045, 0.02, 0.015]
     # Tilt the mix toward large jobs by a geometric factor, then renormalize.
     weights = [w * (big_job_bias ** i) for i, w in enumerate(base)]
@@ -69,11 +68,9 @@ def _profile(
     weights = tuple(w / total for w in weights)
     return WorkloadProfile(
         offered_load=load,
-        core_choices=choices,
         core_weights=weights,
         runtime_log_mean=math.log(runtime_hours * 3600.0),
         runtime_log_sigma=sigma,
-        diurnal_amplitude=diurnal,
     )
 
 

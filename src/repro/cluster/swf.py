@@ -16,7 +16,7 @@ and ignore the rest, as most archive tools do. Comment lines start with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from ..des import Simulation
 from .job import BatchJob, JobState
@@ -91,16 +91,15 @@ class SwfReplay:
         cluster: Cluster,
         jobs: Iterable[SwfJob],
         time_scale: float = 1.0,
-        max_cores: Optional[int] = None,
     ) -> None:
         """``time_scale`` compresses submit times (0.5 = twice as fast);
-        jobs wider than ``max_cores`` (default: the machine) are clipped."""
+        jobs wider than the machine are clipped to it."""
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
         self.sim = sim
         self.cluster = cluster
         self.time_scale = time_scale
-        self.cap = max_cores or cluster.total_cores
+        self.cap = cluster.total_cores
         self.jobs = sorted(jobs, key=lambda j: j.submit_time)
         self.submitted = 0
 

@@ -33,10 +33,8 @@ _SCHEDULER_FACTORIES = (
 _SCHEMAS = ("slurm", "slurm", "pbs", "pbs", "condor")
 
 
-def synthetic_preset(
-    rng: np.random.Generator, index: int, name_prefix: str = "synth"
-) -> ResourcePreset:
-    """Sample one plausible resource preset."""
+def synthetic_preset(rng: np.random.Generator, index: int) -> ResourcePreset:
+    """Sample one plausible resource preset, named ``synth-<index>``."""
     cores_per_node = int(rng.choice([16, 24, 32]))
     # machine sizes log-uniform between ~2k and ~16k cores
     total_cores = float(rng.uniform(math.log(2048), math.log(16384)))
@@ -46,7 +44,7 @@ def synthetic_preset(
     sigma = float(rng.uniform(1.0, 1.3))
     bias = float(rng.uniform(0.9, 1.2))
     return ResourcePreset(
-        name=f"{name_prefix}-{index:02d}",
+        name=f"synth-{index:02d}",
         nodes=nodes,
         cores_per_node=cores_per_node,
         scheduler_factory=_SCHEDULER_FACTORIES[
@@ -66,13 +64,9 @@ def synthetic_preset(
     )
 
 
-def synthetic_pool(
-    n: int,
-    seed: int = 0,
-    name_prefix: str = "synth",
-) -> List[ResourcePreset]:
+def synthetic_pool(n: int, seed: int = 0) -> List[ResourcePreset]:
     """Generate ``n`` heterogeneous presets (deterministic in ``seed``)."""
     if n <= 0:
         raise ValueError("pool size must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    return [synthetic_preset(rng, i, name_prefix) for i in range(n)]
+    return [synthetic_preset(rng, i) for i in range(n)]

@@ -15,8 +15,8 @@ from .analytics import (
     concurrency_series,
 )
 from .energy import (
-    DEFAULT_ACTIVE_WATTS,
-    DEFAULT_IDLE_WATTS,
+    ACTIVE_WATTS,
+    IDLE_WATTS,
     EnergyEstimate,
     estimate_energy,
     report_energy,
@@ -63,8 +63,8 @@ __all__ = [
     "render_report_timeline",
     "render_timeline",
     "Binding",
-    "DEFAULT_ACTIVE_WATTS",
-    "DEFAULT_IDLE_WATTS",
+    "ACTIVE_WATTS",
+    "IDLE_WATTS",
     "EnergyEstimate",
     "PilotReinforcer",
     "Decision",

@@ -2,8 +2,8 @@
 
 The paper lists energy efficiency among the metrics future execution
 strategies must weigh. We implement the standard node-power model used
-in scheduling studies: an allocated core draws ``active_watts`` while a
-unit executes on it and ``idle_watts`` while it sits allocated-but-idle
+in scheduling studies: an allocated core draws ``ACTIVE_WATTS`` while a
+unit executes on it and ``IDLE_WATTS`` while it sits allocated-but-idle
 inside a pilot (the pilot holds the cores either way — that is the cost
 of the placeholder pattern). Energy is attributed per pilot from the
 instrumented histories, so strategies can be compared on joules as
@@ -18,9 +18,9 @@ from typing import Dict, Optional, Sequence
 from ..pilot import ComputePilot, ComputeUnit, UnitState
 from .analytics import _executing_attempts, _pilot_active_window
 
-#: defaults representative of 2015-era HPC nodes (per core).
-DEFAULT_ACTIVE_WATTS = 12.0
-DEFAULT_IDLE_WATTS = 6.0
+#: power draws representative of 2015-era HPC nodes (per core).
+ACTIVE_WATTS = 12.0
+IDLE_WATTS = 6.0
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,8 @@ def estimate_energy(
     pilots: Sequence[ComputePilot],
     units: Sequence[ComputeUnit],
     final_time: Optional[float] = None,
-    active_watts: float = DEFAULT_ACTIVE_WATTS,
-    idle_watts: float = DEFAULT_IDLE_WATTS,
 ) -> EnergyEstimate:
     """Attribute core-seconds and joules to the execution's pilots."""
-    if active_watts < 0 or idle_watts < 0:
-        raise ValueError("power draws must be non-negative")
 
     # Per-pilot busy core-seconds from the units that ran on it: only
     # a unit's last attempt, if it staged out, ran on ``unit.pilot``.
@@ -84,14 +80,13 @@ def estimate_energy(
     return EnergyEstimate(
         active_core_s=active_core_s,
         idle_core_s=idle_core_s,
-        active_joules=active_core_s * active_watts,
-        idle_joules=idle_core_s * idle_watts,
+        active_joules=active_core_s * ACTIVE_WATTS,
+        idle_joules=idle_core_s * IDLE_WATTS,
     )
 
 
-def report_energy(report, **kwargs) -> EnergyEstimate:
+def report_energy(report) -> EnergyEstimate:
     """Convenience: energy straight from an ExecutionReport."""
     return estimate_energy(
-        report.pilots, report.units,
-        final_time=report.decomposition.t_end, **kwargs,
+        report.pilots, report.units, final_time=report.decomposition.t_end
     )

@@ -59,6 +59,8 @@ log = logging.getLogger(__name__)
 #: delay between a pilot's placeholder job starting and its agent
 #: accepting units (environment setup, agent handshake).
 AGENT_BOOTSTRAP_S = 60.0
+#: growth of the recovery backoff per replacement.
+RECOVERY_BACKOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -67,14 +69,14 @@ class RecoveryPolicy:
 
     A failed pilot (resource error, walltime kill, injected fault) may be
     replaced by a fresh submission of the same description, up to
-    ``max_resubmissions`` replacements per execution, each delayed by an
-    exponentially growing backoff. Canceled and cleanly finished pilots
+    ``max_resubmissions`` replacements per execution, each delayed by a
+    backoff that grows by ``RECOVERY_BACKOFF_FACTOR`` per replacement.
+    Canceled and cleanly finished pilots
     are never replaced.
     """
 
     max_resubmissions: int = 2
     backoff_s: float = 60.0
-    backoff_factor: float = 2.0
     #: desynchronize backoffs by up to +-this fraction. The draw comes
     #: from the kernel's seeded "recovery-jitter" stream — independent of
     #: the fault plan's streams — so fault-log digests stay reproducible
@@ -86,8 +88,6 @@ class RecoveryPolicy:
             raise ValueError("max_resubmissions must be non-negative")
         if self.backoff_s < 0:
             raise ValueError("backoff_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
         if not 0.0 <= self.jitter_frac < 1.0:
             raise ValueError("jitter_frac must be in [0, 1)")
 
@@ -98,7 +98,7 @@ class RecoveryPolicy:
         ``jitter_frac`` is non-zero; with the default of 0 the delay is
         the exact exponential schedule the tests pin down.
         """
-        base = self.backoff_s * (self.backoff_factor ** attempt)
+        base = self.backoff_s * (RECOVERY_BACKOFF_FACTOR ** attempt)
         if self.jitter_frac and rng is not None:
             base *= 1.0 + self.jitter_frac * (2.0 * rng.random() - 1.0)
         return base
@@ -399,8 +399,8 @@ class ExecutionManager:
         self.fault_injector = None
         self.reports: List[ExecutionReport] = []
 
-    def attach_faults(self, injector, arm: bool = True):
-        """Attach (and by default arm) a fault injector to this manager.
+    def attach_faults(self, injector):
+        """Attach and arm a fault injector to this manager.
 
         Subsequent reports carry the injector's fault-log slice
         for their execution window, and the TTC decomposition counts the
@@ -412,8 +412,7 @@ class ExecutionManager:
             # outages and link partitions trip breakers without waiting
             # for the failure threshold.
             injector.log.add_listener(self.health.on_fault_event)
-        if arm:
-            injector.arm()
+        injector.arm()
         return injector
 
     # -- public API ------------------------------------------------------------------
@@ -572,7 +571,6 @@ class ExecutionManager:
             supervisor = DeadlineSupervisor(
                 ex, self.health, sup.deadline_s,
                 check_interval_s=sup.check_interval_s,
-                max_replans=sup.max_replans,
             )
 
         yield ex.unit_manager.wait_units(ex.units)

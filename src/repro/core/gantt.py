@@ -28,8 +28,12 @@ from .analytics import concurrency_series
 _RAMP = " .:iI"
 
 
-def _row(width: int, fill: str = " ") -> List[str]:
-    return [fill] * width
+#: characters per timeline row.
+WIDTH = 64
+
+
+def _row() -> List[str]:
+    return [" "] * WIDTH
 
 
 def _mark(row: List[str], t0: float, t1: float, lo: float, hi: float,
@@ -56,13 +60,13 @@ def render_timeline(
     units: Sequence[ComputeUnit],
     t_start: float,
     t_end: float,
-    width: int = 64,
     fault_log=None,
     health_log=None,
     em_steps: Optional[Sequence] = None,
     critical_path: Optional[Sequence] = None,
 ) -> str:
-    """Render one execution as an ASCII timeline.
+    """Render one execution as an ASCII timeline, ``WIDTH`` characters
+    wide.
 
     ``em_steps`` is an optional sequence of ``(name, t0, t1)`` rows —
     the enactment-step spans a telemetry-enabled run records — drawn as
@@ -73,22 +77,20 @@ def render_timeline(
     """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
-    if width < 8:
-        raise ValueError("width must be at least 8")
     lines = [
-        f"t={t_start:.0f}s " + "." * width + f" t={t_end:.0f}s"
+        f"t={t_start:.0f}s " + "." * WIDTH + f" t={t_end:.0f}s"
     ]
 
     if em_steps:
         label_w = len(pilots[0].uid) + 18 if pilots else 20
         for name, s0, s1 in em_steps:
-            row = _row(width)
+            row = _row()
             _mark(row, s0, s1, t_start, t_end, "=")
             label = f"{f'step {name}':<{label_w}.{label_w}}"
             lines.append(f"{label} " + "".join(row))
 
     for pilot in pilots:
-        row = _row(width)
+        row = _row()
         submit = pilot.history.timestamp(PilotState.LAUNCHING.value)
         active = pilot.activated_at
         final = _pilot_end_time(pilot)
@@ -107,20 +109,19 @@ def render_timeline(
     # unit-concurrency density row
     series = concurrency_series(units)
     if series:
-        row = _row(width)
+        row = _row()
         peak = max(level for _, level in series) or 1
         for (t0, level), (t1, _) in zip(series, series[1:]):
             idx = min(len(_RAMP) - 1,
                       1 + int((len(_RAMP) - 2) * level / peak)) if level else 0
             _mark(row, t0, t1, t_start, t_end, _RAMP[idx])
-        pad = " " * (len(lines[-1]) - width - len("".join(row)) + len(row) * 0)
         label = f"{'units executing':<{len(pilots[0].uid) + 18 if pilots else 20}}"
         lines.append(f"{label} " + "".join(row))
         lines.append(f"(peak concurrency: {peak})")
 
     # fault-injection row: one X per enacted fault within the window
     if fault_log is not None and len(fault_log):
-        row = _row(width)
+        row = _row()
         shown = 0
         for ev in fault_log:
             if t_start <= ev.time <= t_end:
@@ -156,7 +157,7 @@ def render_timeline(
             windows.setdefault(target, []).append((t0, t_end, "?"))
         label_w = len(pilots[0].uid) + 18 if pilots else 20
         for target in sorted(windows):
-            row = _row(width)
+            row = _row()
             for t0, t1, char in windows[target]:
                 _mark(row, t0, t1, t_start, t_end, char)
             label = f"{f'breaker {target}':<{label_w}.{label_w}}"
@@ -165,7 +166,7 @@ def render_timeline(
     # critical-path row: which component gated the run, instant by
     # instant — the backward-walk chain rendered on the shared axis.
     if critical_path:
-        row = _row(width)
+        row = _row()
         for seg in critical_path:
             char = _PATH_CHARS.get(seg.component, "?")
             if char != " ":
@@ -177,22 +178,20 @@ def render_timeline(
     return "\n".join(lines)
 
 
-def render_report_timeline(
-    report, width: int = 64, critical_path: bool = True
-) -> str:
+def render_report_timeline(report) -> str:
     """Convenience: timeline straight from an ExecutionReport.
 
     Executions run under fault injection also show a fault row (one
-    ``X`` per enacted fault inside the window); by default the causal
-    critical path is computed and drawn as the final row.
+    ``X`` per enacted fault inside the window); the causal critical
+    path is computed and drawn as the final row.
     """
     d = report.decomposition
     tel = getattr(report, "telemetry", None)
     path = None
-    if critical_path and d.t_end > d.t_start:
+    if d.t_end > d.t_start:
         path = report.attribution().critical_path
     return render_timeline(
-        report.pilots, report.units, d.t_start, d.t_end, width=width,
+        report.pilots, report.units, d.t_start, d.t_end,
         fault_log=getattr(report, "fault_log", None),
         health_log=getattr(report, "health_log", None),
         em_steps=tel.em_steps if tel is not None else None,

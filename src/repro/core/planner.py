@@ -32,6 +32,10 @@ TRP_PER_TASK_S = 0.25
 #: strands tasks, so the middleware over-requests modestly (as users do).
 WALLTIME_SAFETY = 1.25
 
+#: pilots of a late-binding strategy that pins no count (at most one per
+#: resource of the pool).
+MAX_PILOTS = 3
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -43,12 +47,11 @@ class PlannerConfig:
     """
 
     binding: Binding = Binding.LATE
-    n_pilots: Optional[int] = None          # late binding default: min(3, pool)
+    n_pilots: Optional[int] = None          # late binding: min(MAX_PILOTS, pool)
     unit_scheduler: Optional[str] = None    # derived from binding
     resources: Optional[Tuple[str, ...]] = None  # derived from bundle ranking
     pilot_cores: Optional[int] = None       # derived from app concurrency
     pilot_walltime_min: Optional[float] = None   # derived from Tx+Ts+Trp
-    max_pilots: int = 3
     #: resources the planner must not use (e.g. quarantined by the
     #: health layer during runtime re-planning). Pinning a resource that
     #: is also excluded is a :class:`PlanningError`.
@@ -152,7 +155,7 @@ def derive_strategy(
     elif binding is Binding.EARLY:
         n_pilots = 1
     else:
-        n_pilots = min(config.max_pilots, len(pool))
+        n_pilots = min(MAX_PILOTS, len(pool))
     if n_pilots > len(pool) and config.resources is None:
         raise PlanningError(
             f"strategy wants {n_pilots} pilots but the bundle has only "

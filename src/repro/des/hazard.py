@@ -10,8 +10,7 @@ plan's seed alone determines the hazard timeline.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .errors import Interrupt
 from .process import Process
@@ -25,9 +24,9 @@ def hazard_process(
     rate_per_s: float,
     action: Callable[[float], Any],
     rng,
-    start: float = 0.0,
-    stop: float = math.inf,
-    name: Optional[str] = None,
+    start: float,
+    stop: float,
+    name: str,
 ) -> Process:
     """Fire ``action(now)`` at exponential intervals of mean ``1/rate``.
 
@@ -54,4 +53,4 @@ def hazard_process(
         except Interrupt:
             return  # disarmed
 
-    return sim.process(_run(), name=name or f"hazard@{rate_per_s:g}/s")
+    return sim.process(_run(), name=name)

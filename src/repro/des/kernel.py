@@ -118,16 +118,13 @@ class Simulation:
         return self._push(time, callback, args, priority)
 
     def call_in(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` after ``delay`` simulated seconds."""
+        """Schedule ``callback(*args)`` after ``delay`` simulated seconds,
+        at priority 0."""
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
-        return self._push(self._now + delay, callback, args, priority)
+        return self._push(self._now + delay, callback, args)
 
     def cancel(self, event: EventHandle) -> None:
         """Lazily cancel a scheduled event; it stays in the heap but will

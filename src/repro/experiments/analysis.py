@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .campaign import CampaignResult, RunResult
+from .campaign import CampaignResult
 
 
 @dataclass(frozen=True)

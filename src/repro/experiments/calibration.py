@@ -56,13 +56,16 @@ class ResourceCalibration:
         )
 
 
+#: probes per calibration, spread over 25-90% of the horizon.
+N_PROBES = 4
+#: cores of each probe job.
+PROBE_CORES = 256
+#: simulated seconds between utilization and queue samples.
+SAMPLE_INTERVAL_S = 600.0
+
+
 def calibrate_resource(
-    preset_name: str,
-    seed: int = 0,
-    hours: float = 24.0,
-    probe_cores: int = 256,
-    n_probes: int = 4,
-    sample_interval_s: float = 600.0,
+    preset_name: str, seed: int = 0, hours: float = 24.0
 ) -> ResourceCalibration:
     """Measure one preset's steady-state behaviour and probe waits."""
     sim = Simulation(seed=seed)
@@ -73,18 +76,18 @@ def calibrate_resource(
     queue_lengths: List[float] = []
     probes: List[BatchJob] = []
     horizon = hours * 3600.0
-    probe_times = np.linspace(horizon * 0.25, horizon * 0.9, n_probes)
+    probe_times = np.linspace(horizon * 0.25, horizon * 0.9, N_PROBES)
 
     t = 0.0
     next_probe = 0
     while t < horizon:
-        t += sample_interval_s
+        t += SAMPLE_INTERVAL_S
         sim.run(until=t)
         utilizations.append(res.cluster.utilization)
         queue_lengths.append(res.cluster.queue_length)
-        while next_probe < n_probes and t >= probe_times[next_probe]:
+        while next_probe < N_PROBES and t >= probe_times[next_probe]:
             probe = BatchJob(
-                cores=probe_cores, runtime=900, walltime=1800, kind="probe"
+                cores=PROBE_CORES, runtime=900, walltime=1800, kind="probe"
             )
             res.cluster.submit(probe)
             probes.append(probe)

@@ -100,9 +100,8 @@ def build_environment(
     (the sites have heterogeneous connectivity), and each machine starts
     primed (see :func:`~repro.cluster.build_resource`). ``resources``
     names the built-in presets to build (default: all); ``presets``
-    replaces the
-    named built-in pool with explicit presets (e.g. a synthetic pool for
-    scaling studies). ``supervision`` (a
+    replaces the named built-in pool with explicit presets (e.g. a
+    synthetic pool for scaling studies). ``supervision`` (a
     :class:`~repro.health.SupervisionPolicy`) turns on resource health
     supervision — circuit breakers, the unit watchdog, and the deadline
     supervisor — on the Execution Manager. ``telemetry`` enables the

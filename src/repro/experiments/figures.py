@@ -13,7 +13,7 @@ the configuration table is static (it *is* the experiment design).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from ..skeleton import PAPER_TASK_COUNTS
 from .analysis import cell_stats, component_shares, tw_range
@@ -47,19 +47,16 @@ def render_table1() -> str:
     return "\n".join(lines)
 
 
-def render_figure2(
-    result: CampaignResult,
-    task_counts: Sequence[int] = PAPER_TASK_COUNTS,
-) -> str:
-    """TTC comparison (paper Figure 2): one row per size, one column per
-    experiment."""
+def render_figure2(result: CampaignResult) -> str:
+    """TTC comparison (paper Figure 2): one row per size of
+    ``PAPER_TASK_COUNTS``, one column per experiment."""
     exp_ids = sorted({r.exp_id for r in result.runs})
     header = f"{'#tasks':>7} | " + " | ".join(
         f"{'Exp.' + str(e) + ' TTC(s)':>14}" for e in exp_ids
     )
     lines = ["Figure 2 — TTC comparison across experiments", header,
              "-" * len(header)]
-    for n in task_counts:
+    for n in PAPER_TASK_COUNTS:
         cells = []
         for e in exp_ids:
             s = cell_stats(result, e, n, "ttc")
@@ -68,12 +65,9 @@ def render_figure2(
     return "\n".join(lines)
 
 
-def render_figure3(
-    result: CampaignResult,
-    exp_id: int,
-    task_counts: Sequence[int] = PAPER_TASK_COUNTS,
-) -> str:
-    """TTC decomposition for one experiment (paper Figure 3a-d)."""
+def render_figure3(result: CampaignResult, exp_id: int) -> str:
+    """TTC decomposition for one experiment (paper Figure 3a-d), one row
+    per size of ``PAPER_TASK_COUNTS`` that has runs."""
     spec = TABLE1.get(exp_id)
     label = spec.label if spec else f"Exp.{exp_id}"
     header = (
@@ -82,7 +76,7 @@ def render_figure3(
     )
     lines = [f"Figure 3 — TTC components, {label}", header, "-" * len(header)]
     shares = component_shares(result, exp_id)
-    for n in task_counts:
+    for n in PAPER_TASK_COUNTS:
         if n not in shares:
             continue
         c = shares[n]
@@ -95,26 +89,26 @@ def render_figure3(
     return "\n".join(lines)
 
 
-def render_figure4(
-    result: CampaignResult,
-    early_exp: int = 1,
-    late_exp: int = 3,
-    task_counts: Sequence[int] = PAPER_TASK_COUNTS,
-) -> str:
+#: the experiments Figure 4 compares: early binding on one pilot, late
+#: binding on three.
+EARLY_EXP, LATE_EXP = 1, 3
+
+
+def render_figure4(result: CampaignResult) -> str:
     """TTC with run-to-run error bars, early vs late (paper Figure 4)."""
     header = (
         f"{'#tasks':>7} | {'Early mean':>11} | {'Early std':>10} | "
         f"{'Late mean':>10} | {'Late std':>9}"
     )
     lines = [
-        f"Figure 4 — TTC variability: Exp.{early_exp} (early, 1 pilot) vs "
-        f"Exp.{late_exp} (late, 3 pilots)",
+        f"Figure 4 — TTC variability: Exp.{EARLY_EXP} (early, 1 pilot) vs "
+        f"Exp.{LATE_EXP} (late, 3 pilots)",
         header,
         "-" * len(header),
     ]
-    for n in task_counts:
-        e = cell_stats(result, early_exp, n, "ttc")
-        l = cell_stats(result, late_exp, n, "ttc")
+    for n in PAPER_TASK_COUNTS:
+        e = cell_stats(result, EARLY_EXP, n, "ttc")
+        l = cell_stats(result, LATE_EXP, n, "ttc")
         if not e.n_runs and not l.n_runs:
             continue
         lines.append(

@@ -58,7 +58,6 @@ from __future__ import annotations
 import logging
 import os
 import signal
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -152,6 +151,10 @@ class CampaignInterrupted(RuntimeError):
         self.result = result
 
 
+#: base of the seeded exponential backoff between retries.
+BACKOFF_BASE_S = 0.5
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """Knobs for execution supervision and retry budgets.
@@ -168,10 +171,6 @@ class ResiliencePolicy:
     #: it is quarantined as a poison-cell
     #: :class:`~repro.experiments.campaign.CellError`.
     max_attempts: int = 2
-    #: base of the seeded exponential backoff between retries.
-    backoff_base_s: float = 0.5
-    #: parent-side poll cadence for heartbeats/timeouts/signals.
-    poll_s: float = 0.25
     #: on resume, re-attempt cells previously quarantined as errors.
     retry_errors: bool = False
 
@@ -181,7 +180,7 @@ class ResiliencePolicy:
             entropy=campaign_seed, spawn_key=(*cell, 0x5EED, attempt)
         )
         jitter = float(np.random.default_rng(ss).uniform(0.5, 1.5))
-        return self.backoff_base_s * (2 ** max(0, attempt - 1)) * jitter
+        return BACKOFF_BASE_S * (2 ** max(0, attempt - 1)) * jitter
 
 
 class ShutdownControl:
@@ -201,12 +200,11 @@ class ShutdownControl:
     the main thread.
     """
 
-    def __init__(self, raise_on_hard: bool = False, quiet: bool = True) -> None:
+    def __init__(self, raise_on_hard: bool = False) -> None:
         self.draining = False
         self.hard = False
         self.signals = 0
         self._raise_on_hard = raise_on_hard
-        self._quiet = quiet
         self._pid = os.getpid()
         self._previous: Dict[int, Any] = {}
 
@@ -233,17 +231,10 @@ class ShutdownControl:
         self.signals += 1
         if self.draining:
             self.hard = True
-            if not self._quiet:
-                sys.stderr.write("\nhard cancel — store keeps every committed cell\n")
             if self._raise_on_hard:
                 raise KeyboardInterrupt
         else:
             self.draining = True
-            if not self._quiet:
-                sys.stderr.write(
-                    "\ndraining in-flight cells (signal again to hard-cancel); "
-                    "resume later with --resume\n"
-                )
 
     def __enter__(self) -> "ShutdownControl":
         return self.install()

@@ -115,6 +115,8 @@ Cell = Tuple[int, int, int]
 
 #: minimum interval between two writes of the parent's heartbeat.
 HEARTBEAT_S = 1.0
+#: parent-side poll cadence for heartbeats, timeouts and signals.
+POLL_S = 0.25
 
 #: Environment setup (building, priming and warming up one observed
 #: resource) costs about as much as 160 tasks' worth of simulated
@@ -410,7 +412,7 @@ def _execute_workers(
                 return True
             if not held and (control.draining or not pending):
                 return control.draining
-            ready = set(wait([w.conn for w in workers], policy.poll_s))
+            ready = set(wait([w.conn for w in workers], POLL_S))
             now = time.monotonic()
             if now - beat >= HEARTBEAT_S:
                 ledger.store.set_heartbeat()  # running cells' last-seen time
@@ -502,7 +504,6 @@ def run_campaign(
     reps: int = 5,
     campaign_seed: int = 0,
     resource_pool: Optional[Sequence[str]] = None,
-    verbose: bool = False,
     jobs: int = 1,
     collect_digests: bool = False,
     on_progress: Optional[Callable[[CellProgress], None]] = None,
@@ -568,7 +569,7 @@ def run_campaign(
         with CampaignStore(":memory:") as private:
             return run_campaign(
                 experiments, task_counts, reps, campaign_seed, resource_pool,
-                verbose, jobs, collect_digests, on_progress, ledger,
+                jobs, collect_digests, on_progress, ledger,
                 store=private, resilience=resilience, run_fn=run_fn,
                 stats=stats,
             )
@@ -652,14 +653,6 @@ def run_campaign(
             else:
                 store.put_error(CellError(*cell, error=error))
             ledger.cell(progress, run=run, worker=cmeta.get("worker"))
-        if verbose:
-            exp_id, n_tasks, rep = cell
-            outcome = (
-                f"TTC={run.ttc:.0f}s Tw={run.tw:.0f}s "
-                f"done={run.units_done}/{n_tasks}"
-                if run is not None else f"ERROR {payload}"
-            )
-            print(f"{TABLE1[exp_id].label} n={n_tasks} rep={rep}: {outcome}")
         if on_progress is not None:
             on_progress(progress)
 

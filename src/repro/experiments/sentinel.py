@@ -282,10 +282,9 @@ class Anomaly:
         return f"{self.kind} in cell {self.cell}: {self.detail} (z={self.z:+.1f})"
 
 
-def detect_anomalies(
-    result: CampaignResult, z_threshold: float = Z_THRESHOLD
-) -> List[Anomaly]:
-    """Robust-z anomaly scan of one campaign, no baseline needed.
+def detect_anomalies(result: CampaignResult) -> List[Anomaly]:
+    """Robust-z anomaly scan of one campaign, no baseline needed: a
+    modified z-score of at least ``Z_THRESHOLD`` flags.
 
     Two passes: per-cell TTC across repetitions (a repetition far from
     its siblings), and per-experiment component shares across cell
@@ -299,7 +298,7 @@ def detect_anomalies(
     for (exp_id, n_tasks), runs in sorted(by_cell.items()):
         zs = robust_z([r.ttc for r in runs])
         for run, z in zip(runs, zs):
-            if abs(z) >= z_threshold:
+            if abs(z) >= Z_THRESHOLD:
                 anomalies.append(Anomaly(
                     "ttc-outlier", f"{exp_id}:{n_tasks}",
                     f"rep {run.rep} TTC {run.ttc:.0f}s", z,
@@ -319,7 +318,7 @@ def detect_anomalies(
         for name in COMPONENTS:
             zs = robust_z([shares[name] for _, shares in rows])
             for (n_tasks, shares), z in zip(rows, zs):
-                if abs(z) >= z_threshold:
+                if abs(z) >= Z_THRESHOLD:
                     anomalies.append(Anomaly(
                         "share-outlier", f"{exp_id}:{n_tasks}",
                         f"{name} share {shares[name]:.1%}", z,

@@ -318,11 +318,10 @@ class CampaignStore:
         return len(stale)
 
     def attempt_rows(
-        self, exp_id: Optional[int] = None, n_tasks: Optional[int] = None,
-        rep: Optional[int] = None, state: Optional[str] = None,
+        self, state: Optional[str] = None
     ) -> List[Dict[str, Any]]:
         """Attempt history folded from the log, optionally filtered by
-        coordinates and state, in cell order and then attempt order.
+        state, in cell order and then attempt order.
 
         An attempt opens with its ``attempt_started`` record and is
         ``leased`` until the next record of its cell that
@@ -350,12 +349,8 @@ class CampaignStore:
                     error=record.get("error"),
                     worker=record.get("worker", row["worker"]),
                 )
-        want = {"exp_id": exp_id, "n_tasks": n_tasks, "rep": rep,
-                "state": state}
-        rows = [
-            row for row in rows
-            if all(v is None or row[k] == v for k, v in want.items())
-        ]
+        if state is not None:
+            rows = [row for row in rows if row["state"] == state]
         rows.sort(key=lambda r: (r["exp_id"], r["n_tasks"], r["rep"]))
         return rows
 

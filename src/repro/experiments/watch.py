@@ -40,12 +40,16 @@ _STATUS_GLYPH = {
 }
 
 
-def state_from_url(url: str, timeout: float = 5.0) -> Dict[str, Any]:
+#: seconds to wait for a served ``/state.json`` before giving up.
+URL_TIMEOUT_S = 5.0
+
+
+def state_from_url(url: str) -> Dict[str, Any]:
     """Fetch ``/state.json`` from a :class:`MonitorServer`."""
     url = url.rstrip("/")
     if not url.endswith("/state.json"):
         url += "/state.json"
-    with urlopen(url, timeout=timeout) as resp:
+    with urlopen(url, timeout=URL_TIMEOUT_S) as resp:
         return json.loads(resp.read().decode("utf-8"))
 
 
@@ -55,9 +59,13 @@ def _paint(text: str, color: Optional[str], enabled: bool) -> str:
     return f"\x1b[{color}m{text}\x1b[0m"
 
 
-def _bar(frac: float, width: int, fill: str = "#", empty: str = ".") -> str:
+#: characters per line of the dashboard and the tail header.
+WIDTH = 72
+
+
+def _bar(frac: float, width: int, fill: str = "#") -> str:
     filled = int(round(width * max(0.0, min(1.0, frac))))
-    return fill * filled + empty * (width - filled)
+    return fill * filled + "." * (width - filled)
 
 
 def _fmt_eta(seconds: float) -> str:
@@ -69,7 +77,7 @@ def _fmt_eta(seconds: float) -> str:
     return f"{seconds:.0f}s"
 
 
-def _header(state: Dict[str, Any], color: bool, width: int) -> List[str]:
+def _header(state: Dict[str, Any], color: bool) -> List[str]:
     """The campaign header ``watch`` and ``tail`` share."""
     total, done = state.get("total", 0), state.get("done", 0)
     errors = state.get("errors", 0)
@@ -91,7 +99,7 @@ def _header(state: Dict[str, Any], color: bool, width: int) -> List[str]:
         head += f"  {state['timeouts']} timeouts"
     lines = [head]
 
-    bar_w = max(16, width - 24)
+    bar_w = max(16, WIDTH - 24)
     eta = ""
     if not state.get("finished") and done:
         eta = f"  ETA {_fmt_eta(state.get('eta_s', 0.0))}"
@@ -114,7 +122,7 @@ def _header(state: Dict[str, Any], color: bool, width: int) -> List[str]:
 def render_tail(monitor: CampaignMonitor, last: int = 8) -> str:
     """Header, the last ``last`` cell records, then other anomalous cells."""
     state = monitor.state()
-    lines = _header(state, color=False, width=72)
+    lines = _header(state, color=False)
     rows = {tuple(row["cell"]): row for row in state["grid"]}
     cells = [
         event for _id, event in monitor.events_after(0)
@@ -147,11 +155,9 @@ def render_tail(monitor: CampaignMonitor, last: int = 8) -> str:
     return "\n".join(lines)
 
 
-def render_dashboard(
-    state: Dict[str, Any], color: bool = True, width: int = 72
-) -> str:
+def render_dashboard(state: Dict[str, Any], color: bool = True) -> str:
     """Render one dashboard frame from a monitor state snapshot."""
-    lines = _header(state, color, width)
+    lines = _header(state, color)
 
     # -- cell grid: one row per (exp, n) series, one glyph per rep ---------
     grid = state.get("grid") or []

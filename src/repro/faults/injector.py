@@ -45,7 +45,6 @@ class FaultInjector:
         pilot_manager: Optional[PilotManager] = None,
         network: Optional[Network] = None,
         clusters: Optional[Dict[str, Cluster]] = None,
-        epoch: Optional[float] = None,
     ) -> None:
         self.sim = sim
         self.plan = plan
@@ -54,10 +53,10 @@ class FaultInjector:
         if clusters is None and pilot_manager is not None:
             clusters = dict(pilot_manager._clusters)
         self.clusters = clusters or {}
-        #: plan times are *relative* to this simulated instant; defaults
-        #: to the arming time, so ``at=3600`` means "an hour into the
-        #: chaos run" regardless of any warm-up that preceded it.
-        self.epoch = epoch
+        #: plan times are *relative* to this simulated instant, the
+        #: arming time, so ``at=3600`` means "an hour into the chaos
+        #: run" regardless of any warm-up that preceded it.
+        self.epoch: Optional[float] = None
         self.log = fault_log()
         self._rng = RngStreams(plan.seed)
         self._armed = False
@@ -70,9 +69,7 @@ class FaultInjector:
         if self._armed:
             return self
         self._armed = True
-        if self.epoch is None:
-            self.epoch = self.sim.now
-        epoch = self.epoch
+        epoch = self.epoch = self.sim.now
         for action in self.plan.of_kind("kill-pilot"):
             self.sim.call_at(epoch + action.at, self._enact_kill, action)
         for action in self.plan.of_kind("outage"):

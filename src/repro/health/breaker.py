@@ -37,23 +37,20 @@ class BreakerState(str, enum.Enum):
 
 @dataclass(frozen=True)
 class BreakerPolicy:
-    """When a resource is quarantined and how it earns trust back."""
+    """When a resource is quarantined and how it earns trust back: one
+    successful probe closes a half-open breaker."""
 
     #: consecutive failures (pilot deaths, rejected submissions) that
     #: open the breaker.
     failure_threshold: int = 3
     #: quarantine duration before a probe is allowed (open -> half-open).
     cooldown_s: float = 1800.0
-    #: probe successes required to close a half-open breaker.
-    half_open_successes: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be at least 1")
         if self.cooldown_s <= 0:
             raise ValueError("cooldown_s must be positive")
-        if self.half_open_successes < 1:
-            raise ValueError("half_open_successes must be at least 1")
 
 
 class CircuitBreaker:
@@ -77,7 +74,6 @@ class CircuitBreaker:
         #: trailing (t_open, None) entry. Summed into ``t_quarantined``.
         self.quarantine_windows: List[Tuple[float, Optional[float]]] = []
         self._consecutive_failures = 0
-        self._half_open_successes = 0
         self._probe_inflight = False
         #: bumped on every open, so stale cooldown callbacks are ignored.
         self._generation = 0
@@ -123,9 +119,7 @@ class CircuitBreaker:
         if self.state is BreakerState.CLOSED:
             self._consecutive_failures = 0
         elif self.state is BreakerState.HALF_OPEN:
-            self._half_open_successes += 1
-            if self._half_open_successes >= self.policy.half_open_successes:
-                self._close(kind or "probe-succeeded")
+            self._close(kind or "probe-succeeded")
         # open: stale callbacks from pre-quarantine pilots carry no news
 
     def record_failure(self, kind: str = "") -> None:
@@ -150,7 +144,6 @@ class CircuitBreaker:
         self.opened_at = self.sim.now
         self.quarantine_windows.append((self.sim.now, None))
         self._consecutive_failures = 0
-        self._half_open_successes = 0
         self._probe_inflight = False
         self._generation += 1
         self.sim.call_in(
@@ -169,7 +162,6 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self.opened_at = None
         self._consecutive_failures = 0
-        self._half_open_successes = 0
         self._probe_inflight = False
         self._close_window()
         self._emit("breaker-close", reason=reason)

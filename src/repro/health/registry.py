@@ -168,10 +168,11 @@ class HealthRegistry:
 
     # -- bundle monitoring ---------------------------------------------------
 
-    def watch(self, bundle, renotify_s: Optional[float] = None) -> None:
+    def watch(self, bundle) -> None:
         """Subscribe to every resource of ``bundle``: offline snapshots trip
         the breaker (and keep it tripped while the outage persists)."""
-        if renotify_s is None and self.breaker_policy is not None:
+        renotify_s = None
+        if self.breaker_policy is not None:
             # re-trip a still-offline resource before its cooldown probes it
             renotify_s = self.breaker_policy.cooldown_s / 2.0
         for resource in bundle.resources():

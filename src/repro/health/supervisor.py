@@ -24,6 +24,9 @@ from typing import List, Optional, Tuple
 from ..lifecycle import UnitState
 from .breaker import BreakerPolicy
 
+#: mid-run strategy revisions allowed per execution.
+MAX_REPLANS = 2
+
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
@@ -37,8 +40,6 @@ class SupervisionPolicy:
     deadline_s: Optional[float] = None
     #: how often the deadline supervisor re-examines the run.
     check_interval_s: float = 300.0
-    #: mid-run strategy revisions allowed per execution.
-    max_replans: int = 2
 
     def __post_init__(self) -> None:
         if self.watchdog_timeout_s is not None and self.watchdog_timeout_s <= 0:
@@ -47,8 +48,6 @@ class SupervisionPolicy:
             raise ValueError("deadline_s must be positive")
         if self.check_interval_s <= 0:
             raise ValueError("check_interval_s must be positive")
-        if self.max_replans < 0:
-            raise ValueError("max_replans must be non-negative")
 
     @property
     def enabled(self) -> bool:
@@ -83,15 +82,13 @@ class DeadlineSupervisor:
         execution,
         registry,
         deadline_s: float,
-        check_interval_s: float = 300.0,
-        max_replans: int = 2,
+        check_interval_s: float,
     ) -> None:
         self.execution = execution
         self.sim = execution.sim
         self.registry = registry
         self.t_deadline = self.sim.now + deadline_s
         self.check_interval_s = check_interval_s
-        self.max_replans = max_replans
         self.replans: List[ReplanEvent] = []
         self.expired = False
         self.sim.process(self._watch(), name="deadline-supervisor")
@@ -111,7 +108,7 @@ class DeadlineSupervisor:
             self._maybe_replan()
 
     def _maybe_replan(self) -> None:
-        if len(self.replans) >= self.max_replans:
+        if len(self.replans) >= MAX_REPLANS:
             return
         ex = self.execution
         live = {p.resource for p in ex.pilots if not p.is_final}

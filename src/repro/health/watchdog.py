@@ -18,7 +18,7 @@ are waiting, not hung, and are left to pilot-level recovery.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..des import Simulation
 from ..lifecycle import UNIT_TABLE, UnitState
@@ -40,7 +40,6 @@ class UnitWatchdog:
         units: Sequence,
         timeout_s: float,
         registry=None,
-        check_interval_s: Optional[float] = None,
     ) -> None:
         if timeout_s <= 0:
             raise ValueError("watchdog timeout must be positive")
@@ -50,11 +49,8 @@ class UnitWatchdog:
         self.timeout_s = float(timeout_s)
         #: health registry receiving watchdog events (optional).
         self.registry = registry
-        self.check_interval_s = (
-            float(check_interval_s)
-            if check_interval_s is not None
-            else max(1.0, self.timeout_s / 4.0)
-        )
+        #: a quarter of the timeout, at least a second.
+        self.check_interval_s = max(1.0, self.timeout_s / 4.0)
         self.rescheduled = 0
         self._stopped = False
         sim.process(self._watch(), name="unit-watchdog")

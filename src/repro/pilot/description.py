@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -18,8 +18,6 @@ class ComputePilotDescription:
     cores: int
     runtime_min: float
     access_schema: str = "slurm"
-    queue: Optional[str] = None
-    project: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.cores <= 0:

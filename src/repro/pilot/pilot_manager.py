@@ -150,14 +150,10 @@ class PilotManager:
             return
         svc = self._service_for(desc.resource, desc.access_schema)
         job_desc = JobDescription(
-            executable="/bin/aimes-pilot-agent",
             total_cpu_count=desc.cores,
             wall_time_limit=desc.runtime_min,
-            queue=desc.queue,
-            project=desc.project,
             name=pilot.uid,
             simulated_runtime_s=desc.runtime_s,
-            kind="pilot",
         )
         try:
             saga_job = svc.submit(job_desc)

@@ -135,16 +135,13 @@ class LocalityScheduler(UnitScheduler):
     order, the backfill default). Avoids re-staging when outputs of an
     earlier stage already live where the next stage could run.
 
-    Construct with the network whose site filesystems hold the files:
-    ``LocalityScheduler(network)``; the registry name ``"locality"`` is
-    resolved by the unit manager, which injects its network.
+    The unit manager that resolves the registry name ``"locality"``
+    injects its network, whose site filesystems hold the files.
     """
 
     name = "locality"
     early_binding = False
-
-    def __init__(self, network=None) -> None:
-        self.network = network
+    network = None
 
     def _resident_inputs(self, unit: ComputeUnit, site: str) -> int:
         if self.network is None:

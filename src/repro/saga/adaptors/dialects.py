@@ -40,9 +40,9 @@ class SlurmAdaptor(Adaptor):
             cores=description.total_cpu_count,
             runtime=description.simulated_runtime_s,
             walltime=minutes * 60.0,
-            user=description.project or "aimes",
+            user="aimes",
             name=description.name or "slurm-job",
-            kind=description.kind,
+            kind="pilot",
         )
 
 
@@ -65,9 +65,9 @@ class PbsAdaptor(Adaptor):
             cores=cores,
             runtime=description.simulated_runtime_s,
             walltime=round(description.wall_time_limit * 60.0),
-            user=description.project or "aimes",
+            user="aimes",
             name=description.name or "pbs-job",
-            kind=description.kind,
+            kind="pilot",
         )
 
 
@@ -83,9 +83,9 @@ class CondorAdaptor(Adaptor):
             cores=description.total_cpu_count,
             runtime=description.simulated_runtime_s,
             walltime=description.wall_time_limit * 60.0 * self.walltime_padding,
-            user=description.project or "aimes",
+            user="aimes",
             name=description.name or "condor-job",
-            kind=description.kind,
+            kind="pilot",
         )
 
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
 
 
 @dataclass
@@ -11,26 +10,21 @@ class JobDescription:
     """What a caller asks for, independent of the target middleware.
 
     Attribute names follow the SAGA job description vocabulary
-    (``total_cpu_count``, ``wall_time_limit`` in *minutes*, ``queue``,
-    ``project``); adaptors translate to each dialect's native units.
+    (``total_cpu_count``, ``wall_time_limit`` in *minutes*); adaptors
+    translate to each dialect's native units, as a pilot job of the
+    ``aimes`` account.
 
     ``simulated_runtime_s`` is the substrate hook: the actual execution
     time of the placeholder job in the simulation (on a real system this
     would be determined by the payload itself).
     """
 
-    executable: str = "/bin/aimes-pilot-agent"
     total_cpu_count: int = 1
     wall_time_limit: float = 60.0        # minutes, per SAGA convention
-    queue: Optional[str] = None
-    project: Optional[str] = None
     name: str = ""
-    environment: Dict[str, str] = field(default_factory=dict)
 
     #: substrate-only: how long the job actually runs, in seconds.
     simulated_runtime_s: float = 0.0
-    #: tag propagated into traces ("pilot", "probe", ...).
-    kind: str = "pilot"
 
     def validate(self) -> None:
         """Raise ValueError on nonsensical requests (adaptors call this)."""

@@ -107,8 +107,9 @@ PAPER_OUTPUT_BYTES = 2_000.0
 PAPER_TASK_COUNTS = tuple(2**n for n in range(3, 12))
 
 
-def paper_skeleton(n_tasks: int, gaussian: bool, name: Optional[str] = None) -> SkeletonApp:
-    """One of the 18 skeleton applications in Table I.
+def paper_skeleton(n_tasks: int, gaussian: bool) -> SkeletonApp:
+    """One of the 18 skeleton applications in Table I, named
+    ``paper-uniform-<n>`` or ``paper-gauss-<n>``.
 
     ``gaussian=False`` gives the uniform (15 min) task durations of
     experiments 1 and 3; ``gaussian=True`` the truncated Gaussian of
@@ -125,5 +126,5 @@ def paper_skeleton(n_tasks: int, gaussian: bool, name: Optional[str] = None) -> 
         task_duration=duration,
         input_size=PAPER_INPUT_BYTES,
         output_size=PAPER_OUTPUT_BYTES,
-        name=name or f"paper-{kind}-{n_tasks}",
+        name=f"paper-{kind}-{n_tasks}",
     )

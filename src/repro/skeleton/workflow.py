@@ -62,11 +62,11 @@ def partition_levels(graph: "nx.DiGraph") -> List[List[str]]:
     return levels
 
 
-def from_dag(
-    graph: "nx.DiGraph",
-    name: str = "workflow",
-    default_output_bytes: float = 2_000.0,
-) -> ConcreteApplication:
+#: output size of a DAG node with no ``output_bytes`` attribute.
+DEFAULT_OUTPUT_BYTES = 2_000.0
+
+
+def from_dag(graph: "nx.DiGraph", name: str = "workflow") -> ConcreteApplication:
     """Convert a task DAG into a runnable concrete application."""
     if graph.number_of_nodes() == 0:
         raise SkeletonError("workflow graph has no tasks")
@@ -102,7 +102,7 @@ def from_dag(
                 else:
                     inputs = ()
             out = FileSpec(
-                f"{uid}.out", float(data.get("output_bytes", default_output_bytes))
+                f"{uid}.out", float(data.get("output_bytes", DEFAULT_OUTPUT_BYTES))
             )
             outputs[node] = out
             tasks.append(

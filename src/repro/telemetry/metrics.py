@@ -191,12 +191,10 @@ class MetricsRegistry:
 _PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def _prom_name(name: str, prefix: str = "") -> str:
-    """Sanitize a dotted registry name into a Prometheus metric name."""
-    out = _PROM_BAD.sub("_", f"{prefix}_{name}" if prefix else name)
-    if out and out[0].isdigit():
-        out = "_" + out
-    return out
+def _prom_name(name: str) -> str:
+    """Sanitize a dotted registry name into a ``repro_``-prefixed
+    Prometheus metric name."""
+    return _PROM_BAD.sub("_", f"repro_{name}")
 
 
 def _prom_value(value: Any) -> Optional[str]:
@@ -214,9 +212,7 @@ def _prom_value(value: Any) -> Optional[str]:
     return None
 
 
-def render_prometheus(
-    snapshot: Dict[str, Any], prefix: str = "repro"
-) -> str:
+def render_prometheus(snapshot: Dict[str, Any]) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` dict as Prometheus text.
 
     Operates on the snapshot *shape* rather than a live registry so the
@@ -229,18 +225,18 @@ def render_prometheus(
     """
     lines: List[str] = []
     for name, value in snapshot.get("counters", {}).items():
-        pname = _prom_name(name, prefix)
+        pname = _prom_name(name)
         lines.append(f"# TYPE {pname} counter")
         lines.append(f"{pname} {value}")
     for name, value in snapshot.get("gauges", {}).items():
         shown = _prom_value(value)
         if shown is None:
             continue
-        pname = _prom_name(name, prefix)
+        pname = _prom_name(name)
         lines.append(f"# TYPE {pname} gauge")
         lines.append(f"{pname} {shown}")
     for name, h in snapshot.get("histograms", {}).items():
-        pname = _prom_name(name, prefix)
+        pname = _prom_name(name)
         lines.append(f"# TYPE {pname} histogram")
         cumulative = 0
         counts = h.get("counts", [])

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
+#: rows of each table of :meth:`KernelProfiler.report`.
+TOP = 12
+
 
 def label_for(callback: Callable[..., Any]) -> str:
     """A stable, human-meaningful name for a kernel callback."""
@@ -77,15 +80,16 @@ class KernelProfiler:
     def events_per_sec(self) -> float:
         return self.events / self.total_wall if self.total_wall > 0 else 0.0
 
-    def top_labels(self, n: int = 12) -> List[Tuple[str, int, float]]:
+    def top_labels(self) -> List[Tuple[str, int, float]]:
+        """The ``TOP`` labels with the most wall time."""
         rows = [
             (label, int(cell[0]), cell[1])
             for label, cell in self.by_label.items()
         ]
         rows.sort(key=lambda r: (-r[2], r[0]))
-        return rows[:n]
+        return rows[:TOP]
 
-    def report(self, top: int = 12) -> str:
+    def report(self) -> str:
         """Render the attribution table (event types, then processes)."""
         if self.events == 0:
             return "kernel profile: no events dispatched"
@@ -98,7 +102,7 @@ class KernelProfiler:
         header = f"  {'event type':<42} | {'count':>8} | {'wall ms':>9} | {'%':>5}"
         lines.append(header)
         lines.append("  " + "-" * (len(header) - 2))
-        for label, count, wall in self.top_labels(top):
+        for label, count, wall in self.top_labels():
             pct = 100.0 * wall / self.total_wall if self.total_wall else 0.0
             lines.append(
                 f"  {label:<42.42} | {count:>8} | {wall * 1e3:>9.2f} | {pct:>4.1f}"
@@ -108,7 +112,7 @@ class KernelProfiler:
             procs = sorted(
                 self.by_process.items(), key=lambda kv: (-kv[1][1], kv[0])
             )
-            for pname, (count, wall) in procs[:top]:
+            for pname, (count, wall) in procs[:TOP]:
                 lines.append(
                     f"  {pname:<42.42} | {int(count):>8} | {wall * 1e3:>9.2f} |"
                 )

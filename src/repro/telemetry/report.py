@@ -76,11 +76,11 @@ def _legend() -> str:
     return f'<p class="legend">{spans}</p>'
 
 
-def _stacked_bars(cells: Sequence[Dict[str, Any]], width: int = 640) -> str:
+def _stacked_bars(cells: Sequence[Dict[str, Any]]) -> str:
     """One horizontal stacked bar per cell, shares of TTC."""
     if not cells:
         return ""
-    bar_h, gap, label_w = 22, 6, 150
+    width, bar_h, gap, label_w = 640, 22, 6, 150
     height = len(cells) * (bar_h + gap)
     parts: List[str] = [
         f'<svg width="{width + label_w + 60}" height="{height}" '
@@ -115,9 +115,9 @@ def _stacked_bars(cells: Sequence[Dict[str, Any]], width: int = 640) -> str:
     return "".join(parts)
 
 
-def _histogram(values: Sequence[float], width: int = 320,
-               height: int = 90, bins: int = 12) -> str:
+def _histogram(values: Sequence[float]) -> str:
     """A small inline-SVG histogram (used per resource for Tw)."""
+    width, height, bins = 320, 90, 12
     vals = [float(v) for v in values]
     if not vals:
         return '<span class="muted">no samples</span>'

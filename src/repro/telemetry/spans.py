@@ -51,9 +51,9 @@ class Span:
     def wall_duration(self) -> Optional[float]:
         return None if self.w1 is None else self.w1 - self.w0
 
-    def as_dict(self, wall: bool = False) -> Dict[str, Any]:
-        """Canonical dict. Wall clocks are opt-in (they break digests)."""
-        out: Dict[str, Any] = {
+    def as_dict(self) -> Dict[str, Any]:
+        """Canonical dict, without the wall clocks (they break digests)."""
+        return {
             "sid": self.sid,
             "parent": self.parent,
             "category": self.category,
@@ -63,10 +63,6 @@ class Span:
             "t1": self.t1,
             "attrs": _plain(self.attrs),
         }
-        if wall:
-            out["w0"] = self.w0
-            out["w1"] = self.w1
-        return out
 
 
 def _plain(value: Any) -> Any:

@@ -31,7 +31,7 @@ def report():
 
 
 def test_timeline_structure(report):
-    text = render_report_timeline(report, width=48)
+    text = render_report_timeline(report)
     lines = text.splitlines()
     assert lines[0].startswith("t=")
     # one row per pilot + header + units row + peak line
@@ -56,7 +56,7 @@ def test_timeline_shows_queueing():
     sim.call_at(500.0, pilot.advance, PilotState.ACTIVE)
     sim.call_at(900.0, pilot.advance, PilotState.DONE)
     sim.run()
-    text = render_timeline([pilot], [], 0.0, 1000.0, width=40)
+    text = render_timeline([pilot], [], 0.0, 1000.0)
     assert "~" in text   # queued phase
     assert "#" in text   # active phase
     assert "_" in text   # post-termination tail
@@ -65,8 +65,6 @@ def test_timeline_shows_queueing():
 def test_validation(report):
     with pytest.raises(ValueError):
         render_timeline(report.pilots, report.units, 10.0, 10.0)
-    with pytest.raises(ValueError):
-        render_timeline(report.pilots, report.units, 0.0, 1.0, width=2)
 
 
 def test_empty_units_ok(report):

@@ -15,6 +15,7 @@ from repro.core import (
     report_energy,
     save_session,
 )
+from repro.core import energy
 from repro.des import Simulation
 from repro.net import Network
 from repro.skeleton import SkeletonAPI, bag_of_tasks
@@ -79,13 +80,13 @@ class TestEnergy:
         assert est.total_kwh == pytest.approx(est.total_joules / 3.6e6)
         assert 0 <= est.idle_fraction < 1
 
-    def test_custom_power_model(self, executed):
+    def test_custom_power_model(self, executed, monkeypatch):
         sim, report = executed
-        est = report_energy(report, active_watts=100.0, idle_watts=0.0)
+        monkeypatch.setattr(energy, "ACTIVE_WATTS", 100.0)
+        monkeypatch.setattr(energy, "IDLE_WATTS", 0.0)
+        est = report_energy(report)
         assert est.idle_joules == 0
         assert est.active_joules == pytest.approx(est.active_core_s * 100)
-        with pytest.raises(ValueError):
-            report_energy(report, active_watts=-1)
 
     def test_empty_execution(self):
         est = estimate_energy([], [])

@@ -8,12 +8,13 @@ from repro.experiments import (
     calibrate_resource,
     render_calibration,
 )
+from repro.experiments.calibration import N_PROBES
 
 
 @pytest.fixture(scope="module")
 def gordon_cal():
     # short horizon keeps the test fast; gordon is the smallest-job preset
-    return calibrate_resource("gordon-sim", seed=4, hours=8, n_probes=2)
+    return calibrate_resource("gordon-sim", seed=4, hours=8)
 
 
 def test_report_fields_sane(gordon_cal):
@@ -23,7 +24,7 @@ def test_report_fields_sane(gordon_cal):
     assert 0 <= cal.fraction_time_queued <= 1
     assert 0 <= cal.short_job_fraction <= 1
     assert cal.jobs_finished > 0
-    assert len(cal.probe_waits) == 2
+    assert len(cal.probe_waits) == N_PROBES
     assert all(w >= 0 for w in cal.probe_waits)
 
 
@@ -50,7 +51,7 @@ def test_render_reports_the_simulated_hours(gordon_cal):
 
 
 def test_deterministic():
-    a = calibrate_resource("gordon-sim", seed=9, hours=4, n_probes=1)
-    b = calibrate_resource("gordon-sim", seed=9, hours=4, n_probes=1)
+    a = calibrate_resource("gordon-sim", seed=9, hours=4)
+    b = calibrate_resource("gordon-sim", seed=9, hours=4)
     assert a.mean_utilization == b.mean_utilization
     assert a.probe_waits == b.probe_waits

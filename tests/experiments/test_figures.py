@@ -46,7 +46,7 @@ def test_render_table1_lists_all_rows():
 
 
 def test_render_figure2_contains_means():
-    text = render_figure2(synthetic_result(), task_counts=(8, 64))
+    text = render_figure2(synthetic_result())
     assert "Exp.1" in text and "Exp.3" in text
     # exp1 mean = 4000 + 500 = 4500
     assert "4500" in text
@@ -55,15 +55,13 @@ def test_render_figure2_contains_means():
 
 
 def test_render_figure3_decomposition():
-    text = render_figure3(synthetic_result(), 1, task_counts=(8, 64))
+    text = render_figure3(synthetic_result(), 1)
     assert "Tw(s)" in text and "Tx(s)" in text and "Ts(s)" in text
     assert "Tw range over runs" in text
 
 
 def test_render_figure4_stds():
-    text = render_figure4(
-        synthetic_result(), early_exp=1, late_exp=3, task_counts=(8, 64)
-    )
+    text = render_figure4(synthetic_result())
     assert "Early std" in text and "Late std" in text
 
 

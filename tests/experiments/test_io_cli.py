@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import run_campaign
+from repro.experiments import CampaignStore, run_campaign
 from repro.experiments.io import (
     campaign_from_dict,
     campaign_to_dict,
@@ -313,6 +313,41 @@ class TestObservatoryCLI:
         assert "http://" not in html and "https://" not in html
         assert "Critical path" in html
         assert "Tw (queue wait)" in html
+
+    def test_report_refuses_a_replay_that_is_not_the_stored_run(
+        self, campaign_file, tmp_path, capsys, monkeypatch
+    ):
+        """The critical path comes from a replay of the slowest cell;
+        when the replay's attribution digest is not the stored one, the
+        page would draw another simulation's path next to the stored
+        TTC, so ``report`` names the cell and both digests, exits 1 and
+        writes no page."""
+        from repro.experiments import campaign
+
+        _, store = campaign_file
+        real = campaign.run_cell_report
+
+        def another_cell(spec, n_tasks, rep=0, **kw):
+            return real(spec, n_tasks, 1 - rep, **kw)
+
+        monkeypatch.setattr(campaign, "run_cell_report", another_cell)
+        out_html = tmp_path / "report.html"
+        capsys.readouterr()
+        rc = main(["report", str(store), "-o", str(out_html)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert not out_html.exists()
+        with CampaignStore(str(store), readonly=True) as opened:
+            runs = opened.load_campaign().runs
+        slowest = max(runs, key=lambda r: (r.ttc, r.exp_id, r.n_tasks, r.rep))
+        assert (f"exp {slowest.exp_id} n={slowest.n_tasks} "
+                f"rep={slowest.rep}") in err
+        other, _, _ = real(
+            campaign.TABLE1[slowest.exp_id], slowest.n_tasks,
+            1 - slowest.rep, campaign_seed=2016,
+        )
+        assert slowest.attribution_digest in err
+        assert other.attribution().digest() in err
 
     def test_report_anomaly_rows_come_from_the_record(
         self, campaign_file, tmp_path, capsys

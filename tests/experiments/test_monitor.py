@@ -20,6 +20,7 @@ from repro.experiments import (
 )
 from repro.experiments.monitor import CampaignMonitor, host_sample
 from repro.experiments.runner import cell_cost
+from repro.experiments.sentinel import campaign_fingerprint
 
 from .test_ledger import _run
 from .test_runner import _fake_run
@@ -264,6 +265,38 @@ class TestLiveFollow:
         assert state["errors"] == 0 and state["running"] == []
         # component shares flowed through the cell records
         assert state["components"]
+
+    def test_shares_are_the_fingerprint_shares(self, log):
+        """``watch``, ``/state.json`` and ``/metrics`` show the shares
+        ``analyze`` and ``report`` show: the mean over runs of each
+        component's share of the run's TTC. Summing component seconds
+        over summed TTC instead weights long runs, and on this campaign
+        reads Tw 63.5% where the fingerprint reads 39.7%."""
+        with RunLedger(log) as ledger:
+            result = run_campaign(
+                experiments=(1, 3), task_counts=(8, 64), reps=2,
+                campaign_seed=2016, ledger=ledger, store=log,
+            )
+        runs = sorted(result.runs,
+                      key=lambda r: (r.exp_id, r.n_tasks, r.rep))
+        state = log.monitor().state()
+        got = {name: c["share"] for name, c in state["components"].items()}
+        # the mean of per-run shares, summed here in another order, so
+        # equal to a few ulps
+        for name, share in got.items():
+            expected = sum(
+                dict(r.attribution).get(name, 0.0) / r.ttc for r in runs
+            ) / len(runs)
+            assert share == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        # the fingerprint's cell shares, weighted by the cell's runs;
+        # equal up to the order the floats were summed in
+        cells = campaign_fingerprint(result)["cells"].values()
+        total = sum(cell["n"] for cell in cells)
+        for name, share in got.items():
+            weighted = sum(cell["n"] * cell["shares"][name]
+                           for cell in cells) / total
+            assert share == pytest.approx(weighted, rel=1e-12, abs=1e-15)
+        assert got["tw"] == pytest.approx(0.397, abs=5e-4)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_no_read_sees_a_committed_run_as_pending(

@@ -39,6 +39,7 @@ from repro.experiments import (
     run_campaign,
     store_summary,
 )
+from repro.experiments import resilience, runner
 from repro.experiments.campaign import CellError
 from repro.experiments.runner import RunnerStats
 
@@ -117,6 +118,12 @@ GRID_KW = dict(
 )
 
 
+def _attempts_of(store, cell):
+    """The store's attempt rows of one cell."""
+    return [r for r in store.attempt_rows()
+            if (r["exp_id"], r["n_tasks"], r["rep"]) == cell]
+
+
 def _digest(path: str) -> str:
     with CampaignStore(path, readonly=True) as store:
         return campaign_fingerprint_from_store(store)["digest"]
@@ -130,11 +137,11 @@ class TestAttemptRecords:
         with CampaignStore(str(tmp_path / "a.sqlite")) as store:
             att = store.begin_attempt(1, 8, 0, worker=123)
             assert att == 1
-            rows = store.attempt_rows(1, 8, 0)
+            rows = _attempts_of(store, (1, 8, 0))
             assert rows[0]["state"] == "leased"
             assert rows[0]["worker"] == 123
             store.finish_attempt(1, 8, 0, attempt=att, state="committed")
-            rows = store.attempt_rows(1, 8, 0)
+            rows = _attempts_of(store, (1, 8, 0))
             assert rows[0]["state"] == "committed"
             assert rows[0]["wall_end"] is not None
 
@@ -388,18 +395,22 @@ class TestParallelResume:
 
 
 class TestHungWorker:
-    def test_timeout_kill_retry_quarantine(self, tmp_path):
-        policy = ResiliencePolicy(
-            cell_timeout_s=0.5, max_attempts=2,
-            backoff_base_s=0.01, poll_s=0.05,
-        )
+    @pytest.fixture
+    def fast_polls(self, monkeypatch):
+        """Short retry backoffs and parent polls keep the hung cells'
+        timeouts quick; the supervision is the same."""
+        monkeypatch.setattr(resilience, "BACKOFF_BASE_S", 0.01)
+        monkeypatch.setattr(runner, "POLL_S", 0.05)
+
+    def test_timeout_kill_retry_quarantine(self, tmp_path, fast_polls):
+        policy = ResiliencePolicy(cell_timeout_s=0.5, max_attempts=2)
         stats = RunnerStats()
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
             result = run_campaign(
                 jobs=2, run_fn=_hang_run,
                 resilience=policy, stats=stats, store=store, **GRID_KW,
             )
-            rows = store.attempt_rows(1, 16, 1)
+            rows = _attempts_of(store, (1, 16, 1))
         # the hung cell timed out max_attempts times, then quarantined;
         # every other cell survived the timeout kills.
         assert {(e.exp_id, e.n_tasks, e.rep) for e in result.errors} == {
@@ -412,7 +423,9 @@ class TestHungWorker:
         assert [r["state"] for r in rows].count("timeout") >= 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_hung_cell_quarantined_alike_at_every_jobs(self, tmp_path, jobs):
+    def test_hung_cell_quarantined_alike_at_every_jobs(
+        self, tmp_path, jobs, fast_polls
+    ):
         """A wall budget holds at ``jobs=1`` too: the cell runs in a
         worker process, so the hung attempt can be killed and retried,
         and the store and ledger read the same as under ``jobs=2``.
@@ -420,10 +433,7 @@ class TestHungWorker:
         At ``jobs=2`` the other worker runs the other cells; killing the
         hung cell's worker touches none of them.
         """
-        policy = ResiliencePolicy(
-            cell_timeout_s=2.0, max_attempts=2,
-            backoff_base_s=0.01, poll_s=0.05,
-        )
+        policy = ResiliencePolicy(cell_timeout_s=2.0, max_attempts=2)
         stats = RunnerStats()
         result, states, quarantined, kinds = _stored_outcome(
             tmp_path, jobs, _hang_run,
@@ -446,12 +456,12 @@ class TestHungWorker:
         })
         assert (stats.timeouts, stats.retried) == (2, 1)
 
-    def test_budget_runs_from_the_cells_own_dispatch(self, tmp_path):
+    def test_budget_runs_from_the_cells_own_dispatch(
+        self, tmp_path, fast_polls
+    ):
         """A hung cell handed to a worker right behind a fast cell gets
         its own budget, not what the fast cell left of a shared one."""
-        policy = ResiliencePolicy(
-            cell_timeout_s=1.0, max_attempts=1, poll_s=0.05,
-        )
+        policy = ResiliencePolicy(cell_timeout_s=1.0, max_attempts=1)
         result = run_campaign(
             jobs=1, run_fn=functools.partial(_hang_behind_fast_run,
                                              str(tmp_path)),
@@ -466,7 +476,7 @@ class TestHungWorker:
         assert len(result.runs) == 7
 
     def test_backoff_is_deterministic(self):
-        policy = ResiliencePolicy(backoff_base_s=0.5)
+        policy = ResiliencePolicy()
         a = policy.backoff_s((1, 16, 1), 2, campaign_seed=7)
         assert a == policy.backoff_s((1, 16, 1), 2, campaign_seed=7)
         assert a != policy.backoff_s((1, 16, 1), 3, campaign_seed=7)

@@ -115,12 +115,10 @@ def test_cancel_during_backoff_stops_retrying(monkeypatch):
 
 
 def test_recovery_policy_validation_and_delay():
-    policy = RecoveryPolicy(max_resubmissions=3, backoff_s=60.0, backoff_factor=2.0)
+    policy = RecoveryPolicy(max_resubmissions=3, backoff_s=60.0)
     assert [policy.delay(i) for i in range(3)] == [60.0, 120.0, 240.0]
     with pytest.raises(ValueError):
         RecoveryPolicy(max_resubmissions=-1)
-    with pytest.raises(ValueError):
-        RecoveryPolicy(backoff_factor=0.5)
 
 
 # -- ExecutionManager: pilot resubmission --------------------------------------

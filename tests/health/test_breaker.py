@@ -21,8 +21,6 @@ def test_policy_validation():
         BreakerPolicy(failure_threshold=0)
     with pytest.raises(ValueError):
         BreakerPolicy(cooldown_s=0.0)
-    with pytest.raises(ValueError):
-        BreakerPolicy(half_open_successes=0)
 
 
 def test_threshold_opens_the_breaker():

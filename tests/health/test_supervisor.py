@@ -51,8 +51,6 @@ def test_supervision_policy_validation():
         SupervisionPolicy(deadline_s=-1.0)
     with pytest.raises(ValueError):
         SupervisionPolicy(check_interval_s=0.0)
-    with pytest.raises(ValueError):
-        SupervisionPolicy(max_replans=-1)
     assert SupervisionPolicy().enabled
     assert not SupervisionPolicy(breaker=None).enabled
     assert SupervisionPolicy(breaker=None, deadline_s=60.0).enabled
@@ -95,7 +93,7 @@ def test_deadline_expiry_degrades_to_a_partial_result():
 def test_mid_run_quarantine_triggers_a_replan():
     """A live-but-distrusted resource makes the supervisor re-derive."""
     sup = SupervisionPolicy(
-        deadline_s=48 * 3600.0, check_interval_s=300.0, max_replans=2
+        deadline_s=48 * 3600.0, check_interval_s=300.0
     )
     sim, net, bundle, em = build_stack(supervision=sup)
     sim.call_in(600.0, lambda: em.health.breaker("alpha").trip(

@@ -58,8 +58,7 @@ def test_hung_staging_units_are_rescheduled_to_a_healthy_pilot():
     sim.run(until=30.0)
     assert pilots[0].is_active
     units = um.submit_units([staged_unit(i) for i in range(4)])
-    watchdog = UnitWatchdog(sim, um, units, timeout_s=30.0, registry=reg,
-                            check_interval_s=10.0)
+    watchdog = UnitWatchdog(sim, um, units, timeout_s=30.0, registry=reg)
 
     def partition_alpha():
         # full partition mid-staging + the breaker learns about it
@@ -77,8 +76,8 @@ def test_hung_staging_units_are_rescheduled_to_a_healthy_pilot():
     assert all(u.pilot.resource == "beta" for u in units)
     events = reg.log.of_kind("watchdog-reschedule")
     assert events and events[0].details
-    # caught within timeout + one check interval of the hang
-    assert events[0].time <= 30.5 + 30.0 + 10.0
+    # caught within timeout + one check interval (timeout / 4) of the hang
+    assert events[0].time <= 30.5 + 30.0 + 7.5
 
 
 def test_long_executing_unit_is_not_mistaken_for_a_hang():
@@ -89,8 +88,7 @@ def test_long_executing_unit_is_not_mistaken_for_a_hang():
     units = um.submit_units([
         ComputeUnitDescription(name="long", duration_s=500.0, cores=1)
     ])
-    watchdog = UnitWatchdog(sim, um, units, timeout_s=30.0, registry=reg,
-                            check_interval_s=10.0)
+    watchdog = UnitWatchdog(sim, um, units, timeout_s=30.0, registry=reg)
     sim.run(until=1200.0)
     assert watchdog.rescheduled == 0
     assert units[0].state is UnitState.DONE
@@ -106,8 +104,7 @@ def test_unit_waiting_for_cores_is_not_watched():
         ComputeUnitDescription(name=f"wide-{i}", duration_s=100.0, cores=8)
         for i in range(2)
     ])
-    watchdog = UnitWatchdog(sim, um, units, timeout_s=30.0, registry=reg,
-                            check_interval_s=10.0)
+    watchdog = UnitWatchdog(sim, um, units, timeout_s=30.0, registry=reg)
     sim.run(until=1200.0)
     # the second unit waited ~100s for cores, far past the timeout
     assert watchdog.rescheduled == 0
@@ -122,8 +119,7 @@ def test_unit_queued_behind_an_inactive_pilot_is_left_alone():
     units = um.submit_units([
         ComputeUnitDescription(name="early", duration_s=50.0, cores=1)
     ])
-    watchdog = UnitWatchdog(sim, um, units, timeout_s=30.0, registry=reg,
-                            check_interval_s=10.0)
+    watchdog = UnitWatchdog(sim, um, units, timeout_s=30.0, registry=reg)
     sim.run(until=300.0)
     assert watchdog.rescheduled == 0  # waiting on the queue, not hung
 
@@ -136,8 +132,7 @@ def test_watchdog_without_registry_traces_directly():
     um.add_pilots(pilots)
     sim.run(until=30.0)
     units = um.submit_units([staged_unit(0)])
-    watchdog = UnitWatchdog(sim, um, units, timeout_s=30.0,
-                            check_interval_s=10.0)
+    watchdog = UnitWatchdog(sim, um, units, timeout_s=30.0)
     sim.call_in(0.5, net.link_to("alpha").set_degradation, 0.0)
     sim.run(until=200.0)
     assert watchdog.rescheduled >= 1

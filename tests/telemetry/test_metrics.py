@@ -108,7 +108,7 @@ def test_render_prometheus_exposition():
     reg.gauge("label").set("text")  # non-numeric: skipped
     reg.histogram("wait_s", (1.0, 2.0)).observe(0.5)
     reg.histogram("wait_s", (1.0, 2.0)).observe(5.0)
-    text = render_prometheus(reg.snapshot(), prefix="repro")
+    text = render_prometheus(reg.snapshot())
     assert "# TYPE repro_events_processed counter" in text
     assert "repro_events_processed 5" in text
     assert "repro_heap_size 7" in text  # [.-] sanitized to _

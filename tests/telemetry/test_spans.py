@@ -97,5 +97,3 @@ def test_span_attrs_survive_into_the_canonical_dict():
     d = hub.spans[0].as_dict()
     assert d["attrs"]["pending"] == [1, 2]  # tuples coerced for JSON
     assert "w0" not in d  # wall time excluded from canonical form
-    dw = hub.spans[0].as_dict(wall=True)
-    assert "w0" in dw and "w1" in dw

@@ -53,10 +53,10 @@ def test_render_figures_with_partial_campaign():
             pilot_waits=(10,), units_done=8, restarts=0,
         )
     )
-    fig2 = render_figure2(result, task_counts=(8, 16))
+    fig2 = render_figure2(result)
     assert "--" not in fig2.splitlines()[3]  # 8-task row has data
     assert "--" in fig2.splitlines()[4]      # 16-task row is empty
-    fig3 = render_figure3(result, 1, task_counts=(8, 16))
+    fig3 = render_figure3(result, 1)
     assert "8" in fig3
 
 

@@ -43,6 +43,8 @@ import argparse
 import ast
 import contextlib
 import dataclasses
+import http.client
+import inspect
 import io
 import json
 import os
@@ -54,7 +56,6 @@ import sys
 import threading
 import time
 import traceback
-import urllib.request
 from typing import Dict, List, Optional, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -210,13 +211,22 @@ def _defaulted(fn) -> List[Tuple[str, ast.expr]]:
 
 
 def _fields(cls: ast.ClassDef) -> List[Tuple[str, ast.expr]]:
-    """``(field, default expression)`` of a dataclass definition."""
+    """``(field, default expression)`` of a dataclass definition, less
+    the ``field(init=False)`` ones no caller can set."""
     return [
         (stmt.target.id, stmt.value) for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
         and isinstance(stmt.target, ast.Name)
         and "ClassVar" not in ast.unparse(stmt.annotation)
+        and not _init_false(stmt.value)
     ]
+
+
+def _init_false(value: ast.expr) -> bool:
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant)
+        and k.value.value is False for k in value.keywords
+    )
 
 
 class OptionIndex:
@@ -357,12 +367,14 @@ class CallTracer:
         path = os.path.realpath(getattr(module, "__file__", None) or "")
         if (path, cls.__qualname__) not in self.index.dataclasses:
             return None
-        options = []
-        for f in dataclasses.fields(cls):
-            if f.default is not dataclasses.MISSING:
-                options.append((f.name, f.default))
-            elif f.default_factory is not dataclasses.MISSING:
-                options.append((f.name, f.default_factory()))
+        # the generated ``__init__``'s own defaults: a ``default_factory``
+        # field's is a sentinel the factory replaces inside the call
+        params = inspect.signature(cls.__init__).parameters
+        options = [
+            (f.name, params[f.name].default) for f in dataclasses.fields(cls)
+            if f.init and (f.default is not dataclasses.MISSING
+                           or f.default_factory is not dataclasses.MISSING)
+        ]
         return (("d", path, cls.__qualname__), options)
 
     def start(self) -> None:
@@ -445,7 +457,12 @@ def _get_endpoints(stderr: io.StringIO, got: Dict[str, int],
                    done: threading.Event) -> None:
     """GET every endpoint of the served campaign, whose URL the CLI
     prints on stderr, and ``watch --once`` it; ``/events`` is read until
-    the server closes it."""
+    the server closes it.
+
+    The GETs share one kept-alive connection, opened as soon as the URL
+    is known: the campaign may finish, and its server stop accepting,
+    before they are sent, but a connection it accepted is still served.
+    """
     from repro.cli import main
 
     url = None
@@ -456,10 +473,15 @@ def _get_endpoints(stderr: io.StringIO, got: Dict[str, int],
         time.sleep(0.01)
     if url is None:
         return
-    got["watch --url"] = main([*WATCH_URL, url])
-    for path in ("/state.json", "/metrics", "/", "/events"):
-        with urllib.request.urlopen(url + path, timeout=60) as resp:
-            got[path] = len(resp.read())
+    conn = http.client.HTTPConnection(url.split("//", 1)[1], timeout=60)
+    conn.connect()
+    try:
+        got["watch --url"] = main([*WATCH_URL, url])
+        for path in ("/state.json", "/metrics", "/", "/events"):
+            conn.request("GET", path)
+            got[path] = len(conn.getresponse().read())
+    finally:
+        conn.close()
 
 
 def _run_cli(kind: str, args: list, log) -> int:
