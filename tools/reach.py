@@ -14,7 +14,7 @@ to ``.bench_out/reach.json``:
   parameters, and every ``src/repro`` dataclass built with defaulted
   fields, which of them an entry point bound to a value other than the
   default, and which classes did;
-- the CLI's long flags that no entry passes.
+- the CLI's long flags that no entry passes to their command.
 
 Code and options that only tests reach show up there.
 
@@ -24,7 +24,7 @@ Code and options that only tests reach show up there.
 ``--check`` exits 1 when an entry point fails, when a ``src/repro``
 module that defines functions has none of them reached (a module only
 tests import), or when the parser defines a long flag that no entry
-passes. Stdlib only; about 30 s on a 2-CPU x86-64 host.
+passes to its command. Stdlib only; about 30 s on a 2-CPU x86-64 host.
 
 A function is reached when its code object was called at least once;
 its body lines are the non-blank, non-comment lines from its first
@@ -43,7 +43,6 @@ import argparse
 import ast
 import contextlib
 import dataclasses
-import http.client
 import inspect
 import io
 import json
@@ -56,6 +55,7 @@ import sys
 import threading
 import time
 import traceback
+import urllib.request
 from typing import Dict, List, Optional, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -161,8 +161,8 @@ def entry_points(
           "--telemetry", "--sample-interval", "300", "--profile",
           "--trace-out", w("t.json")], (0,)),
         ("run otlp", "paper", "cli",
-         ["--verbose", "--log-file", w("run.log"), *run, "--binding",
-          "early", "--pilots", "1", "--gaussian",
+         ["--verbose", "--log-file", w("run.log"), *run, "--seed", "7",
+          "--binding", "early", "--pilots", "1", "--gaussian",
           "--trace-out", w("t.otlp.json"), "--trace-format", "otlp"],
          (0,)),
         *[(f"run --faults {p}", "extensions", "cli",
@@ -174,11 +174,11 @@ def entry_points(
           "--max-resubmit", "1", "--save", w("s-faults.json")], (0, 1)),
         ("probe", "extensions", "cli",
          ["probe", "--warmup-hours", "1", "--resources", "stampede-sim",
-          "comet-sim", "--cores", "64"], (0,)),
-        ("calibrate", "extensions", "cli", ["calibrate", "--hours", "2"],
-         (0,)),
+          "comet-sim", "--cores", "64", "--seed", "1"], (0,)),
+        ("calibrate", "extensions", "cli",
+         ["calibrate", "--hours", "2", "--seed", "1", "-j", "2"], (0,)),
         *[(f"ablation {s}", "extensions", "cli",
-           ["ablation", s, "--reps", "1"], (0,))
+           ["ablation", s, "--reps", "1", "-j", "2"], (0,))
           for s in ABLATIONS],
         *[(f"example {e}", "examples", "example",
            [os.path.join(ROOT, "examples", e + ".py")], (0,))
@@ -454,15 +454,11 @@ def _interrupt_when_committed(store: str, done: threading.Event) -> None:
 
 
 def _get_endpoints(stderr: io.StringIO, got: Dict[str, int],
-                   done: threading.Event) -> None:
+                   done: threading.Event, may_stop: threading.Event) -> None:
     """GET every endpoint of the served campaign, whose URL the CLI
     prints on stderr, and ``watch --once`` it; ``/events`` is read until
-    the server closes it.
-
-    The GETs share one kept-alive connection, opened as soon as the URL
-    is known: the campaign may finish, and its server stop accepting,
-    before they are sent, but a connection it accepted is still served.
-    """
+    the server closes it. ``may_stop`` is set once the stream is open
+    (see :func:`_server_held`)."""
     from repro.cli import main
 
     url = None
@@ -471,23 +467,45 @@ def _get_endpoints(stderr: io.StringIO, got: Dict[str, int],
             if word.startswith("http://"):
                 url = word.rstrip("/")
         time.sleep(0.01)
-    if url is None:
-        return
-    conn = http.client.HTTPConnection(url.split("//", 1)[1], timeout=60)
-    conn.connect()
     try:
+        if url is None:
+            return
         got["watch --url"] = main([*WATCH_URL, url])
-        for path in ("/state.json", "/metrics", "/", "/events"):
-            conn.request("GET", path)
-            got[path] = len(conn.getresponse().read())
+        for path in ("/state.json", "/metrics", "/"):
+            with urllib.request.urlopen(url + path, timeout=60) as resp:
+                got[path] = len(resp.read())
+        with urllib.request.urlopen(url + "/events", timeout=60) as resp:
+            may_stop.set()
+            got["/events"] = len(resp.read())
     finally:
-        conn.close()
+        may_stop.set()
+
+
+@contextlib.contextmanager
+def _server_held(until: threading.Event):
+    """Hold ``MonitorServer.stop`` until ``until`` is set (at most 60 s):
+    the served grid ends in about a second, and on a loaded host its
+    server could stop before the helper's requests reach it."""
+    from repro.experiments.serve import MonitorServer
+
+    stop = MonitorServer.stop
+
+    def held(server) -> None:
+        until.wait(timeout=60)
+        stop(server)
+
+    MonitorServer.stop = held
+    try:
+        yield
+    finally:
+        MonitorServer.stop = stop
 
 
 def _run_cli(kind: str, args: list, log) -> int:
     from repro.cli import main
 
     done = threading.Event()
+    may_stop = threading.Event()
     helper = None
     stderr = io.StringIO()
     got: Dict[str, int] = {}
@@ -498,14 +516,15 @@ def _run_cli(kind: str, args: list, log) -> int:
         )
     elif kind == "serve":
         helper = threading.Thread(
-            target=_get_endpoints, args=(stderr, got, done)
+            target=_get_endpoints, args=(stderr, got, done, may_stop)
         )
     if helper is not None:
         helper.start()
+    held = (_server_held(may_stop) if kind == "serve"
+            else contextlib.nullcontext())
     try:
-        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(
-            stderr
-        ):
+        with held, contextlib.redirect_stdout(log), \
+                contextlib.redirect_stderr(stderr):
             rc = main(args)
     except SystemExit as exc:  # argparse rejected the arguments
         rc = exc.code if isinstance(exc.code, int) else 1
@@ -563,23 +582,32 @@ def run_entries(work: str, tracer: CallTracer) -> List[dict]:
 
 
 def unpassed_flags(work: str) -> List[str]:
-    """The parser's long flags that no entry passes."""
+    """The parser's long flags that no entry passes, as ``"command
+    --flag"`` (a top-level flag without the command): a flag counts as
+    passed only to the command it was given to."""
     from repro.cli import build_parser
 
-    flags: List[List[str]] = []
-    parsers = [build_parser()]
-    while parsers:
-        for action in parsers.pop()._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-            elif any(o.startswith("--") for o in action.option_strings):
-                flags.append(action.option_strings)
-    passed = {str(a).split("=")[0] for e in entry_points(work)
-              if e[2] != "example" for a in e[3]} | set(WATCH_URL)
-    return sorted({
-        next(o for o in options if o.startswith("--")) for options in flags
-        if "--help" not in options and not passed & set(options)
-    })
+    top = build_parser()
+    commands = next(a for a in top._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    passed = {("watch", flag) for flag in WATCH_URL}
+    for _name, _cls, kind, args, _ok in entry_points(work):
+        if kind == "example":
+            continue
+        words = [str(a).split("=")[0] for a in args]
+        at = next(i for i, w in enumerate(words) if w in commands)
+        passed |= {("", w) for w in words[:at]}
+        passed |= {(words[at], w) for w in words[at + 1:]}
+    missing = []
+    for command, parser in [("", top), *commands.items()]:
+        for action in parser._actions:
+            options = action.option_strings
+            longs = [o for o in options if o.startswith("--")]
+            if longs and "--help" not in options and not any(
+                (command, o) in passed for o in options
+            ):
+                missing.append(f"{command} {longs[0]}".strip())
+    return sorted(missing)
 
 
 # -- function inventory -------------------------------------------------------
