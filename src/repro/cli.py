@@ -99,6 +99,13 @@ class _EtaProgress:
             print(file=self._stream)
 
 
+#: Seconds ``campaign --serve`` keeps serving after the last cell, so
+#: that a client polling at ``watch``'s default 1 s interval, or one
+#: that connects just as the grid ends, reads the finished campaign
+#: rather than a closed port.
+SERVE_FINAL_STATE_S = 3.0
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     sizes = tuple(args.sizes) if args.sizes else PAPER_TASK_COUNTS
     grid = [
@@ -191,6 +198,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             resume=args.resume,
             resilience=policy,
         )
+        if server is not None:
+            print(f"campaign done; serving its final state for "
+                  f"{SERVE_FINAL_STATE_S:g} s (Ctrl-C stops now)",
+                  file=sys.stderr)
+            try:
+                time.sleep(SERVE_FINAL_STATE_S)
+            except KeyboardInterrupt:
+                pass
     except experiments.IncompatibleResumeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -883,7 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "bound URL is printed on stderr. The endpoints "
                         "read the store; without --store the campaign "
                         "records into a temporary store file, deleted "
-                        "on exit. Observation-only: results and digests "
+                        "on exit. The server stays up for "
+                        f"{SERVE_FINAL_STATE_S:g} s after the last cell, "
+                        "so clients read the finished campaign. "
+                        "Observation-only: results and digests "
                         "are unaffected.")
 
     p = sub.add_parser("figures", help="render figures from a saved campaign")

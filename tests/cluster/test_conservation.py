@@ -22,8 +22,8 @@ event it asserts:
 
 import pytest
 
-from repro.cluster import Cluster, JobState
-from repro.cluster.presets import PRESETS
+from repro.cluster import JobState
+from repro.cluster.presets import PRESETS, build_resource
 from repro.cluster.workload import BackgroundWorkload
 from repro.des import Simulation
 
@@ -77,21 +77,22 @@ class _ConservationCheck:
 @pytest.mark.parametrize(
     "preset", ["blacklight-sim", "stampede-sim", "hopper-sim"]
 )
-def test_warm_up_conserves_cores_and_jobs(preset, seed):
+def test_warm_up_conserves_cores_and_jobs(preset, seed, monkeypatch):
     preset = PRESETS[preset]
     sim = Simulation(seed=seed)
-    # build_resource's machine and workload, primed and started here so
-    # the check knows how many jobs the priming queued
-    cluster = Cluster(
-        sim, name=preset.name, nodes=preset.nodes,
-        cores_per_node=preset.cores_per_node,
-        scheduler=preset.scheduler_factory(),
-        submit_overhead=preset.submit_overhead,
-        dispatch_interval=preset.dispatch_interval,
-    )
-    workload = BackgroundWorkload(sim, cluster, preset.profile)
-    primed = workload.prime(backlog_hours=preset.backlog_hours)
-    workload.start()
+    # build_resource primes the machine; the spy keeps prime()'s count of
+    # the jobs it queued, which the balance below needs
+    counts = []
+    real_prime = BackgroundWorkload.prime
+
+    def spy(self, *args, **kwargs):
+        counts.append(real_prime(self, *args, **kwargs))
+        return counts[-1]
+
+    monkeypatch.setattr(BackgroundWorkload, "prime", spy)
+    res = build_resource(sim, preset)
+    cluster, workload = res.cluster, res.workload
+    (primed,) = counts
     check = _ConservationCheck(
         sim, cluster, workload, primed, preset.submit_overhead
     )

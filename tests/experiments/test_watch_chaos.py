@@ -270,3 +270,27 @@ class TestSseResume:
         assert rest == _log_rows(path, last_id)
         kinds = [record["kind"] for _seq, record in rest]
         assert "campaign_resumed" in kinds and kinds[-1] == "campaign-end"
+
+
+class TestServedFinalState:
+    def test_server_outlives_the_last_cell(self, tmp_path):
+        """A client that asks only after the last cell committed still
+        reads the finished campaign: the server stays up a while after
+        the grid ends instead of closing its port with the last cell."""
+        path = str(tmp_path / "c.sqlite")
+        proc, url = _spawn_served_campaign(
+            path, 2016, grid=("--experiments", "1", "--sizes", "8",
+                              "--reps", "1")
+        )
+        try:
+            line = proc.stderr.readline().decode("utf-8", "replace")
+            assert line.startswith("campaign done"), line
+            with urllib.request.urlopen(url + "/state.json",
+                                        timeout=60) as resp:
+                state = json.loads(resp.read())
+            rest = _frames(_sse(url))
+        finally:
+            assert _end(proc) == 0
+        assert state["finished"]
+        assert rest == _log_rows(path)
+        assert rest[-1][1]["kind"] == "campaign-end"

@@ -65,7 +65,8 @@ def chaos_run(seed: int):
         n_pilots=n_pilots,
         pilot_walltime_min=walltime_min,
     )
-    report = em.execute(api, config)
+    # A run still going at t=200,000 s fails the test (SimulationError).
+    report = sim.run_process(em.run(api, config), until=200_000)
     return report, sim
 
 

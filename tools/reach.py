@@ -454,11 +454,10 @@ def _interrupt_when_committed(store: str, done: threading.Event) -> None:
 
 
 def _get_endpoints(stderr: io.StringIO, got: Dict[str, int],
-                   done: threading.Event, may_stop: threading.Event) -> None:
+                   done: threading.Event) -> None:
     """GET every endpoint of the served campaign, whose URL the CLI
     prints on stderr, and ``watch --once`` it; ``/events`` is read until
-    the server closes it. ``may_stop`` is set once the stream is open
-    (see :func:`_server_held`)."""
+    the server closes it."""
     from repro.cli import main
 
     url = None
@@ -467,45 +466,20 @@ def _get_endpoints(stderr: io.StringIO, got: Dict[str, int],
             if word.startswith("http://"):
                 url = word.rstrip("/")
         time.sleep(0.01)
-    try:
-        if url is None:
-            return
-        got["watch --url"] = main([*WATCH_URL, url])
-        for path in ("/state.json", "/metrics", "/"):
-            with urllib.request.urlopen(url + path, timeout=60) as resp:
-                got[path] = len(resp.read())
-        with urllib.request.urlopen(url + "/events", timeout=60) as resp:
-            may_stop.set()
-            got["/events"] = len(resp.read())
-    finally:
-        may_stop.set()
-
-
-@contextlib.contextmanager
-def _server_held(until: threading.Event):
-    """Hold ``MonitorServer.stop`` until ``until`` is set (at most 60 s):
-    the served grid ends in about a second, and on a loaded host its
-    server could stop before the helper's requests reach it."""
-    from repro.experiments.serve import MonitorServer
-
-    stop = MonitorServer.stop
-
-    def held(server) -> None:
-        until.wait(timeout=60)
-        stop(server)
-
-    MonitorServer.stop = held
-    try:
-        yield
-    finally:
-        MonitorServer.stop = stop
+    if url is None:
+        return
+    got["watch --url"] = main([*WATCH_URL, url])
+    for path in ("/state.json", "/metrics", "/"):
+        with urllib.request.urlopen(url + path, timeout=60) as resp:
+            got[path] = len(resp.read())
+    with urllib.request.urlopen(url + "/events", timeout=60) as resp:
+        got["/events"] = len(resp.read())
 
 
 def _run_cli(kind: str, args: list, log) -> int:
     from repro.cli import main
 
     done = threading.Event()
-    may_stop = threading.Event()
     helper = None
     stderr = io.StringIO()
     got: Dict[str, int] = {}
@@ -516,14 +490,12 @@ def _run_cli(kind: str, args: list, log) -> int:
         )
     elif kind == "serve":
         helper = threading.Thread(
-            target=_get_endpoints, args=(stderr, got, done, may_stop)
+            target=_get_endpoints, args=(stderr, got, done)
         )
     if helper is not None:
         helper.start()
-    held = (_server_held(may_stop) if kind == "serve"
-            else contextlib.nullcontext())
     try:
-        with held, contextlib.redirect_stdout(log), \
+        with contextlib.redirect_stdout(log), \
                 contextlib.redirect_stderr(stderr):
             rc = main(args)
     except SystemExit as exc:  # argparse rejected the arguments
