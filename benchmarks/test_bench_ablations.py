@@ -38,7 +38,7 @@ def test_bench_pilot_count_sweep(benchmark):
     three = by_count["3 pilot(s)"]
     five = by_count["5 pilot(s)"]
     # Three pilots already normalize Tw relative to one...
-    assert three.tw_std <= one.tw_std
+    assert three.aux_std <= one.aux_std
     # ...and five pilots do not dramatically improve on three (diminishing
     # returns; allow generous slack since these are small samples).
     assert five.ttc_mean > 0.4 * three.ttc_mean
@@ -95,7 +95,7 @@ def test_bench_pool_scaling(benchmark):
     one = points[0]
     many = points[-1]
     # More sampled queues should not make worst-case waits worse.
-    assert many.tw_std <= one.tw_std * 1.5
+    assert many.aux_std <= one.aux_std * 1.5
 
 
 def test_bench_binding_rationale(benchmark):

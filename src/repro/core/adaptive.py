@@ -10,21 +10,22 @@ out to be slow — exactly the early-binding failure mode the paper
 measures), the adaptive policy revises the strategy mid-flight: it
 submits a *backup pilot* on the best-ranked resource not already used,
 consulting the bundle's predictive interface at revision time, when the
-queue-state information is fresher than it was at planning time. With
-``renew_before_s`` set, a pilot nearing its walltime with work left gets
-a *successor* on the same resource. Each revision is recorded as an
-explicit decision, keeping the Execution Strategy abstraction's
-"decisions are explicit" property. Both kinds of pilot join the run
-through the Execution Manager's one per-execution path (``describe`` and
-``add_pilot``), exactly like the initial pilots.
+queue-state information is fresher than it was at planning time. Each
+revision is recorded as an explicit decision, keeping the Execution
+Strategy abstraction's "decisions are explicit" property. A backup pilot
+joins the run through the Execution Manager's one per-execution path
+(``describe`` and ``add_pilot``), exactly like the initial pilots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .strategy import Decision
+
+#: after each backup submission, wait this long again before the next.
+REDEADLINE_S = 1800.0
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,6 @@ class AdaptationPolicy:
     activation_deadline_s: float = 1800.0
     #: at most this many backup pilots per execution.
     max_backup_pilots: int = 2
-    #: re-arm the deadline after each backup submission.
-    redeadline_s: float = 1800.0
-    #: pilot succession: when an active pilot is within this many seconds
-    #: of its walltime limit and work remains, submit a successor pilot on
-    #: the same resource so tasks hop over instead of being stranded.
-    #: None disables renewal.
-    renew_before_s: Optional[float] = None
-    #: at most this many successor pilots per execution.
-    max_renewals: int = 2
 
 
 @dataclass
@@ -57,24 +49,19 @@ class AdaptationEvent:
 
 
 class PilotReinforcer:
-    """Watches an execution and adds backup and successor pilots.
+    """Watches an execution and adds backup pilots.
 
     ``execution`` is the Execution Manager's per-execution object: every
     pilot this class adds goes through its ``describe``/``add_pilot``
-    path, backups land on ``best_healthy``, and both watchers end at
-    their next wake-up once the execution is ``closed``.
+    path and lands on ``best_healthy``, and the watcher ends at its next
+    wake-up once the execution is ``closed``.
     """
 
     def __init__(self, execution, policy: AdaptationPolicy) -> None:
         self.execution = execution
         self.policy = policy
         self.events: List[AdaptationEvent] = []
-        self._renewed: set = set()
-        self._renewals = 0
-        sim = execution.sim
-        sim.process(self._watch(), name="pilot-reinforcer")
-        if policy.renew_before_s is not None:
-            sim.process(self._renewal_watch(), name="pilot-renewer")
+        execution.sim.process(self._watch(), name="pilot-reinforcer")
 
     # -- internals ---------------------------------------------------------------
 
@@ -120,61 +107,4 @@ class PilotReinforcer:
                 resource=resource, pilot=pilot.uid,
             )
             backups += 1
-            deadline = self.policy.redeadline_s
-
-    def _renewal_watch(self):
-        """Pilot succession: replace pilots about to hit their walltime."""
-        ex = self.execution
-        horizon = self.policy.renew_before_s
-        interval = max(30.0, horizon / 2.0)
-        while not ex.closed:
-            yield ex.sim.timeout(interval)
-            if ex.closed or self._renewals >= self.policy.max_renewals:
-                return
-            if not ex.work_remaining():
-                return
-            now = ex.sim.now
-            for pilot in list(ex.pilots):
-                if not pilot.is_active or pilot.uid in self._renewed:
-                    continue
-                activated = pilot.activated_at
-                if activated is None:
-                    continue
-                expected_end = activated + pilot.description.runtime_s
-                if expected_end - now > horizon:
-                    continue
-                if ex.health is not None and ex.health.is_quarantined(
-                    pilot.resource
-                ):
-                    continue  # no successor on a quarantined resource
-                successor = ex.add_pilot(ex.describe(
-                    pilot.resource, pilot.cores,
-                    pilot.description.runtime_min,
-                ))
-                self._renewed.add(pilot.uid)
-                self._renewals += 1
-                event = AdaptationEvent(
-                    time=now,
-                    reason=(
-                        f"{pilot.uid} within {horizon:.0f}s of its walltime "
-                        "with work remaining; submitted successor"
-                    ),
-                    resource=pilot.resource,
-                    pilot_uid=successor.uid,
-                )
-                self.events.append(event)
-                ex.strategy.decisions.append(
-                    Decision(
-                        name=f"renewal_{self._renewals}",
-                        value=pilot.resource,
-                        rationale=event.reason,
-                        depends_on=("pilot_walltime_min",),
-                    )
-                )
-                ex.sim.telemetry.instant(
-                    "execution", "renewal", track="adaptation",
-                    resource=pilot.resource, pilot=successor.uid,
-                    predecessor=pilot.uid,
-                )
-                if self._renewals >= self.policy.max_renewals:
-                    return
+            deadline = REDEADLINE_S

@@ -195,8 +195,8 @@ class ExecutionError(Exception):
 class _Execution:
     """One live execution and the one path by which a pilot joins it.
 
-    The initial pilots, recovery replacements, backup and successor
-    pilots (:class:`PilotReinforcer`) and re-plan pilots
+    The initial pilots, recovery replacements, backup pilots
+    (:class:`PilotReinforcer`) and re-plan pilots
     (:class:`~repro.health.DeadlineSupervisor`) are all described by
     :meth:`describe` and added by :meth:`add_pilot`, which registers each
     pilot in one fixed order: the unit manager, the health registry, then
@@ -550,7 +550,7 @@ class ExecutionManager:
             if pilot.is_final:
                 ex.on_pilot_final(pilot, pilot.state)
 
-        # Optional dynamic execution (backup and successor pilots) and
+        # Optional dynamic execution (backup pilots) and
         # health supervision: the watchdog frees units hung on a wedged
         # resource; the deadline supervisor enforces the TTC budget and
         # re-plans around quarantined resources. Every pilot they add
@@ -594,10 +594,7 @@ class ExecutionManager:
             if tel.enabled else None
         )
         pilots, units = ex.pilots, ex.units
-        graph = build_graph(
-            pilots, units, t_start, t_end,
-            em_steps=summary.em_steps if summary is not None else None,
-        )
+        graph = build_graph(pilots, units, t_start, t_end)
         report = ExecutionReport(
             application=app_name,
             n_tasks=req.n_tasks,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .errors import Interrupt
 from .process import Process
 
 if False:  # pragma: no cover - typing only
@@ -32,8 +31,7 @@ def hazard_process(
 
     The process sleeps until ``start`` (absolute simulated time), then
     repeatedly draws an inter-arrival gap from ``rng`` and fires. It ends
-    when the next arrival would land after ``stop``, or when interrupted
-    (the clean way to disarm a hazard mid-run).
+    when the next arrival would land after ``stop``.
     """
     if rate_per_s <= 0:
         raise ValueError(f"hazard rate must be positive, got {rate_per_s}")
@@ -41,16 +39,13 @@ def hazard_process(
         raise ValueError(f"hazard window stop {stop} precedes start {start}")
 
     def _run():
-        try:
-            if start > sim.now:
-                yield sim.timeout(start - sim.now)
-            while True:
-                gap = float(rng.exponential(1.0 / rate_per_s))
-                if sim.now + gap > stop:
-                    return
-                yield sim.timeout(gap)
-                action(sim.now)
-        except Interrupt:
-            return  # disarmed
+        if start > sim.now:
+            yield sim.timeout(start - sim.now)
+        while True:
+            gap = float(rng.exponential(1.0 / rate_per_s))
+            if sim.now + gap > stop:
+                return
+            yield sim.timeout(gap)
+            action(sim.now)
 
     return sim.process(_run(), name=name)

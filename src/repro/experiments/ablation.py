@@ -70,15 +70,6 @@ class AblationPoint:
     n_runs: int
     aux_name: str = "Tw"
 
-    # Backwards-friendly aliases for the queue-wait studies.
-    @property
-    def tw_mean(self) -> float:
-        return self.aux_mean
-
-    @property
-    def tw_std(self) -> float:
-        return self.aux_std
-
 
 _HOUR = 3600.0
 

@@ -306,13 +306,7 @@ def detect_anomalies(result: CampaignResult) -> List[Anomaly]:
 
     by_exp: Dict[int, List[Tuple[int, Dict[str, float]]]] = {}
     for (exp_id, n_tasks), runs in sorted(by_cell.items()):
-        share_means: Dict[str, float] = {}
-        for name in COMPONENTS:
-            vals = [
-                _components_of(r).get(name, 0.0) / r.ttc
-                for r in runs if r.ttc > 0
-            ]
-            share_means[name] = sum(vals) / len(vals) if vals else 0.0
+        share_means = mean_shares([(r.ttc, _components_of(r)) for r in runs])
         by_exp.setdefault(exp_id, []).append((n_tasks, share_means))
     for exp_id, rows in sorted(by_exp.items()):
         for name in COMPONENTS:

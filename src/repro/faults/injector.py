@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..cluster import Cluster
-from ..des import Process, RngStreams, Simulation, hazard_process
+from ..des import RngStreams, Simulation, hazard_process
 from ..net import Network
 from ..pilot import ComputePilot, PilotManager, PilotState
 from ..saga import FallibleAdaptor, SagaState, SubmissionFaultModel
@@ -60,12 +60,15 @@ class FaultInjector:
         self.log = fault_log()
         self._rng = RngStreams(plan.seed)
         self._armed = False
-        self._hazard_procs: List[Process] = []
 
     # -- lifecycle -----------------------------------------------------------
 
     def arm(self) -> "FaultInjector":
-        """Schedule every scripted action and start every hazard process."""
+        """Schedule every scripted action and start every hazard process.
+
+        Once armed, a plan runs to its end: hazards stop only at their
+        window's ``stop``.
+        """
         if self._armed:
             return self
         self._armed = True
@@ -78,25 +81,16 @@ class FaultInjector:
         self._arm_submission_faults()
         for i, action in enumerate(self.plan.of_kind("pilot-hazard")):
             rng = self._rng.spawn("pilot-hazard", i)
-            self._hazard_procs.append(
-                hazard_process(
-                    self.sim,
-                    action.rate_per_s,
-                    lambda now, a=action, r=rng: self._enact_hazard_kill(a, r),
-                    rng,
-                    start=epoch + action.start,
-                    stop=epoch + action.stop,
-                    name=f"fault/pilot-hazard.{i}",
-                )
+            hazard_process(
+                self.sim,
+                action.rate_per_s,
+                lambda now, a=action, r=rng: self._enact_hazard_kill(a, r),
+                rng,
+                start=epoch + action.start,
+                stop=epoch + action.stop,
+                name=f"fault/pilot-hazard.{i}",
             )
         return self
-
-    def disarm(self) -> None:
-        """Stop all hazard processes (scripted events already queued fire)."""
-        for proc in self._hazard_procs:
-            if proc.is_alive:
-                proc.interrupt("disarmed")
-        self._hazard_procs = []
 
     # -- pilot kills ---------------------------------------------------------
 

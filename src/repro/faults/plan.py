@@ -10,15 +10,15 @@ two flavours:
   failure probability) whose draws come from a dedicated RNG derived
   *only* from the plan's seed.
 
-Plans serialize to/from plain JSON so chaos scenarios can be stored next
-to campaign configurations and replayed bit-for-bit.
+Plans are read from plain JSON (``--faults plan.json``) or built from a
+named preset; the program never writes one. A plan replays bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Type
 
 
@@ -138,7 +138,7 @@ class Outage:
             raise ValueError("Outage.duration must be positive")
 
 
-#: kind tag -> action class, for (de)serialization.
+#: kind tag -> action class, for reading plans.
 ACTION_KINDS: Dict[str, Type] = {
     "kill-pilot": KillPilot,
     "pilot-hazard": PilotHazard,
@@ -165,28 +165,10 @@ class FaultPlan:
             if getattr(a, "kind", None) not in ACTION_KINDS:
                 raise FaultPlanError(f"unknown fault action {a!r}")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.actions
-
     def of_kind(self, kind: str) -> Tuple[object, ...]:
         return tuple(a for a in self.actions if a.kind == kind)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        out = []
-        for a in self.actions:
-            d = asdict(a)
-            # math.inf is not valid JSON; use null for open windows.
-            for k, v in list(d.items()):
-                if isinstance(v, float) and math.isinf(v):
-                    d[k] = None
-            out.append(d)
-        return {"seed": self.seed, "actions": out}
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    # -- reading -------------------------------------------------------------
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
@@ -214,10 +196,6 @@ class FaultPlan:
     def load(cls, path: str) -> "FaultPlan":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
 
 
 # -- presets (for the CLI's --faults flag and the examples) -------------------

@@ -13,8 +13,9 @@ A breaker follows the classic three-state machine:
 
 The breaker can also be *tripped* directly — an observed outage or full
 link partition is proof enough, no threshold needed. All transitions are
-reported through the ``on_event`` hook (the registry routes them into
-the health-event trace) and the open windows are kept for the
+reported through the ``on_event`` hook; the registry routes them into
+the health-event trace, from which
+:func:`repro.core.instrumentation.quarantine_seconds` derives the
 ``t_quarantined`` TTC component.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from ..des import Simulation
 
@@ -69,10 +70,6 @@ class CircuitBreaker:
         #: called as ``on_event(kind, resource, **details)`` on transitions.
         self.on_event = on_event
         self.state = BreakerState.CLOSED
-        self.opened_at: Optional[float] = None
-        #: closed [t_open, t_end] quarantine windows plus, while open, a
-        #: trailing (t_open, None) entry. Summed into ``t_quarantined``.
-        self.quarantine_windows: List[Tuple[float, Optional[float]]] = []
         self._consecutive_failures = 0
         self._probe_inflight = False
         #: bumped on every open, so stale cooldown callbacks are ignored.
@@ -101,16 +98,6 @@ class CircuitBreaker:
         self._probe_inflight = True
         self._emit("breaker-probe")
         return True
-
-    def quarantined_seconds(self, t0: float, t1: float) -> float:
-        """Quarantine time overlapping the window [t0, t1]."""
-        total = 0.0
-        for lo, hi in self.quarantine_windows:
-            hi = t1 if hi is None else min(hi, t1)
-            lo = max(lo, t0)
-            if hi > lo:
-                total += hi - lo
-        return total
 
     # -- feeds ---------------------------------------------------------------
 
@@ -141,8 +128,6 @@ class CircuitBreaker:
 
     def _open(self, reason: str) -> None:
         self.state = BreakerState.OPEN
-        self.opened_at = self.sim.now
-        self.quarantine_windows.append((self.sim.now, None))
         self._consecutive_failures = 0
         self._probe_inflight = False
         self._generation += 1
@@ -155,21 +140,13 @@ class CircuitBreaker:
         if generation != self._generation or self.state is not BreakerState.OPEN:
             return  # a later trip re-opened (or something closed) the breaker
         self.state = BreakerState.HALF_OPEN
-        self._close_window()
         self._emit("breaker-half-open")
 
     def _close(self, reason: str) -> None:
         self.state = BreakerState.CLOSED
-        self.opened_at = None
         self._consecutive_failures = 0
         self._probe_inflight = False
-        self._close_window()
         self._emit("breaker-close", reason=reason)
-
-    def _close_window(self) -> None:
-        if self.quarantine_windows and self.quarantine_windows[-1][1] is None:
-            lo, _ = self.quarantine_windows[-1]
-            self.quarantine_windows[-1] = (lo, self.sim.now)
 
     def _emit(self, kind: str, **details) -> None:
         if self.on_event is not None:

@@ -6,16 +6,18 @@ per-resource health state:
 * **Bundle monitor subscriptions** (:meth:`HealthRegistry.watch`) — a
   threshold subscription per resource fires when the snapshot reports
   the cluster offline, tripping the breaker directly;
-* **SAGA submission outcomes** — the pilot manager reports rejected and
-  exhausted submissions (failures) and accepted ones (successes);
+* **SAGA submission failures** — the pilot manager reports every
+  rejected submission as a failure. An accepted one is not reported: a
+  queued placeholder proves nothing yet, so a half-open breaker waits
+  for the pilot's activation;
 * **pilot lifecycles** (:meth:`observe_pilot`) — an ACTIVE transition is
   a success, a FAILED one a failure (quarantine fail-fasts excluded);
 * **fault-log events** (:meth:`on_fault_event`) — observed outages and
   full link partitions are direct evidence and trip the breaker without
   waiting for the failure threshold.
 
-Each resource gets a :class:`~repro.health.breaker.CircuitBreaker` and a
-smoothed health score; every transition lands in the deterministic
+Each resource gets a :class:`~repro.health.breaker.CircuitBreaker`, the
+one record of its trust; every transition lands in the deterministic
 health-event log (an :class:`~repro.telemetry.eventlog.EventLog`) and
 the kernel trace, so the supervision timeline is reproducible
 byte-for-byte from the seeds.
@@ -30,31 +32,21 @@ from ..lifecycle import PilotState
 from ..telemetry.eventlog import Event, EventLog
 from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
 
-#: EWMA weight of the previous score (successes/failures move it slowly).
-SCORE_DECAY = 0.7
-
 
 class HealthRegistry:
-    """Per-resource health scores, breakers, and the supervision trace."""
+    """Per-resource breakers and the supervision trace."""
 
     def __init__(
-        self,
-        sim: Simulation,
-        breaker: Optional[BreakerPolicy] = None,
-        score_decay: float = SCORE_DECAY,
+        self, sim: Simulation, breaker: Optional[BreakerPolicy] = None
     ) -> None:
-        if not 0.0 <= score_decay < 1.0:
-            raise ValueError("score_decay must be in [0, 1)")
         self.sim = sim
         #: breaker policy for all resources; None disables quarantining
-        #: (the registry still scores resources and keeps the trace).
+        #: (the registry still keeps the trace).
         self.breaker_policy = breaker
-        self.score_decay = score_decay
         #: the supervision trace; its listeners see every health event
         #: (e.g. to poke a scheduler when a breaker closes).
         self.log = EventLog("health", empty="no supervision events", noun="events")
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._scores: Dict[str, float] = {}
         sim.telemetry.metrics.gauge(
             "health.quarantined",
             lambda: sum(
@@ -99,46 +91,17 @@ class HealthRegistry:
     def quarantined(self, resources: Sequence[str]) -> Tuple[str, ...]:
         return tuple(r for r in resources if self.is_quarantined(r))
 
-    def quarantined_seconds(self, t0: float, t1: float) -> float:
-        """Summed per-resource quarantine time overlapping [t0, t1]."""
-        return sum(
-            brk.quarantined_seconds(t0, t1) for brk in self._breakers.values()
-        )
-
-    # -- scores --------------------------------------------------------------
-
-    def score(self, resource: str) -> float:
-        """Smoothed health in [0, 1]; resources start fully trusted."""
-        return self._scores.get(resource, 1.0)
-
-    def _update_score(self, resource: str, outcome: float) -> None:
-        prev = self.score(resource)
-        self._scores[resource] = (
-            self.score_decay * prev + (1.0 - self.score_decay) * outcome
-        )
-
     # -- signal feeds --------------------------------------------------------
 
     def record_success(self, resource: str, kind: str = "success") -> None:
-        self._update_score(resource, 1.0)
         brk = self.breaker(resource)
         if brk is not None:
             brk.record_success(kind)
 
     def record_failure(self, resource: str, kind: str = "failure") -> None:
-        self._update_score(resource, 0.0)
         brk = self.breaker(resource)
         if brk is not None:
             brk.record_failure(kind)
-
-    def record_submission(self, resource: str, ok: bool) -> None:
-        """SAGA submission outcome. Failures count against the breaker;
-        acceptances only lift the score — a queued placeholder proves
-        nothing yet, so half-open breakers wait for pilot activation."""
-        if ok:
-            self._update_score(resource, 1.0)
-        else:
-            self.record_failure(resource, "submit-fail")
 
     def observe_pilot(self, pilot) -> None:
         """Feed one pilot's lifecycle into its resource's health state."""
@@ -160,10 +123,8 @@ class HealthRegistry:
             return
         details = dict(event.details)
         if event.kind == "outage":
-            self._update_score(event.target, 0.0)
             brk.trip("outage-observed")
         elif event.kind == "link-degrade" and details.get("factor") == 0.0:
-            self._update_score(event.target, 0.0)
             brk.trip("link-partition")
 
     # -- bundle monitoring ---------------------------------------------------
@@ -184,7 +145,6 @@ class HealthRegistry:
             )
 
     def _on_monitor_offline(self, sub_uid: int, snapshot) -> None:
-        self._update_score(snapshot.name, 0.0)
         brk = self.breaker(snapshot.name)
         if brk is not None:
             brk.trip("monitor-offline")
@@ -201,14 +161,3 @@ class HealthRegistry:
 
     def _emit(self, kind: str, resource: str, **details) -> None:
         self.record_event(kind, resource, **details)
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Per-resource health view (for reports and debugging)."""
-        names = set(self._scores) | set(self._breakers)
-        return {
-            name: {
-                "score": round(self.score(name), 4),
-                "state": self.breaker_state(name).value,
-            }
-            for name in sorted(names)
-        }

@@ -114,10 +114,6 @@ class Link:
         )
         self._reschedule()
 
-    def restore(self) -> None:
-        """Return the link to full bandwidth."""
-        self.set_degradation(1.0)
-
     def transfer(self, size_bytes: float, label: str = "") -> Transfer:
         """Start moving ``size_bytes``; returns a waitable Transfer.
 

@@ -160,7 +160,7 @@ class PilotManager:
         except TransientSubmitError:
             self.submit_faults += 1
             if self.health is not None:
-                self.health.record_submission(desc.resource, ok=False)
+                self.health.record_failure(desc.resource, "submit-fail")
             if attempt < SUBMIT_RETRIES:
                 delay = SUBMIT_BACKOFF_S * (2.0 ** attempt)
                 self.sim.telemetry.instant(
@@ -179,15 +179,13 @@ class PilotManager:
         except PermanentSubmitError:
             self.submit_faults += 1
             if self.health is not None:
-                self.health.record_submission(desc.resource, ok=False)
+                self.health.record_failure(desc.resource, "submit-fail")
             self.sim.telemetry.instant(
                 "pilot", "submit-rejected",
                 track=f"pilot-manager/{desc.resource}", pilot=pilot.uid,
             )
             pilot.advance(PilotState.FAILED)
             return
-        if self.health is not None:
-            self.health.record_submission(desc.resource, ok=True)
         pilot.saga_job = saga_job
         saga_job.add_callback(
             lambda job, state, p=pilot: self._on_saga_state(p, job, state)

@@ -126,10 +126,6 @@ class ConcreteStage:
     index: int
     tasks: List[ConcreteTask]
 
-    @property
-    def total_duration(self) -> float:
-        return sum(t.duration for t in self.tasks)
-
 
 @dataclass
 class ConcreteApplication:

@@ -6,7 +6,7 @@ takes the minimum of several queue-wait draws. This module turns one
 execution's recorded state histories into that explanation:
 
 * :func:`build_graph` reconstructs a **causal activity graph** from the
-  pilots' and units' instrumented state histories (enactment steps →
+  pilots' and units' instrumented state histories (enactment start →
   SAGA submission → pilot queue wait → bootstrap → unit scheduling →
   execution → data staging), with explicit candidate-predecessor edges;
 * :func:`critical_path` walks that graph **backward from the end of the
@@ -84,7 +84,6 @@ _GATE_RANK: Dict[str, int] = {
     "staging-in": 1,
     "bootstrap": 2,
     "queue-wait": 3,
-    "em-step": 4,
     "scheduling": 5,
     "recovery-wait": 6,
     "pending": 7,
@@ -259,16 +258,13 @@ def build_graph(
     units: Sequence[Any],
     t_start: float,
     t_end: float,
-    em_steps: Optional[Sequence[Tuple[str, float, float]]] = None,
 ) -> CausalGraph:
     """Reconstruct the causal activity graph of one execution.
 
     ``pilots`` and ``units`` are duck-typed instrumented entities (any
     object with the ``history``/``saga_job``/``pilot`` shape of
-    :mod:`repro.pilot`). ``em_steps`` are the enactment steps'
-    ``(name, t0, t1)`` rows from a telemetry-enabled run; they add
-    middleware detail but are optional — attribution works identically
-    without telemetry.
+    :mod:`repro.pilot`). The graph is built from their histories alone,
+    so it is the same whether telemetry is on or off.
     """
     activities: List[Activity] = []
 
@@ -281,21 +277,9 @@ def build_graph(
         activities.append(act)
         return act
 
-    # A synthetic "plan" anchor from t_start to the first recorded event
-    # keeps the backward walk grounded when telemetry spans are absent.
-    plan = add("plan", "trp", t_start, t_start, "enactment start")
-
-    em_chain: List[Activity] = [plan]
-    for name, s0, s1 in (em_steps or ()):
-        # step 5 ("execute-units") spans the whole run; it is causal
-        # scaffolding, not a time cost — skip it, the unit activities
-        # carry that time.
-        if name == "execute-units":
-            continue
-        step = add("em-step", "trp", s0, s1, f"step {name}")
-        step.preds.append(em_chain[-1].key)
-        em_chain.append(step)
-    anchor = em_chain[-1]
+    # A synthetic "plan" anchor at t_start keeps the backward walk
+    # grounded.
+    anchor = add("plan", "trp", t_start, t_start, "enactment start")
 
     # -- pilots: queue wait and bootstrap -------------------------------------
     pilot_boot: Dict[str, Activity] = {}   # pilot uid -> gate activity
@@ -384,7 +368,7 @@ def build_graph(
     sink: Optional[int] = None
     best: Tuple[float, int] = (float("-inf"), 9)
     for act in activities:
-        if act.kind in _WAIT_KINDS or act.kind == "em-step":
+        if act.kind in _WAIT_KINDS:
             continue
         rank = _GATE_RANK.get(act.kind, 9)
         cand = (act.t1, -rank)
@@ -569,12 +553,9 @@ def attribute(
     units: Sequence[Any],
     t_start: float,
     t_end: float,
-    em_steps: Optional[Sequence[Tuple[str, float, float]]] = None,
 ) -> TTCAttribution:
     """Attribution + critical path for one execution's entities."""
-    return _attribute_graph(
-        build_graph(pilots, units, t_start, t_end, em_steps=em_steps)
-    )
+    return _attribute_graph(build_graph(pilots, units, t_start, t_end))
 
 
 def attribute_report(report: Any) -> TTCAttribution:

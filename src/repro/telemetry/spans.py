@@ -43,14 +43,6 @@ class Span:
     def closed(self) -> bool:
         return self.t1 is not None
 
-    @property
-    def virtual_duration(self) -> Optional[float]:
-        return None if self.t1 is None else self.t1 - self.t0
-
-    @property
-    def wall_duration(self) -> Optional[float]:
-        return None if self.w1 is None else self.w1 - self.w0
-
     def as_dict(self) -> Dict[str, Any]:
         """Canonical dict, without the wall clocks (they break digests)."""
         return {

@@ -10,6 +10,7 @@ from repro.core import (
     ExecutionManager,
     PlannerConfig,
 )
+from repro.core import adaptive
 from repro.des import Simulation
 from repro.net import Network
 from repro.skeleton import SkeletonAPI, bag_of_tasks
@@ -83,7 +84,13 @@ def test_without_policy_execution_rides_out_the_wait():
     assert report.decomposition.tw > 3600  # no rescue: waits out the blockade
 
 
-def test_backup_count_capped():
+@pytest.fixture
+def short_redeadline(monkeypatch):
+    """Re-arm the backup deadline after 300 s instead of 1800 s."""
+    monkeypatch.setattr(adaptive, "REDEADLINE_S", 300.0)
+
+
+def test_backup_count_capped(short_redeadline):
     sim, net, clusters, bundle, em = make_env(
         seed=7, sites=("a", "b", "c", "d")
     )
@@ -95,7 +102,7 @@ def test_backup_count_capped():
         api,
         PlannerConfig(binding=Binding.LATE, n_pilots=1, resources=("a",)),
         adaptation=AdaptationPolicy(
-            activation_deadline_s=300, redeadline_s=300, max_backup_pilots=2
+            activation_deadline_s=300, max_backup_pilots=2
         ),
     )
     # everything blocked: two backups were tried, then the policy stopped.
@@ -104,7 +111,7 @@ def test_backup_count_capped():
     assert report.succeeded  # eventually the blockade ends and pilots run
 
 
-def test_backup_resources_avoid_in_use_ones():
+def test_backup_resources_avoid_in_use_ones(short_redeadline):
     sim, net, clusters, bundle, em = make_env(seed=9, sites=("a", "b"))
     block(clusters["a"], 4 * 3600)
     block(clusters["b"], 4 * 3600)
@@ -114,56 +121,9 @@ def test_backup_resources_avoid_in_use_ones():
         api,
         PlannerConfig(binding=Binding.LATE, n_pilots=1, resources=("a",)),
         adaptation=AdaptationPolicy(
-            activation_deadline_s=300, redeadline_s=300, max_backup_pilots=3
+            activation_deadline_s=300, max_backup_pilots=3
         ),
     )
     # only "b" was available to reinforce with; no duplicates on "a"/"b".
     assert len(report.adaptations) == 1
     assert report.adaptations[0].resource == "b"
-
-
-def test_pilot_renewal_rescues_walltime_exhaustion():
-    """Pilot succession: tasks outlasting the pilot walltime hop to a
-    successor instead of being stranded."""
-    sim, net, clusters, bundle, em = make_env(seed=21, sites=("solo",))
-    api = SkeletonAPI(bag_of_tasks(16, task_duration=300), seed=1)
-    config = PlannerConfig(
-        binding=Binding.LATE, n_pilots=1, resources=("solo",),
-        pilot_cores=4, pilot_walltime_min=12.0,  # 16x300s on 4 cores > 720s
-    )
-    # Without renewal: pilots die with work left; units exhaust restarts
-    # or get canceled when every pilot is final.
-    baseline = em.execute(api, config)
-    assert not baseline.succeeded
-
-    sim2, net2, clusters2, bundle2, em2 = make_env(seed=21, sites=("solo",))
-    api2 = SkeletonAPI(bag_of_tasks(16, task_duration=300), seed=1)
-    rescued = em2.execute(
-        api2, config,
-        adaptation=AdaptationPolicy(
-            activation_deadline_s=1e9,   # disable backup-pilot arm
-            renew_before_s=240.0, max_renewals=3,
-        ),
-    )
-    assert rescued.succeeded
-    renewals = [e for e in rescued.adaptations if "successor" in e.reason]
-    assert renewals, "expected at least one succession event"
-    assert any(
-        d.name.startswith("renewal_") for d in rescued.strategy.decisions
-    )
-
-
-def test_renewal_stops_when_no_work_remains():
-    sim, net, clusters, bundle, em = make_env(seed=23, sites=("solo",))
-    api = SkeletonAPI(bag_of_tasks(4, task_duration=60), seed=1)
-    report = em.execute(
-        api,
-        PlannerConfig(binding=Binding.LATE, n_pilots=1, resources=("solo",),
-                      pilot_cores=4, pilot_walltime_min=30.0),
-        adaptation=AdaptationPolicy(
-            activation_deadline_s=1e9, renew_before_s=1200.0,
-        ),
-    )
-    assert report.succeeded
-    # work finished long before the walltime margin: no successors
-    assert not [e for e in report.adaptations if "successor" in e.reason]

@@ -1,10 +1,9 @@
 """Every way a pilot joins a live execution, held against a golden.
 
-Seven scenarios, one per mid-run path: a backup pilot on a stalled
-start, a walltime successor, a recovery resubmission on the original
-resource, a recovery rerouted around a quarantined resource, a deadline
-re-plan, a deadline expiry with its final sweep, and a watchdog
-reschedule. For each, the golden holds the report summary, the three
+Six scenarios, one per mid-run path: a backup pilot on a stalled
+start, a recovery resubmission on the original resource, a recovery
+rerouted around a quarantined resource, a deadline re-plan, a deadline
+expiry with its final sweep, and a watchdog reschedule. For each, the golden holds the report summary, the three
 event lists, every pilot's lifecycle, and the telemetry, fault-log,
 health-log and attribution digests, all recorded before the four paths
 were folded into one. Regenerate only for a deliberate behaviour change:
@@ -83,19 +82,6 @@ def backup():
         PlannerConfig(binding=Binding.LATE, n_pilots=1, resources=(target,)),
         adaptation=AdaptationPolicy(activation_deadline_s=900,
                                     max_backup_pilots=2),
-    )
-
-
-def renewal():
-    """Work outlasting the pilot walltime hops to successor pilots."""
-    sim, clusters, em = small_stack({"solo": 16}, seed=21)
-    em.pilot_manager.bootstrap_s = 0.0  # agents ready at once
-    return em.execute(
-        SkeletonAPI(bag_of_tasks(16, task_duration=300), seed=1),
-        PlannerConfig(binding=Binding.LATE, n_pilots=1, resources=("solo",),
-                      pilot_cores=4, pilot_walltime_min=12.0),
-        adaptation=AdaptationPolicy(activation_deadline_s=1e9,
-                                    renew_before_s=240.0, max_renewals=3),
     )
 
 
@@ -196,7 +182,7 @@ def watchdog():
 
 SCENARIOS = {
     f.__name__: f
-    for f in (backup, renewal, resubmit, reroute, replan, expiry, watchdog)
+    for f in (backup, resubmit, reroute, replan, expiry, watchdog)
 }
 
 

@@ -11,7 +11,7 @@ from repro.experiments import (
     robust_z,
     run_campaign,
 )
-from repro.experiments.sentinel import Drift, _components_of
+from repro.experiments.sentinel import Drift, _components_of, mean_shares
 from repro.experiments.campaign import CampaignResult, RunResult
 
 
@@ -148,6 +148,32 @@ class TestDrift:
 class TestAnomalies:
     def test_clean_campaign_is_quiet(self, small_campaign):
         assert detect_anomalies(small_campaign) == []
+
+    def test_share_outlier_counts_zero_ttc_runs_as_the_fingerprint_does(
+        self,
+    ):
+        """A run without TTC counts with no share, as in ``mean_shares``:
+        the cell whose second rep never ran has half the others' shares."""
+        def run(n_tasks, rep, tx, ttc=1000.0):
+            return _run(n_tasks=n_tasks, rep=rep, ttc=ttc, attribution=(
+                ("tw", 100.0), ("tr", 0.0), ("tx", tx),
+                ("ts", 50.0), ("trp", 40.0), ("idle", 810.0 - tx),
+            ))
+
+        runs = []
+        for i, n_tasks in enumerate((8, 16, 32, 64, 128)):
+            tx = 790.0 + 5.0 * i
+            runs += [run(n_tasks, 0, tx), run(n_tasks, 1, tx)]
+        runs += [run(256, 0, 800.0), run(256, 1, 0.0, ttc=0.0)]
+        found = [
+            (a.cell, a.detail) for a in detect_anomalies(
+                CampaignResult(runs=tuple(runs))
+            )
+            if a.kind == "share-outlier"
+        ]
+        shares = mean_shares([(r.ttc, _components_of(r)) for r in runs[-2:]])
+        assert shares["tx"] == pytest.approx(0.4)
+        assert ("1:256", "tx share 40.0%") in found
 
     def test_ttc_outlier_is_flagged(self):
         runs = [

@@ -103,7 +103,7 @@ def test_accounting_balances_in_every_cell(binding, n_pilots, plan):
     assert d.n_faults == len(report.fault_log)
 
     # a clean cell shows no fault side-effects
-    if plan.is_empty:
+    if not plan.actions:
         assert report.succeeded
         assert d.n_faults == 0 and d.t_lost == 0.0 and d.restarts == 0
 

@@ -126,19 +126,6 @@ def test_different_plan_seeds_give_different_hazard_timelines():
     assert run_once(1).digest() != run_once(2).digest()
 
 
-def test_disarm_stops_hazards():
-    sim, net, clusters, pm = make_stack()
-    pm.submit_pilots(desc())
-    plan = FaultPlan(seed=5, actions=(PilotHazard(rate_per_s=1.0 / 50.0),))
-    inj = FaultInjector(sim, plan, pilot_manager=pm).arm()
-    sim.run(until=300.0)
-    seen = len(inj.log)
-    assert seen > 0
-    inj.disarm()
-    sim.run(until=5000.0)
-    assert len(inj.log) == seen  # nothing fires after disarm
-
-
 # -- outages -------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""FaultPlan: validation, serialization, presets."""
+"""FaultPlan: validation, reading JSON, presets."""
 
 import math
 
@@ -44,25 +44,36 @@ def test_of_kind_filters():
     assert len(plan.of_kind("kill-pilot")) == 2
     assert len(plan.of_kind("outage")) == 1
     assert plan.of_kind("nonexistent") == ()
-    assert not plan.is_empty
-    assert FaultPlan().is_empty
 
 
-def test_json_round_trip_preserves_everything(tmp_path):
-    plan = full_plan(seed=7)
-    clone = FaultPlan.from_json(plan.to_json())
-    assert clone == plan
+FULL_PLAN_JSON = """{"seed": 7, "actions": [
+  {"kind": "kill-pilot", "at": 3600.0, "index": 0},
+  {"kind": "kill-pilot", "at": 7200.0, "resource": "stampede-sim"},
+  {"kind": "pilot-hazard", "rate_per_s": 1e-4, "start": 100.0, "stop": 5000.0},
+  {"kind": "submit-failures", "count": 2, "resource": "comet-sim"},
+  {"kind": "submit-hazard", "p_fail": 0.25, "permanent": true},
+  {"kind": "degrade-link", "at": 1000.0, "site": "gordon-sim",
+   "factor": 0.1, "duration": 600.0},
+  {"kind": "outage", "at": 2000.0, "resource": "stampede-sim",
+   "duration": 900.0}
+]}"""
+
+
+def test_json_file_loads_every_action_kind(tmp_path):
+    assert FaultPlan.from_json(FULL_PLAN_JSON) == full_plan(seed=7)
     path = tmp_path / "plan.json"
-    plan.save(str(path))
-    assert FaultPlan.load(str(path)) == plan
+    path.write_text(FULL_PLAN_JSON)
+    assert FaultPlan.load(str(path)) == full_plan(seed=7)
 
 
 def test_open_hazard_window_survives_json():
-    plan = FaultPlan(actions=(PilotHazard(rate_per_s=0.001),))
-    text = plan.to_json()
-    assert "Infinity" not in text  # inf encoded as null, valid JSON
-    clone = FaultPlan.from_json(text)
-    assert clone.actions[0].stop == math.inf
+    """``null`` is how a JSON plan spells an open window (no Infinity)."""
+    plan = FaultPlan.from_json(
+        '{"actions": [{"kind": "pilot-hazard", "rate_per_s": 0.001,'
+        ' "stop": null}]}'
+    )
+    assert plan.actions == (PilotHazard(rate_per_s=0.001),)
+    assert plan.actions[0].stop == math.inf
 
 
 def test_unknown_kind_rejected():
@@ -102,6 +113,6 @@ def test_presets_resolve_and_carry_the_seed():
     for name in PRESET_NAMES:
         plan = preset_plan(name, seed=99)
         assert plan.seed == 99
-        assert not plan.is_empty
+        assert plan.actions
     with pytest.raises(FaultPlanError, match="unknown fault preset"):
         preset_plan("apocalypse")

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.core.instrumentation import quarantine_seconds
 from repro.des import Simulation
-from repro.health import BreakerPolicy, BreakerState, CircuitBreaker
+from repro.health import (
+    BreakerPolicy,
+    BreakerState,
+    CircuitBreaker,
+    HealthRegistry,
+)
 
 
 def make_breaker(**policy_kw):
@@ -112,20 +118,29 @@ def test_reopened_breaker_probe_can_still_close():
     assert brk.state is BreakerState.CLOSED
 
 
+def quarantine_stack(cooldown_s):
+    """A registry whose health log records an "alpha" breaker."""
+    sim = Simulation(seed=0)
+    reg = HealthRegistry(
+        sim, breaker=BreakerPolicy(failure_threshold=1, cooldown_s=cooldown_s)
+    )
+    return sim, reg
+
+
 def test_quarantined_seconds_accounting():
-    sim, brk, _ = make_breaker(failure_threshold=1, cooldown_s=100.0)
+    sim, reg = quarantine_stack(cooldown_s=100.0)
     sim.run(until=50.0)
-    brk.record_failure()   # open [50, 150)
-    sim.run(until=160.0)   # half-open at 150
-    assert brk.quarantined_seconds(0.0, 200.0) == pytest.approx(100.0)
-    assert brk.quarantined_seconds(0.0, 120.0) == pytest.approx(70.0)
-    assert brk.quarantined_seconds(60.0, 100.0) == pytest.approx(40.0)
-    assert brk.quarantined_seconds(150.0, 200.0) == 0.0
+    reg.record_failure("alpha")   # open [50, 150)
+    sim.run(until=160.0)          # half-open at 150
+    assert quarantine_seconds(reg.log, 0.0, 200.0) == pytest.approx(100.0)
+    assert quarantine_seconds(reg.log, 0.0, 120.0) == pytest.approx(70.0)
+    assert quarantine_seconds(reg.log, 60.0, 100.0) == pytest.approx(40.0)
+    assert quarantine_seconds(reg.log, 150.0, 200.0) == 0.0
 
 
 def test_quarantined_seconds_clips_a_still_open_window():
-    sim, brk, _ = make_breaker(failure_threshold=1, cooldown_s=1e6)
+    sim, reg = quarantine_stack(cooldown_s=1e6)
     sim.run(until=10.0)
-    brk.record_failure()
+    reg.record_failure("alpha")
     sim.run(until=110.0)
-    assert brk.quarantined_seconds(0.0, 110.0) == pytest.approx(100.0)
+    assert quarantine_seconds(reg.log, 0.0, 110.0) == pytest.approx(100.0)

@@ -1,7 +1,5 @@
 """HealthRegistry: fusing monitor, SAGA, pilot, and fault-log signals."""
 
-import pytest
-
 from repro.bundle import ResourceBundle
 from repro.cluster import Cluster
 from repro.des import Simulation
@@ -15,22 +13,6 @@ def make_registry(**reg_kw):
     sim = Simulation(seed=0)
     reg_kw.setdefault("breaker", BreakerPolicy(failure_threshold=2))
     return sim, HealthRegistry(sim, **reg_kw)
-
-
-def test_scores_start_trusted_and_move_with_outcomes():
-    sim, reg = make_registry()
-    assert reg.score("alpha") == 1.0
-    reg.record_failure("alpha")
-    assert reg.score("alpha") < 1.0
-    low = reg.score("alpha")
-    reg.record_success("alpha")
-    assert low < reg.score("alpha") < 1.0
-
-
-def test_score_decay_validation():
-    sim = Simulation(seed=0)
-    with pytest.raises(ValueError):
-        HealthRegistry(sim, score_decay=1.0)
 
 
 def test_failures_quarantine_through_the_breaker():
@@ -51,37 +33,50 @@ def test_no_breaker_policy_means_no_quarantine():
         reg.record_failure("alpha")
     assert not reg.is_quarantined("alpha")
     assert reg.allow_submission("alpha")
-    assert reg.score("alpha") < 0.1  # scoring still works
+    assert reg.breaker("alpha") is None
 
 
-def test_submission_acceptance_does_not_close_a_half_open_breaker():
-    """A queued placeholder proves nothing; only activation closes."""
-    sim, reg = make_registry(
-        breaker=BreakerPolicy(failure_threshold=1, cooldown_s=10.0)
+def half_open_stack():
+    """A registry whose "alpha" breaker is half-open at t=11, a pilot
+    manager reporting to it, and one probe pilot submitted then."""
+    sim = Simulation(seed=0)
+    reg = HealthRegistry(
+        sim, breaker=BreakerPolicy(failure_threshold=1, cooldown_s=10.0)
     )
+    alpha = Cluster(sim, "alpha", nodes=4, cores_per_node=8,
+                    submit_overhead=1.0)
+    pm = PilotManager(sim, {"alpha": alpha}, health=reg)
     reg.record_failure("alpha")
     sim.run(until=11.0)
     assert reg.breaker_state("alpha") is BreakerState.HALF_OPEN
-    assert reg.allow_submission("alpha")  # the probe
-    reg.record_submission("alpha", ok=True)
-    assert reg.breaker_state("alpha") is BreakerState.HALF_OPEN
-    reg.record_success("alpha", "pilot-active")
-    assert reg.breaker_state("alpha") is BreakerState.CLOSED
-
-
-def test_pilot_lifecycle_feeds_the_registry():
-    sim = Simulation(seed=0)
-    reg = HealthRegistry(sim, breaker=BreakerPolicy(failure_threshold=1))
-    clusters = {"alpha": Cluster(sim, "alpha", nodes=4, cores_per_node=8,
-                                 submit_overhead=1.0)}
-    pm = PilotManager(sim, clusters)
     (pilot,) = pm.submit_pilots(
         ComputePilotDescription(resource="alpha", cores=8, runtime_min=60)
     )
     reg.observe_pilot(pilot)
+    return sim, reg, alpha, pilot
+
+
+def test_submission_acceptance_does_not_close_a_half_open_breaker():
+    """A queued placeholder proves nothing; only activation closes."""
+    sim, reg, alpha, pilot = half_open_stack()
+    alpha.set_offline(100.0)  # the probe's job is accepted, then waits
+    sim.run(until=50.0)
+    assert pilot.saga_job is not None and pilot.state is not PilotState.ACTIVE
+    assert reg.breaker_state("alpha") is BreakerState.HALF_OPEN
+    assert not reg.allow_submission("alpha")  # the probe slot is taken
     sim.run(until=500.0)
     assert pilot.state is PilotState.ACTIVE
-    assert reg.score("alpha") > 0.5
+    assert reg.breaker_state("alpha") is BreakerState.CLOSED
+
+
+def test_pilot_lifecycle_feeds_the_registry():
+    sim, reg, alpha, pilot = half_open_stack()
+    sim.run(until=500.0)
+    assert pilot.state is PilotState.ACTIVE
+    (close,) = reg.log.of_kind("breaker-close")
+    assert (close.target, dict(close.details)) == (
+        "alpha", {"reason": "pilot-active"}
+    )
     assert not reg.is_quarantined("alpha")
 
 
@@ -148,17 +143,6 @@ def test_bundle_monitor_offline_trips_the_breaker():
     assert reg.is_quarantined("alpha")
     assert not reg.is_quarantined("beta")
     assert reg.log.of_kind("breaker-open")[0].target == "alpha"
-
-
-def test_snapshot_reports_scores_and_states():
-    sim, reg = make_registry()
-    reg.record_failure("alpha")
-    reg.record_failure("alpha")
-    reg.record_success("beta")
-    snap = reg.snapshot()
-    assert snap["alpha"]["state"] == "open"
-    assert snap["beta"]["state"] == "closed"
-    assert snap["alpha"]["score"] < snap["beta"]["score"]
 
 
 def test_record_event_reaches_listeners_and_the_trace():

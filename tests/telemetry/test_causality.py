@@ -15,7 +15,7 @@ import math
 import pytest
 
 from repro.experiments import run_campaign
-from repro.experiments.campaign import TABLE1, run_cell_report
+from repro.experiments.campaign import TABLE1, run_cell_report, run_single
 from repro.telemetry import COMPONENTS, attribute, attribute_report
 from repro.telemetry.causality import build_graph, critical_path
 
@@ -118,6 +118,28 @@ class TestDeterminism:
         assert [r.attribution for r in serial.runs] == [
             r.attribution for r in parallel.runs
         ]
+
+    def test_digest_same_with_collect_digests_on_and_off(self):
+        runs = [
+            run_single(TABLE1[3], 8, rep=0, campaign_seed=11,
+                       collect_digests=on)
+            for on in (False, True)
+        ]
+        assert [bool(r.digest) for r in runs] == [False, True]
+        assert runs[0].attribution_digest == runs[1].attribution_digest
+        assert runs[0].attribution == runs[1].attribution
+
+    def test_one_graph_whatever_the_telemetry_switch(self):
+        graphs = []
+        for on in (False, True):
+            report, env, _ = run_cell_report(TABLE1[3], 8, rep=0,
+                                             campaign_seed=11, telemetry=on)
+            assert env.sim.telemetry.enabled is on
+            graphs.append([
+                (a.kind, a.t0, a.t1, a.label, a.preds)
+                for a in report.graph.activities
+            ])
+        assert graphs[0] == graphs[1]
 
     def test_canonical_json_is_compact_and_sorted(self, grid_attributions):
         _, att = grid_attributions[(1, 8)]
