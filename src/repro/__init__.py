@@ -62,7 +62,6 @@ from .skeleton import (
     StageSpec,
     bag_of_tasks,
     map_reduce,
-    multistage,
     paper_skeleton,
     parse_config,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "chrome_trace",
     "derive_strategy",
     "map_reduce",
-    "multistage",
     "otlp_trace",
     "paper_skeleton",
     "parse_config",

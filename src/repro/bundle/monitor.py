@@ -43,10 +43,6 @@ class Subscription:
 
     _held_since: Optional[float] = field(default=None, repr=False)
     _last_notified: Optional[float] = field(default=None, repr=False)
-    active: bool = True
-
-    def cancel(self) -> None:
-        self.active = False
 
 
 class ResourceMonitor:
@@ -86,32 +82,16 @@ class ResourceMonitor:
             self.sim.process(self._sampling_loop(), name="bundle-monitor")
         return sub
 
-    def unsubscribe(self, sub: Subscription) -> None:
-        sub.cancel()
-        self._subs.pop(sub.uid, None)
-
     # -- internals -----------------------------------------------------------
 
     def _sampling_loop(self):
-        # Canceled subscriptions (via unsubscribe() *or* Subscription.
-        # cancel()) are purged at each tick; once none remain the loop
-        # ends rather than leaving a dangling DES process sampling an
-        # empty table for the rest of the run.
         while True:
             yield self.sim.timeout(INTERVAL_S)
-            for uid, sub in list(self._subs.items()):
-                if not sub.active:
-                    del self._subs[uid]
-            if not self._subs:
-                self._running = False
-                return
             self._evaluate_all()
 
     def _evaluate_all(self) -> None:
         now = self.sim.now
         for sub in list(self._subs.values()):
-            if not sub.active:
-                continue
             snapshot = self.snapshot_fn(sub.resource)
             if sub.predicate(snapshot):
                 if sub._held_since is None:

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import os
 
-from .cluster import PRESETS
+from .cluster import PRESETS, SubmissionError
 from .core import Binding, PlannerConfig, RecoveryPolicy
 from . import experiments
 from .experiments.io import save_campaign
@@ -281,12 +281,10 @@ def _write_baseline(path: str, key: str, fingerprint: dict) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # the fingerprint streams cell by cell through the store's index;
-    # the anomaly scan still needs the materialized view.
     with experiments.open_campaign(args.campaign) as store:
-        fingerprint = experiments.campaign_fingerprint_from_store(store)
         result = store.load_campaign()
         summary = experiments.store_summary(store)
+    fingerprint = experiments.campaign_fingerprint(result)
     rc = 0
 
     print(
@@ -661,7 +659,11 @@ def _cmd_probe(args: argparse.Namespace) -> int:
                 resource=name, cores=args.cores, runtime_min=60
             )
         )
-    env.sim.run(until=env.sim.now + 48 * 3600)
+    try:
+        env.sim.run(until=env.sim.now + 48 * 3600)
+    except SubmissionError as exc:  # --cores beyond a resource's size
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"\nMeasured wait for a {args.cores}-core probe pilot:")
     for p in pilots:
         wait = p.queue_wait

@@ -117,12 +117,6 @@ class BatchJob:
     def name(self) -> str:
         return self._name or f"job.{self.uid:06d}"
 
-    def __repr__(self) -> str:
-        return (
-            f"BatchJob({self.name}, cores={self.cores}, "
-            f"walltime={self.walltime}, {self.state.value})"
-        )
-
     # -- observers -----------------------------------------------------------
 
     def add_callback(
@@ -147,17 +141,8 @@ class BatchJob:
     # -- convenience ----------------------------------------------------------
 
     @property
-    def is_final(self) -> bool:
-        return self.state in FINAL_STATES
-
-    @property
     def wait_time(self) -> Optional[float]:
         """Queue wait in seconds, or None if the job never started."""
         if self.submit_time is None or self.start_time is None:
             return None
         return self.start_time - self.submit_time
-
-    # Equality is identity (``uid`` is unique per job). The hash is the
-    # uid, so set iteration order never depends on object addresses.
-    def __hash__(self) -> int:
-        return self.uid

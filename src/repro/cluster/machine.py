@@ -149,12 +149,6 @@ class Cluster:
             out[job.kind] = out.get(job.kind, 0) + 1
         return out
 
-    def pending_jobs(self) -> List[BatchJob]:
-        return list(self._pending)
-
-    def running_jobs(self) -> List[BatchJob]:
-        return [job for job, _ in self._run_mirror.items()]
-
     def add_listener(
         self, fn: Callable[[BatchJob, JobState, JobState], None]
     ) -> None:
@@ -269,10 +263,7 @@ class Cluster:
 
     def _arrive(self, workload: "BackgroundWorkload", arrival: float) -> None:
         """Queue the job that arrived at ``arrival``, then pull the next."""
-        job = workload.job_due(arrival)
-        if job is None:
-            return  # arrived after workload.stop(); the stream ends
-        self._enqueue(job)
+        self._enqueue(workload.job_due())
         self.queue_arrivals(workload)
 
     def _schedule_dispatch(self) -> None:

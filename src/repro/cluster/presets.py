@@ -48,10 +48,6 @@ class ResourcePreset:
     wan_latency_s: float = 0.04
     description: str = ""
 
-    @property
-    def total_cores(self) -> int:
-        return self.nodes * self.cores_per_node
-
 
 def _profile(
     load: float,

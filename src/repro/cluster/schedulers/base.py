@@ -70,9 +70,6 @@ class BatchScheduler(abc.ABC):
         free cores remaining after earlier picks in the same call.
         """
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__}>"
-
 
 class RunningMirror:
     """The cluster's record of its running set, kept end-sorted.
@@ -101,9 +98,6 @@ class RunningMirror:
         self.releases = 0
         #: sorted list of (expected_end, start_seq, cores)
         self.entries: List[Tuple[float, int, int]] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     @property
     def starts(self) -> int:

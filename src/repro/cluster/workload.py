@@ -285,7 +285,6 @@ class BackgroundWorkload:
         )
         #: jobs queued by the arrival stream (prime() jobs excluded).
         self.submitted = 0
-        self._stop_at = math.inf
         self._stream: Iterator[float] = iter(())
         # Core-count sampling table, built as numpy's choice() builds it.
         cdf = np.asarray(profile.core_weights, dtype=np.float64).cumsum()
@@ -388,19 +387,12 @@ class BackgroundWorkload:
         self._stream = self._accepted_arrivals(self.sim.now)
         self.cluster.queue_arrivals(self)
 
-    def stop(self) -> None:
-        """Stop the stream: a job is queued iff it arrived by now."""
-        if self.sim.now < self._stop_at:
-            self._stop_at = self.sim.now
-
     def next_arrival(self) -> float:
         """Instant of the next accepted arrival (draws its candidates)."""
         return next(self._stream)
 
-    def job_due(self, arrival: float) -> Optional[BatchJob]:
-        """The job arriving at ``arrival``, or None if it came after stop()."""
-        if arrival > self._stop_at:
-            return None
+    def job_due(self) -> BatchJob:
+        """The job of the arrival being queued."""
         self.submitted += 1
         return self.make_job()
 

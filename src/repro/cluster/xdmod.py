@@ -51,23 +51,6 @@ class WorkloadReport:
         """Fraction of jobs in a duration bucket (e.g. "30s-30m")."""
         return self.duration_fractions.get(bucket, 0.0)
 
-    def render(self) -> str:
-        lines = [
-            f"Workload report for {self.resource}: {self.total_jobs} jobs, "
-            f"{self.total_core_hours:.0f} core-hours",
-            "  by duration:",
-        ]
-        for label, _, _ in DURATION_BUCKETS:
-            lines.append(
-                f"    {label:>8}: {self.duration_fractions.get(label, 0):6.1%}"
-            )
-        lines.append("  by size (cores):")
-        for label, _, _ in SIZE_BUCKETS:
-            lines.append(
-                f"    {label:>8}: {self.size_fractions.get(label, 0):6.1%}"
-            )
-        return "\n".join(lines)
-
 
 class WorkloadCharacterizer:
     """Collects finished-job statistics from a cluster's transitions."""
@@ -86,10 +69,6 @@ class WorkloadCharacterizer:
             and job.end_time is not None
         ):
             self._samples.append((job.end_time - job.start_time, job.cores))
-
-    @property
-    def n_samples(self) -> int:
-        return len(self._samples)
 
     def report(self) -> WorkloadReport:
         """Build the XDMoD-style report from the collected samples."""

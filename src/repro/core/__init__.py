@@ -39,7 +39,6 @@ from .instrumentation import (
 from .metrics import (
     merge_intervals,
     span,
-    throughput,
     union_duration,
 )
 from .planner import (
@@ -92,6 +91,5 @@ __all__ = [
     "quarantine_seconds",
     "save_session",
     "span",
-    "throughput",
     "union_duration",
 ]

@@ -36,15 +36,6 @@ class EnergyEstimate:
     def total_joules(self) -> float:
         return self.active_joules + self.idle_joules
 
-    @property
-    def total_kwh(self) -> float:
-        return self.total_joules / 3.6e6
-
-    @property
-    def idle_fraction(self) -> float:
-        total = self.active_core_s + self.idle_core_s
-        return self.idle_core_s / total if total else 0.0
-
 
 def estimate_energy(
     pilots: Sequence[ComputePilot],

@@ -31,9 +31,3 @@ def span(intervals: Iterable[Interval]) -> float:
         return 0.0
     return max(hi for _, hi in items) - min(lo for lo, _ in items)
 
-
-def throughput(n_tasks: int, ttc_s: float) -> float:
-    """Completed tasks per hour."""
-    if ttc_s <= 0:
-        return 0.0
-    return n_tasks / (ttc_s / 3600.0)

@@ -65,10 +65,6 @@ class ExecutionStrategy:
         if self.binding is Binding.LATE and self.unit_scheduler == "direct":
             raise ValueError("late binding cannot use the direct scheduler")
 
-    @property
-    def total_cores(self) -> int:
-        return self.n_pilots * self.pilot_cores
-
     def describe(self) -> str:
         """Human-readable rendering of the decision tree."""
         lines = [
@@ -80,9 +76,3 @@ class ExecutionStrategy:
             dep = f" (after {', '.join(d.depends_on)})" if d.depends_on else ""
             lines.append(f"  - {d.name} = {d.value!r}{dep}: {d.rationale}")
         return "\n".join(lines)
-
-    def decision(self, name: str) -> Decision:
-        for d in self.decisions:
-            if d.name == name:
-                return d
-        raise KeyError(name)

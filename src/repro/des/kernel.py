@@ -14,8 +14,8 @@ deterministically by that monotonically increasing sequence number, so
 two runs with the same seeds replay the exact same event order.
 
 The entry doubles as the event's handle. Its callback slot carries the
-state: a callable while pending, ``None`` once cancelled, and
-:data:`_FIRED` once popped for dispatch (the args are dropped then).
+state: a callable while pending, ``None`` once cancelled or popped for
+dispatch (the args are dropped then).
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from .rng import RngStreams
 #: A scheduled event: the heap entry ``[time, priority, seq, callback,
 #: args]`` that :meth:`Simulation.call_at` returns as its handle.
 EventHandle = List[Any]
-
-
-def _FIRED(*args: Any) -> None:
-    """Callback slot of an entry popped for dispatch."""
 
 
 #: Heaps smaller than this are never compacted: dispatch drains the few
@@ -130,7 +126,7 @@ class Simulation:
         """Lazily cancel a scheduled event; it stays in the heap but will
         be skipped. Cancelling a cancelled or fired event is a no-op."""
         callback = event[3]
-        if callback is None or callback is _FIRED:
+        if callback is None:
             return
         event[3] = None
         event[4] = ()
@@ -230,9 +226,8 @@ class Simulation:
         lookups are hoisted. Cancelled entries (callback ``None``) are
         dropped as they surface; the first live entry past ``limit`` is
         pushed back, which cannot change the dispatch order. A live
-        entry is marked fired before its call: the callback slot takes
-        the fired sentinel and the args are dropped, so the handle keeps
-        no reference to them. The profiler is re-read each event (it can
+        entry is marked fired before its call: its callback and args
+        slots are cleared, so the handle keeps no reference to them. The profiler is re-read each event (it can
         be attached mid-run); when absent, dispatch is two attribute
         loads plus the call.
         """
@@ -250,7 +245,7 @@ class Simulation:
                 return
             # mark fired and drop the references before the call
             args = entry[4]
-            entry[3] = _FIRED
+            entry[3] = None
             entry[4] = ()
             self._live -= 1
             if time < self._now:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
-from .errors import CancelledError, Interrupt, ProcessError
+from .errors import Interrupt, ProcessError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulation
@@ -98,7 +98,7 @@ class Signal(Waitable):
 class Timeout(Waitable):
     """A waitable that succeeds after ``delay`` simulated seconds."""
 
-    __slots__ = ("delay", "_handle")
+    __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulation", delay: float) -> None:
         super().__init__(sim)
@@ -107,17 +107,11 @@ class Timeout(Waitable):
         self.delay = delay
         # Kernel push; the non-negative check above subsumes call_in's
         # validation.
-        self._handle = sim._push(sim._now + delay, self._fire, ())
+        sim._push(sim._now + delay, self._fire, ())
 
     def _fire(self) -> None:
         if not self.triggered:
             self.succeed()
-
-    def cancel(self) -> None:
-        """Cancel the pending timeout; waiters get a CancelledError."""
-        if not self.triggered:
-            self.sim.cancel(self._handle)
-            self.fail(CancelledError("timeout cancelled"))
 
 
 class AllOf(Waitable):

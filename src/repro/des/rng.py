@@ -55,8 +55,5 @@ class RngStreams:
         """Return an indexed sub-stream, e.g. one per repetition."""
         return self.get(f"{name}/{index}")
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
     def __len__(self) -> int:
         return len(self._streams)

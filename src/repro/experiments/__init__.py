@@ -122,6 +122,3 @@ def __getattr__(name):
     globals()[name] = value
     return value
 
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

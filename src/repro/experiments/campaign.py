@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import Binding, PlannerConfig
-from ..skeleton import PAPER_TASK_COUNTS, SkeletonAPI, paper_skeleton
+from ..skeleton import SkeletonAPI, paper_skeleton
 from ..telemetry.causality import attribute_report
 from .environment import build_environment, draw_observed
 
@@ -135,10 +135,6 @@ class RunResult:
     #: byte-identical across serial and parallel campaigns of one seed.
     attribution_digest: str = ""
 
-    @property
-    def succeeded(self) -> bool:
-        return self.units_done == self.n_tasks
-
 
 @dataclass(frozen=True)
 class CellProgress:
@@ -214,28 +210,6 @@ class CampaignResult:
 
     def cell(self, exp_id: int, n_tasks: int) -> List[RunResult]:
         return list(self._cell_index().get((exp_id, n_tasks), ()))
-
-    def aggregate(
-        self, exp_id: int, n_tasks: int, attr: str = "ttc"
-    ) -> Tuple[float, float]:
-        """(mean, std) of one attribute over a cell's repetitions."""
-        values = [
-            getattr(r, attr)
-            for r in self._cell_index().get((exp_id, n_tasks), ())
-        ]
-        if not values:
-            return (float("nan"), float("nan"))
-        arr = np.asarray(values, dtype=float)
-        return float(arr.mean()), float(arr.std(ddof=0))
-
-    def series(
-        self, exp_id: int, attr: str = "ttc",
-        task_counts: Sequence[int] = PAPER_TASK_COUNTS,
-    ) -> List[Tuple[int, float, float]]:
-        """[(n_tasks, mean, std), ...] for one experiment."""
-        return [
-            (n, *self.aggregate(exp_id, n, attr)) for n in task_counts
-        ]
 
 
 @_gc_paused

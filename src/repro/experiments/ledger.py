@@ -212,9 +212,3 @@ class RunLedger:
                 write_ndjson(self.store.ledger_records(), fh)
         self.store = None  # the store handle is owned by the caller
 
-    def __enter__(self) -> "RunLedger":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-

@@ -188,12 +188,6 @@ class CampaignMonitor:
                 return []
             return self._store.ledger_rows(max(0, int(after)))
 
-    def grid(self) -> List[Dict[str, Any]]:
-        """Per-cell status rows, pending cells included (meta-derived)."""
-        with self._lock:
-            self._refresh_locked()
-            return self._grid_locked()
-
     def _declared_locked(self) -> List[Cell]:
         """The grid the ``campaign-start`` meta declares, in grid order."""
         reps = int(self.meta.get("reps") or 0)

@@ -236,12 +236,6 @@ class ShutdownControl:
         else:
             self.draining = True
 
-    def __enter__(self) -> "ShutdownControl":
-        return self.install()
-
-    def __exit__(self, *exc) -> None:
-        self.restore()
-
 
 @dataclass
 class ResumePlan:

@@ -252,10 +252,6 @@ class RunnerStats:
     #: the campaign was drained by SIGINT/SIGTERM before completing.
     interrupted: bool = False
 
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
 
 class _Worker:
     """One worker process, the parent's end of its pipe, and its cell."""

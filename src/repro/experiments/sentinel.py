@@ -129,21 +129,6 @@ def _cell_fingerprint(runs: Sequence[RunResult]) -> Dict[str, Any]:
     }
 
 
-def _assemble_fingerprint(
-    cells: Dict[str, Any], meta: Dict[str, Any], errors: int
-) -> Dict[str, Any]:
-    fp: Dict[str, Any] = {
-        "format": FINGERPRINT_FORMAT,
-        "meta": dict(meta),
-        "errors": errors,
-        "cells": cells,
-    }
-    fp["digest"] = sha256_digest(
-        {k: v for k, v in fp.items() if k != "digest"}
-    )
-    return fp
-
-
 def campaign_fingerprint(result: CampaignResult) -> Dict[str, Any]:
     """A compact, committable summary of a campaign's shape.
 
@@ -158,27 +143,22 @@ def campaign_fingerprint(result: CampaignResult) -> Dict[str, Any]:
     for run in result.runs:
         by_cell.setdefault((run.exp_id, run.n_tasks), []).append(run)
     for (exp_id, n_tasks), runs in sorted(by_cell.items()):
-        cells[f"{exp_id}:{n_tasks}"] = _cell_fingerprint(runs)
-    return _assemble_fingerprint(cells, result.meta, len(result.errors))
+        cells[f"{exp_id}:{n_tasks}"] = _cell_fingerprint(
+            sorted(runs, key=lambda r: r.rep)
+        )
+    fp: Dict[str, Any] = {
+        "format": FINGERPRINT_FORMAT,
+        "meta": dict(result.meta),
+        "errors": len(result.errors),
+        "cells": cells,
+    }
+    fp["digest"] = sha256_digest(fp)
+    return fp
 
 
 def campaign_fingerprint_from_store(store) -> Dict[str, Any]:
-    """:func:`campaign_fingerprint`, computed by streaming the store.
-
-    Queries one cell at a time through the
-    :class:`~repro.experiments.store.CampaignStore` index instead of
-    materializing the whole campaign, so peak memory is O(cell) even
-    for million-cell stores. Produces the *identical* fingerprint dict
-    and digest as the in-memory path — the differential harness holds
-    the two implementations to that.
-    """
-    cells: Dict[str, Any] = {}
-    for exp_id, n_tasks in store.cells():
-        runs = store.cell_runs(exp_id, n_tasks)
-        cells[f"{exp_id}:{n_tasks}"] = _cell_fingerprint(runs)
-    return _assemble_fingerprint(
-        cells, store.campaign_meta(), store.error_count()
-    )
+    """:func:`campaign_fingerprint` of the campaign ``store`` holds."""
+    return campaign_fingerprint(store.load_campaign())
 
 
 @dataclass(frozen=True)

@@ -274,9 +274,3 @@ class MonitorServer:
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None
-
-    def __enter__(self) -> "MonitorServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

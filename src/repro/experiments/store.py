@@ -440,16 +440,6 @@ class CampaignStore:
             "SELECT COUNT(*) FROM cell_errors"
         ).fetchone()[0]
 
-    def cell_runs(self, exp_id: int, n_tasks: int) -> List[RunResult]:
-        """All repetitions of one cell, reps ascending."""
-        rows = self._conn.execute(
-            "SELECT payload FROM runs WHERE exp_id=? AND n_tasks=? "
-            "ORDER BY rep",
-            (exp_id, n_tasks),
-        ).fetchall()
-        self.rows_read += len(rows)
-        return [run_from_dict(json.loads(r[0])) for r in rows]
-
     def cells(self) -> List[Tuple[int, int]]:
         """Distinct ``(exp_id, n_tasks)`` cells, sorted."""
         return [

@@ -71,10 +71,6 @@ class HealthRegistry:
             self._breakers[resource] = brk
         return brk
 
-    def breaker_state(self, resource: str) -> BreakerState:
-        brk = self._breakers.get(resource)
-        return brk.state if brk is not None else BreakerState.CLOSED
-
     def is_quarantined(self, resource: str) -> bool:
         brk = self._breakers.get(resource)
         return brk is not None and brk.is_quarantined

@@ -38,9 +38,6 @@ class SharedFilesystem:
         self._files: Dict[str, FileRecord] = {}
         self.bytes_written = 0.0
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._files
-
     def __len__(self) -> int:
         return len(self._files)
 
@@ -66,15 +63,6 @@ class SharedFilesystem:
 
     def exists(self, name: str) -> bool:
         return name in self._files
-
-    def delete(self, name: str) -> None:
-        try:
-            del self._files[name]
-        except KeyError:
-            raise FileNotFound(f"{self.site}:{name}") from None
-
-    def listdir(self) -> Iterable[str]:
-        return sorted(self._files)
 
     def total_bytes(self) -> float:
         return sum(rec.size_bytes for rec in self._files.values())

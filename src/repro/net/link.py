@@ -39,12 +39,6 @@ class Transfer(Signal):
         self.start_time = sim.now
         self.end_time: Optional[float] = None
 
-    @property
-    def duration(self) -> Optional[float]:
-        if self.end_time is None:
-            return None
-        return self.end_time - self.start_time
-
 
 class Link:
     """A shared, bidirectionally-symmetric WAN link."""

@@ -69,9 +69,6 @@ class Network:
         except KeyError:
             raise UnknownSite(site) from None
 
-    def sites(self) -> Tuple[str, ...]:
-        return tuple(self._links)
-
     # -- staging -------------------------------------------------------------------
 
     def stage(self, src_site: str, dst_site: str, filename: str) -> Waitable:

@@ -63,10 +63,6 @@ class Agent:
         """
         return max(0, self.cores - self.committed_cores)
 
-    @property
-    def bound_units(self) -> int:
-        return len(self._bound_units)
-
     def commit(self, unit: "ComputeUnit") -> None:
         """Reserve capacity for a unit bound to this pilot."""
         if self.stopped:

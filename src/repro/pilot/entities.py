@@ -61,7 +61,6 @@ class ComputePilot:
         #: (breaker open) — not evidence of resource misbehaviour.
         self.quarantine_rejected = False
         self._active = Signal(sim)
-        self._final = Signal(sim)
         self._callbacks: List[Callable[["ComputePilot", PilotState], None]] = []
 
     # -- observation --------------------------------------------------------------
@@ -85,9 +84,6 @@ class ComputePilot:
     def wait_active(self) -> Waitable:
         """Waitable fired when the pilot becomes ACTIVE (fails if it never does)."""
         return self._active
-
-    def wait_final(self) -> Waitable:
-        return self._final
 
     def add_callback(self, fn: Callable[["ComputePilot", PilotState], None]) -> None:
         self._callbacks.append(fn)
@@ -128,13 +124,10 @@ class ComputePilot:
                 fn(self, new_state)
         if new_state is PilotState.ACTIVE and not self._active.triggered:
             self._active.succeed(self)
-        if new_state in PILOT_FINAL:
-            if not self._active.triggered:
-                self._active.fail(
-                    RuntimeError(f"{self.uid} finished without becoming active")
-                )
-            if not self._final.triggered:
-                self._final.succeed(self)
+        if new_state in PILOT_FINAL and not self._active.triggered:
+            self._active.fail(
+                RuntimeError(f"{self.uid} finished without becoming active")
+            )
 
 
 class ComputeUnit:
@@ -153,7 +146,6 @@ class ComputeUnit:
         self.pilot: Optional[ComputePilot] = None
         self.restarts = 0
         self._final = Signal(sim)
-        self._callbacks: List[Callable[["ComputeUnit", UnitState], None]] = []
 
     # -- observation ----------------------------------------------------------------
 
@@ -178,9 +170,6 @@ class ComputeUnit:
     def wait_final(self) -> Waitable:
         return self._final
 
-    def add_callback(self, fn: Callable[["ComputeUnit", UnitState], None]) -> None:
-        self._callbacks.append(fn)
-
     # -- state machine -----------------------------------------------------------------
 
     def advance(self, new_state: UnitState) -> None:
@@ -196,9 +185,6 @@ class ComputeUnit:
                 pilot=self.pilot.uid if self.pilot else None,
             )
             tel.metrics.counter(_UNIT_COUNTER[new_state]).inc()
-        if self._callbacks:
-            for fn in list(self._callbacks):
-                fn(self, new_state)
         if new_state is UnitState.DONE or new_state is UnitState.CANCELED:
             if not self._final.triggered:
                 self._final.succeed(self)

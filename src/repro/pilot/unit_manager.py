@@ -116,13 +116,19 @@ class UnitManager:
 
         ``depends_on`` maps unit *names* to the names of units whose
         outputs they need; a unit becomes eligible for binding only when
-        all its dependencies are DONE.
+        all its dependencies are DONE. Dependencies are kept per name,
+        so a name is submitted once: a batch repeating a name raises
+        ``ValueError`` before any of its units is accepted.
         """
         if isinstance(descriptions, ComputeUnitDescription):
             descriptions = [descriptions]
         deps = depends_on or {}
+        batch = set()
+        for desc in descriptions:
+            if desc.name in self._deps or desc.name in batch:
+                raise ValueError(f"unit name {desc.name!r} submitted twice")
+            batch.add(desc.name)
         out = []
-        reused_name = False
         for desc in descriptions:
             unit = ComputeUnit(self.sim, desc)
             self.units.append(unit)
@@ -130,17 +136,12 @@ class UnitManager:
                 d for d in deps.get(desc.name, ())
                 if d not in self._done_names
             }
-            # Dependencies are kept per name: a repeated name replaces
-            # the dependency set every unit of that name is gated on.
-            reused_name = reused_name or unit.name in self._deps
             self._deps[unit.name] = unmet
             for dep in unmet:
                 self._rdeps.setdefault(dep, set()).add(unit.name)
             unit.advance(UnitState.UNSCHEDULED)
             self._enter_pool(unit)
             out.append(unit)
-        if reused_name:
-            self._rebuild_eligible()
         self._schedule_pass()
         return out
 
@@ -265,21 +266,6 @@ class UnitManager:
             i = bisect_left(seqs, seq)
             seqs.insert(i, seq)
             eligible.insert(i, unit)
-
-    def _rebuild_eligible(self) -> None:
-        """Re-derive the eligible queue and blocked index from the pool.
-
-        Only a repeated unit name needs this: it can gate units already
-        in the pool, so their eligibility is recomputed from scratch.
-        """
-        deps_get = self._deps.get
-        self._eligible, self._eligible_seq, self._blocked = [], [], {}
-        for seq, unit in self._unbound.values():
-            if deps_get(unit.name):
-                self._blocked.setdefault(unit.name, []).append(unit)
-            else:
-                self._eligible.append(unit)
-                self._eligible_seq.append(seq)
 
     def _bind(self, unit: ComputeUnit, pilot: ComputePilot) -> None:
         unit.pilot = pilot

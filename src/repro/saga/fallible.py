@@ -109,7 +109,7 @@ class SubmissionFaultModel:
         )
 
 
-class FallibleAdaptor(Adaptor):
+class FallibleAdaptor:
     """Wraps any adaptor; consults a fault model before each submission.
 
     Everything else (translation, cancellation, latency) is delegated to
@@ -118,15 +118,12 @@ class FallibleAdaptor(Adaptor):
     """
 
     def __init__(self, inner: Adaptor, model: SubmissionFaultModel) -> None:
-        super().__init__(inner.cluster)
+        self.cluster = inner.cluster
         self.inner = inner
         self.model = model
         self.scheme = inner.scheme
         self.submission_latency_s = inner.submission_latency_s
         self.injected_failures = 0
-
-    def translate(self, description: JobDescription) -> BatchJob:
-        return self.inner.translate(description)
 
     def submit(
         self,

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 
 from ..cluster import BatchJob, Cluster
 from ..cluster import JobState as NativeState
-from ..des import Signal, Simulation, Waitable
+from ..des import Simulation
 from .adaptors.base import Adaptor
 from .adaptors.dialects import ADAPTORS
 from .description import JobDescription
@@ -34,7 +34,6 @@ class SagaJob:
         self.description = description
         self.state = SagaState.NEW
         self.native: Optional[BatchJob] = None
-        self._done = Signal(sim)
         self._callbacks: List[Callable[["SagaJob", SagaState], None]] = []
 
     # -- observation -----------------------------------------------------------
@@ -47,17 +46,9 @@ class SagaJob:
         """Register ``fn(job, new_state)`` on every uniform-state change."""
         self._callbacks.append(fn)
 
-    def wait(self) -> Waitable:
-        """Waitable that fires (with this job) when the job is final."""
-        return self._done
-
     @property
     def started_at(self) -> Optional[float]:
         return self.native.start_time if self.native else None
-
-    @property
-    def ended_at(self) -> Optional[float]:
-        return self.native.end_time if self.native else None
 
     # -- control ----------------------------------------------------------------
 
@@ -81,8 +72,6 @@ class SagaJob:
         self.state = state
         for fn in list(self._callbacks):
             fn(self, state)
-        if state in SAGA_FINAL and not self._done.triggered:
-            self._done.succeed(self)
 
 
 class JobService:
@@ -123,6 +112,3 @@ class JobService:
             job.native = self.adaptor.submit(description, job._on_native)
             self.jobs.append(job)
         return job
-
-    def list_jobs(self) -> List[SagaJob]:
-        return list(self.jobs)

@@ -3,7 +3,7 @@
 Parameterized descriptions of many-task applications — stages, task
 counts, duration and file-size distributions — that materialize into
 concrete task sets, plus builders for the canonical application classes
-(bag-of-task, map-reduce, multistage), a configuration-file parser, and
+(bag-of-task, map-reduce), a configuration-file parser, and
 output emitters (shell / JSON / DAG / DAX).
 """
 
@@ -16,7 +16,6 @@ from .builders import (
     PAPER_UNIFORM,
     bag_of_tasks,
     map_reduce,
-    multistage,
     paper_skeleton,
 )
 from .distributions import (
@@ -68,7 +67,6 @@ __all__ = [
     "VALID_MAPPINGS",
     "bag_of_tasks",
     "map_reduce",
-    "multistage",
     "paper_skeleton",
     "parse_config",
     "parse_sampler",

@@ -81,14 +81,6 @@ def map_reduce(
     )
 
 
-def multistage(
-    stage_specs: Sequence[StageSpec],
-    iterations: int = 1,
-    name: str = "multistage",
-) -> SkeletonApp:
-    """A general multistage workflow from explicit stage specifications."""
-    return SkeletonApp(name=name, stages=list(stage_specs), iterations=iterations)
-
 
 # -- The paper's experimental workloads (Table I) -------------------------------
 

@@ -40,10 +40,6 @@ class Sampler(abc.ABC):
     ) -> float:
         """Draw one value (context holds sibling attributes for Polynomial)."""
 
-    @abc.abstractmethod
-    def mean(self) -> float:
-        """Expected value, used by planners to estimate workloads."""
-
 
 @dataclass(frozen=True)
 class Constant(Sampler):
@@ -135,11 +131,6 @@ class LogNormal(Sampler):
     def sample(self, rng, context=None) -> float:
         return float(np.clip(rng.lognormal(self.mu, self.sigma), self.low, self.high))
 
-    def mean(self) -> float:
-        return float(
-            np.clip(np.exp(self.mu + self.sigma**2 / 2), self.low, self.high)
-        )
-
 
 @dataclass(frozen=True)
 class Polynomial(Sampler):
@@ -164,11 +155,6 @@ class Polynomial(Sampler):
         x = context[self.variable]
         value = sum(c * x**k for k, c in enumerate(self.coefficients))
         return max(0.0, float(value))
-
-    def mean(self) -> float:
-        # Without the context distribution we cannot do better than the
-        # constant term; planners treat polynomial attributes as data-driven.
-        return max(0.0, float(self.coefficients[0]))
 
 
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")

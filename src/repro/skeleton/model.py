@@ -85,14 +85,6 @@ class StageSpec:
         """Draw one task's core count (>= 1)."""
         return max(1, int(round(self.cores_per_task.sample(rng))))
 
-    def max_cores(self) -> int:
-        """Planning bound on a single task's core count."""
-        sampler = self.cores_per_task
-        if isinstance(sampler, Constant):
-            return max(1, int(round(sampler.value)))
-        # for stochastic core counts, use a generous bound via the mean x 4
-        return max(1, int(round(sampler.mean() * 4)))
-
 
 @dataclass
 class ConcreteTask:
@@ -154,9 +146,6 @@ class ConcreteApplication:
     @property
     def max_task_cores(self) -> int:
         return max(t.cores for t in self.all_tasks())
-
-    def tasks_of_stage(self, index: int) -> List[ConcreteTask]:
-        return self.stages[index].tasks
 
 
 class SkeletonApp:

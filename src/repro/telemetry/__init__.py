@@ -44,7 +44,6 @@ from .causality import (
     CausalGraph,
     PathSegment,
     TTCAttribution,
-    attribute,
     attribute_report,
     build_graph,
     critical_path,
@@ -68,7 +67,7 @@ from .metrics import (
 )
 from .profiler import KernelProfiler
 from .report import render_html, save_html
-from .spans import Span, UnclosedSpanError
+from .spans import Span
 
 __all__ = [
     "COMPONENTS",
@@ -84,8 +83,6 @@ __all__ = [
     "TTCAttribution",
     "TelemetryHub",
     "TelemetrySummary",
-    "UnclosedSpanError",
-    "attribute",
     "attribute_report",
     "build_graph",
     "canonical_json",

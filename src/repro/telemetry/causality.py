@@ -116,10 +116,6 @@ class Activity:
     preds: List[int] = field(default_factory=list, repr=False)
     end: Optional[str] = None  # unit state that ended it (None: still open)
 
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
 
 @dataclass(frozen=True)
 class PathSegment:
@@ -173,10 +169,6 @@ class TTCAttribution:
     @property
     def ttc(self) -> float:
         return self.t_end - self.t_start
-
-    @property
-    def by_component(self) -> Dict[str, float]:
-        return dict(self.components)
 
     @property
     def shares(self) -> Dict[str, float]:
@@ -547,15 +539,6 @@ def sweep_attribution(graph: CausalGraph) -> Dict[str, float]:
 
 # -- the public one-call API ---------------------------------------------------
 
-
-def attribute(
-    pilots: Sequence[Any],
-    units: Sequence[Any],
-    t_start: float,
-    t_end: float,
-) -> TTCAttribution:
-    """Attribution + critical path for one execution's entities."""
-    return _attribute_graph(build_graph(pilots, units, t_start, t_end))
 
 
 def attribute_report(report: Any) -> TTCAttribution:

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .digest import canonical_json, sha256_digest
 from .metrics import MetricsRegistry
 from .profiler import KernelProfiler
-from .spans import Span, UnclosedSpanError, _plain
+from .spans import Span, _plain
 
 
 class _NullSpanCtx:
@@ -111,18 +111,11 @@ class TelemetryHub:
     def enable(self) -> None:
         self.enabled = True
 
-    def disable(self) -> None:
-        self.enabled = False
-
     def attach_profiler(self) -> KernelProfiler:
         """Create (or return) the kernel profiler; the kernel times into it."""
         if self.profiler is None:
             self.profiler = KernelProfiler()
         return self.profiler
-
-    @property
-    def now(self) -> float:
-        return self._clock()
 
     # -- spans ---------------------------------------------------------------
 
@@ -233,17 +226,6 @@ class TelemetryHub:
         self._track_open.clear()
         self._stack.clear()
         return len(pending)
-
-    def require_closed(self) -> None:
-        """Raise :class:`UnclosedSpanError` if any span is still open."""
-        pending = self.open_spans()
-        if pending:
-            names = ", ".join(
-                f"{s.category}/{s.name}" for s in pending[:5]
-            )
-            raise UnclosedSpanError(
-                f"{len(pending)} span(s) still open: {names}"
-            )
 
     # -- virtual-time sampling ----------------------------------------------
 

@@ -35,27 +35,23 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value: explicitly set, or read through a callback.
+    """A point-in-time value read through a callback (``None`` without one).
 
     Every gauge enters :meth:`MetricsRegistry.snapshot`, and so sampled
     telemetry and run digests: a gauge must read the same in equivalent
     runs, serial or in a forked worker.
     """
 
-    __slots__ = ("name", "_value", "fn")
+    __slots__ = ("name", "fn")
 
     def __init__(
         self, name: str, fn: Optional[Callable[[], Any]] = None
     ) -> None:
         self.name = name
-        self._value: Any = None
         self.fn = fn
 
-    def set(self, value: Any) -> None:
-        self._value = value
-
     def read(self) -> Any:
-        return self.fn() if self.fn is not None else self._value
+        return self.fn() if self.fn is not None else None
 
 
 class Histogram:
@@ -85,9 +81,6 @@ class Histogram:
         self.counts[bisect_left(self.boundaries, value)] += 1
         self.total += value
         self.count += 1
-
-    def bucket_counts(self) -> Tuple[int, ...]:
-        return tuple(self.counts)
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -20,10 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 
-class UnclosedSpanError(Exception):
-    """Raised when closed telemetry is required but spans are still open."""
-
-
 @dataclass
 class Span:
     """One begin/end record on the telemetry hub."""
@@ -38,10 +34,6 @@ class Span:
     t1: Optional[float] = None    # virtual end; None while open
     w1: Optional[float] = None    # wall end; None while open
     attrs: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def closed(self) -> bool:
-        return self.t1 is not None
 
     def as_dict(self) -> Dict[str, Any]:
         """Canonical dict, without the wall clocks (they break digests)."""

@@ -134,39 +134,6 @@ def test_monitoring_dwell_and_renotify(substrate):
     assert fired[1] - fired[0] >= 180  # renotify interval respected
 
 
-def test_unsubscribe_stops_notifications(substrate):
-    sim, net, clusters, bundle = substrate
-    fired = []
-    sub = bundle.subscribe(
-        "alpha",
-        predicate=lambda snap: True,
-        callback=lambda uid, snap: fired.append(sim.now),
-        renotify_s=60,
-    )
-    sim.run(until=200)
-    count = len(fired)
-    assert count >= 1
-    bundle.monitor.unsubscribe(sub)
-    sim.run(until=600)
-    assert len(fired) == count
-
-
-def test_last_unsubscribe_stops_sampling(substrate):
-    """Dropping the last subscription must end the sampling loop."""
-    sim, net, clusters, bundle = substrate
-    subs = [
-        bundle.subscribe(r, lambda snap: False, lambda uid, snap: None)
-        for r in bundle.resources()
-    ]
-    sim.run(until=120.0)
-    assert bundle.monitor._running
-    for sub in subs:
-        bundle.monitor.unsubscribe(sub)
-    sim.run(until=300.0)  # past the next sampling tick
-    assert not bundle.monitor._running
-    assert not bundle.monitor._subs
-
-
 def test_bundles_share_clusters(substrate):
     sim, net, clusters, bundle = substrate
     sub = ResourceBundle("alpha-only", sim, net, {"alpha": clusters["alpha"]})

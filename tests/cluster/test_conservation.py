@@ -50,8 +50,8 @@ class _ConservationCheck:
         self.now = now
         self.events += 1
 
-        running = cluster.running_jobs()
-        pending = cluster.pending_jobs()
+        running = [job for job, _ in cluster._run_mirror.items()]
+        pending = cluster._pending
         assert cluster.free_cores >= 0
         assert (
             cluster.free_cores + sum(j.cores for j in running)

@@ -23,6 +23,7 @@ from repro.cluster import (
     SchedulerView,
 )
 from repro.cluster.schedulers import RunningMirror
+from repro.cluster.job import FINAL_STATES
 from repro.des import Simulation
 
 
@@ -136,7 +137,7 @@ def test_kept_plan_picks_what_a_fresh_plan_picks(steps):
         elif kind == "run":
             sim.run(until=sim.now + args[0])
     sim.run()
-    assert all(j.is_final for j in jobs)
+    assert all(j.state in FINAL_STATES for j in jobs)
 
 
 def test_cancelling_a_planned_job_replans_from_scratch():

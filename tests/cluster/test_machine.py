@@ -14,6 +14,7 @@ from repro.cluster import (
     JobState,
     SubmissionError,
 )
+from repro.cluster.job import FINAL_STATES
 from repro.des import Simulation
 
 
@@ -281,7 +282,7 @@ def test_dispatch_pass_validated_whole(pick, error):
     with pytest.raises(error):
         sim.run()
     assert a.state is b.state is JobState.PENDING
-    assert cluster.running_jobs() == []
+    assert not cluster._run_mirror.entries
     assert cluster.free_cores == 8
 
 
@@ -304,7 +305,7 @@ _steps = st.lists(
 
 
 def _assert_cores_conserved(cluster):
-    running = cluster.running_jobs()
+    running = [job for job, _ in cluster._run_mirror.items()]
     assert all(j.state is JobState.RUNNING for j in running)
     assert 0 <= cluster.free_cores
     assert cluster.free_cores + sum(j.cores for j in running) == (
@@ -341,5 +342,5 @@ def test_core_conservation_property(steps):
         _assert_cores_conserved(cluster)
     sim.run()
     _assert_cores_conserved(cluster)
-    assert all(j.is_final for j in jobs)
+    assert all(j.state in FINAL_STATES for j in jobs)
     assert cluster.free_cores == cluster.total_cores

@@ -209,7 +209,7 @@ def test_mirror_matches_stateless_entries():
         assert [(e, c) for e, _s, c in mirror.entries] == [
             (e, c) for e, _s, c in stateless
         ]
-    assert len(mirror) == len(running)
+    assert len(mirror.entries) == len(running)
 
 
 def test_mirror_duplicate_ends_keep_start_order():

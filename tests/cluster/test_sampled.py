@@ -79,7 +79,7 @@ def test_walltime_kill_still_applies():
 
 
 def _assert_accounting(cluster):
-    held = sum(j.cores for j in cluster.running_jobs())
+    held = sum(j.cores for j, _ in cluster._run_mirror.items())
     assert cluster.free_cores == cluster.total_cores - held
 
 
@@ -98,7 +98,7 @@ def test_kill_and_outage_fail_a_running_job(abort):
         cluster.set_offline(50)
     assert job.state is JobState.FAILED
     assert job.end_time == 100.0
-    assert cluster.running_jobs() == []
+    assert not cluster._run_mirror.entries
     assert cluster.free_cores == cluster.total_cores
     sim.run()
     assert job.state is JobState.FAILED

@@ -83,7 +83,7 @@ class TestReplay:
         SwfReplay(sim, cluster, jobs, time_scale=0.5).start()
         sim.run(until=35)
         # job 2 (submit 60) arrives at t=30 under 0.5x
-        assert cluster.completed_jobs + len(cluster.running_jobs()) >= 2
+        assert cluster.completed_jobs + len(cluster._run_mirror.entries) >= 2
 
     def test_oversized_jobs_clipped(self):
         sim = Simulation(seed=0)

@@ -29,7 +29,7 @@ def test_deterministic_in_seed():
 
 def test_presets_are_plausible():
     for p in synthetic_pool(20, seed=1):
-        assert 2048 * 0.8 <= p.total_cores <= 16384 * 1.3
+        assert 2048 * 0.8 <= p.nodes * p.cores_per_node <= 16384 * 1.3
         assert p.cores_per_node in (16, 24, 32)
         assert 0.9 <= p.profile.offered_load <= 1.2
         assert p.access_schema in ("slurm", "pbs", "condor")
@@ -38,7 +38,7 @@ def test_presets_are_plausible():
 
 def test_pool_is_heterogeneous():
     pool = synthetic_pool(17, seed=2)
-    assert len({p.total_cores for p in pool}) > 8
+    assert len({p.nodes * p.cores_per_node for p in pool}) > 8
     assert len({p.scheduler_factory().name for p in pool}) >= 2
     assert len({p.access_schema for p in pool}) >= 2
 

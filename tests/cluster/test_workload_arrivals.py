@@ -206,17 +206,3 @@ def test_one_event_per_queued_job(diurnal):
     assert rejected > 100 if diurnal else rejected == 0
 
 
-def test_stop_matches_process_loop():
-    """After stop() at s both queue the same jobs: those that arrived by
-    s, including any whose submit overhead ends after s."""
-    preset = PRESETS["comet-sim"]
-    stop_at = 6 * 3600.0
-    sim, _, wl, queued = _machine(BackgroundWorkload, preset, 9)
-    rsim, _, ref, rqueued = _machine(_ProcessWorkload, preset, 9)
-    for s, w in ((sim, wl), (rsim, ref)):
-        w.start()
-        s.run(until=stop_at)
-        w.stop()
-        s.run(until=HOURS)
-    assert queued == rqueued
-    assert wl.submitted == ref.submitted > 0

@@ -161,14 +161,13 @@ def test_kernel_stream_is_the_named_workload_stream():
 def _primed_queue(seed):
     sim = Simulation(seed=seed)
     res = build_resource(sim, PRESETS["stampede-sim"])
-    res.workload.stop()  # the primed queue only: no arrival after t=0
     sim.run(until=60.0)  # past the submit overhead and first dispatch
     cluster = res.cluster
     return (
         cluster.queue_length,
         cluster.free_cores,
-        [(j.cores, j.runtime, j.walltime) for j in cluster.pending_jobs()],
-        [(j.cores, j.runtime, j.walltime) for j in cluster.running_jobs()],
+        [(j.cores, j.runtime, j.walltime) for j in cluster._pending],
+        [(j.cores, j.runtime, j.walltime) for j, _ in cluster._run_mirror.items()],
     )
 
 

@@ -20,7 +20,6 @@ def test_empty_report():
     assert report.total_jobs == 0
     assert report.total_core_hours == 0
     assert report.fraction("30s-30m") == 0.0
-    assert "0 jobs" in report.render()
 
 
 def test_bucket_assignment():
@@ -80,5 +79,3 @@ def test_preset_workload_matches_paper_band():
     # fractions sum to 1 in both views
     assert sum(report.duration_fractions.values()) == pytest.approx(1.0)
     assert sum(report.size_fractions.values()) == pytest.approx(1.0)
-    text = report.render()
-    assert "30s-30m" in text and "core-hours" in text

@@ -53,7 +53,9 @@ def test_backup_pilot_rescues_stalled_start():
     assert len(report.adaptations) == 1
     assert report.adaptations[0].resource == "fast"
     # The strategy's decision tree records the revision explicitly.
-    assert report.strategy.decision("backup_pilot_1").value == "fast"
+    assert {d.name: d.value for d in report.strategy.decisions}[
+        "backup_pilot_1"
+    ] == "fast"
     # TTC far below the 4-hour blockade: the backup did the work.
     assert report.ttc < 2 * 3600
 

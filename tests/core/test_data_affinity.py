@@ -42,7 +42,7 @@ def test_data_mode_prefers_fat_pipe_for_big_data(env):
         PlannerConfig(n_pilots=1, optimize="data"),
     )
     assert s.resources == ("fatpipe",)
-    assert "staging estimate" in s.decision("resources").rationale
+    assert "staging estimate" in {d.name: d for d in s.decisions}["resources"].rationale
 
 
 def test_ttc_mode_ignores_network(env):
@@ -53,7 +53,7 @@ def test_ttc_mode_ignores_network(env):
     )
     # equal predicted waits: ranking is by insertion order, network unseen
     assert s.resources == ("fatpipe",)
-    assert "staging" not in s.decision("resources").rationale
+    assert "staging" not in {d.name: d for d in s.decisions}["resources"].rationale
 
 
 def test_data_mode_negligible_for_tiny_data(env):

@@ -1,13 +1,11 @@
 """Tests for interval algebra and metrics."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     merge_intervals,
     span,
-    throughput,
     union_duration,
 )
 
@@ -37,11 +35,6 @@ def test_union_duration():
 def test_span():
     assert span([(2, 4), (10, 12)]) == 10.0
     assert span([]) == 0.0
-
-
-def test_throughput():
-    assert throughput(100, 3600) == pytest.approx(100.0)
-    assert throughput(10, 0) == 0.0
 
 
 @settings(max_examples=100, deadline=None)

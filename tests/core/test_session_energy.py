@@ -77,8 +77,7 @@ class TestEnergy:
         assert est.total_joules == pytest.approx(
             est.active_joules + est.idle_joules
         )
-        assert est.total_kwh == pytest.approx(est.total_joules / 3.6e6)
-        assert 0 <= est.idle_fraction < 1
+        assert 0 <= est.idle_core_s < est.active_core_s + est.idle_core_s
 
     def test_custom_power_model(self, executed, monkeypatch):
         sim, report = executed
@@ -91,7 +90,7 @@ class TestEnergy:
     def test_empty_execution(self):
         est = estimate_energy([], [])
         assert est.total_joules == 0
-        assert est.idle_fraction == 0
+        assert est.active_core_s == est.idle_core_s == 0
 
     def test_idle_energy_reflects_unused_allocation(self, executed):
         sim, report = executed

@@ -33,7 +33,6 @@ class TestStrategyModel:
 
     def test_valid(self):
         s = self.make()
-        assert s.total_cores == 64
         assert "late binding" in s.describe()
 
     def test_validation(self):
@@ -164,19 +163,18 @@ class TestPlanner:
     def test_decision_tree_dependencies(self, planning_env):
         sim, bundle, clusters = planning_env
         s = derive_strategy(requirements(64), bundle)
-        assert s.decision("unit_scheduler").depends_on == ("binding",)
-        assert s.decision("pilot_cores").depends_on == ("n_pilots",)
-        with pytest.raises(KeyError):
-            s.decision("nonexistent")
+        by_name = {d.name: d for d in s.decisions}
+        assert by_name["unit_scheduler"].depends_on == ("binding",)
+        assert by_name["pilot_cores"].depends_on == ("n_pilots",)
 
 
 def test_pilot_size_floored_at_widest_task(planning_env):
     """A multi-core task must fit inside a single pilot (regression:
     a 4-core task with width/3 = 3-core pilots could never run)."""
-    from repro.skeleton import SkeletonAPI, StageSpec, multistage
+    from repro.skeleton import SkeletonAPI, SkeletonApp, StageSpec
 
     sim, bundle, clusters = planning_env
-    app = multistage([
+    app = SkeletonApp(name="multistage", stages=[
         StageSpec(name="wide", n_tasks=3, task_duration=100.0,
                   cores_per_task=8),
     ])

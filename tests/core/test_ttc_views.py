@@ -81,7 +81,7 @@ EXECUTIONS = {
 def test_decomposition_and_attribution_agree(name):
     report = EXECUTIONS[name]()
     d, att = report.decomposition, report.attribution()
-    parts = att.by_component
+    parts = dict(att.components)
     slack = EPS * max(1.0, d.ttc)
     assert att.ttc == d.ttc
     assert parts["tx"] <= d.tx + d.t_lost + slack

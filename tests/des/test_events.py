@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des.errors import SchedulingError
-from repro.des.kernel import _COMPACT_MIN, _FIRED, Simulation
+from repro.des.kernel import _COMPACT_MIN, Simulation
 
 
 def _noop() -> None:  # events need a callback; ordering ignores it
@@ -335,7 +335,7 @@ def test_cancel_after_fire_is_noop():
     sim.run(until=1.5)
     ev = handles[0]
     assert fired == [(1.0, 0)] and tuple(ev[:3]) == (1.0, 0, 0)
-    assert ev[3] is _FIRED and ev[4] == ()
+    assert ev[3] is None and ev[4] == ()
     sim.cancel(ev)  # fired events must not perturb the live count
     assert _gauge(sim, "heap-size") == 1
     assert _gauge(sim, "events-cancelled") == 0
@@ -361,10 +361,10 @@ def test_kernel_fired_entry_holds_nothing_and_ignores_cancel():
     ev = sim.call_at(1.0, lambda tag: held.append((ev[3], ev[4], tag)), "x")
     sim.call_at(2.0, seen.append, "y")
     sim.run(until=1.5)
-    assert held == [(_FIRED, (), "x")]
-    assert ev[3] is _FIRED and ev[4] == ()
+    assert held == [(None, (), "x")]
+    assert ev[3] is None and ev[4] == ()
     sim.cancel(ev)
-    assert ev[3] is _FIRED
+    assert ev[3] is None
     assert _gauge(sim, "heap-size") == 1
     assert _gauge(sim, "events-cancelled") == 0
     sim.run()

@@ -49,23 +49,6 @@ def test_negative_timeout_rejected():
         sim.timeout(-1)
 
 
-def test_timeout_cancel_raises_in_waiter():
-    sim = Simulation()
-    outcome = []
-
-    def proc():
-        try:
-            yield t
-        except CancelledError:
-            outcome.append("cancelled")
-
-    t = sim.timeout(10)
-    sim.process(proc())
-    sim.call_in(1, t.cancel)
-    sim.run()
-    assert outcome == ["cancelled"]
-
-
 def test_signal_wakes_waiter_with_value():
     sim = Simulation()
     sig = Signal(sim)

@@ -22,7 +22,7 @@ class TestEnvironment:
         env = build_environment(seed=1, resources=("gordon-sim", "comet-sim"))
         assert set(env.pool) == {"gordon-sim", "comet-sim"}
         assert set(env.bundle.resources()) == {"gordon-sim", "comet-sim"}
-        assert env.network.sites() == ("gordon-sim", "comet-sim")
+        assert tuple(env.network._links) == ("gordon-sim", "comet-sim")
         # primed machines are busy shortly after start
         env.warm_up(600)
         assert env.pool["comet-sim"].cluster.utilization > 0.5
@@ -56,7 +56,7 @@ class TestTable1Specs:
 class TestRunSingle:
     def test_early_binding_run(self):
         r = run_single(TABLE1[1], 8, rep=0, campaign_seed=3)
-        assert r.succeeded
+        assert r.units_done == r.n_tasks
         assert r.n_tasks == 8
         assert len(r.resources) == 1
         assert len(r.pilot_waits) == 1
@@ -65,7 +65,7 @@ class TestRunSingle:
 
     def test_late_binding_run(self):
         r = run_single(TABLE1[3], 8, rep=0, campaign_seed=3)
-        assert r.succeeded
+        assert r.units_done == r.n_tasks
         assert len(r.resources) == 3
         assert len(set(r.resources)) == 3  # three distinct resources
 
@@ -95,7 +95,7 @@ class TestCampaignAggregation:
                 assert len(small_campaign.cell(exp, n)) == 2
 
     def test_all_runs_succeed(self, small_campaign):
-        assert all(r.succeeded for r in small_campaign.runs)
+        assert all(r.units_done == r.n_tasks for r in small_campaign.runs)
 
     def test_cell_stats(self, small_campaign):
         s = cell_stats(small_campaign, 1, 8, "ttc")
@@ -109,9 +109,8 @@ class TestCampaignAggregation:
         assert math.isnan(s.mean)
 
     def test_series(self, small_campaign):
-        series = small_campaign.series(3, "ttc", task_counts=(8, 32))
-        assert len(series) == 2
-        assert series[0][0] == 8
+        series = [cell_stats(small_campaign, 3, n, "ttc") for n in (8, 32)]
+        assert [s.n_tasks for s in series] == [8, 32]
 
     def test_tw_range(self, small_campaign):
         lo, hi = tw_range(small_campaign, [1, 3])
@@ -148,10 +147,9 @@ class TestCellIndex:
         result = CampaignResult()
         for rep, ttc in enumerate((100.0, 300.0)):
             result.add(self._run(2, 16, rep, ttc))
-        mean, std = result.aggregate(2, 16, "ttc")
-        assert mean == 200.0 and std == 100.0
-        nan_mean, _ = result.aggregate(2, 99)
-        assert math.isnan(nan_mean)
+        stats = cell_stats(result, 2, 16, "ttc")
+        assert stats.mean == 200.0 and stats.std == 100.0
+        assert math.isnan(cell_stats(result, 2, 99).mean)
 
     def test_cell_returns_copy(self):
         result = CampaignResult()

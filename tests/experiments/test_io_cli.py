@@ -144,6 +144,15 @@ class TestCLI:
         assert "gordon-sim" in out
         assert "Measured wait" in out
 
+    def test_probe_bigger_than_the_resource_is_an_error(self, capsys):
+        rc = main([
+            "probe", "--resources", "gordon-sim", "--cores", "100000",
+            "--warmup-hours", "0.1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "100000 cores" in err
+
     def test_ablation_command(self, capsys):
         rc = main(["ablation", "scheduler", "--reps", "1"])
         assert rc == 0

@@ -1,5 +1,6 @@
 """The campaign observatory: the store's campaign log, progress, tail."""
 
+from contextlib import closing
 import json
 
 import pytest
@@ -70,7 +71,7 @@ class TestRunLedger:
 
     def test_stream_and_read_back(self, tmp_path):
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
-            with RunLedger(store) as ledger:
+            with closing(RunLedger(store)) as ledger:
                 self._write(ledger)
             records = store.ledger_records()
         kinds = [r["kind"] for r in records]
@@ -84,7 +85,7 @@ class TestRunLedger:
 
     def test_cell_records_carry_components(self, tmp_path):
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
-            with RunLedger(store) as ledger:
+            with closing(RunLedger(store)) as ledger:
                 self._write(ledger)
             cell = store.ledger_records()[1]
         # per-component TTC shares, which the live views render
@@ -93,7 +94,7 @@ class TestRunLedger:
     def test_lines_are_valid_ndjson(self, tmp_path):
         path = tmp_path / "l.ndjson"
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
-            with RunLedger(store, path=str(path)) as ledger:
+            with closing(RunLedger(store, path=str(path))) as ledger:
                 ledger.campaign_start(total=1, meta={"note": "expérience"})
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["kind"] for line in lines] == [
@@ -104,7 +105,7 @@ class TestRunLedger:
         """The NDJSON file is an export of the store's log, line for line."""
         ndjson = tmp_path / "l.ndjson"
         with CampaignStore(str(tmp_path / "l.sqlite")) as store:
-            with RunLedger(store, path=str(ndjson)) as ledger:
+            with closing(RunLedger(store, path=str(ndjson))) as ledger:
                 self._write(ledger)
                 # nothing is exported before the ledger closes
                 assert not ndjson.exists()
@@ -115,7 +116,7 @@ class TestRunLedger:
 
     def test_store_only_ledger_needs_no_file(self, tmp_path):
         with CampaignStore(str(tmp_path / "l.sqlite")) as store:
-            with RunLedger(store) as ledger:
+            with closing(RunLedger(store)) as ledger:
                 ledger.campaign_start(total=0, meta={})
             records = store.ledger_records()
         assert [r["kind"] for r in records] == ["campaign-start"]
@@ -161,7 +162,7 @@ class TestLedgerProgress:
         assert state["errors"] == 1 and not state["finished"]
         # both n=16 cells left, at the exp1 n=8 cells' wall per cost
         assert state["eta_s"] == pytest.approx(3.0 / 336 * 352)
-        assert [r["cell"] for r in monitor.grid() if r.get("anomalies")] == [
+        assert [r["cell"] for r in monitor.state()["grid"] if r.get("anomalies")] == [
             [1, 8, 1]
         ]
 
@@ -189,7 +190,7 @@ class TestEndToEnd:
     def test_campaign_streams_a_ledger(self, tmp_path):
         path = str(tmp_path / "c.sqlite")
         with CampaignStore(path) as store:
-            with RunLedger(store) as ledger:
+            with closing(RunLedger(store)) as ledger:
                 result = run_campaign(
                     experiments=(3,), task_counts=(8,), reps=2,
                     campaign_seed=21, ledger=ledger, store=store,
@@ -210,7 +211,7 @@ class TestEndToEnd:
     def test_parallel_campaign_streams_a_ledger(self, tmp_path):
         path = str(tmp_path / "p.sqlite")
         with CampaignStore(path) as store:
-            with RunLedger(store) as ledger:
+            with closing(RunLedger(store)) as ledger:
                 result = run_campaign(
                     experiments=(3,), task_counts=(8,), reps=2,
                     campaign_seed=21, jobs=2, ledger=ledger, store=store,

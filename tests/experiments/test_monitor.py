@@ -128,7 +128,7 @@ class TestFolding:
         while its lease is open; the resume's reclaim ends that."""
         _killed_then_resumed(log)
         monitor = log.monitor()
-        status = {tuple(r["cell"]): r["status"] for r in monitor.grid()}
+        status = {tuple(r["cell"]): r["status"] for r in monitor.state()["grid"]}
         assert status[(1, 8, 2)] == "running"  # stale, until a resume
         assert log.reclaim_stale_leases() == 1
         log.append_ledger({
@@ -252,7 +252,7 @@ class TestLiveFollow:
         def progress(p):
             seen.append(monitor.state()["done"])
 
-        with RunLedger(log) as ledger:
+        with contextlib.closing(RunLedger(log)) as ledger:
             result = run_campaign(
                 experiments=(3,), task_counts=(8,), reps=2,
                 campaign_seed=21, ledger=ledger, store=log,
@@ -272,7 +272,7 @@ class TestLiveFollow:
         component's share of the run's TTC. Summing component seconds
         over summed TTC instead weights long runs, and on this campaign
         reads Tw 63.5% where the fingerprint reads 39.7%."""
-        with RunLedger(log) as ledger:
+        with contextlib.closing(RunLedger(log)) as ledger:
             result = run_campaign(
                 experiments=(1, 3), task_counts=(8, 64), reps=2,
                 campaign_seed=2016, ledger=ledger, store=log,
@@ -310,7 +310,7 @@ class TestLiveFollow:
         reads, pending = [], []
 
         def read():
-            status = {tuple(r["cell"]): r["status"] for r in monitor.grid()}
+            status = {tuple(r["cell"]): r["status"] for r in monitor.state()["grid"]}
             committed = reader.committed_cells()
             reads.append(len(committed))
             pending.extend(c for c in committed if status.get(c) != "ok")
@@ -427,17 +427,20 @@ class TestStateFromPath:
         """
         path = str(tmp_path / "c.sqlite")
         with CampaignStore(path) as store:
-            with CampaignMonitor(path) as monitor, \
-                    MonitorServer(monitor) as srv:
-                with RunLedger(store) as ledger:
-                    run_campaign(
-                        experiments=(1, 3), task_counts=(8,), reps=2,
-                        campaign_seed=21, store=store, ledger=ledger,
-                    )
-                with urllib.request.urlopen(
-                    srv.url + "/state.json", timeout=5
-                ) as resp:
-                    served = json.loads(resp.read().decode("utf-8"))
+            with CampaignMonitor(path) as monitor:
+                srv = MonitorServer(monitor).start()
+                try:
+                    with contextlib.closing(RunLedger(store)) as ledger:
+                        run_campaign(
+                            experiments=(1, 3), task_counts=(8,), reps=2,
+                            campaign_seed=21, store=store, ledger=ledger,
+                        )
+                    with urllib.request.urlopen(
+                        srv.url + "/state.json", timeout=5
+                    ) as resp:
+                        served = json.loads(resp.read().decode("utf-8"))
+                finally:
+                    srv.stop()
         assert main(["tail", path]) == 0
         tail = capsys.readouterr().out.splitlines()
         assert main(["watch", path, "--once", "--no-color"]) == 0
@@ -456,7 +459,7 @@ class TestStateFromPath:
         ndjson = tmp_path / "l.ndjson"
         sqlite_path = str(tmp_path / "l.sqlite")
         with CampaignStore(sqlite_path) as store:
-            with RunLedger(store, path=str(ndjson)) as ledger:
+            with contextlib.closing(RunLedger(store, path=str(ndjson))) as ledger:
                 ledger.campaign_start(total=1, meta={})
                 ledger.cell(
                     CellProgress(1, 1, (1, 8, 0), wall_s=0.5, ttc=9.0),

@@ -8,6 +8,7 @@ byte-identical to the store of an uninterrupted run. Per-cell seeding
 provable; these tests are what keep it true.
 """
 
+from contextlib import closing
 import functools
 import json
 import os
@@ -493,13 +494,13 @@ class TestResumeLedger:
         path = str(tmp_path / "c.sqlite")
         ndjson = tmp_path / "c.ndjson"
         with CampaignStore(path) as store:
-            with RunLedger(store, path=str(ndjson)) as ledger:
+            with closing(RunLedger(store, path=str(ndjson))) as ledger:
                 run_campaign(
                     jobs=1, run_fn=_fake_run,
                     store=store, ledger=ledger, **GRID_KW,
                 )
         with CampaignStore(path) as store:
-            with RunLedger(store, path=str(ndjson)) as ledger:
+            with closing(RunLedger(store, path=str(ndjson))) as ledger:
                 run_campaign(
                     jobs=1, run_fn=_fake_run,
                     store=store, ledger=ledger, resume=True, **GRID_KW,
@@ -525,7 +526,7 @@ class TestResumeLedger:
     def test_interrupted_tail_state(self, tmp_path):
         path = str(tmp_path / "c.sqlite")
         with CampaignStore(path) as store:
-            with RunLedger(store) as ledger:
+            with closing(RunLedger(store)) as ledger:
                 ledger.campaign_start(4, {})
                 ledger.campaign_end(2, 0, 1.0, interrupted=True)
         with CampaignMonitor(path) as monitor:

@@ -7,6 +7,7 @@ repetition seeds itself from its grid coordinates alone and every
 ``jobs`` goes through one executor.
 """
 
+from contextlib import closing
 import dataclasses
 import functools
 import json
@@ -124,7 +125,7 @@ def _stored_outcome(tmp_path, jobs, run_fn, **kwargs):
     """
     path = str(tmp_path / f"j{jobs}.sqlite")
     with CampaignStore(path) as store:
-        with RunLedger(store) as ledger:
+        with closing(RunLedger(store)) as ledger:
             result = run_campaign(
                 jobs=jobs, run_fn=run_fn, store=store, ledger=ledger,
                 **kwargs,
@@ -174,7 +175,7 @@ class TestPlanChunks:
         """Cells in the order their attempts started, and the stats."""
         stats = RunnerStats()
         with CampaignStore(str(tmp_path / f"{name}.sqlite")) as store:
-            with RunLedger(store) as ledger:
+            with closing(RunLedger(store)) as ledger:
                 run_campaign(
                     jobs=jobs, run_fn=_fake_run, store=store, ledger=ledger,
                     resilience=ResiliencePolicy(cell_timeout_s=60.0),

@@ -114,13 +114,16 @@ class TestEndpoints:
             _get(server.url + "/nope")
         assert err.value.code == 404
 
-    def test_server_is_observation_only_context_manager(self, plane):
+    def test_stopped_server_refuses_connections(self, plane):
         store, _server = plane
-        with CampaignMonitor(store.path) as monitor, \
-                MonitorServer(monitor) as server:
-            status, _h, _b = _get(server.url + "/state.json")
-            assert status == 200
-        # stopped on exit: a fresh connection must fail
+        with CampaignMonitor(store.path) as monitor:
+            server = MonitorServer(monitor).start()
+            try:
+                status, _h, _b = _get(server.url + "/state.json")
+                assert status == 200
+            finally:
+                server.stop()
+        # stopped: a fresh connection must fail
         with pytest.raises(OSError):
             _get(server.url + "/state.json", timeout=0.5)
 

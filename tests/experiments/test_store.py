@@ -8,7 +8,12 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import CampaignStore, is_store, store_summary
-from repro.experiments.campaign import CampaignResult, CellError, RunResult
+from repro.experiments.campaign import (
+    CampaignResult,
+    CellError,
+    RunResult,
+    campaign_meta,
+)
 from repro.experiments.store import STORE_FORMAT
 
 
@@ -50,20 +55,21 @@ class TestBasics:
         run = _run()
         store.put_run(run)
         assert store.run_count() == 1
-        assert store.cell_runs(1, 8) == [run]
-        assert store.cell_runs(1, 16) == []
+        assert store.load_campaign().cell(1, 8) == [run]
+        assert store.load_campaign().cell(1, 16) == []
 
     def test_put_is_idempotent_by_coordinates(self, store):
         store.put_run(_run(ttc=1000.0))
         store.put_run(_run(ttc=2000.0))  # same (exp, n, rep): replace
         assert store.run_count() == 1
-        assert [r.ttc for r in store.cell_runs(1, 8)] == [2000.0]
+        assert [r.ttc for r in store.load_campaign().cell(1, 8)] == [2000.0]
 
     def test_cell_runs_ordered_by_rep(self, store):
+        store.set_campaign_meta(campaign_meta([1], [8], 3, 0))
         for rep in (2, 0, 1):
             store.put_run(_run(rep=rep))
-        assert [r.rep for r in store.cell_runs(1, 8)] == [0, 1, 2]
-        assert store.cell_runs(9, 9) == []
+        assert [r.rep for r in store.load_campaign().cell(1, 8)] == [0, 1, 2]
+        assert store.load_campaign().cell(9, 9) == []
 
     def test_cells_sorted(self, store):
         for exp_id, n_tasks in ((3, 16), (1, 8), (3, 8)):
@@ -90,7 +96,7 @@ class TestBasics:
 
     def test_nan_ttc_survives_via_payload(self, store):
         store.put_run(_run(ttc=float("nan")))
-        (got,) = store.cell_runs(1, 8)
+        (got,) = store.load_campaign().cell(1, 8)
         assert got.ttc != got.ttc  # NaN round-trips through the payload
         # and the scalar column holds NULL, not a bogus number
         row = store._conn.execute("SELECT ttc FROM runs").fetchone()
@@ -147,7 +153,7 @@ class TestReadonlyAndVersioning:
         store.put_run(_run())
         ro = CampaignStore(store.path, readonly=True)
         assert ro.run_count() == 1
-        assert ro.cell_runs(1, 8) == [_run()]
+        assert ro.load_campaign().cell(1, 8) == [_run()]
         with pytest.raises(sqlite3.OperationalError):
             ro.put_run(_run(rep=5))
         ro.close()
@@ -238,9 +244,7 @@ class TestRowReadAccounting:
             store.put_run(_run(rep=rep))
         store.put_run(_run(n_tasks=16))
         assert store.rows_read == 0
-        store.cell_runs(1, 16)
-        assert store.rows_read == 1
-        store.cell_runs(1, 8)
-        assert store.rows_read == 6
         store.run_count()  # counting never materializes rows
+        assert store.rows_read == 0
+        store.load_campaign()
         assert store.rows_read == 6

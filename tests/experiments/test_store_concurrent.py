@@ -144,7 +144,7 @@ class TestLiveCampaignReaders:
             assert (err.exp_id, err.n_tasks, err.rep) == (1, 16, 1)
             assert "crashed" in err.error
             # no runs row shadows the crashed repetition
-            assert [r.rep for r in store.cell_runs(1, 16)] == [0]
+            assert [r.rep for r in store.load_campaign().cell(1, 16)] == [0]
             # and every committed payload is whole
             for run in store.load_campaign().runs:
                 assert set(RunResult.__dataclass_fields__) == set(

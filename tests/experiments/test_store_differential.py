@@ -170,11 +170,3 @@ class TestSingleCellIsOCell:
         with CampaignStore(big_store, readonly=True) as store:
             assert store.run_count() == 1080
 
-    def test_cell_fetch_reads_reps_rows(self, big_store):
-        with CampaignStore(big_store, readonly=True) as store:
-            runs = store.cell_runs(2, 57)
-            assert [(r.exp_id, r.n_tasks, r.rep) for r in runs] == [
-                (2, 57, rep) for rep in range(self.REPS)
-            ]
-            assert store.rows_read == self.REPS
-

@@ -21,7 +21,7 @@ def test_failures_quarantine_through_the_breaker():
     assert not reg.is_quarantined("alpha")
     reg.record_failure("alpha")
     assert reg.is_quarantined("alpha")
-    assert reg.breaker_state("alpha") is BreakerState.OPEN
+    assert reg.breaker("alpha").state is BreakerState.OPEN
     assert not reg.allow_submission("alpha")
     assert reg.healthy(("alpha", "beta")) == ("beta",)
     assert reg.quarantined(("alpha", "beta")) == ("alpha",)
@@ -48,7 +48,7 @@ def half_open_stack():
     pm = PilotManager(sim, {"alpha": alpha}, health=reg)
     reg.record_failure("alpha")
     sim.run(until=11.0)
-    assert reg.breaker_state("alpha") is BreakerState.HALF_OPEN
+    assert reg.breaker("alpha").state is BreakerState.HALF_OPEN
     (pilot,) = pm.submit_pilots(
         ComputePilotDescription(resource="alpha", cores=8, runtime_min=60)
     )
@@ -62,11 +62,11 @@ def test_submission_acceptance_does_not_close_a_half_open_breaker():
     alpha.set_offline(100.0)  # the probe's job is accepted, then waits
     sim.run(until=50.0)
     assert pilot.saga_job is not None and pilot.state is not PilotState.ACTIVE
-    assert reg.breaker_state("alpha") is BreakerState.HALF_OPEN
+    assert reg.breaker("alpha").state is BreakerState.HALF_OPEN
     assert not reg.allow_submission("alpha")  # the probe slot is taken
     sim.run(until=500.0)
     assert pilot.state is PilotState.ACTIVE
-    assert reg.breaker_state("alpha") is BreakerState.CLOSED
+    assert reg.breaker("alpha").state is BreakerState.CLOSED
 
 
 def test_pilot_lifecycle_feeds_the_registry():

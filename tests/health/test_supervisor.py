@@ -167,10 +167,10 @@ def test_half_open_probe_success_closes_the_breaker():
     assert [
         i for i in sim.telemetry.instants if i["name"] == "submit-quarantined"
     ]
-    assert reg.breaker_state("alpha") is BreakerState.OPEN
+    assert reg.breaker("alpha").state is BreakerState.OPEN
 
     sim.run(until=60.0)  # cooldown elapses
-    assert reg.breaker_state("alpha") is BreakerState.HALF_OPEN
+    assert reg.breaker("alpha").state is BreakerState.HALF_OPEN
 
     (probe,) = pm.submit_pilots([desc()])  # takes the single probe slot
     reg.observe_pilot(probe)
@@ -180,7 +180,7 @@ def test_half_open_probe_success_closes_the_breaker():
 
     sim.run(until=200.0)
     assert probe.state is PilotState.ACTIVE
-    assert reg.breaker_state("alpha") is BreakerState.CLOSED
+    assert reg.breaker("alpha").state is BreakerState.CLOSED
     (after,) = pm.submit_pilots([desc()])
     assert not after.quarantine_rejected
 
@@ -189,7 +189,7 @@ def test_half_open_probe_failure_reopens_the_breaker():
     sim, reg, pm = probe_stack(cooldown_s=50.0)
     reg.breaker("alpha").trip("outage-observed")
     sim.run(until=60.0)
-    assert reg.breaker_state("alpha") is BreakerState.HALF_OPEN
+    assert reg.breaker("alpha").state is BreakerState.HALF_OPEN
 
     # the probe submission itself bounces off the SAGA layer
     model = SubmissionFaultModel(sim, sim.rng.get("test-faults"))
@@ -198,13 +198,13 @@ def test_half_open_probe_failure_reopens_the_breaker():
 
     (probe,) = pm.submit_pilots([desc()])
     assert probe.state is PilotState.FAILED
-    assert reg.breaker_state("alpha") is BreakerState.OPEN
+    assert reg.breaker("alpha").state is BreakerState.OPEN
 
     # the cooldown restarted at the probe failure (t=60): half-open at 110
     sim.run(until=112.0)
-    assert reg.breaker_state("alpha") is BreakerState.HALF_OPEN
+    assert reg.breaker("alpha").state is BreakerState.HALF_OPEN
     (retry,) = pm.submit_pilots([desc()])
     reg.observe_pilot(retry)
     sim.run(until=250.0)
     assert retry.state is PilotState.ACTIVE
-    assert reg.breaker_state("alpha") is BreakerState.CLOSED
+    assert reg.breaker("alpha").state is BreakerState.CLOSED

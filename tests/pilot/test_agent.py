@@ -31,7 +31,7 @@ def unit(sim, cores=1):
 def test_initial_state(agent):
     assert agent.cores == 8
     assert agent.uncommitted_cores == 8
-    assert agent.bound_units == 0
+    assert len(agent._bound_units) == 0
     assert not agent.stopped
 
 
@@ -40,7 +40,7 @@ def test_commit_uncommit_cycle(agent):
     agent.commit(u)
     assert agent.committed_cores == 3
     assert agent.uncommitted_cores == 5
-    assert agent.bound_units == 1
+    assert len(agent._bound_units) == 1
     agent.uncommit(u, completed=True)
     assert agent.committed_cores == 0
     assert agent.units_completed == 1

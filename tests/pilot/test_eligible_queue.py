@@ -3,11 +3,12 @@
 Late binding keeps an ordered eligible queue that changes only when a
 unit enters or leaves the unbound pool or its last dependency resolves.
 Every binding pass here is checked against the eligible list rebuilt
-from public state — unbound units in the order they (re)entered the
-pool, whose dependencies are all DONE — and against a binding walk that
-visits every eligible unit.
+from the pool — unbound units in the order they (re)entered it, whose
+dependencies are all DONE — and against a binding walk that visits
+every eligible unit.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,35 +42,28 @@ def _full_walk(eligible, pilots):
 
 
 class _Reference:
-    """Entry log of the pool, kept from unit state callbacks."""
+    """The eligible list rebuilt from the unit manager's pool."""
 
     def __init__(self, depends_on):
         self.depends_on = depends_on
-        self.log = []
         self.units = {}
+        self.um = None
 
     def entered(self, units):
         for unit in units:
             self.units[unit.name] = unit
-            self.log.append(unit)
-            unit.add_callback(self._on_state)
-
-    def _on_state(self, unit, state):
-        if state is UnitState.UNSCHEDULED:
-            self.log.append(unit)
 
     def eligible(self):
         """Unbound units with every dependency DONE, in the order of
         their latest entry into the pool."""
-        last = {id(u): (i, u) for i, u in enumerate(self.log)}
         done = {
             name for name, u in self.units.items()
             if u.state is UnitState.DONE
         }
         return [
-            u for _, u in sorted(last.values(), key=lambda e: e[0])
-            if u.state is UnitState.UNSCHEDULED
-            and all(d in done for d in self.depends_on.get(u.name, ()))
+            u for _, u in sorted(self.um._unbound.values(),
+                                 key=lambda e: e[0])
+            if all(d in done for d in self.depends_on.get(u.name, ()))
         ]
 
 
@@ -129,6 +123,7 @@ def test_binding_matches_a_rebuilt_eligible_list(
     }
     reference = _Reference(depends_on)
     um = UnitManager(sim, sub.network, scheduler=_CheckedBackfill(reference))
+    reference.um = um
     descs = [
         ComputeUnitDescription(
             name=f"u{i}", duration_s=float(duration), cores=cores,
@@ -191,28 +186,20 @@ def test_a_resolved_unit_rejoins_at_its_submission_position(substrate):
     assert [u.name for u in started] == ["prod", "cons", "late1", "late2"]
 
 
-def test_a_repeated_name_regates_the_pool(substrate):
-    """Dependencies are kept per name: resubmitting a name with an unmet
-    dependency holds back the earlier unit of that name too."""
+def test_a_repeated_name_is_rejected(substrate):
+    """Dependencies are kept per name, so a name is submitted once: a
+    batch repeating a name already in the manager, or within itself, is
+    refused whole."""
     um = substrate.unit_manager("backfill")
     first, late = um.submit_units([
         ComputeUnitDescription(name="x", duration_s=10.0),
         ComputeUnitDescription(name="y", duration_s=10.0),
     ])
+    for batch in (["p", "x"], ["p", "p"]):
+        with pytest.raises(ValueError, match="submitted twice"):
+            um.submit_units(
+                [ComputeUnitDescription(name=n, duration_s=10.0)
+                 for n in batch],
+            )
+    assert um.units == [first, late]
     assert um._eligible == [first, late]
-    prod, second = um.submit_units(
-        [ComputeUnitDescription(name="p", duration_s=10.0),
-         ComputeUnitDescription(name="x", duration_s=10.0)],
-        depends_on={"x": ["p"]},
-    )
-    assert um._eligible == [late, prod]
-    pilots = substrate.pilot_manager.submit_pilots(ComputePilotDescription(
-        resource="resA", cores=1, runtime_min=60,
-    ))
-    um.add_pilots(pilots)
-    substrate.sim.run()
-    started = sorted(
-        (first, late, prod, second),
-        key=lambda u: u.history.timestamp("SCHEDULING"),
-    )
-    assert started == [late, prod, first, second]

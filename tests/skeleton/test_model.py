@@ -10,7 +10,6 @@ from repro.skeleton import (
     StageSpec,
     bag_of_tasks,
     map_reduce,
-    multistage,
     paper_skeleton,
 )
 
@@ -73,8 +72,8 @@ def test_map_reduce_dependencies():
     app = map_reduce(n_map_tasks=8, n_reduce_tasks=1)
     concrete = app.materialize(RNG)
     assert concrete.n_tasks == 9
-    maps = concrete.tasks_of_stage(0)
-    reduce_task = concrete.tasks_of_stage(1)[0]
+    maps = concrete.stages[0].tasks
+    reduce_task = concrete.stages[1].tasks[0]
     assert set(reduce_task.depends_on) == {t.uid for t in maps}
     # reduce inputs are exactly the map outputs
     map_outputs = {f.name for t in maps for f in t.outputs}
@@ -87,9 +86,9 @@ def test_one_to_one_mapping():
         StageSpec(name="b", n_tasks=4, task_duration=Constant(5),
                   input_mapping="one_to_one"),
     ]
-    concrete = multistage(stages).materialize(RNG)
-    a_tasks = concrete.tasks_of_stage(0)
-    b_tasks = concrete.tasks_of_stage(1)
+    concrete = SkeletonApp(name="multistage", stages=stages).materialize(RNG)
+    a_tasks = concrete.stages[0].tasks
+    b_tasks = concrete.stages[1].tasks
     for i, t in enumerate(b_tasks):
         assert t.depends_on == (a_tasks[i].uid,)
         assert t.inputs == a_tasks[i].outputs
@@ -98,7 +97,7 @@ def test_one_to_one_mapping():
 def test_none_mapping():
     stages = [StageSpec(name="a", n_tasks=3, task_duration=Constant(10),
                         input_mapping="none")]
-    concrete = multistage(stages).materialize(RNG)
+    concrete = SkeletonApp(name="multistage", stages=stages).materialize(RNG)
     assert all(t.inputs == () for t in concrete.all_tasks())
     assert concrete.preparation_files == []
 
@@ -133,7 +132,7 @@ def test_iterative_first_stage_falls_back_to_external():
 def test_outputs_per_task():
     stages = [StageSpec(name="a", n_tasks=2, task_duration=Constant(1),
                         outputs_per_task=3)]
-    concrete = multistage(stages).materialize(RNG)
+    concrete = SkeletonApp(name="multistage", stages=stages).materialize(RNG)
     for t in concrete.all_tasks():
         assert len(t.outputs) == 3
         assert len({f.name for f in t.outputs}) == 3

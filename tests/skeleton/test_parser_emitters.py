@@ -112,8 +112,8 @@ class TestEmitters:
         assert g.number_of_edges() == 3
         assert nx.is_directed_acyclic_graph(g)
         # reduce is reachable from every map task
-        reduce_uid = concrete.tasks_of_stage(1)[0].uid
-        for t in concrete.tasks_of_stage(0):
+        reduce_uid = concrete.stages[1].tasks[0].uid
+        for t in concrete.stages[0].tasks:
             assert nx.has_path(g, t.uid, reduce_uid)
 
     def test_dax(self, concrete):

