@@ -77,7 +77,7 @@ def test_bench_claims(campaign, benchmark):
 
     # ---- claim 3: scale ------------------------------------------------------
     big = [r for r in runs if r.n_tasks == 2048]
-    assert big and all(r.succeeded for r in big), (
+    assert big and all(r.units_done == r.n_tasks for r in big), (
         "O(1000)-task applications must complete"
     )
     assert all(r.restarts < 2048 for r in big)

@@ -24,7 +24,7 @@ def test_bench_fig2(campaign, benchmark):
     print(render_figure2(campaign))
 
     # Every run completed all tasks.
-    assert all(r.succeeded for r in campaign.runs)
+    assert all(r.units_done == r.n_tasks for r in campaign.runs)
 
     # Late binding beats early binding in aggregate, for both duration
     # distributions (the paper: Exp 3 & 4 "have shorter TTC").

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import tempfile
 import urllib.request
+from contextlib import closing
 from pathlib import Path
 from time import perf_counter
 
@@ -90,29 +91,30 @@ def _run(instrumented: bool):
         path = str(Path(scratch) / "campaign.sqlite")
         with CampaignStore(path) as store:
             if not instrumented:
-                with RunLedger(store) as ledger:
+                with closing(RunLedger(store)) as ledger:
                     w0 = perf_counter()
                     result = run_campaign(ledger=ledger, store=store, **GRID)
                     return perf_counter() - w0, result
-            with CampaignMonitor(path) as monitor, \
-                    MonitorServer(monitor) as server:
-                sse = urllib.request.urlopen(server.url + "/events",
-                                             timeout=10)
+            with CampaignMonitor(path) as monitor:
+                server = MonitorServer(monitor).start()
                 try:
-                    with RunLedger(store) as ledger:
-                        w0 = perf_counter()
-                        result = run_campaign(
-                            ledger=ledger, store=store, **GRID
-                        )
-                        wall = perf_counter() - w0
-                    # the plane observed the run, not just idled beside it
-                    state = json.loads(urllib.request.urlopen(
-                        server.url + "/state.json", timeout=10
-                    ).read())
+                    with urllib.request.urlopen(server.url + "/events",
+                                                timeout=10):
+                        with closing(RunLedger(store)) as ledger:
+                            w0 = perf_counter()
+                            result = run_campaign(
+                                ledger=ledger, store=store, **GRID
+                            )
+                            wall = perf_counter() - w0
+                        # the plane observed the run, not just idled
+                        # beside it
+                        state = json.loads(urllib.request.urlopen(
+                            server.url + "/state.json", timeout=10
+                        ).read())
                     assert state["done"] == REPS
                     return wall, result
                 finally:
-                    sse.close()
+                    server.stop()
 
 
 def test_bench_monitor_overhead_and_digest_parity():

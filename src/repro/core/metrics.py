@@ -30,4 +30,3 @@ def span(intervals: Iterable[Interval]) -> float:
     if not items:
         return 0.0
     return max(hi for _, hi in items) - min(lo for lo, _ in items)
-

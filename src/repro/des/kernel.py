@@ -227,9 +227,9 @@ class Simulation:
         dropped as they surface; the first live entry past ``limit`` is
         pushed back, which cannot change the dispatch order. A live
         entry is marked fired before its call: its callback and args
-        slots are cleared, so the handle keeps no reference to them. The profiler is re-read each event (it can
-        be attached mid-run); when absent, dispatch is two attribute
-        loads plus the call.
+        slots are cleared, so the handle keeps no reference to them.
+        The profiler is re-read each event (it can be attached mid-run);
+        when absent, dispatch is two attribute loads plus the call.
         """
         heap = self._heap  # compaction rebuilds this list in place
         telemetry = self.telemetry

@@ -121,4 +121,3 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
-

@@ -211,4 +211,3 @@ class RunLedger:
             with open(self.path, "w", encoding="utf-8") as fh:
                 write_ndjson(self.store.ledger_records(), fh)
         self.store = None  # the store handle is owned by the caller
-

@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..des import Simulation
 from ..lifecycle import PilotState
 from ..telemetry.eventlog import Event, EventLog
-from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
+from .breaker import BreakerPolicy, CircuitBreaker
 
 
 class HealthRegistry:

@@ -10,7 +10,7 @@ integration tests a real data-placement invariant to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 
 class FileNotFound(Exception):

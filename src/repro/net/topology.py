@@ -8,7 +8,7 @@ owns a :class:`~repro.net.filesystem.SharedFilesystem`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..des import Simulation, Waitable
 from .filesystem import FileNotFound, SharedFilesystem

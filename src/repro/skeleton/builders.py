@@ -9,7 +9,7 @@ with the right shapes, including the exact workloads of Table I.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .distributions import Constant, Sampler, TruncatedGaussian, parse_sampler
 from .model import SkeletonApp, StageSpec
@@ -79,7 +79,6 @@ def map_reduce(
         ],
         iterations=iterations,
     )
-
 
 
 # -- The paper's experimental workloads (Table I) -------------------------------

@@ -540,7 +540,6 @@ def sweep_attribution(graph: CausalGraph) -> Dict[str, float]:
 # -- the public one-call API ---------------------------------------------------
 
 
-
 def attribute_report(report: Any) -> TTCAttribution:
     """Attribution from the graph an ExecutionReport carries.
 

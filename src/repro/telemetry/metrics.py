@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
 class Counter:

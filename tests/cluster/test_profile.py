@@ -220,4 +220,3 @@ def test_mirror_duplicate_ends_keep_start_order():
     assert [c for _e, _s, c in mirror.entries] == [4, 8, 2]
     mirror.finish(2)  # removes exactly the middle entry, not a twin
     assert [c for _e, _s, c in mirror.entries] == [4, 2]
-

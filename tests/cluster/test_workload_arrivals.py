@@ -204,5 +204,3 @@ def test_one_event_per_queued_job(diurnal):
     # every candidate drawn was queued, pending or rejected
     rejected = counting.candidates - wl.submitted - 1
     assert rejected > 100 if diurnal else rejected == 0
-
-

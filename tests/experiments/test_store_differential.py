@@ -169,4 +169,3 @@ class TestSingleCellIsOCell:
     def test_store_holds_over_1000_cells(self, big_store):
         with CampaignStore(big_store, readonly=True) as store:
             assert store.run_count() == 1080
-

@@ -94,6 +94,18 @@ PARTITION = {
     ],
 }
 
+#: early binding's three pilots killed in turn: the first two's units
+#: restart on the third and queue for its cores, and its death interrupts
+#: them there (their core requests are withdrawn)
+KILLS = {
+    "seed": 1,
+    "actions": [
+        {"kind": "kill-pilot", "at": 200.0, "index": 1},
+        {"kind": "kill-pilot", "at": 250.0, "index": 2},
+        {"kind": "kill-pilot", "at": 400.0, "index": 0},
+    ],
+}
+
 #: two outages: the second one's pilots are rerouted to the first one's
 #: resource, whose breaker is half-open by then and closes on the probe
 OUTAGES = {
@@ -144,10 +156,6 @@ KEPT = {
     ("repro/experiments/analysis.py", "significance"): "claim",
     ("repro/experiments/analysis.py", "paired_significance"): "claim",
     ("repro/cluster/workload.py", "RawDraws.state"): "reference",
-    # a unit's core request is granted by the release its own interrupt
-    # causes in the same instant, before the interrupt lands
-    ("repro/des/resources.py", "Acquisition.cancel"): "untriggerable",
-    ("repro/des/resources.py", "CapacityResource._cancel"): "untriggerable",
 }
 
 
@@ -167,7 +175,8 @@ def entry_points(
     """
     w = lambda name: os.path.join(work, name)  # noqa: E731
     run = ["run", "--tasks", "8", "--warmup-hours", "1"]
-    # one 1024-task cell: over a 0.1 s wall budget on any host
+    # one 1024-task cell: about 0.3 s on a 2-CPU x86-64 host, so a 0.1 s
+    # wall budget kills it
     poison = ["campaign", "--experiments", "1", "--sizes", "1024", "--reps",
               "1", "-q", "--store", w("t.sqlite")]
     return [
@@ -248,6 +257,9 @@ def entry_points(
          ["run", "--tasks", "256", "--warmup-hours", "1", "--faults",
           w("plan.json"), "--fault-seed", "4", "--max-resubmit", "1",
           "--breaker", "--save", w("s-faults.json")], (0, 1)),
+        ("run --faults (queued units interrupted)", "extensions", "cli",
+         ["run", "--tasks", "64", "--warmup-hours", "1", "--binding",
+          "early", "--pilots", "3", "--faults", w("kills.json")], (1,)),
         ("run --breaker (probe closes)", "extensions", "cli",
          ["run", "--tasks", "64", "--faults", w("outages.json"),
           "--breaker"], (0,)),
@@ -480,7 +492,8 @@ class CallTracer:
     def _in_child(self) -> None:
         """A forked worker keeps the tracer; it writes what it called
         and set to a file of its own before it ``os._exit``s, which
-        skips atexit."""
+        skips atexit. The file is renamed into place once written, so a
+        worker SIGKILLed while writing it leaves no partial ``seen-``."""
         self._seen = set()
         self._bound = set()
         exit_now = os._exit
@@ -488,11 +501,13 @@ class CallTracer:
         def flush_and_exit(code):
             try:
                 self.stop()
-                path = os.path.join(self.work, f"seen-{os.getpid()}.json")
-                with open(path, "w") as fh:
+                part = os.path.join(self.work, f"part-{os.getpid()}.json")
+                with open(part, "w") as fh:
                     json.dump({"class": self.cls,
                                "seen": sorted(_keys(self._seen)),
                                "bound": sorted(self._bound)}, fh)
+                os.replace(part, os.path.join(
+                    self.work, f"seen-{os.getpid()}.json"))
             finally:
                 exit_now(code)  # never back into the parent's stack
 
@@ -585,7 +600,7 @@ def _open_attempt_worker(store: str) -> Optional[int]:
         record = json.loads(raw)
         cell = (record.get("exp"), record.get("n"), record.get("rep"))
         if kind == "attempt_started":
-            open_.pop(cell, None)
+            open_.pop(cell, None)  # re-inserted last: newest
             open_[cell] = record.get("worker")
         elif kind in ("cell", "attempt_timeout", "attempt_lost"):
             open_.pop(cell, None)
@@ -618,14 +633,12 @@ def _children() -> List[int]:
     return pids
 
 
-def _kill_every_worker(got: Dict[str, int], done: threading.Event) -> None:
+def _kill_every_worker(done: threading.Event) -> None:
     """SIGKILL each child process as it appears, until the entry ends."""
-    got["killed"] = 0
     while not done.is_set():
         for pid in _children():
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
-                got["killed"] += 1
         time.sleep(0.005)
 
 
@@ -647,7 +660,7 @@ def _run_cli(kind: str, args: list, log) -> int:
             args=(args[args.index("--store") + 1], got, done),
         )
     elif kind == "kill-all":
-        helper = threading.Thread(target=_kill_every_worker, args=(got, done))
+        helper = threading.Thread(target=_kill_every_worker, args=(done,))
     elif kind == "serve":
         helper = threading.Thread(
             target=_get_endpoints, args=(stderr, got, done)
@@ -692,7 +705,7 @@ def _run_example(path: str, log) -> int:
 
 def run_entries(work: str, tracer: CallTracer) -> List[dict]:
     for name, plan in (("plan.json", PLAN), ("partition.json", PARTITION),
-                       ("outages.json", OUTAGES)):
+                       ("outages.json", OUTAGES), ("kills.json", KILLS)):
         with open(os.path.join(work, name), "w") as fh:
             json.dump(plan, fh)
     shutil.copyfile(BASELINE, os.path.join(work, "baseline.json"))
