@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import os
 
-from .cluster import PRESETS, SubmissionError
+from .cluster import PRESETS
 from .core import Binding, PlannerConfig, RecoveryPolicy
 from . import experiments
 from .experiments.io import save_campaign
@@ -642,6 +642,14 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     env = experiments.build_environment(
         seed=args.seed, resources=args.resources or None
     )
+    clusters = {n: env.bundle.cluster(n) for n in env.bundle.resources()}
+    for name, cluster in clusters.items():
+        if args.cores > cluster.total_cores:
+            print(
+                f"error: --cores asks for {args.cores} cores; {name} "
+                f"has {cluster.total_cores}", file=sys.stderr,
+            )
+            return 2
     env.warm_up(args.warmup_hours * 3600.0)
     print(f"Queue state after {args.warmup_hours:.1f} simulated hours:")
     for snap in env.bundle.query_all():
@@ -650,7 +658,6 @@ def _cmd_probe(args: argparse.Namespace) -> int:
             f"  {snap.name:>16}: util {c.utilization:.2f}, queue "
             f"{c.queue_length}, predicted wait {c.setup_time_estimate:.0f}s"
         )
-    clusters = {n: env.bundle.cluster(n) for n in env.bundle.resources()}
     pm = PilotManager(env.sim, clusters)
     pilots = []
     for name in env.bundle.resources():
@@ -659,11 +666,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
                 resource=name, cores=args.cores, runtime_min=60
             )
         )
-    try:
-        env.sim.run(until=env.sim.now + 48 * 3600)
-    except SubmissionError as exc:  # --cores beyond a resource's size
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    env.sim.run(until=env.sim.now + 48 * 3600)
     print(f"\nMeasured wait for a {args.cores}-core probe pilot:")
     for p in pilots:
         wait = p.queue_wait

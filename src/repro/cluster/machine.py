@@ -178,9 +178,9 @@ class Cluster:
         candidate the thinning rejects. Arrivals only move forward, so
         each is pushed at or after ``now`` without ``call_at``'s check.
         """
-        arrival = workload.next_arrival()
         self.sim._push(
-            arrival + self.submit_overhead, self._arrive, (workload, arrival)
+            workload.next_arrival() + self.submit_overhead, self._arrive,
+            (workload,),
         )
 
     def cancel(self, job: BatchJob) -> None:
@@ -261,8 +261,8 @@ class Cluster:
         self._transition(job, _PENDING)
         self._schedule_dispatch()
 
-    def _arrive(self, workload: "BackgroundWorkload", arrival: float) -> None:
-        """Queue the job that arrived at ``arrival``, then pull the next."""
+    def _arrive(self, workload: "BackgroundWorkload") -> None:
+        """Queue the job that arrived, then pull the next arrival."""
         self._enqueue(workload.job_due())
         self.queue_arrivals(workload)
 

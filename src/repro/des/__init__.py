@@ -10,7 +10,6 @@ layers above record about themselves goes to the kernel's telemetry hub
 """
 
 from .errors import (
-    CancelledError,
     Interrupt,
     ProcessError,
     SchedulingError,
@@ -25,7 +24,6 @@ from .rng import RngStreams
 __all__ = [
     "Acquisition",
     "AllOf",
-    "CancelledError",
     "CapacityResource",
     "EventHandle",
     "Interrupt",

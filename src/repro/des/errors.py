@@ -11,10 +11,6 @@ class SchedulingError(SimulationError):
     """Raised when an event is scheduled in the past or re-scheduled."""
 
 
-class CancelledError(SimulationError):
-    """Raised inside a process when the operation it waits on is cancelled."""
-
-
 class ProcessError(SimulationError):
     """Raised when interacting with a process in an illegal state."""
 

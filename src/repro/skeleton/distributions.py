@@ -131,6 +131,11 @@ class LogNormal(Sampler):
     def sample(self, rng, context=None) -> float:
         return float(np.clip(rng.lognormal(self.mu, self.sigma), self.low, self.high))
 
+    def mean(self) -> float:
+        return float(
+            np.clip(np.exp(self.mu + self.sigma**2 / 2), self.low, self.high)
+        )
+
 
 @dataclass(frozen=True)
 class Polynomial(Sampler):

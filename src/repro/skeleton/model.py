@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import Constant, Sampler, parse_sampler
+from .distributions import Constant, Polynomial, Sampler, parse_sampler
 
 VALID_MAPPINGS = ("external", "one_to_one", "all_to_one", "none")
 
@@ -80,6 +80,14 @@ class StageSpec:
             self.cores_per_task = Constant(float(self.cores_per_task))
         else:
             self.cores_per_task = parse_sampler(self.cores_per_task)
+        # a task's duration and cores are drawn first, with no sibling
+        # attribute for a polynomial to read, and planners take their mean
+        for attr in ("task_duration", "cores_per_task"):
+            if isinstance(getattr(self, attr), Polynomial):
+                raise SkeletonError(
+                    f"stage {self.name!r}: {attr} cannot be a polynomial "
+                    "of another attribute"
+                )
 
     def sample_cores(self, rng) -> int:
         """Draw one task's core count (>= 1)."""

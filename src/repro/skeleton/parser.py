@@ -21,8 +21,9 @@ we provide the same workflow with an INI dialect::
     input = all_to_one
     output_size = 2000
 
-Values for ``duration`` / ``input_size`` / ``output_size`` use the
-sampler spec notation of :mod:`repro.skeleton.distributions`.
+Values for ``duration`` / ``cores`` / ``input_size`` / ``output_size``
+use the sampler spec notation of :mod:`repro.skeleton.distributions`;
+``poly()`` reads a sibling attribute, so only the two sizes take it.
 """
 
 from __future__ import annotations

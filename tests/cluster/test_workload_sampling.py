@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, FcfsScheduler
-from repro.cluster.presets import PRESETS, build_resource
+from repro.cluster.presets import PRESETS
 from repro.cluster.workload import BackgroundWorkload, WorkloadProfile
 from repro.des import Simulation
 
@@ -159,10 +159,21 @@ def test_kernel_stream_is_the_named_workload_stream():
 
 
 def _primed_queue(seed):
+    # build_resource without its start(): the primed queue only, no
+    # arrival after t=0
     sim = Simulation(seed=seed)
-    res = build_resource(sim, PRESETS["stampede-sim"])
+    preset = PRESETS["stampede-sim"]
+    cluster = Cluster(
+        sim, name=preset.name, nodes=preset.nodes,
+        cores_per_node=preset.cores_per_node,
+        scheduler=preset.scheduler_factory(),
+        submit_overhead=preset.submit_overhead,
+        dispatch_interval=preset.dispatch_interval,
+    )
+    BackgroundWorkload(sim, cluster, preset.profile).prime(
+        backlog_hours=preset.backlog_hours
+    )
     sim.run(until=60.0)  # past the submit overhead and first dispatch
-    cluster = res.cluster
     return (
         cluster.queue_length,
         cluster.free_cores,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.des import (
-    CancelledError,
     Interrupt,
     ProcessError,
     Signal,

@@ -150,8 +150,9 @@ class TestCLI:
             "--warmup-hours", "0.1",
         ])
         assert rc == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and "100000 cores" in err
+        assert out == ""  # refused before the warm-up
 
     def test_ablation_command(self, capsys):
         rc = main(["ablation", "scheduler", "--reps", "1"])

@@ -3,7 +3,8 @@
 Late binding keeps an ordered eligible queue that changes only when a
 unit enters or leaves the unbound pool or its last dependency resolves.
 Every binding pass here is checked against the eligible list rebuilt
-from the pool — unbound units in the order they (re)entered it, whose
+from public state — unbound units in the order they (re)entered the
+pool, read from the telemetry hub's unit state spans, whose
 dependencies are all DONE — and against a binding walk that visits
 every eligible unit.
 """
@@ -42,12 +43,15 @@ def _full_walk(eligible, pilots):
 
 
 class _Reference:
-    """The eligible list rebuilt from the unit manager's pool."""
+    """Entry log of the pool, read from the telemetry hub's unit state
+    spans: a unit enters the pool each time it becomes UNSCHEDULED."""
 
-    def __init__(self, depends_on):
+    def __init__(self, depends_on, hub):
         self.depends_on = depends_on
+        self.hub = hub
         self.units = {}
-        self.um = None
+        self.entry = {}  # uid -> sid of its latest UNSCHEDULED span
+        self._read = 0
 
     def entered(self, units):
         for unit in units:
@@ -56,13 +60,21 @@ class _Reference:
     def eligible(self):
         """Unbound units with every dependency DONE, in the order of
         their latest entry into the pool."""
+        spans = self.hub.spans
+        for span in spans[self._read:]:
+            if span.category == "unit" and span.name == "UNSCHEDULED":
+                self.entry[span.track] = span.sid
+        self._read = len(spans)
         done = {
             name for name, u in self.units.items()
             if u.state is UnitState.DONE
         }
         return [
-            u for _, u in sorted(self.um._unbound.values(),
-                                 key=lambda e: e[0])
+            u for u in sorted(
+                (u for u in self.units.values()
+                 if u.state is UnitState.UNSCHEDULED),
+                key=lambda u: self.entry[u.uid],
+            )
             if all(d in done for d in self.depends_on.get(u.name, ()))
         ]
 
@@ -121,9 +133,9 @@ def test_binding_matches_a_rebuilt_eligible_list(
         f"u{i}": sorted({f"u{d % i}" for d in deps}) if i else []
         for i, (_c, _d, deps, _r) in enumerate(units)
     }
-    reference = _Reference(depends_on)
+    sim.telemetry.enable()
+    reference = _Reference(depends_on, sim.telemetry)
     um = UnitManager(sim, sub.network, scheduler=_CheckedBackfill(reference))
-    reference.um = um
     descs = [
         ComputeUnitDescription(
             name=f"u{i}", duration_s=float(duration), cores=cores,

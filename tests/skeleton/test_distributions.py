@@ -70,6 +70,8 @@ class TestLogNormal:
         ln = LogNormal(mu=np.log(100), sigma=0.5, low=10, high=1000)
         xs = [ln.sample(RNG) for _ in range(500)]
         assert all(10 <= x <= 1000 for x in xs)
+        expected = np.exp(np.log(100) + 0.125)
+        assert ln.mean() == pytest.approx(expected)
 
 
 class TestPolynomial:

@@ -27,6 +27,15 @@ def test_invalid_int_cores_rejected():
         StageSpec(name="s", n_tasks=1, task_duration=60.0, cores_per_task=0)
 
 
+@pytest.mark.parametrize("attr", ["task_duration", "cores_per_task"])
+def test_polynomial_duration_or_cores_rejected(attr):
+    """Duration and cores are drawn before any sibling attribute, and
+    planners take their mean: a polynomial cannot give either."""
+    kwargs = {"task_duration": 60.0, attr: "poly(input_size, 1, 0.001)"}
+    with pytest.raises(SkeletonError, match=attr):
+        StageSpec(name="s", n_tasks=1, **kwargs)
+
+
 def test_sampled_cores_vary_and_floor_at_one():
     spec = StageSpec(
         name="s", n_tasks=64, task_duration=60.0,

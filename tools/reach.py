@@ -122,8 +122,9 @@ ABLATIONS = ("binding", "data", "energy", "heterogeneity", "locality",
              "nonuniform", "pilots", "pool", "scheduler", "waits")
 
 EXAMPLES = ("adaptive_rescue", "chaos_study", "mapreduce_pipeline",
-            "queue_wait_study", "quickstart", "skeleton_tool",
-            "strategy_comparison", "trace_replay", "workflow_import")
+            "queue_wait_study", "quickstart", "skeleton_planning",
+            "skeleton_tool", "strategy_comparison", "trace_replay",
+            "workflow_import")
 
 #: the classes of entry point, in the order ``reach.json`` lists them:
 #: the paper's campaign and its readers (plus ``table1`` and a plain
@@ -156,6 +157,9 @@ KEPT = {
     ("repro/experiments/analysis.py", "significance"): "claim",
     ("repro/experiments/analysis.py", "paired_significance"): "claim",
     ("repro/cluster/workload.py", "RawDraws.state"): "reference",
+    # read only by Cluster.submit's refusals (the CLI refuses an
+    # oversized probe first) and the dispatch pass's integrity checks
+    ("repro/cluster/job.py", "BatchJob.name"): "untriggerable",
 }
 
 
@@ -168,15 +172,17 @@ def entry_points(
     same, SIGINTed once the store holds a committed run), ``kill`` (the
     same, one worker SIGKILLed mid-cell once the store holds a committed
     run, then a ``watch --once`` of the running campaign), ``kill-all``
-    (the same, every worker SIGKILLed as it appears), ``serve`` (a
-    ``--serve`` campaign with GETs of every endpoint and a ``watch
-    --url`` of it) or ``example``. Paths under ``work`` are files
+    (the same, every worker SIGKILLed as it appears), ``stall`` (the
+    same, the worker of every attempt SIGSTOPped as it starts),
+    ``serve`` (a ``--serve`` campaign with GETs of every endpoint and a
+    ``watch --url`` of it) or ``example``. Paths under ``work`` are files
     earlier entries wrote.
     """
     w = lambda name: os.path.join(work, name)  # noqa: E731
     run = ["run", "--tasks", "8", "--warmup-hours", "1"]
-    # one 1024-task cell: about 0.3 s on a 2-CPU x86-64 host, so a 0.1 s
-    # wall budget kills it
+    # one 1024-task cell (about 0.3 s on a 2-CPU x86-64 host), whose
+    # worker the ``stall`` helper SIGSTOPs, so no host is fast enough to
+    # meet the wall budget
     poison = ["campaign", "--experiments", "1", "--sizes", "1024", "--reps",
               "1", "-q", "--store", w("t.sqlite")]
     return [
@@ -194,8 +200,8 @@ def entry_points(
         # a cell killed past its wall budget twice is quarantined (exit
         # 1); analyze reports it, a resume with another seed is refused
         # (exit 2), and --retry-errors re-runs it
-        ("campaign --cell-timeout (quarantine)", "paper", "cli",
-         [*poison, "--cell-timeout", "0.1", "--max-attempts", "2"], (1,)),
+        ("campaign --cell-timeout (quarantine)", "paper", "stall",
+         [*poison, "--cell-timeout", "0.001", "--max-attempts", "2"], (1,)),
         ("analyze (quarantined cell)", "paper", "cli",
          ["analyze", w("t.sqlite"), "--baseline", BASELINE], (1,)),
         ("campaign --resume --seed 7 (refused)", "paper", "cli",
@@ -624,6 +630,22 @@ def _kill_a_worker(store: str, got: Dict[str, int],
         time.sleep(0.01)
 
 
+def _stall_workers(store: str, got: Dict[str, int],
+                   done: threading.Event) -> None:
+    """SIGSTOP the worker of each attempt in ``store`` as it starts: the
+    cell's wall budget runs out however fast the host is, and the
+    parent SIGKILLs the stopped worker."""
+    stopped: Set[int] = set()
+    while not done.is_set():
+        pid = _open_attempt_worker(store)
+        if pid and pid not in stopped:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGSTOP)
+            stopped.add(pid)
+            got["stopped"] = len(stopped)
+        time.sleep(0.005)
+
+
 def _children() -> List[int]:
     """The pids of this process's live children."""
     pids: List[int] = []
@@ -661,6 +683,11 @@ def _run_cli(kind: str, args: list, log) -> int:
         )
     elif kind == "kill-all":
         helper = threading.Thread(target=_kill_every_worker, args=(done,))
+    elif kind == "stall":
+        helper = threading.Thread(
+            target=_stall_workers,
+            args=(args[args.index("--store") + 1], got, done),
+        )
     elif kind == "serve":
         helper = threading.Thread(
             target=_get_endpoints, args=(stderr, got, done)
@@ -685,6 +712,11 @@ def _run_cli(kind: str, args: list, log) -> int:
         return -1
     if kind == "kill" and got.get("watch") != 0:
         log.write(f"no worker killed and watched: {got}\n")
+        return -1
+    if kind == "stall" and got.get("stopped") != int(
+        args[args.index("--max-attempts") + 1]
+    ):
+        log.write(f"not every attempt's worker stopped: {got}\n")
         return -1
     return rc
 
